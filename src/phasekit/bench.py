@@ -7,8 +7,9 @@ relative error drops below a threshold).
 
 Determinism contract: every numeric output is a pure function of
 (config, base_seed). Trial streams are derived as
-SeedSequence(base_seed, spawn_key=(round(1000*ratio), trial)), so no two
-trials share an RNG stream and the worker count never changes results.
+SeedSequence(base_seed, spawn_key=(round(1000*ratio), trial)), and ratio
+grids whose rounded keys collide are rejected, so no two trials share an RNG
+stream and the worker count never changes results.
 """
 
 from __future__ import annotations
@@ -69,6 +70,11 @@ class ExperimentConfig:
             raise ValueError("ratio grid must be nonempty")
         if any(r < 1 for r in self.ratio_grid):
             raise ValueError("ratio grid values must be >= 1")
+        keys = [_ratio_key(r) for r in self.ratio_grid]
+        if len(set(keys)) != len(keys):
+            raise ValueError(
+                f"ratio grid {tuple(self.ratio_grid)} has ratios equal after rounding to "
+                "0.001, which would share trial streams")
         if self.trials is not None and self.trials < 1:
             raise ValueError("trials must be >= 1")
 
@@ -130,9 +136,15 @@ def _format_cell(v) -> str:
     return str(v)
 
 
+def _ratio_key(ratio: float) -> int:
+    return int(round(1000 * ratio))
+
+
 def trial_seed(base_seed: int, ratio: float, trial: int) -> np.random.SeedSequence:
-    """Pure function of (base_seed, ratio, trial); no two trials share a stream."""
-    return np.random.SeedSequence(entropy=base_seed, spawn_key=(int(round(1000 * ratio)), trial))
+    """Pure function of (base_seed, ratio, trial). The ratio is keyed by
+    round(1000*ratio); ExperimentConfig rejects grids where two keys collide,
+    so no two trials of an experiment share a stream."""
+    return np.random.SeedSequence(entropy=base_seed, spawn_key=(_ratio_key(ratio), trial))
 
 
 def generate_signal(d: int, seed: SeedLike, spike_factor: float = 200.0,
@@ -219,7 +231,7 @@ def run_recovery_trial(config: ExperimentConfig, ratio: float, i: int) -> TrialR
     wall = time.perf_counter() - t0
     return TrialRecord(
         trial_index=i,
-        seed_key=(config.base_seed, int(round(1000 * ratio)), i),
+        seed_key=(config.base_seed, _ratio_key(ratio), i),
         init_rel_error=float(init_err),
         final_rel_error=float(final_err),
         iterations=report.iterations,

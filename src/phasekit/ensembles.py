@@ -141,6 +141,29 @@ class MeasurementSet:
         return self.vectors.shape[1]
 
 
+def _inner(mset: MeasurementSet, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """w_j = <a_j, z> = a_j* z for every row, and |w_j|^2. A complex w is
+    formed as conj(A @ conj(z)), so the N x d matrix is never copied."""
+    A = mset.vectors
+    if np.iscomplexobj(A) or np.iscomplexobj(z):
+        w = np.conj(A @ np.conj(z))
+        return w, w.real ** 2 + w.imag ** 2
+    w = A @ z
+    return w, w * w
+
+
+def _checked_intensities(mset: MeasurementSet, y) -> np.ndarray:
+    """`y` as float64, after checking it is finite, nonnegative and of shape (N,)."""
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (mset.N,):
+        raise ValueError(f"intensity vector has shape {y.shape}, expected ({mset.N},)")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("intensities must be finite")
+    if np.any(y < 0):
+        raise ValueError("intensities must be nonnegative")
+    return y
+
+
 def moment_profile(ensemble: Ensemble) -> MomentProfile:
     """Closed-form tau1..tau4 for an i.i.d. symmetric entry ensemble.
 

@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .ensembles import Field, MeasurementSet
+from .ensembles import Field, MeasurementSet, _checked_intensities, _inner
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,13 @@ class SolveStatus(Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Descent settings. `grad_norm_tol` is relative: the descent stops once
+    ||g(z)|| <= grad_norm_tol * ||z||^3. The gradient is cubic in the signal
+    scale, g(c z; c^2 y) = c^3 g(z; y), so the rule is scale invariant."""
+
     step_mode: StepMode = field(default_factory=BarzilaiBorwein)
     max_iters: int = 2000
-    grad_norm_tol: float = 1e-16
+    grad_norm_tol: float = 1e-13
     trace: bool = False
 
     def __post_init__(self):
@@ -95,8 +99,7 @@ def objective(z: np.ndarray, mset: MeasurementSet, y: np.ndarray) -> float:
     z = np.asarray(z)
     if z.shape != (mset.d,):
         raise ValueError(f"z has shape {z.shape}, expected ({mset.d},)")
-    w = mset.vectors.conj() @ z
-    r = np.abs(w) ** 2 - y
+    r = _inner(mset, z)[1] - y
     return float(np.sum(r ** 2)) / (2.0 * mset.N)
 
 
@@ -105,9 +108,8 @@ def gradient(z: np.ndarray, mset: MeasurementSet, y: np.ndarray) -> np.ndarray:
     z = np.asarray(z)
     if z.shape != (mset.d,):
         raise ValueError(f"z has shape {z.shape}, expected ({mset.d},)")
-    w = mset.vectors.conj() @ z
-    coeff = (np.abs(w) ** 2 - y) * w
-    return (coeff @ mset.vectors) / mset.N
+    w, w_abs2 = _inner(mset, z)
+    return ((w_abs2 - y) * w @ mset.vectors) / mset.N
 
 
 def phase_align(z: np.ndarray, x: np.ndarray) -> AlignedDistance:
@@ -157,8 +159,10 @@ def solve(
     Fixed mode uses a constant step; BB mode uses
     xi_k = |Re<s_k, g_k - g_{k-1}>| / ||g_k - g_{k-1}||^2 with
     s_k = z_k - z_{k-1} (first iteration uses `first_step`).
-    Stops when ||g|| < grad_norm_tol or after max_iters updates. A non-finite
-    iterate aborts with the last finite one.
+    Stops with GRAD_TOLERANCE_MET once ||g|| <= grad_norm_tol * ||z||^3 (a
+    relative tolerance, see SolverConfig), or with MAX_ITERS after max_iters
+    updates. A non-finite iterate or gradient aborts with NON_FINITE and the
+    last finite iterate. `y` must be finite, nonnegative and of shape (N,).
     """
     if mset.field is Field.COMPLEX:
         z = np.asarray(z0, dtype=np.complex128).copy()
@@ -168,7 +172,7 @@ def solve(
         raise ValueError(f"z0 has shape {z.shape}, expected ({mset.d},)")
     if not np.all(np.isfinite(z)):
         raise ValueError("z0 must be finite")
-    y = np.asarray(y, dtype=np.float64)
+    y = _checked_intensities(mset, y)
 
     x_norm = float(np.linalg.norm(ground_truth)) if ground_truth is not None else None
     objectives = [] if config.trace else None
@@ -185,7 +189,6 @@ def solve(
     bb = isinstance(config.step_mode, BarzilaiBorwein)
     g = gradient(z, mset, y)
     gnorm = float(np.linalg.norm(g))
-    record(z, gnorm)
 
     if bb:
         first = config.step_mode.first_step
@@ -195,13 +198,21 @@ def solve(
         if fallback is None:
             fallback = first
 
-    status = SolveStatus.MAX_ITERS
     iterations = 0
     z_prev = None
     g_prev = None
-    for _ in range(config.max_iters):
-        if gnorm < config.grad_norm_tol:
+    while True:
+        record(z, gnorm)
+        if not math.isfinite(gnorm):
+            status = SolveStatus.NON_FINITE
+            break
+        # ||z||^3 as a product: a float product saturates at inf, where ** raises
+        znorm = float(np.linalg.norm(z))
+        if gnorm <= config.grad_norm_tol * znorm * znorm * znorm:
             status = SolveStatus.GRAD_TOLERANCE_MET
+            break
+        if iterations == config.max_iters:
+            status = SolveStatus.MAX_ITERS
             break
         if bb:
             if z_prev is None:
@@ -214,21 +225,10 @@ def solve(
         if not np.all(np.isfinite(z_new)):
             status = SolveStatus.NON_FINITE
             break
-        g_new = gradient(z_new, mset, y)
-        if not np.all(np.isfinite(g_new)):
-            status = SolveStatus.NON_FINITE
-            z = z_new
-            iterations += 1
-            record(z, float("inf"))
-            break
         z_prev, g_prev = z, g
-        z, g = z_new, g_new
+        z = z_new
+        g = gradient(z, mset, y)
         gnorm = float(np.linalg.norm(g))
         iterations += 1
-        record(z, gnorm)
-    else:
-        status = SolveStatus.MAX_ITERS
-    if status is SolveStatus.MAX_ITERS and gnorm < config.grad_norm_tol:
-        status = SolveStatus.GRAD_TOLERANCE_MET
 
     return SolveReport(z, iterations, status, objectives, grad_norms, rel_errors)

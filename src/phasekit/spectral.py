@@ -18,7 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import MeasurementSet, MomentProfile, SeedLike, as_rng
+from .ensembles import (
+    MeasurementSet,
+    MomentProfile,
+    SeedLike,
+    _checked_intensities,
+    _inner,
+    as_rng,
+)
 
 
 @dataclass(frozen=True)
@@ -39,8 +46,7 @@ def measure(mset: MeasurementSet, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.shape != (mset.d,):
         raise ValueError(f"signal has shape {x.shape}, expected ({mset.d},)")
-    inner = mset.vectors.conj() @ x
-    return np.abs(inner) ** 2
+    return _inner(mset, x)[1]
 
 
 def rho_from_intensities(y: np.ndarray, tau1: float) -> float:
@@ -120,7 +126,10 @@ def gsi(
     power_iters: int = 50,
     seed: SeedLike = 0,
 ) -> InitResult:
-    """Generalized spectral initialization: z0 = rho * (top eigenvector of M)."""
+    """Generalized spectral initialization: z0 = rho * (top eigenvector of M).
+
+    `y` must be finite, nonnegative and of shape (N,)."""
+    y = _checked_intensities(mset, y)
     rho = rho_from_intensities(y, profile.tau1)
     Y = build_Y(mset, y)
     M = build_M(Y, rho, profile)
@@ -135,8 +144,9 @@ def baseline_si(
     seed: SeedLike = 0,
 ) -> InitResult:
     """Classical spectral initialization: top eigenvector of Y, scaled by
-    lam_SI = sqrt(d * sum(y) / sum_j ||a_j||^2)."""
-    y = np.asarray(y, dtype=np.float64)
+    lam_SI = sqrt(d * sum(y) / sum_j ||a_j||^2). `y` must be finite,
+    nonnegative and of shape (N,)."""
+    y = _checked_intensities(mset, y)
     Y = build_Y(mset, y)
     lam, v, residual = power_method(Y, iters=power_iters, seed=seed)
     scale = math.sqrt(mset.d * float(np.sum(y)) / float(np.sum(np.abs(mset.vectors) ** 2)))

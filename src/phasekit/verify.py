@@ -62,27 +62,10 @@ class ResidualReport:
 
 
 def hermitian_opnorm(H: np.ndarray) -> float:
-    """Operator norm (largest |eigenvalue|) of a Hermitian matrix.
-
-    Dense eigensolve up to d = 64; power iteration (residual 1e-8) above."""
-    d = H.shape[0]
-    if d <= 64:
-        vals = np.linalg.eigvalsh(H)
-        return float(np.max(np.abs(vals))) if vals.size else 0.0
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(d) + (1j * rng.standard_normal(d) if np.iscomplexobj(H) else 0.0)
-    v = v / np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(10_000):
-        w = H @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        lam = float(np.real(np.vdot(v, H @ v)))
-        if np.linalg.norm(H @ v - lam * v) <= 1e-8 * max(abs(lam), 1.0):
-            break
-    return abs(lam)
+    """Operator norm (largest |eigenvalue|) of a Hermitian matrix, by a dense
+    eigensolve."""
+    vals = np.linalg.eigvalsh(H)
+    return float(np.max(np.abs(vals))) if vals.size else 0.0
 
 
 def _noise_scale(chunk_mats: Sequence[np.ndarray], overall: np.ndarray) -> float:
@@ -310,6 +293,8 @@ def concentration_curve(
     Reference expectations use the analytic profile with the exact ||x||:
     E(Y) = tau2 ||x||^2 I + tau3 x x* + tau4 diag(|x_i|^2) and
     E(M) = tau2 ||x||^2 I + tau3 x x*.
+    Trial (ni, t) draws from SeedSequence(seed, spawn_key=(ni, t)); a
+    Generator seed supplies that entropy by one draw of its stream.
     """
     if trials < 20:
         raise ValueError("need trials >= 20")
@@ -321,7 +306,9 @@ def concentration_curve(
     EY = condition_expectation(profile, x)
     EM = profile.tau2 * nx2 * np.eye(d, dtype=dtype) + profile.tau3 * np.outer(x, x.conj())
 
-    root = np.random.SeedSequence(seed) if isinstance(seed, int) else seed
+    if isinstance(seed, np.random.Generator):
+        seed = int(seed.integers(2 ** 63))
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rows = []
     for ni, N in enumerate(N_grid):
         y_devs, m_devs, rho_devs = [], [], []

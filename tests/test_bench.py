@@ -89,6 +89,14 @@ def test_config_validation():
         ExperimentConfig(ExperimentKind.INIT_ERROR, TERNARY_REAL, trials=0)
 
 
+def test_config_rejects_ratios_sharing_a_trial_stream():
+    # trial_seed keys a ratio by round(1000 * ratio)
+    assert trial_seed(0, 2.0001, 0).spawn_key == trial_seed(0, 2.0002, 0).spawn_key
+    with pytest.raises(ValueError, match="trial streams"):
+        ExperimentConfig(ExperimentKind.SUCCESS_RATE, TERNARY_REAL, ratio_grid=(2.0001, 2.0002))
+    ExperimentConfig(ExperimentKind.SUCCESS_RATE, TERNARY_REAL, ratio_grid=(2.001, 2.002))
+
+
 def test_init_experiment_shape_and_determinism():
     t1 = run_init_experiment(SMALL_INIT)
     t2 = run_init_experiment(SMALL_INIT)

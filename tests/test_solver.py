@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,11 @@ from phasekit import (
     TERNARY,
     bb_step,
     dist,
+    generate_signal,
     gradient,
+    gsi,
     measure,
+    moment_profile,
     objective,
     phase_align,
     sample_measurements,
@@ -226,3 +230,72 @@ def test_default_bb_first_step_scaling():
     cfg_b = SolverConfig(step_mode=BarzilaiBorwein(first_step=0.0), max_iters=1)
     rep_b = solve(ms, y, z0, cfg_b)
     assert np.array_equal(rep_b.final_z, z0)
+
+
+def test_complex_gradient_matches_reference_without_copying_vectors():
+    ens = Ensemble(Field.COMPLEX, TERNARY)
+    N, d = 1024, 128
+    ms = sample_measurements(ens, N, d, seed=11)
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    y = measure(ms, x)
+    z = x + 0.1 * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
+    gradient(z, ms, y)  # warm-up, so that one-off allocations are not traced
+    tracemalloc.start()
+    try:
+        g = gradient(z, ms, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    w = np.array([np.vdot(a, z) for a in ms.vectors])  # <a_j, z> = a_j* z
+    ref = sum((abs(wj) ** 2 - yj) * wj * a for wj, yj, a in zip(w, y, ms.vectors)) / N
+    assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(ref)
+    # a conj() of the vectors would allocate N*d*16 bytes
+    assert peak < ms.vectors.nbytes / 8
+
+
+@pytest.mark.parametrize("c", [1e-3, 1e3])
+def test_solve_stopping_rule_is_scale_invariant(c):
+    # g(c z; c^2 y) = c^3 g(z; y) and the BB steps scale by c^-2, so with a
+    # first step scaled the same way the whole run is the same up to rounding
+    ms = sample_measurements(TERNARY_REAL, 192, 32, seed=0)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(32)
+    u = rng.standard_normal(32)
+    z0 = x + 0.05 * np.linalg.norm(x) * u / np.linalg.norm(u)
+    y = measure(ms, x)
+
+    def run(scale):
+        cfg = SolverConfig(step_mode=BarzilaiBorwein(first_step=0.01 / scale ** 2))
+        return solve(ms, scale ** 2 * y, scale * z0, cfg)
+
+    ref, scaled = run(1.0), run(c)
+    assert ref.status is SolveStatus.GRAD_TOLERANCE_MET
+    assert (scaled.iterations, scaled.status) == (ref.iterations, ref.status)
+
+
+def test_complex_ternary_trial_converges_before_max_iters():
+    ens = Ensemble(Field.COMPLEX, TERNARY)
+    d = 128
+    x = generate_signal(d, seed=0, field=Field.COMPLEX)
+    ms = sample_measurements(ens, 8 * d, d, seed=1)
+    y = measure(ms, x)
+    init = gsi(ms, y, moment_profile(ens), seed=2)
+    rep = solve(ms, y, init.z0, SolverConfig(max_iters=2000))
+    assert rep.status is SolveStatus.GRAD_TOLERANCE_MET
+    assert rep.iterations < 2000
+    assert dist(rep.final_z, x) / np.linalg.norm(x) < 1e-10
+
+
+@pytest.mark.parametrize("bad, match", [
+    (lambda y: np.where(np.arange(y.size) == 3, np.nan, y), "finite"),
+    (lambda y: np.where(np.arange(y.size) == 3, np.inf, y), "finite"),
+    (lambda y: np.where(np.arange(y.size) == 3, -1.0, y), "nonnegative"),
+    (lambda y: y[:-1], "shape"),
+    (lambda y: y[:, None], "shape"),
+])
+def test_solve_rejects_bad_intensities(bad, match):
+    ms = sample_measurements(TERNARY_REAL, 20, 4, seed=12)
+    y = measure(ms, np.ones(4))
+    with pytest.raises(ValueError, match=match):
+        solve(ms, bad(y), np.ones(4))

@@ -57,6 +57,23 @@ def test_measure_dimension_mismatch():
         measure(ms, np.zeros(3))
 
 
+@pytest.mark.parametrize("init", ["gsi", "baseline_si"])
+@pytest.mark.parametrize("bad, match", [
+    (lambda y: np.where(np.arange(y.size) == 3, np.nan, y), "finite"),
+    (lambda y: np.where(np.arange(y.size) == 3, -np.inf, y), "finite"),
+    (lambda y: np.where(np.arange(y.size) == 3, -1.0, y), "nonnegative"),
+    (lambda y: y[:-1], "shape"),
+])
+def test_initializers_reject_bad_intensities(init, bad, match):
+    ms = sample_measurements(TERNARY_REAL, 40, 4, seed=5)
+    y = bad(measure(ms, np.ones(4)))
+    with pytest.raises(ValueError, match=match):
+        if init == "gsi":
+            gsi(ms, y, moment_profile(TERNARY_REAL))
+        else:
+            baseline_si(ms, y)
+
+
 def test_rho_identity_and_scaling():
     y = np.full(17, 0.25)
     assert rho_from_intensities(y, tau1=0.25) == pytest.approx(1.0)

@@ -46,6 +46,8 @@ def test_hermitian_opnorm_small_and_large():
     H = (Z + Z.T) / 2
     exact = float(np.max(np.abs(np.linalg.eigvalsh(H))))
     assert hermitian_opnorm(H) == pytest.approx(exact, rel=1e-6)
+    # +-lambda pair above d = 64, where a power iteration oscillates
+    assert hermitian_opnorm(np.diag([5.0, -5.0] + [0.0] * 98)) == 5.0
 
 
 @pytest.mark.parametrize("ens", ALL_ENSEMBLES, ids=str)
@@ -190,6 +192,20 @@ def test_concentration_curve_shrinks():
     for r in rows:
         assert r.y_dev_q95 >= r.y_dev_median
         assert r.m_dev_q95 >= r.m_dev_median
+
+
+def test_concentration_curve_seed_types():
+    ens = Ensemble(Field.REAL, TERNARY)
+    x = unit_vector(8, Field.REAL, seed=13)
+
+    def rows(seed):
+        return [r.to_dict() for r in
+                concentration_curve(ens, 8, x, N_grid=[64], trials=20, seed=seed)]
+
+    assert rows(14) == rows(np.random.SeedSequence(14))
+    from_gen = rows(np.random.default_rng(15))
+    assert from_gen == rows(np.random.default_rng(15))
+    assert np.all(np.isfinite(list(from_gen[0].values())))
 
 
 def test_concentration_curve_zero_signal():
