@@ -31,12 +31,13 @@ from .ensembles import (
     Ensemble,
     Field,
     SeedLike,
+    _checked_intensities,
     as_rng,
     moment_profile,
     sample_measurements,
 )
 from .solver import BarzilaiBorwein, SolverConfig, dist, solve
-from .spectral import baseline_si, gsi, measure
+from .spectral import _gsi_from_Y, _si_from_Y, build_Y, gsi, measure
 
 THREADS_ENV_VAR = "PHASEKIT_THREADS"
 
@@ -163,15 +164,12 @@ def generate_signal(d: int, seed: SeedLike, spike_factor: float = 200.0,
 
 
 def _map_trials(fn: Callable[[int], object], trials: int, threads: int) -> list:
-    """Run trials into pre-indexed slots; result order is independent of the
-    worker count because each slot depends only on its own seed."""
+    """fn(0), ..., fn(trials - 1) in order; each result depends only on its
+    own seed, so the worker count never changes the list."""
     if threads <= 1:
         return [fn(i) for i in range(trials)]
-    out = [None] * trials
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for i, res in zip(range(trials), pool.map(fn, range(trials))):
-            out[i] = res
-    return out
+        return list(pool.map(fn, range(trials)))
 
 
 def run_init_experiment(config: ExperimentConfig) -> ResultTable:
@@ -190,8 +188,10 @@ def run_init_experiment(config: ExperimentConfig) -> ResultTable:
         mset = sample_measurements(config.ensemble, N, config.d, meas_ss)
         y = measure(mset, x)
         nx = np.linalg.norm(x)
-        g = gsi(mset, y, profile, power_iters=config.power_iters, seed=pw_gsi_ss)
-        s = baseline_si(mset, y, power_iters=config.power_iters, seed=pw_si_ss)
+        y = _checked_intensities(mset, y)
+        Y = build_Y(mset, y)  # shared by both initializers
+        g = _gsi_from_Y(Y, y, profile, config.power_iters, pw_gsi_ss)
+        s = _si_from_Y(mset, Y, y, config.power_iters, pw_si_ss)
         return dist(g.z0, x) / nx, dist(s.z0, x) / nx
 
     rows = []

@@ -141,15 +141,23 @@ class MeasurementSet:
         return self.vectors.shape[1]
 
 
-def _inner(mset: MeasurementSet, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """w_j = <a_j, z> = a_j* z for every row, and |w_j|^2. A complex w is
-    formed as conj(A @ conj(z)), so the N x d matrix is never copied."""
-    A = mset.vectors
-    if np.iscomplexobj(A) or np.iscomplexobj(z):
+def _inner(A: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """w_j = <a_j, z> = a_j* z for every row a_j of A, and |w_j|^2 as a new
+    array. A complex w is formed as conj(A @ conj(z)), so A is never copied."""
+    if A.dtype.kind == "c" or z.dtype.kind == "c":
         w = np.conj(A @ np.conj(z))
         return w, w.real ** 2 + w.imag ** 2
     w = A @ z
     return w, w * w
+
+
+def _norm(v: np.ndarray) -> float:
+    """||v|| by the formula np.linalg.norm uses for a vector, so the bits
+    agree, without its per-call overhead."""
+    if v.dtype.kind == "c":
+        re, im = v.real, v.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(v.dot(v))
 
 
 def _checked_intensities(mset: MeasurementSet, y) -> np.ndarray:
@@ -236,7 +244,13 @@ def sample_entries(ensemble: Ensemble, shape: tuple, rng: np.random.Generator) -
         return ensemble.entry.sampler(rng, shape)
     u = ensemble.entry.sampler(rng, shape)
     v = ensemble.entry.sampler(rng, shape)
-    return (u + 1j * v) / math.sqrt(2.0)
+    # written part by part: the same bits as (u + 1j*v) / sqrt(2), whose
+    # complex division multiplies by 1/sqrt(2), without complex temporaries
+    out = np.empty(shape, dtype=np.complex128)
+    scale = 1.0 / math.sqrt(2.0)
+    np.multiply(u, scale, out=out.real)
+    np.multiply(v, scale, out=out.imag)
+    return out
 
 
 def sample_measurements(ensemble: Ensemble, N: int, d: int, seed: SeedLike) -> MeasurementSet:

@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .ensembles import Field, MeasurementSet, _checked_intensities, _inner
+from .ensembles import Field, MeasurementSet, _checked_intensities, _inner, _norm
 
 
 @dataclass(frozen=True)
@@ -94,22 +94,31 @@ class SolveReport:
         return out
 
 
-def objective(z: np.ndarray, mset: MeasurementSet, y: np.ndarray) -> float:
-    """(1/2N) sum_j (|<a_j, z>|^2 - y_j)^2."""
+def _gradient(A: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """g(z) without input checks: the kernel of `gradient` and `solve`."""
+    w, r = _inner(A, z)
+    r -= y
+    g = (r * w) @ A
+    g /= A.shape[0]
+    return g
+
+
+def _checked_point(z: np.ndarray, mset: MeasurementSet) -> np.ndarray:
     z = np.asarray(z)
     if z.shape != (mset.d,):
         raise ValueError(f"z has shape {z.shape}, expected ({mset.d},)")
-    r = _inner(mset, z)[1] - y
+    return z
+
+
+def objective(z: np.ndarray, mset: MeasurementSet, y: np.ndarray) -> float:
+    """(1/2N) sum_j (|<a_j, z>|^2 - y_j)^2."""
+    r = _inner(mset.vectors, _checked_point(z, mset))[1] - y
     return float(np.sum(r ** 2)) / (2.0 * mset.N)
 
 
 def gradient(z: np.ndarray, mset: MeasurementSet, y: np.ndarray) -> np.ndarray:
     """(1/N) sum_j (|w_j|^2 - y_j) w_j a_j with w_j = <a_j, z>."""
-    z = np.asarray(z)
-    if z.shape != (mset.d,):
-        raise ValueError(f"z has shape {z.shape}, expected ({mset.d},)")
-    w, w_abs2 = _inner(mset, z)
-    return ((w_abs2 - y) * w @ mset.vectors) / mset.N
+    return _gradient(mset.vectors, y, _checked_point(z, mset))
 
 
 def phase_align(z: np.ndarray, x: np.ndarray) -> AlignedDistance:
@@ -138,10 +147,10 @@ def dist(z: np.ndarray, x: np.ndarray) -> float:
 
 def bb_step(s: np.ndarray, g: np.ndarray, fallback: float) -> float:
     """xi = |Re<s, g>| / ||g||^2; degenerate cases return `fallback`."""
-    gg = float(np.real(np.vdot(g, g)))
+    gg = float(np.vdot(g, g).real)
     if gg == 0.0:
         return fallback
-    num = abs(float(np.real(np.vdot(s, g))))
+    num = abs(float(np.vdot(s, g).real))
     if num == 0.0:
         return fallback
     return num / gg
@@ -174,22 +183,19 @@ def solve(
         raise ValueError("z0 must be finite")
     y = _checked_intensities(mset, y)
 
-    x_norm = float(np.linalg.norm(ground_truth)) if ground_truth is not None else None
-    objectives = [] if config.trace else None
-    grad_norms = [] if config.trace else None
-    rel_errors = [] if (config.trace and ground_truth is not None) else None
+    A = mset.vectors
+    trace = config.trace
+    objectives = [] if trace else None
+    grad_norms = [] if trace else None
+    rel_errors = [] if (trace and ground_truth is not None) else None
+    if rel_errors is not None:
+        x_norm = float(np.linalg.norm(ground_truth))
 
-    def record(zk, gnorm):
-        if config.trace:
-            objectives.append(objective(zk, mset, y))
-            grad_norms.append(gnorm)
-            if rel_errors is not None:
-                rel_errors.append(dist(zk, ground_truth) / x_norm if x_norm else float("nan"))
+    g = _gradient(A, y, z)
+    gnorm = _norm(g)
+    znorm = _norm(z)
 
     bb = isinstance(config.step_mode, BarzilaiBorwein)
-    g = gradient(z, mset, y)
-    gnorm = float(np.linalg.norm(g))
-
     if bb:
         first = config.step_mode.first_step
         if first is None:
@@ -197,17 +203,22 @@ def solve(
         fallback = config.step_mode.fallback_step
         if fallback is None:
             fallback = first
+    else:
+        xi = config.step_mode.xi
 
     iterations = 0
     z_prev = None
     g_prev = None
     while True:
-        record(z, gnorm)
+        if trace:
+            objectives.append(objective(z, mset, y))
+            grad_norms.append(gnorm)
+            if rel_errors is not None:
+                rel_errors.append(dist(z, ground_truth) / x_norm if x_norm else float("nan"))
         if not math.isfinite(gnorm):
             status = SolveStatus.NON_FINITE
             break
         # ||z||^3 as a product: a float product saturates at inf, where ** raises
-        znorm = float(np.linalg.norm(z))
         if gnorm <= config.grad_norm_tol * znorm * znorm * znorm:
             status = SolveStatus.GRAD_TOLERANCE_MET
             break
@@ -215,20 +226,18 @@ def solve(
             status = SolveStatus.MAX_ITERS
             break
         if bb:
-            if z_prev is None:
-                xi = first
-            else:
-                xi = bb_step(z - z_prev, g - g_prev, fallback)
-        else:
-            xi = config.step_mode.xi
+            xi = first if z_prev is None else bb_step(z - z_prev, g - g_prev, fallback)
         z_new = z - xi * g
-        if not np.all(np.isfinite(z_new)):
+        # a finite ||z_new|| proves every entry finite; only an inf or nan
+        # norm, which finite entries can also overflow to, needs the full test
+        znorm = _norm(z_new)
+        if not math.isfinite(znorm) and not np.all(np.isfinite(z_new)):
             status = SolveStatus.NON_FINITE
             break
         z_prev, g_prev = z, g
         z = z_new
-        g = gradient(z, mset, y)
-        gnorm = float(np.linalg.norm(g))
+        g = _gradient(A, y, z)
+        gnorm = _norm(g)
         iterations += 1
 
     return SolveReport(z, iterations, status, objectives, grad_norms, rel_errors)

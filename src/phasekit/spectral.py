@@ -24,6 +24,7 @@ from .ensembles import (
     SeedLike,
     _checked_intensities,
     _inner,
+    _norm,
     as_rng,
 )
 
@@ -46,7 +47,7 @@ def measure(mset: MeasurementSet, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.shape != (mset.d,):
         raise ValueError(f"signal has shape {x.shape}, expected ({mset.d},)")
-    return _inner(mset, x)[1]
+    return _inner(mset.vectors, x)[1]
 
 
 def rho_from_intensities(y: np.ndarray, tau1: float) -> float:
@@ -89,6 +90,16 @@ def power_method(
     Starts from a random unit vector drawn from `seed`; runs exactly `iters`
     steps unless `residual_tol` is given, in which case it may stop early once
     ||M v - lam v|| <= residual_tol. Returns (lam, v, residual) with ||v|| = 1.
+
+    Each step takes one product M v, which also serves the next step, so
+    `lam = v* M v` and `residual = ||M v - lam v||` are formed once at the
+    end (and after every step only when `residual_tol` is given). A residual
+    that is not small against |lam| means `iters` steps were not enough, as
+    when the top two eigenvalues are close or of opposite sign with equal
+    modulus; `InitResult.residual` carries it out of `gsi` and `baseline_si`.
+    A step whose product vanishes (v in the kernel of M) restarts from a
+    fresh random direction; `lam` and `residual` always belong to the
+    returned v, also when the last step was such a restart.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
@@ -96,27 +107,51 @@ def power_method(
         raise ValueError("power method undefined for the zero matrix")
     rng = as_rng(seed)
     d = M.shape[0]
-    if np.iscomplexobj(M):
-        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    else:
-        v = rng.standard_normal(d)
-    v = v / np.linalg.norm(v)
-    lam = 0.0
+    cplx = np.iscomplexobj(M)
+
+    def random_unit() -> np.ndarray:
+        if cplx:
+            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        else:
+            v = rng.standard_normal(d)
+        return v / np.linalg.norm(v)
+
+    v = random_unit()
+    Mv = M @ v
     for _ in range(iters):
-        w = M @ v
-        nw = np.linalg.norm(w)
+        nw = _norm(Mv)
         if nw == 0.0:
             # started in the kernel; restart from a fresh direction
-            v = rng.standard_normal(d) if not np.iscomplexobj(M) else (
-                rng.standard_normal(d) + 1j * rng.standard_normal(d))
-            v = v / np.linalg.norm(v)
+            v = random_unit()
+            Mv = M @ v
             continue
-        v = w / nw
-        lam = float(np.real(np.vdot(v, M @ v)))
-        if residual_tol is not None and np.linalg.norm(M @ v - lam * v) <= residual_tol:
+        v = Mv / nw
+        Mv = M @ v
+        if residual_tol is not None and _rayleigh(v, Mv)[1] <= residual_tol:
             break
-    residual = float(np.linalg.norm(M @ v - lam * v))
+    lam, residual = _rayleigh(v, Mv)
     return lam, v, residual
+
+
+def _rayleigh(v: np.ndarray, Mv: np.ndarray) -> tuple[float, float]:
+    """lam = v* M v and ||M v - lam v|| for a unit v, given M v."""
+    lam = float(np.vdot(v, Mv).real)
+    return lam, _norm(Mv - lam * v)
+
+
+def _gsi_from_Y(Y: np.ndarray, y: np.ndarray, profile: MomentProfile,
+                power_iters: int, seed: SeedLike) -> InitResult:
+    rho = rho_from_intensities(y, profile.tau1)
+    M = build_M(Y, rho, profile)
+    lam, v, residual = power_method(M, iters=power_iters, seed=seed)
+    return InitResult(rho * v, rho, lam, residual)
+
+
+def _si_from_Y(mset: MeasurementSet, Y: np.ndarray, y: np.ndarray,
+               power_iters: int, seed: SeedLike) -> InitResult:
+    lam, v, residual = power_method(Y, iters=power_iters, seed=seed)
+    scale = math.sqrt(mset.d * float(np.sum(y)) / float(np.sum(np.abs(mset.vectors) ** 2)))
+    return InitResult(scale * v, scale, lam, residual)
 
 
 def gsi(
@@ -130,11 +165,7 @@ def gsi(
 
     `y` must be finite, nonnegative and of shape (N,)."""
     y = _checked_intensities(mset, y)
-    rho = rho_from_intensities(y, profile.tau1)
-    Y = build_Y(mset, y)
-    M = build_M(Y, rho, profile)
-    lam, v, residual = power_method(M, iters=power_iters, seed=seed)
-    return InitResult(rho * v, rho, lam, residual)
+    return _gsi_from_Y(build_Y(mset, y), y, profile, power_iters, seed)
 
 
 def baseline_si(
@@ -147,7 +178,4 @@ def baseline_si(
     lam_SI = sqrt(d * sum(y) / sum_j ||a_j||^2). `y` must be finite,
     nonnegative and of shape (N,)."""
     y = _checked_intensities(mset, y)
-    Y = build_Y(mset, y)
-    lam, v, residual = power_method(Y, iters=power_iters, seed=seed)
-    scale = math.sqrt(mset.d * float(np.sum(y)) / float(np.sum(np.abs(mset.vectors) ** 2)))
-    return InitResult(scale * v, scale, lam, residual)
+    return _si_from_Y(mset, build_Y(mset, y), y, power_iters, seed)
