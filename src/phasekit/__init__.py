@@ -5,20 +5,16 @@ from .ensembles import (
     GAUSSIAN,
     TERNARY,
     UNIFORM,
-    DerivedConstants,
     Ensemble,
     EntryDistribution,
     Field,
     MeasurementSet,
     MomentProfile,
-    custom_entry,
     derived_constants,
-    entry_moments,
     moment_profile,
     sample_measurements,
 )
 from .solver import (
-    AlignedDistance,
     BarzilaiBorwein,
     FixedStep,
     SolveReport,
@@ -32,7 +28,6 @@ from .solver import (
     solve,
 )
 from .spectral import (
-    InitResult,
     baseline_si,
     build_M,
     build_Y,
@@ -42,8 +37,6 @@ from .spectral import (
     rho_from_intensities,
 )
 from .verify import (
-    ConcentrationRow,
-    ResidualReport,
     concentration_curve,
     condition_expectation,
     convergence_rate_fit,
@@ -60,7 +53,6 @@ from .bench import (
     ExperimentKind,
     ResultTable,
     TrialRecord,
-    export,
     generate_signal,
     run_init_experiment,
     run_recovery_experiment,

@@ -1,4 +1,4 @@
-"""Experiment harness: seeded trials, result tables, CSV/JSON export.
+"""Experiment harness: seeded trials and result tables as CSV or JSON.
 
 Reproduces the two benchmark protocols: initialization accuracy (mean
 relative error of GSI vs SI over a grid of N/d ratios) and recovery success
@@ -47,8 +47,6 @@ DEFAULT_RATIOS = tuple(range(2, 21, 2))
 class ExperimentKind(Enum):
     INIT_ERROR = "init_error"
     SUCCESS_RATE = "success_rate"
-    MOMENT_VERIFY = "moment_verify"
-    SINGLE_SOLVE = "single_solve"
 
 
 @dataclass(frozen=True)
@@ -78,6 +76,8 @@ class ExperimentConfig:
                 "0.001, which would share trial streams")
         if self.trials is not None and self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
 
     @property
     def effective_trials(self) -> int:
@@ -127,6 +127,7 @@ class ResultTable:
         return buf.getvalue()
 
     def to_json(self) -> str:
+        """Rows plus the full config metadata, for exact replay."""
         return json.dumps({"metadata": self.metadata, "rows": self.rows}, indent=2)
 
 
@@ -265,25 +266,10 @@ def run_recovery_experiment(config: ExperimentConfig) -> ResultTable:
     return ResultTable(config.kind, columns, rows, config.to_dict())
 
 
-def export(table: ResultTable, path: str, format: str = "csv") -> None:
-    """Write a result table; CSV is header-plus-rows, JSON carries the full
-    config metadata for exact replay."""
-    if format not in ("csv", "json"):
-        raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
-    payload = table.to_csv() if format == "csv" else table.to_json()
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
-    except OSError as exc:
-        raise OSError(f"cannot write results to {path!r}: {exc}") from exc
-
-
 def default_threads() -> int:
-    """Thread count from the environment, used only when --threads is absent."""
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    """Thread count from the environment, used only when --threads is absent;
+    1 when the variable is unset."""
+    raw = os.environ.get(THREADS_ENV_VAR, "1")
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}")
+    return int(raw)

@@ -7,7 +7,8 @@ Subcommands:
     solve           one seeded end-to-end recovery
 
 A JSON config file (--config) mirrors the experiment options; explicit flags
-override file values.
+override file values. Every command writes its output to --out, or to stdout
+when --out is absent.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .bench import (
     ExperimentConfig,
     ExperimentKind,
     default_threads,
-    export,
     run_init_experiment,
     run_recovery_experiment,
     run_recovery_trial,
@@ -37,6 +37,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--d", type=int, help="signal dimension")
     p.add_argument("--seed", type=int, help="base seed")
     p.add_argument("--config", help="JSON config file; flags override its values")
+    p.add_argument("--out", help="output file (default: print to stdout)")
 
 
 def _add_bench(p: argparse.ArgumentParser) -> None:
@@ -47,7 +48,6 @@ def _add_bench(p: argparse.ArgumentParser) -> None:
     p.add_argument("--power-iters", type=int, help="power-method iterations")
     p.add_argument("--threads", type=int, help="worker threads (default: "
                    "PHASEKIT_THREADS or 1); results do not depend on this")
-    p.add_argument("--out", help="output file (default: print to stdout)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
 
@@ -63,102 +63,106 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify-moments", help="Monte-Carlo moment-identity check")
     _add_common(pv)
     pv.add_argument("--samples", type=int, default=1_000_000, help="Monte-Carlo sample count")
-    pv.add_argument("--out", help="write the residual report as JSON")
-    pv.add_argument("--format", choices=["csv", "json"], default="json")
 
     ps = sub.add_parser("solve", help="single seeded recovery run")
     _add_common(ps)
     ps.add_argument("--ratios", help="N/d ratio (first value used)")
-    ps.add_argument("--trials", type=int, help=argparse.SUPPRESS)
     ps.add_argument("--max-iters", type=int)
     ps.add_argument("--power-iters", type=int)
-    ps.add_argument("--threads", type=int, help=argparse.SUPPRESS)
-    ps.add_argument("--out", help="write the trial record as JSON")
-    ps.add_argument("--format", choices=["csv", "json"], default="json")
     return parser
 
 
-def _load_config_file(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
+def _load_config_file(args: argparse.Namespace) -> dict:
+    if not args.config:
+        return {}
+    with open(args.config, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _pick(args: argparse.Namespace, flag: str, file_cfg: dict, key: str, default):
+    """The flag's value if given, else the config file's value, else `default`."""
+    value = getattr(args, flag, None)
+    return value if value is not None else file_cfg.get(key, default)
+
+
+def _ensemble(args: argparse.Namespace, file_cfg: dict) -> Ensemble:
+    ens_cfg = file_cfg.get("ensemble", {})
+    return Ensemble.from_dict({"field": args.field or ens_cfg.get("field", "real"),
+                               "entry": args.ensemble or ens_cfg.get("entry", "gaussian")})
 
 
 def _merge(args: argparse.Namespace, kind: ExperimentKind) -> ExperimentConfig:
     """Config file values, overridden by any explicitly given flags."""
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    ens_cfg = file_cfg.get("ensemble", {})
+    file_cfg = _load_config_file(args)
 
-    def pick(flag_value, file_key, default):
-        if flag_value is not None:
-            return flag_value
-        return file_cfg.get(file_key, default)
-
-    field = args.field or ens_cfg.get("field", "real")
-    entry = args.ensemble or ens_cfg.get("entry", "gaussian")
-    ensemble = Ensemble.from_dict({"field": field, "entry": entry})
-
-    ratios = getattr(args, "ratios", None)
-    if ratios is not None:
-        ratio_grid = tuple(float(r) for r in ratios.split(","))
+    if args.ratios is not None:
+        ratio_grid = tuple(float(r) for r in args.ratios.split(","))
     else:
         ratio_grid = tuple(file_cfg.get("ratio_grid", ExperimentConfig.ratio_grid))
 
-    threads = getattr(args, "threads", None)
+    threads = _pick(args, "threads", file_cfg, "threads", None)
     if threads is None:
-        threads = file_cfg.get("threads", default_threads())
+        threads = default_threads()
 
     return ExperimentConfig(
         kind=kind,
-        ensemble=ensemble,
-        d=pick(args.d, "d", 128),
+        ensemble=_ensemble(args, file_cfg),
+        d=_pick(args, "d", file_cfg, "d", 128),
         ratio_grid=ratio_grid,
-        trials=pick(getattr(args, "trials", None), "trials", None),
+        trials=_pick(args, "trials", file_cfg, "trials", None),
         success_threshold=file_cfg.get("success_threshold", 1e-5),
-        max_iters=pick(getattr(args, "max_iters", None), "max_iters", 2000),
-        power_iters=pick(getattr(args, "power_iters", None), "power_iters", 50),
-        base_seed=pick(args.seed, "base_seed", 0),
+        max_iters=_pick(args, "max_iters", file_cfg, "max_iters", 2000),
+        power_iters=_pick(args, "power_iters", file_cfg, "power_iters", 50),
+        base_seed=_pick(args, "seed", file_cfg, "base_seed", 0),
         threads=threads,
     )
 
 
-def _emit(args, table) -> None:
+def _write(args: argparse.Namespace, text: str) -> None:
+    """The one output path: `text` goes to --out if given, else to stdout."""
     if args.out:
-        export(table, args.out, args.format)
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     else:
-        sys.stdout.write(table.to_csv() if args.format == "csv" else table.to_json() + "\n")
+        sys.stdout.write(text)
 
 
-def _cmd_init_bench(args) -> int:
-    table = run_init_experiment(_merge(args, ExperimentKind.INIT_ERROR))
-    _emit(args, table)
-    return 0
+_BENCHES = {
+    "init-bench": (ExperimentKind.INIT_ERROR, run_init_experiment),
+    "recover-bench": (ExperimentKind.SUCCESS_RATE, run_recovery_experiment),
+}
 
 
-def _cmd_recover_bench(args) -> int:
-    table = run_recovery_experiment(_merge(args, ExperimentKind.SUCCESS_RATE))
-    _emit(args, table)
+def _cmd_bench(args) -> int:
+    kind, run = _BENCHES[args.command]
+    table = run(_merge(args, kind))
+    _write(args, table.to_csv() if args.format == "csv" else table.to_json() + "\n")
     return 0
 
 
 def _cmd_verify_moments(args) -> int:
-    cfg = _merge(args, ExperimentKind.MOMENT_VERIFY)
-    d = args.d if args.d is not None else 3
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.base_seed))
+    file_cfg = _load_config_file(args)
+    ensemble = _ensemble(args, file_cfg)
+    d = _pick(args, "d", file_cfg, "d", 3)
+    if d < 2:
+        raise ValueError("d must be >= 2")
+    seed = _pick(args, "seed", file_cfg, "base_seed", 0)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     x = rng.standard_normal(d)
-    if cfg.ensemble.field is Field.COMPLEX:
+    if ensemble.field is Field.COMPLEX:
         x = x + 1j * rng.standard_normal(d)
     x = x / np.linalg.norm(x)
 
-    report = mc_condition_residual(cfg.ensemble, d, x, n_samples=args.samples,
-                                   seed=np.random.SeedSequence(cfg.base_seed, spawn_key=(1,)))
+    report = mc_condition_residual(ensemble, d, x, n_samples=args.samples,
+                                   seed=np.random.SeedSequence(seed, spawn_key=(1,)))
     reports = [report]
-    if cfg.ensemble.field is Field.COMPLEX:
-        reports.append(mc_F_residual(cfg.ensemble, x, n_samples=args.samples,
-                                     seed=np.random.SeedSequence(cfg.base_seed, spawn_key=(2,))))
-    profile = moment_profile(cfg.ensemble)
+    if ensemble.field is Field.COMPLEX:
+        reports.append(mc_F_residual(ensemble, x, n_samples=args.samples,
+                                     seed=np.random.SeedSequence(seed, spawn_key=(2,))))
+    profile = moment_profile(ensemble)
     consts = derived_constants(profile)
     payload = {
-        "ensemble": cfg.ensemble.to_dict(),
+        "ensemble": ensemble.to_dict(),
         "profile": {"tau1": profile.tau1, "tau2": profile.tau2,
                     "tau3": profile.tau3, "tau4": profile.tau4},
         "constants": {"alpha": consts.alpha, "beta": consts.beta,
@@ -166,17 +170,12 @@ def _cmd_verify_moments(args) -> int:
         "checks": [r.to_dict() for r in reports],
         "passed": all(r.passed for r in reports),
     }
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(args, json.dumps(payload, indent=2) + "\n")
     return 0 if payload["passed"] else 1
 
 
 def _cmd_solve(args) -> int:
-    cfg = _merge(args, ExperimentKind.SINGLE_SOLVE)
+    cfg = _merge(args, ExperimentKind.SUCCESS_RATE)
     ratio = cfg.ratio_grid[0]
     record = run_recovery_trial(cfg, ratio, 0)
     payload = {
@@ -190,18 +189,13 @@ def _cmd_solve(args) -> int:
         "success": record.success,
         "wall_time": record.wall_time,
     }
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(args, json.dumps(payload, indent=2) + "\n")
     return 0
 
 
 _COMMANDS = {
-    "init-bench": _cmd_init_bench,
-    "recover-bench": _cmd_recover_bench,
+    "init-bench": _cmd_bench,
+    "recover-bench": _cmd_bench,
     "verify-moments": _cmd_verify_moments,
     "solve": _cmd_solve,
 }

@@ -44,7 +44,9 @@ class EntryDistribution:
     """A scalar entry law with declared second and fourth absolute moments.
 
     The sampler maps (rng, shape) to a float64 array. The law must be
-    mean-zero and symmetric; m2 > 0 and m4 >= m2^2 are enforced.
+    mean-zero and symmetric; m2 > 0 and m4 >= m2^2 are enforced. Declared
+    moments of a custom law are trusted only after the Monte-Carlo condition
+    check in :func:`phasekit.verify.mc_condition_residual`.
     """
 
     name: str
@@ -69,17 +71,6 @@ TERNARY = EntryDistribution(
 )
 
 BUILTIN_ENTRIES = {e.name: e for e in (GAUSSIAN, UNIFORM, TERNARY)}
-
-
-def custom_entry(name: str, sampler: Callable, m2: float, m4: float) -> EntryDistribution:
-    """Declare a custom entry law. Moments are trusted only after the
-    Monte-Carlo condition check in :func:`phasekit.verify.mc_condition_residual`."""
-    return EntryDistribution(name, float(m2), float(m4), sampler)
-
-
-def entry_moments(entry: EntryDistribution) -> tuple[float, float]:
-    """Exact (m2, m4) of one real entry draw."""
-    return entry.m2, entry.m4
 
 
 @dataclass(frozen=True)
@@ -178,7 +169,7 @@ def moment_profile(ensemble: Ensemble) -> MomentProfile:
     Real field:    (m2, m2^2, 2 m2^2, m4 - 3 m2^2)
     Complex field: (m2, m2^2,   m2^2, (m4 - 3 m2^2) / 2)
     """
-    m2, m4 = entry_moments(ensemble.entry)
+    m2, m4 = ensemble.entry.m2, ensemble.entry.m4
     if ensemble.field is Field.REAL:
         profile = MomentProfile(m2, m2 ** 2, 2.0 * m2 ** 2, m4 - 3.0 * m2 ** 2)
     else:
@@ -196,14 +187,11 @@ class DerivedConstants:
     alpha_hat: float
     epsilon0: float
 
-    def theoretical_R(self, d: int, N: int, delta: float | None = None) -> float:
-        """Smoothness constant R(d, N, delta); a proof artifact, exposed for
-        inspection only.  Requires 0 < delta < beta (default beta/10)."""
-        return self.r_bound_terms(d, N, delta)["R"]
-
     def r_bound_terms(self, d: int, N: int, delta: float | None = None) -> dict:
-        """Both branches of the R bound, plus the variant without the log N
-        factor that appears in one statement of the bound. Diagnostics only."""
+        """The smoothness constant R(d, N, delta), a proof artifact, with both
+        branches of its bound and the variant without the log N factor that
+        appears in one statement of the bound. Diagnostics only; requires
+        0 < delta < beta (default beta/10)."""
         if delta is None:
             delta = self.beta / 10.0
         if not (0.0 < delta < self.beta):

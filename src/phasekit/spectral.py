@@ -38,9 +38,6 @@ class InitResult:
     lam: float          # dominant eigenvalue estimate v* M v
     residual: float     # ||M v - lam v|| at the returned direction v
 
-    def to_dict(self) -> dict:
-        return {"rho": self.rho, "lam": self.lam, "residual": self.residual}
-
 
 def measure(mset: MeasurementSet, x: np.ndarray) -> np.ndarray:
     """Intensities y_j = |<a_j, x>|^2, without forming any A_j."""
@@ -83,20 +80,18 @@ def power_method(
     M: np.ndarray,
     iters: int = 50,
     seed: SeedLike = 0,
-    residual_tol: float | None = None,
 ) -> tuple[float, np.ndarray, float]:
     """Dominant eigenpair of a Hermitian matrix by fixed-count power iteration.
 
-    Starts from a random unit vector drawn from `seed`; runs exactly `iters`
-    steps unless `residual_tol` is given, in which case it may stop early once
-    ||M v - lam v|| <= residual_tol. Returns (lam, v, residual) with ||v|| = 1.
+    Starts from a random unit vector drawn from `seed` and runs exactly
+    `iters` steps. Returns (lam, v, residual) with ||v|| = 1.
 
     Each step takes one product M v, which also serves the next step, so
     `lam = v* M v` and `residual = ||M v - lam v||` are formed once at the
-    end (and after every step only when `residual_tol` is given). A residual
-    that is not small against |lam| means `iters` steps were not enough, as
-    when the top two eigenvalues are close or of opposite sign with equal
-    modulus; `InitResult.residual` carries it out of `gsi` and `baseline_si`.
+    end. A residual that is not small against |lam| means `iters` steps were
+    not enough, as when the top two eigenvalues are close or of opposite sign
+    with equal modulus; `InitResult.residual` carries it out of `gsi` and
+    `baseline_si`.
     A step whose product vanishes (v in the kernel of M) restarts from a
     fresh random direction; `lam` and `residual` always belong to the
     returned v, also when the last step was such a restart.
@@ -127,8 +122,6 @@ def power_method(
             continue
         v = Mv / nw
         Mv = M @ v
-        if residual_tol is not None and _rayleigh(v, Mv)[1] <= residual_tol:
-            break
     lam, residual = _rayleigh(v, Mv)
     return lam, v, residual
 

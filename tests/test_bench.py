@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -11,13 +10,13 @@ from phasekit import (
     Field,
     ResultTable,
     TERNARY,
-    export,
     generate_signal,
     run_init_experiment,
     run_recovery_experiment,
     run_recovery_trial,
     trial_seed,
 )
+from phasekit.bench import default_threads
 
 TERNARY_REAL = Ensemble(Field.REAL, TERNARY)
 
@@ -97,6 +96,26 @@ def test_config_rejects_ratios_sharing_a_trial_stream():
     ExperimentConfig(ExperimentKind.SUCCESS_RATE, TERNARY_REAL, ratio_grid=(2.001, 2.002))
 
 
+@pytest.mark.parametrize("threads", [0, -7])
+def test_config_rejects_nonpositive_threads(threads):
+    with pytest.raises(ValueError, match="threads"):
+        ExperimentConfig(ExperimentKind.SUCCESS_RATE, TERNARY_REAL, threads=threads)
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3", ""])
+def test_default_threads_rejects_bad_env(monkeypatch, raw):
+    monkeypatch.setenv("PHASEKIT_THREADS", raw)
+    with pytest.raises(ValueError, match="PHASEKIT_THREADS"):
+        default_threads()
+
+
+def test_default_threads_reads_env(monkeypatch):
+    monkeypatch.delenv("PHASEKIT_THREADS", raising=False)
+    assert default_threads() == 1
+    monkeypatch.setenv("PHASEKIT_THREADS", "3")
+    assert default_threads() == 3
+
+
 def test_init_experiment_shape_and_determinism():
     t1 = run_init_experiment(SMALL_INIT)
     t2 = run_init_experiment(SMALL_INIT)
@@ -154,20 +173,3 @@ def test_csv_round_trips_floats():
 def test_empty_table_header_only():
     table = ResultTable(ExperimentKind.INIT_ERROR, ["a", "b"], [])
     assert table.to_csv() == "a,b\n"
-
-
-def test_export_csv_and_json(tmp_path):
-    table = run_init_experiment(SMALL_INIT)
-    csv_path = tmp_path / "out.csv"
-    json_path = tmp_path / "out.json"
-    export(table, str(csv_path), format="csv")
-    export(table, str(json_path), format="json")
-    assert csv_path.read_text() == table.to_csv()
-    payload = json.loads(json_path.read_text())
-    assert payload["metadata"]["base_seed"] == 7
-    assert payload["metadata"]["d"] == 16
-    assert len(payload["rows"]) == 2
-    with pytest.raises(ValueError):
-        export(table, str(csv_path), format="xml")
-    with pytest.raises(OSError):
-        export(table, str(tmp_path / "missing" / "x.csv"))

@@ -1,7 +1,9 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from phasekit import bench
 from phasekit.cli import main
 
 
@@ -120,3 +122,74 @@ def test_missing_config_file(capsys):
     code, out, err = run_cli(capsys, "recover-bench", "--config", "/nonexistent.json")
     assert code == 1
     assert err != ""
+
+
+def test_verify_moments_reads_d_from_config(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ensemble": {"field": "real", "entry": "ternary"},
+                               "d": 6, "base_seed": 2}))
+    common = ("--samples", "20000")
+    _, from_file, _ = run_cli(capsys, "verify-moments", "--config", str(cfg), *common)
+    _, from_flag, _ = run_cli(capsys, "verify-moments", "--field", "real",
+                              "--ensemble", "ternary", "--d", "6", "--seed", "2", *common)
+    _, default_d, _ = run_cli(capsys, "verify-moments", "--field", "real",
+                              "--ensemble", "ternary", "--d", "3", "--seed", "2", *common)
+    assert from_file == from_flag
+    assert from_file != default_d
+    code, _, err = run_cli(capsys, "verify-moments", "--config", str(cfg), "--d", "1")
+    assert code == 1 and "d must be >= 2" in err
+
+
+_SMALL = ("--field", "real", "--ensemble", "ternary", "--d", "8", "--seed", "1")
+_SMALL_TABLE = _SMALL + ("--ratios", "4,6", "--trials", "2", "--max-iters", "200")
+
+
+@pytest.mark.parametrize("argv", [
+    ("init-bench",) + _SMALL_TABLE,
+    ("init-bench",) + _SMALL_TABLE + ("--format", "json"),
+    ("recover-bench",) + _SMALL_TABLE,
+    ("recover-bench",) + _SMALL_TABLE + ("--format", "json"),
+    ("verify-moments",) + _SMALL + ("--samples", "20000"),
+    ("solve",) + _SMALL + ("--ratios", "6", "--max-iters", "200"),
+], ids=["init-csv", "init-json", "recover-csv", "recover-json", "verify", "solve"])
+def test_out_file_matches_stdout(capsys, tmp_path, monkeypatch, argv):
+    # a fixed clock makes the solve record's wall_time reproducible
+    monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    path = tmp_path / "out"
+    code, file_out, _ = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 0 and file_out == ""
+    assert path.read_bytes() == out.encode()
+
+
+def test_unwritable_out_reports_path(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, "init-bench", *_SMALL_TABLE, "--out", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and str(path) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--format", "json"),
+    ("solve", "--format", "csv"),
+    ("solve", "--trials", "7"),
+    ("solve", "--threads", "3"),
+    ("verify-moments", "--format", "json"),
+    ("verify-moments", "--format", "csv"),
+])
+def test_removed_flags_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *_SMALL])
+    assert exc.value.code == 2
+
+
+def test_bad_threads_env_is_an_error(capsys, monkeypatch):
+    monkeypatch.setenv("PHASEKIT_THREADS", "abc")
+    code, out, err = run_cli(capsys, "recover-bench", *_SMALL_TABLE)
+    assert code == 1
+    assert "PHASEKIT_THREADS" in err
+    # an explicit --threads does not consult the variable
+    code, out, err = run_cli(capsys, "recover-bench", *_SMALL_TABLE, "--threads", "2")
+    assert code == 0

@@ -9,11 +9,10 @@ from phasekit import (
     TERNARY,
     UNIFORM,
     Ensemble,
+    EntryDistribution,
     Field,
     MomentProfile,
-    custom_entry,
     derived_constants,
-    entry_moments,
     moment_profile,
     sample_measurements,
 )
@@ -24,10 +23,10 @@ ALL_ENSEMBLES = [
 ]
 
 
-def test_entry_moments_exact():
-    assert entry_moments(UNIFORM) == (1 / 3, 1 / 5)
-    assert entry_moments(TERNARY) == (2 / 3, 2 / 3)
-    assert entry_moments(GAUSSIAN) == (1.0, 3.0)
+def test_builtin_moments_exact():
+    assert (UNIFORM.m2, UNIFORM.m4) == (1 / 3, 1 / 5)
+    assert (TERNARY.m2, TERNARY.m4) == (2 / 3, 2 / 3)
+    assert (GAUSSIAN.m2, GAUSSIAN.m4) == (1.0, 3.0)
 
 
 def test_uniform_moments_match_monte_carlo():
@@ -37,11 +36,11 @@ def test_uniform_moments_match_monte_carlo():
     assert np.mean(draws ** 4) == pytest.approx(1 / 5, abs=2e-3)
 
 
-def test_custom_entry_rejects_inconsistent_moments():
+def test_entry_distribution_rejects_inconsistent_moments():
     with pytest.raises(ValueError):
-        custom_entry("bad", lambda rng, s: rng.standard_normal(s), m2=1.0, m4=0.5)
+        EntryDistribution("bad", m2=1.0, m4=0.5, sampler=lambda rng, s: rng.standard_normal(s))
     with pytest.raises(ValueError):
-        custom_entry("bad", lambda rng, s: rng.standard_normal(s), m2=0.0, m4=0.0)
+        EntryDistribution("bad", m2=0.0, m4=0.0, sampler=lambda rng, s: rng.standard_normal(s))
 
 
 def test_moment_profile_closed_forms():
@@ -111,13 +110,13 @@ def test_derived_constants_homogeneity():
         assert c2.epsilon0 == pytest.approx(c1.epsilon0, rel=1e-12)
 
 
-def test_theoretical_R_requires_delta_below_beta():
+def test_r_bound_requires_delta_below_beta():
     c = derived_constants(moment_profile(Ensemble(Field.REAL, GAUSSIAN)))
-    r = c.theoretical_R(d=128, N=512)  # default delta = beta/10
-    assert r > 0
+    terms = c.r_bound_terms(d=128, N=512)  # default delta = beta/10
+    assert terms["delta"] == c.beta / 10
+    assert terms["R"] == max(terms["curvature_term"], terms["smoothness_term"]) > 0
     with pytest.raises(ValueError):
-        c.theoretical_R(d=128, N=512, delta=c.beta)
-    terms = c.r_bound_terms(d=128, N=512)
+        c.r_bound_terms(d=128, N=512, delta=c.beta)
     assert terms["smoothness_term"] > terms["smoothness_term_no_logN"]
 
 
