@@ -37,7 +37,7 @@ from .ensembles import (
     sample_measurements,
 )
 from .solver import BarzilaiBorwein, SolverConfig, dist, solve
-from .spectral import _gsi_from_Y, _si_from_Y, build_Y, gsi, measure
+from .spectral import _build_Y, _gsi_from_Y, _si_from_Y, gsi, measure
 
 THREADS_ENV_VAR = "PHASEKIT_THREADS"
 
@@ -67,8 +67,8 @@ class ExperimentConfig:
             raise ValueError("d must be >= 2")
         if len(self.ratio_grid) == 0:
             raise ValueError("ratio grid must be nonempty")
-        if any(r < 1 for r in self.ratio_grid):
-            raise ValueError("ratio grid values must be >= 1")
+        if not all(math.isfinite(r) and r >= 1 for r in self.ratio_grid):
+            raise ValueError("ratio grid values must be finite and >= 1")
         keys = [_ratio_key(r) for r in self.ratio_grid]
         if len(set(keys)) != len(keys):
             raise ValueError(
@@ -190,7 +190,7 @@ def run_init_experiment(config: ExperimentConfig) -> ResultTable:
         y = measure(mset, x)
         nx = np.linalg.norm(x)
         y = _checked_intensities(mset, y)
-        Y = build_Y(mset, y)  # shared by both initializers
+        Y = _build_Y(mset, y)  # shared by both initializers
         g = _gsi_from_Y(Y, y, profile, config.power_iters, pw_gsi_ss)
         s = _si_from_Y(mset, Y, y, config.power_iters, pw_si_ss)
         return dist(g.z0, x) / nx, dist(s.z0, x) / nx

@@ -72,11 +72,49 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
+def _int_or_null(v) -> bool:
+    return v is None or _is_int(v)
+
+
+# what each config-file key read by a command must hold
+_CONFIG_TYPES = {
+    "d": ("an integer", _is_int),
+    "max_iters": ("an integer", _is_int),
+    "power_iters": ("an integer", _is_int),
+    "base_seed": ("an integer", _is_int),
+    "trials": ("an integer or null", _int_or_null),
+    "threads": ("an integer or null", _int_or_null),
+    "ratio_grid": ("a list of numbers",
+                   lambda v: isinstance(v, list) and all(map(_is_number, v))),
+    "success_threshold": ("a number", _is_number),
+    "ensemble": ('an object with string "field" and "entry"',
+                 lambda v: isinstance(v, dict)
+                 and all(isinstance(v.get(k, ""), str) for k in ("field", "entry"))),
+}
+
+
 def _load_config_file(args: argparse.Namespace) -> dict:
+    """The --config file's JSON object, after checking the type of every
+    value the commands read from it."""
     if not args.config:
         return {}
     with open(args.config, encoding="utf-8") as fh:
-        return json.load(fh)
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config file {args.config} must hold a JSON object")
+    for key, (expected, ok) in _CONFIG_TYPES.items():
+        if key in cfg and not ok(cfg[key]):
+            raise ValueError(f"config file {args.config}: {key!r} must be {expected}, "
+                             f"got {cfg[key]!r}")
+    return cfg
 
 
 def _pick(args: argparse.Namespace, flag: str, file_cfg: dict, key: str, default):

@@ -67,7 +67,10 @@ class EntryDistribution:
 GAUSSIAN = EntryDistribution("gaussian", 1.0, 3.0, lambda rng, shape: rng.standard_normal(shape))
 UNIFORM = EntryDistribution("uniform", 1.0 / 3.0, 1.0 / 5.0, lambda rng, shape: rng.uniform(-1.0, 1.0, shape))
 TERNARY = EntryDistribution(
-    "ternary", 2.0 / 3.0, 2.0 / 3.0, lambda rng, shape: rng.integers(-1, 2, shape).astype(np.float64)
+    "ternary", 2.0 / 3.0, 2.0 / 3.0,
+    # int32 draws take the same uint32 stream as the default int64 at this
+    # range, so values and generator state match, from half the temporary
+    lambda rng, shape: rng.integers(-1, 2, shape, dtype=np.int32).astype(np.float64),
 )
 
 BUILTIN_ENTRIES = {e.name: e for e in (GAUSSIAN, UNIFORM, TERNARY)}
@@ -140,6 +143,29 @@ def _inner(A: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return w, w.real ** 2 + w.imag ** 2
     w = A @ z
     return w, w * w
+
+
+def _gram(A: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+    """sum_j w_j a_j a_j* over the rows a_j of A (every w_j = 1 when `w` is
+    None), for w >= 0, as a float64 or complex128 matrix.
+
+    With B = A * sqrt(w)[:, None] the sum is B^T conj(B). numpy evaluates a
+    product X.T @ X of one buffer as a BLAS syrk: one triangle, half the flops
+    of a general product, the other triangle copied, so the result is exactly
+    symmetric. A complex B goes through its zero-copy (N, 2d) float64 view V,
+    whose rows interleave real and imaginary parts; from G = V^T V,
+    Re = G[re, re] + G[im, im] and Im = G[im, re] - G[re, im], so the result
+    is exactly Hermitian with a real diagonal, and no conj copy is made."""
+    B = A if w is None else A * np.sqrt(w)[:, None]
+    if B.dtype.kind != "c":
+        B = np.ascontiguousarray(B, dtype=np.float64)
+        return B.T @ B
+    V = np.ascontiguousarray(B, dtype=np.complex128).view(np.float64)
+    G = V.T @ V
+    out = np.empty((A.shape[1], A.shape[1]), dtype=np.complex128)
+    np.add(G[0::2, 0::2], G[1::2, 1::2], out=out.real)
+    np.subtract(G[1::2, 0::2], G[0::2, 1::2], out=out.imag)
+    return out
 
 
 def _norm(v: np.ndarray) -> float:

@@ -9,6 +9,10 @@ where rho^2 = (sum_j y_j) / (tau1 N) estimates ||x||^2 and D takes the
 diagonal part. The generalized spectral initialization (GSI) z0 is the
 dominant eigenvector of M scaled to norm rho; the classical baseline (SI)
 uses Y itself.
+
+Y is formed from one triangle, as a rank-N update with the rows
+sqrt(y_j) a_j (a BLAS syrk), and is exactly Hermitian with a real diagonal;
+the intensities y must be finite and nonnegative.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .ensembles import (
     MomentProfile,
     SeedLike,
     _checked_intensities,
+    _gram,
     _inner,
     _norm,
     as_rng,
@@ -56,14 +61,18 @@ def rho_from_intensities(y: np.ndarray, tau1: float) -> float:
 
 
 def build_Y(mset: MeasurementSet, y: np.ndarray) -> np.ndarray:
-    """Y = (1/N) sum_j y_j a_j a_j*, Hermitian PSD, accumulated without
-    materializing the rank-one matrices."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (mset.N,):
-        raise ValueError(f"intensity vector has shape {y.shape}, expected ({mset.N},)")
-    A = mset.vectors
-    Y = (A.T * y) @ A.conj() / mset.N
-    return (Y + Y.conj().T) / 2.0
+    """Y = (1/N) sum_j y_j a_j a_j*, PSD, without materializing the rank-one
+    matrices: one triangle is formed by a rank-N update with the rows
+    sqrt(y_j) a_j, so Y is exactly Hermitian with a real diagonal.
+
+    `y` must be finite, nonnegative and of shape (N,); other input raises
+    ValueError."""
+    return _build_Y(mset, _checked_intensities(mset, y))
+
+
+def _build_Y(mset: MeasurementSet, y: np.ndarray) -> np.ndarray:
+    """build_Y for a `y` already checked by `_checked_intensities`."""
+    return _gram(mset.vectors, y) / mset.N
 
 
 def build_M(Y: np.ndarray, rho: float, profile: MomentProfile) -> np.ndarray:
@@ -143,7 +152,8 @@ def _gsi_from_Y(Y: np.ndarray, y: np.ndarray, profile: MomentProfile,
 def _si_from_Y(mset: MeasurementSet, Y: np.ndarray, y: np.ndarray,
                power_iters: int, seed: SeedLike) -> InitResult:
     lam, v, residual = power_method(Y, iters=power_iters, seed=seed)
-    scale = math.sqrt(mset.d * float(np.sum(y)) / float(np.sum(np.abs(mset.vectors) ** 2)))
+    sum_a2 = float(np.vdot(mset.vectors, mset.vectors).real)  # sum_j ||a_j||^2, one BLAS dot
+    scale = math.sqrt(mset.d * float(np.sum(y)) / sum_a2)
     return InitResult(scale * v, scale, lam, residual)
 
 
@@ -158,7 +168,7 @@ def gsi(
 
     `y` must be finite, nonnegative and of shape (N,)."""
     y = _checked_intensities(mset, y)
-    return _gsi_from_Y(build_Y(mset, y), y, profile, power_iters, seed)
+    return _gsi_from_Y(_build_Y(mset, y), y, profile, power_iters, seed)
 
 
 def baseline_si(
@@ -171,4 +181,4 @@ def baseline_si(
     lam_SI = sqrt(d * sum(y) / sum_j ||a_j||^2). `y` must be finite,
     nonnegative and of shape (N,)."""
     y = _checked_intensities(mset, y)
-    return _si_from_Y(mset, build_Y(mset, y), y, power_iters, seed)
+    return _si_from_Y(mset, _build_Y(mset, y), y, power_iters, seed)

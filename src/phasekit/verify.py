@@ -20,12 +20,14 @@ from .ensembles import (
     Field,
     MomentProfile,
     SeedLike,
+    _gram,
+    _inner,
     as_rng,
     moment_profile,
     sample_entries,
     sample_measurements,
 )
-from .spectral import build_M, build_Y, measure, rho_from_intensities
+from .spectral import _build_Y, build_M, measure, rho_from_intensities
 
 DEFAULT_CHUNKS = 20
 
@@ -116,9 +118,8 @@ def mc_condition_residual(
     second_chunks, first_chunks = [], []
     for _ in range(chunks):
         A = sample_entries(ensemble, (m, d), rng)
-        y = np.abs(A.conj() @ xc) ** 2
-        second_chunks.append((A.T * y) @ A.conj() / m)
-        first_chunks.append(A.T @ A.conj() / m)
+        second_chunks.append(_gram(A, _inner(A, xc)[1]) / m)
+        first_chunks.append(_gram(A) / m)
     S2 = sum(second_chunks) / chunks
     S1 = sum(first_chunks) / chunks
 
@@ -170,8 +171,9 @@ def mc_F_residual(
     f_chunks = []
     for _ in range(chunks):
         A = sample_entries(ensemble, (m, d), rng)
-        W = A * (A.conj() @ x)[:, None]       # rows are A_j x
-        B11 = W.T @ W.conj() / m
+        w, w2 = _inner(A, x)
+        B11 = _gram(A, w2) / m                # sum_j |<a_j, x>|^2 a_j a_j*
+        W = A * w[:, None]                    # rows are A_j x
         B12 = W.T @ W / m
         top = np.hstack([B11, B12])
         bottom = np.hstack([B12.conj().T, B11.conj()])
@@ -239,8 +241,8 @@ def mc_scalar_identities(
     means = np.zeros((chunks, 3))
     for c in range(chunks):
         A = sample_entries(ensemble, (m, d), rng)
-        t = np.real((A @ h.conj()) * (A.conj() @ x))   # Re(h* A x)
-        q = np.abs(A.conj() @ h) ** 2                  # h* A h >= 0
+        wh, q = _inner(A, h)                    # <a_j, h> and h* A h >= 0
+        t = (wh.conj() * _inner(A, x)[0]).real  # Re(h* A x)
         means[c] = [np.mean(t ** 2), np.mean(t * q), np.mean(q ** 2)]
     overall = means.mean(axis=0)
     stderr = means.std(axis=0, ddof=1) / math.sqrt(chunks)
@@ -316,7 +318,7 @@ def concentration_curve(
             ss = np.random.SeedSequence(entropy=root.entropy, spawn_key=(ni, t))
             mset = sample_measurements(ensemble, N, d, ss)
             y = measure(mset, x)
-            Y = build_Y(mset, y)
+            Y = _build_Y(mset, y)
             rho = rho_from_intensities(y, profile.tau1)
             M = build_M(Y, rho, profile)
             y_devs.append(hermitian_opnorm(Y - EY))

@@ -96,6 +96,12 @@ def test_config_rejects_ratios_sharing_a_trial_stream():
     ExperimentConfig(ExperimentKind.SUCCESS_RATE, TERNARY_REAL, ratio_grid=(2.001, 2.002))
 
 
+@pytest.mark.parametrize("ratio", [math.inf, math.nan])
+def test_config_rejects_non_finite_ratios(ratio):
+    with pytest.raises(ValueError, match="finite"):
+        ExperimentConfig(ExperimentKind.INIT_ERROR, TERNARY_REAL, ratio_grid=(4, ratio))
+
+
 @pytest.mark.parametrize("threads", [0, -7])
 def test_config_rejects_nonpositive_threads(threads):
     with pytest.raises(ValueError, match="threads"):

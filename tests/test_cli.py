@@ -99,6 +99,16 @@ def test_bad_ratios_flag(capsys):
     assert err != ""
 
 
+@pytest.mark.parametrize("command", ["init-bench", "recover-bench", "solve"])
+def test_infinite_ratio_is_an_error(capsys, tmp_path, command):
+    code, out, err = run_cli(capsys, command, *_SMALL, "--ratios", "inf")
+    assert code == 1 and err.startswith("error: ")
+    path = tmp_path / "cfg.json"
+    path.write_text('{"ratio_grid": [1e400]}')   # parsed as inf
+    code, out, err = run_cli(capsys, command, *_SMALL, "--config", str(path))
+    assert code == 1 and err.startswith("error: ")
+
+
 def test_config_file_with_flag_override(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -193,3 +203,35 @@ def test_bad_threads_env_is_an_error(capsys, monkeypatch):
     # an explicit --threads does not consult the variable
     code, out, err = run_cli(capsys, "recover-bench", *_SMALL_TABLE, "--threads", "2")
     assert code == 0
+
+
+@pytest.mark.parametrize("command", ["init-bench", "recover-bench", "solve", "verify-moments"])
+@pytest.mark.parametrize("cfg, key", [
+    ({"d": "6"}, "d"),
+    ({"d": 6.0}, "d"),
+    ({"d": True}, "d"),
+    ({"base_seed": "1"}, "base_seed"),
+    ({"trials": 2.5}, "trials"),
+    ({"max_iters": "200"}, "max_iters"),
+    ({"power_iters": [50]}, "power_iters"),
+    ({"threads": "2"}, "threads"),
+    ({"ratio_grid": "4,6"}, "ratio_grid"),
+    ({"ratio_grid": [4, "6"]}, "ratio_grid"),
+    ({"ratio_grid": [4, False]}, "ratio_grid"),
+    ({"success_threshold": "1e-5"}, "success_threshold"),
+    ({"ensemble": "real"}, "ensemble"),
+    ({"ensemble": {"field": "real", "entry": ["ternary"]}}, "ensemble"),
+], ids=lambda v: json.dumps(v) if isinstance(v, dict) else v)
+def test_config_value_of_wrong_type_is_an_error(capsys, tmp_path, command, cfg, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, command, "--config", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and repr(key) in err
+
+
+def test_config_file_must_hold_an_object(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text("[6]")
+    code, out, err = run_cli(capsys, "init-bench", "--config", str(path))
+    assert code == 1 and err.startswith("error: ")

@@ -57,7 +57,7 @@ def test_measure_dimension_mismatch():
         measure(ms, np.zeros(3))
 
 
-@pytest.mark.parametrize("init", ["gsi", "baseline_si"])
+@pytest.mark.parametrize("init", ["gsi", "baseline_si", "build_Y"])
 @pytest.mark.parametrize("bad, match", [
     (lambda y: np.where(np.arange(y.size) == 3, np.nan, y), "finite"),
     (lambda y: np.where(np.arange(y.size) == 3, -np.inf, y), "finite"),
@@ -70,6 +70,8 @@ def test_initializers_reject_bad_intensities(init, bad, match):
     with pytest.raises(ValueError, match=match):
         if init == "gsi":
             gsi(ms, y, moment_profile(TERNARY_REAL))
+        elif init == "build_Y":
+            build_Y(ms, y)
         else:
             baseline_si(ms, y)
 
@@ -109,9 +111,52 @@ def test_build_Y_hermitian_and_psd():
     rng = np.random.default_rng(0)
     x = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     Y = build_Y(ms, measure(ms, x))
-    assert np.max(np.abs(Y - Y.conj().T)) <= 1e-14
+    assert np.array_equal(Y, Y.conj().T)
     evals = np.linalg.eigvalsh(Y)
     assert evals.min() >= -1e-10 * hermitian_opnorm(Y)
+
+
+def _full_product_Y(A, y):
+    """The earlier build_Y product, before its symmetrization pass."""
+    return (A.T * y) @ A.conj() / A.shape[0]
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+@pytest.mark.parametrize("case", [
+    "N=1", "odd N and d", "d > 64", "zero weights", "all weights zero", "A[::2]",
+    "single precision A", "integer A", "float32 y",
+])
+def test_build_Y_matches_full_product(field, case):
+    # at d=65 a general product X.T @ X.copy() is not exactly symmetric
+    # with OpenBLAS, so the exact Hermitian check needs the syrk path
+    rng = np.random.default_rng(21)
+    N, d = {"N=1": (1, 4), "odd N and d": (37, 7), "d > 64": (301, 65)}.get(case, (40, 6))
+    A = rng.standard_normal((2 * N if case == "A[::2]" else N, d))
+    if field is Field.COMPLEX:
+        A = A + 1j * rng.standard_normal(A.shape)
+    if case == "A[::2]":
+        A = A[::2]
+        assert not A.flags.c_contiguous
+    elif case == "single precision A":
+        A = A.astype(np.complex64 if field is Field.COMPLEX else np.float32)
+    elif case == "integer A":
+        A = rng.integers(-2, 3, (N, d))
+        if field is Field.COMPLEX:
+            A = A + 1j * rng.integers(-2, 3, (N, d))
+    y = 3.0 * rng.random(N)
+    if case == "zero weights":
+        y[::3] = 0.0
+    elif case == "all weights zero":
+        y[:] = 0.0
+    elif case == "float32 y":
+        y = y.astype(np.float32)
+    Y = build_Y(MeasurementSet(field, A), y)
+    ref = _full_product_Y(A, y)
+    assert Y.shape == (d, d)
+    assert Y.dtype == (np.complex128 if field is Field.COMPLEX else np.float64)
+    assert np.max(np.abs(Y - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.array_equal(Y, Y.conj().T)
+    assert not np.any(np.diagonal(Y).imag)
 
 
 def test_build_Y_length_mismatch():

@@ -22,6 +22,8 @@ from phasekit import (
     project_admissible,
     scalar_identity_expectations,
 )
+from phasekit.ensembles import sample_entries
+from phasekit.verify import DEFAULT_CHUNKS, _noise_scale
 
 ALL_ENSEMBLES = [
     Ensemble(field, entries)
@@ -253,3 +255,92 @@ def test_residual_report_to_dict():
     assert d["passed"] == rep.passed
     assert d["samples"] == 20_000
     assert isinstance(d["residual"], float)
+
+
+# The oracles' chunk statistics in their earlier form: full products with
+# A.conj() and inner products A.conj() @ x. The oracles now form the Hermitian
+# moments with one syrk and the inner products without copying A; these are
+# the references they must agree with.
+
+def _ref_condition_chunks(ens, d, x, n_samples, seed):
+    rng = np.random.default_rng(seed)
+    m = n_samples // DEFAULT_CHUNKS
+    second, first = [], []
+    for _ in range(DEFAULT_CHUNKS):
+        A = sample_entries(ens, (m, d), rng)
+        y = np.abs(A.conj() @ x) ** 2
+        second.append((A.T * y) @ A.conj() / m)
+        first.append(A.T @ A.conj() / m)
+    return second, first
+
+
+def _ref_f_chunks(ens, x, n_samples, seed):
+    rng = np.random.default_rng(seed)
+    m = n_samples // DEFAULT_CHUNKS
+    f_chunks = []
+    for _ in range(DEFAULT_CHUNKS):
+        A = sample_entries(ens, (m, x.shape[0]), rng)
+        W = A * (A.conj() @ x)[:, None]
+        B11 = W.T @ W.conj() / m
+        B12 = W.T @ W / m
+        f_chunks.append(np.vstack([np.hstack([B11, B12]),
+                                   np.hstack([B12.conj().T, B11.conj()])]))
+    return f_chunks
+
+
+def _ref_scalar_means(ens, x, h, n_samples, seed):
+    rng = np.random.default_rng(seed)
+    m = n_samples // DEFAULT_CHUNKS
+    means = np.zeros((DEFAULT_CHUNKS, 3))
+    for c in range(DEFAULT_CHUNKS):
+        A = sample_entries(ens, (m, x.shape[0]), rng)
+        t = np.real((A @ h.conj()) * (A.conj() @ x))
+        q = np.abs(A.conj() @ h) ** 2
+        means[c] = [np.mean(t ** 2), np.mean(t * q), np.mean(q ** 2)]
+    return means
+
+
+def _residual_and_tolerance(chunks, expected):
+    overall = sum(chunks) / len(chunks)
+    return hermitian_opnorm(overall - expected), 5.0 * _noise_scale(chunks, overall)
+
+
+@pytest.mark.parametrize("ens", ALL_ENSEMBLES, ids=str)
+def test_condition_residual_matches_full_products(ens):
+    d, n = 5, 20_000
+    x = unit_vector(d, ens.field, seed=12)
+    rep = mc_condition_residual(ens, d, x, n_samples=n, seed=13)
+    profile = moment_profile(ens)
+    second, first = _ref_condition_chunks(ens, d, x, n, 13)
+    r2, tol2 = _residual_and_tolerance(second, condition_expectation(profile, x))
+    r1, tol1 = _residual_and_tolerance(first, profile.tau1 * np.eye(d))
+    (mean_rep,) = rep.components
+    assert rep.residual == pytest.approx(r2, rel=1e-10)
+    assert rep.tolerance == pytest.approx(tol2, rel=1e-10)
+    assert mean_rep.residual == pytest.approx(r1, rel=1e-10)
+    assert mean_rep.tolerance == pytest.approx(tol1, rel=1e-10)
+
+
+@pytest.mark.parametrize("entries", [GAUSSIAN, UNIFORM, TERNARY], ids=lambda e: e.name)
+def test_f_residual_matches_full_products(entries):
+    ens = Ensemble(Field.COMPLEX, entries)
+    x = unit_vector(5, Field.COMPLEX, seed=14)
+    rep = mc_F_residual(ens, x, n_samples=20_000, seed=15)
+    r, tol = _residual_and_tolerance(_ref_f_chunks(ens, x, 20_000, 15),
+                                     f_block_expectation(moment_profile(ens), x))
+    assert rep.residual == pytest.approx(r, rel=1e-10)
+    assert rep.tolerance == pytest.approx(tol, rel=1e-10)
+
+
+@pytest.mark.parametrize("ens", ALL_ENSEMBLES, ids=str)
+def test_scalar_identities_match_conj_products(ens):
+    x = unit_vector(5, ens.field, seed=16)
+    h = project_admissible(x, unit_vector(5, ens.field, seed=17))
+    rep = mc_scalar_identities(ens, x, h, n_samples=20_000, seed=18)
+    means = _ref_scalar_means(ens, x, h, 20_000, 18)
+    devs = np.abs(means.mean(axis=0)
+                  - np.array(scalar_identity_expectations(moment_profile(ens), x, h)))
+    tols = 5.0 * means.std(axis=0, ddof=1) / math.sqrt(DEFAULT_CHUNKS)
+    for comp, dev, tol in zip(rep.components, devs, tols):
+        assert comp.residual == pytest.approx(dev, rel=1e-12, abs=1e-12)
+        assert comp.tolerance == pytest.approx(tol, rel=1e-12)
