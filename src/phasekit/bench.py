@@ -9,7 +9,8 @@ Determinism contract: every numeric output is a pure function of
 (config, base_seed). Trial streams are derived as
 SeedSequence(base_seed, spawn_key=(round(1000*ratio), trial)), and ratio
 grids whose rounded keys collide are rejected, so no two trials share an RNG
-stream and the worker count never changes results.
+stream. Trials run one after another; BLAS parallelizes the linear algebra
+inside each trial.
 """
 
 from __future__ import annotations
@@ -18,12 +19,10 @@ import csv
 import io
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -38,8 +37,6 @@ from .ensembles import (
 )
 from .solver import BarzilaiBorwein, SolverConfig, dist, solve
 from .spectral import _build_Y, _gsi_from_Y, _si_from_Y, gsi, measure
-
-THREADS_ENV_VAR = "PHASEKIT_THREADS"
 
 DEFAULT_RATIOS = tuple(range(2, 21, 2))
 
@@ -60,7 +57,6 @@ class ExperimentConfig:
     max_iters: int = 2000
     power_iters: int = 50
     base_seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if self.d < 2:
@@ -76,8 +72,6 @@ class ExperimentConfig:
                 "0.001, which would share trial streams")
         if self.trials is not None and self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
 
     @property
     def effective_trials(self) -> int:
@@ -164,15 +158,6 @@ def generate_signal(d: int, seed: SeedLike, spike_factor: float = 200.0,
     return x
 
 
-def _map_trials(fn: Callable[[int], object], trials: int, threads: int) -> list:
-    """fn(0), ..., fn(trials - 1) in order; each result depends only on its
-    own seed, so the worker count never changes the list."""
-    if threads <= 1:
-        return [fn(i) for i in range(trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(trials)))
-
-
 def run_init_experiment(config: ExperimentConfig) -> ResultTable:
     """Mean relative error of GSI and SI per N/d ratio; both initializers see
     the same measurement realizations within a trial (paired comparison)."""
@@ -197,7 +182,7 @@ def run_init_experiment(config: ExperimentConfig) -> ResultTable:
 
     rows = []
     for ratio in config.ratio_grid:
-        pairs = _map_trials(lambda i, r=ratio: one_trial(r, i), trials, config.threads)
+        pairs = [one_trial(ratio, i) for i in range(trials)]
         gsi_errs = [p[0] for p in pairs]
         si_errs = [p[1] for p in pairs]
         rows.append({
@@ -250,9 +235,7 @@ def run_recovery_experiment(config: ExperimentConfig) -> ResultTable:
 
     rows = []
     for ratio in config.ratio_grid:
-        records = _map_trials(
-            lambda i, r=ratio: run_recovery_trial(config, r, i), trials, config.threads
-        )
+        records = [run_recovery_trial(config, ratio, i) for i in range(trials)]
         rows.append({
             "ratio": float(ratio),
             "N": int(round(ratio * config.d)),
@@ -264,12 +247,3 @@ def run_recovery_experiment(config: ExperimentConfig) -> ResultTable:
     columns = ["ratio", "N", "success_rate", "mean_init_rel_error",
                "mean_final_rel_error", "trials"]
     return ResultTable(config.kind, columns, rows, config.to_dict())
-
-
-def default_threads() -> int:
-    """Thread count from the environment, used only when --threads is absent;
-    1 when the variable is unset."""
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    if not raw.isdecimal() or int(raw) < 1:
-        raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}")
-    return int(raw)

@@ -22,7 +22,6 @@ import numpy as np
 from .bench import (
     ExperimentConfig,
     ExperimentKind,
-    default_threads,
     run_init_experiment,
     run_recovery_experiment,
     run_recovery_trial,
@@ -46,8 +45,6 @@ def _add_bench(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trials", type=int, help="trials per ratio")
     p.add_argument("--max-iters", type=int, help="gradient iterations cap")
     p.add_argument("--power-iters", type=int, help="power-method iterations")
-    p.add_argument("--threads", type=int, help="worker threads (default: "
-                   "PHASEKIT_THREADS or 1); results do not depend on this")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
 
@@ -84,14 +81,13 @@ def _int_or_null(v) -> bool:
     return v is None or _is_int(v)
 
 
-# what each config-file key read by a command must hold
+# every key a config file may hold, and what it must hold
 _CONFIG_TYPES = {
     "d": ("an integer", _is_int),
     "max_iters": ("an integer", _is_int),
     "power_iters": ("an integer", _is_int),
     "base_seed": ("an integer", _is_int),
     "trials": ("an integer or null", _int_or_null),
-    "threads": ("an integer or null", _int_or_null),
     "ratio_grid": ("a list of numbers",
                    lambda v: isinstance(v, list) and all(map(_is_number, v))),
     "success_threshold": ("a number", _is_number),
@@ -102,18 +98,21 @@ _CONFIG_TYPES = {
 
 
 def _load_config_file(args: argparse.Namespace) -> dict:
-    """The --config file's JSON object, after checking the type of every
-    value the commands read from it."""
+    """The --config file's JSON object, after checking that every key is
+    known and every value has the type the commands read."""
     if not args.config:
         return {}
     with open(args.config, encoding="utf-8") as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError(f"config file {args.config} must hold a JSON object")
-    for key, (expected, ok) in _CONFIG_TYPES.items():
-        if key in cfg and not ok(cfg[key]):
+    for key, value in cfg.items():
+        if key not in _CONFIG_TYPES:
+            raise ValueError(f"config file {args.config}: unknown key {key!r}")
+        expected, ok = _CONFIG_TYPES[key]
+        if not ok(value):
             raise ValueError(f"config file {args.config}: {key!r} must be {expected}, "
-                             f"got {cfg[key]!r}")
+                             f"got {value!r}")
     return cfg
 
 
@@ -138,10 +137,6 @@ def _merge(args: argparse.Namespace, kind: ExperimentKind) -> ExperimentConfig:
     else:
         ratio_grid = tuple(file_cfg.get("ratio_grid", ExperimentConfig.ratio_grid))
 
-    threads = _pick(args, "threads", file_cfg, "threads", None)
-    if threads is None:
-        threads = default_threads()
-
     return ExperimentConfig(
         kind=kind,
         ensemble=_ensemble(args, file_cfg),
@@ -152,7 +147,6 @@ def _merge(args: argparse.Namespace, kind: ExperimentKind) -> ExperimentConfig:
         max_iters=_pick(args, "max_iters", file_cfg, "max_iters", 2000),
         power_iters=_pick(args, "power_iters", file_cfg, "power_iters", 50),
         base_seed=_pick(args, "seed", file_cfg, "base_seed", 0),
-        threads=threads,
     )
 
 

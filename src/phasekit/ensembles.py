@@ -207,33 +207,10 @@ def moment_profile(ensemble: Ensemble) -> MomentProfile:
 class DerivedConstants:
     """alpha, beta, alpha_hat and the basin radius epsilon0 of a profile."""
 
-    profile: MomentProfile
     alpha: float
     beta: float
     alpha_hat: float
     epsilon0: float
-
-    def r_bound_terms(self, d: int, N: int, delta: float | None = None) -> dict:
-        """The smoothness constant R(d, N, delta), a proof artifact, with both
-        branches of its bound and the variant without the log N factor that
-        appears in one statement of the bound. Diagnostics only; requires
-        0 < delta < beta (default beta/10)."""
-        if delta is None:
-            delta = self.beta / 10.0
-        if not (0.0 < delta < self.beta):
-            raise ValueError(f"delta must satisfy 0 < delta < beta={self.beta}, got {delta}")
-        t1 = 96.0 * self.alpha_hat ** 2 * (1.0 + delta ** 2) / (self.beta - delta)
-        tail = 60.0 * d * self.profile.tau1 * (1.0 + delta) * self.epsilon0 ** 2
-        t2 = 270.0 * self.alpha_hat * (1.0 + delta) + tail * math.log(N)
-        t2_no_log = 270.0 * self.alpha_hat * (1.0 + delta) + tail
-        return {
-            "delta": delta,
-            "curvature_term": t1,
-            "smoothness_term": t2,
-            "smoothness_term_no_logN": t2_no_log,
-            "R": max(t1, t2),
-            "R_no_logN": max(t1, t2_no_log),
-        }
 
 
 def derived_constants(profile: MomentProfile) -> DerivedConstants:
@@ -249,7 +226,7 @@ def derived_constants(profile: MomentProfile) -> DerivedConstants:
     eps0 = (10.0 / (27.0 * alpha)) * (
         math.sqrt(36.0 * profile.tau4 ** 2 + 27.0 * alpha * beta / 10.0) - 6.0 * abs(profile.tau4)
     )
-    return DerivedConstants(profile, alpha, beta, alpha_hat, eps0)
+    return DerivedConstants(alpha, beta, alpha_hat, eps0)
 
 
 def sample_entries(ensemble: Ensemble, shape: tuple, rng: np.random.Generator) -> np.ndarray:

@@ -78,21 +78,6 @@ class SolveReport:
     grad_norms: Optional[list] = None
     rel_errors: Optional[list] = None
 
-    def to_dict(self, include_traces: bool = True) -> dict:
-        out = {
-            "iterations": self.iterations,
-            "status": self.status.value,
-            "final_z_real": np.real(self.final_z).tolist(),
-        }
-        if np.iscomplexobj(self.final_z):
-            out["final_z_imag"] = np.imag(self.final_z).tolist()
-        if include_traces and self.objectives is not None:
-            out["objectives"] = list(self.objectives)
-            out["grad_norms"] = list(self.grad_norms)
-            if self.rel_errors is not None:
-                out["rel_errors"] = list(self.rel_errors)
-        return out
-
 
 def _gradient(A: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     """g(z) without input checks: the kernel of `gradient` and `solve`."""

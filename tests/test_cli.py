@@ -186,6 +186,8 @@ def test_unwritable_out_reports_path(capsys, tmp_path):
     ("solve", "--format", "csv"),
     ("solve", "--trials", "7"),
     ("solve", "--threads", "3"),
+    ("init-bench", "--threads", "2"),
+    ("recover-bench", "--threads", "2"),
     ("verify-moments", "--format", "json"),
     ("verify-moments", "--format", "csv"),
 ])
@@ -193,16 +195,6 @@ def test_removed_flags_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main([*argv, *_SMALL])
     assert exc.value.code == 2
-
-
-def test_bad_threads_env_is_an_error(capsys, monkeypatch):
-    monkeypatch.setenv("PHASEKIT_THREADS", "abc")
-    code, out, err = run_cli(capsys, "recover-bench", *_SMALL_TABLE)
-    assert code == 1
-    assert "PHASEKIT_THREADS" in err
-    # an explicit --threads does not consult the variable
-    code, out, err = run_cli(capsys, "recover-bench", *_SMALL_TABLE, "--threads", "2")
-    assert code == 0
 
 
 @pytest.mark.parametrize("command", ["init-bench", "recover-bench", "solve", "verify-moments"])
@@ -214,7 +206,6 @@ def test_bad_threads_env_is_an_error(capsys, monkeypatch):
     ({"trials": 2.5}, "trials"),
     ({"max_iters": "200"}, "max_iters"),
     ({"power_iters": [50]}, "power_iters"),
-    ({"threads": "2"}, "threads"),
     ({"ratio_grid": "4,6"}, "ratio_grid"),
     ({"ratio_grid": [4, "6"]}, "ratio_grid"),
     ({"ratio_grid": [4, False]}, "ratio_grid"),
@@ -228,6 +219,20 @@ def test_config_value_of_wrong_type_is_an_error(capsys, tmp_path, command, cfg, 
     code, out, err = run_cli(capsys, command, "--config", str(path))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and repr(key) in err
+
+
+@pytest.mark.parametrize("command", ["init-bench", "recover-bench", "solve", "verify-moments"])
+@pytest.mark.parametrize("cfg, key", [
+    ({"max_iter": 5}, "max_iter"),
+    ({"threads": 2}, "threads"),
+    ({"threads": "2"}, "threads"),
+], ids=lambda v: json.dumps(v) if isinstance(v, dict) else v)
+def test_config_unknown_key_is_an_error(capsys, tmp_path, command, cfg, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, command, "--config", str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: config file {path}: unknown key {key!r}\n"
 
 
 def test_config_file_must_hold_an_object(capsys, tmp_path):

@@ -110,16 +110,6 @@ def test_derived_constants_homogeneity():
         assert c2.epsilon0 == pytest.approx(c1.epsilon0, rel=1e-12)
 
 
-def test_r_bound_requires_delta_below_beta():
-    c = derived_constants(moment_profile(Ensemble(Field.REAL, GAUSSIAN)))
-    terms = c.r_bound_terms(d=128, N=512)  # default delta = beta/10
-    assert terms["delta"] == c.beta / 10
-    assert terms["R"] == max(terms["curvature_term"], terms["smoothness_term"]) > 0
-    with pytest.raises(ValueError):
-        c.r_bound_terms(d=128, N=512, delta=c.beta)
-    assert terms["smoothness_term"] > terms["smoothness_term_no_logN"]
-
-
 def test_sampling_rejects_empty():
     ens = Ensemble(Field.REAL, GAUSSIAN)
     with pytest.raises(ValueError):

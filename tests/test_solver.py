@@ -198,19 +198,20 @@ def test_bb_recovers_from_local_init():
     assert successes == 10
 
 
-def test_report_to_dict_round_trip_fields():
+def test_trace_lists_have_one_entry_per_iterate():
     ms = sample_measurements(TERNARY_REAL, 40, 5, seed=9)
     rng = np.random.default_rng(9)
     x = rng.standard_normal(5)
     y = measure(ms, x)
-    cfg = SolverConfig(max_iters=50, trace=True)
-    rep = solve(ms, y, x + 0.05 * rng.standard_normal(5), cfg, ground_truth=x)
-    d = rep.to_dict()
-    assert d["status"] == rep.status.value
-    assert d["iterations"] == rep.iterations
-    assert len(d["objectives"]) == rep.iterations + 1
-    slim = rep.to_dict(include_traces=False)
-    assert "objectives" not in slim
+    z0 = x + 0.05 * rng.standard_normal(5)
+    rep = solve(ms, y, z0, SolverConfig(max_iters=50, trace=True), ground_truth=x)
+    for trace in (rep.objectives, rep.grad_norms, rep.rel_errors):
+        assert len(trace) == rep.iterations + 1
+    assert rep.rel_errors[0] == pytest.approx(dist(z0, x) / np.linalg.norm(x))
+    no_truth = solve(ms, y, z0, SolverConfig(max_iters=50, trace=True))
+    assert no_truth.rel_errors is None and len(no_truth.objectives) == rep.iterations + 1
+    off = solve(ms, y, z0, SolverConfig(max_iters=50))
+    assert off.objectives is None and off.grad_norms is None and off.rel_errors is None
 
 
 def test_default_bb_first_step_scaling():
