@@ -39,6 +39,7 @@ from .solver import BarzilaiBorwein, SolverConfig, dist, solve
 from .spectral import _build_Y, _gsi_from_Y, _si_from_Y, gsi, measure
 
 DEFAULT_RATIOS = tuple(range(2, 21, 2))
+SPIKE_FACTOR = 200.0
 
 
 class ExperimentKind(Enum):
@@ -96,8 +97,6 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    trial_index: int
-    seed_key: tuple
     init_rel_error: float
     final_rel_error: float
     iterations: int
@@ -107,7 +106,6 @@ class TrialRecord:
 
 @dataclass
 class ResultTable:
-    kind: ExperimentKind
     columns: list
     rows: list                        # list of dicts keyed by `columns`
     metadata: dict = field(default_factory=dict)
@@ -143,10 +141,9 @@ def trial_seed(base_seed: int, ratio: float, trial: int) -> np.random.SeedSequen
     return np.random.SeedSequence(entropy=base_seed, spawn_key=(_ratio_key(ratio), trial))
 
 
-def generate_signal(d: int, seed: SeedLike, spike_factor: float = 200.0,
-                    field: Field = Field.REAL) -> np.ndarray:
+def generate_signal(d: int, seed: SeedLike, field: Field = Field.REAL) -> np.ndarray:
     """Gaussian test signal with the last two coordinates amplified by
-    `spike_factor`. Complex signals are (g1 + i g2)/sqrt(2)."""
+    SPIKE_FACTOR = 200. Complex signals are (g1 + i g2)/sqrt(2)."""
     if d < 2:
         raise ValueError("need d >= 2 for the spiked signal")
     rng = as_rng(seed)
@@ -154,8 +151,20 @@ def generate_signal(d: int, seed: SeedLike, spike_factor: float = 200.0,
         x = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) / math.sqrt(2.0)
     else:
         x = rng.standard_normal(d)
-    x[-2:] *= spike_factor
+    x[-2:] *= SPIKE_FACTOR
     return x
+
+
+def _problem(config: ExperimentConfig, ratio: float, i: int) -> tuple:
+    """Trial i at `ratio`: (x, mset, y, power_seeds), the signal, its
+    N = round(ratio * d) measurements and intensities, and two seeds for
+    power methods. The trial stream spawns four children; the first three
+    are the same whether or not the fourth is spawned."""
+    sig_ss, meas_ss, *power_seeds = trial_seed(config.base_seed, ratio, i).spawn(4)
+    x = generate_signal(config.d, sig_ss, field=config.ensemble.field)
+    N = int(round(ratio * config.d))
+    mset = sample_measurements(config.ensemble, N, config.d, meas_ss)
+    return x, mset, measure(mset, x), power_seeds
 
 
 def run_init_experiment(config: ExperimentConfig) -> ResultTable:
@@ -167,12 +176,7 @@ def run_init_experiment(config: ExperimentConfig) -> ResultTable:
     trials = config.effective_trials
 
     def one_trial(ratio: float, i: int) -> tuple[float, float]:
-        ss = trial_seed(config.base_seed, ratio, i)
-        sig_ss, meas_ss, pw_gsi_ss, pw_si_ss = ss.spawn(4)
-        x = generate_signal(config.d, sig_ss, field=config.ensemble.field)
-        N = int(round(ratio * config.d))
-        mset = sample_measurements(config.ensemble, N, config.d, meas_ss)
-        y = measure(mset, x)
+        x, mset, y, (pw_gsi_ss, pw_si_ss) = _problem(config, ratio, i)
         nx = np.linalg.norm(x)
         y = _checked_intensities(mset, y)
         Y = _build_Y(mset, y)  # shared by both initializers
@@ -193,19 +197,14 @@ def run_init_experiment(config: ExperimentConfig) -> ResultTable:
             "trials": trials,
         })
     columns = ["ratio", "N", "gsi_mean_rel_error", "si_mean_rel_error", "trials"]
-    return ResultTable(config.kind, columns, rows, config.to_dict())
+    return ResultTable(columns, rows, config.to_dict())
 
 
 def run_recovery_trial(config: ExperimentConfig, ratio: float, i: int) -> TrialRecord:
     """One seeded end-to-end trial: signal, measurements, GSI, BB descent."""
     t0 = time.perf_counter()
-    ss = trial_seed(config.base_seed, ratio, i)
-    sig_ss, meas_ss, pw_ss = ss.spawn(3)
-    x = generate_signal(config.d, sig_ss, field=config.ensemble.field)
-    N = int(round(ratio * config.d))
+    x, mset, y, (pw_ss, _) = _problem(config, ratio, i)
     profile = moment_profile(config.ensemble)
-    mset = sample_measurements(config.ensemble, N, config.d, meas_ss)
-    y = measure(mset, x)
     nx = np.linalg.norm(x)
     init = gsi(mset, y, profile, power_iters=config.power_iters, seed=pw_ss)
     init_err = dist(init.z0, x) / nx
@@ -216,8 +215,6 @@ def run_recovery_trial(config: ExperimentConfig, ratio: float, i: int) -> TrialR
     final_err = dist(report.final_z, x) / nx
     wall = time.perf_counter() - t0
     return TrialRecord(
-        trial_index=i,
-        seed_key=(config.base_seed, _ratio_key(ratio), i),
         init_rel_error=float(init_err),
         final_rel_error=float(final_err),
         iterations=report.iterations,
@@ -246,4 +243,4 @@ def run_recovery_experiment(config: ExperimentConfig) -> ResultTable:
         })
     columns = ["ratio", "N", "success_rate", "mean_init_rel_error",
                "mean_final_rel_error", "trials"]
-    return ResultTable(config.kind, columns, rows, config.to_dict())
+    return ResultTable(columns, rows, config.to_dict())

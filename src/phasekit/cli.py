@@ -91,10 +91,14 @@ _CONFIG_TYPES = {
     "ratio_grid": ("a list of numbers",
                    lambda v: isinstance(v, list) and all(map(_is_number, v))),
     "success_threshold": ("a number", _is_number),
-    "ensemble": ('an object with string "field" and "entry"',
-                 lambda v: isinstance(v, dict)
-                 and all(isinstance(v.get(k, ""), str) for k in ("field", "entry"))),
+    "ensemble": ('an object with string "field" and "entry" and no other key',
+                 lambda v: isinstance(v, dict) and set(v) <= {"field", "entry"}
+                 and all(isinstance(value, str) for value in v.values())),
 }
+
+# the flag that overrides each config key, where one does
+_FLAG_OF_KEY = {"d": "d", "trials": "trials", "max_iters": "max_iters",
+                "power_iters": "power_iters", "base_seed": "seed"}
 
 
 def _load_config_file(args: argparse.Namespace) -> dict:
@@ -116,38 +120,28 @@ def _load_config_file(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _pick(args: argparse.Namespace, flag: str, file_cfg: dict, key: str, default):
-    """The flag's value if given, else the config file's value, else `default`."""
-    value = getattr(args, flag, None)
-    return value if value is not None else file_cfg.get(key, default)
-
-
-def _ensemble(args: argparse.Namespace, file_cfg: dict) -> Ensemble:
-    ens_cfg = file_cfg.get("ensemble", {})
-    return Ensemble.from_dict({"field": args.field or ens_cfg.get("field", "real"),
-                               "entry": args.ensemble or ens_cfg.get("entry", "gaussian")})
+def _settings(args: argparse.Namespace) -> tuple[Ensemble, dict]:
+    """The ensemble, and the config file's other values overridden by the
+    flags given. A value that neither sets is absent, so its default comes
+    from ExperimentConfig."""
+    settings = _load_config_file(args)
+    ens_cfg = settings.pop("ensemble", {})
+    ensemble = Ensemble.from_dict({"field": args.field or ens_cfg.get("field", "real"),
+                                   "entry": args.ensemble or ens_cfg.get("entry", "gaussian")})
+    for key, flag in _FLAG_OF_KEY.items():
+        if getattr(args, flag, None) is not None:
+            settings[key] = getattr(args, flag)
+    if getattr(args, "ratios", None) is not None:
+        settings["ratio_grid"] = [float(r) for r in args.ratios.split(",")]
+    if "ratio_grid" in settings:
+        settings["ratio_grid"] = tuple(settings["ratio_grid"])
+    return ensemble, settings
 
 
 def _merge(args: argparse.Namespace, kind: ExperimentKind) -> ExperimentConfig:
     """Config file values, overridden by any explicitly given flags."""
-    file_cfg = _load_config_file(args)
-
-    if args.ratios is not None:
-        ratio_grid = tuple(float(r) for r in args.ratios.split(","))
-    else:
-        ratio_grid = tuple(file_cfg.get("ratio_grid", ExperimentConfig.ratio_grid))
-
-    return ExperimentConfig(
-        kind=kind,
-        ensemble=_ensemble(args, file_cfg),
-        d=_pick(args, "d", file_cfg, "d", 128),
-        ratio_grid=ratio_grid,
-        trials=_pick(args, "trials", file_cfg, "trials", None),
-        success_threshold=file_cfg.get("success_threshold", 1e-5),
-        max_iters=_pick(args, "max_iters", file_cfg, "max_iters", 2000),
-        power_iters=_pick(args, "power_iters", file_cfg, "power_iters", 50),
-        base_seed=_pick(args, "seed", file_cfg, "base_seed", 0),
-    )
+    ensemble, settings = _settings(args)
+    return ExperimentConfig(kind, ensemble, **settings)
 
 
 def _write(args: argparse.Namespace, text: str) -> None:
@@ -173,12 +167,11 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify_moments(args) -> int:
-    file_cfg = _load_config_file(args)
-    ensemble = _ensemble(args, file_cfg)
-    d = _pick(args, "d", file_cfg, "d", 3)
+    ensemble, settings = _settings(args)
+    d = settings.get("d", 3)
     if d < 2:
         raise ValueError("d must be >= 2")
-    seed = _pick(args, "seed", file_cfg, "base_seed", 0)
+    seed = settings.get("base_seed", ExperimentConfig.base_seed)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     x = rng.standard_normal(d)
     if ensemble.field is Field.COMPLEX:

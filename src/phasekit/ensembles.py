@@ -86,7 +86,7 @@ class MomentProfile:
     tau3: float
     tau4: float
 
-    def validate(self) -> "MomentProfile":
+    def __post_init__(self):
         checks = [
             ("tau1 > 0", self.tau1 > 0),
             ("tau2 > 0", self.tau2 > 0),
@@ -96,7 +96,6 @@ class MomentProfile:
         for name, ok in checks:
             if not ok:
                 raise ValueError(f"moment profile violates {name}: {self}")
-        return self
 
 
 @dataclass(frozen=True)
@@ -197,10 +196,8 @@ def moment_profile(ensemble: Ensemble) -> MomentProfile:
     """
     m2, m4 = ensemble.entry.m2, ensemble.entry.m4
     if ensemble.field is Field.REAL:
-        profile = MomentProfile(m2, m2 ** 2, 2.0 * m2 ** 2, m4 - 3.0 * m2 ** 2)
-    else:
-        profile = MomentProfile(m2, m2 ** 2, m2 ** 2, (m4 - 3.0 * m2 ** 2) / 2.0)
-    return profile.validate()
+        return MomentProfile(m2, m2 ** 2, 2.0 * m2 ** 2, m4 - 3.0 * m2 ** 2)
+    return MomentProfile(m2, m2 ** 2, m2 ** 2, (m4 - 3.0 * m2 ** 2) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -216,7 +213,6 @@ class DerivedConstants:
 def derived_constants(profile: MomentProfile) -> DerivedConstants:
     """alpha = tau2+tau3-(tau4)_-, beta = tau3-(tau4)_-, alpha_hat = tau2+tau3+|tau4|,
     epsilon0 = (10/(27 alpha)) * (sqrt(36 tau4^2 + 27 alpha beta / 10) - 6 |tau4|)."""
-    profile.validate()
     t4_minus = max(-profile.tau4, 0.0)
     alpha = profile.tau2 + profile.tau3 - t4_minus
     beta = profile.tau3 - t4_minus

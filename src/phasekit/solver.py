@@ -32,10 +32,10 @@ class FixedStep:
 
 @dataclass(frozen=True)
 class BarzilaiBorwein:
-    """BB stepping; first_step/fallback_step default to 0.1/||g(z0)||."""
+    """BB stepping. `first_step` defaults to 0.1/||g(z0)||; a step whose BB
+    quotient is degenerate (see `bb_step`) takes the first step again."""
 
     first_step: Optional[float] = None
-    fallback_step: Optional[float] = None
 
 
 StepMode = Union[FixedStep, BarzilaiBorwein]
@@ -185,9 +185,6 @@ def solve(
         first = config.step_mode.first_step
         if first is None:
             first = 0.1 / gnorm if gnorm > 0 else 1.0
-        fallback = config.step_mode.fallback_step
-        if fallback is None:
-            fallback = first
     else:
         xi = config.step_mode.xi
 
@@ -211,7 +208,7 @@ def solve(
             status = SolveStatus.MAX_ITERS
             break
         if bb:
-            xi = first if z_prev is None else bb_step(z - z_prev, g - g_prev, fallback)
+            xi = first if z_prev is None else bb_step(z - z_prev, g - g_prev, first)
         z_new = z - xi * g
         # a finite ||z_new|| proves every entry finite; only an inf or nan
         # norm, which finite entries can also overflow to, needs the full test

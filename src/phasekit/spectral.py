@@ -77,7 +77,6 @@ def _build_Y(mset: MeasurementSet, y: np.ndarray) -> np.ndarray:
 
 def build_M(Y: np.ndarray, rho: float, profile: MomentProfile) -> np.ndarray:
     """M = Y - (tau4/(tau3+tau4)) * D(Y - tau2 rho^2 I); off-diagonal equals Y's."""
-    profile.validate()
     c = profile.tau4 / (profile.tau3 + profile.tau4)
     M = Y.copy()
     diag = np.diagonal(Y).real

@@ -10,8 +10,8 @@ chunked (jackknife-style) resampling, never fixed absolute numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .ensembles import (
 from .spectral import _build_Y, build_M, measure, rho_from_intensities
 
 DEFAULT_CHUNKS = 20
+FIT_FLOOR = 1e-12  # errors at or below this are rounding noise
 
 
 @dataclass(frozen=True)
@@ -78,6 +79,27 @@ def _noise_scale(chunk_mats: Sequence[np.ndarray], overall: np.ndarray) -> float
     return float(np.mean(devs)) / math.sqrt(k)
 
 
+def _sample_chunks(ensemble: Ensemble, d: int, n_samples: int,
+                   seed: SeedLike) -> tuple[int, Iterator[np.ndarray]]:
+    """(m, chunks): DEFAULT_CHUNKS blocks of m = n_samples // DEFAULT_CHUNKS
+    measurement rows of dimension d each, drawn one block at a time from one
+    generator. Every Monte-Carlo oracle draws through here."""
+    if n_samples < 10_000:
+        raise ValueError("need n_samples >= 10000 for a meaningful check")
+    rng = as_rng(seed)
+    m = n_samples // DEFAULT_CHUNKS
+    return m, (sample_entries(ensemble, (m, d), rng) for _ in range(DEFAULT_CHUNKS))
+
+
+def _matrix_check(name: str, chunk_mats: Sequence[np.ndarray], expected: np.ndarray,
+                  sample_count: int, components: tuple = ()) -> ResidualReport:
+    """Score a matrix identity: the operator-norm distance of the mean of the
+    chunk means from `expected`, against 5x their `_noise_scale`."""
+    overall = sum(chunk_mats) / len(chunk_mats)
+    return ResidualReport(name, sample_count, hermitian_opnorm(overall - expected),
+                          5.0 * _noise_scale(chunk_mats, overall), components)
+
+
 def condition_expectation(profile: MomentProfile, x: np.ndarray) -> np.ndarray:
     """E((x* A x) A) = tau2 ||x||^2 I + tau3 x x* + tau4 diag(|x_i|^2)."""
     d = x.shape[0]
@@ -94,7 +116,6 @@ def mc_condition_residual(
     n_samples: int = 1_000_000,
     seed: SeedLike = 0,
     profile: Optional[MomentProfile] = None,
-    chunks: int = DEFAULT_CHUNKS,
 ) -> ResidualReport:
     """Check E((x* A x) A) and E(A) against the (possibly injected) profile.
 
@@ -105,32 +126,22 @@ def mc_condition_residual(
     x = np.asarray(x)
     if not np.any(x):
         raise ValueError("x must be nonzero")
-    if n_samples < 10_000:
-        raise ValueError("need n_samples >= 10000 for a meaningful check")
+    m, chunks = _sample_chunks(ensemble, d, n_samples, seed)
     if profile is None:
         profile = moment_profile(ensemble)
-    profile.validate()
 
-    rng = as_rng(seed)
-    m = n_samples // chunks
     dtype = np.complex128 if ensemble.field is Field.COMPLEX else np.float64
     xc = x.astype(dtype)
     second_chunks, first_chunks = [], []
-    for _ in range(chunks):
-        A = sample_entries(ensemble, (m, d), rng)
+    for A in chunks:
         second_chunks.append(_gram(A, _inner(A, xc)[1]) / m)
         first_chunks.append(_gram(A) / m)
-    S2 = sum(second_chunks) / chunks
-    S1 = sum(first_chunks) / chunks
 
-    T2 = condition_expectation(profile, xc)
-    T1 = profile.tau1 * np.eye(d, dtype=dtype)
-    r2 = hermitian_opnorm(S2 - T2)
-    r1 = hermitian_opnorm(S1 - T1)
-    tol2 = 5.0 * _noise_scale(second_chunks, S2)
-    tol1 = 5.0 * _noise_scale(first_chunks, S1)
-    mean_report = ResidualReport("ensemble-mean-identity", chunks * m, r1, tol1)
-    return ResidualReport("condition-II-identity", chunks * m, r2, tol2, (mean_report,))
+    n = DEFAULT_CHUNKS * m
+    mean_report = _matrix_check("ensemble-mean-identity", first_chunks,
+                                profile.tau1 * np.eye(d, dtype=dtype), n)
+    return _matrix_check("condition-II-identity", second_chunks,
+                         condition_expectation(profile, xc), n, (mean_report,))
 
 
 def f_block_expectation(profile: MomentProfile, x: np.ndarray) -> np.ndarray:
@@ -153,7 +164,6 @@ def mc_F_residual(
     n_samples: int = 1_000_000,
     seed: SeedLike = 0,
     profile: Optional[MomentProfile] = None,
-    chunks: int = DEFAULT_CHUNKS,
 ) -> ResidualReport:
     """Check the block expectation of (1/n) sum [w; conj(w)][w; conj(w)]*
     with w = A_j x, for complex ensembles only."""
@@ -161,16 +171,14 @@ def mc_F_residual(
         raise ValueError("mc_F_residual requires a complex-field ensemble; "
                          "use mc_condition_residual for real fields")
     x = np.asarray(x, dtype=np.complex128)
-    d = x.shape[0]
+    if not np.any(x):
+        raise ValueError("x must be nonzero")
+    m, chunks = _sample_chunks(ensemble, x.shape[0], n_samples, seed)
     if profile is None:
         profile = moment_profile(ensemble)
-    profile.validate()
 
-    rng = as_rng(seed)
-    m = n_samples // chunks
     f_chunks = []
-    for _ in range(chunks):
-        A = sample_entries(ensemble, (m, d), rng)
+    for A in chunks:
         w, w2 = _inner(A, x)
         B11 = _gram(A, w2) / m                # sum_j |<a_j, x>|^2 a_j a_j*
         W = A * w[:, None]                    # rows are A_j x
@@ -178,12 +186,8 @@ def mc_F_residual(
         top = np.hstack([B11, B12])
         bottom = np.hstack([B12.conj().T, B11.conj()])
         f_chunks.append(np.vstack([top, bottom]))
-    F = sum(f_chunks) / chunks
-
-    T = f_block_expectation(profile, x)
-    residual = hermitian_opnorm(F - T)
-    tol = 5.0 * _noise_scale(f_chunks, F)
-    return ResidualReport("stacked-block-identity", chunks * m, residual, tol)
+    return _matrix_check("stacked-block-identity", f_chunks,
+                         f_block_expectation(profile, x), DEFAULT_CHUNKS * m)
 
 
 def scalar_identity_expectations(profile: MomentProfile, x: np.ndarray, h: np.ndarray) -> tuple:
@@ -215,7 +219,6 @@ def mc_scalar_identities(
     n_samples: int = 1_000_000,
     seed: SeedLike = 0,
     profile: Optional[MomentProfile] = None,
-    chunks: int = DEFAULT_CHUNKS,
 ) -> ResidualReport:
     """Check the three scalar expectations behind the curvature analysis.
 
@@ -231,32 +234,28 @@ def mc_scalar_identities(
     h = project_admissible(x, h)
     if abs(float(np.imag(np.vdot(h, x)))) > 1e-9:
         raise ValueError("h* x must be real after phase projection")
+    m, chunks = _sample_chunks(ensemble, x.shape[0], n_samples, seed)
     if profile is None:
         profile = moment_profile(ensemble)
-    profile.validate()
 
-    rng = as_rng(seed)
-    d = x.shape[0]
-    m = n_samples // chunks
-    means = np.zeros((chunks, 3))
-    for c in range(chunks):
-        A = sample_entries(ensemble, (m, d), rng)
+    means = np.zeros((DEFAULT_CHUNKS, 3))
+    for c, A in enumerate(chunks):
         wh, q = _inner(A, h)                    # <a_j, h> and h* A h >= 0
         t = (wh.conj() * _inner(A, x)[0]).real  # Re(h* A x)
         means[c] = [np.mean(t ** 2), np.mean(t * q), np.mean(q ** 2)]
     overall = means.mean(axis=0)
-    stderr = means.std(axis=0, ddof=1) / math.sqrt(chunks)
+    stderr = means.std(axis=0, ddof=1) / math.sqrt(DEFAULT_CHUNKS)
 
     expected = np.array(scalar_identity_expectations(profile, x, h))
     devs = np.abs(overall - expected)
     tols = 5.0 * np.maximum(stderr, 1e-300)
     names = ("E(Re^2(h*Ax))", "E(Re(h*Ax) h*Ah)", "E((h*Ah)^2)")
     comps = tuple(
-        ResidualReport(n, chunks * m, float(dv), float(tl))
+        ResidualReport(n, DEFAULT_CHUNKS * m, float(dv), float(tl))
         for n, dv, tl in zip(names, devs, tols)
     )
     worst = float(np.max(devs / tols))
-    return ResidualReport("scalar-identities", chunks * m, worst, 1.0, comps)
+    return ResidualReport("scalar-identities", DEFAULT_CHUNKS * m, worst, 1.0, comps)
 
 
 @dataclass(frozen=True)
@@ -270,15 +269,7 @@ class ConcentrationRow:
     rho_dev_q95: float
 
     def to_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "y_dev_median": self.y_dev_median,
-            "y_dev_q95": self.y_dev_q95,
-            "m_dev_median": self.m_dev_median,
-            "m_dev_q95": self.m_dev_q95,
-            "rho_dev_median": self.rho_dev_median,
-            "rho_dev_q95": self.rho_dev_q95,
-        }
+        return asdict(self)
 
 
 def concentration_curve(
@@ -333,14 +324,14 @@ def concentration_curve(
     return rows
 
 
-def convergence_rate_fit(trace: Sequence[float], floor: float = 1e-12) -> tuple[float, float]:
+def convergence_rate_fit(trace: Sequence[float]) -> tuple[float, float]:
     """Least-squares fit of log(error) vs iteration on the segment between
     the first iterate and the numerical floor, i.e. up to the first point
-    with error <= `floor` (once at the floor the error only bounces around in
-    rounding noise). Returns (slope, r_squared); slope < 0 indicates
+    with error <= FIT_FLOOR = 1e-12 (once at the floor the error only bounces
+    around in rounding noise). Returns (slope, r_squared); slope < 0 indicates
     geometric decay. A constant trace reports r_squared = 0."""
     trace = np.asarray(trace, dtype=np.float64)
-    at_floor = np.flatnonzero(trace <= floor)
+    at_floor = np.flatnonzero(trace <= FIT_FLOOR)
     end = int(at_floor[0]) if at_floor.size else trace.size
     pts = np.log(trace[:end])
     ks = np.arange(end, dtype=np.float64)

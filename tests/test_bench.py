@@ -41,7 +41,7 @@ SMALL_RECOVERY = ExperimentConfig(
 
 def test_generate_signal_spike_ratio():
     x = generate_signal(8, seed=0)
-    plain = generate_signal(8, seed=0, spike_factor=1.0)
+    plain = np.random.default_rng(0).standard_normal(8)
     assert np.array_equal(x[:-2], plain[:-2])
     assert np.array_equal(x[-2:], 200.0 * plain[-2:])
 
@@ -114,8 +114,6 @@ def test_init_experiment_shape_and_determinism():
 
 def test_recovery_trial_record_fields():
     rec = run_recovery_trial(SMALL_RECOVERY, ratio=6, i=0)
-    assert rec.trial_index == 0
-    assert rec.seed_key == (7, 6000, 0)
     assert rec.init_rel_error >= 0.0
     assert rec.iterations <= 500
     assert rec.success == (rec.final_rel_error < SMALL_RECOVERY.success_threshold)
@@ -156,5 +154,5 @@ def test_csv_round_trips_floats():
 
 
 def test_empty_table_header_only():
-    table = ResultTable(ExperimentKind.INIT_ERROR, ["a", "b"], [])
+    table = ResultTable(["a", "b"], [])
     assert table.to_csv() == "a,b\n"

@@ -97,9 +97,7 @@ def reference_solve(mset, y, z0, config=SolverConfig(), ground_truth=None):
         first = config.step_mode.first_step
         if first is None:
             first = 0.1 / gnorm if gnorm > 0 else 1.0
-        fallback = config.step_mode.fallback_step
-        if fallback is None:
-            fallback = first
+        fallback = first
 
     iterations = 0
     z_prev = None

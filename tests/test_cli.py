@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from phasekit import bench
+from phasekit import GAUSSIAN, Ensemble, ExperimentConfig, ExperimentKind, Field, bench
 from phasekit.cli import main
 
 
@@ -128,6 +128,15 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     assert out_c == out_a
 
 
+def test_unset_values_take_the_experiment_config_defaults(capsys):
+    code, out, _ = run_cli(capsys, "recover-bench", "--d", "16", "--ratios", "2",
+                           "--trials", "1", "--format", "json")
+    assert code == 0
+    expected = ExperimentConfig(ExperimentKind.SUCCESS_RATE, Ensemble(Field.REAL, GAUSSIAN),
+                                d=16, ratio_grid=(2.0,), trials=1)
+    assert json.loads(out)["metadata"] == expected.to_dict()
+
+
 def test_missing_config_file(capsys):
     code, out, err = run_cli(capsys, "recover-bench", "--config", "/nonexistent.json")
     assert code == 1
@@ -212,6 +221,7 @@ def test_removed_flags_rejected(capsys, argv):
     ({"success_threshold": "1e-5"}, "success_threshold"),
     ({"ensemble": "real"}, "ensemble"),
     ({"ensemble": {"field": "real", "entry": ["ternary"]}}, "ensemble"),
+    ({"ensemble": {"feild": "complex", "entry": "ternary"}}, "ensemble"),
 ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else v)
 def test_config_value_of_wrong_type_is_an_error(capsys, tmp_path, command, cfg, key):
     path = tmp_path / "cfg.json"

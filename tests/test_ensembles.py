@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from phasekit import (
-    BUILTIN_ENTRIES,
     GAUSSIAN,
     TERNARY,
     UNIFORM,
@@ -64,9 +63,9 @@ def test_builtin_profiles_satisfy_positivity(ensemble):
 
 def test_invalid_profile_names_violated_inequality():
     with pytest.raises(ValueError, match=r"tau3 \+ tau4 > 0"):
-        MomentProfile(1.0, 1.0, 1.0, -2.0).validate()
+        MomentProfile(1.0, 1.0, 1.0, -2.0)
     with pytest.raises(ValueError, match="tau2 > 0"):
-        MomentProfile(1.0, -1.0, 1.0, 0.0).validate()
+        MomentProfile(1.0, -1.0, 1.0, 0.0)
 
 
 def test_derived_constants_real_gaussian():
@@ -77,7 +76,7 @@ def test_derived_constants_real_gaussian():
 
 def test_derived_constants_tau4_zero_collapses():
     # with tau4 = 0 the radius formula reduces to sqrt(10 beta / (27 alpha))
-    c = derived_constants(MomentProfile(1.0, 0.7, 1.3, 0.0).validate())
+    c = derived_constants(MomentProfile(1.0, 0.7, 1.3, 0.0))
     assert c.epsilon0 == pytest.approx(math.sqrt(10 * c.beta / (27 * c.alpha)), rel=1e-12)
 
 

@@ -61,6 +61,23 @@ def test_condition_residual_passes(ens):
     assert len(rep.components) == 1  # first-moment identity sub-check
 
 
+@pytest.mark.parametrize("oracle", [
+    lambda ens, x, n: mc_condition_residual(ens, 3, x, n_samples=n),
+    lambda ens, x, n: mc_F_residual(ens, x, n_samples=n),
+    lambda ens, x, n: mc_scalar_identities(ens, x, x, n_samples=n),
+], ids=["condition", "F", "scalar"])
+@pytest.mark.parametrize("n_samples", [10, 9_999])
+def test_oracles_reject_too_few_samples(oracle, n_samples):
+    ens = Ensemble(Field.COMPLEX, TERNARY)
+    with pytest.raises(ValueError, match="n_samples >= 10000"):
+        oracle(ens, unit_vector(3, Field.COMPLEX, seed=0), n_samples)
+
+
+def test_f_residual_rejects_zero_signal():
+    with pytest.raises(ValueError, match="nonzero"):
+        mc_F_residual(Ensemble(Field.COMPLEX, TERNARY), np.zeros(3), n_samples=20_000)
+
+
 def test_condition_residual_detects_wrong_tau():
     ens = Ensemble(Field.REAL, TERNARY)
     good = moment_profile(ens)
@@ -219,7 +236,7 @@ def test_concentration_curve_zero_signal():
 def test_convergence_rate_fit_exact_geometric():
     rate = 0.9
     trace = rate ** np.arange(40)
-    slope, r2 = convergence_rate_fit(trace, floor=1e-300)
+    slope, r2 = convergence_rate_fit(trace)
     assert slope == pytest.approx(math.log(rate), abs=1e-12)
     assert r2 == pytest.approx(1.0, abs=1e-12)
 
@@ -228,7 +245,7 @@ def test_convergence_rate_fit_truncates_at_floor():
     # error decays then bounces in rounding noise; the bounce is excluded
     head = 0.5 ** np.arange(50)
     tail = 1e-16 * (1.0 + 0.5 * np.sin(np.arange(30)))
-    slope, r2 = convergence_rate_fit(np.concatenate([head, tail]), floor=1e-12)
+    slope, r2 = convergence_rate_fit(np.concatenate([head, tail]))
     assert slope == pytest.approx(math.log(0.5), abs=1e-9)
     assert r2 > 0.999
 
