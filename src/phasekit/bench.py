@@ -31,12 +31,13 @@ from .ensembles import (
     Field,
     SeedLike,
     _checked_intensities,
+    _gram,
     as_rng,
     moment_profile,
     sample_measurements,
 )
-from .solver import BarzilaiBorwein, SolverConfig, dist, solve
-from .spectral import _build_Y, _gsi_from_Y, _si_from_Y, gsi, measure
+from .solver import DEFAULT_MAX_ITERS, BarzilaiBorwein, SolverConfig, dist, solve
+from .spectral import DEFAULT_POWER_ITERS, _gsi_from_Y, _si_from_Y, _sum_sq, gsi, measure
 
 DEFAULT_RATIOS = tuple(range(2, 21, 2))
 SPIKE_FACTOR = 200.0
@@ -55,8 +56,8 @@ class ExperimentConfig:
     ratio_grid: tuple = DEFAULT_RATIOS
     trials: Optional[int] = None     # defaults: 50 for init, 100 for success
     success_threshold: float = 1e-5
-    max_iters: int = 2000
-    power_iters: int = 50
+    max_iters: int = DEFAULT_MAX_ITERS
+    power_iters: int = DEFAULT_POWER_ITERS
     base_seed: int = 0
 
     def __post_init__(self):
@@ -179,9 +180,14 @@ def run_init_experiment(config: ExperimentConfig) -> ResultTable:
         x, mset, y, (pw_gsi_ss, pw_si_ss) = _problem(config, ratio, i)
         nx = np.linalg.norm(x)
         y = _checked_intensities(mset, y)
-        Y = _build_Y(mset, y)  # shared by both initializers
+        A = mset.vectors
+        sum_a2 = _sum_sq(A)
+        # the trial owns A and is done with its plain rows: weight them in
+        # place instead of beside a second N x d array
+        A *= np.sqrt(y)[:, None]
+        Y = _gram(A) / mset.N  # shared by both initializers
         g = _gsi_from_Y(Y, y, profile, config.power_iters, pw_gsi_ss)
-        s = _si_from_Y(mset, Y, y, config.power_iters, pw_si_ss)
+        s = _si_from_Y(Y, y, sum_a2, config.power_iters, pw_si_ss)
         return dist(g.z0, x) / nx, dist(s.z0, x) / nx
 
     rows = []

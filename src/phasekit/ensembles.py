@@ -144,24 +144,27 @@ def _inner(A: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, w * w
 
 
-def _gram(A: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
-    """sum_j w_j a_j a_j* over the rows a_j of A (every w_j = 1 when `w` is
-    None), for w >= 0, as a float64 or complex128 matrix.
+def _gram(B: np.ndarray) -> np.ndarray:
+    """B^T conj(B) = sum_j b_j b_j* over the rows b_j of B, as a float64 or
+    complex128 matrix.
 
-    With B = A * sqrt(w)[:, None] the sum is B^T conj(B). numpy evaluates a
-    product X.T @ X of one buffer as a BLAS syrk: one triangle, half the flops
-    of a general product, the other triangle copied, so the result is exactly
-    symmetric. A complex B goes through its zero-copy (N, 2d) float64 view V,
-    whose rows interleave real and imaginary parts; from G = V^T V,
-    Re = G[re, re] + G[im, im] and Im = G[im, re] - G[re, im], so the result
-    is exactly Hermitian with a real diagonal, and no conj copy is made."""
-    B = A if w is None else A * np.sqrt(w)[:, None]
+    For sum_j w_j a_j a_j* with w >= 0, pass the rows b_j = sqrt(w_j) a_j.
+    The caller forms them: a caller that owns A scales it in place after its
+    last use of the plain rows, any other caller passes a scaled copy.
+
+    numpy evaluates a product X.T @ X of one buffer as a BLAS syrk: one
+    triangle, half the flops of a general product, the other triangle copied,
+    so the result is exactly symmetric. A complex B goes through its
+    zero-copy (N, 2d) float64 view V, whose rows interleave real and
+    imaginary parts; from G = V^T V, Re = G[re, re] + G[im, im] and
+    Im = G[im, re] - G[re, im], so the result is exactly Hermitian with a
+    real diagonal, and no conj copy is made."""
     if B.dtype.kind != "c":
         B = np.ascontiguousarray(B, dtype=np.float64)
         return B.T @ B
     V = np.ascontiguousarray(B, dtype=np.complex128).view(np.float64)
     G = V.T @ V
-    out = np.empty((A.shape[1], A.shape[1]), dtype=np.complex128)
+    out = np.empty((B.shape[1], B.shape[1]), dtype=np.complex128)
     np.add(G[0::2, 0::2], G[1::2, 1::2], out=out.real)
     np.subtract(G[1::2, 0::2], G[0::2, 1::2], out=out.imag)
     return out
@@ -181,6 +184,10 @@ def _checked_intensities(mset: MeasurementSet, y) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (mset.N,):
         raise ValueError(f"intensity vector has shape {y.shape}, expected ({mset.N},)")
+    return _finite_nonnegative(y)
+
+
+def _finite_nonnegative(y: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(y)):
         raise ValueError("intensities must be finite")
     if np.any(y < 0):
@@ -229,14 +236,14 @@ def sample_entries(ensemble: Ensemble, shape: tuple, rng: np.random.Generator) -
     """i.i.d. draws of `shape`; complex draws are (u + i v)/sqrt(2)."""
     if ensemble.field is Field.REAL:
         return ensemble.entry.sampler(rng, shape)
-    u = ensemble.entry.sampler(rng, shape)
-    v = ensemble.entry.sampler(rng, shape)
-    # written part by part: the same bits as (u + 1j*v) / sqrt(2), whose
-    # complex division multiplies by 1/sqrt(2), without complex temporaries
+    # each part is written as soon as it is drawn, u before v, so the two
+    # draws and the output are never all live at once; the same bits as
+    # (u + 1j*v) / sqrt(2), whose complex division multiplies by 1/sqrt(2),
+    # without complex temporaries
     out = np.empty(shape, dtype=np.complex128)
     scale = 1.0 / math.sqrt(2.0)
-    np.multiply(u, scale, out=out.real)
-    np.multiply(v, scale, out=out.imag)
+    np.multiply(ensemble.entry.sampler(rng, shape), scale, out=out.real)
+    np.multiply(ensemble.entry.sampler(rng, shape), scale, out=out.imag)
     return out
 
 

@@ -20,6 +20,8 @@ import numpy as np
 
 from .ensembles import Field, MeasurementSet, _checked_intensities, _inner, _norm
 
+DEFAULT_MAX_ITERS = 2000
+
 
 @dataclass(frozen=True)
 class FixedStep:
@@ -54,7 +56,7 @@ class SolverConfig:
     scale, g(c z; c^2 y) = c^3 g(z; y), so the rule is scale invariant."""
 
     step_mode: StepMode = field(default_factory=BarzilaiBorwein)
-    max_iters: int = 2000
+    max_iters: int = DEFAULT_MAX_ITERS
     grad_norm_tol: float = 1e-13
     trace: bool = False
 

@@ -12,7 +12,11 @@ uses Y itself.
 
 Y is formed from one triangle, as a rank-N update with the rows
 sqrt(y_j) a_j (a BLAS syrk), and is exactly Hermitian with a real diagonal;
-the intensities y must be finite and nonnegative.
+the intensities y must be finite and nonnegative. The public functions
+weight a copy of the caller's rows and leave `mset.vectors` as it was; the
+init trials of :mod:`phasekit.bench` and the oracles of :mod:`phasekit.verify`
+own the rows they sample and weight them in place once they are done with
+the plain rows.
 """
 
 from __future__ import annotations
@@ -27,11 +31,14 @@ from .ensembles import (
     MomentProfile,
     SeedLike,
     _checked_intensities,
+    _finite_nonnegative,
     _gram,
     _inner,
     _norm,
     as_rng,
 )
+
+DEFAULT_POWER_ITERS = 50
 
 
 @dataclass(frozen=True)
@@ -53,17 +60,26 @@ def measure(mset: MeasurementSet, x: np.ndarray) -> np.ndarray:
 
 
 def rho_from_intensities(y: np.ndarray, tau1: float) -> float:
-    """rho = sqrt(sum(y) / (tau1 * N))."""
+    """rho = sqrt(sum(y) / (tau1 * N)). `y` must be a nonempty 1-D array of
+    finite, nonnegative intensities; other input raises ValueError."""
     if not tau1 > 0:
         raise ValueError(f"tau1 must be positive, got {tau1}")
     y = np.asarray(y, dtype=np.float64)
+    if y.ndim != 1 or y.size == 0:
+        raise ValueError(f"intensity vector must be 1-D and nonempty, got shape {y.shape}")
+    return _rho(_finite_nonnegative(y), tau1)
+
+
+def _rho(y: np.ndarray, tau1: float) -> float:
+    """rho_from_intensities for a checked `y` and a tau1 > 0."""
     return math.sqrt(float(np.sum(y)) / (tau1 * y.size))
 
 
 def build_Y(mset: MeasurementSet, y: np.ndarray) -> np.ndarray:
     """Y = (1/N) sum_j y_j a_j a_j*, PSD, without materializing the rank-one
     matrices: one triangle is formed by a rank-N update with the rows
-    sqrt(y_j) a_j, so Y is exactly Hermitian with a real diagonal.
+    sqrt(y_j) a_j, so Y is exactly Hermitian with a real diagonal. The rows
+    are weighted in a copy; `mset.vectors` is left unchanged.
 
     `y` must be finite, nonnegative and of shape (N,); other input raises
     ValueError."""
@@ -72,7 +88,7 @@ def build_Y(mset: MeasurementSet, y: np.ndarray) -> np.ndarray:
 
 def _build_Y(mset: MeasurementSet, y: np.ndarray) -> np.ndarray:
     """build_Y for a `y` already checked by `_checked_intensities`."""
-    return _gram(mset.vectors, y) / mset.N
+    return _gram(mset.vectors * np.sqrt(y)[:, None]) / mset.N
 
 
 def build_M(Y: np.ndarray, rho: float, profile: MomentProfile) -> np.ndarray:
@@ -86,7 +102,7 @@ def build_M(Y: np.ndarray, rho: float, profile: MomentProfile) -> np.ndarray:
 
 def power_method(
     M: np.ndarray,
-    iters: int = 50,
+    iters: int = DEFAULT_POWER_ITERS,
     seed: SeedLike = 0,
 ) -> tuple[float, np.ndarray, float]:
     """Dominant eigenpair of a Hermitian matrix by fixed-count power iteration.
@@ -142,17 +158,22 @@ def _rayleigh(v: np.ndarray, Mv: np.ndarray) -> tuple[float, float]:
 
 def _gsi_from_Y(Y: np.ndarray, y: np.ndarray, profile: MomentProfile,
                 power_iters: int, seed: SeedLike) -> InitResult:
-    rho = rho_from_intensities(y, profile.tau1)
+    rho = _rho(y, profile.tau1)
     M = build_M(Y, rho, profile)
     lam, v, residual = power_method(M, iters=power_iters, seed=seed)
     return InitResult(rho * v, rho, lam, residual)
 
 
-def _si_from_Y(mset: MeasurementSet, Y: np.ndarray, y: np.ndarray,
+def _sum_sq(A: np.ndarray) -> float:
+    """sum_j ||a_j||^2 over the rows of A, as one BLAS dot."""
+    return float(np.vdot(A, A).real)
+
+
+def _si_from_Y(Y: np.ndarray, y: np.ndarray, sum_a2: float,
                power_iters: int, seed: SeedLike) -> InitResult:
+    """SI from Y and sum_a2 = `_sum_sq` of the plain rows."""
     lam, v, residual = power_method(Y, iters=power_iters, seed=seed)
-    sum_a2 = float(np.vdot(mset.vectors, mset.vectors).real)  # sum_j ||a_j||^2, one BLAS dot
-    scale = math.sqrt(mset.d * float(np.sum(y)) / sum_a2)
+    scale = math.sqrt(Y.shape[0] * float(np.sum(y)) / sum_a2)
     return InitResult(scale * v, scale, lam, residual)
 
 
@@ -160,7 +181,7 @@ def gsi(
     mset: MeasurementSet,
     y: np.ndarray,
     profile: MomentProfile,
-    power_iters: int = 50,
+    power_iters: int = DEFAULT_POWER_ITERS,
     seed: SeedLike = 0,
 ) -> InitResult:
     """Generalized spectral initialization: z0 = rho * (top eigenvector of M).
@@ -173,11 +194,11 @@ def gsi(
 def baseline_si(
     mset: MeasurementSet,
     y: np.ndarray,
-    power_iters: int = 50,
+    power_iters: int = DEFAULT_POWER_ITERS,
     seed: SeedLike = 0,
 ) -> InitResult:
     """Classical spectral initialization: top eigenvector of Y, scaled by
     lam_SI = sqrt(d * sum(y) / sum_j ||a_j||^2). `y` must be finite,
     nonnegative and of shape (N,)."""
     y = _checked_intensities(mset, y)
-    return _si_from_Y(mset, _build_Y(mset, y), y, power_iters, seed)
+    return _si_from_Y(_build_Y(mset, y), y, _sum_sq(mset.vectors), power_iters, seed)

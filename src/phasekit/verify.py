@@ -27,7 +27,7 @@ from .ensembles import (
     sample_entries,
     sample_measurements,
 )
-from .spectral import _build_Y, build_M, measure, rho_from_intensities
+from .spectral import build_M, measure, rho_from_intensities
 
 DEFAULT_CHUNKS = 20
 FIT_FLOOR = 1e-12  # errors at or below this are rounding noise
@@ -134,8 +134,9 @@ def mc_condition_residual(
     xc = x.astype(dtype)
     second_chunks, first_chunks = [], []
     for A in chunks:
-        second_chunks.append(_gram(A, _inner(A, xc)[1]) / m)
         first_chunks.append(_gram(A) / m)
+        A *= np.sqrt(_inner(A, xc)[1])[:, None]  # the chunk is ours: weight in place
+        second_chunks.append(_gram(A) / m)
 
     n = DEFAULT_CHUNKS * m
     mean_report = _matrix_check("ensemble-mean-identity", first_chunks,
@@ -180,9 +181,10 @@ def mc_F_residual(
     f_chunks = []
     for A in chunks:
         w, w2 = _inner(A, x)
-        B11 = _gram(A, w2) / m                # sum_j |<a_j, x>|^2 a_j a_j*
         W = A * w[:, None]                    # rows are A_j x
         B12 = W.T @ W / m
+        A *= np.sqrt(w2)[:, None]             # the chunk is ours: weight in place
+        B11 = _gram(A) / m                    # sum_j |<a_j, x>|^2 a_j a_j*
         top = np.hstack([B11, B12])
         bottom = np.hstack([B12.conj().T, B11.conj()])
         f_chunks.append(np.vstack([top, bottom]))
@@ -309,8 +311,10 @@ def concentration_curve(
             ss = np.random.SeedSequence(entropy=root.entropy, spawn_key=(ni, t))
             mset = sample_measurements(ensemble, N, d, ss)
             y = measure(mset, x)
-            Y = _build_Y(mset, y)
             rho = rho_from_intensities(y, profile.tau1)
+            A = mset.vectors
+            A *= np.sqrt(y)[:, None]  # the trial's own rows: weight in place
+            Y = _gram(A) / N
             M = build_M(Y, rho, profile)
             y_devs.append(hermitian_opnorm(Y - EY))
             m_devs.append(hermitian_opnorm(M - EM))

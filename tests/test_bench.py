@@ -1,4 +1,6 @@
+import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +10,14 @@ from phasekit import (
     ExperimentConfig,
     ExperimentKind,
     Field,
+    GAUSSIAN,
     ResultTable,
+    SolverConfig,
     TERNARY,
+    baseline_si,
     generate_signal,
+    gsi,
+    power_method,
     run_init_experiment,
     run_recovery_experiment,
     run_recovery_trial,
@@ -78,6 +85,14 @@ def test_effective_trials_defaults():
     assert succ_default.effective_trials == 100
 
 
+def test_library_defaults_are_the_experiment_defaults():
+    cfg = ExperimentConfig(ExperimentKind.INIT_ERROR, TERNARY_REAL)
+    assert SolverConfig().max_iters == cfg.max_iters
+    assert inspect.signature(power_method).parameters["iters"].default == cfg.power_iters
+    for init in (gsi, baseline_si):
+        assert inspect.signature(init).parameters["power_iters"].default == cfg.power_iters
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(ExperimentKind.INIT_ERROR, TERNARY_REAL, d=1)
@@ -110,6 +125,23 @@ def test_init_experiment_shape_and_determinism():
     for row in t1.rows:
         assert 0.0 <= row["gsi_mean_rel_error"] < 2.5
         assert row["trials"] == 4
+
+
+@pytest.mark.parametrize("field,entry", [(Field.REAL, TERNARY), (Field.COMPLEX, GAUSSIAN)])
+def test_init_trial_weights_its_own_measurements_in_place(field, entry):
+    # N x d weighted rows beside the sampled ones would lift the peak to
+    # about 2x the measurement matrix
+    cfg = ExperimentConfig(ExperimentKind.INIT_ERROR, Ensemble(field, entry), d=128,
+                           ratio_grid=(20,), trials=1, base_seed=3)
+    run_init_experiment(cfg)  # warm-up, so that one-off allocations are not traced
+    tracemalloc.start()
+    try:
+        run_init_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    itemsize = 16 if field is Field.COMPLEX else 8
+    assert peak < 1.75 * (20 * 128) * 128 * itemsize
 
 
 def test_recovery_trial_record_fields():

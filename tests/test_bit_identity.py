@@ -27,6 +27,7 @@ from phasekit import (
     SolveReport,
     SolverConfig,
     SolveStatus,
+    baseline_si,
     dist,
     generate_signal,
     gsi,
@@ -340,3 +341,30 @@ def test_init_table_matches_reference_power_method(monkeypatch, field, entry, ra
     got = run_init_experiment(cfg).to_csv()
     monkeypatch.setattr(spectral, "power_method", reference_power_method)
     assert got == run_init_experiment(cfg).to_csv()
+
+
+@pytest.mark.parametrize("field,entry", [(Field.REAL, TERNARY), (Field.COMPLEX, GAUSSIAN)])
+def test_init_rows_match_trials_built_from_public_initializers(field, entry):
+    # the experiment weights each trial's own rows in place; the public
+    # gsi and baseline_si weight a copy. N = 3d = 96, see _problem
+    ens = Ensemble(field, entry)
+    cfg = ExperimentConfig(ExperimentKind.INIT_ERROR, ens, d=32, ratio_grid=(3, 5),
+                           trials=4, base_seed=7)
+    profile = moment_profile(ens)
+    rows = []
+    for ratio in cfg.ratio_grid:
+        gsi_errs, si_errs = [], []
+        for i in range(cfg.trials):
+            x, mset, y, (pw_gsi, pw_si) = bench._problem(cfg, ratio, i)
+            nx = np.linalg.norm(x)
+            g = gsi(mset, y, profile, power_iters=cfg.power_iters, seed=pw_gsi)
+            s = baseline_si(mset, y, power_iters=cfg.power_iters, seed=pw_si)
+            gsi_errs.append(dist(g.z0, x) / nx)
+            si_errs.append(dist(s.z0, x) / nx)
+        rows.append({"ratio": float(ratio), "N": int(round(ratio * cfg.d)),
+                     "gsi_mean_rel_error": float(np.mean(gsi_errs)),
+                     "si_mean_rel_error": float(np.mean(si_errs)),
+                     "trials": cfg.trials})
+    got = run_init_experiment(cfg).rows
+    assert [r["N"] for r in got] == [96, 160]
+    assert got == rows

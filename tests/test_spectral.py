@@ -76,6 +76,23 @@ def test_initializers_reject_bad_intensities(init, bad, match):
             baseline_si(ms, y)
 
 
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+@pytest.mark.parametrize("call", ["measure", "build_Y", "gsi", "baseline_si"])
+def test_spectral_calls_leave_the_measurements_unchanged(field, call):
+    ens = Ensemble(field, GAUSSIAN)
+    ms = sample_measurements(ens, 96, 32, seed=4)
+    before = ms.vectors.copy()
+    y = measure(ms, np.ones(32))
+    if call == "build_Y":
+        build_Y(ms, y)
+    elif call == "gsi":
+        gsi(ms, y, moment_profile(ens))
+    elif call == "baseline_si":
+        baseline_si(ms, y)
+    assert ms.vectors.dtype == before.dtype
+    assert ms.vectors.tobytes() == before.tobytes()
+
+
 def test_rho_identity_and_scaling():
     y = np.full(17, 0.25)
     assert rho_from_intensities(y, tau1=0.25) == pytest.approx(1.0)
@@ -83,6 +100,17 @@ def test_rho_identity_and_scaling():
     assert rho_from_intensities(9.0 * y, tau1=2.0) == pytest.approx(3.0 * rho)
     with pytest.raises(ValueError):
         rho_from_intensities(y, tau1=0.0)
+
+
+@pytest.mark.parametrize("y, match", [
+    ([-1.0, 0.5], "nonnegative"),
+    ([], "nonempty"),
+    ([np.nan, 1.0], "finite"),
+    ([[1.0, 2.0], [3.0, 4.0]], "1-D"),
+])
+def test_rho_rejects_bad_intensities(y, match):
+    with pytest.raises(ValueError, match=match):
+        rho_from_intensities(y, tau1=1.0)
 
 
 def test_rho_concentrates():
