@@ -19,7 +19,9 @@ import csv
 import io
 import json
 import math
+import numbers
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -32,6 +34,7 @@ from .ensembles import (
     SeedLike,
     _checked_intensities,
     _gram,
+    _is_int,
     as_rng,
     moment_profile,
     sample_measurements,
@@ -41,6 +44,11 @@ from .spectral import DEFAULT_POWER_ITERS, _gsi_from_Y, _si_from_Y, _sum_sq, gsi
 
 DEFAULT_RATIOS = tuple(range(2, 21, 2))
 SPIKE_FACTOR = 200.0
+
+
+def _is_real(v) -> bool:
+    """A real number other than a bool; numpy floats and integers count."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 class ExperimentKind(Enum):
@@ -61,8 +69,22 @@ class ExperimentConfig:
     base_seed: int = 0
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("d must be >= 2")
+        """Every check a trial would make later, made here: a bad value is a
+        ValueError naming its field at construction."""
+        for name, low in (("d", 2), ("power_iters", 1), ("base_seed", 0), ("trials", 1)):
+            value = getattr(self, name)
+            if not (_is_int(value) or (name == "trials" and value is None)):
+                raise ValueError(f"{name!r} must be an integer, got {value!r}")
+            if value is not None and value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+        if not (_is_real(self.success_threshold) and math.isfinite(self.success_threshold)):
+            raise ValueError(
+                f"'success_threshold' must be a finite number, got {self.success_threshold!r}")
+        if not (isinstance(self.ratio_grid, (Sequence, np.ndarray))
+                and all(map(_is_real, self.ratio_grid))):
+            raise ValueError(f"'ratio_grid' must be a sequence of numbers, got {self.ratio_grid!r}")
+        object.__setattr__(self, "ratio_grid", tuple(self.ratio_grid))
+        self.solver_config  # SolverConfig owns the max_iters rule
         if len(self.ratio_grid) == 0:
             raise ValueError("ratio grid must be nonempty")
         if not all(math.isfinite(r) and r >= 1 for r in self.ratio_grid):
@@ -70,10 +92,13 @@ class ExperimentConfig:
         keys = [_ratio_key(r) for r in self.ratio_grid]
         if len(set(keys)) != len(keys):
             raise ValueError(
-                f"ratio grid {tuple(self.ratio_grid)} has ratios equal after rounding to "
+                f"ratio grid {self.ratio_grid} has ratios equal after rounding to "
                 "0.001, which would share trial streams")
-        if self.trials is not None and self.trials < 1:
-            raise ValueError("trials must be >= 1")
+
+    @property
+    def solver_config(self) -> SolverConfig:
+        """The descent settings of a recovery trial."""
+        return SolverConfig(step_mode=BarzilaiBorwein(), max_iters=self.max_iters)
 
     @property
     def effective_trials(self) -> int:
@@ -214,10 +239,7 @@ def run_recovery_trial(config: ExperimentConfig, ratio: float, i: int) -> TrialR
     nx = np.linalg.norm(x)
     init = gsi(mset, y, profile, power_iters=config.power_iters, seed=pw_ss)
     init_err = dist(init.z0, x) / nx
-    report = solve(
-        mset, y, init.z0,
-        SolverConfig(step_mode=BarzilaiBorwein(), max_iters=config.max_iters),
-    )
+    report = solve(mset, y, init.z0, config.solver_config)
     final_err = dist(report.final_z, x) / nx
     wall = time.perf_counter() - t0
     return TrialRecord(

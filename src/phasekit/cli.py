@@ -6,14 +6,16 @@ Subcommands:
     verify-moments  Monte-Carlo check of the ensemble's moment constants
     solve           one seeded end-to-end recovery
 
-A JSON config file (--config) mirrors the experiment options; explicit flags
-override file values. Every command writes its output to --out, or to stdout
-when --out is absent.
+A JSON config file (--config) holds ExperimentConfig fields; explicit flags
+override file values, and ExperimentConfig checks the result, so the CLI
+holds no setting rules of its own. Every command writes its output to --out,
+or to stdout when --out is absent.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -32,9 +34,10 @@ from .verify import mc_condition_residual, mc_F_residual
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--field", choices=["real", "complex"], help="number field")
-    p.add_argument("--ensemble", choices=sorted(BUILTIN_ENTRIES), help="entry distribution")
+    p.add_argument("--ensemble", dest="entry", choices=sorted(BUILTIN_ENTRIES),
+                   help="entry distribution")
     p.add_argument("--d", type=int, help="signal dimension")
-    p.add_argument("--seed", type=int, help="base seed")
+    p.add_argument("--seed", dest="base_seed", type=int, help="base seed")
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--out", help="output file (default: print to stdout)")
 
@@ -69,79 +72,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    return _is_int(v) or isinstance(v, float)
-
-
-def _int_or_null(v) -> bool:
-    return v is None or _is_int(v)
-
-
-# every key a config file may hold, and what it must hold
-_CONFIG_TYPES = {
-    "d": ("an integer", _is_int),
-    "max_iters": ("an integer", _is_int),
-    "power_iters": ("an integer", _is_int),
-    "base_seed": ("an integer", _is_int),
-    "trials": ("an integer or null", _int_or_null),
-    "ratio_grid": ("a list of numbers",
-                   lambda v: isinstance(v, list) and all(map(_is_number, v))),
-    "success_threshold": ("a number", _is_number),
-    "ensemble": ('an object with string "field" and "entry" and no other key',
-                 lambda v: isinstance(v, dict) and set(v) <= {"field", "entry"}
-                 and all(isinstance(value, str) for value in v.values())),
-}
-
-# the flag that overrides each config key, where one does
-_FLAG_OF_KEY = {"d": "d", "trials": "trials", "max_iters": "max_iters",
-                "power_iters": "power_iters", "base_seed": "seed"}
+# every key a config file may hold; ExperimentConfig checks their values
+_CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(ExperimentConfig)) - {"kind"}
 
 
 def _load_config_file(args: argparse.Namespace) -> dict:
-    """The --config file's JSON object, after checking that every key is
-    known and every value has the type the commands read."""
+    """The --config file's JSON object, after checking that every key is known."""
     if not args.config:
         return {}
     with open(args.config, encoding="utf-8") as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError(f"config file {args.config} must hold a JSON object")
-    for key, value in cfg.items():
-        if key not in _CONFIG_TYPES:
+    for key in cfg:
+        if key not in _CONFIG_KEYS:
             raise ValueError(f"config file {args.config}: unknown key {key!r}")
-        expected, ok = _CONFIG_TYPES[key]
-        if not ok(value):
-            raise ValueError(f"config file {args.config}: {key!r} must be {expected}, "
-                             f"got {value!r}")
     return cfg
 
 
-def _settings(args: argparse.Namespace) -> tuple[Ensemble, dict]:
-    """The ensemble, and the config file's other values overridden by the
-    flags given. A value that neither sets is absent, so its default comes
-    from ExperimentConfig."""
+def _config(args: argparse.Namespace, kind: ExperimentKind, **defaults) -> ExperimentConfig:
+    """The config file's values overridden by the flags given, as an
+    ExperimentConfig, which checks them. A value that neither sets takes
+    `defaults`, else the ExperimentConfig default; the ensemble defaults to
+    real Gaussian."""
     settings = _load_config_file(args)
-    ens_cfg = settings.pop("ensemble", {})
-    ensemble = Ensemble.from_dict({"field": args.field or ens_cfg.get("field", "real"),
-                                   "entry": args.ensemble or ens_cfg.get("entry", "gaussian")})
-    for key, flag in _FLAG_OF_KEY.items():
-        if getattr(args, flag, None) is not None:
-            settings[key] = getattr(args, flag)
+    ensemble = settings.pop("ensemble", {})
+    if isinstance(ensemble, dict):  # a partial object takes defaults; flags override it
+        flags = {key: getattr(args, key) for key in ("field", "entry") if getattr(args, key)}
+        ensemble = {"field": "real", "entry": "gaussian", **ensemble, **flags}
+    try:
+        ensemble = Ensemble.from_dict(ensemble)
+    except ValueError as exc:
+        raise ValueError(f"config file {args.config}: 'ensemble': {exc}") from exc
+    # each flag's dest is the key it sets
+    settings.update((key, value) for key, value in vars(args).items()
+                    if key in _CONFIG_KEYS and value is not None)
     if getattr(args, "ratios", None) is not None:
         settings["ratio_grid"] = [float(r) for r in args.ratios.split(",")]
-    if "ratio_grid" in settings:
-        settings["ratio_grid"] = tuple(settings["ratio_grid"])
-    return ensemble, settings
-
-
-def _merge(args: argparse.Namespace, kind: ExperimentKind) -> ExperimentConfig:
-    """Config file values, overridden by any explicitly given flags."""
-    ensemble, settings = _settings(args)
-    return ExperimentConfig(kind, ensemble, **settings)
+    return ExperimentConfig(kind, ensemble, **{**defaults, **settings})
 
 
 def _write(args: argparse.Namespace, text: str) -> None:
@@ -161,17 +129,14 @@ _BENCHES = {
 
 def _cmd_bench(args) -> int:
     kind, run = _BENCHES[args.command]
-    table = run(_merge(args, kind))
+    table = run(_config(args, kind))
     _write(args, table.to_csv() if args.format == "csv" else table.to_json() + "\n")
     return 0
 
 
 def _cmd_verify_moments(args) -> int:
-    ensemble, settings = _settings(args)
-    d = settings.get("d", 3)
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    seed = settings.get("base_seed", ExperimentConfig.base_seed)
+    cfg = _config(args, ExperimentKind.SUCCESS_RATE, d=3)
+    ensemble, d, seed = cfg.ensemble, cfg.d, cfg.base_seed
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     x = rng.standard_normal(d)
     if ensemble.field is Field.COMPLEX:
@@ -200,7 +165,7 @@ def _cmd_verify_moments(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    cfg = _merge(args, ExperimentKind.SUCCESS_RATE)
+    cfg = _config(args, ExperimentKind.SUCCESS_RATE)
     ratio = cfg.ratio_grid[0]
     record = run_recovery_trial(cfg, ratio, 0)
     payload = {

@@ -18,6 +18,8 @@ oracles in :mod:`phasekit.verify`.
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Union
@@ -109,13 +111,16 @@ class Ensemble:
         return {"field": self.field.value, "entry": self.entry.name}
 
     @staticmethod
-    def from_dict(desc: dict) -> "Ensemble":
+    def from_dict(desc: Mapping) -> "Ensemble":
+        """The ensemble of a `to_dict` descriptor: a mapping with exactly the
+        keys "field" and "entry", naming a Field value and a built-in entry law."""
+        if not (isinstance(desc, Mapping) and set(desc) == {"field", "entry"}):
+            raise ValueError('ensemble descriptor must be a mapping with exactly the keys '
+                             f'"field" and "entry", got {desc!r}')
         try:
-            fld = Field(desc["field"])
-            entry = BUILTIN_ENTRIES[desc["entry"]]
-        except (KeyError, ValueError) as exc:
+            return Ensemble(Field(desc["field"]), BUILTIN_ENTRIES[desc["entry"]])
+        except (KeyError, TypeError, ValueError) as exc:  # TypeError: unhashable entry
             raise ValueError(f"unknown ensemble descriptor {desc!r}") from exc
-        return Ensemble(fld, entry)
 
 
 @dataclass(frozen=True)
@@ -132,6 +137,11 @@ class MeasurementSet:
     @property
     def d(self) -> int:
         return self.vectors.shape[1]
+
+
+def _is_int(v) -> bool:
+    """An integer other than a bool; numpy integers count."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def _inner(A: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -18,9 +18,12 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .ensembles import Field, MeasurementSet, _checked_intensities, _inner, _norm
+from .ensembles import Field, MeasurementSet, _checked_intensities, _inner, _is_int, _norm
 
 DEFAULT_MAX_ITERS = 2000
+# the descent stops once ||g(z)|| <= GRAD_NORM_TOL * ||z||^3; the gradient is
+# cubic in the signal scale, g(c z; c^2 y) = c^3 g(z; y), so the rule is too
+GRAD_NORM_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -51,18 +54,15 @@ class SolveStatus(Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Descent settings. `grad_norm_tol` is relative: the descent stops once
-    ||g(z)|| <= grad_norm_tol * ||z||^3. The gradient is cubic in the signal
-    scale, g(c z; c^2 y) = c^3 g(z; y), so the rule is scale invariant."""
+    """Descent settings. `max_iters`, an integer >= 1, caps the updates."""
 
     step_mode: StepMode = field(default_factory=BarzilaiBorwein)
     max_iters: int = DEFAULT_MAX_ITERS
-    grad_norm_tol: float = 1e-13
     trace: bool = False
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if not (_is_int(self.max_iters) and self.max_iters >= 1):
+            raise ValueError(f"'max_iters' must be an integer >= 1, got {self.max_iters!r}")
 
 
 @dataclass(frozen=True)
@@ -155,9 +155,9 @@ def solve(
     Fixed mode uses a constant step; BB mode uses
     xi_k = |Re<s_k, g_k - g_{k-1}>| / ||g_k - g_{k-1}||^2 with
     s_k = z_k - z_{k-1} (first iteration uses `first_step`).
-    Stops with GRAD_TOLERANCE_MET once ||g|| <= grad_norm_tol * ||z||^3 (a
-    relative tolerance, see SolverConfig), or with MAX_ITERS after max_iters
-    updates. A non-finite iterate or gradient aborts with NON_FINITE and the
+    Stops with GRAD_TOLERANCE_MET once ||g|| <= GRAD_NORM_TOL * ||z||^3 (a
+    relative tolerance), or with MAX_ITERS after `config.max_iters` updates.
+    A non-finite iterate or gradient aborts with NON_FINITE and the
     last finite iterate. `y` must be finite, nonnegative and of shape (N,).
     """
     if mset.field is Field.COMPLEX:
@@ -203,7 +203,7 @@ def solve(
             status = SolveStatus.NON_FINITE
             break
         # ||z||^3 as a product: a float product saturates at inf, where ** raises
-        if gnorm <= config.grad_norm_tol * znorm * znorm * znorm:
+        if gnorm <= GRAD_NORM_TOL * znorm * znorm * znorm:
             status = SolveStatus.GRAD_TOLERANCE_MET
             break
         if iterations == config.max_iters:

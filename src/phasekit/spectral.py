@@ -34,6 +34,7 @@ from .ensembles import (
     _finite_nonnegative,
     _gram,
     _inner,
+    _is_int,
     _norm,
     as_rng,
 )
@@ -108,7 +109,7 @@ def power_method(
     """Dominant eigenpair of a Hermitian matrix by fixed-count power iteration.
 
     Starts from a random unit vector drawn from `seed` and runs exactly
-    `iters` steps. Returns (lam, v, residual) with ||v|| = 1.
+    `iters` steps, an integer >= 1. Returns (lam, v, residual) with ||v|| = 1.
 
     Each step takes one product M v, which also serves the next step, so
     `lam = v* M v` and `residual = ||M v - lam v||` are formed once at the
@@ -120,8 +121,8 @@ def power_method(
     fresh random direction; `lam` and `residual` always belong to the
     returned v, also when the last step was such a restart.
     """
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
+    if not (_is_int(iters) and iters >= 1):
+        raise ValueError(f"iters must be an integer >= 1, got {iters!r}")
     if not np.any(M):
         raise ValueError("power method undefined for the zero matrix")
     rng = as_rng(seed)

@@ -288,8 +288,9 @@ def concentration_curve(
     Reference expectations use the analytic profile with the exact ||x||:
     E(Y) = tau2 ||x||^2 I + tau3 x x* + tau4 diag(|x_i|^2) and
     E(M) = tau2 ||x||^2 I + tau3 x x*.
-    Trial (ni, t) draws from SeedSequence(seed, spawn_key=(ni, t)); a
-    Generator seed supplies that entropy by one draw of its stream.
+    Trial (ni, t) draws from the seed's SeedSequence with (ni, t) appended to
+    its spawn key; a Generator seed supplies the entropy by one draw of its
+    stream.
     """
     if trials < 20:
         raise ValueError("need trials >= 20")
@@ -308,7 +309,8 @@ def concentration_curve(
     for ni, N in enumerate(N_grid):
         y_devs, m_devs, rho_devs = [], [], []
         for t in range(trials):
-            ss = np.random.SeedSequence(entropy=root.entropy, spawn_key=(ni, t))
+            ss = np.random.SeedSequence(entropy=root.entropy,
+                                        spawn_key=root.spawn_key + (ni, t))
             mset = sample_measurements(ensemble, N, d, ss)
             y = measure(mset, x)
             rho = rho_from_intensities(y, profile.tau1)

@@ -102,6 +102,41 @@ def test_config_validation():
         ExperimentConfig(ExperimentKind.INIT_ERROR, TERNARY_REAL, trials=0)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("d", 6.5),
+    ("d", True),
+    ("d", "6"),
+    ("trials", 2.5),
+    ("trials", False),
+    ("max_iters", 2.5),
+    ("max_iters", 0),
+    ("power_iters", 0),
+    ("power_iters", 2.5),
+    ("base_seed", "1"),
+    ("base_seed", -1),
+    ("success_threshold", math.nan),
+    ("success_threshold", math.inf),
+    ("success_threshold", "1e-5"),
+    ("ratio_grid", (4, False)),
+    ("ratio_grid", (4, "6")),
+    ("ratio_grid", 4),
+], ids=lambda v: repr(v))
+def test_config_rejects_bad_values_at_construction(name, value):
+    with pytest.raises(ValueError, match=name):
+        ExperimentConfig(ExperimentKind.SUCCESS_RATE, TERNARY_REAL, **{name: value})
+
+
+def test_config_takes_numpy_values_and_any_ratio_sequence():
+    cfg = ExperimentConfig(ExperimentKind.INIT_ERROR, TERNARY_REAL, d=np.int64(16),
+                           ratio_grid=np.array([4.0, 8.0]), trials=np.int32(4),
+                           success_threshold=np.float32(1e-5), max_iters=np.int64(5),
+                           power_iters=np.int16(50), base_seed=np.uint8(7))
+    assert cfg.ratio_grid == (4.0, 8.0)
+    assert ExperimentConfig(ExperimentKind.INIT_ERROR, TERNARY_REAL,
+                            ratio_grid=[4, 8]).ratio_grid == (4, 8)
+    assert run_init_experiment(cfg).to_csv() == run_init_experiment(SMALL_INIT).to_csv()
+
+
 def test_config_rejects_ratios_sharing_a_trial_stream():
     # trial_seed keys a ratio by round(1000 * ratio)
     assert trial_seed(0, 2.0001, 0).spawn_key == trial_seed(0, 2.0002, 0).spawn_key

@@ -41,6 +41,7 @@ from phasekit import (
 )
 from phasekit import bench, spectral
 from phasekit.ensembles import as_rng, sample_entries
+from phasekit.solver import GRAD_NORM_TOL
 
 
 def _ref_inner(A, z):
@@ -109,7 +110,7 @@ def reference_solve(mset, y, z0, config=SolverConfig(), ground_truth=None):
             status = SolveStatus.NON_FINITE
             break
         znorm = float(np.linalg.norm(z))
-        if gnorm <= config.grad_norm_tol * znorm * znorm * znorm:
+        if gnorm <= GRAD_NORM_TOL * znorm * znorm * znorm:
             status = SolveStatus.GRAD_TOLERANCE_MET
             break
         if iterations == config.max_iters:

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 from types import SimpleNamespace
 
 import pytest
 
 from phasekit import GAUSSIAN, Ensemble, ExperimentConfig, ExperimentKind, Field, bench
+from phasekit import cli
 from phasekit.cli import main
 
 
@@ -250,3 +252,18 @@ def test_config_file_must_hold_an_object(capsys, tmp_path):
     path.write_text("[6]")
     code, out, err = run_cli(capsys, "init-bench", "--config", str(path))
     assert code == 1 and err.startswith("error: ")
+
+
+def test_config_keys_are_the_experiment_config_fields(capsys, tmp_path):
+    keys = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"kind"}
+    assert cli._CONFIG_KEYS == keys
+    assert not hasattr(cli, "_CONFIG_TYPES") and not hasattr(cli, "_FLAG_OF_KEY")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "ensemble": {"field": "real", "entry": "ternary"}, "d": 8, "ratio_grid": [6],
+        "trials": 1, "success_threshold": 1e-5, "max_iters": 200, "power_iters": 50,
+        "base_seed": 1,
+    }))
+    code, out, err = run_cli(capsys, "solve", "--config", str(path))
+    assert code == 0 and err == ""
+    assert json.loads(out)["N"] == 48

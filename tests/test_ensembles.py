@@ -152,3 +152,16 @@ def test_descriptor_round_trip():
         assert Ensemble.from_dict(ens.to_dict()) == ens
     with pytest.raises(ValueError):
         Ensemble.from_dict({"field": "real", "entry": "cauchy"})
+
+
+@pytest.mark.parametrize("desc", [
+    "real",
+    ["real", "ternary"],
+    {"field": "real"},
+    {"field": "real", "entry": ["ternary"]},
+    {"field": 1, "entry": "ternary"},
+    {"field": "real", "entry": "ternary", "feild": "complex"},
+], ids=repr)
+def test_descriptor_rejects_malformed_input(desc):
+    with pytest.raises(ValueError, match="ensemble descriptor"):
+        Ensemble.from_dict(desc)

@@ -300,3 +300,14 @@ def test_solve_rejects_bad_intensities(bad, match):
     y = measure(ms, np.ones(4))
     with pytest.raises(ValueError, match=match):
         solve(ms, bad(y), np.ones(4))
+
+
+@pytest.mark.parametrize("max_iters", [2.5, 0, -1, True, "10", None])
+def test_solver_config_rejects_bad_iteration_cap(max_iters):
+    # a construction check: a fractional cap would never equal the count
+    with pytest.raises(ValueError, match="'max_iters'"):
+        SolverConfig(max_iters=max_iters)
+
+
+def test_solver_config_takes_numpy_integer_iteration_cap():
+    assert SolverConfig(max_iters=np.int64(5)).max_iters == 5

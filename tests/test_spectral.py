@@ -270,6 +270,23 @@ def test_power_method_rejects_zero_matrix():
         power_method(np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("iters", [2.5, "3", True, 0])
+def test_power_method_rejects_bad_step_count(iters):
+    with pytest.raises(ValueError, match="iters"):
+        power_method(np.eye(3), iters=iters)
+    ms = sample_measurements(TERNARY_REAL, 40, 4, seed=5)
+    y = measure(ms, np.ones(4))
+    with pytest.raises(ValueError, match="iters"):
+        gsi(ms, y, moment_profile(TERNARY_REAL), power_iters=iters)
+    with pytest.raises(ValueError, match="iters"):
+        baseline_si(ms, y, power_iters=iters)
+
+
+def test_power_method_takes_numpy_integer_step_counts():
+    H = np.diag([3.0, 1.0])
+    assert power_method(H, iters=np.int64(7), seed=0)[0] == power_method(H, iters=7, seed=0)[0]
+
+
 def test_gsi_norm_equals_rho():
     ens = Ensemble(Field.COMPLEX, TERNARY)
     profile = moment_profile(ens)

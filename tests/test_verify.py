@@ -227,6 +227,23 @@ def test_concentration_curve_seed_types():
     assert np.all(np.isfinite(list(from_gen[0].values())))
 
 
+def test_concentration_curve_keeps_the_spawn_key():
+    ens = Ensemble(Field.REAL, TERNARY)
+    x = unit_vector(8, Field.REAL, seed=13)
+
+    def rows(seed):
+        return [r.to_dict() for r in
+                concentration_curve(ens, 8, x, N_grid=[64], trials=20, seed=seed)]
+
+    unkeyed = rows(np.random.SeedSequence(0))
+    key1 = rows(np.random.SeedSequence(0, spawn_key=(1,)))
+    key2 = rows(np.random.SeedSequence(0, spawn_key=(2,)))
+    assert key1 != key2
+    assert unkeyed not in (key1, key2)
+    assert unkeyed == rows(0)
+    assert key1 == rows(np.random.SeedSequence(0).spawn(2)[1])
+
+
 def test_concentration_curve_zero_signal():
     ens = Ensemble(Field.REAL, TERNARY)
     with pytest.raises(ValueError):
