@@ -3,7 +3,9 @@
 Reproduces the two benchmark protocols: initialization accuracy (mean
 relative error of GSI vs SI over a grid of N/d ratios) and recovery success
 rate (GSI followed by BB-stepped gradient descent, success when the final
-relative error drops below a threshold).
+relative error drops below a threshold). Each is a trial function and its
+columns for one sweep loop; ExperimentConfig settles every value at
+construction, so the sweep only reads it.
 
 Determinism contract: every numeric output is a pure function of
 (config, base_seed). Trial streams are derived as
@@ -22,7 +24,7 @@ import math
 import numbers
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Optional
 
@@ -39,7 +41,7 @@ from .ensembles import (
     moment_profile,
     sample_measurements,
 )
-from .solver import DEFAULT_MAX_ITERS, BarzilaiBorwein, SolverConfig, dist, solve
+from .solver import DEFAULT_MAX_ITERS, SolverConfig, dist, solve
 from .spectral import DEFAULT_POWER_ITERS, _gsi_from_Y, _si_from_Y, _sum_sq, gsi, measure
 
 DEFAULT_RATIOS = tuple(range(2, 21, 2))
@@ -49,6 +51,11 @@ SPIKE_FACTOR = 200.0
 def _is_real(v) -> bool:
     """A real number other than a bool; numpy floats and integers count."""
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _python(v):
+    """A numpy scalar as the Python number it holds; any other value as is."""
+    return v.item() if isinstance(v, np.generic) else v
 
 
 class ExperimentKind(Enum):
@@ -62,20 +69,25 @@ class ExperimentConfig:
     ensemble: Ensemble
     d: int = 128
     ratio_grid: tuple = DEFAULT_RATIOS
-    trials: Optional[int] = None     # defaults: 50 for init, 100 for success
+    trials: Optional[int] = None     # None: 50 for init, 100 for success
     success_threshold: float = 1e-5
     max_iters: int = DEFAULT_MAX_ITERS
     power_iters: int = DEFAULT_POWER_ITERS
     base_seed: int = 0
 
     def __post_init__(self):
-        """Every check a trial would make later, made here: a bad value is a
-        ValueError naming its field at construction."""
+        """Settles every value: a bad value or law is a ValueError here, an unset
+        trial count takes the kind's default, numpy numbers become Python numbers."""
+        for f in fields(self):
+            object.__setattr__(self, f.name, _python(getattr(self, f.name)))
+        if self.trials is None:
+            object.__setattr__(self, "trials",
+                               100 if self.kind is ExperimentKind.SUCCESS_RATE else 50)
         for name, low in (("d", 2), ("power_iters", 1), ("base_seed", 0), ("trials", 1)):
             value = getattr(self, name)
-            if not (_is_int(value) or (name == "trials" and value is None)):
+            if not _is_int(value):
                 raise ValueError(f"{name!r} must be an integer, got {value!r}")
-            if value is not None and value < low:
+            if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
         if not (_is_real(self.success_threshold) and math.isfinite(self.success_threshold)):
             raise ValueError(
@@ -83,7 +95,7 @@ class ExperimentConfig:
         if not (isinstance(self.ratio_grid, (Sequence, np.ndarray))
                 and all(map(_is_real, self.ratio_grid))):
             raise ValueError(f"'ratio_grid' must be a sequence of numbers, got {self.ratio_grid!r}")
-        object.__setattr__(self, "ratio_grid", tuple(self.ratio_grid))
+        object.__setattr__(self, "ratio_grid", tuple(map(_python, self.ratio_grid)))
         self.solver_config  # SolverConfig owns the max_iters rule
         if len(self.ratio_grid) == 0:
             raise ValueError("ratio grid must be nonempty")
@@ -94,17 +106,12 @@ class ExperimentConfig:
             raise ValueError(
                 f"ratio grid {self.ratio_grid} has ratios equal after rounding to "
                 "0.001, which would share trial streams")
+        moment_profile(self.ensemble)  # MomentProfile rejects an invalid law
 
     @property
     def solver_config(self) -> SolverConfig:
         """The descent settings of a recovery trial."""
-        return SolverConfig(step_mode=BarzilaiBorwein(), max_iters=self.max_iters)
-
-    @property
-    def effective_trials(self) -> int:
-        if self.trials is not None:
-            return self.trials
-        return 100 if self.kind is ExperimentKind.SUCCESS_RATE else 50
+        return SolverConfig(max_iters=self.max_iters)
 
     def to_dict(self) -> dict:
         return {
@@ -112,7 +119,7 @@ class ExperimentConfig:
             "ensemble": self.ensemble.to_dict(),
             "d": self.d,
             "ratio_grid": list(self.ratio_grid),
-            "trials": self.effective_trials,
+            "trials": self.trials,
             "success_threshold": self.success_threshold,
             "max_iters": self.max_iters,
             "power_iters": self.power_iters,
@@ -193,13 +200,26 @@ def _problem(config: ExperimentConfig, ratio: float, i: int) -> tuple:
     return x, mset, measure(mset, x), power_seeds
 
 
+def _sweep(config: ExperimentConfig, kind: ExperimentKind, columns: list, trial) -> ResultTable:
+    """The protocol both experiments share: trial(ratio, i) for every ratio
+    of the grid and every i < config.trials, in that order. A row holds the
+    ratio, N, the mean of each returned value under `columns`, and trials."""
+    if config.kind is not kind:
+        raise ValueError(f"config kind must be {kind.name}, got {config.kind}")
+    rows = []
+    for ratio in config.ratio_grid:
+        results = [trial(ratio, i) for i in range(config.trials)]
+        # a 1-D mean per column: np.mean(axis=0) sums in another order
+        means = [float(np.mean(column)) for column in zip(*results)]
+        rows.append({"ratio": float(ratio), "N": int(round(ratio * config.d)),
+                     **dict(zip(columns, means)), "trials": config.trials})
+    return ResultTable(["ratio", "N", *columns, "trials"], rows, config.to_dict())
+
+
 def run_init_experiment(config: ExperimentConfig) -> ResultTable:
     """Mean relative error of GSI and SI per N/d ratio; both initializers see
     the same measurement realizations within a trial (paired comparison)."""
-    if config.kind is not ExperimentKind.INIT_ERROR:
-        raise ValueError(f"config kind must be INIT_ERROR, got {config.kind}")
     profile = moment_profile(config.ensemble)
-    trials = config.effective_trials
 
     def one_trial(ratio: float, i: int) -> tuple[float, float]:
         x, mset, y, (pw_gsi_ss, pw_si_ss) = _problem(config, ratio, i)
@@ -215,20 +235,8 @@ def run_init_experiment(config: ExperimentConfig) -> ResultTable:
         s = _si_from_Y(Y, y, sum_a2, config.power_iters, pw_si_ss)
         return dist(g.z0, x) / nx, dist(s.z0, x) / nx
 
-    rows = []
-    for ratio in config.ratio_grid:
-        pairs = [one_trial(ratio, i) for i in range(trials)]
-        gsi_errs = [p[0] for p in pairs]
-        si_errs = [p[1] for p in pairs]
-        rows.append({
-            "ratio": float(ratio),
-            "N": int(round(ratio * config.d)),
-            "gsi_mean_rel_error": float(np.mean(gsi_errs)),
-            "si_mean_rel_error": float(np.mean(si_errs)),
-            "trials": trials,
-        })
-    columns = ["ratio", "N", "gsi_mean_rel_error", "si_mean_rel_error", "trials"]
-    return ResultTable(columns, rows, config.to_dict())
+    return _sweep(config, ExperimentKind.INIT_ERROR,
+                  ["gsi_mean_rel_error", "si_mean_rel_error"], one_trial)
 
 
 def run_recovery_trial(config: ExperimentConfig, ratio: float, i: int) -> TrialRecord:
@@ -253,22 +261,9 @@ def run_recovery_trial(config: ExperimentConfig, ratio: float, i: int) -> TrialR
 
 def run_recovery_experiment(config: ExperimentConfig) -> ResultTable:
     """Success rate per N/d ratio over seeded trials."""
-    if config.kind is not ExperimentKind.SUCCESS_RATE:
-        raise ValueError(f"config kind must be SUCCESS_RATE, got {config.kind}")
-    moment_profile(config.ensemble)  # reject invalid ensembles up front
-    trials = config.effective_trials
+    def one_trial(ratio: float, i: int) -> tuple[bool, float, float]:
+        r = run_recovery_trial(config, ratio, i)
+        return r.success, r.init_rel_error, r.final_rel_error
 
-    rows = []
-    for ratio in config.ratio_grid:
-        records = [run_recovery_trial(config, ratio, i) for i in range(trials)]
-        rows.append({
-            "ratio": float(ratio),
-            "N": int(round(ratio * config.d)),
-            "success_rate": float(np.mean([r.success for r in records])),
-            "mean_init_rel_error": float(np.mean([r.init_rel_error for r in records])),
-            "mean_final_rel_error": float(np.mean([r.final_rel_error for r in records])),
-            "trials": trials,
-        })
-    columns = ["ratio", "N", "success_rate", "mean_init_rel_error",
-               "mean_final_rel_error", "trials"]
-    return ResultTable(columns, rows, config.to_dict())
+    return _sweep(config, ExperimentKind.SUCCESS_RATE,
+                  ["success_rate", "mean_init_rel_error", "mean_final_rel_error"], one_trial)

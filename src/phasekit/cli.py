@@ -150,13 +150,10 @@ def _cmd_verify_moments(args) -> int:
         reports.append(mc_F_residual(ensemble, x, n_samples=args.samples,
                                      seed=np.random.SeedSequence(seed, spawn_key=(2,))))
     profile = moment_profile(ensemble)
-    consts = derived_constants(profile)
     payload = {
         "ensemble": ensemble.to_dict(),
-        "profile": {"tau1": profile.tau1, "tau2": profile.tau2,
-                    "tau3": profile.tau3, "tau4": profile.tau4},
-        "constants": {"alpha": consts.alpha, "beta": consts.beta,
-                      "alpha_hat": consts.alpha_hat, "epsilon0": consts.epsilon0},
+        "profile": dataclasses.asdict(profile),
+        "constants": dataclasses.asdict(derived_constants(profile)),
         "checks": [r.to_dict() for r in reports],
         "passed": all(r.passed for r in reports),
     }
@@ -173,11 +170,7 @@ def _cmd_solve(args) -> int:
         "d": cfg.d,
         "N": int(round(ratio * cfg.d)),
         "base_seed": cfg.base_seed,
-        "init_rel_error": record.init_rel_error,
-        "final_rel_error": record.final_rel_error,
-        "iterations": record.iterations,
-        "success": record.success,
-        "wall_time": record.wall_time,
+        **dataclasses.asdict(record),
     }
     _write(args, json.dumps(payload, indent=2) + "\n")
     return 0

@@ -67,8 +67,23 @@ class ResidualReport:
 def hermitian_opnorm(H: np.ndarray) -> float:
     """Operator norm (largest |eigenvalue|) of a Hermitian matrix, by a dense
     eigensolve."""
+    if not np.isfinite(H).all():
+        raise ValueError("H must be finite")
     vals = np.linalg.eigvalsh(H)
     return float(np.max(np.abs(vals))) if vals.size else 0.0
+
+
+def _vector(v, d: Optional[int], dtype=None, name="x", nonzero=True) -> np.ndarray:
+    """v as an array of `dtype` after checking that it has shape (d,), or is
+    1-D of any length when d is None, is finite and, if `nonzero`, not zero."""
+    v = np.asarray(v, dtype=dtype)
+    if v.ndim != 1 or d not in (None, v.shape[0]):
+        raise ValueError(f"{name} must have shape ({d or 'd'},), got {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} must be finite")
+    if nonzero and not np.any(v):
+        raise ValueError(f"{name} must be nonzero")
+    return v
 
 
 def _noise_scale(chunk_mats: Sequence[np.ndarray], overall: np.ndarray) -> float:
@@ -123,26 +138,23 @@ def mc_condition_residual(
     (1/n) sum (x* A x) A from the condition-(II) closed form; the component
     report checks (1/n) sum A against tau1 I.
     """
-    x = np.asarray(x)
-    if not np.any(x):
-        raise ValueError("x must be nonzero")
+    dtype = np.complex128 if ensemble.field is Field.COMPLEX else np.float64
+    x = _vector(x, d, dtype)
     m, chunks = _sample_chunks(ensemble, d, n_samples, seed)
     if profile is None:
         profile = moment_profile(ensemble)
 
-    dtype = np.complex128 if ensemble.field is Field.COMPLEX else np.float64
-    xc = x.astype(dtype)
     second_chunks, first_chunks = [], []
     for A in chunks:
         first_chunks.append(_gram(A) / m)
-        A *= np.sqrt(_inner(A, xc)[1])[:, None]  # the chunk is ours: weight in place
+        A *= np.sqrt(_inner(A, x)[1])[:, None]  # the chunk is ours: weight in place
         second_chunks.append(_gram(A) / m)
 
     n = DEFAULT_CHUNKS * m
     mean_report = _matrix_check("ensemble-mean-identity", first_chunks,
                                 profile.tau1 * np.eye(d, dtype=dtype), n)
     return _matrix_check("condition-II-identity", second_chunks,
-                         condition_expectation(profile, xc), n, (mean_report,))
+                         condition_expectation(profile, x), n, (mean_report,))
 
 
 def f_block_expectation(profile: MomentProfile, x: np.ndarray) -> np.ndarray:
@@ -171,9 +183,7 @@ def mc_F_residual(
     if ensemble.field is not Field.COMPLEX:
         raise ValueError("mc_F_residual requires a complex-field ensemble; "
                          "use mc_condition_residual for real fields")
-    x = np.asarray(x, dtype=np.complex128)
-    if not np.any(x):
-        raise ValueError("x must be nonzero")
+    x = _vector(x, None, np.complex128)
     m, chunks = _sample_chunks(ensemble, x.shape[0], n_samples, seed)
     if profile is None:
         profile = moment_profile(ensemble)
@@ -229,8 +239,8 @@ def mc_scalar_identities(
     units of its own 5x-stderr tolerance (so tolerance is normalized to 1).
     """
     dtype = np.complex128 if ensemble.field is Field.COMPLEX else np.float64
-    x = np.asarray(x, dtype=dtype)
-    h = np.asarray(h, dtype=dtype)
+    x = _vector(x, None, dtype)
+    h = _vector(h, x.shape[0], dtype, "h")
     if abs(np.linalg.norm(x) - 1.0) > 1e-9 or abs(np.linalg.norm(h) - 1.0) > 1e-9:
         raise ValueError("x and h must be unit norm")
     h = project_admissible(x, h)
@@ -296,7 +306,7 @@ def concentration_curve(
         raise ValueError("need trials >= 20")
     profile = moment_profile(ensemble)
     dtype = np.complex128 if ensemble.field is Field.COMPLEX else np.float64
-    x = np.asarray(x, dtype=dtype)
+    x = _vector(x, d, dtype, nonzero=False)
     nx2 = float(np.vdot(x, x).real)
 
     EY = condition_expectation(profile, x)
@@ -339,6 +349,8 @@ def convergence_rate_fit(trace: Sequence[float]) -> tuple[float, float]:
     trace = np.asarray(trace, dtype=np.float64)
     at_floor = np.flatnonzero(trace <= FIT_FLOOR)
     end = int(at_floor[0]) if at_floor.size else trace.size
+    if not np.isfinite(trace[:end]).all():
+        raise ValueError("trace must be finite before the floor")
     pts = np.log(trace[:end])
     ks = np.arange(end, dtype=np.float64)
     if pts.size < 10:

@@ -7,6 +7,7 @@ import pytest
 
 from phasekit import (
     Ensemble,
+    EntryDistribution,
     ExperimentConfig,
     ExperimentKind,
     Field,
@@ -77,12 +78,14 @@ def test_trial_seed_distinct_and_pure():
         assert not np.array_equal(a.generate_state(4), o.generate_state(4))
 
 
-def test_effective_trials_defaults():
-    assert SMALL_INIT.effective_trials == 4
+def test_trials_default_is_settled_at_construction():
+    assert SMALL_INIT.trials == 4
     init_default = ExperimentConfig(ExperimentKind.INIT_ERROR, TERNARY_REAL)
-    assert init_default.effective_trials == 50
+    assert init_default.trials == 50
     succ_default = ExperimentConfig(ExperimentKind.SUCCESS_RATE, TERNARY_REAL)
-    assert succ_default.effective_trials == 100
+    assert succ_default.trials == 100
+    for cfg in (SMALL_INIT, init_default, succ_default):
+        assert type(cfg.trials) is int
 
 
 def test_library_defaults_are_the_experiment_defaults():
@@ -135,6 +138,28 @@ def test_config_takes_numpy_values_and_any_ratio_sequence():
     assert ExperimentConfig(ExperimentKind.INIT_ERROR, TERNARY_REAL,
                             ratio_grid=[4, 8]).ratio_grid == (4, 8)
     assert run_init_experiment(cfg).to_csv() == run_init_experiment(SMALL_INIT).to_csv()
+
+
+def test_numpy_config_writes_the_json_of_its_python_numbers():
+    # json.dumps rejects numpy scalars, so the config must hold Python numbers
+    as_numpy = ExperimentConfig(ExperimentKind.INIT_ERROR, TERNARY_REAL, d=np.int64(8),
+                                ratio_grid=np.array([4, 6]), trials=np.int64(2),
+                                success_threshold=np.float64(1e-5))
+    as_python = ExperimentConfig(ExperimentKind.INIT_ERROR, TERNARY_REAL, d=8,
+                                 ratio_grid=(4, 6), trials=2, success_threshold=1e-5)
+    assert run_init_experiment(as_numpy).to_json() == run_init_experiment(as_python).to_json()
+    for name in ("d", "trials", "max_iters", "power_iters", "base_seed"):
+        assert type(getattr(as_numpy, name)) is int
+    assert [type(r) for r in as_numpy.ratio_grid] == [int, int]  # printed as 4, not 4.0
+    assert type(as_numpy.success_threshold) is float
+
+
+@pytest.mark.parametrize("kind", list(ExperimentKind))
+def test_config_rejects_an_invalid_moment_profile(kind):
+    # m2 = m4 = 1 on the real field: tau3 + tau4 = 2 - 2 = 0
+    flat = EntryDistribution("flat", 1.0, 1.0, lambda rng, shape: rng.choice([-1.0, 1.0], shape))
+    with pytest.raises(ValueError, match=r"tau3 \+ tau4 > 0"):
+        ExperimentConfig(kind, Ensemble(Field.REAL, flat), d=8, ratio_grid=(4,), trials=1)
 
 
 def test_config_rejects_ratios_sharing_a_trial_stream():

@@ -184,6 +184,18 @@ def test_out_file_matches_stdout(capsys, tmp_path, monkeypatch, argv):
     assert path.read_bytes() == out.encode()
 
 
+def test_record_keys_keep_their_order(capsys):
+    _, out, _ = run_cli(capsys, "solve", *_SMALL, "--ratios", "6", "--max-iters", "200")
+    assert list(json.loads(out)) == [
+        "ensemble", "d", "N", "base_seed", "init_rel_error", "final_rel_error",
+        "iterations", "success", "wall_time"]
+    _, out, _ = run_cli(capsys, "verify-moments", *_SMALL, "--samples", "20000")
+    payload = json.loads(out)
+    assert list(payload) == ["ensemble", "profile", "constants", "checks", "passed"]
+    assert list(payload["profile"]) == ["tau1", "tau2", "tau3", "tau4"]
+    assert list(payload["constants"]) == ["alpha", "beta", "alpha_hat", "epsilon0"]
+
+
 def test_unwritable_out_reports_path(capsys, tmp_path):
     path = tmp_path / "missing" / "x.csv"
     code, out, err = run_cli(capsys, "init-bench", *_SMALL_TABLE, "--out", str(path))

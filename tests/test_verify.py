@@ -378,3 +378,60 @@ def test_scalar_identities_match_conj_products(ens):
     for comp, dev, tol in zip(rep.components, devs, tols):
         assert comp.residual == pytest.approx(dev, rel=1e-12, abs=1e-12)
         assert comp.tolerance == pytest.approx(tol, rel=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("d", [2, 4, 16])
+def test_hermitian_opnorm_rejects_non_finite(d, bad, dtype):
+    # eigvalsh gives a case-dependent answer: a number, nan or LinAlgError
+    H = np.eye(d, dtype=dtype)
+    H[0, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        hermitian_opnorm(H)
+
+
+_COMPLEX = Ensemble(Field.COMPLEX, TERNARY)
+_X3 = unit_vector(3, Field.COMPLEX, seed=0)
+_VECTOR_ORACLES = {
+    "condition": lambda x: mc_condition_residual(_COMPLEX, 3, x, n_samples=20_000),
+    "F": lambda x: mc_F_residual(_COMPLEX, x, n_samples=20_000),
+    "scalar-x": lambda x: mc_scalar_identities(_COMPLEX, x, _X3, n_samples=20_000),
+    "scalar-h": lambda h: mc_scalar_identities(_COMPLEX, _X3, h, n_samples=20_000),
+    "concentration": lambda x: concentration_curve(_COMPLEX, 3, x, N_grid=[12], trials=20),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("oracle", list(_VECTOR_ORACLES))
+def test_oracles_reject_non_finite_vectors(oracle, bad):
+    x = _X3.copy()
+    x[1] = bad
+    with pytest.raises(ValueError, match=r"^[xh] must be finite"):
+        _VECTOR_ORACLES[oracle](x)
+
+
+@pytest.mark.parametrize("oracle, shape", [
+    (oracle, shape) for oracle in _VECTOR_ORACLES for shape in ("long", "column")
+    if (oracle, shape) != ("F", "long")  # mc_F_residual takes d from x
+])
+def test_oracles_reject_mis_shaped_vectors(oracle, shape):
+    x = unit_vector(4, Field.COMPLEX, seed=0) if shape == "long" else _X3.reshape(3, 1)
+    with pytest.raises(ValueError, match=r"^[xh] must have shape"):
+        _VECTOR_ORACLES[oracle](x)
+
+
+def test_concentration_curve_takes_a_zero_signal():
+    rows = concentration_curve(_COMPLEX, 3, np.zeros(3), N_grid=[12], trials=20)
+    assert rows[0].N == 12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_convergence_rate_fit_rejects_non_finite_before_floor(bad):
+    trace = 0.5 ** np.arange(30)
+    trace[5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        convergence_rate_fit(trace)
+    # past the floor the trace is rounding noise and is not read
+    trace = np.concatenate([0.5 ** np.arange(30), [1e-15, bad]])
+    assert convergence_rate_fit(trace)[0] == pytest.approx(math.log(0.5), abs=1e-9)
