@@ -78,6 +78,9 @@ class ExperimentConfig:
     def __post_init__(self):
         """Settles every value: a bad value or law is a ValueError here, an unset
         trial count takes the kind's default, numpy numbers become Python numbers."""
+        for name, cls in (("kind", ExperimentKind), ("ensemble", Ensemble)):
+            if not isinstance(getattr(self, name), cls):
+                raise ValueError(f"{name!r} must be a {cls.__name__}, got {getattr(self, name)!r}")
         for f in fields(self):
             object.__setattr__(self, f.name, _python(getattr(self, f.name)))
         if self.trials is None:
@@ -249,13 +252,12 @@ def run_recovery_trial(config: ExperimentConfig, ratio: float, i: int) -> TrialR
     init_err = dist(init.z0, x) / nx
     report = solve(mset, y, init.z0, config.solver_config)
     final_err = dist(report.final_z, x) / nx
-    wall = time.perf_counter() - t0
     return TrialRecord(
         init_rel_error=float(init_err),
         final_rel_error=float(final_err),
         iterations=report.iterations,
         success=bool(final_err < config.success_threshold),
-        wall_time=wall,
+        wall_time=time.perf_counter() - t0,
     )
 
 

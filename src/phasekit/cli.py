@@ -143,9 +143,8 @@ def _cmd_verify_moments(args) -> int:
         x = x + 1j * rng.standard_normal(d)
     x = x / np.linalg.norm(x)
 
-    report = mc_condition_residual(ensemble, d, x, n_samples=args.samples,
-                                   seed=np.random.SeedSequence(seed, spawn_key=(1,)))
-    reports = [report]
+    reports = [mc_condition_residual(ensemble, d, x, n_samples=args.samples,
+                                     seed=np.random.SeedSequence(seed, spawn_key=(1,)))]
     if ensemble.field is Field.COMPLEX:
         reports.append(mc_F_residual(ensemble, x, n_samples=args.samples,
                                      seed=np.random.SeedSequence(seed, spawn_key=(2,))))

@@ -28,19 +28,19 @@ GRAD_NORM_TOL = 1e-13
 
 @dataclass(frozen=True)
 class FixedStep:
-    xi: float
+    """The constant step mu / ||z0||^2, Wirtinger flow's without its warm-up."""
+
+    mu: float
 
     def __post_init__(self):
-        if not self.xi > 0:
-            raise ValueError(f"fixed step size must be positive, got {self.xi}")
+        if not self.mu > 0:
+            raise ValueError(f"fixed step size must be positive, got {self.mu}")
 
 
 @dataclass(frozen=True)
 class BarzilaiBorwein:
-    """BB stepping. `first_step` defaults to 0.1/||g(z0)||; a step whose BB
-    quotient is degenerate (see `bb_step`) takes the first step again."""
-
-    first_step: Optional[float] = None
+    """BB stepping. The first step, and a step whose BB quotient is degenerate
+    (see `bb_step`), is 0.1 / ||z0||^2."""
 
 
 StepMode = Union[FixedStep, BarzilaiBorwein]
@@ -152,18 +152,17 @@ def solve(
 ) -> SolveReport:
     """Gradient descent z_{k+1} = z_k - xi_k g(z_k) from z0.
 
-    Fixed mode uses a constant step; BB mode uses
-    xi_k = |Re<s_k, g_k - g_{k-1}>| / ||g_k - g_{k-1}||^2 with
-    s_k = z_k - z_{k-1} (first iteration uses `first_step`).
+    Every absolute step is mu / ||z0||^2, so the run does not depend on the
+    signal's scale if z0 carries it. FixedStep(mu) always takes it; BB mode
+    takes xi_k = |Re<s_k, g_k - g_{k-1}>| / ||g_k - g_{k-1}||^2 with
+    s_k = z_k - z_{k-1}, or mu = 0.1 first and for a degenerate quotient.
     Stops with GRAD_TOLERANCE_MET once ||g|| <= GRAD_NORM_TOL * ||z||^3 (a
     relative tolerance), or with MAX_ITERS after `config.max_iters` updates.
     A non-finite iterate or gradient aborts with NON_FINITE and the
-    last finite iterate. `y` must be finite, nonnegative and of shape (N,).
+    last finite iterate, as does the infinite step from a z0 whose ||z0||^2
+    underflows to 0. `y` must be finite, nonnegative and of shape (N,).
     """
-    if mset.field is Field.COMPLEX:
-        z = np.asarray(z0, dtype=np.complex128).copy()
-    else:
-        z = np.asarray(z0, dtype=np.float64).copy()
+    z = np.array(z0, dtype=np.complex128 if mset.field is Field.COMPLEX else np.float64)
     if z.shape != (mset.d,):
         raise ValueError(f"z0 has shape {z.shape}, expected ({mset.d},)")
     if not np.all(np.isfinite(z)):
@@ -183,12 +182,7 @@ def solve(
     znorm = _norm(z)
 
     bb = isinstance(config.step_mode, BarzilaiBorwein)
-    if bb:
-        first = config.step_mode.first_step
-        if first is None:
-            first = 0.1 / gnorm if gnorm > 0 else 1.0
-    else:
-        xi = config.step_mode.xi
+    mu = 0.1 if bb else config.step_mode.mu
 
     iterations = 0
     z_prev = None
@@ -209,8 +203,10 @@ def solve(
         if iterations == config.max_iters:
             status = SolveStatus.MAX_ITERS
             break
-        if bb:
-            xi = first if z_prev is None else bb_step(z - z_prev, g - g_prev, first)
+        if z_prev is None:  # z0 = 0 has stopped above
+            xi = step = mu / (znorm * znorm) if znorm else math.inf
+        elif bb:
+            xi = bb_step(z - z_prev, g - g_prev, step)
         z_new = z - xi * g
         # a finite ||z_new|| proves every entry finite; only an inf or nan
         # norm, which finite entries can also overflow to, needs the full test

@@ -67,6 +67,9 @@ class ResidualReport:
 def hermitian_opnorm(H: np.ndarray) -> float:
     """Operator norm (largest |eigenvalue|) of a Hermitian matrix, by a dense
     eigensolve."""
+    H = np.asarray(H)
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise ValueError(f"H must be a square matrix, got shape {H.shape}")
     if not np.isfinite(H).all():
         raise ValueError("H must be finite")
     vals = np.linalg.eigvalsh(H)

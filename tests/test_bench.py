@@ -123,10 +123,13 @@ def test_config_validation():
     ("ratio_grid", (4, False)),
     ("ratio_grid", (4, "6")),
     ("ratio_grid", 4),
+    ("kind", "init_error"),
+    ("ensemble", "gaussian"),
 ], ids=lambda v: repr(v))
 def test_config_rejects_bad_values_at_construction(name, value):
+    settings = {"kind": ExperimentKind.SUCCESS_RATE, "ensemble": TERNARY_REAL, name: value}
     with pytest.raises(ValueError, match=name):
-        ExperimentConfig(ExperimentKind.SUCCESS_RATE, TERNARY_REAL, **{name: value})
+        ExperimentConfig(**settings)
 
 
 def test_config_takes_numpy_values_and_any_ratio_sequence():

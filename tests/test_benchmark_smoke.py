@@ -1,7 +1,10 @@
 """The benchmark's workloads still import and run against the package.
 
 One operation of each workload in `benchmarks/workloads.py`, so that a
-change to the exported API that would break the benchmark fails here.
+change to the exported API that would break the benchmark fails here. The
+operation's traced mirror, rebuilt from the calls it is made of, must give
+the same key, compared by repr as `benchmarks/run.py` compares it: a change
+that reaches one path and not the other fails here too.
 """
 
 from pathlib import Path
@@ -25,3 +28,6 @@ def test_workload_runs_one_operation(workloads, name):
     workload.prepare(0)
     result = workload.run(0)
     assert not workload.is_failure(result)
+    import harness
+    key, _ = workload.mirror(0, harness.Tracer())
+    assert repr(key) == repr(workload.key(result))

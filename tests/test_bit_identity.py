@@ -95,11 +95,9 @@ def reference_solve(mset, y, z0, config=SolverConfig(), ground_truth=None):
     g = _ref_gradient(z, mset, y)
     gnorm = float(np.linalg.norm(g))
 
-    if bb:
-        first = config.step_mode.first_step
-        if first is None:
-            first = 0.1 / gnorm if gnorm > 0 else 1.0
-        fallback = first
+    # every absolute step is mu / ||z0||^2
+    mu = 0.1 if bb else config.step_mode.mu
+    z0_norm = float(np.linalg.norm(z))
 
     iterations = 0
     z_prev = None
@@ -116,13 +114,11 @@ def reference_solve(mset, y, z0, config=SolverConfig(), ground_truth=None):
         if iterations == config.max_iters:
             status = SolveStatus.MAX_ITERS
             break
-        if bb:
-            if z_prev is None:
-                xi = first
-            else:
-                xi = _ref_bb_step(z - z_prev, g - g_prev, fallback)
+        first = mu / (z0_norm * z0_norm) if z0_norm else math.inf
+        if bb and z_prev is not None:
+            xi = _ref_bb_step(z - z_prev, g - g_prev, first)
         else:
-            xi = config.step_mode.xi
+            xi = first
         z_new = z - xi * g
         if not np.all(np.isfinite(z_new)):
             status = SolveStatus.NON_FINITE
@@ -186,7 +182,7 @@ def _problem(field, entry, ratio, d=24, seed=0):
 
 @pytest.mark.parametrize("field,entry,ratio", [
     (Field.REAL, UNIFORM, 2), (Field.REAL, UNIFORM, 4), (Field.COMPLEX, TERNARY, 8)])
-@pytest.mark.parametrize("step", [BarzilaiBorwein(), FixedStep(1e-6)])
+@pytest.mark.parametrize("step", [BarzilaiBorwein(), FixedStep(0.2)])
 @pytest.mark.parametrize("trace", [False, True])
 def test_solve_matches_reference(field, entry, ratio, step, trace):
     mset, y, z0, x = _problem(field, entry, ratio)
@@ -208,13 +204,13 @@ def test_solve_matches_reference_max_iters():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
-@pytest.mark.parametrize("xi,iterations", [
-    (1e3, 3),     # the gradient of the third iterate is nan
+@pytest.mark.parametrize("mu,iterations", [
+    (1e3, 4),     # the gradient of the fourth iterate is nan
     (1e308, 0),   # the first step itself overflows; the gradient is finite
 ])
-def test_solve_matches_reference_non_finite(field, xi, iterations):
+def test_solve_matches_reference_non_finite(field, mu, iterations):
     mset, y, z0, _ = _problem(field, TERNARY, 4)
-    cfg = SolverConfig(step_mode=FixedStep(xi), max_iters=500, trace=True)
+    cfg = SolverConfig(step_mode=FixedStep(mu), max_iters=500, trace=True)
     got = solve(mset, y, z0, cfg)
     assert got.status is SolveStatus.NON_FINITE and got.iterations == iterations
     assert np.all(np.isfinite(got.final_z))
@@ -224,15 +220,15 @@ def test_solve_matches_reference_non_finite(field, xi, iterations):
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_solve_matches_reference_when_a_finite_iterate_overflows_its_norm():
     # Rows of size 1e-100 and intensities 1e190 make g(z) about -1e-10 z, so
-    # one step of 1e165 lands on a finite z of entries ~1e155 whose squared
-    # norm overflows. The gradient there (~1e145) has a finite norm, so the
+    # one step of mu / ||z0||^2 ~ 1e165 (||z0||^2 ~ 4.7) lands on a finite z
+    # of entries ~1e155 whose squared norm overflows. The gradient there (~1e145) has a finite norm, so the
     # relative rule against ||z|| = inf stops the descent, exactly as before.
     rng = np.random.default_rng(5)
     d, N = 8, 40
     mset = MeasurementSet(Field.REAL, 1e-100 * rng.integers(-1, 2, (N, d)).astype(float))
     y = np.full(N, 1e190)
     z0 = rng.standard_normal(d)
-    cfg = SolverConfig(step_mode=FixedStep(1e165), max_iters=20, trace=True)
+    cfg = SolverConfig(step_mode=FixedStep(5e165), max_iters=20, trace=True)
     got = solve(mset, y, z0, cfg)
     assert got.status is SolveStatus.GRAD_TOLERANCE_MET and got.iterations == 1
     assert np.all(np.isfinite(got.final_z)) and np.linalg.norm(got.final_z) == np.inf

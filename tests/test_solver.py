@@ -14,6 +14,8 @@ from phasekit import (
     SolverConfig,
     TERNARY,
     bb_step,
+    convergence_rate_fit,
+    derived_constants,
     dist,
     generate_signal,
     gradient,
@@ -215,9 +217,7 @@ def test_trace_lists_have_one_entry_per_iterate():
 
 
 def test_default_bb_first_step_scaling():
-    # with first_step=None the initial step is 0.1 / ||g(z0)||, so doubling y
-    # and z scales the first iterate consistently; just check it runs and the
-    # explicit first_step overrides it
+    # the first BB step is 0.1 / ||z0||^2
     ms = sample_measurements(TERNARY_REAL, 60, 6, seed=10)
     rng = np.random.default_rng(10)
     x = rng.standard_normal(6)
@@ -226,11 +226,55 @@ def test_default_bb_first_step_scaling():
     cfg_a = SolverConfig(step_mode=BarzilaiBorwein(), max_iters=1, trace=True)
     rep_a = solve(ms, y, z0, cfg_a)
     g0 = gradient(z0, ms, y)
-    expected = z0 - (0.1 / np.linalg.norm(g0)) * g0
+    expected = z0 - (0.1 / np.linalg.norm(z0) ** 2) * g0
     assert np.allclose(rep_a.final_z, expected)
-    cfg_b = SolverConfig(step_mode=BarzilaiBorwein(first_step=0.0), max_iters=1)
-    rep_b = solve(ms, y, z0, cfg_b)
-    assert np.array_equal(rep_b.final_z, z0)
+
+
+@pytest.mark.parametrize("step", [BarzilaiBorwein(), FixedStep(0.2)])
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+def test_solve_from_zero_stops_before_forming_a_step(step, field):
+    # g(0) = 0 meets the stopping rule, so no step mu / ||z0||^2 is formed
+    ms = sample_measurements(Ensemble(field, TERNARY), 40, 5, seed=13)
+    y = measure(ms, generate_signal(5, seed=13, field=field))
+    rep = solve(ms, y, np.zeros(5), SolverConfig(step_mode=step))
+    assert rep.status is SolveStatus.GRAD_TOLERANCE_MET
+    assert rep.iterations == 0
+    assert not np.any(rep.final_z)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("step", [BarzilaiBorwein(), FixedStep(0.2)])
+def test_solve_from_z0_whose_square_underflows_stops_non_finite(step):
+    # ||z0||^2 = 0 in floating point while g(z0) != 0: the step would be
+    # infinite, so the descent stops NON_FINITE on z0 instead of dividing by 0
+    ms = sample_measurements(TERNARY_REAL, 40, 5, seed=14)
+    y = measure(ms, 1e10 * generate_signal(5, seed=14))
+    z0 = np.full(5, 1e-170)
+    assert np.linalg.norm(z0) == 0.0 and np.linalg.norm(gradient(z0, ms, y)) > 0.0
+    rep = solve(ms, y, z0, SolverConfig(step_mode=step))
+    assert rep.status is SolveStatus.NON_FINITE
+    assert rep.iterations == 0
+    assert np.array_equal(rep.final_z, z0)
+
+
+def _basin_problem(seed, d=32):
+    """Criterion 6's problem: real ternary, N = 6d, z0 at 0.8 eps0 ||x|| from x."""
+    eps0 = derived_constants(moment_profile(TERNARY_REAL)).epsilon0
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(d)
+    ms = sample_measurements(TERNARY_REAL, 6 * d, d, seed=seed)
+    u = rng.standard_normal(d)
+    return ms, measure(ms, x), x + 0.8 * eps0 * np.linalg.norm(x) * u / np.linalg.norm(u), x
+
+
+@pytest.mark.parametrize("seed", range(700, 720))
+def test_paper_fixed_step_converges_linearly(seed):
+    # Wirtinger flow's step mu / ||z0||^2 with mu = 0.2, from inside the basin
+    ms, y, z0, x = _basin_problem(seed)
+    rep = solve(ms, y, z0, SolverConfig(step_mode=FixedStep(0.2), trace=True), ground_truth=x)
+    assert rep.status is SolveStatus.GRAD_TOLERANCE_MET
+    slope, r2 = convergence_rate_fit(rep.rel_errors)
+    assert slope < 0 and r2 >= 0.95
 
 
 def test_complex_gradient_matches_reference_without_copying_vectors():
@@ -255,22 +299,17 @@ def test_complex_gradient_matches_reference_without_copying_vectors():
     assert peak < ms.vectors.nbytes / 8
 
 
-@pytest.mark.parametrize("c", [1e-3, 1e3])
+@pytest.mark.parametrize("c", [1e-3, 1e-2, 1e3])
 def test_solve_stopping_rule_is_scale_invariant(c):
-    # g(c z; c^2 y) = c^3 g(z; y) and the BB steps scale by c^-2, so with a
-    # first step scaled the same way the whole run is the same up to rounding
+    # g(c z; c^2 y) = c^3 g(z; y), and every step, mu / ||z0||^2 or a BB
+    # quotient, scales by c^-2, so the whole run is the same up to rounding
     ms = sample_measurements(TERNARY_REAL, 192, 32, seed=0)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(32)
     u = rng.standard_normal(32)
     z0 = x + 0.05 * np.linalg.norm(x) * u / np.linalg.norm(u)
     y = measure(ms, x)
-
-    def run(scale):
-        cfg = SolverConfig(step_mode=BarzilaiBorwein(first_step=0.01 / scale ** 2))
-        return solve(ms, scale ** 2 * y, scale * z0, cfg)
-
-    ref, scaled = run(1.0), run(c)
+    ref, scaled = solve(ms, y, z0), solve(ms, c ** 2 * y, c * z0)
     assert ref.status is SolveStatus.GRAD_TOLERANCE_MET
     assert (scaled.iterations, scaled.status) == (ref.iterations, ref.status)
 

@@ -391,6 +391,13 @@ def test_hermitian_opnorm_rejects_non_finite(d, bad, dtype):
         hermitian_opnorm(H)
 
 
+@pytest.mark.parametrize("H", [np.ones((2, 3)), np.ones(3), np.ones((2, 2, 2)), 1.0],
+                         ids=["2x3", "vector", "3-D", "scalar"])
+def test_hermitian_opnorm_rejects_non_square(H):
+    with pytest.raises(ValueError, match="square"):
+        hermitian_opnorm(H)
+
+
 _COMPLEX = Ensemble(Field.COMPLEX, TERNARY)
 _X3 = unit_vector(3, Field.COMPLEX, seed=0)
 _VECTOR_ORACLES = {
