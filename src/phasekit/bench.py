@@ -35,14 +35,13 @@ from .ensembles import (
     Field,
     SeedLike,
     _checked_intensities,
-    _gram,
     _is_int,
     as_rng,
     moment_profile,
     sample_measurements,
 )
 from .solver import DEFAULT_MAX_ITERS, SolverConfig, dist, solve
-from .spectral import DEFAULT_POWER_ITERS, _gsi_from_Y, _si_from_Y, _sum_sq, gsi, measure
+from .spectral import DEFAULT_POWER_ITERS, _Y, _gsi_from_Y, _si_from_Y, _sum_sq, gsi, measure
 
 DEFAULT_RATIOS = tuple(range(2, 21, 2))
 SPIKE_FACTOR = 200.0
@@ -230,10 +229,7 @@ def run_init_experiment(config: ExperimentConfig) -> ResultTable:
         y = _checked_intensities(mset, y)
         A = mset.vectors
         sum_a2 = _sum_sq(A)
-        # the trial owns A and is done with its plain rows: weight them in
-        # place instead of beside a second N x d array
-        A *= np.sqrt(y)[:, None]
-        Y = _gram(A) / mset.N  # shared by both initializers
+        Y = _Y(A, y, out=A)  # shared by both initializers
         g = _gsi_from_Y(Y, y, profile, config.power_iters, pw_gsi_ss)
         s = _si_from_Y(Y, y, sum_a2, config.power_iters, pw_si_ss)
         return dist(g.z0, x) / nx, dist(s.z0, x) / nx

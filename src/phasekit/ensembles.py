@@ -22,7 +22,7 @@ import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -45,7 +45,7 @@ class Field(Enum):
 class EntryDistribution:
     """A scalar entry law with declared second and fourth absolute moments.
 
-    The sampler maps (rng, shape) to a float64 array. The law must be
+    The sampler maps (rng, shape) to a real array. The law must be
     mean-zero and symmetric; m2 > 0 and m4 >= m2^2 are enforced. Declared
     moments of a custom law are trusted only after the Monte-Carlo condition
     check in :func:`phasekit.verify.mc_condition_residual`.
@@ -71,8 +71,9 @@ UNIFORM = EntryDistribution("uniform", 1.0 / 3.0, 1.0 / 5.0, lambda rng, shape: 
 TERNARY = EntryDistribution(
     "ternary", 2.0 / 3.0, 2.0 / 3.0,
     # int32 draws take the same uint32 stream as the default int64 at this
-    # range, so values and generator state match, from half the temporary
-    lambda rng, shape: rng.integers(-1, 2, shape, dtype=np.int32).astype(np.float64),
+    # range, so values and generator state match, from half the temporary;
+    # sample_entries casts them as it writes its float output
+    lambda rng, shape: rng.integers(-1, 2, shape, dtype=np.int32),
 )
 
 BUILTIN_ENTRIES = {e.name: e for e in (GAUSSIAN, UNIFORM, TERNARY)}
@@ -158,10 +159,6 @@ def _gram(B: np.ndarray) -> np.ndarray:
     """B^T conj(B) = sum_j b_j b_j* over the rows b_j of B, as a float64 or
     complex128 matrix.
 
-    For sum_j w_j a_j a_j* with w >= 0, pass the rows b_j = sqrt(w_j) a_j.
-    The caller forms them: a caller that owns A scales it in place after its
-    last use of the plain rows, any other caller passes a scaled copy.
-
     numpy evaluates a product X.T @ X of one buffer as a BLAS syrk: one
     triangle, half the flops of a general product, the other triangle copied,
     so the result is exactly symmetric. A complex B goes through its
@@ -187,6 +184,19 @@ def _norm(v: np.ndarray) -> float:
         re, im = v.real, v.imag
         return math.sqrt(re.dot(re) + im.dot(im))
     return math.sqrt(v.dot(v))
+
+
+def _vector(v, d: Optional[int], dtype=None, name="x", nonzero=True) -> np.ndarray:
+    """v as an array of `dtype` after checking that it has shape (d,), or is
+    1-D of any length when d is None, is finite and, if `nonzero`, not zero."""
+    v = np.asarray(v, dtype=dtype)
+    if v.ndim != 1 or d not in (None, v.shape[0]):
+        raise ValueError(f"{name} must have shape ({d or 'd'},), got {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} must be finite")
+    if nonzero and not np.any(v):
+        raise ValueError(f"{name} must be nonzero")
+    return v
 
 
 def _checked_intensities(mset: MeasurementSet, y) -> np.ndarray:
@@ -243,9 +253,9 @@ def derived_constants(profile: MomentProfile) -> DerivedConstants:
 
 
 def sample_entries(ensemble: Ensemble, shape: tuple, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. draws of `shape`; complex draws are (u + i v)/sqrt(2)."""
+    """i.i.d. float64 draws of `shape`; complex128 draws are (u + i v)/sqrt(2)."""
     if ensemble.field is Field.REAL:
-        return ensemble.entry.sampler(rng, shape)
+        return np.asarray(ensemble.entry.sampler(rng, shape), dtype=np.float64)
     # each part is written as soon as it is drawn, u before v, so the two
     # draws and the output are never all live at once; the same bits as
     # (u + 1j*v) / sqrt(2), whose complex division multiplies by 1/sqrt(2),

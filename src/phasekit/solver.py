@@ -18,7 +18,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .ensembles import Field, MeasurementSet, _checked_intensities, _inner, _is_int, _norm
+from .ensembles import (Field, MeasurementSet, _checked_intensities, _inner, _is_int, _norm,
+                        _vector)
 
 DEFAULT_MAX_ITERS = 2000
 # the descent stops once ||g(z)|| <= GRAD_NORM_TOL * ||z||^3; the gradient is
@@ -90,22 +91,19 @@ def _gradient(A: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     return g
 
 
-def _checked_point(z: np.ndarray, mset: MeasurementSet) -> np.ndarray:
-    z = np.asarray(z)
-    if z.shape != (mset.d,):
-        raise ValueError(f"z has shape {z.shape}, expected ({mset.d},)")
-    return z
-
-
 def objective(z: np.ndarray, mset: MeasurementSet, y: np.ndarray) -> float:
-    """(1/2N) sum_j (|<a_j, z>|^2 - y_j)^2."""
-    r = _inner(mset.vectors, _checked_point(z, mset))[1] - y
+    """(1/2N) sum_j (|<a_j, z>|^2 - y_j)^2. `z` must be finite and of shape
+    (d,), `y` finite, nonnegative and of shape (N,)."""
+    z = _vector(z, mset.d, name="z", nonzero=False)
+    r = _inner(mset.vectors, z)[1] - _checked_intensities(mset, y)
     return float(np.sum(r ** 2)) / (2.0 * mset.N)
 
 
 def gradient(z: np.ndarray, mset: MeasurementSet, y: np.ndarray) -> np.ndarray:
-    """(1/N) sum_j (|w_j|^2 - y_j) w_j a_j with w_j = <a_j, z>."""
-    return _gradient(mset.vectors, y, _checked_point(z, mset))
+    """(1/N) sum_j (|w_j|^2 - y_j) w_j a_j with w_j = <a_j, z>. `z` and `y`
+    are checked as by `objective`."""
+    z = _vector(z, mset.d, name="z", nonzero=False)
+    return _gradient(mset.vectors, _checked_intensities(mset, y), z)
 
 
 def phase_align(z: np.ndarray, x: np.ndarray) -> AlignedDistance:
@@ -162,11 +160,8 @@ def solve(
     last finite iterate, as does the infinite step from a z0 whose ||z0||^2
     underflows to 0. `y` must be finite, nonnegative and of shape (N,).
     """
-    z = np.array(z0, dtype=np.complex128 if mset.field is Field.COMPLEX else np.float64)
-    if z.shape != (mset.d,):
-        raise ValueError(f"z0 has shape {z.shape}, expected ({mset.d},)")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("z0 must be finite")
+    dtype = np.complex128 if mset.field is Field.COMPLEX else np.float64
+    z = _vector(z0, mset.d, dtype, "z0", nonzero=False).copy()
     y = _checked_intensities(mset, y)
 
     A = mset.vectors

@@ -13,10 +13,7 @@ uses Y itself.
 Y is formed from one triangle, as a rank-N update with the rows
 sqrt(y_j) a_j (a BLAS syrk), and is exactly Hermitian with a real diagonal;
 the intensities y must be finite and nonnegative. The public functions
-weight a copy of the caller's rows and leave `mset.vectors` as it was; the
-init trials of :mod:`phasekit.bench` and the oracles of :mod:`phasekit.verify`
-own the rows they sample and weight them in place once they are done with
-the plain rows.
+weight a copy of the caller's rows and leave `mset.vectors` as it was.
 """
 
 from __future__ import annotations
@@ -36,6 +33,7 @@ from .ensembles import (
     _inner,
     _is_int,
     _norm,
+    _vector,
     as_rng,
 )
 
@@ -53,11 +51,9 @@ class InitResult:
 
 
 def measure(mset: MeasurementSet, x: np.ndarray) -> np.ndarray:
-    """Intensities y_j = |<a_j, x>|^2, without forming any A_j."""
-    x = np.asarray(x)
-    if x.shape != (mset.d,):
-        raise ValueError(f"signal has shape {x.shape}, expected ({mset.d},)")
-    return _inner(mset.vectors, x)[1]
+    """Intensities y_j = |<a_j, x>|^2, without forming any A_j. `x` must be
+    finite and of shape (d,)."""
+    return _inner(mset.vectors, _vector(x, mset.d, nonzero=False))[1]
 
 
 def rho_from_intensities(y: np.ndarray, tau1: float) -> float:
@@ -84,12 +80,14 @@ def build_Y(mset: MeasurementSet, y: np.ndarray) -> np.ndarray:
 
     `y` must be finite, nonnegative and of shape (N,); other input raises
     ValueError."""
-    return _build_Y(mset, _checked_intensities(mset, y))
+    return _Y(mset.vectors, _checked_intensities(mset, y))
 
 
-def _build_Y(mset: MeasurementSet, y: np.ndarray) -> np.ndarray:
-    """build_Y for a `y` already checked by `_checked_intensities`."""
-    return _gram(mset.vectors * np.sqrt(y)[:, None]) / mset.N
+def _Y(A: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Y of the rows of A for a checked `y`, the one place rows are weighted.
+    The rows sqrt(y_j) a_j are written to `out`, a new array when None; a
+    caller that owns A and is done with its plain rows passes out=A."""
+    return _gram(np.multiply(A, np.sqrt(y)[:, None], out=out)) / A.shape[0]
 
 
 def build_M(Y: np.ndarray, rho: float, profile: MomentProfile) -> np.ndarray:
@@ -117,34 +115,23 @@ def power_method(
     not enough, as when the top two eigenvalues are close or of opposite sign
     with equal modulus; `InitResult.residual` carries it out of `gsi` and
     `baseline_si`.
-    A step whose product vanishes (v in the kernel of M) restarts from a
-    fresh random direction; `lam` and `residual` always belong to the
-    returned v, also when the last step was such a restart.
+    Raises ValueError when a product has a norm outside (0, inf): M is zero,
+    not finite, or so small or large that ||M v||^2 underflows or overflows.
     """
     if not (_is_int(iters) and iters >= 1):
         raise ValueError(f"iters must be an integer >= 1, got {iters!r}")
-    if not np.any(M):
-        raise ValueError("power method undefined for the zero matrix")
     rng = as_rng(seed)
     d = M.shape[0]
-    cplx = np.iscomplexobj(M)
-
-    def random_unit() -> np.ndarray:
-        if cplx:
-            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        else:
-            v = rng.standard_normal(d)
-        return v / np.linalg.norm(v)
-
-    v = random_unit()
+    v = rng.standard_normal(d)
+    if np.iscomplexobj(M):
+        v = v + 1j * rng.standard_normal(d)
+    v = v / np.linalg.norm(v)
     Mv = M @ v
     for _ in range(iters):
         nw = _norm(Mv)
-        if nw == 0.0:
-            # started in the kernel; restart from a fresh direction
-            v = random_unit()
-            Mv = M @ v
-            continue
+        if not 0.0 < nw < math.inf:
+            raise ValueError(f"power method breaks down: ||M v|| = {nw}; M must be "
+                             "finite and nonzero, with ||M v||^2 within float range")
         v = Mv / nw
         Mv = M @ v
     lam, residual = _rayleigh(v, Mv)
@@ -189,7 +176,7 @@ def gsi(
 
     `y` must be finite, nonnegative and of shape (N,)."""
     y = _checked_intensities(mset, y)
-    return _gsi_from_Y(_build_Y(mset, y), y, profile, power_iters, seed)
+    return _gsi_from_Y(_Y(mset.vectors, y), y, profile, power_iters, seed)
 
 
 def baseline_si(
@@ -202,4 +189,4 @@ def baseline_si(
     lam_SI = sqrt(d * sum(y) / sum_j ||a_j||^2). `y` must be finite,
     nonnegative and of shape (N,)."""
     y = _checked_intensities(mset, y)
-    return _si_from_Y(_build_Y(mset, y), y, _sum_sq(mset.vectors), power_iters, seed)
+    return _si_from_Y(_Y(mset.vectors, y), y, _sum_sq(mset.vectors), power_iters, seed)

@@ -22,12 +22,13 @@ from .ensembles import (
     SeedLike,
     _gram,
     _inner,
+    _vector,
     as_rng,
     moment_profile,
     sample_entries,
     sample_measurements,
 )
-from .spectral import build_M, measure, rho_from_intensities
+from .spectral import _Y, build_M, measure, rho_from_intensities
 
 DEFAULT_CHUNKS = 20
 FIT_FLOOR = 1e-12  # errors at or below this are rounding noise
@@ -74,19 +75,6 @@ def hermitian_opnorm(H: np.ndarray) -> float:
         raise ValueError("H must be finite")
     vals = np.linalg.eigvalsh(H)
     return float(np.max(np.abs(vals))) if vals.size else 0.0
-
-
-def _vector(v, d: Optional[int], dtype=None, name="x", nonzero=True) -> np.ndarray:
-    """v as an array of `dtype` after checking that it has shape (d,), or is
-    1-D of any length when d is None, is finite and, if `nonzero`, not zero."""
-    v = np.asarray(v, dtype=dtype)
-    if v.ndim != 1 or d not in (None, v.shape[0]):
-        raise ValueError(f"{name} must have shape ({d or 'd'},), got {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError(f"{name} must be finite")
-    if nonzero and not np.any(v):
-        raise ValueError(f"{name} must be nonzero")
-    return v
 
 
 def _noise_scale(chunk_mats: Sequence[np.ndarray], overall: np.ndarray) -> float:
@@ -150,8 +138,7 @@ def mc_condition_residual(
     second_chunks, first_chunks = [], []
     for A in chunks:
         first_chunks.append(_gram(A) / m)
-        A *= np.sqrt(_inner(A, x)[1])[:, None]  # the chunk is ours: weight in place
-        second_chunks.append(_gram(A) / m)
+        second_chunks.append(_Y(A, _inner(A, x)[1], out=A))
 
     n = DEFAULT_CHUNKS * m
     mean_report = _matrix_check("ensemble-mean-identity", first_chunks,
@@ -196,8 +183,7 @@ def mc_F_residual(
         w, w2 = _inner(A, x)
         W = A * w[:, None]                    # rows are A_j x
         B12 = W.T @ W / m
-        A *= np.sqrt(w2)[:, None]             # the chunk is ours: weight in place
-        B11 = _gram(A) / m                    # sum_j |<a_j, x>|^2 a_j a_j*
+        B11 = _Y(A, w2, out=A)                # (1/m) sum_j |<a_j, x>|^2 a_j a_j*
         top = np.hstack([B11, B12])
         bottom = np.hstack([B12.conj().T, B11.conj()])
         f_chunks.append(np.vstack([top, bottom]))
@@ -327,9 +313,7 @@ def concentration_curve(
             mset = sample_measurements(ensemble, N, d, ss)
             y = measure(mset, x)
             rho = rho_from_intensities(y, profile.tau1)
-            A = mset.vectors
-            A *= np.sqrt(y)[:, None]  # the trial's own rows: weight in place
-            Y = _gram(A) / N
+            Y = _Y(mset.vectors, y, out=mset.vectors)
             M = build_M(Y, rho, profile)
             y_devs.append(hermitian_opnorm(Y - EY))
             m_devs.append(hermitian_opnorm(M - EM))

@@ -190,7 +190,8 @@ def test_init_experiment_shape_and_determinism():
         assert row["trials"] == 4
 
 
-@pytest.mark.parametrize("field,entry", [(Field.REAL, TERNARY), (Field.COMPLEX, GAUSSIAN)])
+@pytest.mark.parametrize("field,entry", [
+    (Field.REAL, TERNARY), (Field.COMPLEX, GAUSSIAN), (Field.COMPLEX, TERNARY)])
 def test_init_trial_weights_its_own_measurements_in_place(field, entry):
     # N x d weighted rows beside the sampled ones would lift the peak to
     # about 2x the measurement matrix

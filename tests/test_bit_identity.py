@@ -35,11 +35,10 @@ from phasekit import (
     moment_profile,
     power_method,
     run_init_experiment,
-    run_recovery_experiment,
     sample_measurements,
     solve,
 )
-from phasekit import bench, spectral
+from phasekit import bench
 from phasekit.ensembles import as_rng, sample_entries
 from phasekit.solver import GRAD_NORM_TOL
 
@@ -253,27 +252,6 @@ def test_power_method_matches_reference(complex_, iters):
     assert v.tobytes() == rv.tobytes()
 
 
-class _Scripted(np.random.Generator):
-    """A Generator whose standard_normal returns the given vectors in turn."""
-
-    def __init__(self, draws):
-        super().__init__(np.random.PCG64(0))
-        self.draws = [np.asarray(x, dtype=float) for x in draws]
-
-    def standard_normal(self, size=None, dtype=np.float64, out=None):
-        return self.draws.pop(0)
-
-
-def test_power_method_restart_reports_rayleigh_quotient_of_returned_vector():
-    # (0, 1) is in the kernel of diag(1, 0): the only step restarts from
-    # (1, 1)/sqrt(2); lam and residual belong to that vector.
-    M = np.diag([1.0, 0.0])
-    lam, v, res = power_method(M, iters=1, seed=_Scripted([[0.0, 1.0], [1.0, 1.0]]))
-    assert np.allclose(v, [2 ** -0.5, 2 ** -0.5])
-    assert lam == pytest.approx(0.5)
-    assert res == pytest.approx(np.linalg.norm(M @ v - lam * v))
-
-
 @pytest.mark.parametrize("entry", [GAUSSIAN, UNIFORM, TERNARY])
 def test_complex_sampling_matches_complex_expression(entry):
     shape = (257, 33)
@@ -295,7 +273,7 @@ def _ref_ternary(rng, shape):
 @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (257, 33)])
 def test_ternary_sampler_matches_int64_draws(seed, shape):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = TERNARY.sampler(rng, shape)
+    got = sample_entries(Ensemble(Field.REAL, TERNARY), shape, rng)
     expected = _ref_ternary(ref_rng, shape)
     assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -314,30 +292,6 @@ def test_ternary_measurements_match_int64_draws(field, seed, N, d):
     assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert rng.standard_normal(3).tobytes() == ref_rng.standard_normal(3).tobytes()
-
-
-# N = 3d = 96 is not a power of two, see _problem
-_TABLES = [(Field.REAL, UNIFORM, (2, 3, 4)), (Field.COMPLEX, TERNARY, (8,))]
-
-
-@pytest.mark.parametrize("field,entry,ratios", _TABLES)
-def test_recovery_table_matches_reference_solve(monkeypatch, field, entry, ratios):
-    cfg = ExperimentConfig(ExperimentKind.SUCCESS_RATE, Ensemble(field, entry), d=32,
-                           ratio_grid=ratios, trials=4, base_seed=7)
-    got = run_recovery_experiment(cfg).to_csv()
-    monkeypatch.setattr(bench, "solve", reference_solve)
-    monkeypatch.setattr(spectral, "power_method", reference_power_method)
-    assert got == run_recovery_experiment(cfg).to_csv()
-
-
-@pytest.mark.parametrize("field,entry,ratios", [
-    (Field.REAL, TERNARY, (4, 8)), (Field.COMPLEX, GAUSSIAN, (4, 8))])
-def test_init_table_matches_reference_power_method(monkeypatch, field, entry, ratios):
-    cfg = ExperimentConfig(ExperimentKind.INIT_ERROR, Ensemble(field, entry), d=32,
-                           ratio_grid=ratios, trials=4, base_seed=7)
-    got = run_init_experiment(cfg).to_csv()
-    monkeypatch.setattr(spectral, "power_method", reference_power_method)
-    assert got == run_init_experiment(cfg).to_csv()
 
 
 @pytest.mark.parametrize("field,entry", [(Field.REAL, TERNARY), (Field.COMPLEX, GAUSSIAN)])

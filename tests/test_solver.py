@@ -39,6 +39,21 @@ def test_objective_hand_case():
     assert np.allclose(gradient(z, ms, np.array([0.0])), [8.0, 0.0])
 
 
+@pytest.mark.parametrize("call,match", [
+    (lambda ms, z, y: gradient(z, ms, np.array([5.0])), "shape"),
+    (lambda ms, z, y: objective(z, ms, -y), "nonnegative"),
+    (lambda ms, z, y: objective(z, ms, np.full_like(y, np.inf)), "finite"),
+    (lambda ms, z, y: gradient(np.full_like(z, np.nan), ms, y), "finite"),
+], ids=["gradient-y-shape", "objective-negative-y", "objective-inf-y", "gradient-nan-z"])
+def test_objective_and_gradient_reject_bad_inputs(call, match):
+    # a mis-shaped y used to broadcast, a negative y to give a value and a
+    # nan z a nan gradient
+    ms = sample_measurements(TERNARY_REAL, 40, 6, seed=0)
+    z = np.ones(6)
+    with pytest.raises(ValueError, match=match):
+        call(ms, z, measure(ms, 2.0 * z))
+
+
 def test_objective_zero_at_ground_truth():
     ms = sample_measurements(TERNARY_REAL, 40, 6, seed=0)
     rng = np.random.default_rng(0)
@@ -174,12 +189,15 @@ def test_solve_rejects_bad_z0():
 
 
 def test_solve_non_finite_abort():
+    # from (1, 0) the steps of 1e6 / ||z0||^2 blow the iterate up within a
+    # few updates; the report keeps the last finite iterate
     ms = MeasurementSet(Field.REAL, np.array([[1.0, 0.0]]))
     y = np.array([0.0])
     cfg = SolverConfig(step_mode=FixedStep(1e6), max_iters=500)
     with np.errstate(over="ignore", invalid="ignore"):
-        rep = solve(ms, y, np.array([1e150, 0.0]), cfg)
+        rep = solve(ms, y, np.array([1.0, 0.0]), cfg)
     assert rep.status is SolveStatus.NON_FINITE
+    assert rep.iterations >= 1
     assert np.all(np.isfinite(rep.final_z))
 
 

@@ -51,6 +51,12 @@ def test_measure_matches_rank_one_oracle():
         assert y[j] == pytest.approx(float(np.real(x.conj() @ Aj @ x)), abs=1e-12)
 
 
+def test_measure_rejects_non_finite_signal():
+    ms = sample_measurements(TERNARY_REAL, 5, 4, seed=0)
+    with pytest.raises(ValueError, match="finite"):
+        measure(ms, np.array([1.0, np.nan, 0.0, 0.0]))
+
+
 def test_measure_dimension_mismatch():
     ms = sample_measurements(TERNARY_REAL, 5, 4, seed=0)
     with pytest.raises(ValueError):
@@ -268,6 +274,28 @@ def test_power_method_matches_eigensolver():
 def test_power_method_rejects_zero_matrix():
     with pytest.raises(ValueError):
         power_method(np.zeros((3, 3)))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("M", [
+    np.full((3, 3), np.nan),
+    1e-200 * np.diag([2.0, 1.0]),   # ||M v||^2 underflows to 0
+    1e200 * np.diag([2.0, 1.0]),    # ||M v||^2 overflows to inf
+], ids=["nan", "tiny", "huge"])
+def test_power_method_rejects_products_outside_float_range(M):
+    with pytest.raises(ValueError, match="power method"):
+        power_method(M)
+
+
+def test_gsi_rejects_signal_too_small_for_the_power_method():
+    # at ||x|| = 1e-100 the entries of M are about 1e-200 and ||M v||^2
+    # underflows; the power method must not return a direction it never found
+    d = 32
+    ms = sample_measurements(TERNARY_REAL, 8 * d, d, seed=0)
+    x = np.random.default_rng(0).standard_normal(d)
+    x *= 1e-100 / np.linalg.norm(x)
+    with pytest.raises(ValueError, match="power method"):
+        gsi(ms, measure(ms, x), moment_profile(TERNARY_REAL))
 
 
 @pytest.mark.parametrize("iters", [2.5, "3", True, 0])
