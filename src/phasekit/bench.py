@@ -36,7 +36,6 @@ from .ensembles import (
     SeedLike,
     _checked_intensities,
     _is_int,
-    as_rng,
     moment_profile,
     sample_measurements,
 )
@@ -154,7 +153,7 @@ class ResultTable:
         return buf.getvalue()
 
     def to_json(self) -> str:
-        """Rows plus the full config metadata, for exact replay."""
+        """Rows plus the metadata, which records the settings that made them."""
         return json.dumps({"metadata": self.metadata, "rows": self.rows}, indent=2)
 
 
@@ -181,7 +180,7 @@ def generate_signal(d: int, seed: SeedLike, field: Field = Field.REAL) -> np.nda
     SPIKE_FACTOR = 200. Complex signals are (g1 + i g2)/sqrt(2)."""
     if d < 2:
         raise ValueError("need d >= 2 for the spiked signal")
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     if field is Field.COMPLEX:
         x = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) / math.sqrt(2.0)
     else:

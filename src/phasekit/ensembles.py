@@ -29,16 +29,14 @@ import numpy as np
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
 
 
-def as_rng(seed: SeedLike) -> np.random.Generator:
-    """Coerce an int / SeedSequence / Generator into a Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 class Field(Enum):
     REAL = "real"
     COMPLEX = "complex"
+
+    @property
+    def dtype(self) -> type:
+        """The numpy type of the field's numbers: float64 or complex128."""
+        return np.complex128 if self is Field.COMPLEX else np.float64
 
 
 @dataclass(frozen=True)
@@ -126,10 +124,24 @@ class Ensemble:
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """N sampled measurement vectors a_j, stored as the rows of `vectors`."""
+    """N >= 1 measurement vectors a_j of dimension d >= 1, the rows of
+    `vectors`: a nonempty 2-D numeric array stored C-contiguous in its field's
+    dtype, as itself if it is. Points they measure take that dtype: a complex
+    point for real rows raises ValueError."""
 
-    field: Field
     vectors: np.ndarray  # shape (N, d)
+
+    def __post_init__(self):
+        A = np.asarray(self.vectors)
+        if A.ndim != 2 or 0 in A.shape or not np.issubdtype(A.dtype, np.number):
+            raise ValueError("measurement vectors must be a nonempty 2-D numeric array, "
+                             f"got dtype {A.dtype} and shape {A.shape}")
+        dtype = (Field.COMPLEX if A.dtype.kind == "c" else Field.REAL).dtype
+        object.__setattr__(self, "vectors", np.ascontiguousarray(A, dtype=dtype))
+
+    @property
+    def field(self) -> Field:
+        return Field.COMPLEX if self.vectors.dtype.kind == "c" else Field.REAL
 
     @property
     def N(self) -> int:
@@ -148,7 +160,7 @@ def _is_int(v) -> bool:
 def _inner(A: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """w_j = <a_j, z> = a_j* z for every row a_j of A, and |w_j|^2 as a new
     array. A complex w is formed as conj(A @ conj(z)), so A is never copied."""
-    if A.dtype.kind == "c" or z.dtype.kind == "c":
+    if A.dtype.kind == "c":
         w = np.conj(A @ np.conj(z))
         return w, w.real ** 2 + w.imag ** 2
     w = A @ z
@@ -156,8 +168,8 @@ def _inner(A: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gram(B: np.ndarray) -> np.ndarray:
-    """B^T conj(B) = sum_j b_j b_j* over the rows b_j of B, as a float64 or
-    complex128 matrix.
+    """B^T conj(B) = sum_j b_j b_j* over the rows b_j of a C-contiguous
+    float64 or complex128 B, as a matrix of B's dtype.
 
     numpy evaluates a product X.T @ X of one buffer as a BLAS syrk: one
     triangle, half the flops of a general product, the other triangle copied,
@@ -167,9 +179,8 @@ def _gram(B: np.ndarray) -> np.ndarray:
     Im = G[im, re] - G[re, im], so the result is exactly Hermitian with a
     real diagonal, and no conj copy is made."""
     if B.dtype.kind != "c":
-        B = np.ascontiguousarray(B, dtype=np.float64)
         return B.T @ B
-    V = np.ascontiguousarray(B, dtype=np.complex128).view(np.float64)
+    V = B.view(np.float64)
     G = V.T @ V
     out = np.empty((B.shape[1], B.shape[1]), dtype=np.complex128)
     np.add(G[0::2, 0::2], G[1::2, 1::2], out=out.real)
@@ -186,10 +197,14 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _vector(v, d: Optional[int], dtype=None, name="x", nonzero=True) -> np.ndarray:
-    """v as an array of `dtype` after checking that it has shape (d,), or is
-    1-D of any length when d is None, is finite and, if `nonzero`, not zero."""
-    v = np.asarray(v, dtype=dtype)
+def _vector(v, d: Optional[int], dtype: type, name="x", nonzero=True) -> np.ndarray:
+    """v as an array of `dtype`, a `Field.dtype`, after checking that it has
+    shape (d,), or is 1-D of any length when d is None, is finite, is real
+    when `dtype` is, and, if `nonzero`, is not zero."""
+    v = np.asarray(v)
+    if v.dtype.kind == "c" and np.dtype(dtype).kind != "c":
+        raise ValueError(f"{name} must be real to match real measurements, got {v.dtype}")
+    v = v.astype(dtype, copy=False)
     if v.ndim != 1 or d not in (None, v.shape[0]):
         raise ValueError(f"{name} must have shape ({d or 'd'},), got {v.shape}")
     if not np.isfinite(v).all():
@@ -269,7 +284,4 @@ def sample_entries(ensemble: Ensemble, shape: tuple, rng: np.random.Generator) -
 
 def sample_measurements(ensemble: Ensemble, N: int, d: int, seed: SeedLike) -> MeasurementSet:
     """N measurement vectors of dimension d. Identical seeds give identical bits."""
-    if N < 1 or d < 1:
-        raise ValueError(f"need N >= 1 and d >= 1, got N={N}, d={d}")
-    rng = as_rng(seed)
-    return MeasurementSet(ensemble.field, sample_entries(ensemble, (N, d), rng))
+    return MeasurementSet(sample_entries(ensemble, (N, d), np.random.default_rng(seed)))

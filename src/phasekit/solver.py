@@ -18,8 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .ensembles import (Field, MeasurementSet, _checked_intensities, _inner, _is_int, _norm,
-                        _vector)
+from .ensembles import MeasurementSet, _checked_intensities, _inner, _is_int, _norm, _vector
 
 DEFAULT_MAX_ITERS = 2000
 # the descent stops once ||g(z)|| <= GRAD_NORM_TOL * ||z||^3; the gradient is
@@ -92,9 +91,9 @@ def _gradient(A: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def objective(z: np.ndarray, mset: MeasurementSet, y: np.ndarray) -> float:
-    """(1/2N) sum_j (|<a_j, z>|^2 - y_j)^2. `z` must be finite and of shape
-    (d,), `y` finite, nonnegative and of shape (N,)."""
-    z = _vector(z, mset.d, name="z", nonzero=False)
+    """(1/2N) sum_j (|<a_j, z>|^2 - y_j)^2. `z` must be finite, of shape
+    (d,) and real for real rows; `y` finite, nonnegative and of shape (N,)."""
+    z = _vector(z, mset.d, mset.field.dtype, "z", nonzero=False)
     r = _inner(mset.vectors, z)[1] - _checked_intensities(mset, y)
     return float(np.sum(r ** 2)) / (2.0 * mset.N)
 
@@ -102,7 +101,7 @@ def objective(z: np.ndarray, mset: MeasurementSet, y: np.ndarray) -> float:
 def gradient(z: np.ndarray, mset: MeasurementSet, y: np.ndarray) -> np.ndarray:
     """(1/N) sum_j (|w_j|^2 - y_j) w_j a_j with w_j = <a_j, z>. `z` and `y`
     are checked as by `objective`."""
-    z = _vector(z, mset.d, name="z", nonzero=False)
+    z = _vector(z, mset.d, mset.field.dtype, "z", nonzero=False)
     return _gradient(mset.vectors, _checked_intensities(mset, y), z)
 
 
@@ -158,10 +157,10 @@ def solve(
     relative tolerance), or with MAX_ITERS after `config.max_iters` updates.
     A non-finite iterate or gradient aborts with NON_FINITE and the
     last finite iterate, as does the infinite step from a z0 whose ||z0||^2
-    underflows to 0. `y` must be finite, nonnegative and of shape (N,).
+    underflows to 0. `z0` must be finite, of shape (d,) and real for real
+    rows; `y` finite, nonnegative and of shape (N,).
     """
-    dtype = np.complex128 if mset.field is Field.COMPLEX else np.float64
-    z = _vector(z0, mset.d, dtype, "z0", nonzero=False).copy()
+    z = _vector(z0, mset.d, mset.field.dtype, "z0", nonzero=False).copy()
     y = _checked_intensities(mset, y)
 
     A = mset.vectors

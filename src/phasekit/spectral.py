@@ -34,7 +34,6 @@ from .ensembles import (
     _is_int,
     _norm,
     _vector,
-    as_rng,
 )
 
 DEFAULT_POWER_ITERS = 50
@@ -52,8 +51,8 @@ class InitResult:
 
 def measure(mset: MeasurementSet, x: np.ndarray) -> np.ndarray:
     """Intensities y_j = |<a_j, x>|^2, without forming any A_j. `x` must be
-    finite and of shape (d,)."""
-    return _inner(mset.vectors, _vector(x, mset.d, nonzero=False))[1]
+    finite, of shape (d,) and real for real rows."""
+    return _inner(mset.vectors, _vector(x, mset.d, mset.field.dtype, nonzero=False))[1]
 
 
 def rho_from_intensities(y: np.ndarray, tau1: float) -> float:
@@ -120,7 +119,7 @@ def power_method(
     """
     if not (_is_int(iters) and iters >= 1):
         raise ValueError(f"iters must be an integer >= 1, got {iters!r}")
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     d = M.shape[0]
     v = rng.standard_normal(d)
     if np.iscomplexobj(M):

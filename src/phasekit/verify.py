@@ -3,8 +3,8 @@
 These estimators are the independent check that gates the closed-form
 moment profiles in :mod:`phasekit.ensembles`: each one averages raw samples
 of the relevant statistic and compares against the claimed expectation.
-Tolerances are statistical: 5x a standard-error estimate obtained from
-chunked (jackknife-style) resampling, never fixed absolute numbers.
+Tolerances are statistical: 5x a standard-error estimate from the spread of
+20 equal chunk means (batch means), never fixed absolute numbers.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .ensembles import (
     _gram,
     _inner,
     _vector,
-    as_rng,
     moment_profile,
     sample_entries,
     sample_measurements,
@@ -85,16 +84,22 @@ def _noise_scale(chunk_mats: Sequence[np.ndarray], overall: np.ndarray) -> float
     return float(np.mean(devs)) / math.sqrt(k)
 
 
-def _sample_chunks(ensemble: Ensemble, d: int, n_samples: int,
-                   seed: SeedLike) -> tuple[int, Iterator[np.ndarray]]:
-    """(m, chunks): DEFAULT_CHUNKS blocks of m = n_samples // DEFAULT_CHUNKS
-    measurement rows of dimension d each, drawn one block at a time from one
-    generator. Every Monte-Carlo oracle draws through here."""
+def _sample_chunks(ensemble: Ensemble, x, d: Optional[int], n_samples: int, seed: SeedLike,
+                   profile: Optional[MomentProfile],
+                   ) -> tuple[np.ndarray, MomentProfile, int, Iterator[np.ndarray]]:
+    """The preamble of every Monte-Carlo oracle: (x, profile, m, chunks).
+    x is checked as a nonzero finite vector of the law's field and shape (d,),
+    of any length when d is None; profile defaults to the law's closed form;
+    chunks are DEFAULT_CHUNKS blocks of m = n_samples // DEFAULT_CHUNKS
+    measurement rows of x's dimension, drawn one block at a time from one
+    generator."""
+    x = _vector(x, d, ensemble.field.dtype)
     if n_samples < 10_000:
         raise ValueError("need n_samples >= 10000 for a meaningful check")
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     m = n_samples // DEFAULT_CHUNKS
-    return m, (sample_entries(ensemble, (m, d), rng) for _ in range(DEFAULT_CHUNKS))
+    chunks = (sample_entries(ensemble, (m, x.shape[0]), rng) for _ in range(DEFAULT_CHUNKS))
+    return x, moment_profile(ensemble) if profile is None else profile, m, chunks
 
 
 def _matrix_check(name: str, chunk_mats: Sequence[np.ndarray], expected: np.ndarray,
@@ -129,11 +134,7 @@ def mc_condition_residual(
     (1/n) sum (x* A x) A from the condition-(II) closed form; the component
     report checks (1/n) sum A against tau1 I.
     """
-    dtype = np.complex128 if ensemble.field is Field.COMPLEX else np.float64
-    x = _vector(x, d, dtype)
-    m, chunks = _sample_chunks(ensemble, d, n_samples, seed)
-    if profile is None:
-        profile = moment_profile(ensemble)
+    x, profile, m, chunks = _sample_chunks(ensemble, x, d, n_samples, seed, profile)
 
     second_chunks, first_chunks = [], []
     for A in chunks:
@@ -142,7 +143,7 @@ def mc_condition_residual(
 
     n = DEFAULT_CHUNKS * m
     mean_report = _matrix_check("ensemble-mean-identity", first_chunks,
-                                profile.tau1 * np.eye(d, dtype=dtype), n)
+                                profile.tau1 * np.eye(d, dtype=x.dtype), n)
     return _matrix_check("condition-II-identity", second_chunks,
                          condition_expectation(profile, x), n, (mean_report,))
 
@@ -156,9 +157,7 @@ def f_block_expectation(profile: MomentProfile, x: np.ndarray) -> np.ndarray:
     B11 = profile.tau3 * nx2 * I + profile.tau2 * np.outer(x, x.conj()) \
         + profile.tau4 * np.diag(np.abs(x) ** 2)
     B12 = (profile.tau2 + profile.tau3) * np.outer(x, x) + profile.tau4 * np.diag(x ** 2)
-    top = np.hstack([B11, B12])
-    bottom = np.hstack([B12.conj(), B11.conj()])
-    return np.vstack([top, bottom])
+    return np.block([[B11, B12], [B12.conj(), B11.conj()]])
 
 
 def mc_F_residual(
@@ -173,10 +172,7 @@ def mc_F_residual(
     if ensemble.field is not Field.COMPLEX:
         raise ValueError("mc_F_residual requires a complex-field ensemble; "
                          "use mc_condition_residual for real fields")
-    x = _vector(x, None, np.complex128)
-    m, chunks = _sample_chunks(ensemble, x.shape[0], n_samples, seed)
-    if profile is None:
-        profile = moment_profile(ensemble)
+    x, profile, m, chunks = _sample_chunks(ensemble, x, None, n_samples, seed, profile)
 
     f_chunks = []
     for A in chunks:
@@ -184,9 +180,7 @@ def mc_F_residual(
         W = A * w[:, None]                    # rows are A_j x
         B12 = W.T @ W / m
         B11 = _Y(A, w2, out=A)                # (1/m) sum_j |<a_j, x>|^2 a_j a_j*
-        top = np.hstack([B11, B12])
-        bottom = np.hstack([B12.conj().T, B11.conj()])
-        f_chunks.append(np.vstack([top, bottom]))
+        f_chunks.append(np.block([[B11, B12], [B12.conj().T, B11.conj()]]))
     return _matrix_check("stacked-block-identity", f_chunks,
                          f_block_expectation(profile, x), DEFAULT_CHUNKS * m)
 
@@ -227,17 +221,13 @@ def mc_scalar_identities(
     The report's residual is the largest of the three deviations measured in
     units of its own 5x-stderr tolerance (so tolerance is normalized to 1).
     """
-    dtype = np.complex128 if ensemble.field is Field.COMPLEX else np.float64
-    x = _vector(x, None, dtype)
-    h = _vector(h, x.shape[0], dtype, "h")
+    x, profile, m, chunks = _sample_chunks(ensemble, x, None, n_samples, seed, profile)
+    h = _vector(h, x.shape[0], ensemble.field.dtype, "h")
     if abs(np.linalg.norm(x) - 1.0) > 1e-9 or abs(np.linalg.norm(h) - 1.0) > 1e-9:
         raise ValueError("x and h must be unit norm")
     h = project_admissible(x, h)
     if abs(float(np.imag(np.vdot(h, x)))) > 1e-9:
         raise ValueError("h* x must be real after phase projection")
-    m, chunks = _sample_chunks(ensemble, x.shape[0], n_samples, seed)
-    if profile is None:
-        profile = moment_profile(ensemble)
 
     means = np.zeros((DEFAULT_CHUNKS, 3))
     for c, A in enumerate(chunks):
@@ -294,12 +284,11 @@ def concentration_curve(
     if trials < 20:
         raise ValueError("need trials >= 20")
     profile = moment_profile(ensemble)
-    dtype = np.complex128 if ensemble.field is Field.COMPLEX else np.float64
-    x = _vector(x, d, dtype, nonzero=False)
+    x = _vector(x, d, ensemble.field.dtype, nonzero=False)
     nx2 = float(np.vdot(x, x).real)
 
     EY = condition_expectation(profile, x)
-    EM = profile.tau2 * nx2 * np.eye(d, dtype=dtype) + profile.tau3 * np.outer(x, x.conj())
+    EM = profile.tau2 * nx2 * np.eye(d, dtype=x.dtype) + profile.tau3 * np.outer(x, x.conj())
 
     if isinstance(seed, np.random.Generator):
         seed = int(seed.integers(2 ** 63))

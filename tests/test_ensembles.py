@@ -10,6 +10,7 @@ from phasekit import (
     Ensemble,
     EntryDistribution,
     Field,
+    MeasurementSet,
     MomentProfile,
     derived_constants,
     moment_profile,
@@ -111,10 +112,40 @@ def test_derived_constants_homogeneity():
 
 def test_sampling_rejects_empty():
     ens = Ensemble(Field.REAL, GAUSSIAN)
-    with pytest.raises(ValueError):
-        sample_measurements(ens, 0, 4, seed=0)
-    with pytest.raises(ValueError):
-        sample_measurements(ens, 4, 0, seed=0)
+    for N, d in ((0, 4), (4, 0), (-1, 4), (4, -1)):
+        with pytest.raises(ValueError):
+            sample_measurements(ens, N, d, seed=0)
+
+
+@pytest.mark.parametrize("rows", [
+    np.ones(3), np.ones((0, 3)), np.ones((3, 0)), np.ones((2, 2, 2)),
+    np.ones((2, 2), dtype=bool), np.array([["1", "0"]]), np.array([[1.0, None]]),
+], ids=["1-D", "N=0", "d=0", "3-D", "bool", "str", "object"])
+def test_measurement_set_rejects_rows_that_are_not_a_nonempty_2d_numeric_array(rows):
+    # 1-D rows gave gsi a z0 and solve an IndexError; N=0 rows gave gsi a
+    # ZeroDivisionError, solve a NON_FINITE report and build_Y a NaN matrix
+    with pytest.raises(ValueError, match=r"nonempty 2-D numeric array, got dtype \S+ and shape"):
+        MeasurementSet(rows)
+
+
+@pytest.mark.parametrize("rows, field, dtype", [
+    (np.ones((3, 2)), Field.REAL, np.float64),
+    (np.ones((3, 2), dtype=np.complex128), Field.COMPLEX, np.complex128),
+    (np.ones((3, 2), dtype=np.int8), Field.REAL, np.float64),
+    (np.ones((3, 2), dtype=np.float32), Field.REAL, np.float64),
+    (np.ones((3, 2), dtype=np.longdouble), Field.REAL, np.float64),
+    (np.ones((3, 2), order="F"), Field.REAL, np.float64),
+    (np.ones((3, 2), dtype=np.complex64), Field.COMPLEX, np.complex128),
+    ([[1j, 0.0]], Field.COMPLEX, np.complex128),
+], ids=["float64", "complex128", "int8", "float32", "longdouble", "fortran", "complex64", "list"])
+def test_measurement_set_stores_contiguous_rows_of_their_field(rows, field, dtype):
+    # rows already in that form are kept, not copied
+    ms = MeasurementSet(rows)
+    assert ms.field is field and field.dtype is dtype
+    assert ms.vectors.dtype == dtype and ms.vectors.flags.c_contiguous
+    assert np.array_equal(ms.vectors, np.asarray(rows))
+    assert (ms.vectors is rows) == (getattr(rows, "dtype", None) == dtype
+                                    and rows.flags.c_contiguous)
 
 
 def test_sampling_is_deterministic():

@@ -33,7 +33,7 @@ TERNARY_REAL = Ensemble(Field.REAL, TERNARY)
 
 def test_objective_hand_case():
     # single row a = (1, 0), y = 0, z = (2, 0): residual 4, value 4^2 / 2 = 8
-    ms = MeasurementSet(Field.REAL, np.array([[1.0, 0.0]]))
+    ms = MeasurementSet(np.array([[1.0, 0.0]]))
     z = np.array([2.0, 0.0])
     assert objective(z, ms, np.array([0.0])) == pytest.approx(8.0)
     assert np.allclose(gradient(z, ms, np.array([0.0])), [8.0, 0.0])
@@ -52,6 +52,23 @@ def test_objective_and_gradient_reject_bad_inputs(call, match):
     z = np.ones(6)
     with pytest.raises(ValueError, match=match):
         call(ms, z, measure(ms, 2.0 * z))
+
+
+@pytest.mark.parametrize("call", ["measure", "objective", "gradient", "solve"])
+def test_a_point_must_not_be_complex_for_real_rows(call):
+    # a complex point on real rows lost its imaginary part with only a
+    # ComplexWarning, and gradient returned a complex gradient; a real point
+    # on complex rows is taken as complex
+    run = {
+        "measure": lambda ms, z: measure(ms, z),
+        "objective": lambda ms, z: objective(z, ms, np.ones(40)),
+        "gradient": lambda ms, z: gradient(z, ms, np.ones(40)),
+        "solve": lambda ms, z: solve(ms, np.ones(40), z, SolverConfig(max_iters=3)),
+    }[call]
+    z = np.ones(6)
+    run(sample_measurements(Ensemble(Field.COMPLEX, TERNARY), 40, 6, seed=0), z)
+    with pytest.raises(ValueError, match=r"^(x|z|z0) must be real to match real measurements"):
+        run(sample_measurements(TERNARY_REAL, 40, 6, seed=0), z + 1j)
 
 
 def test_objective_zero_at_ground_truth():
@@ -191,7 +208,7 @@ def test_solve_rejects_bad_z0():
 def test_solve_non_finite_abort():
     # from (1, 0) the steps of 1e6 / ||z0||^2 blow the iterate up within a
     # few updates; the report keeps the last finite iterate
-    ms = MeasurementSet(Field.REAL, np.array([[1.0, 0.0]]))
+    ms = MeasurementSet(np.array([[1.0, 0.0]]))
     y = np.array([0.0])
     cfg = SolverConfig(step_mode=FixedStep(1e6), max_iters=500)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -26,8 +26,8 @@ from phasekit.verify import condition_expectation, hermitian_opnorm
 TERNARY_REAL = Ensemble(Field.REAL, TERNARY)
 
 
-def single_row_set(a, field=Field.REAL):
-    return MeasurementSet(field, np.asarray(a)[None, :])
+def single_row_set(a):
+    return MeasurementSet(np.asarray(a)[None, :])
 
 
 def test_measure_identity_row():
@@ -44,7 +44,7 @@ def test_measure_matches_rank_one_oracle():
     rng = np.random.default_rng(3)
     A = rng.standard_normal((20, 3)) + 1j * rng.standard_normal((20, 3))
     x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    ms = MeasurementSet(Field.COMPLEX, A)
+    ms = MeasurementSet(A)
     y = measure(ms, x)
     for j in range(20):
         Aj = np.outer(A[j], A[j].conj())
@@ -184,10 +184,10 @@ def test_build_Y_matches_full_product(field, case):
         y[:] = 0.0
     elif case == "float32 y":
         y = y.astype(np.float32)
-    Y = build_Y(MeasurementSet(field, A), y)
+    Y = build_Y(MeasurementSet(A), y)
     ref = _full_product_Y(A, y)
     assert Y.shape == (d, d)
-    assert Y.dtype == (np.complex128 if field is Field.COMPLEX else np.float64)
+    assert Y.dtype == field.dtype
     assert np.max(np.abs(Y - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.array_equal(Y, Y.conj().T)
     assert not np.any(np.diagonal(Y).imag)

@@ -428,6 +428,23 @@ def test_oracles_reject_mis_shaped_vectors(oracle, shape):
         _VECTOR_ORACLES[oracle](x)
 
 
+_REAL = Ensemble(Field.REAL, TERNARY)
+_REAL_X3 = unit_vector(3, Field.REAL, seed=0)
+_REAL_LAW_ORACLES = {
+    "condition": lambda x: mc_condition_residual(_REAL, 3, x, n_samples=20_000),
+    "scalar-x": lambda x: mc_scalar_identities(_REAL, x, _REAL_X3, n_samples=20_000),
+    "scalar-h": lambda h: mc_scalar_identities(_REAL, _REAL_X3, h, n_samples=20_000),
+    "concentration": lambda x: concentration_curve(_REAL, 3, x, N_grid=[12], trials=20),
+}
+
+
+@pytest.mark.parametrize("oracle", list(_REAL_LAW_ORACLES))
+def test_oracles_reject_complex_vectors_for_a_real_law(oracle):
+    # a complex x used to lose its imaginary part with only a ComplexWarning
+    with pytest.raises(ValueError, match=r"^[xh] must be real to match real measurements"):
+        _REAL_LAW_ORACLES[oracle](_REAL_X3 * np.exp(0.5j))
+
+
 def test_concentration_curve_takes_a_zero_signal():
     rows = concentration_curve(_COMPLEX, 3, np.zeros(3), N_grid=[12], trials=20)
     assert rows[0].N == 12
