@@ -13,6 +13,18 @@ For such ensembles the two moment identities
 hold with constants determined by the entry moments m2 = E u^2 and
 m4 = E u^4.  The closed forms used here are gated behind the Monte-Carlo
 oracles in :mod:`phasekit.verify`.
+
+Ternary draws are bit-identical to ``rng.integers(-1, 2, shape,
+dtype=np.int32)``, values and generator state alike, but computed in bulk.
+numpy draws that range by Lemire's multiply-shift on successive 32-bit
+words u: the value is (3u >> 32) - 1, that is [u >= 1431655766] +
+[u >= 2863311531] - 1, and only u == 0 is rejected, since
+(2^32 - 3) mod 3 = 1. For a PCG64 generator the words are its raw 64-bit
+outputs, each taken low half first, then high half, after any buffered
+half the generator holds; an odd word count leaves the last high half
+buffered. A zero word, or another bit generator, restores the saved state
+and replays numpy's int32 call. That fallback must stay int32: an int8
+bounded draw cuts each 32-bit word into four bytes, so its stream differs.
 """
 
 from __future__ import annotations
@@ -66,12 +78,48 @@ class EntryDistribution:
 
 GAUSSIAN = EntryDistribution("gaussian", 1.0, 3.0, lambda rng, shape: rng.standard_normal(shape))
 UNIFORM = EntryDistribution("uniform", 1.0 / 3.0, 1.0 / 5.0, lambda rng, shape: rng.uniform(-1.0, 1.0, shape))
+# the least 32-bit words u that numpy's int32 draw on [-1, 2) maps to 0 and to 1
+_TERNARY_CUTS = (1_431_655_766, 2_863_311_531)
+
+
+def _ternary(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """The values of rng.integers(-1, 2, shape, dtype=np.int32), leaving the
+    generator in the state that call leaves, as int8 computed from raw PCG64
+    words (see the module docstring); a zero word or another bit generator
+    replays that call itself. It reads, draws and then sets the state, so
+    unlike one numpy call it is not atomic: threads must not share `rng`."""
+    bitgen = rng.bit_generator
+    saved = bitgen.state
+    n = math.prod(shape)
+    if saved["bit_generator"] == "PCG64" and n:
+        pending = saved["has_uint32"]
+        raw = bitgen.random_raw((n - pending + 1) // 2)
+        words = raw.astype("<u8", copy=False).view("<u4")  # low half, then high
+        if pending:
+            words = np.concatenate((np.array([saved["uinteger"]], np.uint32), words))
+        words = words[:n]
+        if words.min():  # no zero word, so no rejection shifts the stream
+            draw = (words >= _TERNARY_CUTS[0]).view(np.int8)
+            draw += words >= _TERNARY_CUTS[1]
+            draw -= 1
+            state = bitgen.state
+            state["has_uint32"] = (n - pending) % 2
+            if raw.size:  # else the buffered half was the only word
+                state["uinteger"] = int(raw[-1] >> 32)
+            bitgen.state = state
+            return draw.reshape(shape)
+        bitgen.state = saved
+    return rng.integers(-1, 2, shape, dtype=np.int32)
+
+
 TERNARY = EntryDistribution(
     "ternary", 2.0 / 3.0, 2.0 / 3.0,
-    # int32 draws take the same uint32 stream as the default int64 at this
-    # range, so values and generator state match, from half the temporary;
-    # sample_entries casts them as it writes its float output
-    lambda rng, shape: rng.integers(-1, 2, shape, dtype=np.int32),
+    # int8 values of numpy's int32 draw on [-1, 2), mapped in bulk from raw
+    # PCG64 words, low half first, by _ternary; a zero word, which numpy
+    # rejects, replays the int32 call (int8 bounded draws take another
+    # stream). Values and state match the default int64 draw, so every
+    # ternary stream is kept; sample_entries casts them to its float output
+    _ternary,
 )
 
 BUILTIN_ENTRIES = {e.name: e for e in (GAUSSIAN, UNIFORM, TERNARY)}
@@ -125,9 +173,9 @@ class Ensemble:
 @dataclass(frozen=True)
 class MeasurementSet:
     """N >= 1 measurement vectors a_j of dimension d >= 1, the rows of
-    `vectors`: a nonempty 2-D numeric array stored C-contiguous in its field's
-    dtype, as itself if it is. Points they measure take that dtype: a complex
-    point for real rows raises ValueError."""
+    `vectors`: a nonempty, finite 2-D numeric array stored C-contiguous in its
+    field's dtype, as itself if it is. Points they measure take that dtype: a
+    complex point for real rows raises ValueError."""
 
     vectors: np.ndarray  # shape (N, d)
 
@@ -137,7 +185,10 @@ class MeasurementSet:
             raise ValueError("measurement vectors must be a nonempty 2-D numeric array, "
                              f"got dtype {A.dtype} and shape {A.shape}")
         dtype = (Field.COMPLEX if A.dtype.kind == "c" else Field.REAL).dtype
-        object.__setattr__(self, "vectors", np.ascontiguousarray(A, dtype=dtype))
+        A = np.ascontiguousarray(A, dtype=dtype)
+        if not np.isfinite(A.view(np.float64)).all():  # complex as its parts: faster
+            raise ValueError("measurement vectors must be finite")
+        object.__setattr__(self, "vectors", A)
 
     @property
     def field(self) -> Field:
@@ -274,11 +325,12 @@ def sample_entries(ensemble: Ensemble, shape: tuple, rng: np.random.Generator) -
     # each part is written as soon as it is drawn, u before v, so the two
     # draws and the output are never all live at once; the same bits as
     # (u + 1j*v) / sqrt(2), whose complex division multiplies by 1/sqrt(2),
-    # without complex temporaries
+    # without complex temporaries; the float64 loop is named because a small
+    # integer draw times a Python float promotes to float16 under numpy 1.x
     out = np.empty(shape, dtype=np.complex128)
     scale = 1.0 / math.sqrt(2.0)
-    np.multiply(ensemble.entry.sampler(rng, shape), scale, out=out.real)
-    np.multiply(ensemble.entry.sampler(rng, shape), scale, out=out.imag)
+    np.multiply(ensemble.entry.sampler(rng, shape), scale, out=out.real, dtype=np.float64)
+    np.multiply(ensemble.entry.sampler(rng, shape), scale, out=out.imag, dtype=np.float64)
     return out
 
 

@@ -13,9 +13,12 @@ from phasekit import (
     MeasurementSet,
     MomentProfile,
     derived_constants,
+    measure,
     moment_profile,
     sample_measurements,
+    solve,
 )
+from phasekit.ensembles import sample_entries
 
 ALL_ENSEMBLES = [
     Ensemble(f, e) for f in (Field.REAL, Field.COMPLEX)
@@ -128,6 +131,24 @@ def test_measurement_set_rejects_rows_that_are_not_a_nonempty_2d_numeric_array(r
         MeasurementSet(rows)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", list(Field), ids=lambda f: f.value)
+def test_measurement_set_rejects_non_finite_rows(bad, field):
+    # measure returned [nan] and solve a NON_FINITE report for such rows
+    entry = bad if field is Field.REAL else complex(1.0, bad)
+    with pytest.raises(ValueError, match="measurement vectors must be finite"):
+        measure(MeasurementSet([[entry, 1.0]]), np.ones(2))
+    with pytest.raises(ValueError, match="measurement vectors must be finite"):
+        solve(MeasurementSet([[entry, 1.0], [1.0, 1.0]]), np.ones(2), np.ones(2))
+
+
+@pytest.mark.parametrize("field", list(Field), ids=lambda f: f.value)
+def test_sampling_rejects_a_law_that_draws_non_finite_values(field):
+    law = EntryDistribution("nan", 1.0, 3.0, lambda rng, shape: np.full(shape, np.nan))
+    with pytest.raises(ValueError, match="measurement vectors must be finite"):
+        sample_measurements(Ensemble(field, law), 4, 3, seed=0)
+
+
 @pytest.mark.parametrize("rows, field, dtype", [
     (np.ones((3, 2)), Field.REAL, np.float64),
     (np.ones((3, 2), dtype=np.complex128), Field.COMPLEX, np.complex128),
@@ -196,3 +217,83 @@ def test_descriptor_round_trip():
 def test_descriptor_rejects_malformed_input(desc):
     with pytest.raises(ValueError, match="ensemble descriptor"):
         Ensemble.from_dict(desc)
+
+
+def _assert_ternary_draw_matches(rng, ref, shape):
+    """TERNARY's draw from rng against numpy's int32 draw from ref: the same
+    values and the same generator state after it."""
+    got = TERNARY.sampler(rng, shape)
+    want = ref.integers(-1, 2, shape, dtype=np.int32)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)  # Philox's holds arrays
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered-half"])
+@pytest.mark.parametrize("shape", [(1,), (7,), (8,), (5, 3), (4, 6), (257, 33), (0,)], ids=str)
+def test_ternary_draw_is_numpy_int32_draw(shape, buffered):
+    for seed in range(40):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        if buffered:  # a 32-bit draw leaves the high half of a 64-bit output pending
+            assert rng.integers(0, 7, dtype=np.int32) == ref.integers(0, 7, dtype=np.int32)
+            assert rng.bit_generator.state["has_uint32"] == 1
+        _assert_ternary_draw_matches(rng, ref, shape)
+        _assert_ternary_draw_matches(rng, ref, (3,))  # and the draw after it
+
+
+@pytest.mark.parametrize("shape", [(1,), (6,), (4, 5)], ids=str)
+def test_ternary_draw_on_another_bit_generator_is_numpy_int32_draw(shape):
+    rng, ref = (np.random.Generator(np.random.Philox(0)) for _ in range(2))
+    _assert_ternary_draw_matches(rng, ref, shape)
+    _assert_ternary_draw_matches(rng, ref, (3,))
+
+
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_about_to_output(low: int, high: int) -> np.random.Generator:
+    """A PCG64 generator whose next 64-bit output has these 32-bit halves.
+    PCG64 steps s -> s * MULT + inc and outputs rotr(hi(s) ^ lo(s), s >> 122)
+    of the new state; a new state with its top six bits zero does not rotate,
+    so its output is hi(s) ^ lo(s)."""
+    inc, hi = 0xDA3E39CB94B95BDB, 0x0123456789ABCDEF
+    new_state = (hi << 64) | (hi ^ (high << 32 | low))
+    state = (new_state - inc) * pow(_PCG64_MULT, -1, 2 ** 128) % 2 ** 128
+    bitgen = np.random.PCG64()
+    bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0}
+    probe = np.random.PCG64()
+    probe.state = bitgen.state
+    assert int(probe.random_raw()) == high << 32 | low
+    return np.random.Generator(bitgen)
+
+
+@pytest.mark.parametrize("low, high", [(0, 5), (5, 0)], ids=["low-zero", "high-zero"])
+@pytest.mark.parametrize("shape", [(1,), (2,), (6,), (3, 3)], ids=str)
+def test_ternary_draw_replays_numpy_past_a_zero_word(low, high, shape):
+    # numpy rejects a zero word and takes the next, so every later value moves;
+    # a zero high half left pending by a one-word draw is rejected by the next
+    rng, ref = _pcg64_about_to_output(low, high), _pcg64_about_to_output(low, high)
+    _assert_ternary_draw_matches(rng, ref, shape)
+    _assert_ternary_draw_matches(rng, ref, (5,))
+
+
+@pytest.mark.parametrize("low, high, values", [
+    (1_431_655_765, 1_431_655_766, [-1, 0]),
+    (2_863_311_530, 2_863_311_531, [0, 1]),
+    (1, 2 ** 32 - 1, [-1, 1]),
+], ids=["first-cut", "second-cut", "extremes"])
+def test_ternary_draw_maps_words_at_the_cuts(low, high, values):
+    rng, ref = _pcg64_about_to_output(low, high), _pcg64_about_to_output(low, high)
+    assert TERNARY.sampler(rng, (2,)).tolist() == values
+    assert ref.integers(-1, 2, 2, dtype=np.int32).tolist() == values
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 3), (64, 32)], ids=str)
+def test_complex_ternary_entries_are_two_numpy_int32_draws(shape):
+    # an odd entry count starts the imaginary draw on a pending half word
+    got = sample_entries(Ensemble(Field.COMPLEX, TERNARY), shape, np.random.default_rng(8))
+    rng = np.random.default_rng(8)
+    u = rng.integers(-1, 2, shape, dtype=np.int32)
+    v = rng.integers(-1, 2, shape, dtype=np.int32)
+    expected = (u + 1j * v) / math.sqrt(2.0)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
