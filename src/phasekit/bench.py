@@ -21,7 +21,6 @@ import csv
 import io
 import json
 import math
-import numbers
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
@@ -36,6 +35,7 @@ from .ensembles import (
     SeedLike,
     _checked_intensities,
     _is_int,
+    _is_real,
     moment_profile,
     sample_measurements,
 )
@@ -44,11 +44,6 @@ from .spectral import DEFAULT_POWER_ITERS, _Y, _gsi_from_Y, _si_from_Y, _sum_sq,
 
 DEFAULT_RATIOS = tuple(range(2, 21, 2))
 SPIKE_FACTOR = 200.0
-
-
-def _is_real(v) -> bool:
-    """A real number other than a bool; numpy floats and integers count."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def _python(v):

@@ -208,6 +208,11 @@ def _is_int(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def _is_real(v) -> bool:
+    """A real number other than a bool; numpy floats and integers count."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 def _inner(A: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """w_j = <a_j, z> = a_j* z for every row a_j of A, and |w_j|^2 as a new
     array. A complex w is formed as conj(A @ conj(z)), so A is never copied."""

@@ -18,7 +18,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .ensembles import MeasurementSet, _checked_intensities, _inner, _is_int, _norm, _vector
+from .ensembles import (MeasurementSet, _checked_intensities, _inner, _is_int, _is_real, _norm,
+                        _vector)
 
 DEFAULT_MAX_ITERS = 2000
 # the descent stops once ||g(z)|| <= GRAD_NORM_TOL * ||z||^3; the gradient is
@@ -33,8 +34,8 @@ class FixedStep:
     mu: float
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError(f"fixed step size must be positive, got {self.mu}")
+        if not (_is_real(self.mu) and math.isfinite(self.mu) and self.mu > 0):
+            raise ValueError(f"'mu' must be a finite number > 0, got {self.mu!r}")
 
 
 @dataclass(frozen=True)
@@ -54,15 +55,21 @@ class SolveStatus(Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Descent settings. `max_iters`, an integer >= 1, caps the updates."""
+    """Descent settings. `max_iters`, an integer >= 1, caps the updates;
+    `trace`, a bool, keeps every iterate in `SolveReport.iterates`."""
 
     step_mode: StepMode = field(default_factory=BarzilaiBorwein)
     max_iters: int = DEFAULT_MAX_ITERS
     trace: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.step_mode, (FixedStep, BarzilaiBorwein)):
+            raise ValueError(
+                f"'step_mode' must be a FixedStep or BarzilaiBorwein, got {self.step_mode!r}")
         if not (_is_int(self.max_iters) and self.max_iters >= 1):
             raise ValueError(f"'max_iters' must be an integer >= 1, got {self.max_iters!r}")
+        if not isinstance(self.trace, bool):
+            raise ValueError(f"'trace' must be a bool, got {self.trace!r}")
 
 
 @dataclass(frozen=True)
@@ -71,14 +78,12 @@ class AlignedDistance:
     value: float   # min over theta of ||z - x e^{i theta}||
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveReport:
     final_z: np.ndarray
     iterations: int
     status: SolveStatus
-    objectives: Optional[list] = None
-    grad_norms: Optional[list] = None
-    rel_errors: Optional[list] = None
+    iterates: Optional[list] = None   # z_0 .. z_iterations when traced
 
 
 def _gradient(A: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -145,7 +150,6 @@ def solve(
     y: np.ndarray,
     z0: np.ndarray,
     config: SolverConfig = SolverConfig(),
-    ground_truth: Optional[np.ndarray] = None,
 ) -> SolveReport:
     """Gradient descent z_{k+1} = z_k - xi_k g(z_k) from z0.
 
@@ -159,17 +163,15 @@ def solve(
     last finite iterate, as does the infinite step from a z0 whose ||z0||^2
     underflows to 0. `z0` must be finite, of shape (d,) and real for real
     rows; `y` finite, nonnegative and of shape (N,).
+    With `config.trace`, `iterates` lists z_0 (a copy of z0) to z_K, K =
+    `iterations`, so `iterates[-1] is final_z`; measure them with `objective`,
+    `gradient` or `dist`. Without it, `iterates` is None.
     """
     z = _vector(z0, mset.d, mset.field.dtype, "z0", nonzero=False).copy()
     y = _checked_intensities(mset, y)
 
     A = mset.vectors
-    trace = config.trace
-    objectives = [] if trace else None
-    grad_norms = [] if trace else None
-    rel_errors = [] if (trace and ground_truth is not None) else None
-    if rel_errors is not None:
-        x_norm = float(np.linalg.norm(ground_truth))
+    iterates = [] if config.trace else None
 
     g = _gradient(A, y, z)
     gnorm = _norm(g)
@@ -182,11 +184,8 @@ def solve(
     z_prev = None
     g_prev = None
     while True:
-        if trace:
-            objectives.append(objective(z, mset, y))
-            grad_norms.append(gnorm)
-            if rel_errors is not None:
-                rel_errors.append(dist(z, ground_truth) / x_norm if x_norm else float("nan"))
+        if iterates is not None:
+            iterates.append(z)
         if not math.isfinite(gnorm):
             status = SolveStatus.NON_FINITE
             break
@@ -214,4 +213,4 @@ def solve(
         gnorm = _norm(g)
         iterations += 1
 
-    return SolveReport(z, iterations, status, objectives, grad_norms, rel_errors)
+    return SolveReport(z, iterations, status, iterates)

@@ -114,11 +114,15 @@ def power_method(
     not enough, as when the top two eigenvalues are close or of opposite sign
     with equal modulus; `InitResult.residual` carries it out of `gsi` and
     `baseline_si`.
-    Raises ValueError when a product has a norm outside (0, inf): M is zero,
-    not finite, or so small or large that ||M v||^2 underflows or overflows.
+    Raises ValueError when M is not a square matrix, and when a product has a
+    norm outside (0, inf): M is zero, not finite, or so small or large that
+    ||M v||^2 underflows or overflows.
     """
     if not (_is_int(iters) and iters >= 1):
         raise ValueError(f"iters must be an integer >= 1, got {iters!r}")
+    M = np.asarray(M)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"M must be a square matrix, got shape {M.shape}")
     rng = np.random.default_rng(seed)
     d = M.shape[0]
     v = rng.standard_normal(d)
@@ -133,14 +137,8 @@ def power_method(
                              "finite and nonzero, with ||M v||^2 within float range")
         v = Mv / nw
         Mv = M @ v
-    lam, residual = _rayleigh(v, Mv)
-    return lam, v, residual
-
-
-def _rayleigh(v: np.ndarray, Mv: np.ndarray) -> tuple[float, float]:
-    """lam = v* M v and ||M v - lam v|| for a unit v, given M v."""
     lam = float(np.vdot(v, Mv).real)
-    return lam, _norm(Mv - lam * v)
+    return lam, v, _norm(Mv - lam * v)
 
 
 def _gsi_from_Y(Y: np.ndarray, y: np.ndarray, profile: MomentProfile,

@@ -9,6 +9,7 @@ specification of the bits; do not "simplify" them.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -51,11 +52,6 @@ def _ref_inner(A, z):
     return w, w * w
 
 
-def _ref_objective(z, mset, y):
-    r = _ref_inner(mset.vectors, z)[1] - y
-    return float(np.sum(r ** 2)) / (2.0 * mset.N)
-
-
 def _ref_gradient(z, mset, y):
     w, w_abs2 = _ref_inner(mset.vectors, z)
     return ((w_abs2 - y) * w @ mset.vectors) / mset.N
@@ -71,24 +67,14 @@ def _ref_bb_step(s, g, fallback):
     return num / gg
 
 
-def reference_solve(mset, y, z0, config=SolverConfig(), ground_truth=None):
+def reference_solve(mset, y, z0, config=SolverConfig()):
     if mset.field is Field.COMPLEX:
         z = np.asarray(z0, dtype=np.complex128).copy()
     else:
         z = np.asarray(z0, dtype=np.float64).copy()
     y = np.asarray(y, dtype=np.float64)
 
-    x_norm = float(np.linalg.norm(ground_truth)) if ground_truth is not None else None
-    objectives = [] if config.trace else None
-    grad_norms = [] if config.trace else None
-    rel_errors = [] if (config.trace and ground_truth is not None) else None
-
-    def record(zk, gnorm):
-        if config.trace:
-            objectives.append(_ref_objective(zk, mset, y))
-            grad_norms.append(gnorm)
-            if rel_errors is not None:
-                rel_errors.append(dist(zk, ground_truth) / x_norm if x_norm else float("nan"))
+    iterates = [] if config.trace else None
 
     bb = isinstance(config.step_mode, BarzilaiBorwein)
     g = _ref_gradient(z, mset, y)
@@ -102,7 +88,8 @@ def reference_solve(mset, y, z0, config=SolverConfig(), ground_truth=None):
     z_prev = None
     g_prev = None
     while True:
-        record(z, gnorm)
+        if iterates is not None:
+            iterates.append(z.copy())
         if not math.isfinite(gnorm):
             status = SolveStatus.NON_FINITE
             break
@@ -128,7 +115,7 @@ def reference_solve(mset, y, z0, config=SolverConfig(), ground_truth=None):
         gnorm = float(np.linalg.norm(g))
         iterations += 1
 
-    return SolveReport(z, iterations, status, objectives, grad_norms, rel_errors)
+    return SolveReport(z, iterations, status, iterates)
 
 
 def reference_power_method(M, iters=50, seed=0, residual_tol=None):
@@ -161,12 +148,19 @@ def _assert_same_report(got, ref):
     assert got.final_z.tobytes() == ref.final_z.tobytes()
     assert got.iterations == ref.iterations
     assert got.status is ref.status
-    # trace lists compare bitwise, so nan entries must match too
-    for a, b in ((got.objectives, ref.objectives), (got.grad_norms, ref.grad_norms),
-                 (got.rel_errors, ref.rel_errors)):
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert np.array(a).tobytes() == np.array(b).tobytes()
+    assert (got.iterates is None) == (ref.iterates is None)
+    if got.iterates is not None:
+        # the trace holds the loop's own arrays, the last of them final_z
+        assert len(got.iterates) == got.iterations + 1 and got.iterates[-1] is got.final_z
+        assert ([(z.dtype, z.tobytes()) for z in got.iterates]
+                == [(z.dtype, z.tobytes()) for z in ref.iterates])
+
+
+def _assert_untraced_run_ends_alike(mset, y, z0, cfg, got):
+    off = solve(mset, y, z0, replace(cfg, trace=False))
+    assert off.iterates is None
+    assert off.final_z.tobytes() == got.final_z.tobytes()
+    assert (off.iterations, off.status) == (got.iterations, got.status)
 
 
 def _problem(field, entry, ratio, d=24, seed=0):
@@ -184,13 +178,12 @@ def _problem(field, entry, ratio, d=24, seed=0):
 @pytest.mark.parametrize("step", [BarzilaiBorwein(), FixedStep(0.2)])
 @pytest.mark.parametrize("trace", [False, True])
 def test_solve_matches_reference(field, entry, ratio, step, trace):
-    mset, y, z0, x = _problem(field, entry, ratio)
+    mset, y, z0, _ = _problem(field, entry, ratio)
     cfg = SolverConfig(step_mode=step, max_iters=300, trace=trace)
-    got = solve(mset, y, z0, cfg, ground_truth=x)
-    _assert_same_report(got, reference_solve(mset, y, z0, cfg, ground_truth=x))
+    got = solve(mset, y, z0, cfg)
+    _assert_same_report(got, reference_solve(mset, y, z0, cfg))
     if trace:
-        _assert_same_report(solve(mset, y, z0, cfg),
-                            reference_solve(mset, y, z0, cfg))
+        _assert_untraced_run_ends_alike(mset, y, z0, cfg, got)
 
 
 def test_solve_matches_reference_max_iters():
@@ -199,6 +192,7 @@ def test_solve_matches_reference_max_iters():
     got = solve(mset, y, z0, cfg)
     assert got.status is SolveStatus.MAX_ITERS and got.iterations == 7
     _assert_same_report(got, reference_solve(mset, y, z0, cfg))
+    _assert_untraced_run_ends_alike(mset, y, z0, cfg, got)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -214,6 +208,7 @@ def test_solve_matches_reference_non_finite(field, mu, iterations):
     assert got.status is SolveStatus.NON_FINITE and got.iterations == iterations
     assert np.all(np.isfinite(got.final_z))
     _assert_same_report(got, reference_solve(mset, y, z0, cfg))
+    _assert_untraced_run_ends_alike(mset, y, z0, cfg, got)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

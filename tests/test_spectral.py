@@ -310,6 +310,14 @@ def test_power_method_rejects_bad_step_count(iters):
         baseline_si(ms, y, power_iters=iters)
 
 
+@pytest.mark.parametrize("M", [np.ones(3), np.ones((2, 3)), np.ones((2, 2, 2)), np.float64(2.0)],
+                         ids=["1-D", "2x3", "3-D", "scalar"])
+def test_power_method_rejects_input_that_is_not_a_square_matrix(M):
+    # a 1-D array raised AttributeError and a 2x3 matrix a numpy shape error
+    with pytest.raises(ValueError, match="square"):
+        power_method(M)
+
+
 def test_power_method_takes_numpy_integer_step_counts():
     H = np.diag([3.0, 1.0])
     assert power_method(H, iters=np.int64(7), seed=0)[0] == power_method(H, iters=7, seed=0)[0]
