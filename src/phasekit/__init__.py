@@ -44,9 +44,6 @@ from .verify import (
     hermitian_opnorm,
     mc_F_residual,
     mc_condition_residual,
-    mc_scalar_identities,
-    project_admissible,
-    scalar_identity_expectations,
 )
 from .bench import (
     ExperimentConfig,

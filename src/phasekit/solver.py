@@ -86,6 +86,11 @@ class SolveReport:
     iterates: Optional[list] = None   # z_0 .. z_iterations when traced
 
 
+def _ldexp(v: np.ndarray, e: int) -> np.ndarray:
+    """v * 2^e for a float64 or complex128 v, a new array."""
+    return np.ldexp(v.view(np.float64), e).view(v.dtype)
+
+
 def _gradient(A: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     """g(z) without input checks: the kernel of `gradient` and `solve`."""
     w, r = _inner(A, z)
@@ -114,13 +119,13 @@ def phase_align(z: np.ndarray, x: np.ndarray) -> AlignedDistance:
     """theta minimizing ||z - x e^{i theta}|| and the minimal value.
 
     Complex inputs: theta = arg(x* z); real inputs: theta in {0, pi}.
-    If x* z = 0 the angle is defined as 0."""
-    z = np.asarray(z)
-    x = np.asarray(x)
-    if z.shape != x.shape:
-        raise ValueError(f"shape mismatch {z.shape} vs {x.shape}")
+    If x* z = 0 the angle is defined as 0. `z` and `x` must be finite 1-D
+    arrays of one length; both are taken as complex if either is."""
+    dtype = np.complex128 if np.iscomplexobj(z) or np.iscomplexobj(x) else np.float64
+    z = _vector(z, None, dtype, "z", nonzero=False)
+    x = _vector(x, z.shape[0], dtype, "x", nonzero=False)
     c = np.vdot(x, z)  # x* z
-    if np.iscomplexobj(z) or np.iscomplexobj(x):
+    if dtype is np.complex128:
         theta = cmath.phase(c) % (2.0 * math.pi) if c != 0 else 0.0
         value = np.linalg.norm(z - x * cmath.exp(1j * theta))
     else:
@@ -130,7 +135,7 @@ def phase_align(z: np.ndarray, x: np.ndarray) -> AlignedDistance:
 
 
 def dist(z: np.ndarray, x: np.ndarray) -> float:
-    """Phase-invariant distance min_theta ||z - x e^{i theta}||."""
+    """Phase-invariant distance min_theta ||z - x e^{i theta}||; see `phase_align`."""
     return phase_align(z, x).value
 
 
@@ -159,16 +164,22 @@ def solve(
     s_k = z_k - z_{k-1}, or mu = 0.1 first and for a degenerate quotient.
     Stops with GRAD_TOLERANCE_MET once ||g|| <= GRAD_NORM_TOL * ||z||^3 (a
     relative tolerance), or with MAX_ITERS after `config.max_iters` updates.
-    A non-finite iterate or gradient aborts with NON_FINITE and the
-    last finite iterate, as does the infinite step from a z0 whose ||z0||^2
-    underflows to 0. `z0` must be finite, of shape (d,) and real for real
-    rows; `y` finite, nonnegative and of shape (N,).
+    The loop runs on z0 * 2^-e and y * 2^-2e, 2^e just above z0's largest
+    entry, so no squared norm underflows or overflows; scaling iterates back by
+    2^e is exact, so a power-of-two rescaling changes no bit of the run. An
+    iterate not finite at the caller's scale, or a non-finite gradient, aborts
+    with NON_FINITE and the last finite iterate. `z0` must be finite, of shape
+    (d,) and real for real rows; `y` finite, nonnegative and of shape (N,).
     With `config.trace`, `iterates` lists z_0 (a copy of z0) to z_K, K =
     `iterations`, so `iterates[-1] is final_z`; measure them with `objective`,
     `gradient` or `dist`. Without it, `iterates` is None.
     """
-    z = _vector(z0, mset.d, mset.field.dtype, "z0", nonzero=False).copy()
-    y = _checked_intensities(mset, y)
+    z = np.ascontiguousarray(_vector(z0, mset.d, mset.field.dtype, "z0", nonzero=False))
+    e = math.frexp(float(np.max(np.abs(z.view(np.float64)))))[1]
+    z = _ldexp(z, -e)
+    y = np.ldexp(_checked_intensities(mset, y), -2 * e)
+    # an iterate is finite at the caller's scale iff its entries are below this
+    zmax = math.ldexp(1.0, 1024 - e) if e > 0 else math.inf
 
     A = mset.vectors
     iterates = [] if config.trace else None
@@ -197,14 +208,14 @@ def solve(
             status = SolveStatus.MAX_ITERS
             break
         if z_prev is None:  # z0 = 0 has stopped above
-            xi = step = mu / (znorm * znorm) if znorm else math.inf
+            xi = step = mu / (znorm * znorm)
         elif bb:
             xi = bb_step(z - z_prev, g - g_prev, step)
         z_new = z - xi * g
-        # a finite ||z_new|| proves every entry finite; only an inf or nan
-        # norm, which finite entries can also overflow to, needs the full test
+        # ||z_new|| < zmax proves every entry below it; only a larger or nan
+        # norm, which smaller entries can also overflow to, needs the full test
         znorm = _norm(z_new)
-        if not math.isfinite(znorm) and not np.all(np.isfinite(z_new)):
+        if not znorm < zmax and not np.all(np.abs(z_new.view(np.float64)) < zmax):
             status = SolveStatus.NON_FINITE
             break
         z_prev, g_prev = z, g
@@ -213,4 +224,6 @@ def solve(
         gnorm = _norm(g)
         iterations += 1
 
-    return SolveReport(z, iterations, status, iterates)
+    if iterates is not None:
+        iterates = [_ldexp(v, e) for v in iterates]
+    return SolveReport(iterates[-1] if iterates else _ldexp(z, e), iterations, status, iterates)

@@ -5,6 +5,10 @@ moment profiles in :mod:`phasekit.ensembles`: each one averages raw samples
 of the relevant statistic and compares against the claimed expectation.
 Tolerances are statistical: 5x a standard-error estimate from the spread of
 20 equal chunk means (batch means), never fixed absolute numbers.
+
+The curvature analysis's scalar expectations E(Re^2(h* A x)), E(Re(h* A x)
+h* A h) and E((h* A h)^2) are quadratic forms of condition II's matrix and of
+the F block, so a law that passes the two matrix oracles has them too.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .ensembles import (
     SeedLike,
     _gram,
     _inner,
+    _is_int,
     _vector,
     moment_profile,
     sample_entries,
@@ -94,8 +99,8 @@ def _sample_chunks(ensemble: Ensemble, x, d: Optional[int], n_samples: int, seed
     measurement rows of x's dimension, drawn one block at a time from one
     generator."""
     x = _vector(x, d, ensemble.field.dtype)
-    if n_samples < 10_000:
-        raise ValueError("need n_samples >= 10000 for a meaningful check")
+    if not (_is_int(n_samples) and n_samples >= 10_000):
+        raise ValueError(f"need an integer n_samples >= 10000, got {n_samples!r}")
     rng = np.random.default_rng(seed)
     m = n_samples // DEFAULT_CHUNKS
     chunks = (sample_entries(ensemble, (m, x.shape[0]), rng) for _ in range(DEFAULT_CHUNKS))
@@ -150,12 +155,9 @@ def mc_condition_residual(
 
 def f_block_expectation(profile: MomentProfile, x: np.ndarray) -> np.ndarray:
     """Expected 2d x 2d block matrix of the stacked (A x, conj(A x)) outer
-    products for a complex-field ensemble."""
-    d = x.shape[0]
-    I = np.eye(d)
-    nx2 = float(np.vdot(x, x).real)
-    B11 = profile.tau3 * nx2 * I + profile.tau2 * np.outer(x, x.conj()) \
-        + profile.tau4 * np.diag(np.abs(x) ** 2)
+    products for a complex-field ensemble. Its upper-left block is
+    condition II's E((x* A x) A), `condition_expectation(profile, x)`."""
+    B11 = condition_expectation(profile, x)
     B12 = (profile.tau2 + profile.tau3) * np.outer(x, x) + profile.tau4 * np.diag(x ** 2)
     return np.block([[B11, B12], [B12.conj(), B11.conj()]])
 
@@ -168,7 +170,8 @@ def mc_F_residual(
     profile: Optional[MomentProfile] = None,
 ) -> ResidualReport:
     """Check the block expectation of (1/n) sum [w; conj(w)][w; conj(w)]*
-    with w = A_j x, for complex ensembles only."""
+    with w = A_j x, for complex ensembles only; its upper-left block is the
+    condition-II statistic that `mc_condition_residual` samples."""
     if ensemble.field is not Field.COMPLEX:
         raise ValueError("mc_F_residual requires a complex-field ensemble; "
                          "use mc_condition_residual for real fields")
@@ -183,70 +186,6 @@ def mc_F_residual(
         f_chunks.append(np.block([[B11, B12], [B12.conj().T, B11.conj()]]))
     return _matrix_check("stacked-block-identity", f_chunks,
                          f_block_expectation(profile, x), DEFAULT_CHUNKS * m)
-
-
-def scalar_identity_expectations(profile: MomentProfile, x: np.ndarray, h: np.ndarray) -> tuple:
-    """Closed forms of E(Re^2(h*Ax)), E(Re(h*Ax) h*Ah), E((h*Ah)^2) for
-    unit-norm x, h with real h*x."""
-    re_xh = float(np.real(np.vdot(x, h)))
-    dx2h = float(np.real(np.vdot(h, (np.abs(x) ** 2) * h)))
-    hx2h = complex(np.sum((x ** 2) * (h.conj() ** 2)))  # h* D(x^2) conj(h)
-    e1 = profile.tau3 / 2.0 + (profile.tau2 + profile.tau3 / 2.0) * re_xh ** 2 \
-        + (profile.tau4 / 2.0) * (dx2h + hx2h.real)
-    e2 = (profile.tau2 + profile.tau3) * re_xh \
-        + profile.tau4 * float(np.real(np.vdot(x, (np.abs(h) ** 2) * h)))
-    e3 = (profile.tau2 + profile.tau3) + profile.tau4 * float(np.sum(np.abs(h) ** 4))
-    return e1, e2, e3
-
-
-def project_admissible(x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Rotate h's global phase so that h* x is real and nonnegative."""
-    c = np.vdot(h, x)  # h* x
-    if c == 0:
-        return h
-    return h * (c / abs(c))
-
-
-def mc_scalar_identities(
-    ensemble: Ensemble,
-    x: np.ndarray,
-    h: np.ndarray,
-    n_samples: int = 1_000_000,
-    seed: SeedLike = 0,
-    profile: Optional[MomentProfile] = None,
-) -> ResidualReport:
-    """Check the three scalar expectations behind the curvature analysis.
-
-    Requires ||x|| = ||h|| = 1; h is phase-projected to make h* x real.
-    The report's residual is the largest of the three deviations measured in
-    units of its own 5x-stderr tolerance (so tolerance is normalized to 1).
-    """
-    x, profile, m, chunks = _sample_chunks(ensemble, x, None, n_samples, seed, profile)
-    h = _vector(h, x.shape[0], ensemble.field.dtype, "h")
-    if abs(np.linalg.norm(x) - 1.0) > 1e-9 or abs(np.linalg.norm(h) - 1.0) > 1e-9:
-        raise ValueError("x and h must be unit norm")
-    h = project_admissible(x, h)
-    if abs(float(np.imag(np.vdot(h, x)))) > 1e-9:
-        raise ValueError("h* x must be real after phase projection")
-
-    means = np.zeros((DEFAULT_CHUNKS, 3))
-    for c, A in enumerate(chunks):
-        wh, q = _inner(A, h)                    # <a_j, h> and h* A h >= 0
-        t = (wh.conj() * _inner(A, x)[0]).real  # Re(h* A x)
-        means[c] = [np.mean(t ** 2), np.mean(t * q), np.mean(q ** 2)]
-    overall = means.mean(axis=0)
-    stderr = means.std(axis=0, ddof=1) / math.sqrt(DEFAULT_CHUNKS)
-
-    expected = np.array(scalar_identity_expectations(profile, x, h))
-    devs = np.abs(overall - expected)
-    tols = 5.0 * np.maximum(stderr, 1e-300)
-    names = ("E(Re^2(h*Ax))", "E(Re(h*Ax) h*Ah)", "E((h*Ah)^2)")
-    comps = tuple(
-        ResidualReport(n, DEFAULT_CHUNKS * m, float(dv), float(tl))
-        for n, dv, tl in zip(names, devs, tols)
-    )
-    worst = float(np.max(devs / tols))
-    return ResidualReport("scalar-identities", DEFAULT_CHUNKS * m, worst, 1.0, comps)
 
 
 @dataclass(frozen=True)
@@ -275,14 +214,15 @@ def concentration_curve(
     over seeded trials, per measurement count N.
 
     Reference expectations use the analytic profile with the exact ||x||:
-    E(Y) = tau2 ||x||^2 I + tau3 x x* + tau4 diag(|x_i|^2) and
-    E(M) = tau2 ||x||^2 I + tau3 x x*.
+    E(Y) = `condition_expectation(profile, x)`, E(M) = tau2 ||x||^2 I + tau3 x x*.
     Trial (ni, t) draws from the seed's SeedSequence with (ni, t) appended to
     its spawn key; a Generator seed supplies the entropy by one draw of its
     stream.
     """
-    if trials < 20:
-        raise ValueError("need trials >= 20")
+    if not (_is_int(trials) and trials >= 20):
+        raise ValueError(f"need an integer trials >= 20, got {trials!r}")
+    if not all(_is_int(N) and N >= 1 for N in N_grid):
+        raise ValueError(f"N_grid entries must be integers >= 1, got {list(N_grid)!r}")
     profile = moment_profile(ensemble)
     x = _vector(x, d, ensemble.field.dtype, nonzero=False)
     nx2 = float(np.vdot(x, x).real)

@@ -154,6 +154,27 @@ def test_dist_shape_mismatch():
         dist(np.zeros(3), np.zeros(4))
 
 
+@pytest.mark.parametrize("call", [phase_align, dist])
+@pytest.mark.parametrize("z, x, match", [
+    ([math.nan, 1.0], [1.0, 0.0], "z must be finite"),
+    ([1.0, 0.0], [1.0, math.inf], "x must be finite"),
+    ([1.0, 0.0], [1j, math.nan], "x must be finite"),
+    (np.ones((2, 2)), np.ones((2, 2)), "z must have shape"),
+    (np.ones(2), np.ones((2, 1)), "x must have shape"),
+    (np.ones(2), np.ones(3), "x must have shape"),
+], ids=["nan-z", "inf-x", "nan-complex-x", "matrices", "column-x", "long-x"])
+def test_phase_align_and_dist_reject_bad_vectors(call, z, x, match):
+    with pytest.raises(ValueError, match=match):
+        call(np.asarray(z), np.asarray(x))
+
+
+def test_phase_align_takes_complex_when_either_input_is():
+    x = np.array([1.0, 2.0])
+    a = phase_align(1j * x, x)
+    assert a.theta == pytest.approx(math.pi / 2) and a.value == pytest.approx(0.0, abs=1e-15)
+    assert dist(x, 1j * x) == pytest.approx(0.0, abs=1e-15)
+
+
 def test_bb_step_hand_cases():
     s = np.array([2.0, 0.0])
     g = np.array([1.0, 0.0])
@@ -279,8 +300,8 @@ def test_solve_from_zero_stops_before_forming_a_step(step, field):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("step", [BarzilaiBorwein(), FixedStep(0.2)])
 def test_solve_from_z0_whose_square_underflows_stops_non_finite(step):
-    # ||z0||^2 = 0 in floating point while g(z0) != 0: the step would be
-    # infinite, so the descent stops NON_FINITE on z0 instead of dividing by 0
+    # ||z0||^2 = 0 in floating point while g(z0) != 0: y rescaled to z0's
+    # scale overflows, so the descent stops NON_FINITE on z0
     ms = sample_measurements(TERNARY_REAL, 40, 5, seed=14)
     y = measure(ms, 1e10 * generate_signal(5, seed=14))
     z0 = np.full(5, 1e-170)
@@ -333,19 +354,55 @@ def test_complex_gradient_matches_reference_without_copying_vectors():
     assert peak < ms.vectors.nbytes / 8
 
 
-@pytest.mark.parametrize("c", [1e-3, 1e-2, 1e3])
-def test_solve_stopping_rule_is_scale_invariant(c):
-    # g(c z; c^2 y) = c^3 g(z; y), and every step, mu / ||z0||^2 or a BB
-    # quotient, scales by c^-2, so the whole run is the same up to rounding
-    ms = sample_measurements(TERNARY_REAL, 192, 32, seed=0)
+def _scale_problem(field=Field.REAL):
+    """d = 32, N = 6d, ternary rows, z0 at 5% relative error from x."""
+    ms = sample_measurements(Ensemble(field, TERNARY), 192, 32, seed=0)
     rng = np.random.default_rng(0)
     x = rng.standard_normal(32)
     u = rng.standard_normal(32)
+    if field is Field.COMPLEX:
+        x = x + 1j * rng.standard_normal(32)
+        u = u + 1j * rng.standard_normal(32)
     z0 = x + 0.05 * np.linalg.norm(x) * u / np.linalg.norm(u)
-    y = measure(ms, x)
+    return ms, measure(ms, x), z0
+
+
+@pytest.mark.parametrize("c", [1e-3, 1e-2, 1e3, 1e-60, 1e-55, 1e55, 1e60])
+def test_solve_stopping_rule_is_scale_invariant(c):
+    # g(c z; c^2 y) = c^3 g(z; y), and every step, mu / ||z0||^2 or a BB
+    # quotient, scales by c^-2, so the whole run is the same up to rounding;
+    # far from 1, ||g||^2 would underflow or overflow without solve's rescaling
+    ms, y, z0 = _scale_problem()
     ref, scaled = solve(ms, y, z0), solve(ms, c ** 2 * y, c * z0)
     assert ref.status is SolveStatus.GRAD_TOLERANCE_MET
     assert (scaled.iterations, scaled.status) == (ref.iterations, ref.status)
+
+
+def _ldexp(v, k):
+    """v * 2^k, exactly, for a real or complex array."""
+    return np.ldexp(v.view(np.float64), k).view(v.dtype)
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+@pytest.mark.parametrize("k", [-240, -180, 180, 240])
+def test_solve_commutes_with_power_of_two_scaling(k, field):
+    # a power-of-two rescaling of the problem rescales the run bit for bit
+    ms, y, z0 = _scale_problem(field)
+    y_given = y.copy()
+    cfg = SolverConfig(trace=True)
+    ref, got = solve(ms, y, z0, cfg), solve(ms, _ldexp(y, 2 * k), _ldexp(z0, k), cfg)
+    assert ref.status is SolveStatus.GRAD_TOLERANCE_MET
+    assert (got.iterations, got.status) == (ref.iterations, ref.status)
+    assert got.iterates[-1] is got.final_z
+    assert [z.tobytes() for z in got.iterates] == [_ldexp(z, k).tobytes() for z in ref.iterates]
+    assert np.array_equal(y, y_given)  # solve never writes to the caller's y
+
+
+def test_solve_takes_a_strided_complex_z0():
+    # the rescaling reads z0 through its float64 view, which needs contiguity
+    ms, y, z0 = _scale_problem(Field.COMPLEX)
+    strided = np.repeat(z0, 2)[::2]
+    assert solve(ms, y, strided).final_z.tobytes() == solve(ms, y, z0).final_z.tobytes()
 
 
 def test_complex_ternary_trial_converges_before_max_iters():

@@ -17,10 +17,7 @@ from phasekit import (
     hermitian_opnorm,
     mc_F_residual,
     mc_condition_residual,
-    mc_scalar_identities,
     moment_profile,
-    project_admissible,
-    scalar_identity_expectations,
 )
 from phasekit.ensembles import sample_entries
 from phasekit.verify import DEFAULT_CHUNKS, _noise_scale
@@ -64,9 +61,8 @@ def test_condition_residual_passes(ens):
 @pytest.mark.parametrize("oracle", [
     lambda ens, x, n: mc_condition_residual(ens, 3, x, n_samples=n),
     lambda ens, x, n: mc_F_residual(ens, x, n_samples=n),
-    lambda ens, x, n: mc_scalar_identities(ens, x, x, n_samples=n),
-], ids=["condition", "F", "scalar"])
-@pytest.mark.parametrize("n_samples", [10, 9_999])
+], ids=["condition", "F"])
+@pytest.mark.parametrize("n_samples", [10, 9_999, 20_000.5, np.float64(2e4)])
 def test_oracles_reject_too_few_samples(oracle, n_samples):
     ens = Ensemble(Field.COMPLEX, TERNARY)
     with pytest.raises(ValueError, match="n_samples >= 10000"):
@@ -81,8 +77,9 @@ def test_f_residual_rejects_zero_signal():
 def test_condition_residual_detects_wrong_tau():
     ens = Ensemble(Field.REAL, TERNARY)
     good = moment_profile(ens)
-    for delta in (0.1, -0.1):
-        bad = MomentProfile(good.tau1, good.tau2, good.tau3, good.tau4 + delta)
+    for bad in (MomentProfile(good.tau1, good.tau2, good.tau3, good.tau4 + 0.1),
+                MomentProfile(good.tau1, good.tau2, good.tau3, good.tau4 - 0.1),
+                MomentProfile(good.tau1, good.tau2, good.tau3 + 0.2, good.tau4)):
         rep = mc_condition_residual(ens, 6, unit_vector(6, ens.field, seed=1),
                                     n_samples=200_000, seed=3, profile=bad)
         assert not rep.passed
@@ -132,6 +129,17 @@ def test_f_block_zero_signal():
     assert np.array_equal(F, np.zeros((6, 6)))
 
 
+def test_f_block_upper_left_is_condition_ii():
+    # one closed form for E(|a* x|^2 a a*), also where tau2 != tau3
+    p = MomentProfile(1.0, 1.3, 0.7, 0.0)
+    x = np.array([1.0, 1.0j]) / math.sqrt(2.0)
+    assert np.array_equal(f_block_expectation(p, x)[:2, :2], condition_expectation(p, x))
+    for entries in (GAUSSIAN, UNIFORM, TERNARY):
+        p = moment_profile(Ensemble(Field.COMPLEX, entries))
+        x = unit_vector(4, Field.COMPLEX, seed=6)
+        assert np.array_equal(f_block_expectation(p, x)[:4, :4], condition_expectation(p, x))
+
+
 def test_f_block_structure():
     p = moment_profile(Ensemble(Field.COMPLEX, GAUSSIAN))
     x = unit_vector(4, Field.COMPLEX, seed=6)
@@ -141,62 +149,6 @@ def test_f_block_structure():
     assert np.max(np.abs(F - F.conj().T)) < 1e-14
     # lower-right block is the conjugate of the upper-left one
     assert np.allclose(F[d:, d:], F[:d, :d].conj())
-
-
-def test_project_admissible():
-    rng = np.random.default_rng(7)
-    x = unit_vector(5, Field.COMPLEX, seed=7)
-    h = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    h2 = project_admissible(x, h)
-    c = np.vdot(h2, x)
-    assert abs(c.imag) < 1e-14
-    assert c.real >= 0
-    assert np.linalg.norm(h2) == pytest.approx(np.linalg.norm(h))
-    # already-admissible input is unchanged
-    assert np.array_equal(project_admissible(x, np.zeros(5, dtype=complex)),
-                          np.zeros(5, dtype=complex))
-
-
-def test_scalar_identities_hand_case_h_equals_x():
-    # h = x = e1, real ternary: e1 = tau3/2 + tau2 + tau3/2 + tau4 = tau2 + tau3 + tau4,
-    # e2 = tau2 + tau3 + tau4, e3 = tau2 + tau3 + tau4
-    p = moment_profile(Ensemble(Field.REAL, TERNARY))
-    x = np.array([1.0, 0.0])
-    e1, e2, e3 = scalar_identity_expectations(p, x, x)
-    total = p.tau2 + p.tau3 + p.tau4
-    assert e1 == pytest.approx(total)
-    assert e2 == pytest.approx(total)
-    assert e3 == pytest.approx(total)
-
-
-def test_scalar_identities_orthogonal_h():
-    # x = e1, h = e2: e1 = tau3/2, e2 = 0, e3 = tau2 + tau3 + tau4
-    p = moment_profile(Ensemble(Field.REAL, UNIFORM))
-    x = np.array([1.0, 0.0])
-    h = np.array([0.0, 1.0])
-    e1, e2, e3 = scalar_identity_expectations(p, x, h)
-    assert e1 == pytest.approx(p.tau3 / 2.0)
-    assert e2 == pytest.approx(0.0)
-    assert e3 == pytest.approx(p.tau2 + p.tau3 + p.tau4)
-
-
-@pytest.mark.parametrize("ens", ALL_ENSEMBLES, ids=str)
-def test_scalar_identities_mc(ens):
-    x = unit_vector(4, ens.field, seed=8)
-    h = project_admissible(x, unit_vector(4, ens.field, seed=9))
-    rep = mc_scalar_identities(ens, x, h, n_samples=200_000, seed=10)
-    assert rep.passed, f"{rep.residual} > {rep.tolerance}"
-    assert len(rep.components) == 3
-
-
-def test_scalar_identities_detect_bad_profile():
-    ens = Ensemble(Field.REAL, TERNARY)
-    good = moment_profile(ens)
-    bad = MomentProfile(good.tau1, good.tau2, good.tau3 + 0.2, good.tau4)
-    x = unit_vector(4, Field.REAL, seed=8)
-    h = unit_vector(4, Field.REAL, seed=9)
-    rep = mc_scalar_identities(ens, x, h, n_samples=200_000, seed=10, profile=bad)
-    assert not rep.passed
 
 
 def test_concentration_curve_shrinks():
@@ -242,6 +194,17 @@ def test_concentration_curve_keeps_the_spawn_key():
     assert unkeyed not in (key1, key2)
     assert unkeyed == rows(0)
     assert key1 == rows(np.random.SeedSequence(0).spawn(2)[1])
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(trials=20.5), "trials"), (dict(trials=np.float64(20)), "trials"),
+    (dict(N_grid=[16.5]), "N_grid"), (dict(N_grid=[16, 0]), "N_grid"),
+    (dict(N_grid=[np.float64(16)]), "N_grid"),
+])
+def test_concentration_curve_rejects_non_integer_counts(kwargs, name):
+    args = dict(N_grid=[16], trials=20) | kwargs
+    with pytest.raises(ValueError, match=name):
+        concentration_curve(_REAL, 3, _REAL_X3, **args)
 
 
 def test_concentration_curve_zero_signal():
@@ -322,18 +285,6 @@ def _ref_f_chunks(ens, x, n_samples, seed):
     return f_chunks
 
 
-def _ref_scalar_means(ens, x, h, n_samples, seed):
-    rng = np.random.default_rng(seed)
-    m = n_samples // DEFAULT_CHUNKS
-    means = np.zeros((DEFAULT_CHUNKS, 3))
-    for c in range(DEFAULT_CHUNKS):
-        A = sample_entries(ens, (m, x.shape[0]), rng)
-        t = np.real((A @ h.conj()) * (A.conj() @ x))
-        q = np.abs(A.conj() @ h) ** 2
-        means[c] = [np.mean(t ** 2), np.mean(t * q), np.mean(q ** 2)]
-    return means
-
-
 def _residual_and_tolerance(chunks, expected):
     overall = sum(chunks) / len(chunks)
     return hermitian_opnorm(overall - expected), 5.0 * _noise_scale(chunks, overall)
@@ -366,20 +317,6 @@ def test_f_residual_matches_full_products(entries):
     assert rep.tolerance == pytest.approx(tol, rel=1e-10)
 
 
-@pytest.mark.parametrize("ens", ALL_ENSEMBLES, ids=str)
-def test_scalar_identities_match_conj_products(ens):
-    x = unit_vector(5, ens.field, seed=16)
-    h = project_admissible(x, unit_vector(5, ens.field, seed=17))
-    rep = mc_scalar_identities(ens, x, h, n_samples=20_000, seed=18)
-    means = _ref_scalar_means(ens, x, h, 20_000, 18)
-    devs = np.abs(means.mean(axis=0)
-                  - np.array(scalar_identity_expectations(moment_profile(ens), x, h)))
-    tols = 5.0 * means.std(axis=0, ddof=1) / math.sqrt(DEFAULT_CHUNKS)
-    for comp, dev, tol in zip(rep.components, devs, tols):
-        assert comp.residual == pytest.approx(dev, rel=1e-12, abs=1e-12)
-        assert comp.tolerance == pytest.approx(tol, rel=1e-12)
-
-
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("d", [2, 4, 16])
@@ -403,8 +340,6 @@ _X3 = unit_vector(3, Field.COMPLEX, seed=0)
 _VECTOR_ORACLES = {
     "condition": lambda x: mc_condition_residual(_COMPLEX, 3, x, n_samples=20_000),
     "F": lambda x: mc_F_residual(_COMPLEX, x, n_samples=20_000),
-    "scalar-x": lambda x: mc_scalar_identities(_COMPLEX, x, _X3, n_samples=20_000),
-    "scalar-h": lambda h: mc_scalar_identities(_COMPLEX, _X3, h, n_samples=20_000),
     "concentration": lambda x: concentration_curve(_COMPLEX, 3, x, N_grid=[12], trials=20),
 }
 
@@ -432,8 +367,6 @@ _REAL = Ensemble(Field.REAL, TERNARY)
 _REAL_X3 = unit_vector(3, Field.REAL, seed=0)
 _REAL_LAW_ORACLES = {
     "condition": lambda x: mc_condition_residual(_REAL, 3, x, n_samples=20_000),
-    "scalar-x": lambda x: mc_scalar_identities(_REAL, x, _REAL_X3, n_samples=20_000),
-    "scalar-h": lambda h: mc_scalar_identities(_REAL, _REAL_X3, h, n_samples=20_000),
     "concentration": lambda x: concentration_curve(_REAL, 3, x, N_grid=[12], trials=20),
 }
 
