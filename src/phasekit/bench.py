@@ -3,12 +3,12 @@
 Reproduces the two benchmark protocols: initialization accuracy (mean
 relative error of GSI vs SI over a grid of N/d ratios) and recovery success
 rate (GSI followed by BB-stepped gradient descent, success when the final
-relative error drops below a threshold). Each is a trial function and its
-columns for one sweep loop; ExperimentConfig settles every value at
-construction, so the sweep only reads it.
+relative error drops below the protocol constant 1e-5). Each is a trial
+function and its columns for one sweep loop; ExperimentConfig settles every
+value at construction, so the sweep only reads it.
 
-Determinism contract: every numeric output is a pure function of
-(config, base_seed). Trial streams are derived as
+Determinism contract: every output, a TrialRecord included, is a pure
+function of (config, base_seed). Trial streams are derived as
 SeedSequence(base_seed, spawn_key=(round(1000*ratio), trial)), and ratio
 grids whose rounded keys collide are rejected, so no two trials share an RNG
 stream. Trials run one after another; BLAS parallelizes the linear algebra
@@ -21,11 +21,10 @@ import csv
 import io
 import json
 import math
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -63,7 +62,8 @@ class ExperimentConfig:
     d: int = 128
     ratio_grid: tuple = DEFAULT_RATIOS
     trials: Optional[int] = None     # None: 50 for init, 100 for success
-    success_threshold: float = 1e-5
+    # a protocol constant, not a setting: at d=128 recovery ends below 2e-11 or above 0.39
+    success_threshold: ClassVar[float] = 1e-5
     max_iters: int = DEFAULT_MAX_ITERS
     power_iters: int = DEFAULT_POWER_ITERS
     base_seed: int = 0
@@ -85,9 +85,6 @@ class ExperimentConfig:
                 raise ValueError(f"{name!r} must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
-        if not (_is_real(self.success_threshold) and math.isfinite(self.success_threshold)):
-            raise ValueError(
-                f"'success_threshold' must be a finite number, got {self.success_threshold!r}")
         if not (isinstance(self.ratio_grid, (Sequence, np.ndarray))
                 and all(map(_is_real, self.ratio_grid))):
             raise ValueError(f"'ratio_grid' must be a sequence of numbers, got {self.ratio_grid!r}")
@@ -130,7 +127,6 @@ class TrialRecord:
     final_rel_error: float
     iterations: int
     success: bool
-    wall_time: float
 
 
 @dataclass
@@ -173,8 +169,8 @@ def trial_seed(base_seed: int, ratio: float, trial: int) -> np.random.SeedSequen
 def generate_signal(d: int, seed: SeedLike, field: Field = Field.REAL) -> np.ndarray:
     """Gaussian test signal with the last two coordinates amplified by
     SPIKE_FACTOR = 200. Complex signals are (g1 + i g2)/sqrt(2)."""
-    if d < 2:
-        raise ValueError("need d >= 2 for the spiked signal")
+    if not (_is_int(d) and d >= 2):
+        raise ValueError(f"d must be an integer >= 2 for the spiked signal, got {d!r}")
     rng = np.random.default_rng(seed)
     if field is Field.COMPLEX:
         x = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) / math.sqrt(2.0)
@@ -234,7 +230,6 @@ def run_init_experiment(config: ExperimentConfig) -> ResultTable:
 
 def run_recovery_trial(config: ExperimentConfig, ratio: float, i: int) -> TrialRecord:
     """One seeded end-to-end trial: signal, measurements, GSI, BB descent."""
-    t0 = time.perf_counter()
     x, mset, y, (pw_ss, _) = _problem(config, ratio, i)
     profile = moment_profile(config.ensemble)
     nx = np.linalg.norm(x)
@@ -247,7 +242,6 @@ def run_recovery_trial(config: ExperimentConfig, ratio: float, i: int) -> TrialR
         final_rel_error=float(final_err),
         iterations=report.iterations,
         success=bool(final_err < config.success_threshold),
-        wall_time=time.perf_counter() - t0,
     )
 
 

@@ -6,10 +6,9 @@ Subcommands:
     verify-moments  Monte-Carlo check of the ensemble's moment constants
     solve           one seeded end-to-end recovery
 
-A JSON config file (--config) holds ExperimentConfig fields; explicit flags
-override file values, and ExperimentConfig checks the result, so the CLI
-holds no setting rules of its own. Every command writes its output to --out,
-or to stdout when --out is absent.
+Flags are the only way to set a run. They build an ExperimentConfig, which
+checks them, so the CLI holds no setting rules of its own. Every command
+writes its output to --out, or to stdout when --out is absent.
 """
 
 from __future__ import annotations
@@ -33,12 +32,11 @@ from .verify import mc_condition_residual, mc_F_residual
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--field", choices=["real", "complex"], help="number field")
+    p.add_argument("--field", choices=["real", "complex"], default="real", help="number field")
     p.add_argument("--ensemble", dest="entry", choices=sorted(BUILTIN_ENTRIES),
-                   help="entry distribution")
+                   default="gaussian", help="entry distribution")
     p.add_argument("--d", type=int, help="signal dimension")
     p.add_argument("--seed", dest="base_seed", type=int, help="base seed")
-    p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--out", help="output file (default: print to stdout)")
 
 
@@ -72,43 +70,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# every key a config file may hold; ExperimentConfig checks their values
-_CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(ExperimentConfig)) - {"kind"}
-
-
-def _load_config_file(args: argparse.Namespace) -> dict:
-    """The --config file's JSON object, after checking that every key is known."""
-    if not args.config:
-        return {}
-    with open(args.config, encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError(f"config file {args.config} must hold a JSON object")
-    for key in cfg:
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"config file {args.config}: unknown key {key!r}")
-    return cfg
-
-
 def _config(args: argparse.Namespace, kind: ExperimentKind, **defaults) -> ExperimentConfig:
-    """The config file's values overridden by the flags given, as an
-    ExperimentConfig, which checks them. A value that neither sets takes
-    `defaults`, else the ExperimentConfig default; the ensemble defaults to
-    real Gaussian."""
-    settings = _load_config_file(args)
-    ensemble = settings.pop("ensemble", {})
-    if isinstance(ensemble, dict):  # a partial object takes defaults; flags override it
-        flags = {key: getattr(args, key) for key in ("field", "entry") if getattr(args, key)}
-        ensemble = {"field": "real", "entry": "gaussian", **ensemble, **flags}
-    try:
-        ensemble = Ensemble.from_dict(ensemble)
-    except ValueError as exc:
-        raise ValueError(f"config file {args.config}: 'ensemble': {exc}") from exc
-    # each flag's dest is the key it sets
-    settings.update((key, value) for key, value in vars(args).items()
-                    if key in _CONFIG_KEYS and value is not None)
+    """The flags given as an ExperimentConfig, which checks them. A setting
+    that no flag gives takes `defaults`, else the ExperimentConfig default."""
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    # each flag's dest is the field it sets
+    settings = {key: value for key, value in vars(args).items()
+                if key in fields and value is not None}
     if getattr(args, "ratios", None) is not None:
         settings["ratio_grid"] = [float(r) for r in args.ratios.split(",")]
+    ensemble = Ensemble(Field(args.field), BUILTIN_ENTRIES[args.entry])
     return ExperimentConfig(kind, ensemble, **{**defaults, **settings})
 
 
@@ -188,7 +159,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Union
@@ -156,18 +155,6 @@ class Ensemble:
 
     def to_dict(self) -> dict:
         return {"field": self.field.value, "entry": self.entry.name}
-
-    @staticmethod
-    def from_dict(desc: Mapping) -> "Ensemble":
-        """The ensemble of a `to_dict` descriptor: a mapping with exactly the
-        keys "field" and "entry", naming a Field value and a built-in entry law."""
-        if not (isinstance(desc, Mapping) and set(desc) == {"field", "entry"}):
-            raise ValueError('ensemble descriptor must be a mapping with exactly the keys '
-                             f'"field" and "entry", got {desc!r}')
-        try:
-            return Ensemble(Field(desc["field"]), BUILTIN_ENTRIES[desc["entry"]])
-        except (KeyError, TypeError, ValueError) as exc:  # TypeError: unhashable entry
-            raise ValueError(f"unknown ensemble descriptor {desc!r}") from exc
 
 
 @dataclass(frozen=True)

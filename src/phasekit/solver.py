@@ -170,6 +170,7 @@ def solve(
     iterate not finite at the caller's scale, or a non-finite gradient, aborts
     with NON_FINITE and the last finite iterate. `z0` must be finite, of shape
     (d,) and real for real rows; `y` finite, nonnegative and of shape (N,).
+    A z0 and y whose scales differ beyond float range raise ValueError.
     With `config.trace`, `iterates` lists z_0 (a copy of z0) to z_K, K =
     `iterations`, so `iterates[-1] is final_z`; measure them with `objective`,
     `gradient` or `dist`. Without it, `iterates` is None.
@@ -177,7 +178,13 @@ def solve(
     z = np.ascontiguousarray(_vector(z0, mset.d, mset.field.dtype, "z0", nonzero=False))
     e = math.frexp(float(np.max(np.abs(z.view(np.float64)))))[1]
     z = _ldexp(z, -e)
-    y = np.ldexp(_checked_intensities(mset, y), -2 * e)
+    y_given = _checked_intensities(mset, y)
+    with np.errstate(over="ignore"):
+        y = np.ldexp(y_given, -2 * e)
+    ymax = float(np.max(y))  # y >= 0: finite iff ymax is, all zero iff ymax is 0
+    if not ymax < math.inf or (ymax == 0.0 and np.any(y_given)):
+        raise ValueError(f"z0 and y differ in scale beyond float range: y at z0's scale, "
+                         f"y * 2^{-2 * e}, {'overflows' if ymax else 'is all zero'}")
     # an iterate is finite at the caller's scale iff its entries are below this
     zmax = math.ldexp(1.0, 1024 - e) if e > 0 else math.inf
 

@@ -32,6 +32,7 @@ from .ensembles import (
     _gram,
     _inner,
     _is_int,
+    _is_real,
     _norm,
     _vector,
 )
@@ -56,10 +57,10 @@ def measure(mset: MeasurementSet, x: np.ndarray) -> np.ndarray:
 
 
 def rho_from_intensities(y: np.ndarray, tau1: float) -> float:
-    """rho = sqrt(sum(y) / (tau1 * N)). `y` must be a nonempty 1-D array of
-    finite, nonnegative intensities; other input raises ValueError."""
-    if not tau1 > 0:
-        raise ValueError(f"tau1 must be positive, got {tau1}")
+    """rho = sqrt(sum(y) / (tau1 * N)) for a nonempty 1-D `y` of finite, nonnegative
+    intensities and a finite real tau1 > 0; other input raises ValueError."""
+    if not (_is_real(tau1) and 0 < tau1 < math.inf):
+        raise ValueError(f"tau1 must be a finite number > 0, got {tau1!r}")
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1 or y.size == 0:
         raise ValueError(f"intensity vector must be 1-D and nonempty, got shape {y.shape}")
@@ -90,9 +91,17 @@ def _Y(A: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
 
 
 def build_M(Y: np.ndarray, rho: float, profile: MomentProfile) -> np.ndarray:
-    """M = Y - (tau4/(tau3+tau4)) * D(Y - tau2 rho^2 I); off-diagonal equals Y's."""
+    """M = Y - (tau4/(tau3+tau4)) * D(Y - tau2 rho^2 I); off-diagonal equals Y's.
+    `Y` must be a finite square numeric matrix (an integer one gives a float64
+    M) and `rho` a finite real >= 0; other input raises ValueError."""
+    Y = np.asarray(Y)
+    if not (Y.ndim == 2 and Y.shape[0] == Y.shape[1] and np.issubdtype(Y.dtype, np.number)
+            and np.isfinite(Y).all()):
+        raise ValueError(f"Y must be a finite square numeric matrix, got {Y.dtype} {Y.shape}")
+    if not (_is_real(rho) and 0 <= rho < math.inf):
+        raise ValueError(f"rho must be a finite number >= 0, got {rho!r}")
     c = profile.tau4 / (profile.tau3 + profile.tau4)
-    M = Y.copy()
+    M = Y.astype(np.result_type(Y, np.float64))
     diag = np.diagonal(Y).real
     np.fill_diagonal(M, diag - c * (diag - profile.tau2 * rho ** 2))
     return M

@@ -61,6 +61,12 @@ def test_generate_signal_complex_and_small_d():
         generate_signal(1, seed=0)
 
 
+@pytest.mark.parametrize("d", [2.5, True, 4.0, "4"], ids=repr)
+def test_generate_signal_rejects_a_non_integer_d(d):
+    with pytest.raises(ValueError, match="integer"):
+        generate_signal(d, seed=0)
+
+
 def test_generate_signal_second_moment():
     # E||x||^2 = (d - 2) v + 2 * 200^2 v with per-coordinate variance v = 1
     d, n = 16, 10_000
@@ -107,22 +113,23 @@ def test_config_validation():
 
 @pytest.mark.parametrize("name, value", [
     ("d", 6.5),
+    ("d", 6.0),
     ("d", True),
     ("d", "6"),
     ("trials", 2.5),
     ("trials", False),
     ("max_iters", 2.5),
     ("max_iters", 0),
+    ("max_iters", "200"),
     ("power_iters", 0),
     ("power_iters", 2.5),
+    ("power_iters", [50]),
     ("base_seed", "1"),
     ("base_seed", -1),
-    ("success_threshold", math.nan),
-    ("success_threshold", math.inf),
-    ("success_threshold", "1e-5"),
     ("ratio_grid", (4, False)),
     ("ratio_grid", (4, "6")),
     ("ratio_grid", 4),
+    ("ratio_grid", "4,6"),
     ("kind", "init_error"),
     ("ensemble", "gaussian"),
 ], ids=lambda v: repr(v))
@@ -135,8 +142,8 @@ def test_config_rejects_bad_values_at_construction(name, value):
 def test_config_takes_numpy_values_and_any_ratio_sequence():
     cfg = ExperimentConfig(ExperimentKind.INIT_ERROR, TERNARY_REAL, d=np.int64(16),
                            ratio_grid=np.array([4.0, 8.0]), trials=np.int32(4),
-                           success_threshold=np.float32(1e-5), max_iters=np.int64(5),
-                           power_iters=np.int16(50), base_seed=np.uint8(7))
+                           max_iters=np.int64(5), power_iters=np.int16(50),
+                           base_seed=np.uint8(7))
     assert cfg.ratio_grid == (4.0, 8.0)
     assert ExperimentConfig(ExperimentKind.INIT_ERROR, TERNARY_REAL,
                             ratio_grid=[4, 8]).ratio_grid == (4, 8)
@@ -146,15 +153,21 @@ def test_config_takes_numpy_values_and_any_ratio_sequence():
 def test_numpy_config_writes_the_json_of_its_python_numbers():
     # json.dumps rejects numpy scalars, so the config must hold Python numbers
     as_numpy = ExperimentConfig(ExperimentKind.INIT_ERROR, TERNARY_REAL, d=np.int64(8),
-                                ratio_grid=np.array([4, 6]), trials=np.int64(2),
-                                success_threshold=np.float64(1e-5))
+                                ratio_grid=np.array([4, 6]), trials=np.int64(2))
     as_python = ExperimentConfig(ExperimentKind.INIT_ERROR, TERNARY_REAL, d=8,
-                                 ratio_grid=(4, 6), trials=2, success_threshold=1e-5)
+                                 ratio_grid=(4, 6), trials=2)
     assert run_init_experiment(as_numpy).to_json() == run_init_experiment(as_python).to_json()
     for name in ("d", "trials", "max_iters", "power_iters", "base_seed"):
         assert type(getattr(as_numpy, name)) is int
     assert [type(r) for r in as_numpy.ratio_grid] == [int, int]  # printed as 4, not 4.0
     assert type(as_numpy.success_threshold) is float
+
+
+def test_success_threshold_is_the_protocol_constant_not_a_setting():
+    cfg = ExperimentConfig(ExperimentKind.SUCCESS_RATE, TERNARY_REAL)
+    assert cfg.success_threshold == 1e-5 and cfg.to_dict()["success_threshold"] == 1e-5
+    with pytest.raises(TypeError):
+        ExperimentConfig(ExperimentKind.SUCCESS_RATE, TERNARY_REAL, success_threshold=1e-6)
 
 
 @pytest.mark.parametrize("kind", list(ExperimentKind))

@@ -1,11 +1,8 @@
-import dataclasses
 import json
-from types import SimpleNamespace
 
 import pytest
 
-from phasekit import GAUSSIAN, Ensemble, ExperimentConfig, ExperimentKind, Field, bench
-from phasekit import cli
+from phasekit import GAUSSIAN, Ensemble, ExperimentConfig, ExperimentKind, Field
 from phasekit.cli import main
 
 
@@ -102,32 +99,22 @@ def test_bad_ratios_flag(capsys):
 
 
 @pytest.mark.parametrize("command", ["init-bench", "recover-bench", "solve"])
-def test_infinite_ratio_is_an_error(capsys, tmp_path, command):
+def test_infinite_ratio_is_an_error(capsys, command):
     code, out, err = run_cli(capsys, command, *_SMALL, "--ratios", "inf")
     assert code == 1 and err.startswith("error: ")
-    path = tmp_path / "cfg.json"
-    path.write_text('{"ratio_grid": [1e400]}')   # parsed as inf
-    code, out, err = run_cli(capsys, command, *_SMALL, "--config", str(path))
-    assert code == 1 and err.startswith("error: ")
 
 
-def test_config_file_with_flag_override(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "ensemble": {"field": "real", "entry": "ternary"}, "d": 16,
-        "ratio_grid": [6], "trials": 2, "max_iters": 300, "base_seed": 3,
-    }))
-    code_a, out_a, _ = run_cli(capsys, "recover-bench", "--config", str(cfg))
-    assert code_a == 0
-    # flag overrides the config's seed; different seed changes the trials
-    code_b, out_b, _ = run_cli(capsys, "recover-bench", "--config", str(cfg),
-                               "--seed", "4")
-    assert code_b == 0
-    assert out_a.split("\n")[0] == out_b.split("\n")[0]
-    # same seed reproduces the config-only run exactly
-    code_c, out_c, _ = run_cli(capsys, "recover-bench", "--config", str(cfg),
-                               "--seed", "3")
-    assert out_c == out_a
+@pytest.mark.parametrize("command", ["init-bench", "recover-bench"])
+@pytest.mark.parametrize("flag, value, name", [
+    ("--trials", "0", "trials"),
+    ("--max-iters", "0", "max_iters"),
+    ("--power-iters", "0", "power_iters"),
+    ("--seed", "-1", "base_seed"),
+])
+def test_bad_flag_value_is_an_error_naming_the_setting(capsys, command, flag, value, name):
+    code, out, err = run_cli(capsys, command, *_SMALL_TABLE, flag, value)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and name in err
 
 
 def test_unset_values_take_the_experiment_config_defaults(capsys):
@@ -139,25 +126,15 @@ def test_unset_values_take_the_experiment_config_defaults(capsys):
     assert json.loads(out)["metadata"] == expected.to_dict()
 
 
-def test_missing_config_file(capsys):
-    code, out, err = run_cli(capsys, "recover-bench", "--config", "/nonexistent.json")
-    assert code == 1
-    assert err != ""
-
-
-def test_verify_moments_reads_d_from_config(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"ensemble": {"field": "real", "entry": "ternary"},
-                               "d": 6, "base_seed": 2}))
-    common = ("--samples", "20000")
-    _, from_file, _ = run_cli(capsys, "verify-moments", "--config", str(cfg), *common)
-    _, from_flag, _ = run_cli(capsys, "verify-moments", "--field", "real",
-                              "--ensemble", "ternary", "--d", "6", "--seed", "2", *common)
-    _, default_d, _ = run_cli(capsys, "verify-moments", "--field", "real",
-                              "--ensemble", "ternary", "--d", "3", "--seed", "2", *common)
-    assert from_file == from_flag
-    assert from_file != default_d
-    code, _, err = run_cli(capsys, "verify-moments", "--config", str(cfg), "--d", "1")
+def test_verify_moments_reads_d_from_config(capsys):
+    # the config the flags build: --d 6 is read, no --d is the default 3
+    common = ("--field", "real", "--ensemble", "ternary", "--seed", "2", "--samples", "20000")
+    _, from_flag, _ = run_cli(capsys, "verify-moments", "--d", "6", *common)
+    _, default_d, _ = run_cli(capsys, "verify-moments", *common)
+    _, three, _ = run_cli(capsys, "verify-moments", "--d", "3", *common)
+    assert from_flag != default_d
+    assert default_d == three
+    code, _, err = run_cli(capsys, "verify-moments", "--d", "1", *common)
     assert code == 1 and "d must be >= 2" in err
 
 
@@ -173,9 +150,7 @@ _SMALL_TABLE = _SMALL + ("--ratios", "4,6", "--trials", "2", "--max-iters", "200
     ("verify-moments",) + _SMALL + ("--samples", "20000"),
     ("solve",) + _SMALL + ("--ratios", "6", "--max-iters", "200"),
 ], ids=["init-csv", "init-json", "recover-csv", "recover-json", "verify", "solve"])
-def test_out_file_matches_stdout(capsys, tmp_path, monkeypatch, argv):
-    # a fixed clock makes the solve record's wall_time reproducible
-    monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+def test_out_file_matches_stdout(capsys, tmp_path, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""
     path = tmp_path / "out"
@@ -188,7 +163,7 @@ def test_record_keys_keep_their_order(capsys):
     _, out, _ = run_cli(capsys, "solve", *_SMALL, "--ratios", "6", "--max-iters", "200")
     assert list(json.loads(out)) == [
         "ensemble", "d", "N", "base_seed", "init_rel_error", "final_rel_error",
-        "iterations", "success", "wall_time"]
+        "iterations", "success"]
     _, out, _ = run_cli(capsys, "verify-moments", *_SMALL, "--samples", "20000")
     payload = json.loads(out)
     assert list(payload) == ["ensemble", "profile", "constants", "checks", "passed"]
@@ -213,69 +188,9 @@ def test_unwritable_out_reports_path(capsys, tmp_path):
     ("recover-bench", "--threads", "2"),
     ("verify-moments", "--format", "json"),
     ("verify-moments", "--format", "csv"),
+    ("init-bench", "--config", "x.json"),
 ])
 def test_removed_flags_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main([*argv, *_SMALL])
     assert exc.value.code == 2
-
-
-@pytest.mark.parametrize("command", ["init-bench", "recover-bench", "solve", "verify-moments"])
-@pytest.mark.parametrize("cfg, key", [
-    ({"d": "6"}, "d"),
-    ({"d": 6.0}, "d"),
-    ({"d": True}, "d"),
-    ({"base_seed": "1"}, "base_seed"),
-    ({"trials": 2.5}, "trials"),
-    ({"max_iters": "200"}, "max_iters"),
-    ({"power_iters": [50]}, "power_iters"),
-    ({"ratio_grid": "4,6"}, "ratio_grid"),
-    ({"ratio_grid": [4, "6"]}, "ratio_grid"),
-    ({"ratio_grid": [4, False]}, "ratio_grid"),
-    ({"success_threshold": "1e-5"}, "success_threshold"),
-    ({"ensemble": "real"}, "ensemble"),
-    ({"ensemble": {"field": "real", "entry": ["ternary"]}}, "ensemble"),
-    ({"ensemble": {"feild": "complex", "entry": "ternary"}}, "ensemble"),
-], ids=lambda v: json.dumps(v) if isinstance(v, dict) else v)
-def test_config_value_of_wrong_type_is_an_error(capsys, tmp_path, command, cfg, key):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    code, out, err = run_cli(capsys, command, "--config", str(path))
-    assert code == 1 and out == ""
-    assert err.startswith("error: ") and repr(key) in err
-
-
-@pytest.mark.parametrize("command", ["init-bench", "recover-bench", "solve", "verify-moments"])
-@pytest.mark.parametrize("cfg, key", [
-    ({"max_iter": 5}, "max_iter"),
-    ({"threads": 2}, "threads"),
-    ({"threads": "2"}, "threads"),
-], ids=lambda v: json.dumps(v) if isinstance(v, dict) else v)
-def test_config_unknown_key_is_an_error(capsys, tmp_path, command, cfg, key):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    code, out, err = run_cli(capsys, command, "--config", str(path))
-    assert code == 1 and out == ""
-    assert err == f"error: config file {path}: unknown key {key!r}\n"
-
-
-def test_config_file_must_hold_an_object(capsys, tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text("[6]")
-    code, out, err = run_cli(capsys, "init-bench", "--config", str(path))
-    assert code == 1 and err.startswith("error: ")
-
-
-def test_config_keys_are_the_experiment_config_fields(capsys, tmp_path):
-    keys = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"kind"}
-    assert cli._CONFIG_KEYS == keys
-    assert not hasattr(cli, "_CONFIG_TYPES") and not hasattr(cli, "_FLAG_OF_KEY")
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({
-        "ensemble": {"field": "real", "entry": "ternary"}, "d": 8, "ratio_grid": [6],
-        "trials": 1, "success_threshold": 1e-5, "max_iters": 200, "power_iters": 50,
-        "base_seed": 1,
-    }))
-    code, out, err = run_cli(capsys, "solve", "--config", str(path))
-    assert code == 0 and err == ""
-    assert json.loads(out)["N"] == 48

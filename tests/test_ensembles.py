@@ -199,26 +199,6 @@ def test_complex_second_moment(entry):
     assert abs(np.mean(sq) - entry.m2) <= 3 * stderr
 
 
-def test_descriptor_round_trip():
-    for ens in ALL_ENSEMBLES:
-        assert Ensemble.from_dict(ens.to_dict()) == ens
-    with pytest.raises(ValueError):
-        Ensemble.from_dict({"field": "real", "entry": "cauchy"})
-
-
-@pytest.mark.parametrize("desc", [
-    "real",
-    ["real", "ternary"],
-    {"field": "real"},
-    {"field": "real", "entry": ["ternary"]},
-    {"field": 1, "entry": "ternary"},
-    {"field": "real", "entry": "ternary", "feild": "complex"},
-], ids=repr)
-def test_descriptor_rejects_malformed_input(desc):
-    with pytest.raises(ValueError, match="ensemble descriptor"):
-        Ensemble.from_dict(desc)
-
-
 def _assert_ternary_draw_matches(rng, ref, shape):
     """TERNARY's draw from rng against numpy's int32 draw from ref: the same
     values and the same generator state after it."""

@@ -30,7 +30,6 @@ CASES = {
     "verify_moments_complex_ternary.json":
         ["verify-moments", "--field", "complex", "--ensemble", "ternary", "--d", "4",
          "--samples", "20000"],
-    # wall_time is dropped from the output
     "solve_real_ternary.json":
         ["solve", "--field", "real", "--ensemble", "ternary", "--d", "32", "--ratios", "6"],
 }
@@ -44,14 +43,9 @@ def build_versions() -> dict:
 
 
 def cli_output(name: str, capsys) -> str:
-    """The text the command of CASES[name] writes, without a solve's wall_time."""
+    """The text the command of CASES[name] writes."""
     assert cli.main(CASES[name]) == 0
-    out = capsys.readouterr().out
-    if name.startswith("solve"):
-        payload = json.loads(out)
-        del payload["wall_time"]
-        out = json.dumps(payload, indent=2) + "\n"
-    return out
+    return capsys.readouterr().out
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

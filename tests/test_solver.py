@@ -297,19 +297,27 @@ def test_solve_from_zero_stops_before_forming_a_step(step, field):
     assert not np.any(rep.final_z)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("step", [BarzilaiBorwein(), FixedStep(0.2)])
-def test_solve_from_z0_whose_square_underflows_stops_non_finite(step):
-    # ||z0||^2 = 0 in floating point while g(z0) != 0: y rescaled to z0's
-    # scale overflows, so the descent stops NON_FINITE on z0
+def test_solve_rejects_y_that_overflows_at_the_scale_of_z0(step):
+    # ||z0||^2 = 0 in floating point while g(z0) != 0, and y taken to z0's
+    # scale overflows: no run can keep both, so solve raises, without a warning
     ms = sample_measurements(TERNARY_REAL, 40, 5, seed=14)
     y = measure(ms, 1e10 * generate_signal(5, seed=14))
     z0 = np.full(5, 1e-170)
     assert np.linalg.norm(z0) == 0.0 and np.linalg.norm(gradient(z0, ms, y)) > 0.0
-    rep = solve(ms, y, z0, SolverConfig(step_mode=step))
-    assert rep.status is SolveStatus.NON_FINITE
-    assert rep.iterations == 0
-    assert np.array_equal(rep.final_z, z0)
+    with pytest.raises(ValueError, match="scale beyond float range.*overflows"):
+        solve(ms, y, z0, SolverConfig(step_mode=step))
+
+
+@pytest.mark.parametrize("step", [BarzilaiBorwein(), FixedStep(0.2)])
+def test_solve_rejects_y_that_underflows_at_the_scale_of_z0(step):
+    # y taken to z0's scale is all zero: the run would converge on a problem
+    # with no measurements left, far from any signal y came from
+    ms = sample_measurements(TERNARY_REAL, 40, 5, seed=14)
+    y = measure(ms, 1e-10 * generate_signal(5, seed=14))
+    assert np.any(y)
+    with pytest.raises(ValueError, match="scale beyond float range.*all zero"):
+        solve(ms, y, np.full(5, 1e170), SolverConfig(step_mode=step))
 
 
 def _basin_problem(seed, d=32):

@@ -108,6 +108,12 @@ def test_rho_identity_and_scaling():
         rho_from_intensities(y, tau1=0.0)
 
 
+@pytest.mark.parametrize("tau1", [math.inf, math.nan, -1.0, True, "1.0"], ids=repr)
+def test_rho_rejects_a_bad_tau1(tau1):
+    with pytest.raises(ValueError, match="tau1"):
+        rho_from_intensities(np.full(4, 0.25), tau1)
+
+
 @pytest.mark.parametrize("y, match", [
     ([-1.0, 0.5], "nonnegative"),
     ([], "nonempty"),
@@ -234,6 +240,30 @@ def test_build_M_identity_fixed_point():
     rho = math.sqrt(1.0 / profile.tau2)
     M = build_M(np.eye(2), rho, profile)
     assert np.allclose(M, np.eye(2), atol=1e-15)
+
+
+@pytest.mark.parametrize("Y, rho, match", [
+    (np.array([[1.0, np.nan], [np.nan, 1.0]]), 1.0, "Y must be"),
+    (np.array([[np.inf, 0.0], [0.0, 1.0]]), 1.0, "Y must be"),
+    (np.ones((2, 3)), 1.0, "Y must be"),
+    (np.ones(3), 1.0, "Y must be"),
+    (np.eye(2, dtype=bool), 1.0, "Y must be"),
+    (np.eye(2), math.nan, "rho must be"),
+    (np.eye(2), math.inf, "rho must be"),
+    (np.eye(2), -1.0, "rho must be"),
+    (np.eye(2), 1j, "rho must be"),
+], ids=["nan-Y", "inf-Y", "2x3-Y", "1-D-Y", "bool-Y",
+        "nan-rho", "inf-rho", "negative-rho", "complex-rho"])
+def test_build_M_rejects_bad_input(Y, rho, match):
+    with pytest.raises(ValueError, match=match):
+        build_M(Y, rho, moment_profile(TERNARY_REAL))
+
+
+def test_build_M_of_an_integer_Y_is_float():
+    profile = moment_profile(TERNARY_REAL)
+    M = build_M(np.eye(3, dtype=np.int64), 0.5, profile)
+    assert M.dtype == np.float64
+    assert np.array_equal(M, build_M(np.eye(3), 0.5, profile))
 
 
 def test_build_M_preserves_off_diagonal():
