@@ -132,6 +132,18 @@ def test_config_validation():
     ("ratio_grid", "4,6"),
     ("kind", "init_error"),
     ("ensemble", "gaussian"),
+    ("d", None),
+    ("d", np.float64(6.0)),
+    ("trials", "2"),
+    ("max_iters", None),
+    ("power_iters", True),
+    ("base_seed", 1.0),
+    ("ratio_grid", [4, "6"]),
+    ("ratio_grid", [4, False]),
+    ("ratio_grid", None),
+    ("kind", None),
+    ("ensemble", {"field": "real", "entry": "ternary"}),  # a descriptor is not an Ensemble
+    ("ensemble", TERNARY),
 ], ids=lambda v: repr(v))
 def test_config_rejects_bad_values_at_construction(name, value):
     settings = {"kind": ExperimentKind.SUCCESS_RATE, "ensemble": TERNARY_REAL, name: value}

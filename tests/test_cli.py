@@ -1,8 +1,17 @@
+import dataclasses
 import json
 
 import pytest
 
-from phasekit import GAUSSIAN, Ensemble, ExperimentConfig, ExperimentKind, Field
+from phasekit import (
+    BUILTIN_ENTRIES,
+    GAUSSIAN,
+    Ensemble,
+    ExperimentConfig,
+    ExperimentKind,
+    Field,
+    run_recovery_trial,
+)
 from phasekit.cli import main
 
 
@@ -117,6 +126,79 @@ def test_bad_flag_value_is_an_error_naming_the_setting(capsys, command, flag, va
     assert err.startswith("error: ") and name in err
 
 
+@pytest.mark.parametrize("command", ["init-bench", "recover-bench", "solve", "verify-moments"])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--d", "1", "d must be >= 2"),
+    ("--d", "-4", "d must be >= 2"),
+    ("--seed", "-1", "base_seed must be >= 0"),
+])
+def test_bad_common_flag_value_is_an_error_naming_the_setting(capsys, command, flag, value,
+                                                               message):
+    code, out, err = run_cli(capsys, command, *_SMALL, flag, value)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("command", ["init-bench", "recover-bench", "solve"])
+@pytest.mark.parametrize("ratios, message", [
+    ("0.5", "ratio grid values must be finite and >= 1"),
+    ("nan", "ratio grid values must be finite and >= 1"),
+    ("6,6.0001", "equal after rounding"),
+])
+def test_bad_ratios_are_an_error_naming_the_rule(capsys, command, ratios, message):
+    # solve runs the first ratio only, but checks the grid it is given
+    code, out, err = run_cli(capsys, command, *_SMALL, "--ratios", ratios)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("flag, value, name", [
+    ("--max-iters", "0", "max_iters"),
+    ("--max-iters", "-5", "max_iters"),
+    ("--power-iters", "0", "power_iters"),
+    ("--power-iters", "-1", "power_iters"),
+])
+def test_bad_solve_flag_value_is_an_error_naming_the_setting(capsys, flag, value, name):
+    code, out, err = run_cli(capsys, "solve", *_SMALL, "--ratios", "6", flag, value)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and name in err
+
+
+@pytest.mark.parametrize("command", ["init-bench", "recover-bench", "solve", "verify-moments"])
+@pytest.mark.parametrize("flag, value", [("--d", "6.0"), ("--d", "six"), ("--seed", "1.5")])
+def test_flag_value_of_wrong_type_is_a_usage_error(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_SMALL, flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid int value: {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["init-bench", "recover-bench", "solve"])
+@pytest.mark.parametrize("flag, value", [("--max-iters", "2e2"), ("--power-iters", "[50]")])
+def test_iteration_flag_of_wrong_type_is_a_usage_error(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_SMALL, flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid int value: {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("entry", sorted(BUILTIN_ENTRIES))
+def test_field_and_ensemble_flags_build_that_ensemble(capsys, field, entry):
+    # the flags name the ensemble the library builds from Field and BUILTIN_ENTRIES
+    code, out, err = run_cli(capsys, "solve", "--field", field, "--ensemble", entry,
+                             "--d", "8", "--seed", "1", "--ratios", "6", "--max-iters", "200")
+    assert code == 0 and err == ""
+    ensemble = Ensemble(Field(field), BUILTIN_ENTRIES[entry])
+    cfg = ExperimentConfig(ExperimentKind.SUCCESS_RATE, ensemble, d=8, ratio_grid=(6.0,),
+                           max_iters=200, base_seed=1)
+    record = json.loads(out)
+    assert record["ensemble"] == {"field": field, "entry": entry}
+    assert {k: record[k] for k in ("init_rel_error", "final_rel_error", "iterations",
+                                   "success")} == dataclasses.asdict(
+        run_recovery_trial(cfg, 6.0, 0))
+
+
 def test_unset_values_take_the_experiment_config_defaults(capsys):
     code, out, _ = run_cli(capsys, "recover-bench", "--d", "16", "--ratios", "2",
                            "--trials", "1", "--format", "json")
@@ -189,6 +271,14 @@ def test_unwritable_out_reports_path(capsys, tmp_path):
     ("verify-moments", "--format", "json"),
     ("verify-moments", "--format", "csv"),
     ("init-bench", "--config", "x.json"),
+    ("recover-bench", "--config", "x.json"),
+    ("solve", "--config", "x.json"),
+    ("verify-moments", "--config", "x.json"),
+    ("verify-moments", "--threads", "2"),
+    ("init-bench", "--success-threshold", "1e-6"),
+    ("recover-bench", "--success-threshold", "1e-6"),
+    ("solve", "--success-threshold", "1e-6"),
+    ("verify-moments", "--success-threshold", "1e-6"),
 ])
 def test_removed_flags_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
