@@ -24,7 +24,6 @@ from .solver import (
     dist,
     gradient,
     objective,
-    phase_align,
     solve,
 )
 from .spectral import (

@@ -32,7 +32,7 @@ from .ensembles import (
     Ensemble,
     Field,
     SeedLike,
-    _checked_intensities,
+    _intensities,
     _is_int,
     _is_real,
     moment_profile,
@@ -216,7 +216,7 @@ def run_init_experiment(config: ExperimentConfig) -> ResultTable:
     def one_trial(ratio: float, i: int) -> tuple[float, float]:
         x, mset, y, (pw_gsi_ss, pw_si_ss) = _problem(config, ratio, i)
         nx = np.linalg.norm(x)
-        y = _checked_intensities(mset, y)
+        y = _intensities(y, mset.N)
         A = mset.vectors
         sum_a2 = _sum_sq(A)
         Y = _Y(A, y, out=A)  # shared by both initializers

@@ -78,7 +78,11 @@ def _config(args: argparse.Namespace, kind: ExperimentKind, **defaults) -> Exper
     settings = {key: value for key, value in vars(args).items()
                 if key in fields and value is not None}
     if getattr(args, "ratios", None) is not None:
-        settings["ratio_grid"] = [float(r) for r in args.ratios.split(",")]
+        try:
+            settings["ratio_grid"] = [float(r) for r in args.ratios.split(",")]
+        except ValueError:
+            raise ValueError(
+                f"--ratios must be comma-separated numbers, got {args.ratios!r}") from None
     ensemble = Ensemble(Field(args.field), BUILTIN_ENTRIES[args.entry])
     return ExperimentConfig(kind, ensemble, **{**defaults, **settings})
 

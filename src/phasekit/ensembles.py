@@ -50,14 +50,24 @@ class Field(Enum):
         return np.complex128 if self is Field.COMPLEX else np.float64
 
 
+def _is_int(v) -> bool:
+    """An integer other than a bool; numpy integers count."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    """A real number other than a bool; numpy floats and integers count."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class EntryDistribution:
     """A scalar entry law with declared second and fourth absolute moments.
 
     The sampler maps (rng, shape) to a real array. The law must be
-    mean-zero and symmetric; m2 > 0 and m4 >= m2^2 are enforced. Declared
-    moments of a custom law are trusted only after the Monte-Carlo condition
-    check in :func:`phasekit.verify.mc_condition_residual`.
+    mean-zero and symmetric; finite real moments with m2 > 0 and m4 >= m2^2
+    are enforced. Declared moments of a custom law are trusted only after the
+    Monte-Carlo condition check in :func:`phasekit.verify.mc_condition_residual`.
     """
 
     name: str
@@ -66,6 +76,11 @@ class EntryDistribution:
     sampler: Callable[[np.random.Generator, tuple], np.ndarray] = field(repr=False)
 
     def __post_init__(self):
+        for key in ("m2", "m4"):
+            v = getattr(self, key)
+            if not (_is_real(v) and math.isfinite(v)):
+                raise ValueError(
+                    f"entry distribution {self.name!r}: {key} must be a finite number, got {v!r}")
         if not (self.m2 > 0):
             raise ValueError(f"entry distribution {self.name!r}: m2 must be > 0, got {self.m2}")
         if self.m4 < self.m2 ** 2:
@@ -190,16 +205,6 @@ class MeasurementSet:
         return self.vectors.shape[1]
 
 
-def _is_int(v) -> bool:
-    """An integer other than a bool; numpy integers count."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    """A real number other than a bool; numpy floats and integers count."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
 def _inner(A: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """w_j = <a_j, z> = a_j* z for every row a_j of A, and |w_j|^2 as a new
     array. A complex w is formed as conj(A @ conj(z)), so A is never copied."""
@@ -240,10 +245,10 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _vector(v, d: Optional[int], dtype: type, name="x", nonzero=True) -> np.ndarray:
+def _vector(v, d: Optional[int], dtype: type, name="x") -> np.ndarray:
     """v as an array of `dtype`, a `Field.dtype`, after checking that it has
-    shape (d,), or is 1-D of any length when d is None, is finite, is real
-    when `dtype` is, and, if `nonzero`, is not zero."""
+    shape (d,), or is 1-D of any length when d is None, is finite and is real
+    when `dtype` is."""
     v = np.asarray(v)
     if v.dtype.kind == "c" and np.dtype(dtype).kind != "c":
         raise ValueError(f"{name} must be real to match real measurements, got {v.dtype}")
@@ -252,20 +257,20 @@ def _vector(v, d: Optional[int], dtype: type, name="x", nonzero=True) -> np.ndar
         raise ValueError(f"{name} must have shape ({d or 'd'},), got {v.shape}")
     if not np.isfinite(v).all():
         raise ValueError(f"{name} must be finite")
-    if nonzero and not np.any(v):
-        raise ValueError(f"{name} must be nonzero")
     return v
 
 
-def _checked_intensities(mset: MeasurementSet, y) -> np.ndarray:
-    """`y` as float64, after checking it is finite, nonnegative and of shape (N,)."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (mset.N,):
-        raise ValueError(f"intensity vector has shape {y.shape}, expected ({mset.N},)")
-    return _finite_nonnegative(y)
-
-
-def _finite_nonnegative(y: np.ndarray) -> np.ndarray:
+def _intensities(y, n: Optional[int] = None) -> np.ndarray:
+    """`y` as float64, after checking that it is real, has shape (n,), or is
+    1-D and nonempty when n is None, and is finite and nonnegative."""
+    y = np.asarray(y)
+    if y.dtype.kind == "c":
+        raise ValueError(f"intensities must be real, got {y.dtype}")
+    y = y.astype(np.float64, copy=False)
+    if n is None and (y.ndim != 1 or y.size == 0):
+        raise ValueError(f"intensity vector must be 1-D and nonempty, got shape {y.shape}")
+    if n is not None and y.shape != (n,):
+        raise ValueError(f"intensity vector has shape {y.shape}, expected ({n},)")
     if not np.all(np.isfinite(y)):
         raise ValueError("intensities must be finite")
     if np.any(y < 0):
@@ -327,5 +332,8 @@ def sample_entries(ensemble: Ensemble, shape: tuple, rng: np.random.Generator) -
 
 
 def sample_measurements(ensemble: Ensemble, N: int, d: int, seed: SeedLike) -> MeasurementSet:
-    """N measurement vectors of dimension d. Identical seeds give identical bits."""
+    """N measurement vectors of dimension d, integers >= 1; identical seeds, identical bits."""
+    for name, v in (("N", N), ("d", d)):
+        if not (_is_int(v) and v >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
     return MeasurementSet(sample_entries(ensemble, (N, d), np.random.default_rng(seed)))

@@ -1,4 +1,4 @@
-"""Nonconvex objective, gradient, phase-aligned distance and the descent loop.
+"""Nonconvex objective, gradient, phase-invariant distance and the descent loop.
 
 The objective is E(z) = (1/2N) sum_j (|<a_j, z>|^2 - y_j)^2 with gradient
 
@@ -18,8 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .ensembles import (MeasurementSet, _checked_intensities, _inner, _is_int, _is_real, _norm,
-                        _vector)
+from .ensembles import MeasurementSet, _inner, _intensities, _is_int, _is_real, _norm, _vector
 
 DEFAULT_MAX_ITERS = 2000
 # the descent stops once ||g(z)|| <= GRAD_NORM_TOL * ||z||^3; the gradient is
@@ -73,12 +72,6 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
-class AlignedDistance:
-    theta: float   # in [0, 2*pi)
-    value: float   # min over theta of ||z - x e^{i theta}||
-
-
-@dataclass(frozen=True)
 class SolveReport:
     final_z: np.ndarray
     iterations: int
@@ -102,41 +95,33 @@ def _gradient(A: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def objective(z: np.ndarray, mset: MeasurementSet, y: np.ndarray) -> float:
     """(1/2N) sum_j (|<a_j, z>|^2 - y_j)^2. `z` must be finite, of shape
-    (d,) and real for real rows; `y` finite, nonnegative and of shape (N,)."""
-    z = _vector(z, mset.d, mset.field.dtype, "z", nonzero=False)
-    r = _inner(mset.vectors, z)[1] - _checked_intensities(mset, y)
+    (d,) and real for real rows; `y` real, finite, nonnegative, of shape (N,)."""
+    z = _vector(z, mset.d, mset.field.dtype, "z")
+    r = _inner(mset.vectors, z)[1] - _intensities(y, mset.N)
     return float(np.sum(r ** 2)) / (2.0 * mset.N)
 
 
 def gradient(z: np.ndarray, mset: MeasurementSet, y: np.ndarray) -> np.ndarray:
     """(1/N) sum_j (|w_j|^2 - y_j) w_j a_j with w_j = <a_j, z>. `z` and `y`
     are checked as by `objective`."""
-    z = _vector(z, mset.d, mset.field.dtype, "z", nonzero=False)
-    return _gradient(mset.vectors, _checked_intensities(mset, y), z)
-
-
-def phase_align(z: np.ndarray, x: np.ndarray) -> AlignedDistance:
-    """theta minimizing ||z - x e^{i theta}|| and the minimal value.
-
-    Complex inputs: theta = arg(x* z); real inputs: theta in {0, pi}.
-    If x* z = 0 the angle is defined as 0. `z` and `x` must be finite 1-D
-    arrays of one length; both are taken as complex if either is."""
-    dtype = np.complex128 if np.iscomplexobj(z) or np.iscomplexobj(x) else np.float64
-    z = _vector(z, None, dtype, "z", nonzero=False)
-    x = _vector(x, z.shape[0], dtype, "x", nonzero=False)
-    c = np.vdot(x, z)  # x* z
-    if dtype is np.complex128:
-        theta = cmath.phase(c) % (2.0 * math.pi) if c != 0 else 0.0
-        value = np.linalg.norm(z - x * cmath.exp(1j * theta))
-    else:
-        theta = 0.0 if c.real >= 0 else math.pi
-        value = np.linalg.norm(z - x if c.real >= 0 else z + x)
-    return AlignedDistance(float(theta), float(value))
+    z = _vector(z, mset.d, mset.field.dtype, "z")
+    return _gradient(mset.vectors, _intensities(y, mset.N), z)
 
 
 def dist(z: np.ndarray, x: np.ndarray) -> float:
-    """Phase-invariant distance min_theta ||z - x e^{i theta}||; see `phase_align`."""
-    return phase_align(z, x).value
+    """Phase-invariant distance min_theta ||z - x e^{i theta}||.
+
+    The minimizing theta is arg(x* z) for complex inputs and 0 or pi for real
+    ones; if x* z = 0 it is taken as 0. `z` and `x` must be finite 1-D arrays
+    of one length; both are taken as complex if either is."""
+    dtype = np.complex128 if np.iscomplexobj(z) or np.iscomplexobj(x) else np.float64
+    z = _vector(z, None, dtype, "z")
+    x = _vector(x, z.shape[0], dtype, "x")
+    c = np.vdot(x, z)  # x* z
+    if dtype is np.complex128:
+        theta = cmath.phase(c) % (2.0 * math.pi) if c != 0 else 0.0
+        return float(np.linalg.norm(z - x * cmath.exp(1j * theta)))
+    return float(np.linalg.norm(z - x if c.real >= 0 else z + x))
 
 
 def bb_step(s: np.ndarray, g: np.ndarray, fallback: float) -> float:
@@ -169,16 +154,16 @@ def solve(
     2^e is exact, so a power-of-two rescaling changes no bit of the run. An
     iterate not finite at the caller's scale, or a non-finite gradient, aborts
     with NON_FINITE and the last finite iterate. `z0` must be finite, of shape
-    (d,) and real for real rows; `y` finite, nonnegative and of shape (N,).
+    (d,) and real for real rows; `y` real, finite, nonnegative, of shape (N,).
     A z0 and y whose scales differ beyond float range raise ValueError.
     With `config.trace`, `iterates` lists z_0 (a copy of z0) to z_K, K =
     `iterations`, so `iterates[-1] is final_z`; measure them with `objective`,
     `gradient` or `dist`. Without it, `iterates` is None.
     """
-    z = np.ascontiguousarray(_vector(z0, mset.d, mset.field.dtype, "z0", nonzero=False))
+    z = np.ascontiguousarray(_vector(z0, mset.d, mset.field.dtype, "z0"))
     e = math.frexp(float(np.max(np.abs(z.view(np.float64)))))[1]
     z = _ldexp(z, -e)
-    y_given = _checked_intensities(mset, y)
+    y_given = _intensities(y, mset.N)
     with np.errstate(over="ignore"):
         y = np.ldexp(y_given, -2 * e)
     ymax = float(np.max(y))  # y >= 0: finite iff ymax is, all zero iff ymax is 0

@@ -27,10 +27,9 @@ from .ensembles import (
     MeasurementSet,
     MomentProfile,
     SeedLike,
-    _checked_intensities,
-    _finite_nonnegative,
     _gram,
     _inner,
+    _intensities,
     _is_int,
     _is_real,
     _norm,
@@ -53,18 +52,15 @@ class InitResult:
 def measure(mset: MeasurementSet, x: np.ndarray) -> np.ndarray:
     """Intensities y_j = |<a_j, x>|^2, without forming any A_j. `x` must be
     finite, of shape (d,) and real for real rows."""
-    return _inner(mset.vectors, _vector(x, mset.d, mset.field.dtype, nonzero=False))[1]
+    return _inner(mset.vectors, _vector(x, mset.d, mset.field.dtype))[1]
 
 
 def rho_from_intensities(y: np.ndarray, tau1: float) -> float:
-    """rho = sqrt(sum(y) / (tau1 * N)) for a nonempty 1-D `y` of finite, nonnegative
-    intensities and a finite real tau1 > 0; other input raises ValueError."""
+    """rho = sqrt(sum(y) / (tau1 * N)) for a nonempty 1-D `y` of real, finite,
+    nonnegative intensities and a finite real tau1 > 0; other input raises ValueError."""
     if not (_is_real(tau1) and 0 < tau1 < math.inf):
         raise ValueError(f"tau1 must be a finite number > 0, got {tau1!r}")
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1 or y.size == 0:
-        raise ValueError(f"intensity vector must be 1-D and nonempty, got shape {y.shape}")
-    return _rho(_finite_nonnegative(y), tau1)
+    return _rho(_intensities(y), tau1)
 
 
 def _rho(y: np.ndarray, tau1: float) -> float:
@@ -78,9 +74,9 @@ def build_Y(mset: MeasurementSet, y: np.ndarray) -> np.ndarray:
     sqrt(y_j) a_j, so Y is exactly Hermitian with a real diagonal. The rows
     are weighted in a copy; `mset.vectors` is left unchanged.
 
-    `y` must be finite, nonnegative and of shape (N,); other input raises
-    ValueError."""
-    return _Y(mset.vectors, _checked_intensities(mset, y))
+    `y` must be real, finite, nonnegative and of shape (N,); other input
+    raises ValueError."""
+    return _Y(mset.vectors, _intensities(y, mset.N))
 
 
 def _Y(A: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -180,8 +176,8 @@ def gsi(
 ) -> InitResult:
     """Generalized spectral initialization: z0 = rho * (top eigenvector of M).
 
-    `y` must be finite, nonnegative and of shape (N,)."""
-    y = _checked_intensities(mset, y)
+    `y` must be real, finite, nonnegative and of shape (N,)."""
+    y = _intensities(y, mset.N)
     return _gsi_from_Y(_Y(mset.vectors, y), y, profile, power_iters, seed)
 
 
@@ -192,7 +188,7 @@ def baseline_si(
     seed: SeedLike = 0,
 ) -> InitResult:
     """Classical spectral initialization: top eigenvector of Y, scaled by
-    lam_SI = sqrt(d * sum(y) / sum_j ||a_j||^2). `y` must be finite,
+    lam_SI = sqrt(d * sum(y) / sum_j ||a_j||^2). `y` must be real, finite,
     nonnegative and of shape (N,)."""
-    y = _checked_intensities(mset, y)
+    y = _intensities(y, mset.N)
     return _si_from_Y(_Y(mset.vectors, y), y, _sum_sq(mset.vectors), power_iters, seed)

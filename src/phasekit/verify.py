@@ -90,21 +90,20 @@ def _noise_scale(chunk_mats: Sequence[np.ndarray], overall: np.ndarray) -> float
 
 
 def _sample_chunks(ensemble: Ensemble, x, d: Optional[int], n_samples: int, seed: SeedLike,
-                   profile: Optional[MomentProfile],
                    ) -> tuple[np.ndarray, MomentProfile, int, Iterator[np.ndarray]]:
-    """The preamble of every Monte-Carlo oracle: (x, profile, m, chunks).
-    x is checked as a nonzero finite vector of the law's field and shape (d,),
-    of any length when d is None; profile defaults to the law's closed form;
-    chunks are DEFAULT_CHUNKS blocks of m = n_samples // DEFAULT_CHUNKS
-    measurement rows of x's dimension, drawn one block at a time from one
-    generator."""
+    """The preamble of every Monte-Carlo oracle: (x, the law's profile, m, chunks).
+    x is checked as a nonzero finite vector of the law's field and shape (d,), of
+    any length when d is None; chunks are DEFAULT_CHUNKS blocks of m = n_samples //
+    DEFAULT_CHUNKS measurement rows of x's dimension, drawn in turn from one generator."""
     x = _vector(x, d, ensemble.field.dtype)
+    if not np.any(x):
+        raise ValueError("x must be nonzero")
     if not (_is_int(n_samples) and n_samples >= 10_000):
         raise ValueError(f"need an integer n_samples >= 10000, got {n_samples!r}")
     rng = np.random.default_rng(seed)
     m = n_samples // DEFAULT_CHUNKS
     chunks = (sample_entries(ensemble, (m, x.shape[0]), rng) for _ in range(DEFAULT_CHUNKS))
-    return x, moment_profile(ensemble) if profile is None else profile, m, chunks
+    return x, moment_profile(ensemble), m, chunks
 
 
 def _matrix_check(name: str, chunk_mats: Sequence[np.ndarray], expected: np.ndarray,
@@ -131,15 +130,14 @@ def mc_condition_residual(
     x: np.ndarray,
     n_samples: int = 1_000_000,
     seed: SeedLike = 0,
-    profile: Optional[MomentProfile] = None,
 ) -> ResidualReport:
-    """Check E((x* A x) A) and E(A) against the (possibly injected) profile.
+    """Check E((x* A x) A) and E(A) against the law's closed-form profile.
 
     The main residual is the operator-norm deviation of the empirical
     (1/n) sum (x* A x) A from the condition-(II) closed form; the component
     report checks (1/n) sum A against tau1 I.
     """
-    x, profile, m, chunks = _sample_chunks(ensemble, x, d, n_samples, seed, profile)
+    x, profile, m, chunks = _sample_chunks(ensemble, x, d, n_samples, seed)
 
     second_chunks, first_chunks = [], []
     for A in chunks:
@@ -167,7 +165,6 @@ def mc_F_residual(
     x: np.ndarray,
     n_samples: int = 1_000_000,
     seed: SeedLike = 0,
-    profile: Optional[MomentProfile] = None,
 ) -> ResidualReport:
     """Check the block expectation of (1/n) sum [w; conj(w)][w; conj(w)]*
     with w = A_j x, for complex ensembles only; its upper-left block is the
@@ -175,7 +172,7 @@ def mc_F_residual(
     if ensemble.field is not Field.COMPLEX:
         raise ValueError("mc_F_residual requires a complex-field ensemble; "
                          "use mc_condition_residual for real fields")
-    x, profile, m, chunks = _sample_chunks(ensemble, x, None, n_samples, seed, profile)
+    x, profile, m, chunks = _sample_chunks(ensemble, x, None, n_samples, seed)
 
     f_chunks = []
     for A in chunks:
@@ -224,7 +221,7 @@ def concentration_curve(
     if not all(_is_int(N) and N >= 1 for N in N_grid):
         raise ValueError(f"N_grid entries must be integers >= 1, got {list(N_grid)!r}")
     profile = moment_profile(ensemble)
-    x = _vector(x, d, ensemble.field.dtype, nonzero=False)
+    x = _vector(x, d, ensemble.field.dtype)
     nx2 = float(np.vdot(x, x).real)
 
     EY = condition_expectation(profile, x)

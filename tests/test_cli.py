@@ -98,13 +98,13 @@ def test_unknown_ensemble_rejected(capsys):
     assert exc.value.code != 0
 
 
-def test_bad_ratios_flag(capsys):
-    code, out, err = run_cli(
-        capsys, "recover-bench", "--field", "real", "--ensemble", "ternary",
-        "--d", "16", "--ratios", "abc", "--trials", "1",
-    )
-    assert code == 1
-    assert err != ""
+@pytest.mark.parametrize("command", ["init-bench", "recover-bench", "solve"])
+@pytest.mark.parametrize("ratios", ["abc", "4,,6"])
+def test_bad_ratios_flag(capsys, command, ratios):
+    # the error was float()'s "could not convert string to float", naming no flag
+    code, out, err = run_cli(capsys, command, *_SMALL, "--ratios", ratios)
+    assert code == 1 and out == ""
+    assert err.startswith("error: --ratios ") and repr(ratios) in err
 
 
 @pytest.mark.parametrize("command", ["init-bench", "recover-bench", "solve"])

@@ -46,6 +46,16 @@ def test_entry_distribution_rejects_inconsistent_moments():
         EntryDistribution("bad", m2=0.0, m4=0.0, sampler=lambda rng, s: rng.standard_normal(s))
 
 
+@pytest.mark.parametrize("m2, m4", [
+    (1.0, math.inf), (math.nan, 3.0), (1.0, math.nan), ("1", 3.0), (True, 3.0), (1.0, 3j),
+], ids=["inf-m4", "nan-m2", "nan-m4", "str-m2", "bool-m2", "complex-m4"])
+def test_entry_distribution_requires_finite_real_moments(m2, m4):
+    # an infinite m4 built a law whose epsilon0 was nan; a string m2 raised
+    # TypeError and a bool m2 was taken as 1
+    with pytest.raises(ValueError, match="entry distribution 'bad': m[24] must be a finite number"):
+        EntryDistribution("bad", m2, m4, TERNARY.sampler)
+
+
 def test_moment_profile_closed_forms():
     p = moment_profile(Ensemble(Field.REAL, UNIFORM))
     assert (p.tau1, p.tau2, p.tau3) == (1 / 3, 1 / 9, 2 / 9)
@@ -118,6 +128,17 @@ def test_sampling_rejects_empty():
     for N, d in ((0, 4), (4, 0), (-1, 4), (4, -1)):
         with pytest.raises(ValueError):
             sample_measurements(ens, N, d, seed=0)
+
+
+@pytest.mark.parametrize("N, d, name", [
+    (2.5, 4, "N"), (True, 4, "N"), (-1, 4, "N"), (4.0, 4, "N"),
+    (4, np.float64(3), "d"), (4, 0, "d"), (4, "3", "d"),
+])
+def test_sampling_requires_integer_sizes(N, d, name):
+    # a float N raised TypeError from inside the ternary draw, a bool N
+    # "an integer is required" and a negative N numpy's "negative dimensions"
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
+        sample_measurements(Ensemble(Field.REAL, TERNARY), N, d, seed=0)
 
 
 @pytest.mark.parametrize("rows", [

@@ -23,7 +23,6 @@ from phasekit import (
     measure,
     moment_profile,
     objective,
-    phase_align,
     sample_measurements,
     solve,
 )
@@ -119,34 +118,27 @@ def test_gradient_phase_equivariance():
     assert np.allclose(gradient(phase * z, ms, y), phase * gradient(z, ms, y))
 
 
-def test_phase_align_real_sign():
+def test_dist_real_sign():
     x = np.array([1.0, 2.0])
-    a = phase_align(-x, x)
-    assert a.theta == pytest.approx(math.pi)
-    assert a.value == pytest.approx(0.0, abs=1e-15)
-    assert phase_align(x, x).theta == 0.0
-    assert phase_align(np.array([0.0, 0.0]), x).theta == 0.0
+    assert dist(-x, x) == pytest.approx(0.0, abs=1e-15)
 
 
-def test_phase_align_complex_exact():
+def test_dist_complex_exact():
     rng = np.random.default_rng(4)
     x = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     for theta in (0.0, 0.3, math.pi, 5.1):
-        z = x * np.exp(1j * theta)
-        a = phase_align(z, x)
-        assert a.value == pytest.approx(0.0, abs=1e-12)
-        assert a.theta == pytest.approx(theta % (2 * math.pi), abs=1e-12)
+        assert dist(x * np.exp(1j * theta), x) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_phase_align_matches_grid_oracle():
+def test_dist_matches_grid_oracle():
     rng = np.random.default_rng(5)
     x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     z = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     thetas = np.linspace(0.0, 2 * math.pi, 4096, endpoint=False)
     grid = np.min([np.linalg.norm(z - x * np.exp(1j * t)) for t in thetas])
-    a = phase_align(z, x)
-    assert a.value <= grid + 1e-12
-    assert a.value == pytest.approx(grid, rel=1e-5)
+    value = dist(z, x)
+    assert value <= grid + 1e-12
+    assert value == pytest.approx(grid, rel=1e-5)
 
 
 def test_dist_shape_mismatch():
@@ -154,7 +146,6 @@ def test_dist_shape_mismatch():
         dist(np.zeros(3), np.zeros(4))
 
 
-@pytest.mark.parametrize("call", [phase_align, dist])
 @pytest.mark.parametrize("z, x, match", [
     ([math.nan, 1.0], [1.0, 0.0], "z must be finite"),
     ([1.0, 0.0], [1.0, math.inf], "x must be finite"),
@@ -163,15 +154,14 @@ def test_dist_shape_mismatch():
     (np.ones(2), np.ones((2, 1)), "x must have shape"),
     (np.ones(2), np.ones(3), "x must have shape"),
 ], ids=["nan-z", "inf-x", "nan-complex-x", "matrices", "column-x", "long-x"])
-def test_phase_align_and_dist_reject_bad_vectors(call, z, x, match):
+def test_dist_rejects_bad_vectors(z, x, match):
     with pytest.raises(ValueError, match=match):
-        call(np.asarray(z), np.asarray(x))
+        dist(np.asarray(z), np.asarray(x))
 
 
-def test_phase_align_takes_complex_when_either_input_is():
+def test_dist_takes_complex_when_either_input_is():
     x = np.array([1.0, 2.0])
-    a = phase_align(1j * x, x)
-    assert a.theta == pytest.approx(math.pi / 2) and a.value == pytest.approx(0.0, abs=1e-15)
+    assert dist(1j * x, x) == pytest.approx(0.0, abs=1e-15)
     assert dist(x, 1j * x) == pytest.approx(0.0, abs=1e-15)
 
 

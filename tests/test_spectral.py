@@ -14,12 +14,15 @@ from phasekit import (
     build_Y,
     derived_constants,
     dist,
+    gradient,
     gsi,
     measure,
     moment_profile,
+    objective,
     power_method,
     rho_from_intensities,
     sample_measurements,
+    solve,
 )
 from phasekit.verify import condition_expectation, hermitian_opnorm
 
@@ -123,6 +126,26 @@ def test_rho_rejects_a_bad_tau1(tau1):
 def test_rho_rejects_bad_intensities(y, match):
     with pytest.raises(ValueError, match=match):
         rho_from_intensities(y, tau1=1.0)
+
+
+@pytest.mark.parametrize("call", ["build_Y", "gsi", "baseline_si", "objective", "gradient",
+                                  "solve", "rho_from_intensities"])
+def test_complex_intensities_are_rejected(call):
+    # converting y to float64 dropped the imaginary part with only a
+    # ComplexWarning
+    run = {
+        "build_Y": lambda ms, y, z: build_Y(ms, y),
+        "gsi": lambda ms, y, z: gsi(ms, y, moment_profile(TERNARY_REAL)),
+        "baseline_si": lambda ms, y, z: baseline_si(ms, y),
+        "objective": lambda ms, y, z: objective(z, ms, y),
+        "gradient": lambda ms, y, z: gradient(z, ms, y),
+        "solve": lambda ms, y, z: solve(ms, y, z),
+        "rho_from_intensities": lambda ms, y, z: rho_from_intensities(y, 1.0),
+    }[call]
+    ms = sample_measurements(TERNARY_REAL, 40, 4, seed=5)
+    z = np.ones(4)
+    with pytest.raises(ValueError, match="intensities must be real"):
+        run(ms, measure(ms, z) + 5j, z)
 
 
 def test_rho_concentrates():

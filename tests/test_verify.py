@@ -5,6 +5,7 @@ import pytest
 
 from phasekit import (
     Ensemble,
+    EntryDistribution,
     Field,
     GAUSSIAN,
     MomentProfile,
@@ -74,19 +75,18 @@ def test_f_residual_rejects_zero_signal():
         mc_F_residual(Ensemble(Field.COMPLEX, TERNARY), np.zeros(3), n_samples=20_000)
 
 
-def test_condition_residual_detects_wrong_tau():
-    ens = Ensemble(Field.REAL, TERNARY)
-    good = moment_profile(ens)
-    for bad in (MomentProfile(good.tau1, good.tau2, good.tau3, good.tau4 + 0.1),
-                MomentProfile(good.tau1, good.tau2, good.tau3, good.tau4 - 0.1),
-                MomentProfile(good.tau1, good.tau2, good.tau3 + 0.2, good.tau4)):
-        rep = mc_condition_residual(ens, 6, unit_vector(6, ens.field, seed=1),
-                                    n_samples=200_000, seed=3, profile=bad)
-        assert not rep.passed
-    bad1 = MomentProfile(good.tau1 + 0.1, good.tau2, good.tau3, good.tau4)
+@pytest.mark.parametrize("m2_shift, m4_shift", [(0.0, 0.1), (0.0, -0.1), (0.05, 0.0)],
+                         ids=["m4+0.1", "m4-0.1", "m2+0.05"])
+def test_condition_residual_detects_wrong_declared_moments(m2_shift, m4_shift):
+    # ternary draws declared with wrong moments: m4 +- 0.1 shifts tau4 alone
+    # by +-0.1; m2 + 0.05 shifts tau1, so the mean component fails too
+    law = EntryDistribution("mislabeled-ternary", TERNARY.m2 + m2_shift, TERNARY.m4 + m4_shift,
+                            TERNARY.sampler)
+    ens = Ensemble(Field.REAL, law)
     rep = mc_condition_residual(ens, 6, unit_vector(6, ens.field, seed=1),
-                                n_samples=200_000, seed=3, profile=bad1)
-    assert not rep.passed  # mean-identity component fails
+                                n_samples=200_000, seed=3)
+    assert not rep.passed and rep.residual > rep.tolerance
+    assert rep.components[0].passed is (m2_shift == 0.0)
 
 
 def test_condition_residual_shrinks_with_samples():
