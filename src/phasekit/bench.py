@@ -31,11 +31,13 @@ import numpy as np
 from .ensembles import (
     Ensemble,
     Field,
+    GAUSSIAN,
     SeedLike,
     _intensities,
     _is_int,
     _is_real,
     moment_profile,
+    sample_entries,
     sample_measurements,
 )
 from .solver import DEFAULT_MAX_ITERS, SolverConfig, dist, solve
@@ -62,10 +64,11 @@ class ExperimentConfig:
     d: int = 128
     ratio_grid: tuple = DEFAULT_RATIOS
     trials: Optional[int] = None     # None: 50 for init, 100 for success
-    # a protocol constant, not a setting: at d=128 recovery ends below 2e-11 or above 0.39
+    # protocol constants, not settings: at d=128 recovery ends below 2e-11 or above 0.39,
+    # and an exact eigensolver in place of the power method moves the mean GSI error <= 0.0035
     success_threshold: ClassVar[float] = 1e-5
+    power_iters: ClassVar[int] = DEFAULT_POWER_ITERS
     max_iters: int = DEFAULT_MAX_ITERS
-    power_iters: int = DEFAULT_POWER_ITERS
     base_seed: int = 0
 
     def __post_init__(self):
@@ -79,7 +82,7 @@ class ExperimentConfig:
         if self.trials is None:
             object.__setattr__(self, "trials",
                                100 if self.kind is ExperimentKind.SUCCESS_RATE else 50)
-        for name, low in (("d", 2), ("power_iters", 1), ("base_seed", 0), ("trials", 1)):
+        for name, low in (("d", 2), ("base_seed", 0), ("trials", 1)):
             value = getattr(self, name)
             if not _is_int(value):
                 raise ValueError(f"{name!r} must be an integer, got {value!r}")
@@ -171,11 +174,7 @@ def generate_signal(d: int, seed: SeedLike, field: Field = Field.REAL) -> np.nda
     SPIKE_FACTOR = 200. Complex signals are (g1 + i g2)/sqrt(2)."""
     if not (_is_int(d) and d >= 2):
         raise ValueError(f"d must be an integer >= 2 for the spiked signal, got {d!r}")
-    rng = np.random.default_rng(seed)
-    if field is Field.COMPLEX:
-        x = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) / math.sqrt(2.0)
-    else:
-        x = rng.standard_normal(d)
+    x = sample_entries(Ensemble(field, GAUSSIAN), (d,), np.random.default_rng(seed))
     x[-2:] *= SPIKE_FACTOR
     return x
 

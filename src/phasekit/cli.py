@@ -6,9 +6,11 @@ Subcommands:
     verify-moments  Monte-Carlo check of the ensemble's moment constants
     solve           one seeded end-to-end recovery
 
-Flags are the only way to set a run. They build an ExperimentConfig, which
-checks them, so the CLI holds no setting rules of its own. Every command
-writes its output to --out, or to stdout when --out is absent.
+Flags are the only way to set a run. build_parser declares each command once:
+its flags, whose dests are the ExperimentConfig fields they set, and its
+handler, kind and defaults. ExperimentConfig checks the values, so the CLI
+holds no setting rules; text not of a flag's type is a usage error (exit 2).
+Every command writes its output to --out, or to stdout when --out is absent.
 """
 
 from __future__ import annotations
@@ -31,60 +33,65 @@ from .ensembles import BUILTIN_ENTRIES, Ensemble, Field, derived_constants, mome
 from .verify import mc_condition_residual, mc_F_residual
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
     p.add_argument("--field", choices=["real", "complex"], default="real", help="number field")
     p.add_argument("--ensemble", dest="entry", choices=sorted(BUILTIN_ENTRIES),
                    default="gaussian", help="entry distribution")
     p.add_argument("--d", type=int, help="signal dimension")
     p.add_argument("--seed", dest="base_seed", type=int, help="base seed")
     p.add_argument("--out", help="output file (default: print to stdout)")
+    return p
 
 
-def _add_bench(p: argparse.ArgumentParser) -> None:
-    _add_common(p)
-    p.add_argument("--ratios", help="comma-separated N/d values, e.g. 2,4,6")
-    p.add_argument("--trials", type=int, help="trials per ratio")
-    p.add_argument("--max-iters", type=int, help="gradient iterations cap")
-    p.add_argument("--power-iters", type=int, help="power-method iterations")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
+def _ratio_list(text: str) -> list:
+    try:
+        return [float(r) for r in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated numbers: {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The one declaration of each command: its flags, whose dests name the
+    ExperimentConfig fields they set, and its handler, kind and defaults."""
     parser = argparse.ArgumentParser(prog="phasekit",
                                      description="Phase retrieval benchmarks for "
                                                  "sub-Gaussian rank-one measurements.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_bench(sub.add_parser("init-bench", help="initialization error vs N/d"))
-    _add_bench(sub.add_parser("recover-bench", help="recovery success rate vs N/d"))
+    for name, kind, run, summary in (
+        ("init-bench", ExperimentKind.INIT_ERROR, run_init_experiment,
+         "initialization error vs N/d"),
+        ("recover-bench", ExperimentKind.SUCCESS_RATE, run_recovery_experiment,
+         "recovery success rate vs N/d"),
+    ):
+        p = _add_common(sub.add_parser(name, help=summary))
+        p.add_argument("--ratios", dest="ratio_grid", metavar="RATIOS", type=_ratio_list,
+                       help="comma-separated N/d values, e.g. 2,4,6")
+        p.add_argument("--trials", type=int, help="trials per ratio")
+        p.add_argument("--max-iters", type=int, help="gradient iterations cap")
+        p.add_argument("--format", choices=["csv", "json"], default="csv")
+        p.set_defaults(handler=_cmd_bench, kind=kind, run=run)
 
-    pv = sub.add_parser("verify-moments", help="Monte-Carlo moment-identity check")
-    _add_common(pv)
+    pv = _add_common(sub.add_parser("verify-moments", help="Monte-Carlo moment-identity check"))
     pv.add_argument("--samples", type=int, default=1_000_000, help="Monte-Carlo sample count")
+    pv.set_defaults(handler=_cmd_verify_moments, kind=ExperimentKind.SUCCESS_RATE, d=3)
 
-    ps = sub.add_parser("solve", help="single seeded recovery run")
-    _add_common(ps)
-    ps.add_argument("--ratios", help="N/d ratio (first value used)")
-    ps.add_argument("--max-iters", type=int)
-    ps.add_argument("--power-iters", type=int)
+    ps = _add_common(sub.add_parser("solve", help="single seeded recovery run"))
+    ps.add_argument("--ratios", dest="ratio_grid", metavar="RATIO", type=float, nargs=1,
+                    help="N/d ratio")
+    ps.add_argument("--max-iters", type=int, help="gradient iterations cap")
+    ps.set_defaults(handler=_cmd_solve, kind=ExperimentKind.SUCCESS_RATE)
     return parser
 
 
-def _config(args: argparse.Namespace, kind: ExperimentKind, **defaults) -> ExperimentConfig:
-    """The flags given as an ExperimentConfig, which checks them. A setting
-    that no flag gives takes `defaults`, else the ExperimentConfig default."""
+def _config(args: argparse.Namespace) -> ExperimentConfig:
+    """The flags given as an ExperimentConfig, which checks them. Each flag's
+    dest is the field it sets; a field that no flag sets keeps its default."""
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    # each flag's dest is the field it sets
     settings = {key: value for key, value in vars(args).items()
                 if key in fields and value is not None}
-    if getattr(args, "ratios", None) is not None:
-        try:
-            settings["ratio_grid"] = [float(r) for r in args.ratios.split(",")]
-        except ValueError:
-            raise ValueError(
-                f"--ratios must be comma-separated numbers, got {args.ratios!r}") from None
     ensemble = Ensemble(Field(args.field), BUILTIN_ENTRIES[args.entry])
-    return ExperimentConfig(kind, ensemble, **{**defaults, **settings})
+    return ExperimentConfig(ensemble=ensemble, **settings)
 
 
 def _write(args: argparse.Namespace, text: str) -> None:
@@ -96,21 +103,14 @@ def _write(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-_BENCHES = {
-    "init-bench": (ExperimentKind.INIT_ERROR, run_init_experiment),
-    "recover-bench": (ExperimentKind.SUCCESS_RATE, run_recovery_experiment),
-}
-
-
 def _cmd_bench(args) -> int:
-    kind, run = _BENCHES[args.command]
-    table = run(_config(args, kind))
+    table = args.run(_config(args))
     _write(args, table.to_csv() if args.format == "csv" else table.to_json() + "\n")
     return 0
 
 
 def _cmd_verify_moments(args) -> int:
-    cfg = _config(args, ExperimentKind.SUCCESS_RATE, d=3)
+    cfg = _config(args)
     ensemble, d, seed = cfg.ensemble, cfg.d, cfg.base_seed
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     x = rng.standard_normal(d)
@@ -136,7 +136,7 @@ def _cmd_verify_moments(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    cfg = _config(args, ExperimentKind.SUCCESS_RATE)
+    cfg = _config(args)
     ratio = cfg.ratio_grid[0]
     record = run_recovery_trial(cfg, ratio, 0)
     payload = {
@@ -150,19 +150,10 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "init-bench": _cmd_bench,
-    "recover-bench": _cmd_bench,
-    "verify-moments": _cmd_verify_moments,
-    "solve": _cmd_solve,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

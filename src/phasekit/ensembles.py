@@ -126,23 +126,16 @@ def _ternary(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     return rng.integers(-1, 2, shape, dtype=np.int32)
 
 
-TERNARY = EntryDistribution(
-    "ternary", 2.0 / 3.0, 2.0 / 3.0,
-    # int8 values of numpy's int32 draw on [-1, 2), mapped in bulk from raw
-    # PCG64 words, low half first, by _ternary; a zero word, which numpy
-    # rejects, replays the int32 call (int8 bounded draws take another
-    # stream). Values and state match the default int64 draw, so every
-    # ternary stream is kept; sample_entries casts them to its float output
-    _ternary,
-)
+TERNARY = EntryDistribution("ternary", 2.0 / 3.0, 2.0 / 3.0, _ternary)
 
 BUILTIN_ENTRIES = {e.name: e for e in (GAUSSIAN, UNIFORM, TERNARY)}
 
 
 @dataclass(frozen=True)
 class MomentProfile:
-    """The ensemble constants tau1..tau4 together with the positivity checks
-    tau1 > 0, tau2 > 0, tau3 > 0 and tau3 + tau4 > 0."""
+    """The ensemble constants tau1..tau4, finite real numbers (not bools),
+    together with the positivity checks tau1 > 0, tau2 > 0, tau3 > 0 and
+    tau3 + tau4 > 0."""
 
     tau1: float
     tau2: float
@@ -150,13 +143,13 @@ class MomentProfile:
     tau4: float
 
     def __post_init__(self):
-        checks = [
-            ("tau1 > 0", self.tau1 > 0),
-            ("tau2 > 0", self.tau2 > 0),
-            ("tau3 > 0", self.tau3 > 0),
-            ("tau3 + tau4 > 0", self.tau3 + self.tau4 > 0),
-        ]
-        for name, ok in checks:
+        for name in ("tau1", "tau2", "tau3", "tau4"):
+            v = getattr(self, name)
+            if not (_is_real(v) and math.isfinite(v)):
+                raise ValueError(f"moment profile: {name} must be a finite number, got {v!r}")
+        for name, ok in (("tau1 > 0", self.tau1 > 0), ("tau2 > 0", self.tau2 > 0),
+                         ("tau3 > 0", self.tau3 > 0),
+                         ("tau3 + tau4 > 0", self.tau3 + self.tau4 > 0)):
             if not ok:
                 raise ValueError(f"moment profile violates {name}: {self}")
 
@@ -167,6 +160,12 @@ class Ensemble:
 
     field: Field
     entry: EntryDistribution
+
+    def __post_init__(self):
+        for name, cls in (("field", Field), ("entry", EntryDistribution)):
+            if not isinstance(getattr(self, name), cls):
+                raise ValueError(
+                    f"ensemble {name!r} must be a {cls.__name__}, got {getattr(self, name)!r}")
 
     def to_dict(self) -> dict:
         return {"field": self.field.value, "entry": self.entry.name}
@@ -315,10 +314,20 @@ def derived_constants(profile: MomentProfile) -> DerivedConstants:
     return DerivedConstants(alpha, beta, alpha_hat, eps0)
 
 
+def _draw(entry: EntryDistribution, shape: tuple, rng: np.random.Generator) -> np.ndarray:
+    """One call of the law's sampler, after checking that it gave real numbers of `shape`."""
+    draw = np.asarray(entry.sampler(rng, shape))
+    if draw.shape != tuple(shape) or draw.dtype.kind not in "iuf":
+        raise ValueError(f"entry distribution {entry.name!r}: sampler must return real numbers "
+                         f"of shape {tuple(shape)}, got {draw.dtype} of shape {draw.shape}")
+    return draw
+
+
 def sample_entries(ensemble: Ensemble, shape: tuple, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. float64 draws of `shape`; complex128 draws are (u + i v)/sqrt(2)."""
+    """i.i.d. float64 draws of `shape`; complex128 draws are (u + i v)/sqrt(2).
+    A sampler that returns another shape or non-real numbers raises ValueError."""
     if ensemble.field is Field.REAL:
-        return np.asarray(ensemble.entry.sampler(rng, shape), dtype=np.float64)
+        return _draw(ensemble.entry, shape, rng).astype(np.float64, copy=False)
     # each part is written as soon as it is drawn, u before v, so the two
     # draws and the output are never all live at once; the same bits as
     # (u + 1j*v) / sqrt(2), whose complex division multiplies by 1/sqrt(2),
@@ -326,8 +335,8 @@ def sample_entries(ensemble: Ensemble, shape: tuple, rng: np.random.Generator) -
     # integer draw times a Python float promotes to float16 under numpy 1.x
     out = np.empty(shape, dtype=np.complex128)
     scale = 1.0 / math.sqrt(2.0)
-    np.multiply(ensemble.entry.sampler(rng, shape), scale, out=out.real, dtype=np.float64)
-    np.multiply(ensemble.entry.sampler(rng, shape), scale, out=out.imag, dtype=np.float64)
+    np.multiply(_draw(ensemble.entry, shape, rng), scale, out=out.real, dtype=np.float64)
+    np.multiply(_draw(ensemble.entry, shape, rng), scale, out=out.imag, dtype=np.float64)
     return out
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import tracemalloc
@@ -24,6 +25,7 @@ from phasekit import (
     run_recovery_trial,
     trial_seed,
 )
+from phasekit.spectral import DEFAULT_POWER_ITERS
 
 TERNARY_REAL = Ensemble(Field.REAL, TERNARY)
 
@@ -59,6 +61,19 @@ def test_generate_signal_complex_and_small_d():
     assert z.dtype == np.complex128
     with pytest.raises(ValueError):
         generate_signal(1, seed=0)
+
+
+def test_complex_signal_is_the_scaled_pair_of_gaussian_draws():
+    rng = np.random.default_rng(1)
+    g = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) / math.sqrt(2.0)
+    z = generate_signal(4, seed=1, field=Field.COMPLEX)
+    assert np.array_equal(z[:-2], g[:-2]) and np.array_equal(z[-2:], 200.0 * g[-2:])
+
+
+def test_generate_signal_requires_a_field():
+    # the string "complex" gave a real signal
+    with pytest.raises(ValueError, match="ensemble 'field' must be a Field"):
+        generate_signal(8, 0, field="complex")
 
 
 @pytest.mark.parametrize("d", [2.5, True, 4.0, "4"], ids=repr)
@@ -121,9 +136,6 @@ def test_config_validation():
     ("max_iters", 2.5),
     ("max_iters", 0),
     ("max_iters", "200"),
-    ("power_iters", 0),
-    ("power_iters", 2.5),
-    ("power_iters", [50]),
     ("base_seed", "1"),
     ("base_seed", -1),
     ("ratio_grid", (4, False)),
@@ -136,7 +148,6 @@ def test_config_validation():
     ("d", np.float64(6.0)),
     ("trials", "2"),
     ("max_iters", None),
-    ("power_iters", True),
     ("base_seed", 1.0),
     ("ratio_grid", [4, "6"]),
     ("ratio_grid", [4, False]),
@@ -154,8 +165,7 @@ def test_config_rejects_bad_values_at_construction(name, value):
 def test_config_takes_numpy_values_and_any_ratio_sequence():
     cfg = ExperimentConfig(ExperimentKind.INIT_ERROR, TERNARY_REAL, d=np.int64(16),
                            ratio_grid=np.array([4.0, 8.0]), trials=np.int32(4),
-                           max_iters=np.int64(5), power_iters=np.int16(50),
-                           base_seed=np.uint8(7))
+                           max_iters=np.int64(5), base_seed=np.uint8(7))
     assert cfg.ratio_grid == (4.0, 8.0)
     assert ExperimentConfig(ExperimentKind.INIT_ERROR, TERNARY_REAL,
                             ratio_grid=[4, 8]).ratio_grid == (4, 8)
@@ -169,7 +179,7 @@ def test_numpy_config_writes_the_json_of_its_python_numbers():
     as_python = ExperimentConfig(ExperimentKind.INIT_ERROR, TERNARY_REAL, d=8,
                                  ratio_grid=(4, 6), trials=2)
     assert run_init_experiment(as_numpy).to_json() == run_init_experiment(as_python).to_json()
-    for name in ("d", "trials", "max_iters", "power_iters", "base_seed"):
+    for name in ("d", "trials", "max_iters", "base_seed"):
         assert type(getattr(as_numpy, name)) is int
     assert [type(r) for r in as_numpy.ratio_grid] == [int, int]  # printed as 4, not 4.0
     assert type(as_numpy.success_threshold) is float
@@ -180,6 +190,14 @@ def test_success_threshold_is_the_protocol_constant_not_a_setting():
     assert cfg.success_threshold == 1e-5 and cfg.to_dict()["success_threshold"] == 1e-5
     with pytest.raises(TypeError):
         ExperimentConfig(ExperimentKind.SUCCESS_RATE, TERNARY_REAL, success_threshold=1e-6)
+
+
+def test_power_iters_is_the_protocol_constant_not_a_setting():
+    cfg = ExperimentConfig(ExperimentKind.SUCCESS_RATE, TERNARY_REAL)
+    assert cfg.power_iters == DEFAULT_POWER_ITERS == cfg.to_dict()["power_iters"]
+    assert "power_iters" not in {f.name for f in dataclasses.fields(ExperimentConfig)}
+    with pytest.raises(TypeError):
+        ExperimentConfig(ExperimentKind.SUCCESS_RATE, TERNARY_REAL, power_iters=50)
 
 
 @pytest.mark.parametrize("kind", list(ExperimentKind))

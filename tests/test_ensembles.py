@@ -56,6 +56,32 @@ def test_entry_distribution_requires_finite_real_moments(m2, m4):
         EntryDistribution("bad", m2, m4, TERNARY.sampler)
 
 
+@pytest.mark.parametrize("taus, name", [
+    ((1.0, math.inf, 1.0, 0.0), "tau2"),
+    ((1.0, 1.0, 1.0, math.nan), "tau4"),
+    ((1.0, 1.0, 1.0, "0.5"), "tau4"),
+    ((True, 1.0, 1.0, 0.0), "tau1"),
+    ((1.0, 1.0, 1j, 0.0), "tau3"),
+], ids=["inf-tau2", "nan-tau4", "str-tau4", "bool-tau1", "complex-tau3"])
+def test_moment_profile_requires_finite_real_constants(taus, name):
+    # an infinite tau2 built a profile whose alpha was inf and epsilon0 nan;
+    # a string tau4 raised TypeError
+    with pytest.raises(ValueError, match=f"moment profile: {name} must be a finite number"):
+        MomentProfile(*taus)
+
+
+@pytest.mark.parametrize("field, entry, name", [
+    ("real", GAUSSIAN, "field"),
+    (None, GAUSSIAN, "field"),
+    (Field.REAL, "gaussian", "entry"),
+    (Field.COMPLEX, None, "entry"),
+], ids=["str-field", "no-field", "str-entry", "no-entry"])
+def test_ensemble_requires_a_field_and_an_entry_distribution(field, entry, name):
+    # Ensemble("real", GAUSSIAN) took the complex profile and drew complex rows
+    with pytest.raises(ValueError, match=f"ensemble '{name}' must be a"):
+        Ensemble(field, entry)
+
+
 def test_moment_profile_closed_forms():
     p = moment_profile(Ensemble(Field.REAL, UNIFORM))
     assert (p.tau1, p.tau2, p.tau3) == (1 / 3, 1 / 9, 2 / 9)
@@ -168,6 +194,24 @@ def test_sampling_rejects_a_law_that_draws_non_finite_values(field):
     law = EntryDistribution("nan", 1.0, 3.0, lambda rng, shape: np.full(shape, np.nan))
     with pytest.raises(ValueError, match="measurement vectors must be finite"):
         sample_measurements(Ensemble(field, law), 4, 3, seed=0)
+
+
+@pytest.mark.parametrize("sampler", [
+    lambda rng, shape: rng.standard_normal(shape) + 0j,
+    lambda rng, shape: rng.standard_normal(shape[::-1]),
+    lambda rng, shape: rng.standard_normal(shape[-1:]),
+    lambda rng, shape: np.ones(shape, dtype=bool),
+    lambda rng, shape: np.full(shape, "1"),
+], ids=["complex", "transposed", "one-row", "bool", "str"])
+@pytest.mark.parametrize("field", list(Field), ids=lambda f: f.value)
+def test_sampling_rejects_a_sampler_that_returns_other_than_real_numbers_of_the_shape(
+        field, sampler):
+    # complex draws lost their imaginary part on the real field, a (d, N) draw
+    # swapped N and d, and a (d,) draw was broadcast to N equal complex rows
+    law = EntryDistribution("bad", 1.0, 3.0, sampler)
+    with pytest.raises(ValueError, match=r"entry distribution 'bad': sampler must return real "
+                                         r"numbers of shape \(5, 3\)"):
+        sample_measurements(Ensemble(field, law), 5, 3, seed=0)
 
 
 @pytest.mark.parametrize("rows, field, dtype", [
