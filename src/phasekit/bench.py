@@ -20,7 +20,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from enum import Enum
@@ -33,9 +32,9 @@ from .ensembles import (
     Field,
     GAUSSIAN,
     SeedLike,
+    _integer,
     _intensities,
-    _is_int,
-    _is_real,
+    _number,
     moment_profile,
     sample_entries,
     sample_measurements,
@@ -83,20 +82,15 @@ class ExperimentConfig:
             object.__setattr__(self, "trials",
                                100 if self.kind is ExperimentKind.SUCCESS_RATE else 50)
         for name, low in (("d", 2), ("base_seed", 0), ("trials", 1)):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name!r} must be an integer, got {value!r}")
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}, got {value}")
-        if not (isinstance(self.ratio_grid, (Sequence, np.ndarray))
-                and all(map(_is_real, self.ratio_grid))):
+            _integer(getattr(self, name), name, low)
+        if not isinstance(self.ratio_grid, (Sequence, np.ndarray)):
             raise ValueError(f"'ratio_grid' must be a sequence of numbers, got {self.ratio_grid!r}")
         object.__setattr__(self, "ratio_grid", tuple(map(_python, self.ratio_grid)))
         self.solver_config  # SolverConfig owns the max_iters rule
         if len(self.ratio_grid) == 0:
             raise ValueError("ratio grid must be nonempty")
-        if not all(math.isfinite(r) and r >= 1 for r in self.ratio_grid):
-            raise ValueError("ratio grid values must be finite and >= 1")
+        for i, r in enumerate(self.ratio_grid):
+            _number(r, f"ratio_grid[{i}]", 1)
         keys = [_ratio_key(r) for r in self.ratio_grid]
         if len(set(keys)) != len(keys):
             raise ValueError(
@@ -163,17 +157,19 @@ def _ratio_key(ratio: float) -> int:
 
 
 def trial_seed(base_seed: int, ratio: float, trial: int) -> np.random.SeedSequence:
-    """Pure function of (base_seed, ratio, trial). The ratio is keyed by
-    round(1000*ratio); ExperimentConfig rejects grids where two keys collide,
-    so no two trials of an experiment share a stream."""
+    """Pure function of integers base_seed, trial >= 0 and a finite ratio >= 0,
+    keyed by round(1000*ratio). ExperimentConfig rejects grids where two keys
+    collide, so no two trials of an experiment share a stream."""
+    _integer(base_seed, "base_seed", 0)
+    _number(ratio, "ratio", 0)
+    _integer(trial, "trial", 0)
     return np.random.SeedSequence(entropy=base_seed, spawn_key=(_ratio_key(ratio), trial))
 
 
 def generate_signal(d: int, seed: SeedLike, field: Field = Field.REAL) -> np.ndarray:
     """Gaussian test signal with the last two coordinates amplified by
     SPIKE_FACTOR = 200. Complex signals are (g1 + i g2)/sqrt(2)."""
-    if not (_is_int(d) and d >= 2):
-        raise ValueError(f"d must be an integer >= 2 for the spiked signal, got {d!r}")
+    _integer(d, "d", 2)
     x = sample_entries(Ensemble(field, GAUSSIAN), (d,), np.random.default_rng(seed))
     x[-2:] *= SPIKE_FACTOR
     return x

@@ -50,14 +50,54 @@ class Field(Enum):
         return np.complex128 if self is Field.COMPLEX else np.float64
 
 
-def _is_int(v) -> bool:
-    """An integer other than a bool; numpy integers count."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+def _integer(v, name: str, low: int) -> None:
+    """Check that v is an integer other than a bool (numpy integers count) and >= low."""
+    if not (isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
 
 
-def _is_real(v) -> bool:
-    """A real number other than a bool; numpy floats and integers count."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+def _number(v, name: str, low: Optional[float] = None, strict: bool = False) -> None:
+    """Check that v is a finite real, not a bool, > low if `strict` else >= low (None: no bound)."""
+    if not (isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+            and (low is None or (v > low if strict else v >= low))):
+        bound = "" if low is None else f" {'>' if strict else '>='} {low}"
+        raise ValueError(f"{name} must be a finite number{bound}, got {v!r}")
+
+
+def _vector(v, d: Optional[int], dtype: type, name="x") -> np.ndarray:
+    """v as an array of `dtype`, a `Field.dtype`, after checking that it holds numbers,
+    not bools, is real when `dtype` is, has shape (d,) (1-D if d is None) and is finite."""
+    v = np.asarray(v)
+    if not np.issubdtype(v.dtype, np.number):
+        raise ValueError(f"{name} must be an array of numbers, got {v.dtype}")
+    if v.dtype.kind == "c" and np.dtype(dtype).kind != "c":
+        raise ValueError(f"{name} must be real, got {v.dtype}")
+    v = v.astype(dtype, copy=False)
+    if v.ndim != 1 or d not in (None, v.shape[0]):
+        raise ValueError(f"{name} must have shape ({'n' if d is None else d},), got {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} must be finite")
+    return v
+
+
+def _matrix(M, name: str) -> np.ndarray:
+    """M as an array, after checking that it is a finite square matrix of numbers, not bools."""
+    M = np.asarray(M)
+    if not (M.ndim == 2 and M.shape[0] == M.shape[1] and np.issubdtype(M.dtype, np.number)
+            and np.isfinite(M).all()):
+        raise ValueError(f"{name} must be a finite square matrix of numbers, "
+                         f"got {M.dtype} of shape {M.shape}")
+    return M
+
+
+def _intensities(y, n: Optional[int] = None) -> np.ndarray:
+    """`y` as float64, checked by `_vector`, then as nonempty and nonnegative."""
+    y = _vector(y, n, np.float64, "intensities")
+    if y.size == 0:
+        raise ValueError("intensities must be nonempty")
+    if np.any(y < 0):
+        raise ValueError("intensities must be nonnegative")
+    return y
 
 
 @dataclass(frozen=True)
@@ -76,18 +116,11 @@ class EntryDistribution:
     sampler: Callable[[np.random.Generator, tuple], np.ndarray] = field(repr=False)
 
     def __post_init__(self):
-        for key in ("m2", "m4"):
-            v = getattr(self, key)
-            if not (_is_real(v) and math.isfinite(v)):
-                raise ValueError(
-                    f"entry distribution {self.name!r}: {key} must be a finite number, got {v!r}")
-        if not (self.m2 > 0):
-            raise ValueError(f"entry distribution {self.name!r}: m2 must be > 0, got {self.m2}")
+        _number(self.m2, f"entry distribution {self.name!r}: m2", 0, strict=True)
+        _number(self.m4, f"entry distribution {self.name!r}: m4")
         if self.m4 < self.m2 ** 2:
-            raise ValueError(
-                f"entry distribution {self.name!r}: m4 >= m2^2 required "
-                f"(got m4={self.m4}, m2^2={self.m2 ** 2})"
-            )
+            raise ValueError(f"entry distribution {self.name!r}: m4 >= m2^2 required "
+                             f"(got m4={self.m4}, m2^2={self.m2 ** 2})")
 
 
 GAUSSIAN = EntryDistribution("gaussian", 1.0, 3.0, lambda rng, shape: rng.standard_normal(shape))
@@ -144,9 +177,7 @@ class MomentProfile:
 
     def __post_init__(self):
         for name in ("tau1", "tau2", "tau3", "tau4"):
-            v = getattr(self, name)
-            if not (_is_real(v) and math.isfinite(v)):
-                raise ValueError(f"moment profile: {name} must be a finite number, got {v!r}")
+            _number(getattr(self, name), f"moment profile: {name}")
         for name, ok in (("tau1 > 0", self.tau1 > 0), ("tau2 > 0", self.tau2 > 0),
                          ("tau3 > 0", self.tau3 > 0),
                          ("tau3 + tau4 > 0", self.tau3 + self.tau4 > 0)):
@@ -244,39 +275,6 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _vector(v, d: Optional[int], dtype: type, name="x") -> np.ndarray:
-    """v as an array of `dtype`, a `Field.dtype`, after checking that it has
-    shape (d,), or is 1-D of any length when d is None, is finite and is real
-    when `dtype` is."""
-    v = np.asarray(v)
-    if v.dtype.kind == "c" and np.dtype(dtype).kind != "c":
-        raise ValueError(f"{name} must be real to match real measurements, got {v.dtype}")
-    v = v.astype(dtype, copy=False)
-    if v.ndim != 1 or d not in (None, v.shape[0]):
-        raise ValueError(f"{name} must have shape ({d or 'd'},), got {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError(f"{name} must be finite")
-    return v
-
-
-def _intensities(y, n: Optional[int] = None) -> np.ndarray:
-    """`y` as float64, after checking that it is real, has shape (n,), or is
-    1-D and nonempty when n is None, and is finite and nonnegative."""
-    y = np.asarray(y)
-    if y.dtype.kind == "c":
-        raise ValueError(f"intensities must be real, got {y.dtype}")
-    y = y.astype(np.float64, copy=False)
-    if n is None and (y.ndim != 1 or y.size == 0):
-        raise ValueError(f"intensity vector must be 1-D and nonempty, got shape {y.shape}")
-    if n is not None and y.shape != (n,):
-        raise ValueError(f"intensity vector has shape {y.shape}, expected ({n},)")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("intensities must be finite")
-    if np.any(y < 0):
-        raise ValueError("intensities must be nonnegative")
-    return y
-
-
 def moment_profile(ensemble: Ensemble) -> MomentProfile:
     """Closed-form tau1..tau4 for an i.i.d. symmetric entry ensemble.
 
@@ -342,7 +340,6 @@ def sample_entries(ensemble: Ensemble, shape: tuple, rng: np.random.Generator) -
 
 def sample_measurements(ensemble: Ensemble, N: int, d: int, seed: SeedLike) -> MeasurementSet:
     """N measurement vectors of dimension d, integers >= 1; identical seeds, identical bits."""
-    for name, v in (("N", N), ("d", d)):
-        if not (_is_int(v) and v >= 1):
-            raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+    _integer(N, "N", 1)
+    _integer(d, "d", 1)
     return MeasurementSet(sample_entries(ensemble, (N, d), np.random.default_rng(seed)))

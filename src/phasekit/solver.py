@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .ensembles import MeasurementSet, _inner, _intensities, _is_int, _is_real, _norm, _vector
+from .ensembles import MeasurementSet, _inner, _integer, _intensities, _norm, _number, _vector
 
 DEFAULT_MAX_ITERS = 2000
 # the descent stops once ||g(z)|| <= GRAD_NORM_TOL * ||z||^3; the gradient is
@@ -33,8 +33,7 @@ class FixedStep:
     mu: float
 
     def __post_init__(self):
-        if not (_is_real(self.mu) and math.isfinite(self.mu) and self.mu > 0):
-            raise ValueError(f"'mu' must be a finite number > 0, got {self.mu!r}")
+        _number(self.mu, "mu", 0, strict=True)
 
 
 @dataclass(frozen=True)
@@ -65,8 +64,7 @@ class SolverConfig:
         if not isinstance(self.step_mode, (FixedStep, BarzilaiBorwein)):
             raise ValueError(
                 f"'step_mode' must be a FixedStep or BarzilaiBorwein, got {self.step_mode!r}")
-        if not (_is_int(self.max_iters) and self.max_iters >= 1):
-            raise ValueError(f"'max_iters' must be an integer >= 1, got {self.max_iters!r}")
+        _integer(self.max_iters, "max_iters", 1)
         if not isinstance(self.trace, bool):
             raise ValueError(f"'trace' must be a bool, got {self.trace!r}")
 

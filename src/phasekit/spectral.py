@@ -29,10 +29,11 @@ from .ensembles import (
     SeedLike,
     _gram,
     _inner,
+    _integer,
     _intensities,
-    _is_int,
-    _is_real,
+    _matrix,
     _norm,
+    _number,
     _vector,
 )
 
@@ -58,8 +59,7 @@ def measure(mset: MeasurementSet, x: np.ndarray) -> np.ndarray:
 def rho_from_intensities(y: np.ndarray, tau1: float) -> float:
     """rho = sqrt(sum(y) / (tau1 * N)) for a nonempty 1-D `y` of real, finite,
     nonnegative intensities and a finite real tau1 > 0; other input raises ValueError."""
-    if not (_is_real(tau1) and 0 < tau1 < math.inf):
-        raise ValueError(f"tau1 must be a finite number > 0, got {tau1!r}")
+    _number(tau1, "tau1", 0, strict=True)
     return _rho(_intensities(y), tau1)
 
 
@@ -88,14 +88,10 @@ def _Y(A: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
 
 def build_M(Y: np.ndarray, rho: float, profile: MomentProfile) -> np.ndarray:
     """M = Y - (tau4/(tau3+tau4)) * D(Y - tau2 rho^2 I); off-diagonal equals Y's.
-    `Y` must be a finite square numeric matrix (an integer one gives a float64
-    M) and `rho` a finite real >= 0; other input raises ValueError."""
-    Y = np.asarray(Y)
-    if not (Y.ndim == 2 and Y.shape[0] == Y.shape[1] and np.issubdtype(Y.dtype, np.number)
-            and np.isfinite(Y).all()):
-        raise ValueError(f"Y must be a finite square numeric matrix, got {Y.dtype} {Y.shape}")
-    if not (_is_real(rho) and 0 <= rho < math.inf):
-        raise ValueError(f"rho must be a finite number >= 0, got {rho!r}")
+    `Y` must be a finite square numeric matrix, taken as Hermitian unchecked (an
+    integer one gives a float64 M), and `rho` a finite real >= 0, else ValueError."""
+    Y = _matrix(Y, "Y")
+    _number(rho, "rho", 0)
     c = profile.tau4 / (profile.tau3 + profile.tau4)
     M = Y.astype(np.result_type(Y, np.float64))
     diag = np.diagonal(Y).real
@@ -119,15 +115,12 @@ def power_method(
     not enough, as when the top two eigenvalues are close or of opposite sign
     with equal modulus; `InitResult.residual` carries it out of `gsi` and
     `baseline_si`.
-    Raises ValueError when M is not a square matrix, and when a product has a
-    norm outside (0, inf): M is zero, not finite, or so small or large that
-    ||M v||^2 underflows or overflows.
+    Raises ValueError when M, taken as Hermitian unchecked, is not a finite
+    square numeric matrix, and when a product has a norm outside (0, inf): M
+    is zero, or so small or large that ||M v||^2 underflows or overflows.
     """
-    if not (_is_int(iters) and iters >= 1):
-        raise ValueError(f"iters must be an integer >= 1, got {iters!r}")
-    M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"M must be a square matrix, got shape {M.shape}")
+    _integer(iters, "iters", 1)
+    M = _matrix(M, "M")
     rng = np.random.default_rng(seed)
     d = M.shape[0]
     v = rng.standard_normal(d)
@@ -139,7 +132,7 @@ def power_method(
         nw = _norm(Mv)
         if not 0.0 < nw < math.inf:
             raise ValueError(f"power method breaks down: ||M v|| = {nw}; M must be "
-                             "finite and nonzero, with ||M v||^2 within float range")
+                             "nonzero, with ||M v||^2 within float range")
         v = Mv / nw
         Mv = M @ v
     lam = float(np.vdot(v, Mv).real)

@@ -26,7 +26,8 @@ from .ensembles import (
     SeedLike,
     _gram,
     _inner,
-    _is_int,
+    _integer,
+    _matrix,
     _vector,
     moment_profile,
     sample_entries,
@@ -70,14 +71,10 @@ class ResidualReport:
 
 
 def hermitian_opnorm(H: np.ndarray) -> float:
-    """Operator norm (largest |eigenvalue|) of a Hermitian matrix, by a dense
-    eigensolve."""
-    H = np.asarray(H)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"H must be a square matrix, got shape {H.shape}")
-    if not np.isfinite(H).all():
-        raise ValueError("H must be finite")
-    vals = np.linalg.eigvalsh(H)
+    """Operator norm (largest |eigenvalue|) of a finite square numeric matrix
+    by a dense eigensolve. H is taken as Hermitian, unchecked: only its lower
+    triangle is read, so [[0, 5], [0, 0]] gives 0.0."""
+    vals = np.linalg.eigvalsh(_matrix(H, "H"))
     return float(np.max(np.abs(vals))) if vals.size else 0.0
 
 
@@ -98,8 +95,7 @@ def _sample_chunks(ensemble: Ensemble, x, d: Optional[int], n_samples: int, seed
     x = _vector(x, d, ensemble.field.dtype)
     if not np.any(x):
         raise ValueError("x must be nonzero")
-    if not (_is_int(n_samples) and n_samples >= 10_000):
-        raise ValueError(f"need an integer n_samples >= 10000, got {n_samples!r}")
+    _integer(n_samples, "n_samples", 10_000)
     rng = np.random.default_rng(seed)
     m = n_samples // DEFAULT_CHUNKS
     chunks = (sample_entries(ensemble, (m, x.shape[0]), rng) for _ in range(DEFAULT_CHUNKS))
@@ -137,6 +133,7 @@ def mc_condition_residual(
     (1/n) sum (x* A x) A from the condition-(II) closed form; the component
     report checks (1/n) sum A against tau1 I.
     """
+    _integer(d, "d", 1)
     x, profile, m, chunks = _sample_chunks(ensemble, x, d, n_samples, seed)
 
     second_chunks, first_chunks = [], []
@@ -216,10 +213,12 @@ def concentration_curve(
     its spawn key; a Generator seed supplies the entropy by one draw of its
     stream.
     """
-    if not (_is_int(trials) and trials >= 20):
-        raise ValueError(f"need an integer trials >= 20, got {trials!r}")
-    if not all(_is_int(N) and N >= 1 for N in N_grid):
-        raise ValueError(f"N_grid entries must be integers >= 1, got {list(N_grid)!r}")
+    _integer(d, "d", 1)
+    _integer(trials, "trials", 20)
+    if not isinstance(N_grid, (Sequence, np.ndarray)):
+        raise ValueError(f"N_grid must be a sequence of integers, got {N_grid!r}")
+    for i, N in enumerate(N_grid):
+        _integer(N, f"N_grid[{i}]", 1)
     profile = moment_profile(ensemble)
     x = _vector(x, d, ensemble.field.dtype)
     nx2 = float(np.vdot(x, x).real)
@@ -260,6 +259,8 @@ def convergence_rate_fit(trace: Sequence[float]) -> tuple[float, float]:
     around in rounding noise). Returns (slope, r_squared); slope < 0 indicates
     geometric decay. A constant trace reports r_squared = 0."""
     trace = np.asarray(trace, dtype=np.float64)
+    if trace.ndim != 1:
+        raise ValueError(f"trace must be 1-D, got shape {trace.shape}")
     at_floor = np.flatnonzero(trace <= FIT_FLOOR)
     end = int(at_floor[0]) if at_floor.size else trace.size
     if not np.isfinite(trace[:end]).all():

@@ -82,6 +82,19 @@ def test_generate_signal_rejects_a_non_integer_d(d):
         generate_signal(d, seed=0)
 
 
+@pytest.mark.parametrize("args, name", [
+    ((True, 2.0, 1), "base_seed"), ((1.0, 2.0, 1), "base_seed"), ((-1, 2.0, 1), "base_seed"),
+    ((0, "2", 0), "ratio"), ((0, True, 0), "ratio"), ((0, math.nan, 0), "ratio"),
+    ((0, -2.0, 0), "ratio"),
+    ((0, 2.0, 1.5), "trial"), ((0, 2.0, True), "trial"), ((0, 2.0, -1), "trial"),
+], ids=repr)
+def test_trial_seed_rejects_bad_arguments(args, name):
+    # trial_seed(True, 2.0, True) gave the stream of (1, 2.0, 1), and text or
+    # fractional arguments raised TypeError
+    with pytest.raises(ValueError, match=f"^{name} must be an? (integer|finite number) >= 0, got "):
+        trial_seed(*args)
+
+
 def test_generate_signal_second_moment():
     # E||x||^2 = (d - 2) v + 2 * 200^2 v with per-coordinate variance v = 1
     d, n = 16, 10_000

@@ -138,9 +138,9 @@ def test_bad_flag_value_is_an_error_naming_the_setting(capsys, command, flag, va
 
 @pytest.mark.parametrize("command", ["init-bench", "recover-bench", "solve", "verify-moments"])
 @pytest.mark.parametrize("flag, value, message", [
-    ("--d", "1", "d must be >= 2"),
-    ("--d", "-4", "d must be >= 2"),
-    ("--seed", "-1", "base_seed must be >= 0"),
+    ("--d", "1", "d must be an integer >= 2, got 1"),
+    ("--d", "-4", "d must be an integer >= 2, got -4"),
+    ("--seed", "-1", "base_seed must be an integer >= 0, got -1"),
 ])
 def test_bad_common_flag_value_is_an_error_naming_the_setting(capsys, command, flag, value,
                                                                message):
@@ -151,8 +151,8 @@ def test_bad_common_flag_value_is_an_error_naming_the_setting(capsys, command, f
 
 @pytest.mark.parametrize("command, ratios, message", [
     pytest.param(command, ratios, message, id=f"{ratios}-{message}-{command}")
-    for ratios, message in [("0.5", "ratio grid values must be finite and >= 1"),
-                            ("nan", "ratio grid values must be finite and >= 1"),
+    for ratios, message in [("0.5", "ratio_grid[0] must be a finite number >= 1, got 0.5"),
+                            ("nan", "ratio_grid[0] must be a finite number >= 1, got nan"),
                             ("6,6.0001", "equal after rounding")]
     for command in ["init-bench", "recover-bench", "solve"]
     if not (command == "solve" and "," in ratios)  # solve takes one ratio
@@ -226,7 +226,7 @@ def test_verify_moments_reads_d_from_config(capsys):
     assert from_flag != default_d
     assert default_d == three
     code, _, err = run_cli(capsys, "verify-moments", "--d", "1", *common)
-    assert code == 1 and "d must be >= 2" in err
+    assert code == 1 and "d must be an integer >= 2, got 1" in err
 
 
 _SMALL = ("--field", "real", "--ensemble", "ternary", "--d", "8", "--seed", "1")

@@ -66,7 +66,7 @@ def test_a_point_must_not_be_complex_for_real_rows(call):
     }[call]
     z = np.ones(6)
     run(sample_measurements(Ensemble(Field.COMPLEX, TERNARY), 40, 6, seed=0), z)
-    with pytest.raises(ValueError, match=r"^(x|z|z0) must be real to match real measurements"):
+    with pytest.raises(ValueError, match=r"^(x|z|z0) must be real, got complex128"):
         run(sample_measurements(TERNARY_REAL, 40, 6, seed=0), z + 1j)
 
 
@@ -422,6 +422,8 @@ def test_complex_ternary_trial_converges_before_max_iters():
     (lambda y: np.where(np.arange(y.size) == 3, -1.0, y), "nonnegative"),
     (lambda y: y[:-1], "shape"),
     (lambda y: y[:, None], "shape"),
+    (lambda y: y.astype(str), "intensities must be an array of numbers"),
+    (lambda y: y > 1.0, "intensities must be an array of numbers"),
 ])
 def test_solve_rejects_bad_intensities(bad, match):
     ms = sample_measurements(TERNARY_REAL, 20, 4, seed=12)
@@ -433,8 +435,26 @@ def test_solve_rejects_bad_intensities(bad, match):
 @pytest.mark.parametrize("max_iters", [2.5, 0, -1, True, "10", None])
 def test_solver_config_rejects_bad_iteration_cap(max_iters):
     # a construction check: a fractional cap would never equal the count
-    with pytest.raises(ValueError, match="'max_iters'"):
+    with pytest.raises(ValueError, match=r"^max_iters must be an integer >= 1, got "):
         SolverConfig(max_iters=max_iters)
+
+
+@pytest.mark.parametrize("point", [
+    np.array(["1", "0", "0", "0", "0", "0"]), np.ones(6, dtype=bool), np.ones(6, dtype=object),
+], ids=["text", "bool", "object"])
+@pytest.mark.parametrize("call", ["measure", "objective", "gradient", "solve", "dist"])
+def test_a_point_must_hold_numbers(call, point):
+    # numeric text, bools and objects were taken as floats, though rows of
+    # them are rejected
+    run = {
+        "measure": lambda ms, z: measure(ms, z),
+        "objective": lambda ms, z: objective(z, ms, np.ones(40)),
+        "gradient": lambda ms, z: gradient(z, ms, np.ones(40)),
+        "solve": lambda ms, z: solve(ms, np.ones(40), z, SolverConfig(max_iters=3)),
+        "dist": lambda ms, z: dist(z, np.ones(6)),
+    }[call]
+    with pytest.raises(ValueError, match=r"^(x|z|z0) must be an array of numbers, got "):
+        run(sample_measurements(TERNARY_REAL, 40, 6, seed=0), point)
 
 
 def test_solver_config_takes_numpy_integer_iteration_cap():
@@ -460,7 +480,7 @@ def test_solver_config_rejects_bad_types(kwargs, name):
 def test_fixed_step_requires_a_finite_positive_real(mu):
     # FixedStep(inf) used to build and stop every solve NON_FINITE at its
     # first step, and FixedStep("0.1") raised TypeError
-    with pytest.raises(ValueError, match="'mu'"):
+    with pytest.raises(ValueError, match=r"^mu must be a finite number > 0, got "):
         FixedStep(mu)
 
 

@@ -72,6 +72,8 @@ def test_measure_dimension_mismatch():
     (lambda y: np.where(np.arange(y.size) == 3, -np.inf, y), "finite"),
     (lambda y: np.where(np.arange(y.size) == 3, -1.0, y), "nonnegative"),
     (lambda y: y[:-1], "shape"),
+    (lambda y: y.astype(str), "intensities must be an array of numbers, got <U"),
+    (lambda y: y > 1.0, "intensities must be an array of numbers, got bool"),
 ])
 def test_initializers_reject_bad_intensities(init, bad, match):
     ms = sample_measurements(TERNARY_REAL, 40, 4, seed=5)
@@ -121,7 +123,7 @@ def test_rho_rejects_a_bad_tau1(tau1):
     ([-1.0, 0.5], "nonnegative"),
     ([], "nonempty"),
     ([np.nan, 1.0], "finite"),
-    ([[1.0, 2.0], [3.0, 4.0]], "1-D"),
+    ([[1.0, 2.0], [3.0, 4.0]], "intensities must have shape"),
 ])
 def test_rho_rejects_bad_intensities(y, match):
     with pytest.raises(ValueError, match=match):
@@ -330,13 +332,13 @@ def test_power_method_rejects_zero_matrix():
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.parametrize("M", [
-    np.full((3, 3), np.nan),
-    1e-200 * np.diag([2.0, 1.0]),   # ||M v||^2 underflows to 0
-    1e200 * np.diag([2.0, 1.0]),    # ||M v||^2 overflows to inf
+@pytest.mark.parametrize("M, match", [
+    (np.full((3, 3), np.nan), "M must be a finite square matrix"),  # rejected before the loop
+    (1e-200 * np.diag([2.0, 1.0]), "power method"),   # ||M v||^2 underflows to 0
+    (1e200 * np.diag([2.0, 1.0]), "power method"),    # ||M v||^2 overflows to inf
 ], ids=["nan", "tiny", "huge"])
-def test_power_method_rejects_products_outside_float_range(M):
-    with pytest.raises(ValueError, match="power method"):
+def test_power_method_rejects_products_outside_float_range(M, match):
+    with pytest.raises(ValueError, match=match):
         power_method(M)
 
 
@@ -363,10 +365,13 @@ def test_power_method_rejects_bad_step_count(iters):
         baseline_si(ms, y, power_iters=iters)
 
 
-@pytest.mark.parametrize("M", [np.ones(3), np.ones((2, 3)), np.ones((2, 2, 2)), np.float64(2.0)],
-                         ids=["1-D", "2x3", "3-D", "scalar"])
+@pytest.mark.parametrize("M", [np.ones(3), np.ones((2, 3)), np.ones((2, 2, 2)), np.float64(2.0),
+                               np.array([["1", "0"], ["0", "1"]]), np.eye(2, dtype=bool),
+                               np.eye(2).astype(object)],
+                         ids=["1-D", "2x3", "3-D", "scalar", "text", "bool", "object"])
 def test_power_method_rejects_input_that_is_not_a_square_matrix(M):
-    # a 1-D array raised AttributeError and a 2x3 matrix a numpy shape error
+    # a 1-D array raised AttributeError, a 2x3 matrix a numpy shape error and a
+    # text one UFuncTypeError; bool and object matrices were taken
     with pytest.raises(ValueError, match="square"):
         power_method(M)
 

@@ -66,7 +66,7 @@ def test_condition_residual_passes(ens):
 @pytest.mark.parametrize("n_samples", [10, 9_999, 20_000.5, np.float64(2e4)])
 def test_oracles_reject_too_few_samples(oracle, n_samples):
     ens = Ensemble(Field.COMPLEX, TERNARY)
-    with pytest.raises(ValueError, match="n_samples >= 10000"):
+    with pytest.raises(ValueError, match="n_samples must be an integer >= 10000, got "):
         oracle(ens, unit_vector(3, Field.COMPLEX, seed=0), n_samples)
 
 
@@ -199,7 +199,7 @@ def test_concentration_curve_keeps_the_spawn_key():
 @pytest.mark.parametrize("kwargs, name", [
     (dict(trials=20.5), "trials"), (dict(trials=np.float64(20)), "trials"),
     (dict(N_grid=[16.5]), "N_grid"), (dict(N_grid=[16, 0]), "N_grid"),
-    (dict(N_grid=[np.float64(16)]), "N_grid"),
+    (dict(N_grid=[np.float64(16)]), "N_grid"), (dict(N_grid=16), "N_grid must be a sequence"),
 ])
 def test_concentration_curve_rejects_non_integer_counts(kwargs, name):
     args = dict(N_grid=[16], trials=20) | kwargs
@@ -328,11 +328,28 @@ def test_hermitian_opnorm_rejects_non_finite(d, bad, dtype):
         hermitian_opnorm(H)
 
 
-@pytest.mark.parametrize("H", [np.ones((2, 3)), np.ones(3), np.ones((2, 2, 2)), 1.0],
-                         ids=["2x3", "vector", "3-D", "scalar"])
+@pytest.mark.parametrize("H", [np.ones((2, 3)), np.ones(3), np.ones((2, 2, 2)), 1.0,
+                               np.array([["1", "0"], ["0", "1"]]), np.eye(2, dtype=bool),
+                               np.eye(2).astype(object)],
+                         ids=["2x3", "vector", "3-D", "scalar", "text", "bool", "object"])
 def test_hermitian_opnorm_rejects_non_square(H):
+    # a text or object matrix raised TypeError from isfinite, a bool one gave 1.0
     with pytest.raises(ValueError, match="square"):
         hermitian_opnorm(H)
+
+
+@pytest.mark.parametrize("field", list(Field), ids=lambda f: f.value)
+def test_hermitian_opnorm_reads_the_lower_triangle(field):
+    # H is taken as Hermitian, unchecked: the strict upper triangle is not read
+    assert hermitian_opnorm(np.array([[0.0, 5.0], [0.0, 0.0]])) == 0.0
+    assert hermitian_opnorm(np.array([[0.0, 0.0], [5.0, 0.0]])) == 5.0
+    rng = np.random.default_rng(0)
+    H = rng.standard_normal((6, 6))
+    if field is Field.COMPLEX:
+        H = H + 1j * rng.standard_normal((6, 6))
+    lower = np.tril(H, -1)
+    hermitian = lower + lower.conj().T + np.diag(H.diagonal().real)
+    assert hermitian_opnorm(H) == pytest.approx(np.linalg.norm(hermitian, 2), rel=1e-12)
 
 
 _COMPLEX = Ensemble(Field.COMPLEX, TERNARY)
@@ -374,13 +391,33 @@ _REAL_LAW_ORACLES = {
 @pytest.mark.parametrize("oracle", list(_REAL_LAW_ORACLES))
 def test_oracles_reject_complex_vectors_for_a_real_law(oracle):
     # a complex x used to lose its imaginary part with only a ComplexWarning
-    with pytest.raises(ValueError, match=r"^[xh] must be real to match real measurements"):
+    with pytest.raises(ValueError, match=r"^[xh] must be real, got complex128"):
         _REAL_LAW_ORACLES[oracle](_REAL_X3 * np.exp(0.5j))
+
+
+@pytest.mark.parametrize("d", [3.0, None, "3", 0], ids=repr)
+@pytest.mark.parametrize("oracle", ["condition", "concentration"])
+def test_oracles_reject_a_d_that_is_not_a_positive_integer(oracle, d):
+    # a float or None d reached np.eye as a TypeError, and a text d gave
+    # "x must have shape (3,), got (3,)"
+    run = {
+        "condition": lambda: mc_condition_residual(_REAL, d, _REAL_X3, n_samples=20_000),
+        "concentration": lambda: concentration_curve(_REAL, d, _REAL_X3, N_grid=[12], trials=20),
+    }[oracle]
+    with pytest.raises(ValueError, match=r"^d must be an integer >= 1, got "):
+        run()
 
 
 def test_concentration_curve_takes_a_zero_signal():
     rows = concentration_curve(_COMPLEX, 3, np.zeros(3), N_grid=[12], trials=20)
     assert rows[0].N == 12
+
+
+@pytest.mark.parametrize("trace", [np.ones((12, 2)), np.float64(0.5)], ids=["2-D", "scalar"])
+def test_convergence_rate_fit_rejects_a_trace_that_is_not_1d(trace):
+    # a 2-D trace raised TypeError from np.polyfit, a scalar IndexError
+    with pytest.raises(ValueError, match=r"^trace must be 1-D, got shape "):
+        convergence_rate_fit(trace)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
