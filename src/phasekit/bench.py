@@ -20,8 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import ClassVar, Optional
 
@@ -32,23 +31,20 @@ from .ensembles import (
     Field,
     GAUSSIAN,
     SeedLike,
+    _instance,
     _integer,
     _intensities,
     _number,
+    _sequence,
     moment_profile,
     sample_entries,
     sample_measurements,
 )
 from .solver import DEFAULT_MAX_ITERS, SolverConfig, dist, solve
-from .spectral import DEFAULT_POWER_ITERS, _Y, _gsi_from_Y, _si_from_Y, _sum_sq, gsi, measure
+from .spectral import DEFAULT_POWER_ITERS, _Y, _gsi_from_Y, _si_from_Y, gsi, measure
 
 DEFAULT_RATIOS = tuple(range(2, 21, 2))
 SPIKE_FACTOR = 200.0
-
-
-def _python(v):
-    """A numpy scalar as the Python number it holds; any other value as is."""
-    return v.item() if isinstance(v, np.generic) else v
 
 
 class ExperimentKind(Enum):
@@ -73,24 +69,18 @@ class ExperimentConfig:
     def __post_init__(self):
         """Settles every value: a bad value or law is a ValueError here, an unset
         trial count takes the kind's default, numpy numbers become Python numbers."""
-        for name, cls in (("kind", ExperimentKind), ("ensemble", Ensemble)):
-            if not isinstance(getattr(self, name), cls):
-                raise ValueError(f"{name!r} must be a {cls.__name__}, got {getattr(self, name)!r}")
-        for f in fields(self):
-            object.__setattr__(self, f.name, _python(getattr(self, f.name)))
-        if self.trials is None:
-            object.__setattr__(self, "trials",
-                               100 if self.kind is ExperimentKind.SUCCESS_RATE else 50)
-        for name, low in (("d", 2), ("base_seed", 0), ("trials", 1)):
-            _integer(getattr(self, name), name, low)
-        if not isinstance(self.ratio_grid, (Sequence, np.ndarray)):
-            raise ValueError(f"'ratio_grid' must be a sequence of numbers, got {self.ratio_grid!r}")
-        object.__setattr__(self, "ratio_grid", tuple(map(_python, self.ratio_grid)))
-        self.solver_config  # SolverConfig owns the max_iters rule
+        _instance(self.kind, "kind", ExperimentKind)
+        _instance(self.ensemble, "ensemble", Ensemble)
+        default_trials = 100 if self.kind is ExperimentKind.SUCCESS_RATE else 50
+        trials = default_trials if self.trials is None else self.trials
+        for name, value in (("d", _integer(self.d, "d", 2)),
+                            ("base_seed", _integer(self.base_seed, "base_seed", 0)),
+                            ("trials", _integer(trials, "trials", 1)),
+                            ("max_iters", _integer(self.max_iters, "max_iters", 1)),
+                            ("ratio_grid", _sequence(self.ratio_grid, "ratio_grid", _number, 1))):
+            object.__setattr__(self, name, value)
         if len(self.ratio_grid) == 0:
             raise ValueError("ratio grid must be nonempty")
-        for i, r in enumerate(self.ratio_grid):
-            _number(r, f"ratio_grid[{i}]", 1)
         keys = [_ratio_key(r) for r in self.ratio_grid]
         if len(set(keys)) != len(keys):
             raise ValueError(
@@ -213,7 +203,7 @@ def run_init_experiment(config: ExperimentConfig) -> ResultTable:
         nx = np.linalg.norm(x)
         y = _intensities(y, mset.N)
         A = mset.vectors
-        sum_a2 = _sum_sq(A)
+        sum_a2 = float(np.vdot(A, A).real)
         Y = _Y(A, y, out=A)  # shared by both initializers
         g = _gsi_from_Y(Y, y, profile, config.power_iters, pw_gsi_ss)
         s = _si_from_Y(Y, y, sum_a2, config.power_iters, pw_si_ss)

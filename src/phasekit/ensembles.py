@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Union
@@ -38,6 +39,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator]
+# dtype kinds of arrays of numbers (not bools, text, objects, dates or durations), of real ones
+_NUMBERS, _REALS = "iufc", "iuf"
 
 
 class Field(Enum):
@@ -50,25 +53,42 @@ class Field(Enum):
         return np.complex128 if self is Field.COMPLEX else np.float64
 
 
-def _integer(v, name: str, low: int) -> None:
-    """Check that v is an integer other than a bool (numpy integers count) and >= low."""
+def _integer(v, name: str, low: int) -> int:
+    """v as a Python int, checked as an integer, not a bool (numpy ones count), >= low."""
     if not (isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= low):
         raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
+    return int(v)
 
 
-def _number(v, name: str, low: Optional[float] = None, strict: bool = False) -> None:
-    """Check that v is a finite real, not a bool, > low if `strict` else >= low (None: no bound)."""
+def _number(v, name: str, low: Optional[float] = None, strict: bool = False):
+    """v as a Python number, checked as a finite real, not a bool, > low if strict else >= low."""
     if not (isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
             and (low is None or (v > low if strict else v >= low))):
         bound = "" if low is None else f" {'>' if strict else '>='} {low}"
         raise ValueError(f"{name} must be a finite number{bound}, got {v!r}")
+    return v.item() if isinstance(v, np.generic) else v
+
+
+def _instance(v, name: str, *classes: type):
+    """v, checked as an instance of one of `classes`."""
+    if not isinstance(v, classes):
+        names = " or ".join(c.__name__ for c in classes)
+        raise ValueError(f"{name} must be an instance of {names}, got {v!r}")
+    return v
+
+
+def _sequence(v, name: str, check: Callable, *args) -> tuple:
+    """`check(item, f"{name}[i]", *args)` of each item of v, a sequence or a 1-D array."""
+    if not (isinstance(v, Sequence) or isinstance(v, np.ndarray) and v.ndim == 1):
+        raise ValueError(f"{name} must be a sequence or a 1-D array, got {v!r}")
+    return tuple(check(item, f"{name}[{i}]", *args) for i, item in enumerate(v))
 
 
 def _vector(v, d: Optional[int], dtype: type, name="x") -> np.ndarray:
     """v as an array of `dtype`, a `Field.dtype`, after checking that it holds numbers,
     not bools, is real when `dtype` is, has shape (d,) (1-D if d is None) and is finite."""
     v = np.asarray(v)
-    if not np.issubdtype(v.dtype, np.number):
+    if v.dtype.kind not in _NUMBERS:
         raise ValueError(f"{name} must be an array of numbers, got {v.dtype}")
     if v.dtype.kind == "c" and np.dtype(dtype).kind != "c":
         raise ValueError(f"{name} must be real, got {v.dtype}")
@@ -83,7 +103,7 @@ def _vector(v, d: Optional[int], dtype: type, name="x") -> np.ndarray:
 def _matrix(M, name: str) -> np.ndarray:
     """M as an array, after checking that it is a finite square matrix of numbers, not bools."""
     M = np.asarray(M)
-    if not (M.ndim == 2 and M.shape[0] == M.shape[1] and np.issubdtype(M.dtype, np.number)
+    if not (M.ndim == 2 and M.shape[0] == M.shape[1] and M.dtype.kind in _NUMBERS
             and np.isfinite(M).all()):
         raise ValueError(f"{name} must be a finite square matrix of numbers, "
                          f"got {M.dtype} of shape {M.shape}")
@@ -118,9 +138,9 @@ class EntryDistribution:
     def __post_init__(self):
         _number(self.m2, f"entry distribution {self.name!r}: m2", 0, strict=True)
         _number(self.m4, f"entry distribution {self.name!r}: m4")
-        if self.m4 < self.m2 ** 2:
+        if self.m4 < self.m2 * self.m2:  # m2 ** 2 raises OverflowError where this is inf
             raise ValueError(f"entry distribution {self.name!r}: m4 >= m2^2 required "
-                             f"(got m4={self.m4}, m2^2={self.m2 ** 2})")
+                             f"(got m4={self.m4}, m2^2={self.m2 * self.m2})")
 
 
 GAUSSIAN = EntryDistribution("gaussian", 1.0, 3.0, lambda rng, shape: rng.standard_normal(shape))
@@ -193,10 +213,8 @@ class Ensemble:
     entry: EntryDistribution
 
     def __post_init__(self):
-        for name, cls in (("field", Field), ("entry", EntryDistribution)):
-            if not isinstance(getattr(self, name), cls):
-                raise ValueError(
-                    f"ensemble {name!r} must be a {cls.__name__}, got {getattr(self, name)!r}")
+        _instance(self.field, "field", Field)
+        _instance(self.entry, "entry", EntryDistribution)
 
     def to_dict(self) -> dict:
         return {"field": self.field.value, "entry": self.entry.name}
@@ -213,7 +231,7 @@ class MeasurementSet:
 
     def __post_init__(self):
         A = np.asarray(self.vectors)
-        if A.ndim != 2 or 0 in A.shape or not np.issubdtype(A.dtype, np.number):
+        if A.ndim != 2 or 0 in A.shape or A.dtype.kind not in _NUMBERS:
             raise ValueError("measurement vectors must be a nonempty 2-D numeric array, "
                              f"got dtype {A.dtype} and shape {A.shape}")
         dtype = (Field.COMPLEX if A.dtype.kind == "c" else Field.REAL).dtype
@@ -298,14 +316,15 @@ class DerivedConstants:
 
 
 def derived_constants(profile: MomentProfile) -> DerivedConstants:
-    """alpha = tau2+tau3-(tau4)_-, beta = tau3-(tau4)_-, alpha_hat = tau2+tau3+|tau4|,
-    epsilon0 = (10/(27 alpha)) * (sqrt(36 tau4^2 + 27 alpha beta / 10) - 6 |tau4|)."""
+    """alpha = tau2+tau3-(tau4)_-, beta = tau3-(tau4)_-, alpha_hat = tau2+tau3+|tau4| >= |tau4|,
+    alpha >= beta > 0, and epsilon0 = (10/(27 alpha)) * (sqrt(36 tau4^2 + 27 alpha beta / 10)
+    - 6 |tau4|), whose terms stay finite for alpha_hat <= 1e153; a larger one raises ValueError."""
     t4_minus = max(-profile.tau4, 0.0)
     alpha = profile.tau2 + profile.tau3 - t4_minus
     beta = profile.tau3 - t4_minus
     alpha_hat = profile.tau2 + profile.tau3 + abs(profile.tau4)
-    if not (0.0 < beta <= alpha):
-        raise ValueError(f"profile yields invalid constants: alpha={alpha}, beta={beta}")
+    if not alpha_hat <= 1e153:
+        raise ValueError(f"profile's constants overflow float range: alpha_hat={alpha_hat}")
     eps0 = (10.0 / (27.0 * alpha)) * (
         math.sqrt(36.0 * profile.tau4 ** 2 + 27.0 * alpha * beta / 10.0) - 6.0 * abs(profile.tau4)
     )
@@ -315,7 +334,7 @@ def derived_constants(profile: MomentProfile) -> DerivedConstants:
 def _draw(entry: EntryDistribution, shape: tuple, rng: np.random.Generator) -> np.ndarray:
     """One call of the law's sampler, after checking that it gave real numbers of `shape`."""
     draw = np.asarray(entry.sampler(rng, shape))
-    if draw.shape != tuple(shape) or draw.dtype.kind not in "iuf":
+    if draw.shape != tuple(shape) or draw.dtype.kind not in _REALS:
         raise ValueError(f"entry distribution {entry.name!r}: sampler must return real numbers "
                          f"of shape {tuple(shape)}, got {draw.dtype} of shape {draw.shape}")
     return draw

@@ -18,7 +18,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .ensembles import MeasurementSet, _inner, _integer, _intensities, _norm, _number, _vector
+from .ensembles import (MeasurementSet, _inner, _instance, _integer, _intensities, _norm, _number,
+                        _vector)
 
 DEFAULT_MAX_ITERS = 2000
 # the descent stops once ||g(z)|| <= GRAD_NORM_TOL * ||z||^3; the gradient is
@@ -61,12 +62,9 @@ class SolverConfig:
     trace: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.step_mode, (FixedStep, BarzilaiBorwein)):
-            raise ValueError(
-                f"'step_mode' must be a FixedStep or BarzilaiBorwein, got {self.step_mode!r}")
+        _instance(self.step_mode, "step_mode", FixedStep, BarzilaiBorwein)
         _integer(self.max_iters, "max_iters", 1)
-        if not isinstance(self.trace, bool):
-            raise ValueError(f"'trace' must be a bool, got {self.trace!r}")
+        _instance(self.trace, "trace", bool)
 
 
 @dataclass(frozen=True)

@@ -60,11 +60,7 @@ def rho_from_intensities(y: np.ndarray, tau1: float) -> float:
     """rho = sqrt(sum(y) / (tau1 * N)) for a nonempty 1-D `y` of real, finite,
     nonnegative intensities and a finite real tau1 > 0; other input raises ValueError."""
     _number(tau1, "tau1", 0, strict=True)
-    return _rho(_intensities(y), tau1)
-
-
-def _rho(y: np.ndarray, tau1: float) -> float:
-    """rho_from_intensities for a checked `y` and a tau1 > 0."""
+    y = _intensities(y)
     return math.sqrt(float(np.sum(y)) / (tau1 * y.size))
 
 
@@ -141,20 +137,15 @@ def power_method(
 
 def _gsi_from_Y(Y: np.ndarray, y: np.ndarray, profile: MomentProfile,
                 power_iters: int, seed: SeedLike) -> InitResult:
-    rho = _rho(y, profile.tau1)
+    rho = rho_from_intensities(y, profile.tau1)
     M = build_M(Y, rho, profile)
     lam, v, residual = power_method(M, iters=power_iters, seed=seed)
     return InitResult(rho * v, rho, lam, residual)
 
 
-def _sum_sq(A: np.ndarray) -> float:
-    """sum_j ||a_j||^2 over the rows of A, as one BLAS dot."""
-    return float(np.vdot(A, A).real)
-
-
 def _si_from_Y(Y: np.ndarray, y: np.ndarray, sum_a2: float,
                power_iters: int, seed: SeedLike) -> InitResult:
-    """SI from Y and sum_a2 = `_sum_sq` of the plain rows."""
+    """SI from Y and sum_a2 = sum_j ||a_j||^2 over the plain rows."""
     lam, v, residual = power_method(Y, iters=power_iters, seed=seed)
     scale = math.sqrt(Y.shape[0] * float(np.sum(y)) / sum_a2)
     return InitResult(scale * v, scale, lam, residual)
@@ -183,5 +174,5 @@ def baseline_si(
     """Classical spectral initialization: top eigenvector of Y, scaled by
     lam_SI = sqrt(d * sum(y) / sum_j ||a_j||^2). `y` must be real, finite,
     nonnegative and of shape (N,)."""
-    y = _intensities(y, mset.N)
-    return _si_from_Y(_Y(mset.vectors, y), y, _sum_sq(mset.vectors), power_iters, seed)
+    A, y = mset.vectors, _intensities(y, mset.N)
+    return _si_from_Y(_Y(A, y), y, float(np.vdot(A, A).real), power_iters, seed)

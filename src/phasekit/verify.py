@@ -28,6 +28,8 @@ from .ensembles import (
     _inner,
     _integer,
     _matrix,
+    _REALS,
+    _sequence,
     _vector,
     moment_profile,
     sample_entries,
@@ -215,10 +217,7 @@ def concentration_curve(
     """
     _integer(d, "d", 1)
     _integer(trials, "trials", 20)
-    if not isinstance(N_grid, (Sequence, np.ndarray)):
-        raise ValueError(f"N_grid must be a sequence of integers, got {N_grid!r}")
-    for i, N in enumerate(N_grid):
-        _integer(N, f"N_grid[{i}]", 1)
+    N_grid = _sequence(N_grid, "N_grid", _integer, 1)
     profile = moment_profile(ensemble)
     x = _vector(x, d, ensemble.field.dtype)
     nx2 = float(np.vdot(x, x).real)
@@ -244,7 +243,7 @@ def concentration_curve(
             m_devs.append(hermitian_opnorm(M - EM))
             rho_devs.append(abs(rho ** 2 - nx2) / nx2 if nx2 > 0 else abs(rho ** 2))
         rows.append(ConcentrationRow(
-            int(N),
+            N,
             float(np.median(y_devs)), float(np.quantile(y_devs, 0.95)),
             float(np.median(m_devs)), float(np.quantile(m_devs, 0.95)),
             float(np.median(rho_devs)), float(np.quantile(rho_devs, 0.95)),
@@ -258,7 +257,10 @@ def convergence_rate_fit(trace: Sequence[float]) -> tuple[float, float]:
     with error <= FIT_FLOOR = 1e-12 (once at the floor the error only bounces
     around in rounding noise). Returns (slope, r_squared); slope < 0 indicates
     geometric decay. A constant trace reports r_squared = 0."""
-    trace = np.asarray(trace, dtype=np.float64)
+    trace = np.asarray(trace)
+    if trace.dtype.kind not in _REALS:
+        raise ValueError(f"trace must be an array of real numbers, got {trace.dtype}")
+    trace = trace.astype(np.float64, copy=False)
     if trace.ndim != 1:
         raise ValueError(f"trace must be 1-D, got shape {trace.shape}")
     at_floor = np.flatnonzero(trace <= FIT_FLOOR)

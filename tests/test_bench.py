@@ -72,7 +72,7 @@ def test_complex_signal_is_the_scaled_pair_of_gaussian_draws():
 
 def test_generate_signal_requires_a_field():
     # the string "complex" gave a real signal
-    with pytest.raises(ValueError, match="ensemble 'field' must be a Field"):
+    with pytest.raises(ValueError, match="^field must be an instance of Field, got 'complex'"):
         generate_signal(8, 0, field="complex")
 
 
@@ -168,6 +168,7 @@ def test_config_validation():
     ("kind", None),
     ("ensemble", {"field": "real", "entry": "ternary"}),  # a descriptor is not an Ensemble
     ("ensemble", TERNARY),
+    ("ratio_grid", np.array(4.0)),  # raised TypeError: iteration over a 0-d array
 ], ids=lambda v: repr(v))
 def test_config_rejects_bad_values_at_construction(name, value):
     settings = {"kind": ExperimentKind.SUCCESS_RATE, "ensemble": TERNARY_REAL, name: value}

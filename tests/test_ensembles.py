@@ -78,7 +78,8 @@ def test_moment_profile_requires_finite_real_constants(taus, name):
 ], ids=["str-field", "no-field", "str-entry", "no-entry"])
 def test_ensemble_requires_a_field_and_an_entry_distribution(field, entry, name):
     # Ensemble("real", GAUSSIAN) took the complex profile and drew complex rows
-    with pytest.raises(ValueError, match=f"ensemble '{name}' must be a"):
+    cls = {"field": "Field", "entry": "EntryDistribution"}[name]
+    with pytest.raises(ValueError, match=f"^{name} must be an instance of {cls}, got "):
         Ensemble(field, entry)
 
 
@@ -129,6 +130,37 @@ def test_derived_constants_real_ternary():
     assert c.epsilon0 == pytest.approx(0.02761, abs=5e-6)
 
 
+@pytest.mark.parametrize("taus", [
+    (1.0, 1.0, 1.0, -1.0 + 2.0 ** -52),
+    (1.0, 1e-300, 1.0, -1.0 + 2.0 ** -52),
+    (1.0, 1e150, 1.0, -1.0 + 2.0 ** -52),
+    (1.0, 1.0, 2.0 ** -1074, 0.0),
+    (1.0, 1.0, 2.0 ** -1074, 1e150),
+    (1.0, 5e152, 5e152, 0.0),
+], ids=["tau3+tau4=ulp", "tiny-tau2", "huge-tau2", "least-tau3", "least-tau3-huge-tau4",
+        "alpha_hat=1e153"])
+def test_a_valid_profile_has_0_lt_beta_le_alpha(taus):
+    # MomentProfile's checks imply these, so derived_constants need not check them
+    c = derived_constants(MomentProfile(*taus))
+    assert 0.0 < c.beta <= c.alpha <= c.alpha_hat
+    assert 0.0 <= c.epsilon0 < math.inf
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: EntryDistribution("big", 1e200, 1e300, GAUSSIAN.sampler),
+     r"m4 >= m2\^2 required \(got m4=1e\+300, m2\^2=inf\)"),
+    (lambda: derived_constants(MomentProfile(1.0, 1e308, 1e308, 0.0)),
+     "profile's constants overflow float range: alpha_hat=inf"),
+    (lambda: derived_constants(MomentProfile(1.0, 1.0, 1.0, 1e200)),
+     "profile's constants overflow float range: alpha_hat=1e"),
+], ids=["m2-squared", "alpha_hat", "tau4-squared"])
+def test_moment_constants_that_overflow_raise_value_error(build, match):
+    # m2 ** 2 and tau4 ** 2 raised OverflowError, and an infinite alpha_hat
+    # gave alpha = inf and epsilon0 = nan
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 @pytest.mark.parametrize("ensemble", ALL_ENSEMBLES, ids=lambda e: f"{e.field.value}-{e.entry.name}")
 def test_epsilon0_in_range(ensemble):
     c = derived_constants(moment_profile(ensemble))
@@ -170,10 +202,12 @@ def test_sampling_requires_integer_sizes(N, d, name):
 @pytest.mark.parametrize("rows", [
     np.ones(3), np.ones((0, 3)), np.ones((3, 0)), np.ones((2, 2, 2)),
     np.ones((2, 2), dtype=bool), np.array([["1", "0"]]), np.array([[1.0, None]]),
-], ids=["1-D", "N=0", "d=0", "3-D", "bool", "str", "object"])
+    np.ones((4, 2), dtype="m8[s]"),
+], ids=["1-D", "N=0", "d=0", "3-D", "bool", "str", "object", "timedelta"])
 def test_measurement_set_rejects_rows_that_are_not_a_nonempty_2d_numeric_array(rows):
     # 1-D rows gave gsi a z0 and solve an IndexError; N=0 rows gave gsi a
-    # ZeroDivisionError, solve a NON_FINITE report and build_Y a NaN matrix
+    # ZeroDivisionError, solve a NON_FINITE report and build_Y a NaN matrix;
+    # durations were taken as float64 rows
     with pytest.raises(ValueError, match=r"nonempty 2-D numeric array, got dtype \S+ and shape"):
         MeasurementSet(rows)
 

@@ -1,6 +1,8 @@
-"""No module imports a name it never uses.
+"""No module imports a name it never uses, and no private helper of the
+package is left unused.
 
-The package's __init__.py is left out: its imports are the public API.
+The package's __init__.py is left out of the import scan: its imports are
+the public API.
 """
 
 import ast
@@ -12,6 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(path for top in ("src/phasekit", "tests", "benchmarks")
                  for path in (ROOT / top).rglob("*.py")
                  if path != ROOT / "src/phasekit/__init__.py")
+PACKAGE = sorted((ROOT / "src/phasekit").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,3 +41,32 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dead_private_names(sources: list[str]) -> list[str]:
+    """The private functions and constants that a module of `sources` defines
+    at its top level and that no module of `sources` reads."""
+    defined, read = [], set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        read |= {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return [name for name in defined
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
+def test_the_scan_finds_a_dead_private_helper():
+    assert dead_private_names(["def _used(): pass\ndef _dead(): pass\n_A, _B = 1, 2\n"
+                               "_C: int = 3\nPUBLIC = 4\n",
+                               "from m import _used\n_used(_A)\nm._B\n"]) == ["_dead", "_C"]
+
+
+def test_every_private_helper_is_used():
+    assert dead_private_names([path.read_text(encoding="utf-8") for path in PACKAGE]) == []

@@ -441,11 +441,12 @@ def test_solver_config_rejects_bad_iteration_cap(max_iters):
 
 @pytest.mark.parametrize("point", [
     np.array(["1", "0", "0", "0", "0", "0"]), np.ones(6, dtype=bool), np.ones(6, dtype=object),
-], ids=["text", "bool", "object"])
+    np.ones(6, dtype="m8[s]"),
+], ids=["text", "bool", "object", "timedelta"])
 @pytest.mark.parametrize("call", ["measure", "objective", "gradient", "solve", "dist"])
 def test_a_point_must_hold_numbers(call, point):
-    # numeric text, bools and objects were taken as floats, though rows of
-    # them are rejected
+    # numeric text, bools, objects and durations were taken as floats, though
+    # rows of them are rejected
     run = {
         "measure": lambda ms, z: measure(ms, z),
         "objective": lambda ms, z: objective(z, ms, np.ones(40)),
@@ -462,17 +463,18 @@ def test_solver_config_takes_numpy_integer_iteration_cap():
 
 
 @pytest.mark.parametrize("kwargs,name", [
-    (dict(step_mode="bb"), "'step_mode'"),
-    (dict(step_mode=None), "'step_mode'"),
-    (dict(step_mode=FixedStep), "'step_mode'"),
-    (dict(trace="no"), "'trace'"),
-    (dict(trace=1), "'trace'"),
-    (dict(trace=None), "'trace'"),
-])
+    (dict(step_mode="bb"), "step_mode"),
+    (dict(step_mode=None), "step_mode"),
+    (dict(step_mode=FixedStep), "step_mode"),
+    (dict(trace="no"), "trace"),
+    (dict(trace=1), "trace"),
+    (dict(trace=None), "trace"),
+], ids=lambda v: repr(v) if isinstance(v, str) else None)
 def test_solver_config_rejects_bad_types(kwargs, name):
     # a string step mode used to build and fail inside solve with an
     # AttributeError, and trace="no" turned tracing on
-    with pytest.raises(ValueError, match=name):
+    cls = {"step_mode": "FixedStep or BarzilaiBorwein", "trace": "bool"}[name]
+    with pytest.raises(ValueError, match=f"^{name} must be an instance of {cls}, got "):
         SolverConfig(**kwargs)
 
 

@@ -200,6 +200,7 @@ def test_concentration_curve_keeps_the_spawn_key():
     (dict(trials=20.5), "trials"), (dict(trials=np.float64(20)), "trials"),
     (dict(N_grid=[16.5]), "N_grid"), (dict(N_grid=[16, 0]), "N_grid"),
     (dict(N_grid=[np.float64(16)]), "N_grid"), (dict(N_grid=16), "N_grid must be a sequence"),
+    (dict(N_grid=np.array(16)), "N_grid must be a sequence"),  # raised TypeError
 ])
 def test_concentration_curve_rejects_non_integer_counts(kwargs, name):
     args = dict(N_grid=[16], trials=20) | kwargs
@@ -330,10 +331,12 @@ def test_hermitian_opnorm_rejects_non_finite(d, bad, dtype):
 
 @pytest.mark.parametrize("H", [np.ones((2, 3)), np.ones(3), np.ones((2, 2, 2)), 1.0,
                                np.array([["1", "0"], ["0", "1"]]), np.eye(2, dtype=bool),
-                               np.eye(2).astype(object)],
-                         ids=["2x3", "vector", "3-D", "scalar", "text", "bool", "object"])
+                               np.eye(2).astype(object), np.eye(2).astype("m8[s]")],
+                         ids=["2x3", "vector", "3-D", "scalar", "text", "bool", "object",
+                              "timedelta"])
 def test_hermitian_opnorm_rejects_non_square(H):
-    # a text or object matrix raised TypeError from isfinite, a bool one gave 1.0
+    # a text or object matrix raised TypeError from isfinite, a bool one gave
+    # 1.0 and a duration one TypeError from eigvalsh
     with pytest.raises(ValueError, match="square"):
         hermitian_opnorm(H)
 
@@ -417,6 +420,16 @@ def test_concentration_curve_takes_a_zero_signal():
 def test_convergence_rate_fit_rejects_a_trace_that_is_not_1d(trace):
     # a 2-D trace raised TypeError from np.polyfit, a scalar IndexError
     with pytest.raises(ValueError, match=r"^trace must be 1-D, got shape "):
+        convergence_rate_fit(trace)
+
+
+@pytest.mark.parametrize("trace", [
+    [str(0.5 ** k) for k in range(20)], 0.5 ** np.arange(20) + 0j, [True] * 20,
+], ids=["text", "complex", "bool"])
+def test_convergence_rate_fit_rejects_a_trace_of_other_than_real_numbers(trace):
+    # a text trace was parsed and fitted, a complex one fitted its real parts
+    # after numpy's ComplexWarning, and bools were taken as 1.0
+    with pytest.raises(ValueError, match=r"^trace must be an array of real numbers, got "):
         convergence_rate_fit(trace)
 
 
