@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -61,8 +62,10 @@ def _integer(v, name: str, low: int) -> int:
 
 
 def _number(v, name: str, low: Optional[float] = None, strict: bool = False):
-    """v as a Python number, checked as a finite real, not a bool, > low if strict else >= low."""
-    if not (isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+    """v as a Python number, checked as a real, not a bool, finite as a float (so an
+    int beyond float range fails too), > low if strict else >= low."""
+    if not (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max  # false for nan; compares ints exactly
             and (low is None or (v > low if strict else v >= low))):
         bound = "" if low is None else f" {'>' if strict else '>='} {low}"
         raise ValueError(f"{name} must be a finite number{bound}, got {v!r}")

@@ -93,7 +93,12 @@ def _sample_chunks(ensemble: Ensemble, x, d: Optional[int], n_samples: int, seed
     """The preamble of every Monte-Carlo oracle: (x, the law's profile, m, chunks).
     x is checked as a nonzero finite vector of the law's field and shape (d,), of
     any length when d is None; chunks are DEFAULT_CHUNKS blocks of m = n_samples //
-    DEFAULT_CHUNKS measurement rows of x's dimension, drawn in turn from one generator."""
+    DEFAULT_CHUNKS measurement rows of x's dimension, drawn in turn from one generator.
+
+    Memory contract: a caller deletes each chunk, and any other m x d array
+    made from it, at the end of its loop body, since the loop variables would
+    keep them alive while the next chunk is drawn. An oracle so holds one
+    chunk of m rows plus its chunk means."""
     x = _vector(x, d, ensemble.field.dtype)
     if not np.any(x):
         raise ValueError("x must be nonzero")
@@ -142,6 +147,7 @@ def mc_condition_residual(
     for A in chunks:
         first_chunks.append(_gram(A) / m)
         second_chunks.append(_Y(A, _inner(A, x)[1], out=A))
+        del A
 
     n = DEFAULT_CHUNKS * m
     mean_report = _matrix_check("ensemble-mean-identity", first_chunks,
@@ -180,6 +186,7 @@ def mc_F_residual(
         B12 = W.T @ W / m
         B11 = _Y(A, w2, out=A)                # (1/m) sum_j |<a_j, x>|^2 a_j a_j*
         f_chunks.append(np.block([[B11, B12], [B12.conj().T, B11.conj()]]))
+        del A, W
     return _matrix_check("stacked-block-identity", f_chunks,
                          f_block_expectation(profile, x), DEFAULT_CHUNKS * m)
 
@@ -242,6 +249,7 @@ def concentration_curve(
             y_devs.append(hermitian_opnorm(Y - EY))
             m_devs.append(hermitian_opnorm(M - EM))
             rho_devs.append(abs(rho ** 2 - nx2) / nx2 if nx2 > 0 else abs(rho ** 2))
+            del mset  # else the N x d rows live on while the next trial draws
         rows.append(ConcentrationRow(
             N,
             float(np.median(y_devs)), float(np.quantile(y_devs, 0.95)),

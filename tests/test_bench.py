@@ -1,7 +1,6 @@
 import dataclasses
 import inspect
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,10 +86,12 @@ def test_generate_signal_rejects_a_non_integer_d(d):
     ((0, "2", 0), "ratio"), ((0, True, 0), "ratio"), ((0, math.nan, 0), "ratio"),
     ((0, -2.0, 0), "ratio"),
     ((0, 2.0, 1.5), "trial"), ((0, 2.0, True), "trial"), ((0, 2.0, -1), "trial"),
+    pytest.param((0, 10 ** 400, 0), "ratio", id="(0, 10**400, 0)-'ratio'"),
 ], ids=repr)
 def test_trial_seed_rejects_bad_arguments(args, name):
-    # trial_seed(True, 2.0, True) gave the stream of (1, 2.0, 1), and text or
-    # fractional arguments raised TypeError
+    # trial_seed(True, 2.0, True) gave the stream of (1, 2.0, 1), text or
+    # fractional arguments raised TypeError, and a ratio beyond float range
+    # OverflowError
     with pytest.raises(ValueError, match=f"^{name} must be an? (integer|finite number) >= 0, got "):
         trial_seed(*args)
 
@@ -230,9 +231,10 @@ def test_config_rejects_ratios_sharing_a_trial_stream():
     ExperimentConfig(ExperimentKind.SUCCESS_RATE, TERNARY_REAL, ratio_grid=(2.001, 2.002))
 
 
-@pytest.mark.parametrize("ratio", [math.inf, math.nan])
+@pytest.mark.parametrize("ratio", [math.inf, math.nan, pytest.param(10 ** 400, id="10**400")])
 def test_config_rejects_non_finite_ratios(ratio):
-    with pytest.raises(ValueError, match="finite"):
+    # an int beyond float range raised OverflowError
+    with pytest.raises(ValueError, match=r"^ratio_grid\[1\] must be a finite number"):
         ExperimentConfig(ExperimentKind.INIT_ERROR, TERNARY_REAL, ratio_grid=(4, ratio))
 
 
@@ -249,18 +251,12 @@ def test_init_experiment_shape_and_determinism():
 
 @pytest.mark.parametrize("field,entry", [
     (Field.REAL, TERNARY), (Field.COMPLEX, GAUSSIAN), (Field.COMPLEX, TERNARY)])
-def test_init_trial_weights_its_own_measurements_in_place(field, entry):
+def test_init_trial_weights_its_own_measurements_in_place(field, entry, traced_peak):
     # N x d weighted rows beside the sampled ones would lift the peak to
     # about 2x the measurement matrix
     cfg = ExperimentConfig(ExperimentKind.INIT_ERROR, Ensemble(field, entry), d=128,
                            ratio_grid=(20,), trials=1, base_seed=3)
-    run_init_experiment(cfg)  # warm-up, so that one-off allocations are not traced
-    tracemalloc.start()
-    try:
-        run_init_experiment(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: run_init_experiment(cfg))
     itemsize = 16 if field is Field.COMPLEX else 8
     assert peak < 1.75 * (20 * 128) * 128 * itemsize
 

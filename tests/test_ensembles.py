@@ -48,10 +48,12 @@ def test_entry_distribution_rejects_inconsistent_moments():
 
 @pytest.mark.parametrize("m2, m4", [
     (1.0, math.inf), (math.nan, 3.0), (1.0, math.nan), ("1", 3.0), (True, 3.0), (1.0, 3j),
-], ids=["inf-m4", "nan-m2", "nan-m4", "str-m2", "bool-m2", "complex-m4"])
+    (1.0, 10 ** 400),
+], ids=["inf-m4", "nan-m2", "nan-m4", "str-m2", "bool-m2", "complex-m4", "huge-int-m4"])
 def test_entry_distribution_requires_finite_real_moments(m2, m4):
     # an infinite m4 built a law whose epsilon0 was nan; a string m2 raised
-    # TypeError and a bool m2 was taken as 1
+    # TypeError, a bool m2 was taken as 1, and an int beyond float range
+    # raised OverflowError
     with pytest.raises(ValueError, match="entry distribution 'bad': m[24] must be a finite number"):
         EntryDistribution("bad", m2, m4, TERNARY.sampler)
 
@@ -62,10 +64,11 @@ def test_entry_distribution_requires_finite_real_moments(m2, m4):
     ((1.0, 1.0, 1.0, "0.5"), "tau4"),
     ((True, 1.0, 1.0, 0.0), "tau1"),
     ((1.0, 1.0, 1j, 0.0), "tau3"),
-], ids=["inf-tau2", "nan-tau4", "str-tau4", "bool-tau1", "complex-tau3"])
+    ((1.0, 10 ** 400, 1.0, 0.0), "tau2"),
+], ids=["inf-tau2", "nan-tau4", "str-tau4", "bool-tau1", "complex-tau3", "huge-int-tau2"])
 def test_moment_profile_requires_finite_real_constants(taus, name):
     # an infinite tau2 built a profile whose alpha was inf and epsilon0 nan;
-    # a string tau4 raised TypeError
+    # a string tau4 raised TypeError, and an int beyond float range OverflowError
     with pytest.raises(ValueError, match=f"moment profile: {name} must be a finite number"):
         MomentProfile(*taus)
 

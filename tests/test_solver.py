@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -330,7 +329,7 @@ def test_paper_fixed_step_converges_linearly(seed):
     assert slope < 0 and r2 >= 0.95
 
 
-def test_complex_gradient_matches_reference_without_copying_vectors():
+def test_complex_gradient_matches_reference_without_copying_vectors(traced_peak):
     ens = Ensemble(Field.COMPLEX, TERNARY)
     N, d = 1024, 128
     ms = sample_measurements(ens, N, d, seed=11)
@@ -338,13 +337,8 @@ def test_complex_gradient_matches_reference_without_copying_vectors():
     x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     y = measure(ms, x)
     z = x + 0.1 * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
-    gradient(z, ms, y)  # warm-up, so that one-off allocations are not traced
-    tracemalloc.start()
-    try:
-        g = gradient(z, ms, y)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    g = gradient(z, ms, y)
+    peak = traced_peak(lambda: gradient(z, ms, y))
     w = np.array([np.vdot(a, z) for a in ms.vectors])  # <a_j, z> = a_j* z
     ref = sum((abs(wj) ** 2 - yj) * wj * a for wj, yj, a in zip(w, y, ms.vectors)) / N
     assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -478,10 +472,12 @@ def test_solver_config_rejects_bad_types(kwargs, name):
         SolverConfig(**kwargs)
 
 
-@pytest.mark.parametrize("mu", [math.inf, -math.inf, math.nan, 0.0, -1.0, "0.1", True, None])
+@pytest.mark.parametrize("mu", [math.inf, -math.inf, math.nan, 0.0, -1.0, "0.1", True, None,
+                                pytest.param(10 ** 400, id="10**400")])
 def test_fixed_step_requires_a_finite_positive_real(mu):
     # FixedStep(inf) used to build and stop every solve NON_FINITE at its
-    # first step, and FixedStep("0.1") raised TypeError
+    # first step, FixedStep("0.1") raised TypeError and FixedStep(10**400)
+    # OverflowError
     with pytest.raises(ValueError, match=r"^mu must be a finite number > 0, got "):
         FixedStep(mu)
 

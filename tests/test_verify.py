@@ -318,6 +318,40 @@ def test_f_residual_matches_full_products(entries):
     assert rep.tolerance == pytest.approx(tol, rel=1e-10)
 
 
+# The oracles' memory contract: one chunk of rows, or one trial's N x d
+# matrix, is live at a time. Keeping the previous one while the next is drawn
+# puts the peak above twice one chunk. At d = 16 and 2e5 samples a chunk is
+# 10,000 rows, so the d x d chunk means are small beside it.
+MEMORY_D, MEMORY_SAMPLES = 16, 200_000
+
+
+def _rows_nbytes(ens, rows):
+    return rows * MEMORY_D * np.dtype(ens.field.dtype).itemsize
+
+
+@pytest.mark.parametrize("ens", ALL_ENSEMBLES, ids=str)
+def test_condition_residual_holds_one_chunk_at_a_time(ens, traced_peak):
+    x = unit_vector(MEMORY_D, ens.field, seed=16)
+    peak = traced_peak(lambda: mc_condition_residual(ens, MEMORY_D, x, MEMORY_SAMPLES, 17))
+    assert peak < 1.75 * _rows_nbytes(ens, MEMORY_SAMPLES // DEFAULT_CHUNKS)
+
+
+@pytest.mark.parametrize("entries", [GAUSSIAN, UNIFORM, TERNARY], ids=lambda e: e.name)
+def test_f_residual_holds_one_chunk_at_a_time(entries, traced_peak):
+    # a chunk and its weighted rows W are live together, hence the larger bound
+    ens = Ensemble(Field.COMPLEX, entries)
+    x = unit_vector(MEMORY_D, Field.COMPLEX, seed=16)
+    peak = traced_peak(lambda: mc_F_residual(ens, x, MEMORY_SAMPLES, 17))
+    assert peak < 2.75 * _rows_nbytes(ens, MEMORY_SAMPLES // DEFAULT_CHUNKS)
+
+
+@pytest.mark.parametrize("ens", ALL_ENSEMBLES, ids=str)
+def test_concentration_curve_holds_one_trial_at_a_time(ens, traced_peak):
+    x = unit_vector(MEMORY_D, ens.field, seed=16)
+    peak = traced_peak(lambda: concentration_curve(ens, MEMORY_D, x, [4096], 20, 17))
+    assert peak < 1.75 * _rows_nbytes(ens, 4096)
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("d", [2, 4, 16])
