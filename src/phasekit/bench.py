@@ -1,4 +1,4 @@
-"""Experiment harness: seeded trials and result tables as CSV or JSON.
+"""Experiment harness: seeded trials and their result tables (CSV here, JSON from the CLI).
 
 Reproduces the two benchmark protocols: initialization accuracy (mean
 relative error of GSI vs SI over a grid of N/d ratios) and recovery success
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import ClassVar, Optional
@@ -120,7 +119,7 @@ class TrialRecord:
 class ResultTable:
     columns: list
     rows: list                        # list of dicts keyed by `columns`
-    metadata: dict = field(default_factory=dict)
+    metadata: dict = field(default_factory=dict)  # the settings that made the rows
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -129,10 +128,6 @@ class ResultTable:
         for row in self.rows:
             writer.writerow([_format_cell(row[c]) for c in self.columns])
         return buf.getvalue()
-
-    def to_json(self) -> str:
-        """Rows plus the metadata, which records the settings that made them."""
-        return json.dumps({"metadata": self.metadata, "rows": self.rows}, indent=2)
 
 
 def _format_cell(v) -> str:

@@ -68,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ratios", dest="ratio_grid", metavar="RATIOS", type=_ratio_list,
                        help="comma-separated N/d values, e.g. 2,4,6")
         p.add_argument("--trials", type=int, help="trials per ratio")
-        p.add_argument("--max-iters", type=int, help="gradient iterations cap")
+        if kind is ExperimentKind.SUCCESS_RATE:  # an init trial runs no descent
+            p.add_argument("--max-iters", type=int, help="gradient iterations cap")
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.set_defaults(handler=_cmd_bench, kind=kind, run=run)
 
@@ -94,8 +95,10 @@ def _config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(ensemble=ensemble, **settings)
 
 
-def _write(args: argparse.Namespace, text: str) -> None:
-    """The one output path: `text` goes to --out if given, else to stdout."""
+def _write(args: argparse.Namespace, output) -> None:
+    """The one output path: text, or a JSON payload indented by 2 plus a newline,
+    goes to --out if given, else to stdout."""
+    text = output if isinstance(output, str) else json.dumps(output, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -105,7 +108,8 @@ def _write(args: argparse.Namespace, text: str) -> None:
 
 def _cmd_bench(args) -> int:
     table = args.run(_config(args))
-    _write(args, table.to_csv() if args.format == "csv" else table.to_json() + "\n")
+    _write(args, table.to_csv() if args.format == "csv"
+           else {"metadata": table.metadata, "rows": table.rows})
     return 0
 
 
@@ -131,7 +135,7 @@ def _cmd_verify_moments(args) -> int:
         "checks": [r.to_dict() for r in reports],
         "passed": all(r.passed for r in reports),
     }
-    _write(args, json.dumps(payload, indent=2) + "\n")
+    _write(args, payload)
     return 0 if payload["passed"] else 1
 
 
@@ -146,7 +150,7 @@ def _cmd_solve(args) -> int:
         "base_seed": cfg.base_seed,
         **dataclasses.asdict(record),
     }
-    _write(args, json.dumps(payload, indent=2) + "\n")
+    _write(args, payload)
     return 0
 
 

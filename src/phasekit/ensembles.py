@@ -54,10 +54,19 @@ class Field(Enum):
         return np.complex128 if self is Field.COMPLEX else np.float64
 
 
+def _shown(v) -> str:
+    """repr(v), or the sign and bit length of an int of more digits than repr allows."""
+    try:
+        return repr(v)
+    except ValueError:  # a container holding such an int is shown by its type
+        return (f"{'a negative' if v < 0 else 'an'} int of {v.bit_length()} bits"
+                if isinstance(v, int) else type(v).__name__)
+
+
 def _integer(v, name: str, low: int) -> int:
     """v as a Python int, checked as an integer, not a bool (numpy ones count), >= low."""
     if not (isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= low):
-        raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
+        raise ValueError(f"{name} must be an integer >= {low}, got {_shown(v)}")
     return int(v)
 
 
@@ -68,7 +77,7 @@ def _number(v, name: str, low: Optional[float] = None, strict: bool = False):
             and abs(v) <= sys.float_info.max  # false for nan; compares ints exactly
             and (low is None or (v > low if strict else v >= low))):
         bound = "" if low is None else f" {'>' if strict else '>='} {low}"
-        raise ValueError(f"{name} must be a finite number{bound}, got {v!r}")
+        raise ValueError(f"{name} must be a finite number{bound}, got {_shown(v)}")
     return v.item() if isinstance(v, np.generic) else v
 
 
@@ -76,14 +85,14 @@ def _instance(v, name: str, *classes: type):
     """v, checked as an instance of one of `classes`."""
     if not isinstance(v, classes):
         names = " or ".join(c.__name__ for c in classes)
-        raise ValueError(f"{name} must be an instance of {names}, got {v!r}")
+        raise ValueError(f"{name} must be an instance of {names}, got {_shown(v)}")
     return v
 
 
 def _sequence(v, name: str, check: Callable, *args) -> tuple:
     """`check(item, f"{name}[i]", *args)` of each item of v, a sequence or a 1-D array."""
     if not (isinstance(v, Sequence) or isinstance(v, np.ndarray) and v.ndim == 1):
-        raise ValueError(f"{name} must be a sequence or a 1-D array, got {v!r}")
+        raise ValueError(f"{name} must be a sequence or a 1-D array, got {_shown(v)}")
     return tuple(check(item, f"{name}[{i}]", *args) for i, item in enumerate(v))
 
 
@@ -321,16 +330,17 @@ class DerivedConstants:
 def derived_constants(profile: MomentProfile) -> DerivedConstants:
     """alpha = tau2+tau3-(tau4)_-, beta = tau3-(tau4)_-, alpha_hat = tau2+tau3+|tau4| >= |tau4|,
     alpha >= beta > 0, and epsilon0 = (10/(27 alpha)) * (sqrt(36 tau4^2 + 27 alpha beta / 10)
-    - 6 |tau4|), whose terms stay finite for alpha_hat <= 1e153; a larger one raises ValueError."""
+    - 6 |tau4|) = 1 / (hypot(6 r, sqrt(2.7 alpha / beta)) + 6 r), r = |tau4| / beta, whose terms
+    neither cancel, overflow nor underflow unless epsilon0 is subnormal. alpha_hat = inf raises."""
     t4_minus = max(-profile.tau4, 0.0)
     alpha = profile.tau2 + profile.tau3 - t4_minus
     beta = profile.tau3 - t4_minus
     alpha_hat = profile.tau2 + profile.tau3 + abs(profile.tau4)
-    if not alpha_hat <= 1e153:
+    if not math.isfinite(alpha_hat):
         raise ValueError(f"profile's constants overflow float range: alpha_hat={alpha_hat}")
-    eps0 = (10.0 / (27.0 * alpha)) * (
-        math.sqrt(36.0 * profile.tau4 ** 2 + 27.0 * alpha * beta / 10.0) - 6.0 * abs(profile.tau4)
-    )
+    r = abs(profile.tau4) / beta
+    eps0 = 1.0 / (math.hypot(6.0 * r, math.sqrt(2.7) * math.sqrt(alpha) / math.sqrt(beta))
+                  + 6.0 * r)
     return DerivedConstants(alpha, beta, alpha_hat, eps0)
 
 

@@ -14,8 +14,8 @@ the F block, so a law that passes the two matrix oracles has them too.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Iterator, Optional, Sequence
+from dataclasses import asdict, dataclass, field, replace
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -80,42 +80,32 @@ def hermitian_opnorm(H: np.ndarray) -> float:
     return float(np.max(np.abs(vals))) if vals.size else 0.0
 
 
-def _noise_scale(chunk_mats: Sequence[np.ndarray], overall: np.ndarray) -> float:
-    """Standard-error estimate of the full-sample matrix mean, in operator
-    norm, from the spread of equally sized chunk means."""
-    k = len(chunk_mats)
-    devs = [hermitian_opnorm(c - overall) for c in chunk_mats]
-    return float(np.mean(devs)) / math.sqrt(k)
-
-
-def _sample_chunks(ensemble: Ensemble, x, d: Optional[int], n_samples: int, seed: SeedLike,
-                   ) -> tuple[np.ndarray, MomentProfile, int, Iterator[np.ndarray]]:
-    """The preamble of every Monte-Carlo oracle: (x, the law's profile, m, chunks).
-    x is checked as a nonzero finite vector of the law's field and shape (d,), of
-    any length when d is None; chunks are DEFAULT_CHUNKS blocks of m = n_samples //
-    DEFAULT_CHUNKS measurement rows of x's dimension, drawn in turn from one generator.
-
-    Memory contract: a caller deletes each chunk, and any other m x d array
-    made from it, at the end of its loop body, since the loop variables would
-    keep them alive while the next chunk is drawn. An oracle so holds one
-    chunk of m rows plus its chunk means."""
+def _chunk_stats(ensemble: Ensemble, x, d: Optional[int], n_samples: int, seed: SeedLike,
+                 stat: Callable) -> tuple[np.ndarray, list]:
+    """The sampling loop of every matrix oracle: (x, [stat(A, x) per chunk A]), with x
+    checked as a nonzero finite vector of the law's field and shape (d,), any length
+    if d is None, and DEFAULT_CHUNKS chunks of n_samples // DEFAULT_CHUNKS rows drawn
+    in turn from one generator. Each chunk goes straight to `stat`, which may overwrite
+    it, and no name holds it after, so an oracle holds one chunk plus the statistics."""
     x = _vector(x, d, ensemble.field.dtype)
     if not np.any(x):
         raise ValueError("x must be nonzero")
     _integer(n_samples, "n_samples", 10_000)
     rng = np.random.default_rng(seed)
-    m = n_samples // DEFAULT_CHUNKS
-    chunks = (sample_entries(ensemble, (m, x.shape[0]), rng) for _ in range(DEFAULT_CHUNKS))
-    return x, moment_profile(ensemble), m, chunks
+    shape = (n_samples // DEFAULT_CHUNKS, x.shape[0])
+    return x, [stat(sample_entries(ensemble, shape, rng), x) for _ in range(DEFAULT_CHUNKS)]
 
 
 def _matrix_check(name: str, chunk_mats: Sequence[np.ndarray], expected: np.ndarray,
                   sample_count: int, components: tuple = ()) -> ResidualReport:
-    """Score a matrix identity: the operator-norm distance of the mean of the
-    chunk means from `expected`, against 5x their `_noise_scale`."""
-    overall = sum(chunk_mats) / len(chunk_mats)
+    """Score a matrix identity: the operator-norm distance of the mean of the k chunk
+    means from `expected`, against 5x its standard error, estimated as the chunk
+    means' mean operator-norm deviation from it over sqrt(k)."""
+    k = len(chunk_mats)
+    overall = sum(chunk_mats) / k
+    noise = float(np.mean([hermitian_opnorm(c - overall) for c in chunk_mats])) / math.sqrt(k)
     return ResidualReport(name, sample_count, hermitian_opnorm(overall - expected),
-                          5.0 * _noise_scale(chunk_mats, overall), components)
+                          5.0 * noise, components)
 
 
 def condition_expectation(profile: MomentProfile, x: np.ndarray) -> np.ndarray:
@@ -141,15 +131,14 @@ def mc_condition_residual(
     report checks (1/n) sum A against tau1 I.
     """
     _integer(d, "d", 1)
-    x, profile, m, chunks = _sample_chunks(ensemble, x, d, n_samples, seed)
 
-    second_chunks, first_chunks = [], []
-    for A in chunks:
-        first_chunks.append(_gram(A) / m)
-        second_chunks.append(_Y(A, _inner(A, x)[1], out=A))
-        del A
+    def stat(A, x):  # the chunk means of A and of (x* A x) A; the second overwrites A
+        return _gram(A) / A.shape[0], _Y(A, _inner(A, x)[1], out=A)
 
-    n = DEFAULT_CHUNKS * m
+    profile = moment_profile(ensemble)
+    x, chunks = _chunk_stats(ensemble, x, d, n_samples, seed, stat)
+    first_chunks, second_chunks = zip(*chunks)
+    n = DEFAULT_CHUNKS * (n_samples // DEFAULT_CHUNKS)
     mean_report = _matrix_check("ensemble-mean-identity", first_chunks,
                                 profile.tau1 * np.eye(d, dtype=x.dtype), n)
     return _matrix_check("condition-II-identity", second_chunks,
@@ -177,18 +166,18 @@ def mc_F_residual(
     if ensemble.field is not Field.COMPLEX:
         raise ValueError("mc_F_residual requires a complex-field ensemble; "
                          "use mc_condition_residual for real fields")
-    x, profile, m, chunks = _sample_chunks(ensemble, x, None, n_samples, seed)
 
-    f_chunks = []
-    for A in chunks:
+    def stat(A, x):
         w, w2 = _inner(A, x)
         W = A * w[:, None]                    # rows are A_j x
-        B12 = W.T @ W / m
+        B12 = W.T @ W / A.shape[0]
         B11 = _Y(A, w2, out=A)                # (1/m) sum_j |<a_j, x>|^2 a_j a_j*
-        f_chunks.append(np.block([[B11, B12], [B12.conj().T, B11.conj()]]))
-        del A, W
-    return _matrix_check("stacked-block-identity", f_chunks,
-                         f_block_expectation(profile, x), DEFAULT_CHUNKS * m)
+        return np.block([[B11, B12], [B12.conj().T, B11.conj()]])
+
+    profile = moment_profile(ensemble)
+    x, f_chunks = _chunk_stats(ensemble, x, None, n_samples, seed, stat)
+    return _matrix_check("stacked-block-identity", f_chunks, f_block_expectation(profile, x),
+                         DEFAULT_CHUNKS * (n_samples // DEFAULT_CHUNKS))
 
 
 @dataclass(frozen=True)
@@ -216,8 +205,8 @@ def concentration_curve(
     """Empirical quantiles of ||Y - E(Y)||, ||M - E(M)|| and |rho^2 - ||x||^2|
     over seeded trials, per measurement count N.
 
-    Reference expectations use the analytic profile with the exact ||x||:
-    E(Y) = `condition_expectation(profile, x)`, E(M) = tau2 ||x||^2 I + tau3 x x*.
+    Reference expectations use the analytic profile with the exact ||x||: E(Y) =
+    `condition_expectation(profile, x)`, and E(M) is that with tau4 = 0 (M drops Y's tau4 part).
     Trial (ni, t) draws from the seed's SeedSequence with (ni, t) appended to
     its spawn key; a Generator seed supplies the entropy by one draw of its
     stream.
@@ -230,7 +219,7 @@ def concentration_curve(
     nx2 = float(np.vdot(x, x).real)
 
     EY = condition_expectation(profile, x)
-    EM = profile.tau2 * nx2 * np.eye(d, dtype=x.dtype) + profile.tau3 * np.outer(x, x.conj())
+    EM = condition_expectation(replace(profile, tau4=0.0), x)
 
     if isinstance(seed, np.random.Generator):
         seed = int(seed.integers(2 ** 63))

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 
@@ -12,7 +13,7 @@ from phasekit import (
     Field,
     run_recovery_trial,
 )
-from phasekit.cli import main
+from phasekit.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -124,11 +125,13 @@ def test_infinite_ratio_is_an_error(capsys, command):
     assert code == 1 and err.startswith("error: ")
 
 
-@pytest.mark.parametrize("command", ["init-bench", "recover-bench"])
-@pytest.mark.parametrize("flag, value, name", [
-    ("--trials", "0", "trials"),
-    ("--max-iters", "0", "max_iters"),
-    ("--seed", "-1", "base_seed"),
+@pytest.mark.parametrize("command, flag, value, name", [
+    pytest.param(command, flag, value, name, id=f"{flag}-{value}-{name}-{command}")
+    for flag, value, name in [("--trials", "0", "trials"),
+                              ("--max-iters", "0", "max_iters"),
+                              ("--seed", "-1", "base_seed")]
+    for command in ["init-bench", "recover-bench"]
+    if (command, flag) != ("init-bench", "--max-iters")  # an init trial runs no descent
 ])
 def test_bad_flag_value_is_an_error_naming_the_setting(capsys, command, flag, value, name):
     code, out, err = run_cli(capsys, command, *_SMALL_TABLE, flag, value)
@@ -182,7 +185,7 @@ def test_flag_value_of_wrong_type_is_a_usage_error(capsys, command, flag, value)
     assert f"argument {flag}: invalid int value: {value!r}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["init-bench", "recover-bench", "solve"])
+@pytest.mark.parametrize("command", ["recover-bench", "solve"])
 @pytest.mark.parametrize("flag, value", [("--max-iters", "2e2")])
 def test_iteration_flag_of_wrong_type_is_a_usage_error(capsys, command, flag, value):
     with pytest.raises(SystemExit) as exc:
@@ -230,14 +233,14 @@ def test_verify_moments_reads_d_from_config(capsys):
 
 
 _SMALL = ("--field", "real", "--ensemble", "ternary", "--d", "8", "--seed", "1")
-_SMALL_TABLE = _SMALL + ("--ratios", "4,6", "--trials", "2", "--max-iters", "200")
+_SMALL_TABLE = _SMALL + ("--ratios", "4,6", "--trials", "2")
 
 
 @pytest.mark.parametrize("argv", [
     ("init-bench",) + _SMALL_TABLE,
     ("init-bench",) + _SMALL_TABLE + ("--format", "json"),
-    ("recover-bench",) + _SMALL_TABLE,
-    ("recover-bench",) + _SMALL_TABLE + ("--format", "json"),
+    ("recover-bench",) + _SMALL_TABLE + ("--max-iters", "200"),
+    ("recover-bench",) + _SMALL_TABLE + ("--max-iters", "200", "--format", "json"),
     ("verify-moments",) + _SMALL + ("--samples", "20000"),
     ("solve",) + _SMALL + ("--ratios", "6", "--max-iters", "200"),
 ], ids=["init-csv", "init-json", "recover-csv", "recover-json", "verify", "solve"])
@@ -291,8 +294,60 @@ def test_unwritable_out_reports_path(capsys, tmp_path):
     ("init-bench", "--power-iters", "50"),
     ("recover-bench", "--power-iters", "50"),
     ("solve", "--power-iters", "50"),
+    ("init-bench", "--max-iters", "200"),
 ])
 def test_removed_flags_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main([*argv, *_SMALL])
     assert exc.value.code == 2
+
+
+# Every flag a command declares must change what the command writes: each
+# command runs at d = 8 from its settings below, then once per flag but --out
+# with that flag at its second value.
+_COMMON = {"--field": "real", "--ensemble": "ternary", "--d": "8", "--seed": "1"}
+_COMMON_SECOND = {"--field": "complex", "--ensemble": "gaussian", "--d": "6", "--seed": "2"}
+_TABLE = {"--ratios": "4,6", "--trials": "2", "--format": "csv"}
+_TABLE_SECOND = {"--ratios": "4,8", "--trials": "3", "--format": "json"}
+_FLAG_RUNS = {
+    "init-bench": _COMMON | _TABLE,
+    "recover-bench": _COMMON | _TABLE | {"--max-iters": "200"},
+    "verify-moments": _COMMON | {"--samples": "20000"},
+    "solve": _COMMON | {"--ratios": "6", "--max-iters": "200"},
+}
+_SECOND_VALUES = {
+    "init-bench": _COMMON_SECOND | _TABLE_SECOND,
+    "recover-bench": _COMMON_SECOND | _TABLE_SECOND | {"--max-iters": "5"},
+    "verify-moments": _COMMON_SECOND | {"--samples": "40000"},
+    "solve": _COMMON_SECOND | {"--ratios": "8", "--max-iters": "5"},
+}
+
+
+def _declared_flags() -> list:
+    """(command, flag) for every long flag each subcommand of build_parser() declares."""
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    return [(name, flag) for name, p in commands.choices.items()
+            for action in p._actions for flag in action.option_strings
+            if flag.startswith("--") and flag != "--help"]
+
+
+def _argv(command: str, settings: dict) -> list:
+    return [command, *(text for item in settings.items() for text in item)]
+
+
+def test_flag_tables_name_every_declared_flag():
+    # a new flag must get a second value, so that the test below checks it
+    declared = {(c, f) for c, f in _declared_flags() if f != "--out"}
+    assert declared == {(c, f) for c in _SECOND_VALUES for f in _SECOND_VALUES[c]}
+    assert declared == {(c, f) for c in _FLAG_RUNS for f in _FLAG_RUNS[c]}
+
+
+@pytest.mark.parametrize("command, flag", [cf for cf in _declared_flags() if cf[1] != "--out"],
+                         ids=lambda v: v)
+def test_every_flag_changes_what_its_command_writes(capsys, command, flag):
+    # init-bench once took --max-iters and wrote the same table for every value
+    _, base, _ = run_cli(capsys, *_argv(command, _FLAG_RUNS[command]))
+    _, other, _ = run_cli(capsys, *_argv(command, _FLAG_RUNS[command]
+                                         | {flag: _SECOND_VALUES[command][flag]}))
+    assert base and other != base

@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -65,10 +67,14 @@ def test_entry_distribution_requires_finite_real_moments(m2, m4):
     ((True, 1.0, 1.0, 0.0), "tau1"),
     ((1.0, 1.0, 1j, 0.0), "tau3"),
     ((1.0, 10 ** 400, 1.0, 0.0), "tau2"),
-], ids=["inf-tau2", "nan-tau4", "str-tau4", "bool-tau1", "complex-tau3", "huge-int-tau2"])
+    ((1.0, 10 ** 5000, 1.0, 0.0), "tau2"),
+], ids=["inf-tau2", "nan-tau4", "str-tau4", "bool-tau1", "complex-tau3", "huge-int-tau2",
+        "unprintable-int-tau2"])
 def test_moment_profile_requires_finite_real_constants(taus, name):
     # an infinite tau2 built a profile whose alpha was inf and epsilon0 nan;
-    # a string tau4 raised TypeError, and an int beyond float range OverflowError
+    # a string tau4 raised TypeError, an int beyond float range OverflowError,
+    # and one of more digits than int-to-text conversion allows raised that
+    # conversion's ValueError, which does not name tau2
     with pytest.raises(ValueError, match=f"moment profile: {name} must be a finite number"):
         MomentProfile(*taus)
 
@@ -78,9 +84,11 @@ def test_moment_profile_requires_finite_real_constants(taus, name):
     (None, GAUSSIAN, "field"),
     (Field.REAL, "gaussian", "entry"),
     (Field.COMPLEX, None, "entry"),
-], ids=["str-field", "no-field", "str-entry", "no-entry"])
+    (10 ** 5000, TERNARY, "field"),
+], ids=["str-field", "no-field", "str-entry", "no-entry", "unprintable-int-field"])
 def test_ensemble_requires_a_field_and_an_entry_distribution(field, entry, name):
-    # Ensemble("real", GAUSSIAN) took the complex profile and drew complex rows
+    # Ensemble("real", GAUSSIAN) took the complex profile and drew complex rows,
+    # and the message for an int too long to print raised in place of this one
     cls = {"field": "Field", "entry": "EntryDistribution"}[name]
     with pytest.raises(ValueError, match=f"^{name} must be an instance of {cls}, got "):
         Ensemble(field, entry)
@@ -154,14 +162,54 @@ def test_a_valid_profile_has_0_lt_beta_le_alpha(taus):
      r"m4 >= m2\^2 required \(got m4=1e\+300, m2\^2=inf\)"),
     (lambda: derived_constants(MomentProfile(1.0, 1e308, 1e308, 0.0)),
      "profile's constants overflow float range: alpha_hat=inf"),
-    (lambda: derived_constants(MomentProfile(1.0, 1.0, 1.0, 1e200)),
-     "profile's constants overflow float range: alpha_hat=1e"),
-], ids=["m2-squared", "alpha_hat", "tau4-squared"])
+], ids=["m2-squared", "alpha_hat"])
 def test_moment_constants_that_overflow_raise_value_error(build, match):
-    # m2 ** 2 and tau4 ** 2 raised OverflowError, and an infinite alpha_hat
-    # gave alpha = inf and epsilon0 = nan
+    # m2 ** 2 raised OverflowError, and an infinite alpha_hat gave alpha = inf
+    # and epsilon0 = nan
     with pytest.raises(ValueError, match=match):
         build()
+
+
+def _epsilon0_reference(profile: MomentProfile) -> float:
+    """epsilon0 by the formula as written, (10/(27 alpha)) (sqrt(36 tau4^2 + 27 alpha beta
+    / 10) - 6 |tau4|), in decimal arithmetic of 2,000 digits, which the cancellation of
+    the subtraction cannot exhaust for any pair of floats, rounded once to a float."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 2000
+        t2, t3, t4 = (Decimal(t) for t in (profile.tau2, profile.tau3, profile.tau4))
+        t4_minus = max(-t4, Decimal(0))
+        alpha, beta = t2 + t3 - t4_minus, t3 - t4_minus
+        return float(10 / (27 * alpha)
+                     * ((36 * t4 ** 2 + 27 * alpha * beta / 10).sqrt() - 6 * abs(t4)))
+
+
+@pytest.mark.parametrize("profile", [
+    *(moment_profile(e) for e in ALL_ENSEMBLES),
+    MomentProfile(1e-170, 1e-170, 1e-170, 0.0),
+    MomentProfile(1.0, 5e-324, 5e-324, 0.0),
+    MomentProfile(1.0, 1e-300, 1e-300, 1e153),
+    MomentProfile(1.0, 1.0, 1.0, -1.0 + 2.0 ** -52),
+    MomentProfile(1.0, 1e-300, 1.0, -1.0 + 2.0 ** -52),
+    MomentProfile(1.0, 1e150, 1.0, -1.0 + 2.0 ** -52),
+    MomentProfile(1.0, 1.0, 2.0 ** -1074, 0.0),
+    MomentProfile(1.0, 1.0, 2.0 ** -1074, 1e150),
+    MomentProfile(1.0, 5e152, 5e152, 0.0),
+    MomentProfile(1.0, 1.0, 1.0, 1e200),
+    MomentProfile(1e-300, 1e-300, 1e-300, -1e-301),
+], ids=[*(f"{e.field.value}-{e.entry.name}" for e in ALL_ENSEMBLES),
+        "tiny-scale", "least-tau2-tau3", "tiny-tau2-tau3-huge-tau4", "tau3+tau4=ulp",
+        "tiny-tau2", "huge-tau2", "least-tau3", "least-tau3-huge-tau4", "alpha_hat=1e153",
+        "tau4-squared", "tiny-negative-tau4"])
+def test_epsilon0_matches_a_high_precision_reference(profile):
+    # the formula as written cancelled to 0.0 at tiny scale, gave nan at the
+    # least tau3, inf for a huge tau4 over tiny tau2 and tau3, and was off by
+    # 1.1e-14 relative on real ternary; tau4 = 1e200 raised ValueError
+    expected = _epsilon0_reference(profile)
+    got = derived_constants(profile).epsilon0
+    if expected == 0.0:
+        assert got == 0.0
+    else:
+        assert abs(got - expected) <= 1e-15 * expected
 
 
 @pytest.mark.parametrize("ensemble", ALL_ENSEMBLES, ids=lambda e: f"{e.field.value}-{e.entry.name}")
@@ -194,10 +242,12 @@ def test_sampling_rejects_empty():
 @pytest.mark.parametrize("N, d, name", [
     (2.5, 4, "N"), (True, 4, "N"), (-1, 4, "N"), (4.0, 4, "N"),
     (4, np.float64(3), "d"), (4, 0, "d"), (4, "3", "d"),
+    pytest.param(-10 ** 5000, 3, "N", id="-10**5000-3-N"),
 ])
 def test_sampling_requires_integer_sizes(N, d, name):
     # a float N raised TypeError from inside the ternary draw, a bool N
-    # "an integer is required" and a negative N numpy's "negative dimensions"
+    # "an integer is required", a negative N numpy's "negative dimensions",
+    # and an N too long to print the int-to-text conversion's ValueError
     with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
         sample_measurements(Ensemble(Field.REAL, TERNARY), N, d, seed=0)
 

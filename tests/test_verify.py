@@ -21,7 +21,7 @@ from phasekit import (
     moment_profile,
 )
 from phasekit.ensembles import sample_entries
-from phasekit.verify import DEFAULT_CHUNKS, _noise_scale
+from phasekit.verify import DEFAULT_CHUNKS
 
 ALL_ENSEMBLES = [
     Ensemble(field, entries)
@@ -287,8 +287,12 @@ def _ref_f_chunks(ens, x, n_samples, seed):
 
 
 def _residual_and_tolerance(chunks, expected):
-    overall = sum(chunks) / len(chunks)
-    return hermitian_opnorm(overall - expected), 5.0 * _noise_scale(chunks, overall)
+    # tolerance: 5x the standard error of the mean of k chunk means, taken as
+    # the mean operator-norm deviation of a chunk mean over sqrt(k)
+    k = len(chunks)
+    overall = sum(chunks) / k
+    noise = np.mean([hermitian_opnorm(c - overall) for c in chunks]) / math.sqrt(k)
+    return hermitian_opnorm(overall - expected), 5.0 * noise
 
 
 @pytest.mark.parametrize("ens", ALL_ENSEMBLES, ids=str)
@@ -338,11 +342,12 @@ def test_condition_residual_holds_one_chunk_at_a_time(ens, traced_peak):
 
 @pytest.mark.parametrize("entries", [GAUSSIAN, UNIFORM, TERNARY], ids=lambda e: e.name)
 def test_f_residual_holds_one_chunk_at_a_time(entries, traced_peak):
-    # a chunk and its weighted rows W are live together, hence the larger bound
+    # a chunk and its weighted rows W are live together, hence the larger bound;
+    # the previous chunk kept alive while the next is drawn reads 2.50-2.72x
     ens = Ensemble(Field.COMPLEX, entries)
     x = unit_vector(MEMORY_D, Field.COMPLEX, seed=16)
     peak = traced_peak(lambda: mc_F_residual(ens, x, MEMORY_SAMPLES, 17))
-    assert peak < 2.75 * _rows_nbytes(ens, MEMORY_SAMPLES // DEFAULT_CHUNKS)
+    assert peak < 2.5 * _rows_nbytes(ens, MEMORY_SAMPLES // DEFAULT_CHUNKS)
 
 
 @pytest.mark.parametrize("ens", ALL_ENSEMBLES, ids=str)
