@@ -87,24 +87,15 @@ class ExperimentConfig:
                 "0.001, which would share trial streams")
         moment_profile(self.ensemble)  # MomentProfile rejects an invalid law
 
-    @property
-    def solver_config(self) -> SolverConfig:
-        """The descent settings of a recovery trial."""
-        return SolverConfig(max_iters=self.max_iters)
-
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "ensemble": self.ensemble.to_dict(),
-            "d": self.d,
-            "ratio_grid": list(self.ratio_grid),
-            "trials": self.trials,
-            "success_threshold": self.success_threshold,
-            "max_iters": self.max_iters,
-            "power_iters": self.power_iters,
-            "base_seed": self.base_seed,
-            "paired_si_gsi_measurements": True,
-        }
+        """The settings that made the rows: those that this kind of experiment reads."""
+        recovery = self.kind is ExperimentKind.SUCCESS_RATE
+        return {"kind": self.kind.value, "ensemble": self.ensemble.to_dict(), "d": self.d,
+                "ratio_grid": list(self.ratio_grid), "trials": self.trials,
+                **({"success_threshold": self.success_threshold, "max_iters": self.max_iters}
+                   if recovery else {}),
+                "power_iters": self.power_iters, "base_seed": self.base_seed,
+                **({} if recovery else {"paired_si_gsi_measurements": True})}
 
 
 @dataclass(frozen=True)
@@ -215,7 +206,7 @@ def run_recovery_trial(config: ExperimentConfig, ratio: float, i: int) -> TrialR
     nx = np.linalg.norm(x)
     init = gsi(mset, y, profile, power_iters=config.power_iters, seed=pw_ss)
     init_err = dist(init.z0, x) / nx
-    report = solve(mset, y, init.z0, config.solver_config)
+    report = solve(mset, y, init.z0, SolverConfig(max_iters=config.max_iters))
     final_err = dist(report.final_z, x) / nx
     return TrialRecord(
         init_rel_error=float(init_err),

@@ -330,17 +330,22 @@ class DerivedConstants:
 def derived_constants(profile: MomentProfile) -> DerivedConstants:
     """alpha = tau2+tau3-(tau4)_-, beta = tau3-(tau4)_-, alpha_hat = tau2+tau3+|tau4| >= |tau4|,
     alpha >= beta > 0, and epsilon0 = (10/(27 alpha)) * (sqrt(36 tau4^2 + 27 alpha beta / 10)
-    - 6 |tau4|) = 1 / (hypot(6 r, sqrt(2.7 alpha / beta)) + 6 r), r = |tau4| / beta, whose terms
-    neither cancel, overflow nor underflow unless epsilon0 is subnormal. alpha_hat = inf raises."""
+    - 6 |tau4|) = 1 / (hypot(6 r, s) + 6 r), r = |tau4| / beta, s = sqrt(2.7 alpha / beta),
+    whose terms do not cancel. alpha_hat = inf raises."""
     t4_minus = max(-profile.tau4, 0.0)
     alpha = profile.tau2 + profile.tau3 - t4_minus
     beta = profile.tau3 - t4_minus
     alpha_hat = profile.tau2 + profile.tau3 + abs(profile.tau4)
     if not math.isfinite(alpha_hat):
         raise ValueError(f"profile's constants overflow float range: alpha_hat={alpha_hat}")
-    r = abs(profile.tau4) / beta
-    eps0 = 1.0 / (math.hypot(6.0 * r, math.sqrt(2.7) * math.sqrt(alpha) / math.sqrt(beta))
-                  + 6.0 * r)
+    # 6 r / 2^k and s / 2^k from frexp parts: rounded as 6 r and s are, but never overflowing
+    (m4, e4), (mb, eb) = math.frexp(abs(profile.tau4)), math.frexp(beta)
+    ja, jb = math.frexp(alpha)[1] // 2, eb // 2
+    k = max(e4 - eb, ja - jb) if m4 else ja - jb
+    r6 = math.ldexp(6.0 * (m4 / mb), e4 - eb - k)
+    s = math.ldexp(math.sqrt(2.7) * math.sqrt(math.ldexp(alpha, -2 * ja))
+                   / math.sqrt(math.ldexp(beta, -2 * jb)), ja - jb - k)
+    eps0 = math.ldexp(1.0 / (math.hypot(r6, s) + r6), -k)
     return DerivedConstants(alpha, beta, alpha_hat, eps0)
 
 

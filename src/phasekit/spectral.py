@@ -76,7 +76,7 @@ def build_Y(mset: MeasurementSet, y: np.ndarray) -> np.ndarray:
 
 
 def _Y(A: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Y of the rows of A for a checked `y`, the one place rows are weighted.
+    """Y of the rows of A for a checked `y`, the one place rows are weighted by y.
     The rows sqrt(y_j) a_j are written to `out`, a new array when None; a
     caller that owns A and is done with its plain rows passes out=A."""
     return _gram(np.multiply(A, np.sqrt(y)[:, None], out=out)) / A.shape[0]

@@ -81,19 +81,38 @@ def hermitian_opnorm(H: np.ndarray) -> float:
 
 
 def _chunk_stats(ensemble: Ensemble, x, d: Optional[int], n_samples: int, seed: SeedLike,
-                 stat: Callable) -> tuple[np.ndarray, list]:
-    """The sampling loop of every matrix oracle: (x, [stat(A, x) per chunk A]), with x
-    checked as a nonzero finite vector of the law's field and shape (d,), any length
-    if d is None, and DEFAULT_CHUNKS chunks of n_samples // DEFAULT_CHUNKS rows drawn
-    in turn from one generator. Each chunk goes straight to `stat`, which may overwrite
-    it, and no name holds it after, so an oracle holds one chunk plus the statistics."""
+                 stat: Callable) -> tuple[np.ndarray, int, list]:
+    """The sampling loop of every matrix oracle: (x, n, [stat(A, x) per chunk A]), with x
+    checked as a nonzero finite vector of the law's field and shape (d,), any length if d
+    is None, and n rows drawn from one generator in DEFAULT_CHUNKS chunks of n_samples //
+    DEFAULT_CHUNKS. Each chunk goes straight to `stat`, which weights it in place, and no
+    name holds it after, so an oracle holds one chunk plus the statistics."""
     x = _vector(x, d, ensemble.field.dtype)
     if not np.any(x):
         raise ValueError("x must be nonzero")
     _integer(n_samples, "n_samples", 10_000)
     rng = np.random.default_rng(seed)
-    shape = (n_samples // DEFAULT_CHUNKS, x.shape[0])
-    return x, [stat(sample_entries(ensemble, shape, rng), x) for _ in range(DEFAULT_CHUNKS)]
+    m = n_samples // DEFAULT_CHUNKS
+    return x, DEFAULT_CHUNKS * m, [stat(sample_entries(ensemble, (m, x.shape[0]), rng), x)
+                                   for _ in range(DEFAULT_CHUNKS)]
+
+
+def _condition_chunk(A: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The chunk means of A and of (x* A x) A, the second from the rows w_j a_j over A."""
+    mean = _gram(A) / A.shape[0]
+    A *= _inner(A, x)[0][:, None]
+    return mean, _gram(A) / A.shape[0]
+
+
+def _f_chunk(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The F block's chunk mean from the rows w_j a_j, w_j = <a_j, x>, written over A."""
+    A *= _inner(A, x)[0][:, None]
+    return _f_block(_gram(A) / A.shape[0], A.T @ A / A.shape[0])
+
+
+def _f_block(B11: np.ndarray, B12: np.ndarray) -> np.ndarray:
+    """[[B11, B12], [B12*, conj(B11)]] for a symmetric B12, as a syrk's X.T @ X is."""
+    return np.block([[B11, B12], [B12.conj(), B11.conj()]])
 
 
 def _matrix_check(name: str, chunk_mats: Sequence[np.ndarray], expected: np.ndarray,
@@ -131,14 +150,9 @@ def mc_condition_residual(
     report checks (1/n) sum A against tau1 I.
     """
     _integer(d, "d", 1)
-
-    def stat(A, x):  # the chunk means of A and of (x* A x) A; the second overwrites A
-        return _gram(A) / A.shape[0], _Y(A, _inner(A, x)[1], out=A)
-
     profile = moment_profile(ensemble)
-    x, chunks = _chunk_stats(ensemble, x, d, n_samples, seed, stat)
+    x, n, chunks = _chunk_stats(ensemble, x, d, n_samples, seed, _condition_chunk)
     first_chunks, second_chunks = zip(*chunks)
-    n = DEFAULT_CHUNKS * (n_samples // DEFAULT_CHUNKS)
     mean_report = _matrix_check("ensemble-mean-identity", first_chunks,
                                 profile.tau1 * np.eye(d, dtype=x.dtype), n)
     return _matrix_check("condition-II-identity", second_chunks,
@@ -151,7 +165,7 @@ def f_block_expectation(profile: MomentProfile, x: np.ndarray) -> np.ndarray:
     condition II's E((x* A x) A), `condition_expectation(profile, x)`."""
     B11 = condition_expectation(profile, x)
     B12 = (profile.tau2 + profile.tau3) * np.outer(x, x) + profile.tau4 * np.diag(x ** 2)
-    return np.block([[B11, B12], [B12.conj(), B11.conj()]])
+    return _f_block(B11, B12)
 
 
 def mc_F_residual(
@@ -160,24 +174,15 @@ def mc_F_residual(
     n_samples: int = 1_000_000,
     seed: SeedLike = 0,
 ) -> ResidualReport:
-    """Check the block expectation of (1/n) sum [w; conj(w)][w; conj(w)]*
-    with w = A_j x, for complex ensembles only; its upper-left block is the
-    condition-II statistic that `mc_condition_residual` samples."""
+    """Check the block expectation of (1/n) sum [w; conj(w)][w; conj(w)]* with w = A_j x,
+    for complex ensembles only. Both blocks come from the chunk's rows weighted in place,
+    and the upper-left one is `mc_condition_residual`'s condition-II chunk mean."""
     if ensemble.field is not Field.COMPLEX:
         raise ValueError("mc_F_residual requires a complex-field ensemble; "
                          "use mc_condition_residual for real fields")
-
-    def stat(A, x):
-        w, w2 = _inner(A, x)
-        W = A * w[:, None]                    # rows are A_j x
-        B12 = W.T @ W / A.shape[0]
-        B11 = _Y(A, w2, out=A)                # (1/m) sum_j |<a_j, x>|^2 a_j a_j*
-        return np.block([[B11, B12], [B12.conj().T, B11.conj()]])
-
     profile = moment_profile(ensemble)
-    x, f_chunks = _chunk_stats(ensemble, x, None, n_samples, seed, stat)
-    return _matrix_check("stacked-block-identity", f_chunks, f_block_expectation(profile, x),
-                         DEFAULT_CHUNKS * (n_samples // DEFAULT_CHUNKS))
+    x, n, f_chunks = _chunk_stats(ensemble, x, None, n_samples, seed, _f_chunk)
+    return _matrix_check("stacked-block-identity", f_chunks, f_block_expectation(profile, x), n)
 
 
 @dataclass(frozen=True)
@@ -209,7 +214,8 @@ def concentration_curve(
     `condition_expectation(profile, x)`, and E(M) is that with tau4 = 0 (M drops Y's tau4 part).
     Trial (ni, t) draws from the seed's SeedSequence with (ni, t) appended to
     its spawn key; a Generator seed supplies the entropy by one draw of its
-    stream.
+    stream. Each trial is one call of a local function, so its N x d rows are
+    gone before the next trial draws.
     """
     _integer(d, "d", 1)
     _integer(trials, "trials", 20)
@@ -217,28 +223,25 @@ def concentration_curve(
     profile = moment_profile(ensemble)
     x = _vector(x, d, ensemble.field.dtype)
     nx2 = float(np.vdot(x, x).real)
-
     EY = condition_expectation(profile, x)
     EM = condition_expectation(replace(profile, tau4=0.0), x)
 
     if isinstance(seed, np.random.Generator):
         seed = int(seed.integers(2 ** 63))
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+
+    def trial(N: int, ni: int, t: int) -> tuple[float, float, float]:
+        mset = sample_measurements(ensemble, N, d, np.random.SeedSequence(
+            entropy=root.entropy, spawn_key=root.spawn_key + (ni, t)))
+        y = measure(mset, x)
+        rho = rho_from_intensities(y, profile.tau1)
+        Y = _Y(mset.vectors, y, out=mset.vectors)
+        return (hermitian_opnorm(Y - EY), hermitian_opnorm(build_M(Y, rho, profile) - EM),
+                abs(rho ** 2 - nx2) / nx2 if nx2 > 0 else abs(rho ** 2))
+
     rows = []
     for ni, N in enumerate(N_grid):
-        y_devs, m_devs, rho_devs = [], [], []
-        for t in range(trials):
-            ss = np.random.SeedSequence(entropy=root.entropy,
-                                        spawn_key=root.spawn_key + (ni, t))
-            mset = sample_measurements(ensemble, N, d, ss)
-            y = measure(mset, x)
-            rho = rho_from_intensities(y, profile.tau1)
-            Y = _Y(mset.vectors, y, out=mset.vectors)
-            M = build_M(Y, rho, profile)
-            y_devs.append(hermitian_opnorm(Y - EY))
-            m_devs.append(hermitian_opnorm(M - EM))
-            rho_devs.append(abs(rho ** 2 - nx2) / nx2 if nx2 > 0 else abs(rho ** 2))
-            del mset  # else the N x d rows live on while the next trial draws
+        y_devs, m_devs, rho_devs = zip(*(trial(N, ni, t) for t in range(trials)))
         rows.append(ConcentrationRow(
             N,
             float(np.median(y_devs)), float(np.quantile(y_devs, 0.95)),

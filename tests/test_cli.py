@@ -220,6 +220,22 @@ def test_unset_values_take_the_experiment_config_defaults(capsys):
     assert json.loads(out)["metadata"] == expected.to_dict()
 
 
+@pytest.mark.parametrize("command, unread", [
+    ("init-bench", {"max_iters", "success_threshold"}),
+    ("recover-bench", {"paired_si_gsi_measurements"}),
+], ids=["init-bench", "recover-bench"])
+def test_table_metadata_records_only_what_made_the_rows(capsys, command, unread):
+    # an init trial runs no descent and judges no success, and a recovery
+    # trial runs no SI, yet both tables recorded every setting
+    code, out, _ = run_cli(capsys, command, "--d", "8", "--ratios", "4", "--trials", "1",
+                           "--format", "json")
+    assert code == 0
+    metadata = json.loads(out)["metadata"]
+    assert {"kind", "ensemble", "d", "ratio_grid", "trials", "power_iters",
+            "base_seed"} <= metadata.keys()
+    assert not unread & metadata.keys()
+
+
 def test_verify_moments_reads_d_from_config(capsys):
     # the config the flags build: --d 6 is read, no --d is the default 3
     common = ("--field", "real", "--ensemble", "ternary", "--seed", "2", "--samples", "20000")

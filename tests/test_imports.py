@@ -1,5 +1,5 @@
-"""No module imports a name it never uses, and no private helper of the
-package is left unused.
+"""No module imports a name it never uses, no private helper of the package
+is left unused, and no statement of the package is a `del`.
 
 The package's __init__.py is left out of the import scan: its imports are
 the public API.
@@ -70,3 +70,20 @@ def test_the_scan_finds_a_dead_private_helper():
 
 def test_every_private_helper_is_used():
     assert dead_private_names([path.read_text(encoding="utf-8") for path in PACKAGE]) == []
+
+
+def del_statements(source: str) -> list[int]:
+    """The lines of the `del` statements in `source`."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Delete)]
+
+
+def test_the_scan_finds_a_del():
+    assert del_statements("a = [1]\ndel a[0]\ndef f(b):\n    del b\n") == [2, 4]
+    assert del_statements("deleted = 1\n") == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_del_statements(path):
+    # scope, not `del`, ends a buffer's life: a `del` that a loop body must
+    # remember is the kind of rule that a later edit forgets
+    assert del_statements(path.read_text(encoding="utf-8")) == []

@@ -21,7 +21,7 @@ from phasekit import (
     moment_profile,
 )
 from phasekit.ensembles import sample_entries
-from phasekit.verify import DEFAULT_CHUNKS
+from phasekit.verify import DEFAULT_CHUNKS, _chunk_stats, _condition_chunk, _f_chunk
 
 ALL_ENSEMBLES = [
     Ensemble(field, entries)
@@ -333,21 +333,32 @@ def _rows_nbytes(ens, rows):
     return rows * MEMORY_D * np.dtype(ens.field.dtype).itemsize
 
 
-@pytest.mark.parametrize("ens", ALL_ENSEMBLES, ids=str)
-def test_condition_residual_holds_one_chunk_at_a_time(ens, traced_peak):
+@pytest.mark.parametrize("oracle, ens", [
+    *(pytest.param(mc_condition_residual, ens, id=str(ens)) for ens in ALL_ENSEMBLES),
+    *(pytest.param(mc_F_residual, ens, id=f"F-{ens.entry.name}") for ens in ALL_ENSEMBLES
+      if ens.field is Field.COMPLEX),
+])
+def test_condition_residual_holds_one_chunk_at_a_time(oracle, ens, traced_peak):
+    # both matrix oracles weight their chunk in place, so no second N x d buffer
+    # is live; either one keeping its previous chunk alive reads 2.07x or more
     x = unit_vector(MEMORY_D, ens.field, seed=16)
-    peak = traced_peak(lambda: mc_condition_residual(ens, MEMORY_D, x, MEMORY_SAMPLES, 17))
+    args = (x,) if oracle is mc_F_residual else (MEMORY_D, x)
+    peak = traced_peak(lambda: oracle(ens, *args, MEMORY_SAMPLES, 17))
     assert peak < 1.75 * _rows_nbytes(ens, MEMORY_SAMPLES // DEFAULT_CHUNKS)
 
 
 @pytest.mark.parametrize("entries", [GAUSSIAN, UNIFORM, TERNARY], ids=lambda e: e.name)
-def test_f_residual_holds_one_chunk_at_a_time(entries, traced_peak):
-    # a chunk and its weighted rows W are live together, hence the larger bound;
-    # the previous chunk kept alive while the next is drawn reads 2.50-2.72x
-    ens = Ensemble(Field.COMPLEX, entries)
-    x = unit_vector(MEMORY_D, Field.COMPLEX, seed=16)
-    peak = traced_peak(lambda: mc_F_residual(ens, x, MEMORY_SAMPLES, 17))
-    assert peak < 2.5 * _rows_nbytes(ens, MEMORY_SAMPLES // DEFAULT_CHUNKS)
+def test_condition_ii_has_one_chunk_statistic(entries):
+    # the upper-left d x d block of each F chunk mean is condition II's chunk
+    # mean bit for bit: both weight the same rows in place by w_j = <a_j, x>
+    ens, d = Ensemble(Field.COMPLEX, entries), 5
+    x = unit_vector(d, Field.COMPLEX, seed=18)
+    _, n, f_chunks = _chunk_stats(ens, x, None, 20_000, 19, _f_chunk)
+    _, n2, condition_chunks = _chunk_stats(ens, x, d, 20_000, 19, _condition_chunk)
+    assert n == n2 == 20_000 and len(f_chunks) == len(condition_chunks) == DEFAULT_CHUNKS
+    for F, (_, second) in zip(f_chunks, condition_chunks):
+        assert np.array_equal(F[:d, :d], second)
+        assert np.array_equal(F[:d, d:], F[:d, d:].T)  # B12 is exactly symmetric
 
 
 @pytest.mark.parametrize("ens", ALL_ENSEMBLES, ids=str)
