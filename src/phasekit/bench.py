@@ -34,6 +34,7 @@ from .ensembles import (
     _integer,
     _intensities,
     _number,
+    _seed,
     _sequence,
     moment_profile,
     sample_entries,
@@ -146,7 +147,7 @@ def generate_signal(d: int, seed: SeedLike, field: Field = Field.REAL) -> np.nda
     """Gaussian test signal with the last two coordinates amplified by
     SPIKE_FACTOR = 200. Complex signals are (g1 + i g2)/sqrt(2)."""
     _integer(d, "d", 2)
-    x = sample_entries(Ensemble(field, GAUSSIAN), (d,), np.random.default_rng(seed))
+    x = sample_entries(Ensemble(field, GAUSSIAN), (d,), np.random.default_rng(_seed(seed)))
     x[-2:] *= SPIKE_FACTOR
     return x
 

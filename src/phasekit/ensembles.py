@@ -19,12 +19,13 @@ dtype=np.int32)``, values and generator state alike, but computed in bulk.
 numpy draws that range by Lemire's multiply-shift on successive 32-bit
 words u: the value is (3u >> 32) - 1, that is [u >= 1431655766] +
 [u >= 2863311531] - 1, and only u == 0 is rejected, since
-(2^32 - 3) mod 3 = 1. For a PCG64 generator the words are its raw 64-bit
-outputs, each taken low half first, then high half, after any buffered
-half the generator holds; an odd word count leaves the last high half
-buffered. A zero word, or another bit generator, restores the saved state
-and replays numpy's int32 call. That fallback must stay int32: an int8
-bounded draw cuts each 32-bit word into four bytes, so its stream differs.
+(2^32 - 3) mod 3 = 1. For a PCG64 generator that holds no buffered half, the
+words are its raw 64-bit outputs, each taken low half first, then high
+half; an odd word count leaves the last high half buffered. A buffered
+half, a zero word or another bit generator restores the saved state and
+replays numpy's int32 call. In every case the values and the state are
+numpy's. That fallback must stay int32: an int8 bounded draw cuts each
+32-bit word into four bytes, so its stream differs.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -63,11 +64,19 @@ def _shown(v) -> str:
                 if isinstance(v, int) else type(v).__name__)
 
 
-def _integer(v, name: str, low: int) -> int:
-    """v as a Python int, checked as an integer, not a bool (numpy ones count), >= low."""
+def _integer(v, name: str, low: int, also: str = "") -> int:
+    """v as a Python int, checked as an integer, not a bool (numpy ones count), >= low;
+    `also` names in the message what else the caller takes."""
     if not (isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= low):
-        raise ValueError(f"{name} must be an integer >= {low}, got {_shown(v)}")
+        raise ValueError(f"{name} must be an integer >= {low}{also}, got {_shown(v)}")
     return int(v)
+
+
+def _seed(v) -> SeedLike:
+    """v, checked as a SeedLike: a SeedSequence or a Generator as itself, else by _integer."""
+    if isinstance(v, (np.random.SeedSequence, np.random.Generator)):
+        return v
+    return _integer(v, "seed", 0, ", a SeedSequence or a Generator")
 
 
 def _number(v, name: str, low: Optional[float] = None, strict: bool = False):
@@ -148,6 +157,8 @@ class EntryDistribution:
     sampler: Callable[[np.random.Generator, tuple], np.ndarray] = field(repr=False)
 
     def __post_init__(self):
+        _instance(self.name, "entry distribution name", str)
+        _instance(self.sampler, f"entry distribution {self.name!r}: sampler", Callable)
         _number(self.m2, f"entry distribution {self.name!r}: m2", 0, strict=True)
         _number(self.m4, f"entry distribution {self.name!r}: m4")
         if self.m4 < self.m2 * self.m2:  # m2 ** 2 raises OverflowError where this is inf
@@ -163,28 +174,23 @@ _TERNARY_CUTS = (1_431_655_766, 2_863_311_531)
 
 def _ternary(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     """The values of rng.integers(-1, 2, shape, dtype=np.int32), leaving the
-    generator in the state that call leaves, as int8 computed from raw PCG64
-    words (see the module docstring); a zero word or another bit generator
+    generator in the state that call leaves. A PCG64 generator that holds no
+    buffered half gives them as int8 computed from its raw words (see the
+    module docstring); a buffered half, a zero word or another bit generator
     replays that call itself. It reads, draws and then sets the state, so
     unlike one numpy call it is not atomic: threads must not share `rng`."""
     bitgen = rng.bit_generator
     saved = bitgen.state
     n = math.prod(shape)
-    if saved["bit_generator"] == "PCG64" and n:
-        pending = saved["has_uint32"]
-        raw = bitgen.random_raw((n - pending + 1) // 2)
-        words = raw.astype("<u8", copy=False).view("<u4")  # low half, then high
-        if pending:
-            words = np.concatenate((np.array([saved["uinteger"]], np.uint32), words))
-        words = words[:n]
+    if saved["bit_generator"] == "PCG64" and not saved["has_uint32"] and n:
+        raw = bitgen.random_raw((n + 1) // 2)
+        words = raw.astype("<u8", copy=False).view("<u4")[:n]  # low half, then high
         if words.min():  # no zero word, so no rejection shifts the stream
             draw = (words >= _TERNARY_CUTS[0]).view(np.int8)
             draw += words >= _TERNARY_CUTS[1]
             draw -= 1
             state = bitgen.state
-            state["has_uint32"] = (n - pending) % 2
-            if raw.size:  # else the buffered half was the only word
-                state["uinteger"] = int(raw[-1] >> 32)
+            state["has_uint32"], state["uinteger"] = n % 2, int(raw[-1] >> 32)
             bitgen.state = state
             return draw.reshape(shape)
         bitgen.state = saved
@@ -305,6 +311,15 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+def _direction(rng: np.random.Generator, d: int, complex_: bool) -> np.ndarray:
+    """A random unit vector of R^d, or of C^d if complex_: d standard normal
+    draws, then d more for the imaginary parts, over their norm."""
+    v = rng.standard_normal(d)
+    if complex_:
+        v = v + 1j * rng.standard_normal(d)
+    return v / np.linalg.norm(v)
+
+
 def moment_profile(ensemble: Ensemble) -> MomentProfile:
     """Closed-form tau1..tau4 for an i.i.d. symmetric entry ensemble.
 
@@ -379,4 +394,4 @@ def sample_measurements(ensemble: Ensemble, N: int, d: int, seed: SeedLike) -> M
     """N measurement vectors of dimension d, integers >= 1; identical seeds, identical bits."""
     _integer(N, "N", 1)
     _integer(d, "d", 1)
-    return MeasurementSet(sample_entries(ensemble, (N, d), np.random.default_rng(seed)))
+    return MeasurementSet(sample_entries(ensemble, (N, d), np.random.default_rng(_seed(seed))))

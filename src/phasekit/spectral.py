@@ -27,6 +27,7 @@ from .ensembles import (
     MeasurementSet,
     MomentProfile,
     SeedLike,
+    _direction,
     _gram,
     _inner,
     _integer,
@@ -34,6 +35,7 @@ from .ensembles import (
     _matrix,
     _norm,
     _number,
+    _seed,
     _vector,
 )
 
@@ -117,12 +119,7 @@ def power_method(
     """
     _integer(iters, "iters", 1)
     M = _matrix(M, "M")
-    rng = np.random.default_rng(seed)
-    d = M.shape[0]
-    v = rng.standard_normal(d)
-    if np.iscomplexobj(M):
-        v = v + 1j * rng.standard_normal(d)
-    v = v / np.linalg.norm(v)
+    v = _direction(np.random.default_rng(_seed(seed)), M.shape[0], np.iscomplexobj(M))
     Mv = M @ v
     for _ in range(iters):
         nw = _norm(Mv)

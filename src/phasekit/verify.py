@@ -29,6 +29,7 @@ from .ensembles import (
     _integer,
     _matrix,
     _REALS,
+    _seed,
     _sequence,
     _vector,
     moment_profile,
@@ -91,7 +92,7 @@ def _chunk_stats(ensemble: Ensemble, x, d: Optional[int], n_samples: int, seed: 
     if not np.any(x):
         raise ValueError("x must be nonzero")
     _integer(n_samples, "n_samples", 10_000)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     m = n_samples // DEFAULT_CHUNKS
     return x, DEFAULT_CHUNKS * m, [stat(sample_entries(ensemble, (m, x.shape[0]), rng), x)
                                    for _ in range(DEFAULT_CHUNKS)]
@@ -226,6 +227,7 @@ def concentration_curve(
     EY = condition_expectation(profile, x)
     EM = condition_expectation(replace(profile, tau4=0.0), x)
 
+    seed = _seed(seed)
     if isinstance(seed, np.random.Generator):
         seed = int(seed.integers(2 ** 63))
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)

@@ -1,11 +1,14 @@
 import decimal
+import inspect
 import math
+import pickle
 import sys
 from decimal import Decimal
 
 import numpy as np
 import pytest
 
+import phasekit
 from phasekit import (
     GAUSSIAN,
     TERNARY,
@@ -15,9 +18,16 @@ from phasekit import (
     Field,
     MeasurementSet,
     MomentProfile,
+    baseline_si,
+    concentration_curve,
     derived_constants,
+    generate_signal,
+    gsi,
+    mc_condition_residual,
+    mc_F_residual,
     measure,
     moment_profile,
+    power_method,
     sample_measurements,
     solve,
 )
@@ -59,6 +69,19 @@ def test_entry_distribution_requires_finite_real_moments(m2, m4):
     # raised OverflowError
     with pytest.raises(ValueError, match="entry distribution 'bad': m[24] must be a finite number"):
         EntryDistribution("bad", m2, m4, TERNARY.sampler)
+
+
+@pytest.mark.parametrize("name, sampler, message", [
+    (3, TERNARY.sampler, "entry distribution name must be an instance of str, got 3"),
+    (None, TERNARY.sampler, "entry distribution name must be an instance of str, got None"),
+    ("x", 5, "entry distribution 'x': sampler must be an instance of Callable, got 5"),
+    ("x", None, "entry distribution 'x': sampler must be an instance of Callable, got None"),
+], ids=["int-name", "no-name", "int-sampler", "no-sampler"])
+def test_entry_distribution_requires_a_str_name_and_a_callable_sampler(name, sampler, message):
+    # an int name built a law that a table's metadata recorded as "entry": 3,
+    # and an int sampler built one that raised TypeError at its first draw
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        EntryDistribution(name, 1.0, 3.0, sampler)
 
 
 @pytest.mark.parametrize("taus, name", [
@@ -437,3 +460,91 @@ def test_complex_ternary_entries_are_two_numpy_int32_draws(shape):
     v = rng.integers(-1, 2, shape, dtype=np.int32)
     expected = (u + 1j * v) / math.sqrt(2.0)
     assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+class _NumpyDraw(Exception):
+    """Raised by `_NoNumpyDraw.integers`: the ternary draw fell back to numpy's."""
+
+
+class _NoNumpyDraw(np.random.Generator):
+    """A generator whose `integers` raises, to tell which path a ternary draw takes."""
+
+    def integers(self, *args, **kwargs):
+        raise _NumpyDraw
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (8,), (5, 3), (4, 6), (257, 33)], ids=str)
+def test_ternary_draw_on_pcg64_with_no_buffered_half_takes_the_raw_word_path(shape):
+    # an edit that sent every draw to numpy's would pass every value test and
+    # only show as a slower benchmark
+    for seed in range(5):
+        rng, ref = _NoNumpyDraw(np.random.PCG64(seed)), np.random.default_rng(seed)
+        _assert_ternary_draw_matches(rng, ref, shape)
+
+
+def _buffered_half() -> np.random.BitGenerator:
+    bitgen = np.random.PCG64(3)
+    np.random.Generator(bitgen).integers(0, 7, dtype=np.int32)
+    assert bitgen.state["has_uint32"] == 1
+    return bitgen
+
+
+@pytest.mark.parametrize("make", [
+    _buffered_half,
+    lambda: _pcg64_about_to_output(0, 5).bit_generator,
+    lambda: _pcg64_about_to_output(5, 0).bit_generator,
+    lambda: np.random.Philox(0),
+], ids=["buffered-half", "low-zero", "high-zero", "philox"])
+@pytest.mark.parametrize("shape", [(2,), (3,), (4, 5)], ids=str)
+def test_ternary_draw_in_other_states_is_numpy_draw(make, shape):
+    with pytest.raises(_NumpyDraw):
+        TERNARY.sampler(_NoNumpyDraw(make()), shape)
+    _assert_ternary_draw_matches(np.random.Generator(make()), np.random.Generator(make()), shape)
+
+
+# every seeded public function, called with only its seed to set
+_SEEDED = {
+    "sample_measurements":
+        lambda seed: sample_measurements(Ensemble(Field.REAL, TERNARY), 4, 2, seed),
+    "generate_signal": lambda seed: generate_signal(3, seed),
+    "power_method": lambda seed: power_method(np.diag([2.0, 1.0]), iters=3, seed=seed),
+    "gsi": lambda seed: gsi(_MSET, _INTENSITIES, moment_profile(Ensemble(Field.REAL, GAUSSIAN)),
+                            power_iters=3, seed=seed),
+    "baseline_si": lambda seed: baseline_si(_MSET, _INTENSITIES, power_iters=3, seed=seed),
+    "mc_condition_residual": lambda seed: mc_condition_residual(
+        Ensemble(Field.REAL, TERNARY), 3, np.ones(3), n_samples=10_000, seed=seed),
+    "mc_F_residual": lambda seed: mc_F_residual(
+        Ensemble(Field.COMPLEX, TERNARY), np.ones(2), n_samples=10_000, seed=seed),
+    "concentration_curve": lambda seed: concentration_curve(
+        Ensemble(Field.REAL, TERNARY), 2, np.ones(2), [4], trials=20, seed=seed),
+}
+_MSET = sample_measurements(Ensemble(Field.REAL, GAUSSIAN), 8, 2, 0)
+_INTENSITIES = measure(_MSET, np.ones(2))
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "a", True, None], ids=repr)
+@pytest.mark.parametrize("name", sorted(_SEEDED))
+def test_seeded_functions_reject_a_seed_that_is_not_seedlike(name, seed):
+    # -1 raised numpy's "expected non-negative integer", 1.5 and "a" a
+    # TypeError, True ran as seed 1 and None drew fresh OS entropy
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0, a SeedSequence or "
+                                         f"a Generator, got {seed!r}$"):
+        _SEEDED[name](seed)
+
+
+@pytest.mark.parametrize("name", sorted(_SEEDED))
+def test_seeded_functions_keep_the_stream_of_every_seedlike(name):
+    results = [pickle.dumps(_SEEDED[name](seed)) for seed in (
+        3, np.int64(3), np.uint8(3), np.random.SeedSequence(3))]
+    assert results[1:] == results[:-1]
+    assert pickle.dumps(_SEEDED[name](4)) != results[0]
+    assert pickle.dumps(_SEEDED[name](np.random.default_rng(3))) \
+        == pickle.dumps(_SEEDED[name](np.random.default_rng(3)))
+
+
+def test_the_seed_table_names_every_seeded_export():
+    # a new seeded entry point must join the table, so that the tests above check it
+    seeded = {name for name, obj in vars(phasekit).items()
+              if callable(obj) and not name.startswith("_")
+              and "seed" in inspect.signature(obj).parameters}
+    assert seeded == set(_SEEDED)
