@@ -34,10 +34,8 @@ from .ensembles import (
     _integer,
     _intensities,
     _number,
-    _seed,
     _sequence,
     moment_profile,
-    sample_entries,
     sample_measurements,
 )
 from .solver import DEFAULT_MAX_ITERS, SolverConfig, dist, solve
@@ -147,7 +145,7 @@ def generate_signal(d: int, seed: SeedLike, field: Field = Field.REAL) -> np.nda
     """Gaussian test signal with the last two coordinates amplified by
     SPIKE_FACTOR = 200. Complex signals are (g1 + i g2)/sqrt(2)."""
     _integer(d, "d", 2)
-    x = sample_entries(Ensemble(field, GAUSSIAN), (d,), np.random.default_rng(_seed(seed)))
+    x = sample_measurements(Ensemble(field, GAUSSIAN), 1, d, seed).vectors[0]
     x[-2:] *= SPIKE_FACTOR
     return x
 
@@ -183,6 +181,7 @@ def _sweep(config: ExperimentConfig, kind: ExperimentKind, columns: list, trial)
 def run_init_experiment(config: ExperimentConfig) -> ResultTable:
     """Mean relative error of GSI and SI per N/d ratio; both initializers see
     the same measurement realizations within a trial (paired comparison)."""
+    _instance(config, "config", ExperimentConfig)
     profile = moment_profile(config.ensemble)
 
     def one_trial(ratio: float, i: int) -> tuple[float, float]:
@@ -202,6 +201,7 @@ def run_init_experiment(config: ExperimentConfig) -> ResultTable:
 
 def run_recovery_trial(config: ExperimentConfig, ratio: float, i: int) -> TrialRecord:
     """One seeded end-to-end trial: signal, measurements, GSI, BB descent."""
+    _instance(config, "config", ExperimentConfig)
     x, mset, y, (pw_ss, _) = _problem(config, ratio, i)
     profile = moment_profile(config.ensemble)
     nx = np.linalg.norm(x)
@@ -219,6 +219,8 @@ def run_recovery_trial(config: ExperimentConfig, ratio: float, i: int) -> TrialR
 
 def run_recovery_experiment(config: ExperimentConfig) -> ResultTable:
     """Success rate per N/d ratio over seeded trials."""
+    _instance(config, "config", ExperimentConfig)
+
     def one_trial(ratio: float, i: int) -> tuple[bool, float, float]:
         r = run_recovery_trial(config, ratio, i)
         return r.success, r.init_rel_error, r.final_rel_error

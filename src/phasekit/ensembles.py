@@ -326,6 +326,7 @@ def moment_profile(ensemble: Ensemble) -> MomentProfile:
     Real field:    (m2, m2^2, 2 m2^2, m4 - 3 m2^2)
     Complex field: (m2, m2^2,   m2^2, (m4 - 3 m2^2) / 2)
     """
+    _instance(ensemble, "ensemble", Ensemble)
     m2, m4 = ensemble.entry.m2, ensemble.entry.m4
     if ensemble.field is Field.REAL:
         return MomentProfile(m2, m2 ** 2, 2.0 * m2 ** 2, m4 - 3.0 * m2 ** 2)
@@ -347,6 +348,7 @@ def derived_constants(profile: MomentProfile) -> DerivedConstants:
     alpha >= beta > 0, and epsilon0 = (10/(27 alpha)) * (sqrt(36 tau4^2 + 27 alpha beta / 10)
     - 6 |tau4|) = 1 / (hypot(6 r, s) + 6 r), r = |tau4| / beta, s = sqrt(2.7 alpha / beta),
     whose terms do not cancel. alpha_hat = inf raises."""
+    _instance(profile, "profile", MomentProfile)
     t4_minus = max(-profile.tau4, 0.0)
     alpha = profile.tau2 + profile.tau3 - t4_minus
     beta = profile.tau3 - t4_minus
@@ -373,11 +375,17 @@ def _draw(entry: EntryDistribution, shape: tuple, rng: np.random.Generator) -> n
     return draw
 
 
-def sample_entries(ensemble: Ensemble, shape: tuple, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. float64 draws of `shape`; complex128 draws are (u + i v)/sqrt(2).
-    A sampler that returns another shape or non-real numbers raises ValueError."""
-    if ensemble.field is Field.REAL:
-        return _draw(ensemble.entry, shape, rng).astype(np.float64, copy=False)
+def sample_measurements(ensemble: Ensemble, N: int, d: int, seed: SeedLike) -> MeasurementSet:
+    """N measurement vectors of dimension d, integers >= 1; identical seeds, identical bits.
+    Every row phasekit draws comes from here: i.i.d. draws of the law as float64, or
+    (u + i v)/sqrt(2) for a complex field, checked by `MeasurementSet`, so a sampler that
+    returns another shape or non-real or non-finite numbers raises ValueError. A Generator
+    seed is drawn from as itself: successive calls continue its stream."""
+    _instance(ensemble, "ensemble", Ensemble)
+    shape = (_integer(N, "N", 1), _integer(d, "d", 1))
+    rng = np.random.default_rng(_seed(seed))
+    if ensemble.field is Field.REAL:  # cast first: a narrower draw is gone before the check
+        return MeasurementSet(_draw(ensemble.entry, shape, rng).astype(np.float64, copy=False))
     # each part is written as soon as it is drawn, u before v, so the two
     # draws and the output are never all live at once; the same bits as
     # (u + 1j*v) / sqrt(2), whose complex division multiplies by 1/sqrt(2),
@@ -387,11 +395,4 @@ def sample_entries(ensemble: Ensemble, shape: tuple, rng: np.random.Generator) -
     scale = 1.0 / math.sqrt(2.0)
     np.multiply(_draw(ensemble.entry, shape, rng), scale, out=out.real, dtype=np.float64)
     np.multiply(_draw(ensemble.entry, shape, rng), scale, out=out.imag, dtype=np.float64)
-    return out
-
-
-def sample_measurements(ensemble: Ensemble, N: int, d: int, seed: SeedLike) -> MeasurementSet:
-    """N measurement vectors of dimension d, integers >= 1; identical seeds, identical bits."""
-    _integer(N, "N", 1)
-    _integer(d, "d", 1)
-    return MeasurementSet(sample_entries(ensemble, (N, d), np.random.default_rng(_seed(seed))))
+    return MeasurementSet(out)

@@ -92,6 +92,7 @@ def _gradient(A: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
 def objective(z: np.ndarray, mset: MeasurementSet, y: np.ndarray) -> float:
     """(1/2N) sum_j (|<a_j, z>|^2 - y_j)^2. `z` must be finite, of shape
     (d,) and real for real rows; `y` real, finite, nonnegative, of shape (N,)."""
+    _instance(mset, "mset", MeasurementSet)
     z = _vector(z, mset.d, mset.field.dtype, "z")
     r = _inner(mset.vectors, z)[1] - _intensities(y, mset.N)
     return float(np.sum(r ** 2)) / (2.0 * mset.N)
@@ -100,6 +101,7 @@ def objective(z: np.ndarray, mset: MeasurementSet, y: np.ndarray) -> float:
 def gradient(z: np.ndarray, mset: MeasurementSet, y: np.ndarray) -> np.ndarray:
     """(1/N) sum_j (|w_j|^2 - y_j) w_j a_j with w_j = <a_j, z>. `z` and `y`
     are checked as by `objective`."""
+    _instance(mset, "mset", MeasurementSet)
     z = _vector(z, mset.d, mset.field.dtype, "z")
     return _gradient(mset.vectors, _intensities(y, mset.N), z)
 
@@ -156,6 +158,8 @@ def solve(
     `iterations`, so `iterates[-1] is final_z`; measure them with `objective`,
     `gradient` or `dist`. Without it, `iterates` is None.
     """
+    _instance(mset, "mset", MeasurementSet)
+    _instance(config, "config", SolverConfig)
     z = np.ascontiguousarray(_vector(z0, mset.d, mset.field.dtype, "z0"))
     e = math.frexp(float(np.max(np.abs(z.view(np.float64)))))[1]
     z = _ldexp(z, -e)

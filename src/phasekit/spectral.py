@@ -30,6 +30,7 @@ from .ensembles import (
     _direction,
     _gram,
     _inner,
+    _instance,
     _integer,
     _intensities,
     _matrix,
@@ -55,6 +56,7 @@ class InitResult:
 def measure(mset: MeasurementSet, x: np.ndarray) -> np.ndarray:
     """Intensities y_j = |<a_j, x>|^2, without forming any A_j. `x` must be
     finite, of shape (d,) and real for real rows."""
+    _instance(mset, "mset", MeasurementSet)
     return _inner(mset.vectors, _vector(x, mset.d, mset.field.dtype))[1]
 
 
@@ -74,6 +76,7 @@ def build_Y(mset: MeasurementSet, y: np.ndarray) -> np.ndarray:
 
     `y` must be real, finite, nonnegative and of shape (N,); other input
     raises ValueError."""
+    _instance(mset, "mset", MeasurementSet)
     return _Y(mset.vectors, _intensities(y, mset.N))
 
 
@@ -90,6 +93,7 @@ def build_M(Y: np.ndarray, rho: float, profile: MomentProfile) -> np.ndarray:
     integer one gives a float64 M), and `rho` a finite real >= 0, else ValueError."""
     Y = _matrix(Y, "Y")
     _number(rho, "rho", 0)
+    _instance(profile, "profile", MomentProfile)
     c = profile.tau4 / (profile.tau3 + profile.tau4)
     M = Y.astype(np.result_type(Y, np.float64))
     diag = np.diagonal(Y).real
@@ -157,8 +161,13 @@ def gsi(
 ) -> InitResult:
     """Generalized spectral initialization: z0 = rho * (top eigenvector of M).
 
-    `y` must be real, finite, nonnegative and of shape (N,)."""
+    `y` must be real, finite, nonnegative and of shape (N,). Every argument is
+    checked before Y is formed."""
+    _instance(mset, "mset", MeasurementSet)
     y = _intensities(y, mset.N)
+    _instance(profile, "profile", MomentProfile)
+    _integer(power_iters, "iters", 1)
+    _seed(seed)
     return _gsi_from_Y(_Y(mset.vectors, y), y, profile, power_iters, seed)
 
 
@@ -170,6 +179,8 @@ def baseline_si(
 ) -> InitResult:
     """Classical spectral initialization: top eigenvector of Y, scaled by
     lam_SI = sqrt(d * sum(y) / sum_j ||a_j||^2). `y` must be real, finite,
-    nonnegative and of shape (N,)."""
-    A, y = mset.vectors, _intensities(y, mset.N)
+    nonnegative and of shape (N,). Every argument is checked before Y is formed."""
+    A, y = _instance(mset, "mset", MeasurementSet).vectors, _intensities(y, mset.N)
+    _integer(power_iters, "iters", 1)
+    _seed(seed)
     return _si_from_Y(_Y(A, y), y, float(np.vdot(A, A).real), power_iters, seed)

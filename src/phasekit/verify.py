@@ -26,6 +26,7 @@ from .ensembles import (
     SeedLike,
     _gram,
     _inner,
+    _instance,
     _integer,
     _matrix,
     _REALS,
@@ -33,7 +34,6 @@ from .ensembles import (
     _sequence,
     _vector,
     moment_profile,
-    sample_entries,
     sample_measurements,
 )
 from .spectral import _Y, build_M, measure, rho_from_intensities
@@ -86,15 +86,17 @@ def _chunk_stats(ensemble: Ensemble, x, d: Optional[int], n_samples: int, seed: 
     """The sampling loop of every matrix oracle: (x, n, [stat(A, x) per chunk A]), with x
     checked as a nonzero finite vector of the law's field and shape (d,), any length if d
     is None, and n rows drawn from one generator in DEFAULT_CHUNKS chunks of n_samples //
-    DEFAULT_CHUNKS. Each chunk goes straight to `stat`, which weights it in place, and no
-    name holds it after, so an oracle holds one chunk plus the statistics."""
+    DEFAULT_CHUNKS. Each chunk is the rows of a `sample_measurements` call on that generator,
+    so it passes the same check as every measurement set; it goes straight to `stat`, which
+    weights it in place, and no name holds it after, so an oracle holds one chunk plus the
+    statistics."""
     x = _vector(x, d, ensemble.field.dtype)
     if not np.any(x):
         raise ValueError("x must be nonzero")
     _integer(n_samples, "n_samples", 10_000)
     rng = np.random.default_rng(_seed(seed))
-    m = n_samples // DEFAULT_CHUNKS
-    return x, DEFAULT_CHUNKS * m, [stat(sample_entries(ensemble, (m, x.shape[0]), rng), x)
+    m, d = n_samples // DEFAULT_CHUNKS, x.shape[0]
+    return x, DEFAULT_CHUNKS * m, [stat(sample_measurements(ensemble, m, d, rng).vectors, x)
                                    for _ in range(DEFAULT_CHUNKS)]
 
 
@@ -130,6 +132,7 @@ def _matrix_check(name: str, chunk_mats: Sequence[np.ndarray], expected: np.ndar
 
 def condition_expectation(profile: MomentProfile, x: np.ndarray) -> np.ndarray:
     """E((x* A x) A) = tau2 ||x||^2 I + tau3 x x* + tau4 diag(|x_i|^2)."""
+    _instance(profile, "profile", MomentProfile)
     d = x.shape[0]
     T = profile.tau2 * float(np.vdot(x, x).real) * np.eye(d, dtype=x.dtype) \
         + profile.tau3 * np.outer(x, x.conj())
@@ -178,7 +181,7 @@ def mc_F_residual(
     """Check the block expectation of (1/n) sum [w; conj(w)][w; conj(w)]* with w = A_j x,
     for complex ensembles only. Both blocks come from the chunk's rows weighted in place,
     and the upper-left one is `mc_condition_residual`'s condition-II chunk mean."""
-    if ensemble.field is not Field.COMPLEX:
+    if _instance(ensemble, "ensemble", Ensemble).field is not Field.COMPLEX:
         raise ValueError("mc_F_residual requires a complex-field ensemble; "
                          "use mc_condition_residual for real fields")
     profile = moment_profile(ensemble)

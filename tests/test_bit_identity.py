@@ -40,7 +40,6 @@ from phasekit import (
     solve,
 )
 from phasekit import bench
-from phasekit.ensembles import sample_entries
 from phasekit.solver import GRAD_NORM_TOL
 
 
@@ -250,7 +249,8 @@ def test_power_method_matches_reference(complex_, iters):
 @pytest.mark.parametrize("entry", [GAUSSIAN, UNIFORM, TERNARY])
 def test_complex_sampling_matches_complex_expression(entry):
     shape = (257, 33)
-    got = sample_entries(Ensemble(Field.COMPLEX, entry), shape, np.random.default_rng(4))
+    got = sample_measurements(Ensemble(Field.COMPLEX, entry), *shape,
+                              np.random.default_rng(4)).vectors
     rng = np.random.default_rng(4)
     u = entry.sampler(rng, shape)
     v = entry.sampler(rng, shape)
@@ -268,7 +268,7 @@ def _ref_ternary(rng, shape):
 @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (257, 33)])
 def test_ternary_sampler_matches_int64_draws(seed, shape):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = sample_entries(Ensemble(Field.REAL, TERNARY), shape, rng)
+    got = sample_measurements(Ensemble(Field.REAL, TERNARY), *shape, rng).vectors
     expected = _ref_ternary(ref_rng, shape)
     assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -15,23 +15,33 @@ from phasekit import (
     UNIFORM,
     Ensemble,
     EntryDistribution,
+    ExperimentConfig,
     Field,
     MeasurementSet,
     MomentProfile,
+    SolverConfig,
     baseline_si,
+    build_M,
+    build_Y,
     concentration_curve,
+    condition_expectation,
     derived_constants,
+    f_block_expectation,
     generate_signal,
+    gradient,
     gsi,
     mc_condition_residual,
     mc_F_residual,
     measure,
     moment_profile,
+    objective,
     power_method,
+    run_init_experiment,
+    run_recovery_experiment,
+    run_recovery_trial,
     sample_measurements,
     solve,
 )
-from phasekit.ensembles import sample_entries
 
 ALL_ENSEMBLES = [
     Ensemble(f, e) for f in (Field.REAL, Field.COMPLEX)
@@ -454,7 +464,8 @@ def test_ternary_draw_maps_words_at_the_cuts(low, high, values):
 @pytest.mark.parametrize("shape", [(1, 1), (5, 3), (64, 32)], ids=str)
 def test_complex_ternary_entries_are_two_numpy_int32_draws(shape):
     # an odd entry count starts the imaginary draw on a pending half word
-    got = sample_entries(Ensemble(Field.COMPLEX, TERNARY), shape, np.random.default_rng(8))
+    got = sample_measurements(Ensemble(Field.COMPLEX, TERNARY), *shape,
+                              np.random.default_rng(8)).vectors
     rng = np.random.default_rng(8)
     u = rng.integers(-1, 2, shape, dtype=np.int32)
     v = rng.integers(-1, 2, shape, dtype=np.int32)
@@ -548,3 +559,61 @@ def test_the_seed_table_names_every_seeded_export():
               if callable(obj) and not name.startswith("_")
               and "seed" in inspect.signature(obj).parameters}
     assert seeded == set(_SEEDED)
+
+
+# every public function that takes one of phasekit's objects, called with
+# only that argument to set
+_PROFILE = moment_profile(Ensemble(Field.REAL, GAUSSIAN))
+_OBJECT_ARGS = {
+    ("measure", "mset"): lambda v: measure(v, np.ones(2)),
+    ("build_Y", "mset"): lambda v: build_Y(v, _INTENSITIES),
+    ("gsi", "mset"): lambda v: gsi(v, _INTENSITIES, _PROFILE),
+    ("gsi", "profile"): lambda v: gsi(_MSET, _INTENSITIES, v),
+    ("baseline_si", "mset"): lambda v: baseline_si(v, _INTENSITIES),
+    ("objective", "mset"): lambda v: objective(np.ones(2), v, _INTENSITIES),
+    ("gradient", "mset"): lambda v: gradient(np.ones(2), v, _INTENSITIES),
+    ("solve", "mset"): lambda v: solve(v, _INTENSITIES, np.ones(2)),
+    ("solve", "config"): lambda v: solve(_MSET, _INTENSITIES, np.ones(2), v),
+    ("build_M", "profile"): lambda v: build_M(np.eye(2), 1.0, v),
+    ("condition_expectation", "profile"): lambda v: condition_expectation(v, np.ones(2)),
+    ("f_block_expectation", "profile"): lambda v: f_block_expectation(v, np.ones(2, complex)),
+    ("derived_constants", "profile"): derived_constants,
+    ("moment_profile", "ensemble"): moment_profile,
+    ("sample_measurements", "ensemble"): lambda v: sample_measurements(v, 4, 2, 0),
+    ("mc_condition_residual", "ensemble"):
+        lambda v: mc_condition_residual(v, 2, np.ones(2), n_samples=10_000),
+    ("mc_F_residual", "ensemble"): lambda v: mc_F_residual(v, np.ones(2), n_samples=10_000),
+    ("concentration_curve", "ensemble"):
+        lambda v: concentration_curve(v, 2, np.ones(2), [4], trials=20),
+    ("run_init_experiment", "config"): run_init_experiment,
+    ("run_recovery_experiment", "config"): run_recovery_experiment,
+    ("run_recovery_trial", "config"): lambda v: run_recovery_trial(v, 4, 0),
+    ("generate_signal", "field"): lambda v: generate_signal(3, 0, v),
+}
+# a stand-in of the wrong type per parameter name: the rows, a law's name,
+# the profile's taus, a mapping of settings and a field's value
+_NOT_AN_OBJECT = {"mset": _MSET.vectors, "ensemble": "ternary",
+                  "profile": (1.0, 1.0, 2.0, 0.0), "config": {"max_iters": 3},
+                  "field": "complex"}
+_OBJECT_TYPES = (MeasurementSet, Ensemble, MomentProfile, SolverConfig, ExperimentConfig, Field)
+
+
+@pytest.mark.parametrize("name, parameter", sorted(_OBJECT_ARGS),
+                         ids=[f"{n}-{p}" for n, p in sorted(_OBJECT_ARGS)])
+def test_object_arguments_of_the_wrong_type_are_rejected_by_name(name, parameter):
+    # rows for a MeasurementSet raised "'numpy.ndarray' object has no attribute
+    # 'N'", a law's name for an Ensemble "'str' object has no attribute 'entry'"
+    cls = inspect.signature(getattr(phasekit, name), eval_str=True).parameters[parameter]
+    with pytest.raises(ValueError, match=f"^{parameter} must be an instance of "
+                                         f"{cls.annotation.__name__}, got "):
+        _OBJECT_ARGS[name, parameter](_NOT_AN_OBJECT[parameter])
+
+
+def test_the_object_table_names_every_object_parameter():
+    # a new public function taking one of these objects must join the table,
+    # so that the test above checks it
+    annotated = {(name, p.name) for name, obj in vars(phasekit).items()
+                 if inspect.isfunction(obj) and not name.startswith("_")
+                 for p in inspect.signature(obj, eval_str=True).parameters.values()
+                 if p.annotation in _OBJECT_TYPES}
+    assert annotated == set(_OBJECT_ARGS)

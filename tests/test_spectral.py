@@ -365,6 +365,26 @@ def test_power_method_rejects_bad_step_count(iters):
         baseline_si(ms, y, power_iters=iters)
 
 
+@pytest.mark.parametrize("init", ["gsi", "baseline_si"])
+@pytest.mark.parametrize("setting, value", [
+    ("seed", None), ("seed", -1), ("seed", 1.5), ("power_iters", 0), ("power_iters", 2.5)])
+def test_initializers_check_seed_and_step_count_before_forming_Y(monkeypatch, init, setting,
+                                                                 value):
+    # a bad seed or step count raised only from power_method, after the N x d
+    # weighted rows and their Gram matrix were formed: as long as a whole call
+    def no_gram(*args, **kwargs):
+        raise AssertionError("Y was formed before the arguments were checked")
+
+    ms = sample_measurements(TERNARY_REAL, 40, 4, seed=5)
+    y = measure(ms, np.ones(4))
+    monkeypatch.setattr("phasekit.spectral._Y", no_gram)
+    args = (ms, y, moment_profile(TERNARY_REAL)) if init == "gsi" else (ms, y)
+    message = {"seed": "seed must be an integer >= 0, a SeedSequence or a Generator",
+               "power_iters": "iters must be an integer >= 1"}[setting]
+    with pytest.raises(ValueError, match=f"^{message}, got {value!r}$"):
+        {"gsi": gsi, "baseline_si": baseline_si}[init](*args, **{setting: value})
+
+
 @pytest.mark.parametrize("M", [np.ones(3), np.ones((2, 3)), np.ones((2, 2, 2)), np.float64(2.0),
                                np.array([["1", "0"], ["0", "1"]]), np.eye(2, dtype=bool),
                                np.eye(2).astype(object)],

@@ -19,8 +19,8 @@ from phasekit import (
     mc_F_residual,
     mc_condition_residual,
     moment_profile,
+    sample_measurements,
 )
-from phasekit.ensembles import sample_entries
 from phasekit.verify import DEFAULT_CHUNKS, _chunk_stats, _condition_chunk, _f_chunk
 
 ALL_ENSEMBLES = [
@@ -265,7 +265,7 @@ def _ref_condition_chunks(ens, d, x, n_samples, seed):
     m = n_samples // DEFAULT_CHUNKS
     second, first = [], []
     for _ in range(DEFAULT_CHUNKS):
-        A = sample_entries(ens, (m, d), rng)
+        A = sample_measurements(ens, m, d, rng).vectors
         y = np.abs(A.conj() @ x) ** 2
         second.append((A.T * y) @ A.conj() / m)
         first.append(A.T @ A.conj() / m)
@@ -277,7 +277,7 @@ def _ref_f_chunks(ens, x, n_samples, seed):
     m = n_samples // DEFAULT_CHUNKS
     f_chunks = []
     for _ in range(DEFAULT_CHUNKS):
-        A = sample_entries(ens, (m, x.shape[0]), rng)
+        A = sample_measurements(ens, m, x.shape[0], rng).vectors
         W = A * (A.conj() @ x)[:, None]
         B11 = W.T @ W.conj() / m
         B12 = W.T @ W / m
@@ -459,6 +459,37 @@ def test_oracles_reject_a_d_that_is_not_a_positive_integer(oracle, d):
     }[oracle]
     with pytest.raises(ValueError, match=r"^d must be an integer >= 1, got "):
         run()
+
+
+def _gaussian_with(value: float) -> EntryDistribution:
+    """The Gaussian law, declared as such, whose sampler puts `value` at every 97th entry."""
+    def sampler(rng, shape):
+        draw = rng.standard_normal(shape)
+        draw.flat[::97] = value
+        return draw
+    return EntryDistribution(f"gaussian-with-{value}", 1.0, 3.0, sampler)
+
+
+_LAW_DRAWS = {
+    "sample_measurements": lambda law: sample_measurements(Ensemble(Field.REAL, law), 200, 3, 0),
+    "condition-real": lambda law: mc_condition_residual(
+        Ensemble(Field.REAL, law), 3, _REAL_X3, n_samples=20_000),
+    "condition-complex": lambda law: mc_condition_residual(
+        Ensemble(Field.COMPLEX, law), 3, _X3, n_samples=20_000),
+    "F": lambda law: mc_F_residual(Ensemble(Field.COMPLEX, law), _X3, n_samples=20_000),
+    "concentration": lambda law: concentration_curve(
+        Ensemble(Field.REAL, law), 3, _REAL_X3, N_grid=[200], trials=20),
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("call", list(_LAW_DRAWS))
+def test_draws_of_a_law_that_gives_non_finite_entries_are_rejected(call, value):
+    # the matrix oracles drew their chunks outside MeasurementSet: inf or nan
+    # rows reached their Gram matrices with "invalid value encountered in
+    # matmul" and failed as "H must be a finite square matrix"
+    with pytest.raises(ValueError, match="^measurement vectors must be finite$"):
+        _LAW_DRAWS[call](_gaussian_with(value))
 
 
 def test_concentration_curve_takes_a_zero_signal():
