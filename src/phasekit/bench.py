@@ -33,6 +33,7 @@ from .ensembles import (
     _instance,
     _integer,
     _intensities,
+    _norm,
     _number,
     _sequence,
     moment_profile,
@@ -162,12 +163,17 @@ def _problem(config: ExperimentConfig, ratio: float, i: int) -> tuple:
     return x, mset, measure(mset, x), power_seeds
 
 
-def _sweep(config: ExperimentConfig, kind: ExperimentKind, columns: list, trial) -> ResultTable:
+def _checked(config: ExperimentConfig, kind: ExperimentKind) -> ExperimentConfig:
+    """config, checked as an ExperimentConfig of `kind`: the check of every entry point."""
+    if _instance(config, "config", ExperimentConfig).kind is not kind:
+        raise ValueError(f"config kind must be {kind.name}, got {config.kind}")
+    return config
+
+
+def _sweep(config: ExperimentConfig, columns: list, trial) -> ResultTable:
     """The protocol both experiments share: trial(ratio, i) for every ratio
     of the grid and every i < config.trials, in that order. A row holds the
     ratio, N, the mean of each returned value under `columns`, and trials."""
-    if config.kind is not kind:
-        raise ValueError(f"config kind must be {kind.name}, got {config.kind}")
     rows = []
     for ratio in config.ratio_grid:
         results = [trial(ratio, i) for i in range(config.trials)]
@@ -181,12 +187,12 @@ def _sweep(config: ExperimentConfig, kind: ExperimentKind, columns: list, trial)
 def run_init_experiment(config: ExperimentConfig) -> ResultTable:
     """Mean relative error of GSI and SI per N/d ratio; both initializers see
     the same measurement realizations within a trial (paired comparison)."""
-    _instance(config, "config", ExperimentConfig)
+    _checked(config, ExperimentKind.INIT_ERROR)
     profile = moment_profile(config.ensemble)
 
     def one_trial(ratio: float, i: int) -> tuple[float, float]:
         x, mset, y, (pw_gsi_ss, pw_si_ss) = _problem(config, ratio, i)
-        nx = np.linalg.norm(x)
+        nx = _norm(x)
         y = _intensities(y, mset.N)
         A = mset.vectors
         sum_a2 = float(np.vdot(A, A).real)
@@ -195,16 +201,15 @@ def run_init_experiment(config: ExperimentConfig) -> ResultTable:
         s = _si_from_Y(Y, y, sum_a2, config.power_iters, pw_si_ss)
         return dist(g.z0, x) / nx, dist(s.z0, x) / nx
 
-    return _sweep(config, ExperimentKind.INIT_ERROR,
-                  ["gsi_mean_rel_error", "si_mean_rel_error"], one_trial)
+    return _sweep(config, ["gsi_mean_rel_error", "si_mean_rel_error"], one_trial)
 
 
 def run_recovery_trial(config: ExperimentConfig, ratio: float, i: int) -> TrialRecord:
     """One seeded end-to-end trial: signal, measurements, GSI, BB descent."""
-    _instance(config, "config", ExperimentConfig)
+    _checked(config, ExperimentKind.SUCCESS_RATE)
     x, mset, y, (pw_ss, _) = _problem(config, ratio, i)
     profile = moment_profile(config.ensemble)
-    nx = np.linalg.norm(x)
+    nx = _norm(x)
     init = gsi(mset, y, profile, power_iters=config.power_iters, seed=pw_ss)
     init_err = dist(init.z0, x) / nx
     report = solve(mset, y, init.z0, SolverConfig(max_iters=config.max_iters))
@@ -219,11 +224,11 @@ def run_recovery_trial(config: ExperimentConfig, ratio: float, i: int) -> TrialR
 
 def run_recovery_experiment(config: ExperimentConfig) -> ResultTable:
     """Success rate per N/d ratio over seeded trials."""
-    _instance(config, "config", ExperimentConfig)
+    _checked(config, ExperimentKind.SUCCESS_RATE)
 
     def one_trial(ratio: float, i: int) -> tuple[bool, float, float]:
         r = run_recovery_trial(config, ratio, i)
         return r.success, r.init_rel_error, r.final_rel_error
 
-    return _sweep(config, ExperimentKind.SUCCESS_RATE,
-                  ["success_rate", "mean_init_rel_error", "mean_final_rel_error"], one_trial)
+    return _sweep(config, ["success_rate", "mean_init_rel_error", "mean_final_rel_error"],
+                  one_trial)

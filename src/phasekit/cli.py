@@ -29,7 +29,8 @@ from .bench import (
     run_recovery_experiment,
     run_recovery_trial,
 )
-from .ensembles import BUILTIN_ENTRIES, Ensemble, Field, _direction, derived_constants, moment_profile
+from .ensembles import (BUILTIN_ENTRIES, Ensemble, Field, _direction, _rng, derived_constants,
+                        moment_profile)
 from .verify import mc_condition_residual, mc_F_residual
 
 
@@ -116,7 +117,7 @@ def _cmd_bench(args) -> int:
 def _cmd_verify_moments(args) -> int:
     cfg = _config(args)
     ensemble, d, seed = cfg.ensemble, cfg.d, cfg.base_seed
-    x = _direction(np.random.default_rng(seed), d, ensemble.field is Field.COMPLEX)
+    x = _direction(_rng(seed), d, ensemble.field is Field.COMPLEX)
     reports = [mc_condition_residual(ensemble, d, x, n_samples=args.samples,
                                      seed=np.random.SeedSequence(seed, spawn_key=(1,)))]
     if ensemble.field is Field.COMPLEX:

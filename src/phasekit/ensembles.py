@@ -72,11 +72,12 @@ def _integer(v, name: str, low: int, also: str = "") -> int:
     return int(v)
 
 
-def _seed(v) -> SeedLike:
-    """v, checked as a SeedLike: a SeedSequence or a Generator as itself, else by _integer."""
-    if isinstance(v, (np.random.SeedSequence, np.random.Generator)):
-        return v
-    return _integer(v, "seed", 0, ", a SeedSequence or a Generator")
+def _rng(seed) -> np.random.Generator:
+    """The one Generator a seeded call draws from in order, for `seed` checked as a SeedLike:
+    a Generator as itself, else `np.random.default_rng` of the SeedSequence or checked int."""
+    if not isinstance(seed, (np.random.SeedSequence, np.random.Generator)):
+        seed = _integer(seed, "seed", 0, ", a SeedSequence or a Generator")
+    return np.random.default_rng(seed)
 
 
 def _number(v, name: str, low: Optional[float] = None, strict: bool = False):
@@ -311,13 +312,20 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
+def _exponent(v: np.ndarray) -> int:
+    """The e with 2^(e-1) <= m < 2^e for the largest entry m of a float64 v, or the
+    largest part of a C-contiguous complex128 one (e = 0 for a zero or empty v), so
+    v * 2^-e has entries below 1."""
+    return math.frexp(float(np.abs(v.view(np.float64)).max(initial=0.0)))[1]
+
+
 def _direction(rng: np.random.Generator, d: int, complex_: bool) -> np.ndarray:
     """A random unit vector of R^d, or of C^d if complex_: d standard normal
     draws, then d more for the imaginary parts, over their norm."""
     v = rng.standard_normal(d)
     if complex_:
         v = v + 1j * rng.standard_normal(d)
-    return v / np.linalg.norm(v)
+    return v / _norm(v)
 
 
 def moment_profile(ensemble: Ensemble) -> MomentProfile:
@@ -379,11 +387,11 @@ def sample_measurements(ensemble: Ensemble, N: int, d: int, seed: SeedLike) -> M
     """N measurement vectors of dimension d, integers >= 1; identical seeds, identical bits.
     Every row phasekit draws comes from here: i.i.d. draws of the law as float64, or
     (u + i v)/sqrt(2) for a complex field, checked by `MeasurementSet`, so a sampler that
-    returns another shape or non-real or non-finite numbers raises ValueError. A Generator
-    seed is drawn from as itself: successive calls continue its stream."""
+    returns another shape or non-real or non-finite numbers raises ValueError. The rows
+    are drawn in order from `_rng(seed)`, so a Generator seed continues its stream."""
     _instance(ensemble, "ensemble", Ensemble)
     shape = (_integer(N, "N", 1), _integer(d, "d", 1))
-    rng = np.random.default_rng(_seed(seed))
+    rng = _rng(seed)
     if ensemble.field is Field.REAL:  # cast first: a narrower draw is gone before the check
         return MeasurementSet(_draw(ensemble.entry, shape, rng).astype(np.float64, copy=False))
     # each part is written as soon as it is drawn, u before v, so the two

@@ -18,8 +18,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .ensembles import (MeasurementSet, _inner, _instance, _integer, _intensities, _norm, _number,
-                        _vector)
+from .ensembles import (MeasurementSet, _exponent, _inner, _instance, _integer, _intensities,
+                        _norm, _number, _vector)
 
 DEFAULT_MAX_ITERS = 2000
 # the descent stops once ||g(z)|| <= GRAD_NORM_TOL * ||z||^3; the gradient is
@@ -111,15 +111,25 @@ def dist(z: np.ndarray, x: np.ndarray) -> float:
 
     The minimizing theta is arg(x* z) for complex inputs and 0 or pi for real
     ones; if x* z = 0 it is taken as 0. `z` and `x` must be finite 1-D arrays
-    of one length; both are taken as complex if either is."""
+    of one length; both are taken as complex if either is. It is measured on
+    z * 2^-e and x * 2^-e, 2^e just above their largest entry, and scaled back
+    by 2^e, so no square underflows or overflows and a power-of-two rescaling
+    changes no bit; a distance beyond float range raises ValueError."""
     dtype = np.complex128 if np.iscomplexobj(z) or np.iscomplexobj(x) else np.float64
-    z = _vector(z, None, dtype, "z")
-    x = _vector(x, z.shape[0], dtype, "x")
+    z = np.ascontiguousarray(_vector(z, None, dtype, "z"))
+    x = np.ascontiguousarray(_vector(x, z.shape[0], dtype, "x"))
+    e = max(_exponent(z), _exponent(x))
+    z, x = _ldexp(z, -e), _ldexp(x, -e)
     c = np.vdot(x, z)  # x* z
     if dtype is np.complex128:
         theta = cmath.phase(c) % (2.0 * math.pi) if c != 0 else 0.0
-        return float(np.linalg.norm(z - x * cmath.exp(1j * theta)))
-    return float(np.linalg.norm(z - x if c.real >= 0 else z + x))
+        r = _norm(z - x * cmath.exp(1j * theta))
+    else:
+        r = _norm(z - x if c.real >= 0 else z + x)
+    try:
+        return math.ldexp(r, e)
+    except OverflowError:
+        raise ValueError(f"the distance of z and x is beyond float range: {r} * 2^{e}") from None
 
 
 def bb_step(s: np.ndarray, g: np.ndarray, fallback: float) -> float:
@@ -161,7 +171,7 @@ def solve(
     _instance(mset, "mset", MeasurementSet)
     _instance(config, "config", SolverConfig)
     z = np.ascontiguousarray(_vector(z0, mset.d, mset.field.dtype, "z0"))
-    e = math.frexp(float(np.max(np.abs(z.view(np.float64)))))[1]
+    e = _exponent(z)
     z = _ldexp(z, -e)
     y_given = _intensities(y, mset.N)
     with np.errstate(over="ignore"):

@@ -28,6 +28,7 @@ from .ensembles import (
     MomentProfile,
     SeedLike,
     _direction,
+    _exponent,
     _gram,
     _inner,
     _instance,
@@ -36,7 +37,7 @@ from .ensembles import (
     _matrix,
     _norm,
     _number,
-    _seed,
+    _rng,
     _vector,
 )
 
@@ -62,10 +63,23 @@ def measure(mset: MeasurementSet, x: np.ndarray) -> np.ndarray:
 
 def rho_from_intensities(y: np.ndarray, tau1: float) -> float:
     """rho = sqrt(sum(y) / (tau1 * N)) for a nonempty 1-D `y` of real, finite,
-    nonnegative intensities and a finite real tau1 > 0; other input raises ValueError."""
+    nonnegative intensities and a finite real tau1 > 0; other input raises ValueError.
+
+    With tau1 = m 2^t, m in [0.5, 1), it is formed as sqrt(s / (m N)) 2^(k/2), s the
+    sum of y * 2^-(k+t) and k even, y's largest entry fixing k so that s stays in
+    range: every rounding is the formula's, so no power-of-two rescaling of y or tau1
+    changes a bit, and a rho beyond float range raises ValueError."""
     _number(tau1, "tau1", 0, strict=True)
     y = _intensities(y)
-    return math.sqrt(float(np.sum(y)) / (tau1 * y.size))
+    m, t = math.frexp(tau1)
+    k = _exponent(y) - t
+    k -= k % 2  # even, so the root halves it exactly
+    q = float(np.ldexp(y, -(k + t)).sum()) / (m * y.size)
+    try:
+        return math.ldexp(math.sqrt(q), k // 2)
+    except OverflowError:
+        raise ValueError("rho = sqrt(sum(intensities) / (tau1 N)) is beyond float range: "
+                         f"sqrt({q}) * 2^{k // 2} for tau1={tau1}") from None
 
 
 def build_Y(mset: MeasurementSet, y: np.ndarray) -> np.ndarray:
@@ -90,14 +104,23 @@ def _Y(A: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
 def build_M(Y: np.ndarray, rho: float, profile: MomentProfile) -> np.ndarray:
     """M = Y - (tau4/(tau3+tau4)) * D(Y - tau2 rho^2 I); off-diagonal equals Y's.
     `Y` must be a finite square numeric matrix, taken as Hermitian unchecked (an
-    integer one gives a float64 M), and `rho` a finite real >= 0, else ValueError."""
+    integer one gives a float64 M), and `rho` a finite real >= 0, else ValueError; so
+    is a tau2 rho^2 or a diagonal of M beyond float range."""
     Y = _matrix(Y, "Y")
-    _number(rho, "rho", 0)
+    rho = _number(rho, "rho", 0)
     _instance(profile, "profile", MomentProfile)
     c = profile.tau4 / (profile.tau3 + profile.tau4)
+    try:  # ** raises OverflowError where the product would be inf
+        shift = profile.tau2 * rho ** 2
+    except OverflowError:
+        shift = math.inf
     M = Y.astype(np.result_type(Y, np.float64))
     diag = np.diagonal(Y).real
-    np.fill_diagonal(M, diag - c * (diag - profile.tau2 * rho ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = diag - c * (diag - shift)
+    if not np.isfinite(diag).all():  # an inf shift leaves it inf or nan
+        raise ValueError(f"M's diagonal leaves float range at rho={rho}: tau2 rho^2 = {shift}")
+    np.fill_diagonal(M, diag)
     return M
 
 
@@ -123,7 +146,7 @@ def power_method(
     """
     _integer(iters, "iters", 1)
     M = _matrix(M, "M")
-    v = _direction(np.random.default_rng(_seed(seed)), M.shape[0], np.iscomplexobj(M))
+    v = _direction(_rng(seed), M.shape[0], np.iscomplexobj(M))
     Mv = M @ v
     for _ in range(iters):
         nw = _norm(Mv)
@@ -167,8 +190,8 @@ def gsi(
     y = _intensities(y, mset.N)
     _instance(profile, "profile", MomentProfile)
     _integer(power_iters, "iters", 1)
-    _seed(seed)
-    return _gsi_from_Y(_Y(mset.vectors, y), y, profile, power_iters, seed)
+    rng = _rng(seed)
+    return _gsi_from_Y(_Y(mset.vectors, y), y, profile, power_iters, rng)
 
 
 def baseline_si(
@@ -182,5 +205,5 @@ def baseline_si(
     nonnegative and of shape (N,). Every argument is checked before Y is formed."""
     A, y = _instance(mset, "mset", MeasurementSet).vectors, _intensities(y, mset.N)
     _integer(power_iters, "iters", 1)
-    _seed(seed)
-    return _si_from_Y(_Y(A, y), y, float(np.vdot(A, A).real), power_iters, seed)
+    rng = _rng(seed)
+    return _si_from_Y(_Y(A, y), y, float(np.vdot(A, A).real), power_iters, rng)

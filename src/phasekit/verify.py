@@ -30,7 +30,7 @@ from .ensembles import (
     _integer,
     _matrix,
     _REALS,
-    _seed,
+    _rng,
     _sequence,
     _vector,
     moment_profile,
@@ -94,7 +94,7 @@ def _chunk_stats(ensemble: Ensemble, x, d: Optional[int], n_samples: int, seed: 
     if not np.any(x):
         raise ValueError("x must be nonzero")
     _integer(n_samples, "n_samples", 10_000)
-    rng = np.random.default_rng(_seed(seed))
+    rng = _rng(seed)
     m, d = n_samples // DEFAULT_CHUNKS, x.shape[0]
     return x, DEFAULT_CHUNKS * m, [stat(sample_measurements(ensemble, m, d, rng).vectors, x)
                                    for _ in range(DEFAULT_CHUNKS)]
@@ -131,8 +131,10 @@ def _matrix_check(name: str, chunk_mats: Sequence[np.ndarray], expected: np.ndar
 
 
 def condition_expectation(profile: MomentProfile, x: np.ndarray) -> np.ndarray:
-    """E((x* A x) A) = tau2 ||x||^2 I + tau3 x x* + tau4 diag(|x_i|^2)."""
+    """E((x* A x) A) = tau2 ||x||^2 I + tau3 x x* + tau4 diag(|x_i|^2), for x a finite
+    1-D array of numbers, taken as float64 or, if complex, complex128."""
     _instance(profile, "profile", MomentProfile)
+    x = _vector(x, None, np.complex128 if np.iscomplexobj(x) else np.float64)
     d = x.shape[0]
     T = profile.tau2 * float(np.vdot(x, x).real) * np.eye(d, dtype=x.dtype) \
         + profile.tau3 * np.outer(x, x.conj())
@@ -166,7 +168,9 @@ def mc_condition_residual(
 def f_block_expectation(profile: MomentProfile, x: np.ndarray) -> np.ndarray:
     """Expected 2d x 2d block matrix of the stacked (A x, conj(A x)) outer
     products for a complex-field ensemble. Its upper-left block is
-    condition II's E((x* A x) A), `condition_expectation(profile, x)`."""
+    condition II's E((x* A x) A), `condition_expectation(profile, x)`; x is
+    checked as there."""
+    x = _vector(x, None, np.complex128 if np.iscomplexobj(x) else np.float64)
     B11 = condition_expectation(profile, x)
     B12 = (profile.tau2 + profile.tau3) * np.outer(x, x) + profile.tau4 * np.diag(x ** 2)
     return _f_block(B11, B12)
@@ -216,10 +220,10 @@ def concentration_curve(
 
     Reference expectations use the analytic profile with the exact ||x||: E(Y) =
     `condition_expectation(profile, x)`, and E(M) is that with tau4 = 0 (M drops Y's tau4 part).
-    Trial (ni, t) draws from the seed's SeedSequence with (ni, t) appended to
-    its spawn key; a Generator seed supplies the entropy by one draw of its
-    stream. Each trial is one call of a local function, so its N x d rows are
-    gone before the next trial draws.
+    Every trial draws its rows by `sample_measurements` from the one Generator
+    `_rng(seed)`, in order, grid entry by grid entry, as the `mc_*` oracles draw
+    their chunks, so a Generator seed continues its stream. Each trial is one
+    call of a local function, so its N x d rows are gone before the next trial draws.
     """
     _integer(d, "d", 1)
     _integer(trials, "trials", 20)
@@ -230,14 +234,10 @@ def concentration_curve(
     EY = condition_expectation(profile, x)
     EM = condition_expectation(replace(profile, tau4=0.0), x)
 
-    seed = _seed(seed)
-    if isinstance(seed, np.random.Generator):
-        seed = int(seed.integers(2 ** 63))
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    rng = _rng(seed)
 
-    def trial(N: int, ni: int, t: int) -> tuple[float, float, float]:
-        mset = sample_measurements(ensemble, N, d, np.random.SeedSequence(
-            entropy=root.entropy, spawn_key=root.spawn_key + (ni, t)))
+    def trial(N: int) -> tuple[float, float, float]:
+        mset = sample_measurements(ensemble, N, d, rng)
         y = measure(mset, x)
         rho = rho_from_intensities(y, profile.tau1)
         Y = _Y(mset.vectors, y, out=mset.vectors)
@@ -245,8 +245,8 @@ def concentration_curve(
                 abs(rho ** 2 - nx2) / nx2 if nx2 > 0 else abs(rho ** 2))
 
     rows = []
-    for ni, N in enumerate(N_grid):
-        y_devs, m_devs, rho_devs = zip(*(trial(N, ni, t) for t in range(trials)))
+    for N in N_grid:
+        y_devs, m_devs, rho_devs = zip(*(trial(N) for _ in range(trials)))
         rows.append(ConcentrationRow(
             N,
             float(np.median(y_devs)), float(np.quantile(y_devs, 0.95)),

@@ -299,6 +299,17 @@ def test_kind_mismatch_rejected():
         run_recovery_experiment(SMALL_INIT)
 
 
+@pytest.mark.parametrize("run, config, kind", [
+    (run_init_experiment, SMALL_RECOVERY, "INIT_ERROR"),
+    (run_recovery_experiment, SMALL_INIT, "SUCCESS_RATE"),
+    (lambda config: run_recovery_trial(config, 4, 0), SMALL_INIT, "SUCCESS_RATE"),
+], ids=["init", "recovery", "recovery-trial"])
+def test_every_entry_point_checks_the_config_kind(run, config, kind):
+    # run_recovery_trial ran a descent for an INIT_ERROR config and returned a record
+    with pytest.raises(ValueError, match=f"^config kind must be {kind}, got {config.kind}$"):
+        run(config)
+
+
 def test_csv_round_trips_floats():
     table = run_init_experiment(SMALL_INIT)
     lines = table.to_csv().strip().split("\n")

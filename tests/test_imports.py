@@ -1,5 +1,6 @@
 """No module imports a name it never uses, no private helper of the package
-is left unused, and no statement of the package is a `del`.
+is left unused, no statement of the package is a `del`, and the package
+makes a Generator in one function and no call of `np.linalg.norm`.
 
 The package's __init__.py is left out of the import scan: its imports are
 the public API.
@@ -87,3 +88,40 @@ def test_no_del_statements(path):
     # scope, not `del`, ends a buffer's life: a `del` that a loop body must
     # remember is the kind of rule that a later edit forgets
     assert del_statements(path.read_text(encoding="utf-8")) == []
+
+
+# the calls that the package makes in one function only, named as module.function, or nowhere
+CONFINED_CALLS = {"np.random.default_rng": "ensembles._rng", "np.linalg.norm": None}
+
+
+def stray_calls(source: str, module: str) -> list[str]:
+    """The calls in `source`, the text of `module`, of a name of CONFINED_CALLS
+    made outside the function that it is confined to."""
+    found = []
+
+    def visit(node, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                name = ast.unparse(child.func)
+                if name in CONFINED_CALLS and CONFINED_CALLS[name] != where:
+                    found.append(f"{name} (line {child.lineno})")
+            visit(child, f"{module}.{child.name}" if isinstance(child, ast.FunctionDef) else where)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_the_scan_finds_a_stray_call():
+    source = ("def _rng(v):\n    return np.random.default_rng(v)\n"
+              "def f(v):\n    return np.random.default_rng(v), np.linalg.norm(v)\n")
+    assert stray_calls(source, "ensembles") == ["np.random.default_rng (line 4)",
+                                                "np.linalg.norm (line 4)"]
+    assert stray_calls(source, "verify") == ["np.random.default_rng (line 2)",
+                                             "np.random.default_rng (line 4)",
+                                             "np.linalg.norm (line 4)"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_one_seed_rule_and_one_vector_norm(path):
+    # every Generator comes from ensembles._rng, and every vector norm from ensembles._norm
+    assert stray_calls(path.read_text(encoding="utf-8"), path.stem) == []

@@ -8,6 +8,7 @@ from phasekit import (
     Ensemble,
     Field,
     FixedStep,
+    GAUSSIAN,
     MeasurementSet,
     SolveStatus,
     SolverConfig,
@@ -162,6 +163,27 @@ def test_dist_takes_complex_when_either_input_is():
     x = np.array([1.0, 2.0])
     assert dist(1j * x, x) == pytest.approx(0.0, abs=1e-15)
     assert dist(x, 1j * x) == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("k", [-600, -540, 0, 520])
+@pytest.mark.parametrize("field", list(Field), ids=lambda f: f.value)
+def test_dist_gives_the_same_bits_at_any_power_of_two_scale(field, k):
+    # at 2^-540 the squares underflowed and dist returned 0.0 for distinct
+    # vectors; at 2^520 they overflowed to inf (real) or nan (complex) with
+    # "overflow encountered in dot"
+    z, x = sample_measurements(Ensemble(field, GAUSSIAN), 2, 9, 6).vectors
+
+    def scaled(v):
+        return np.ldexp(v.view(np.float64), k).view(v.dtype)
+
+    assert dist(z, x) > 0.0
+    assert dist(scaled(z), scaled(x)) == math.ldexp(dist(z, x), k)
+
+
+def test_dist_beyond_float_range_raises():
+    # the difference overflowed to inf with "overflow encountered in subtract"
+    with pytest.raises(ValueError, match="^the distance of z and x is beyond float range"):
+        dist(np.array([1e308, 1e308]), np.array([1e308, -1e308]))
 
 
 def test_bb_step_hand_cases():

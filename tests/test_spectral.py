@@ -113,6 +113,27 @@ def test_rho_identity_and_scaling():
         rho_from_intensities(y, tau1=0.0)
 
 
+@pytest.mark.parametrize("y, tau1", [
+    ([1e308, 1e308], 1.0), ([1.0], 1e-320), ([0.25, 3.0, 0.0], 2.0),
+], ids=["sum-overflows", "subnormal-tau1", "plain"])
+def test_rho_is_exact_at_any_power_of_two_scale(y, tau1):
+    # a sum beyond float range returned inf with "overflow encountered in
+    # reduce", and a subnormal tau1 returned inf with no warning
+    y = np.asarray(y)
+    rho = rho_from_intensities(np.ldexp(y, -600), tau1)
+    assert 0.0 < rho < math.inf
+    assert rho_from_intensities(y, tau1) == math.ldexp(rho, 300)
+    assert rho_from_intensities(y, math.ldexp(tau1, 600)) == rho
+
+
+@pytest.mark.parametrize("y, tau1", [([1e308], 1e-320), ([1e308, 1e308], 5e-324)])
+def test_rho_beyond_float_range_raises(y, tau1):
+    # no rho is below float range: the least, sqrt(5e-324 / 1.8e308), is a subnormal
+    with pytest.raises(ValueError, match=r"^rho = sqrt\(sum\(intensities\) / \(tau1 N\)\) "
+                                         "is beyond float range"):
+        rho_from_intensities(y, tau1)
+
+
 @pytest.mark.parametrize("tau1", [math.inf, math.nan, -1.0, True, "1.0"], ids=repr)
 def test_rho_rejects_a_bad_tau1(tau1):
     with pytest.raises(ValueError, match="tau1"):
@@ -281,6 +302,15 @@ def test_build_M_identity_fixed_point():
         "nan-rho", "inf-rho", "negative-rho", "complex-rho"])
 def test_build_M_rejects_bad_input(Y, rho, match):
     with pytest.raises(ValueError, match=match):
+        build_M(Y, rho, moment_profile(TERNARY_REAL))
+
+
+@pytest.mark.parametrize("Y, rho", [(np.eye(2), 1e200), (1e308 * np.eye(2), 0.0)],
+                         ids=["square-of-rho", "diagonal"])
+def test_build_M_rejects_a_diagonal_beyond_float_range(Y, rho):
+    # rho ** 2 raised "OverflowError: (34, 'Numerical result out of range')",
+    # and a diagonal beyond float range "overflow encountered in multiply"
+    with pytest.raises(ValueError, match=r"^M's diagonal leaves float range at rho="):
         build_M(Y, rho, moment_profile(TERNARY_REAL))
 
 

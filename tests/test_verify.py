@@ -492,6 +492,40 @@ def test_draws_of_a_law_that_gives_non_finite_entries_are_rejected(call, value):
         _LAW_DRAWS[call](_gaussian_with(value))
 
 
+def test_concentration_curve_draws_a_generator_seed_in_order():
+    # a Generator seed gave one int draw, whose SeedSequence every trial spawned from
+    gen, twin = np.random.default_rng(5), np.random.default_rng(5)
+    concentration_curve(_REAL, 3, _REAL_X3, N_grid=[12, 30], trials=20, seed=gen)
+    for N in (12, 30):
+        for _ in range(20):
+            sample_measurements(_REAL, N, 3, twin)
+    assert gen.bit_generator.state == twin.bit_generator.state
+
+
+_EXPECTATIONS = {"condition": condition_expectation, "F": f_block_expectation}
+
+
+@pytest.mark.parametrize("x", [[1.0, 2.0], [1.0, 2j]], ids=["real", "complex"])
+@pytest.mark.parametrize("name", list(_EXPECTATIONS))
+def test_expectations_take_a_list_as_its_array(name, x):
+    # a list raised "'list' object has no attribute 'shape'"
+    profile = moment_profile(_COMPLEX)
+    expected = _EXPECTATIONS[name](profile, np.array(x))
+    assert np.array_equal(_EXPECTATIONS[name](profile, x), expected)
+
+
+@pytest.mark.parametrize("x, match", [
+    (np.array([1.0, math.nan]), r"x must be finite$"),
+    (np.ones((2, 2)), r"x must have shape \(n,\), got \(2, 2\)$"),
+    (np.array(["1", "2"]), r"x must be an array of numbers, got <U1$"),
+], ids=["nan", "matrix", "text"])
+@pytest.mark.parametrize("name", list(_EXPECTATIONS))
+def test_expectations_reject_a_bad_x(name, x, match):
+    # a NaN entry gave an all-NaN matrix, a matrix numpy's broadcast error
+    with pytest.raises(ValueError, match="^" + match):
+        _EXPECTATIONS[name](moment_profile(_COMPLEX), x)
+
+
 def test_concentration_curve_takes_a_zero_signal():
     rows = concentration_curve(_COMPLEX, 3, np.zeros(3), N_grid=[12], trials=20)
     assert rows[0].N == 12
