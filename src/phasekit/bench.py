@@ -32,10 +32,10 @@ from .ensembles import (
     SeedLike,
     _instance,
     _integer,
-    _intensities,
     _norm,
     _number,
     _sequence,
+    _to_unit,
     moment_profile,
     sample_measurements,
 )
@@ -193,12 +193,12 @@ def run_init_experiment(config: ExperimentConfig) -> ResultTable:
     def one_trial(ratio: float, i: int) -> tuple[float, float]:
         x, mset, y, (pw_gsi_ss, pw_si_ss) = _problem(config, ratio, i)
         nx = _norm(x)
-        y = _intensities(y, mset.N)
+        e, y = _to_unit(y)
         A = mset.vectors
         sum_a2 = float(np.vdot(A, A).real)
         Y = _Y(A, y, out=A)  # shared by both initializers
-        g = _gsi_from_Y(Y, y, profile, config.power_iters, pw_gsi_ss)
-        s = _si_from_Y(Y, y, sum_a2, config.power_iters, pw_si_ss)
+        g = _gsi_from_Y(Y, y, e, profile, config.power_iters, pw_gsi_ss)
+        s = _si_from_Y(Y, y, e, sum_a2, config.power_iters, pw_si_ss)
         return dist(g.z0, x) / nx, dist(s.z0, x) / nx
 
     return _sweep(config, ["gsi_mean_rel_error", "si_mean_rel_error"], one_trial)

@@ -312,11 +312,42 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _exponent(v: np.ndarray) -> int:
-    """The e with 2^(e-1) <= m < 2^e for the largest entry m of a float64 v, or the
-    largest part of a C-contiguous complex128 one (e = 0 for a zero or empty v), so
-    v * 2^-e has entries below 1."""
-    return math.frexp(float(np.abs(v.view(np.float64)).max(initial=0.0)))[1]
+def _exponent(*points, y=None) -> int:
+    """The e of `math.frexp` of the largest entry (or part) of the float64 or C-contiguous
+    complex128 points and of sqrt(y), so that every p * 2^-e and y * 2^-2e has entries
+    below 1; a zero part sets no scale, and e = 0 when all are zero or empty."""
+    tops = [float(np.abs(p.view(np.float64)).max(initial=0.0)) for p in points]
+    return math.frexp(max(tops + ([] if y is None else [math.sqrt(float(y.max()))])))[1]
+
+
+def _ldexp(v, e: int, name: str = ""):
+    """Scale out: v * 2^e for a float, or a float64 or C-contiguous complex128 array (then
+    a new array), exact while it stays normal; a value below float range rounds to a
+    subnormal or 0.0 with no warning. One beyond it raises a ValueError naming `name`;
+    an unnamed v must have none. The package's one power-of-two scaling."""
+    scalar = isinstance(v, float)
+    if name:  # 2^(top-1) <= |largest value| < 2^top
+        top = e + (math.frexp(v)[1] if scalar else _exponent(v))
+        if top > 1024 and np.any(v):
+            raise ValueError(f"{name} is beyond float range, near 2^{top}")
+    return math.ldexp(v, e) if scalar else np.ldexp(v.view(np.float64), e).view(v.dtype)
+
+
+def _to_unit(y, *points, scale_of: str = "") -> tuple:
+    """Scale in: (e, y * 2^-2e, *(p * 2^-e for p in points)) for checked intensities y
+    (or None) and float64 or complex128 points, taken C-contiguous, with e by `_exponent`.
+    If `scale_of` names the point, e is its alone, and a y that overflows at its scale,
+    or is nonzero and underflows there to all zero, raises ValueError."""
+    points = [np.ascontiguousarray(p) for p in points]
+    e = _exponent(*points) if scale_of else _exponent(*points, y=y)
+    if y is not None:
+        over = scale_of and np.any(y) and _exponent(y) - 2 * e > 1024
+        y_given, y = y, None if over else _ldexp(y, -2 * e)
+        if over or (scale_of and not np.any(y) and np.any(y_given)):
+            raise ValueError(f"{scale_of} and y differ in scale beyond float range: y at "
+                             f"{scale_of}'s scale, y * 2^{-2 * e}, "
+                             f"{'overflows' if over else 'is all zero'}")
+    return (e, y, *(_ldexp(p, -e) for p in points))
 
 
 def _direction(rng: np.random.Generator, d: int, complex_: bool) -> np.ndarray:

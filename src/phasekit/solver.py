@@ -18,8 +18,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .ensembles import (MeasurementSet, _exponent, _inner, _instance, _integer, _intensities,
-                        _norm, _number, _vector)
+from .ensembles import (MeasurementSet, _inner, _instance, _integer, _intensities,
+                        _ldexp, _norm, _number, _to_unit, _vector)
 
 DEFAULT_MAX_ITERS = 2000
 # the descent stops once ||g(z)|| <= GRAD_NORM_TOL * ||z||^3; the gradient is
@@ -75,11 +75,6 @@ class SolveReport:
     iterates: Optional[list] = None   # z_0 .. z_iterations when traced
 
 
-def _ldexp(v: np.ndarray, e: int) -> np.ndarray:
-    """v * 2^e for a float64 or complex128 v, a new array."""
-    return np.ldexp(v.view(np.float64), e).view(v.dtype)
-
-
 def _gradient(A: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     """g(z) without input checks: the kernel of `gradient` and `solve`."""
     w, r = _inner(A, z)
@@ -91,19 +86,22 @@ def _gradient(A: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 def objective(z: np.ndarray, mset: MeasurementSet, y: np.ndarray) -> float:
     """(1/2N) sum_j (|<a_j, z>|^2 - y_j)^2. `z` must be finite, of shape
-    (d,) and real for real rows; `y` real, finite, nonnegative, of shape (N,)."""
+    (d,) and real for real rows; `y` real, finite, nonnegative, of shape (N,).
+    One scale rule (README), k = 4: underflow rounds silently to a subnormal or 0.0."""
     _instance(mset, "mset", MeasurementSet)
     z = _vector(z, mset.d, mset.field.dtype, "z")
-    r = _inner(mset.vectors, z)[1] - _intensities(y, mset.N)
-    return float(np.sum(r ** 2)) / (2.0 * mset.N)
+    e, y, z = _to_unit(_intensities(y, mset.N), z)
+    r = _inner(mset.vectors, z)[1] - y
+    return _ldexp(float(np.sum(r ** 2)) / (2.0 * mset.N), 4 * e, "the objective")
 
 
 def gradient(z: np.ndarray, mset: MeasurementSet, y: np.ndarray) -> np.ndarray:
     """(1/N) sum_j (|w_j|^2 - y_j) w_j a_j with w_j = <a_j, z>. `z` and `y`
-    are checked as by `objective`."""
+    are checked as by `objective`. Scale rule k = 3, as `objective` says."""
     _instance(mset, "mset", MeasurementSet)
     z = _vector(z, mset.d, mset.field.dtype, "z")
-    return _gradient(mset.vectors, _intensities(y, mset.N), z)
+    e, y, z = _to_unit(_intensities(y, mset.N), z)
+    return _ldexp(_gradient(mset.vectors, y, z), 3 * e, "the gradient")
 
 
 def dist(z: np.ndarray, x: np.ndarray) -> float:
@@ -111,25 +109,18 @@ def dist(z: np.ndarray, x: np.ndarray) -> float:
 
     The minimizing theta is arg(x* z) for complex inputs and 0 or pi for real
     ones; if x* z = 0 it is taken as 0. `z` and `x` must be finite 1-D arrays
-    of one length; both are taken as complex if either is. It is measured on
-    z * 2^-e and x * 2^-e, 2^e just above their largest entry, and scaled back
-    by 2^e, so no square underflows or overflows and a power-of-two rescaling
-    changes no bit; a distance beyond float range raises ValueError."""
+    of one length; both are taken as complex if either is. One scale rule
+    (README), k = 1: underflow rounds silently to a subnormal or 0.0."""
     dtype = np.complex128 if np.iscomplexobj(z) or np.iscomplexobj(x) else np.float64
-    z = np.ascontiguousarray(_vector(z, None, dtype, "z"))
-    x = np.ascontiguousarray(_vector(x, z.shape[0], dtype, "x"))
-    e = max(_exponent(z), _exponent(x))
-    z, x = _ldexp(z, -e), _ldexp(x, -e)
+    z = _vector(z, None, dtype, "z")
+    e, _, z, x = _to_unit(None, z, _vector(x, z.shape[0], dtype, "x"))
     c = np.vdot(x, z)  # x* z
     if dtype is np.complex128:
         theta = cmath.phase(c) % (2.0 * math.pi) if c != 0 else 0.0
         r = _norm(z - x * cmath.exp(1j * theta))
     else:
         r = _norm(z - x if c.real >= 0 else z + x)
-    try:
-        return math.ldexp(r, e)
-    except OverflowError:
-        raise ValueError(f"the distance of z and x is beyond float range: {r} * 2^{e}") from None
+    return _ldexp(r, e, "the distance of z and x")
 
 
 def bb_step(s: np.ndarray, g: np.ndarray, fallback: float) -> float:
@@ -157,29 +148,20 @@ def solve(
     s_k = z_k - z_{k-1}, or mu = 0.1 first and for a degenerate quotient.
     Stops with GRAD_TOLERANCE_MET once ||g|| <= GRAD_NORM_TOL * ||z||^3 (a
     relative tolerance), or with MAX_ITERS after `config.max_iters` updates.
-    The loop runs on z0 * 2^-e and y * 2^-2e, 2^e just above z0's largest
-    entry, so no squared norm underflows or overflows; scaling iterates back by
-    2^e is exact, so a power-of-two rescaling changes no bit of the run. An
-    iterate not finite at the caller's scale, or a non-finite gradient, aborts
-    with NON_FINITE and the last finite iterate. `z0` must be finite, of shape
-    (d,) and real for real rows; `y` real, finite, nonnegative, of shape (N,).
-    A z0 and y whose scales differ beyond float range raise ValueError.
+    One scale rule (README), k = 1, e from z0 alone: an iterate entry below float
+    range rounds silently to a subnormal or 0.0; an iterate not finite at the
+    caller's scale, or a non-finite gradient, aborts with NON_FINITE and the last
+    finite iterate. `z0` must be finite, of shape (d,) and real for real rows; `y`
+    real, finite, nonnegative, of shape (N,). A y that overflows at z0's scale,
+    or is nonzero and underflows there to all zero, raises ValueError.
     With `config.trace`, `iterates` lists z_0 (a copy of z0) to z_K, K =
     `iterations`, so `iterates[-1] is final_z`; measure them with `objective`,
     `gradient` or `dist`. Without it, `iterates` is None.
     """
     _instance(mset, "mset", MeasurementSet)
     _instance(config, "config", SolverConfig)
-    z = np.ascontiguousarray(_vector(z0, mset.d, mset.field.dtype, "z0"))
-    e = _exponent(z)
-    z = _ldexp(z, -e)
-    y_given = _intensities(y, mset.N)
-    with np.errstate(over="ignore"):
-        y = np.ldexp(y_given, -2 * e)
-    ymax = float(np.max(y))  # y >= 0: finite iff ymax is, all zero iff ymax is 0
-    if not ymax < math.inf or (ymax == 0.0 and np.any(y_given)):
-        raise ValueError(f"z0 and y differ in scale beyond float range: y at z0's scale, "
-                         f"y * 2^{-2 * e}, {'overflows' if ymax else 'is all zero'}")
+    z = _vector(z0, mset.d, mset.field.dtype, "z0")
+    e, y, z = _to_unit(_intensities(y, mset.N), z, scale_of="z0")
     # an iterate is finite at the caller's scale iff its entries are below this
     zmax = math.ldexp(1.0, 1024 - e) if e > 0 else math.inf
 

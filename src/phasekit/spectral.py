@@ -28,16 +28,17 @@ from .ensembles import (
     MomentProfile,
     SeedLike,
     _direction,
-    _exponent,
     _gram,
     _inner,
     _instance,
     _integer,
     _intensities,
+    _ldexp,
     _matrix,
     _norm,
     _number,
     _rng,
+    _to_unit,
     _vector,
 )
 
@@ -56,30 +57,26 @@ class InitResult:
 
 def measure(mset: MeasurementSet, x: np.ndarray) -> np.ndarray:
     """Intensities y_j = |<a_j, x>|^2, without forming any A_j. `x` must be
-    finite, of shape (d,) and real for real rows."""
+    finite, of shape (d,) and real for real rows. One scale rule (README),
+    k = 2: underflow rounds silently to a subnormal or 0.0."""
     _instance(mset, "mset", MeasurementSet)
-    return _inner(mset.vectors, _vector(x, mset.d, mset.field.dtype))[1]
+    e, _, x = _to_unit(None, _vector(x, mset.d, mset.field.dtype))
+    return _ldexp(_inner(mset.vectors, x)[1], 2 * e, "y_j = |<a_j, x>|^2")
 
 
 def rho_from_intensities(y: np.ndarray, tau1: float) -> float:
     """rho = sqrt(sum(y) / (tau1 * N)) for a nonempty 1-D `y` of real, finite,
     nonnegative intensities and a finite real tau1 > 0; other input raises ValueError.
 
-    With tau1 = m 2^t, m in [0.5, 1), it is formed as sqrt(s / (m N)) 2^(k/2), s the
-    sum of y * 2^-(k+t) and k even, y's largest entry fixing k so that s stays in
-    range: every rounding is the formula's, so no power-of-two rescaling of y or tau1
-    changes a bit, and a rho beyond float range raises ValueError."""
+    With tau1 = m 2^t, m in [0.5, 1), it is formed as sqrt(s / (m 2^(t % 2) N))
+    2^(e - t // 2), s the sum of y at unit scale, y * 2^-2e: every rounding is the
+    formula's, so no power-of-two rescaling of y or tau1 changes a bit. One scale
+    rule (README), k = 1: underflow rounds silently to a subnormal."""
     _number(tau1, "tau1", 0, strict=True)
-    y = _intensities(y)
     m, t = math.frexp(tau1)
-    k = _exponent(y) - t
-    k -= k % 2  # even, so the root halves it exactly
-    q = float(np.ldexp(y, -(k + t)).sum()) / (m * y.size)
-    try:
-        return math.ldexp(math.sqrt(q), k // 2)
-    except OverflowError:
-        raise ValueError("rho = sqrt(sum(intensities) / (tau1 N)) is beyond float range: "
-                         f"sqrt({q}) * 2^{k // 2} for tau1={tau1}") from None
+    e, y = _to_unit(_intensities(y))
+    q = float(y.sum()) / (math.ldexp(m, t % 2) * y.size)
+    return _ldexp(math.sqrt(q), e - t // 2, "rho = sqrt(sum(intensities) / (tau1 N))")
 
 
 def build_Y(mset: MeasurementSet, y: np.ndarray) -> np.ndarray:
@@ -89,9 +86,10 @@ def build_Y(mset: MeasurementSet, y: np.ndarray) -> np.ndarray:
     are weighted in a copy; `mset.vectors` is left unchanged.
 
     `y` must be real, finite, nonnegative and of shape (N,); other input
-    raises ValueError."""
+    raises ValueError. Scale rule k = 2, as `measure` says."""
     _instance(mset, "mset", MeasurementSet)
-    return _Y(mset.vectors, _intensities(y, mset.N))
+    e, y = _to_unit(_intensities(y, mset.N))
+    return _ldexp(_Y(mset.vectors, y), 2 * e, "Y")
 
 
 def _Y(A: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -139,40 +137,50 @@ def power_method(
     end. A residual that is not small against |lam| means `iters` steps were
     not enough, as when the top two eigenvalues are close or of opposite sign
     with equal modulus; `InitResult.residual` carries it out of `gsi` and
-    `baseline_si`.
-    Raises ValueError when M, taken as Hermitian unchecked, is not a finite
-    square numeric matrix, and when a product has a norm outside (0, inf): M
-    is zero, or so small or large that ||M v||^2 underflows or overflows.
+    `baseline_si`. One scale rule (README): lam and residual k = 1, v k = 0;
+    underflow rounds silently to a subnormal or 0.0. Raises ValueError also when
+    M, taken as Hermitian unchecked, is not a finite square numeric matrix or is 0.
     """
     _integer(iters, "iters", 1)
     M = _matrix(M, "M")
+    e, _, M = _to_unit(None, M.astype(np.result_type(M, np.float64), copy=False))
+    lam, v, residual = _power(M, iters, seed)
+    return _ldexp(lam, e, "lam"), v, _ldexp(residual, e, "residual")
+
+
+def _power(M: np.ndarray, iters: int, seed: SeedLike) -> tuple[float, np.ndarray, float]:
+    """`power_method` without input checks or scaling, for M at unit scale."""
     v = _direction(_rng(seed), M.shape[0], np.iscomplexobj(M))
     Mv = M @ v
     for _ in range(iters):
         nw = _norm(Mv)
-        if not 0.0 < nw < math.inf:
-            raise ValueError(f"power method breaks down: ||M v|| = {nw}; M must be "
-                             "nonzero, with ||M v||^2 within float range")
+        if not nw > 0.0:
+            raise ValueError(f"power method breaks down: ||M v|| = {nw}; M must be nonzero")
         v = Mv / nw
         Mv = M @ v
     lam = float(np.vdot(v, Mv).real)
     return lam, v, _norm(Mv - lam * v)
 
 
-def _gsi_from_Y(Y: np.ndarray, y: np.ndarray, profile: MomentProfile,
+def _init(M: np.ndarray, scale: float, e: int, power_iters: int, seed: SeedLike) -> InitResult:
+    """z0 = scale * (top eigenvector of M) for M and scale formed from y * 2^-2e, scaled
+    back: z0 and its scale by 2^e, and lam and residual, as M scales with y, by 2^(2e)."""
+    lam, v, residual = _power(M, power_iters, seed)
+    return InitResult(_ldexp(scale * v, e, "z0"), _ldexp(scale, e, "rho"),
+                      _ldexp(lam, 2 * e, "lam"), _ldexp(residual, 2 * e, "residual"))
+
+
+def _gsi_from_Y(Y: np.ndarray, y: np.ndarray, e: int, profile: MomentProfile,
                 power_iters: int, seed: SeedLike) -> InitResult:
     rho = rho_from_intensities(y, profile.tau1)
-    M = build_M(Y, rho, profile)
-    lam, v, residual = power_method(M, iters=power_iters, seed=seed)
-    return InitResult(rho * v, rho, lam, residual)
+    return _init(build_M(Y, rho, profile), rho, e, power_iters, seed)
 
 
-def _si_from_Y(Y: np.ndarray, y: np.ndarray, sum_a2: float,
+def _si_from_Y(Y: np.ndarray, y: np.ndarray, e: int, sum_a2: float,
                power_iters: int, seed: SeedLike) -> InitResult:
-    """SI from Y and sum_a2 = sum_j ||a_j||^2 over the plain rows."""
-    lam, v, residual = power_method(Y, iters=power_iters, seed=seed)
+    """SI from unit-scale Y and y and sum_a2 = sum_j ||a_j||^2 over the plain rows."""
     scale = math.sqrt(Y.shape[0] * float(np.sum(y)) / sum_a2)
-    return InitResult(scale * v, scale, lam, residual)
+    return _init(Y, scale, e, power_iters, seed)
 
 
 def gsi(
@@ -185,13 +193,15 @@ def gsi(
     """Generalized spectral initialization: z0 = rho * (top eigenvector of M).
 
     `y` must be real, finite, nonnegative and of shape (N,). Every argument is
-    checked before Y is formed."""
+    checked before Y is formed. One scale rule (README): z0 and rho k = 1, lam
+    and residual k = 2; underflow rounds silently to a subnormal or 0.0."""
     _instance(mset, "mset", MeasurementSet)
     y = _intensities(y, mset.N)
     _instance(profile, "profile", MomentProfile)
     _integer(power_iters, "iters", 1)
     rng = _rng(seed)
-    return _gsi_from_Y(_Y(mset.vectors, y), y, profile, power_iters, rng)
+    e, y = _to_unit(y)
+    return _gsi_from_Y(_Y(mset.vectors, y), y, e, profile, power_iters, rng)
 
 
 def baseline_si(
@@ -202,8 +212,10 @@ def baseline_si(
 ) -> InitResult:
     """Classical spectral initialization: top eigenvector of Y, scaled by
     lam_SI = sqrt(d * sum(y) / sum_j ||a_j||^2). `y` must be real, finite,
-    nonnegative and of shape (N,). Every argument is checked before Y is formed."""
+    nonnegative and of shape (N,). Every argument is checked before Y is formed.
+    Scale rule as `gsi` says."""
     A, y = _instance(mset, "mset", MeasurementSet).vectors, _intensities(y, mset.N)
     _integer(power_iters, "iters", 1)
     rng = _rng(seed)
-    return _si_from_Y(_Y(A, y), y, float(np.vdot(A, A).real), power_iters, rng)
+    e, y = _to_unit(y)
+    return _si_from_Y(_Y(A, y), y, e, float(np.vdot(A, A).real), power_iters, rng)

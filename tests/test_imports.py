@@ -1,6 +1,7 @@
 """No module imports a name it never uses, no private helper of the package
 is left unused, no statement of the package is a `del`, and the package
-makes a Generator in one function and no call of `np.linalg.norm`.
+makes a Generator and scales an array by a power of two in one function each,
+and makes no call of `np.linalg.norm`.
 
 The package's __init__.py is left out of the import scan: its imports are
 the public API.
@@ -91,7 +92,8 @@ def test_no_del_statements(path):
 
 
 # the calls that the package makes in one function only, named as module.function, or nowhere
-CONFINED_CALLS = {"np.random.default_rng": "ensembles._rng", "np.linalg.norm": None}
+CONFINED_CALLS = {"np.random.default_rng": "ensembles._rng", "np.linalg.norm": None,
+                  "np.ldexp": "ensembles._ldexp"}
 
 
 def stray_calls(source: str, module: str) -> list[str]:
@@ -123,5 +125,6 @@ def test_the_scan_finds_a_stray_call():
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
 def test_one_seed_rule_and_one_vector_norm(path):
-    # every Generator comes from ensembles._rng, and every vector norm from ensembles._norm
+    # every Generator comes from ensembles._rng, every vector norm from ensembles._norm,
+    # and every power-of-two scaling of an array from ensembles._ldexp
     assert stray_calls(path.read_text(encoding="utf-8"), path.stem) == []

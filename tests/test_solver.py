@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from phasekit import (
     SolveStatus,
     SolverConfig,
     TERNARY,
+    baseline_si,
     bb_step,
+    build_Y,
     convergence_rate_fit,
     derived_constants,
     dist,
@@ -23,6 +26,8 @@ from phasekit import (
     measure,
     moment_profile,
     objective,
+    power_method,
+    rho_from_intensities,
     sample_measurements,
     solve,
 )
@@ -165,19 +170,93 @@ def test_dist_takes_complex_when_either_input_is():
     assert dist(x, 1j * x) == pytest.approx(0.0, abs=1e-15)
 
 
-@pytest.mark.parametrize("k", [-600, -540, 0, 520])
+def _ldexp(v, k):
+    """v * 2^k, exactly while it stays normal, for a float or a real or complex array."""
+    v = np.asarray(v)
+    return np.ldexp(v.view(np.float64), k).view(v.dtype)
+
+
+def _kernels(field):
+    """Each public kernel as (its values at scale 2^j, the k of each, the name that a
+    ValueError gives when one leaves float range), with points taken to 2^j and
+    intensities to 2^(2j). A point that meets intensities sits near 2^-12, so 2^(2j) y
+    stays in range at j = 520; rho's tau1 goes to 2^-j, so its inputs stay in range too."""
+    ms = sample_measurements(Ensemble(field, TERNARY), 24, 6, seed=7)
+    z, x = sample_measurements(Ensemble(field, GAUSSIAN), 2, 6, seed=6).vectors
+    zs, ys = _ldexp(z, -12), measure(ms, _ldexp(x, -12))
+    M = build_Y(ms, measure(ms, x))
+    y3 = _ldexp(np.array([3.0, 3.0, 0.25]), 502)  # at 2^520 its sum is beyond float range
+    return {
+        "measure": (lambda j: [measure(ms, _ldexp(x, j))], [2], "y_j = |<a_j, x>|^2"),
+        "objective": (lambda j: [objective(_ldexp(zs, j), ms, _ldexp(ys, 2 * j))], [4],
+                      "the objective"),
+        "gradient": (lambda j: [gradient(_ldexp(zs, j), ms, _ldexp(ys, 2 * j))], [3],
+                     "the gradient"),
+        "dist": (lambda j: [dist(_ldexp(z, j), _ldexp(x, j))], [1], "the distance of z and x"),
+        "rho_from_intensities": (lambda j: [rho_from_intensities(_ldexp(y3, j),
+                                                                 math.ldexp(2.0, -j))], [1],
+                                 "rho = sqrt(sum(intensities) / (tau1 N))"),
+        "build_Y": (lambda j: [build_Y(ms, _ldexp(ys, 2 * j))], [2], "Y"),
+        "power_method": (lambda j: list(power_method(_ldexp(M, j))), [1, 0, 1], "lam"),
+    }
+
+
+@pytest.mark.parametrize("j", [-600, 0, 520])
 @pytest.mark.parametrize("field", list(Field), ids=lambda f: f.value)
-def test_dist_gives_the_same_bits_at_any_power_of_two_scale(field, k):
-    # at 2^-540 the squares underflowed and dist returned 0.0 for distinct
-    # vectors; at 2^520 they overflowed to inf (real) or nan (complex) with
-    # "overflow encountered in dot"
-    z, x = sample_measurements(Ensemble(field, GAUSSIAN), 2, 9, 6).vectors
+@pytest.mark.parametrize("kernel", ["measure", "objective", "gradient", "dist",
+                                    "rho_from_intensities", "build_Y", "power_method"])
+def test_every_kernel_gives_the_same_bits_at_any_power_of_two_scale(kernel, field, j):
+    # f(2^j z; 2^(2j) y) = 2^(k j) f(z; y): bit for bit where the scaled value is a
+    # normal float, its rounding where it underflows, and a ValueError that names it
+    # where it overflows. At 2^-600 dist's squares underflowed to 0.0 for distinct
+    # vectors and power_method broke down; at 2^520 measure, objective and gradient
+    # returned inf with numpy's "overflow encountered" warning
+    call, ks, name = _kernels(field)[kernel]
+    with np.errstate(over="ignore"):
+        want = [_ldexp(v, k * j) for v, k in zip(call(0), ks)]
+    if all(np.isfinite(v).all() for v in want):
+        got = call(j)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    else:
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} is beyond float range"):
+            call(j)
 
-    def scaled(v):
-        return np.ldexp(v.view(np.float64), k).view(v.dtype)
 
-    assert dist(z, x) > 0.0
-    assert dist(scaled(z), scaled(x)) == math.ldexp(dist(z, x), k)
+@pytest.mark.parametrize("call, name", [
+    (lambda ms: measure(ms, np.full(2, 1e200)), "y_j = |<a_j, x>|^2"),
+    (lambda ms: objective(np.full(2, 1e100), ms, np.ones(2)), "the objective"),
+    (lambda ms: gradient(np.full(2, 1e110), ms, np.ones(2)), "the gradient"),
+], ids=["measure", "objective", "gradient"])
+def test_a_result_beyond_float_range_raises_naming_it(call, name):
+    # each returned inf, with numpy's "overflow encountered in multiply" warning
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} is beyond float range"):
+        call(MeasurementSet(np.eye(2)))
+
+
+@pytest.mark.parametrize("j", [-500, 0, 500])
+@pytest.mark.parametrize("field", list(Field), ids=lambda f: f.value)
+def test_measure_gsi_solve_dist_commute_with_power_of_two_scaling(field, j):
+    # at 2^-500 gsi raised "power method breaks down"; at 2^500 _Y leaked
+    # "overflow encountered in matmul", then raised "Y must be a finite square matrix"
+    d = 32
+    ens = Ensemble(field, TERNARY)
+    ms = sample_measurements(ens, 8 * d, d, seed=3)
+    x = sample_measurements(Ensemble(field, GAUSSIAN), 1, d, seed=4).vectors[0]
+
+    def chain(j):
+        xj = _ldexp(x, j)
+        y = measure(ms, xj)
+        g, s = gsi(ms, y, moment_profile(ens), seed=5), baseline_si(ms, y, seed=6)
+        rep = solve(ms, y, g.z0)
+        values = [(y, 2), (rep.final_z, 1), (dist(g.z0, xj), 1), (dist(rep.final_z, xj), 1)]
+        for init in (g, s):
+            values += [(init.z0, 1), (init.rho, 1), (init.lam, 2), (init.residual, 2)]
+        return values, rep.iterations
+
+    (ref, iterations), (got, got_iterations) = chain(0), chain(j)
+    assert got_iterations == iterations
+    assert [np.asarray(v).tobytes() for v, _ in got] == [_ldexp(v, k * j).tobytes()
+                                                        for v, k in ref]
 
 
 def test_dist_beyond_float_range_raises():
@@ -390,11 +469,6 @@ def test_solve_stopping_rule_is_scale_invariant(c):
     ref, scaled = solve(ms, y, z0), solve(ms, c ** 2 * y, c * z0)
     assert ref.status is SolveStatus.GRAD_TOLERANCE_MET
     assert (scaled.iterations, scaled.status) == (ref.iterations, ref.status)
-
-
-def _ldexp(v, k):
-    """v * 2^k, exactly, for a real or complex array."""
-    return np.ldexp(v.view(np.float64), k).view(v.dtype)
 
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])

@@ -104,6 +104,13 @@ def test_spectral_calls_leave_the_measurements_unchanged(field, call):
     assert ms.vectors.tobytes() == before.tobytes()
 
 
+def test_measure_rounds_intensities_that_underflow():
+    # with no warning: 2^-1060 is a subnormal, 1e-340 rounds to 0.0
+    ms = MeasurementSet(np.eye(2))
+    assert np.array_equal(measure(ms, np.full(2, 2.0 ** -530)), np.full(2, 2.0 ** -1060))
+    assert np.array_equal(measure(ms, np.full(2, 1e-170)), np.zeros(2))
+
+
 def test_rho_identity_and_scaling():
     y = np.full(17, 0.25)
     assert rho_from_intensities(y, tau1=0.25) == pytest.approx(1.0)
@@ -111,19 +118,8 @@ def test_rho_identity_and_scaling():
     assert rho_from_intensities(9.0 * y, tau1=2.0) == pytest.approx(3.0 * rho)
     with pytest.raises(ValueError):
         rho_from_intensities(y, tau1=0.0)
-
-
-@pytest.mark.parametrize("y, tau1", [
-    ([1e308, 1e308], 1.0), ([1.0], 1e-320), ([0.25, 3.0, 0.0], 2.0),
-], ids=["sum-overflows", "subnormal-tau1", "plain"])
-def test_rho_is_exact_at_any_power_of_two_scale(y, tau1):
-    # a sum beyond float range returned inf with "overflow encountered in
-    # reduce", and a subnormal tau1 returned inf with no warning
-    y = np.asarray(y)
-    rho = rho_from_intensities(np.ldexp(y, -600), tau1)
-    assert 0.0 < rho < math.inf
-    assert rho_from_intensities(y, tau1) == math.ldexp(rho, 300)
-    assert rho_from_intensities(y, math.ldexp(tau1, 600)) == rho
+    # a subnormal tau1 returned inf with no warning
+    assert rho_from_intensities(np.ones(1), 2.0 ** -1070) == 2.0 ** 535
 
 
 @pytest.mark.parametrize("y, tau1", [([1e308], 1e-320), ([1e308, 1e308], 5e-324)])
@@ -361,26 +357,27 @@ def test_power_method_rejects_zero_matrix():
         power_method(np.zeros((3, 3)))
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.parametrize("M, match", [
-    (np.full((3, 3), np.nan), "M must be a finite square matrix"),  # rejected before the loop
-    (1e-200 * np.diag([2.0, 1.0]), "power method"),   # ||M v||^2 underflows to 0
-    (1e200 * np.diag([2.0, 1.0]), "power method"),    # ||M v||^2 overflows to inf
-], ids=["nan", "tiny", "huge"])
-def test_power_method_rejects_products_outside_float_range(M, match):
-    with pytest.raises(ValueError, match=match):
-        power_method(M)
+@pytest.mark.parametrize("j", [-660, 660], ids=["tiny", "huge"])
+def test_power_method_is_exact_for_products_outside_float_range(j):
+    # ||M v||^2 underflowed to 0 at 2^-660 and overflowed at 2^660, and both
+    # raised "power method breaks down"; the iteration runs at unit scale
+    M = np.diag([2.0, 1.0])
+    (lam, v, residual), ref = power_method(np.ldexp(M, j)), power_method(M)
+    assert (lam, residual) == (math.ldexp(ref[0], j), math.ldexp(ref[2], j))
+    assert v.tobytes() == ref[1].tobytes()
 
 
-def test_gsi_rejects_signal_too_small_for_the_power_method():
-    # at ||x|| = 1e-100 the entries of M are about 1e-200 and ||M v||^2
-    # underflows; the power method must not return a direction it never found
+def test_gsi_is_exact_for_a_signal_too_small_for_the_power_method():
+    # at ||x|| near 1e-100 (here 2^-340 ||x||) the entries of M were about 1e-200,
+    # ||M v||^2 underflowed and gsi raised "power method breaks down"
     d = 32
     ms = sample_measurements(TERNARY_REAL, 8 * d, d, seed=0)
     x = np.random.default_rng(0).standard_normal(d)
-    x *= 1e-100 / np.linalg.norm(x)
-    with pytest.raises(ValueError, match="power method"):
-        gsi(ms, measure(ms, x), moment_profile(TERNARY_REAL))
+    ref = gsi(ms, measure(ms, x), moment_profile(TERNARY_REAL))
+    got = gsi(ms, measure(ms, np.ldexp(x, -340)), moment_profile(TERNARY_REAL))
+    assert got.z0.tobytes() == np.ldexp(ref.z0, -340).tobytes()
+    assert got.rho == math.ldexp(ref.rho, -340)
+    assert (got.lam, got.residual) == (math.ldexp(ref.lam, -680), math.ldexp(ref.residual, -680))
 
 
 @pytest.mark.parametrize("iters", [2.5, "3", True, 0])
@@ -417,8 +414,8 @@ def test_initializers_check_seed_and_step_count_before_forming_Y(monkeypatch, in
 
 @pytest.mark.parametrize("M", [np.ones(3), np.ones((2, 3)), np.ones((2, 2, 2)), np.float64(2.0),
                                np.array([["1", "0"], ["0", "1"]]), np.eye(2, dtype=bool),
-                               np.eye(2).astype(object)],
-                         ids=["1-D", "2x3", "3-D", "scalar", "text", "bool", "object"])
+                               np.eye(2).astype(object), np.full((3, 3), np.nan)],
+                         ids=["1-D", "2x3", "3-D", "scalar", "text", "bool", "object", "nan"])
 def test_power_method_rejects_input_that_is_not_a_square_matrix(M):
     # a 1-D array raised AttributeError, a 2x3 matrix a numpy shape error and a
     # text one UFuncTypeError; bool and object matrices were taken
