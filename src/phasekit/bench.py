@@ -35,12 +35,11 @@ from .ensembles import (
     _norm,
     _number,
     _sequence,
-    _to_unit,
     moment_profile,
     sample_measurements,
 )
 from .solver import DEFAULT_MAX_ITERS, SolverConfig, dist, solve
-from .spectral import DEFAULT_POWER_ITERS, _Y, _gsi_from_Y, _si_from_Y, gsi, measure
+from .spectral import DEFAULT_POWER_ITERS, _paired_init, gsi, measure
 
 DEFAULT_RATIOS = tuple(range(2, 21, 2))
 SPIKE_FACTOR = 200.0
@@ -193,12 +192,7 @@ def run_init_experiment(config: ExperimentConfig) -> ResultTable:
     def one_trial(ratio: float, i: int) -> tuple[float, float]:
         x, mset, y, (pw_gsi_ss, pw_si_ss) = _problem(config, ratio, i)
         nx = _norm(x)
-        e, y = _to_unit(y)
-        A = mset.vectors
-        sum_a2 = float(np.vdot(A, A).real)
-        Y = _Y(A, y, out=A)  # shared by both initializers
-        g = _gsi_from_Y(Y, y, e, profile, config.power_iters, pw_gsi_ss)
-        s = _si_from_Y(Y, y, e, sum_a2, config.power_iters, pw_si_ss)
+        g, s = _paired_init(mset.vectors, y, profile, config.power_iters, pw_gsi_ss, pw_si_ss)
         return dist(g.z0, x) / nx, dist(s.z0, x) / nx
 
     return _sweep(config, ["gsi_mean_rel_error", "si_mean_rel_error"], one_trial)

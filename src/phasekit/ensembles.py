@@ -350,6 +350,16 @@ def _to_unit(y, *points, scale_of: str = "") -> tuple:
     return (e, y, *(_ldexp(p, -e) for p in points))
 
 
+def _unit_args(mset, scale_of: str = "", **args) -> tuple:
+    """Every measuring kernel's way in: checks mset, then each named point by `_vector` at the
+    rows' dtype and shape (d,), then `y`, if named, by `_intensities` of length N, and returns
+    `_to_unit(y, *points, scale_of=scale_of)`, y None if not named."""
+    _instance(mset, "mset", MeasurementSet)
+    points = [_vector(v, mset.d, mset.field.dtype, k) for k, v in args.items() if k != "y"]
+    y = _intensities(args["y"], mset.N) if "y" in args else None
+    return _to_unit(y, *points, scale_of=scale_of)
+
+
 def _direction(rng: np.random.Generator, d: int, complex_: bool) -> np.ndarray:
     """A random unit vector of R^d, or of C^d if complex_: d standard normal
     draws, then d more for the imaginary parts, over their norm."""

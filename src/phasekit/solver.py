@@ -18,8 +18,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .ensembles import (MeasurementSet, _inner, _instance, _integer, _intensities,
-                        _ldexp, _norm, _number, _to_unit, _vector)
+from .ensembles import (MeasurementSet, _inner, _instance, _integer, _ldexp, _norm, _number,
+                        _to_unit, _unit_args, _vector)
 
 DEFAULT_MAX_ITERS = 2000
 # the descent stops once ||g(z)|| <= GRAD_NORM_TOL * ||z||^3; the gradient is
@@ -88,9 +88,7 @@ def objective(z: np.ndarray, mset: MeasurementSet, y: np.ndarray) -> float:
     """(1/2N) sum_j (|<a_j, z>|^2 - y_j)^2. `z` must be finite, of shape
     (d,) and real for real rows; `y` real, finite, nonnegative, of shape (N,).
     One scale rule (README), k = 4: underflow rounds silently to a subnormal or 0.0."""
-    _instance(mset, "mset", MeasurementSet)
-    z = _vector(z, mset.d, mset.field.dtype, "z")
-    e, y, z = _to_unit(_intensities(y, mset.N), z)
+    e, y, z = _unit_args(mset, z=z, y=y)
     r = _inner(mset.vectors, z)[1] - y
     return _ldexp(float(np.sum(r ** 2)) / (2.0 * mset.N), 4 * e, "the objective")
 
@@ -98,9 +96,7 @@ def objective(z: np.ndarray, mset: MeasurementSet, y: np.ndarray) -> float:
 def gradient(z: np.ndarray, mset: MeasurementSet, y: np.ndarray) -> np.ndarray:
     """(1/N) sum_j (|w_j|^2 - y_j) w_j a_j with w_j = <a_j, z>. `z` and `y`
     are checked as by `objective`. Scale rule k = 3, as `objective` says."""
-    _instance(mset, "mset", MeasurementSet)
-    z = _vector(z, mset.d, mset.field.dtype, "z")
-    e, y, z = _to_unit(_intensities(y, mset.N), z)
+    e, y, z = _unit_args(mset, z=z, y=y)
     return _ldexp(_gradient(mset.vectors, y, z), 3 * e, "the gradient")
 
 
@@ -158,10 +154,8 @@ def solve(
     `iterations`, so `iterates[-1] is final_z`; measure them with `objective`,
     `gradient` or `dist`. Without it, `iterates` is None.
     """
-    _instance(mset, "mset", MeasurementSet)
     _instance(config, "config", SolverConfig)
-    z = _vector(z0, mset.d, mset.field.dtype, "z0")
-    e, y, z = _to_unit(_intensities(y, mset.N), z, scale_of="z0")
+    e, y, z = _unit_args(mset, "z0", z0=z0, y=y)
     # an iterate is finite at the caller's scale iff its entries are below this
     zmax = math.ldexp(1.0, 1024 - e) if e > 0 else math.inf
 

@@ -39,7 +39,7 @@ from .ensembles import (
     _number,
     _rng,
     _to_unit,
-    _vector,
+    _unit_args,
 )
 
 DEFAULT_POWER_ITERS = 50
@@ -59,8 +59,7 @@ def measure(mset: MeasurementSet, x: np.ndarray) -> np.ndarray:
     """Intensities y_j = |<a_j, x>|^2, without forming any A_j. `x` must be
     finite, of shape (d,) and real for real rows. One scale rule (README),
     k = 2: underflow rounds silently to a subnormal or 0.0."""
-    _instance(mset, "mset", MeasurementSet)
-    e, _, x = _to_unit(None, _vector(x, mset.d, mset.field.dtype))
+    e, _, x = _unit_args(mset, x=x)
     return _ldexp(_inner(mset.vectors, x)[1], 2 * e, "y_j = |<a_j, x>|^2")
 
 
@@ -73,8 +72,12 @@ def rho_from_intensities(y: np.ndarray, tau1: float) -> float:
     formula's, so no power-of-two rescaling of y or tau1 changes a bit. One scale
     rule (README), k = 1: underflow rounds silently to a subnormal."""
     _number(tau1, "tau1", 0, strict=True)
+    return _rho(*_to_unit(_intensities(y)), tau1)
+
+
+def _rho(e: int, y: np.ndarray, tau1: float) -> float:
+    """`rho_from_intensities` of checked intensities at unit scale, y * 2^-2e."""
     m, t = math.frexp(tau1)
-    e, y = _to_unit(_intensities(y))
     q = float(y.sum()) / (math.ldexp(m, t % 2) * y.size)
     return _ldexp(math.sqrt(q), e - t // 2, "rho = sqrt(sum(intensities) / (tau1 N))")
 
@@ -87,8 +90,7 @@ def build_Y(mset: MeasurementSet, y: np.ndarray) -> np.ndarray:
 
     `y` must be real, finite, nonnegative and of shape (N,); other input
     raises ValueError. Scale rule k = 2, as `measure` says."""
-    _instance(mset, "mset", MeasurementSet)
-    e, y = _to_unit(_intensities(y, mset.N))
+    e, y = _unit_args(mset, y=y)
     return _ldexp(_Y(mset.vectors, y), 2 * e, "Y")
 
 
@@ -172,7 +174,7 @@ def _init(M: np.ndarray, scale: float, e: int, power_iters: int, seed: SeedLike)
 
 def _gsi_from_Y(Y: np.ndarray, y: np.ndarray, e: int, profile: MomentProfile,
                 power_iters: int, seed: SeedLike) -> InitResult:
-    rho = rho_from_intensities(y, profile.tau1)
+    rho = _rho(0, y, profile.tau1)  # at y's unit scale; _init scales it back
     return _init(build_M(Y, rho, profile), rho, e, power_iters, seed)
 
 
@@ -195,12 +197,10 @@ def gsi(
     `y` must be real, finite, nonnegative and of shape (N,). Every argument is
     checked before Y is formed. One scale rule (README): z0 and rho k = 1, lam
     and residual k = 2; underflow rounds silently to a subnormal or 0.0."""
-    _instance(mset, "mset", MeasurementSet)
-    y = _intensities(y, mset.N)
+    e, y = _unit_args(mset, y=y)
     _instance(profile, "profile", MomentProfile)
     _integer(power_iters, "iters", 1)
     rng = _rng(seed)
-    e, y = _to_unit(y)
     return _gsi_from_Y(_Y(mset.vectors, y), y, e, profile, power_iters, rng)
 
 
@@ -214,8 +214,17 @@ def baseline_si(
     lam_SI = sqrt(d * sum(y) / sum_j ||a_j||^2). `y` must be real, finite,
     nonnegative and of shape (N,). Every argument is checked before Y is formed.
     Scale rule as `gsi` says."""
-    A, y = _instance(mset, "mset", MeasurementSet).vectors, _intensities(y, mset.N)
+    e, y = _unit_args(mset, y=y)
     _integer(power_iters, "iters", 1)
-    rng = _rng(seed)
-    e, y = _to_unit(y)
+    A, rng = mset.vectors, _rng(seed)
     return _si_from_Y(_Y(A, y), y, e, float(np.vdot(A, A).real), power_iters, rng)
+
+
+def _paired_init(A: np.ndarray, y: np.ndarray, profile: MomentProfile, power_iters: int,
+                 gsi_seed: SeedLike, si_seed: SeedLike) -> tuple[InitResult, InitResult]:
+    """`gsi` and `baseline_si` of rows A and checked y from one Y, weighted over A in place."""
+    sum_a2 = float(np.vdot(A, A).real)
+    e, y = _to_unit(y)
+    Y = _Y(A, y, out=A)
+    return (_gsi_from_Y(Y, y, e, profile, power_iters, gsi_seed),
+            _si_from_Y(Y, y, e, sum_a2, power_iters, si_seed))

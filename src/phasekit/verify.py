@@ -28,10 +28,12 @@ from .ensembles import (
     _inner,
     _instance,
     _integer,
+    _ldexp,
     _matrix,
     _REALS,
     _rng,
     _sequence,
+    _to_unit,
     _vector,
     moment_profile,
     sample_measurements,
@@ -76,9 +78,12 @@ class ResidualReport:
 def hermitian_opnorm(H: np.ndarray) -> float:
     """Operator norm (largest |eigenvalue|) of a finite square numeric matrix
     by a dense eigensolve. H is taken as Hermitian, unchecked: only its lower
-    triangle is read, so [[0, 5], [0, 0]] gives 0.0."""
+    triangle is read, so [[0, 5], [0, 0]] gives 0.0; a norm beyond float range raises."""
     vals = np.linalg.eigvalsh(_matrix(H, "H"))
-    return float(np.max(np.abs(vals))) if vals.size else 0.0
+    norm = float(np.max(np.abs(vals))) if vals.size else 0.0
+    if not math.isfinite(norm):
+        raise ValueError("the operator norm of H is beyond float range")
+    return norm
 
 
 def _chunk_stats(ensemble: Ensemble, x, d: Optional[int], n_samples: int, seed: SeedLike,
@@ -132,14 +137,16 @@ def _matrix_check(name: str, chunk_mats: Sequence[np.ndarray], expected: np.ndar
 
 def condition_expectation(profile: MomentProfile, x: np.ndarray) -> np.ndarray:
     """E((x* A x) A) = tau2 ||x||^2 I + tau3 x x* + tau4 diag(|x_i|^2), for x a finite
-    1-D array of numbers, taken as float64 or, if complex, complex128."""
+    1-D array of numbers, taken as float64 or, if complex, complex128. One scale rule
+    (README), k = 2: underflow rounds silently to a subnormal or 0.0."""
     _instance(profile, "profile", MomentProfile)
     x = _vector(x, None, np.complex128 if np.iscomplexobj(x) else np.float64)
+    e, _, x = _to_unit(None, x)
     d = x.shape[0]
     T = profile.tau2 * float(np.vdot(x, x).real) * np.eye(d, dtype=x.dtype) \
         + profile.tau3 * np.outer(x, x.conj())
     T[np.diag_indices(d)] += profile.tau4 * np.abs(x) ** 2
-    return T
+    return _ldexp(T, 2 * e, "E((x* A x) A)")
 
 
 def mc_condition_residual(
@@ -169,11 +176,12 @@ def f_block_expectation(profile: MomentProfile, x: np.ndarray) -> np.ndarray:
     """Expected 2d x 2d block matrix of the stacked (A x, conj(A x)) outer
     products for a complex-field ensemble. Its upper-left block is
     condition II's E((x* A x) A), `condition_expectation(profile, x)`; x is
-    checked as there."""
+    checked, and the result scaled, as there."""
     x = _vector(x, None, np.complex128 if np.iscomplexobj(x) else np.float64)
+    e, _, x = _to_unit(None, x)  # so condition_expectation's own e is 0
     B11 = condition_expectation(profile, x)
     B12 = (profile.tau2 + profile.tau3) * np.outer(x, x) + profile.tau4 * np.diag(x ** 2)
-    return _f_block(B11, B12)
+    return _ldexp(_f_block(B11, B12), 2 * e, "the F block")
 
 
 def mc_F_residual(

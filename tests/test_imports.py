@@ -1,7 +1,8 @@
 """No module imports a name it never uses, no private helper of the package
-is left unused, no statement of the package is a `del`, and the package
+is left unused, no statement of the package is a `del`, the package
 makes a Generator and scales an array by a power of two in one function each,
-and makes no call of `np.linalg.norm`.
+and makes no call of `np.linalg.norm`, and neither `bench` nor `cli` imports
+a helper of the scale rule.
 
 The package's __init__.py is left out of the import scan: its imports are
 the public API.
@@ -19,9 +20,8 @@ MODULES = sorted(path for top in ("src/phasekit", "tests", "benchmarks")
 PACKAGE = sorted((ROOT / "src/phasekit").glob("*.py"))
 
 
-def unused_imports(source: str) -> list[str]:
-    """The names that `source` binds by an import and never reads."""
-    tree = ast.parse(source)
+def imported_names(tree: ast.AST) -> dict[str, int]:
+    """The names that `tree` binds by an import, each with its line."""
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -30,8 +30,15 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
+    return imported
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names that `source` binds by an import and never reads."""
+    tree = ast.parse(source)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+    return [f"{name} (line {line})" for name, line in imported_names(tree).items()
+            if name not in used]
 
 
 def test_the_scan_finds_an_unused_import():
@@ -128,3 +135,14 @@ def test_one_seed_rule_and_one_vector_norm(path):
     # every Generator comes from ensembles._rng, every vector norm from ensembles._norm,
     # and every power-of-two scaling of an array from ensembles._ldexp
     assert stray_calls(path.read_text(encoding="utf-8"), path.stem) == []
+
+
+# the scale rule's helpers: the kernels apply the rule, so the experiment harness and
+# the CLI hand them values at the caller's scale and take results back at it
+SCALE_HELPERS = {"_to_unit", "_ldexp", "_exponent"}
+
+
+@pytest.mark.parametrize("module", ["bench", "cli"])
+def test_bench_and_cli_leave_the_scale_rule_to_the_kernels(module):
+    source = (ROOT / "src/phasekit" / f"{module}.py").read_text(encoding="utf-8")
+    assert sorted(SCALE_HELPERS & imported_names(ast.parse(source)).keys()) == []

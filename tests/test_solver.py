@@ -17,9 +17,11 @@ from phasekit import (
     baseline_si,
     bb_step,
     build_Y,
+    condition_expectation,
     convergence_rate_fit,
     derived_constants,
     dist,
+    f_block_expectation,
     generate_signal,
     gradient,
     gsi,
@@ -181,7 +183,8 @@ def _kernels(field):
     ValueError gives when one leaves float range), with points taken to 2^j and
     intensities to 2^(2j). A point that meets intensities sits near 2^-12, so 2^(2j) y
     stays in range at j = 520; rho's tau1 goes to 2^-j, so its inputs stay in range too."""
-    ms = sample_measurements(Ensemble(field, TERNARY), 24, 6, seed=7)
+    ens = Ensemble(field, TERNARY)
+    ms = sample_measurements(ens, 24, 6, seed=7)
     z, x = sample_measurements(Ensemble(field, GAUSSIAN), 2, 6, seed=6).vectors
     zs, ys = _ldexp(z, -12), measure(ms, _ldexp(x, -12))
     M = build_Y(ms, measure(ms, x))
@@ -198,19 +201,27 @@ def _kernels(field):
                                  "rho = sqrt(sum(intensities) / (tau1 N))"),
         "build_Y": (lambda j: [build_Y(ms, _ldexp(ys, 2 * j))], [2], "Y"),
         "power_method": (lambda j: list(power_method(_ldexp(M, j))), [1, 0, 1], "lam"),
+        "condition_expectation": (lambda j: [condition_expectation(moment_profile(ens),
+                                                                   _ldexp(x, j))], [2],
+                                  "E((x* A x) A)"),
+        "f_block_expectation": (lambda j: [f_block_expectation(moment_profile(ens),
+                                                               _ldexp(x, j))], [2],
+                                "the F block"),
     }
 
 
 @pytest.mark.parametrize("j", [-600, 0, 520])
 @pytest.mark.parametrize("field", list(Field), ids=lambda f: f.value)
 @pytest.mark.parametrize("kernel", ["measure", "objective", "gradient", "dist",
-                                    "rho_from_intensities", "build_Y", "power_method"])
+                                    "rho_from_intensities", "build_Y", "power_method",
+                                    "condition_expectation", "f_block_expectation"])
 def test_every_kernel_gives_the_same_bits_at_any_power_of_two_scale(kernel, field, j):
     # f(2^j z; 2^(2j) y) = 2^(k j) f(z; y): bit for bit where the scaled value is a
     # normal float, its rounding where it underflows, and a ValueError that names it
     # where it overflows. At 2^-600 dist's squares underflowed to 0.0 for distinct
     # vectors and power_method broke down; at 2^520 measure, objective and gradient
-    # returned inf with numpy's "overflow encountered" warning
+    # returned inf with numpy's "overflow encountered" warning, and both expectations
+    # nan with "invalid value encountered in multiply"
     call, ks, name = _kernels(field)[kernel]
     with np.errstate(over="ignore"):
         want = [_ldexp(v, k * j) for v, k in zip(call(0), ks)]
@@ -226,9 +237,14 @@ def test_every_kernel_gives_the_same_bits_at_any_power_of_two_scale(kernel, fiel
     (lambda ms: measure(ms, np.full(2, 1e200)), "y_j = |<a_j, x>|^2"),
     (lambda ms: objective(np.full(2, 1e100), ms, np.ones(2)), "the objective"),
     (lambda ms: gradient(np.full(2, 1e110), ms, np.ones(2)), "the gradient"),
-], ids=["measure", "objective", "gradient"])
+    (lambda ms: condition_expectation(moment_profile(TERNARY_REAL), np.full(2, 1e160)),
+     "E((x* A x) A)"),
+    (lambda ms: f_block_expectation(moment_profile(Ensemble(Field.COMPLEX, TERNARY)),
+                                    np.full(2, 1e160) + 0j), "the F block"),
+], ids=["measure", "objective", "gradient", "condition_expectation", "f_block_expectation"])
 def test_a_result_beyond_float_range_raises_naming_it(call, name):
-    # each returned inf, with numpy's "overflow encountered in multiply" warning
+    # each returned inf, with numpy's "overflow encountered in multiply" warning; both
+    # expectations nan (and inf) with "invalid value encountered in multiply"
     with pytest.raises(ValueError, match=f"^{re.escape(name)} is beyond float range"):
         call(MeasurementSet(np.eye(2)))
 

@@ -7,6 +7,8 @@ from phasekit import (
     GAUSSIAN,
     TERNARY,
     Ensemble,
+    ExperimentConfig,
+    ExperimentKind,
     Field,
     MeasurementSet,
     baseline_si,
@@ -21,6 +23,7 @@ from phasekit import (
     objective,
     power_method,
     rho_from_intensities,
+    run_init_experiment,
     sample_measurements,
     solve,
 )
@@ -438,6 +441,28 @@ def test_gsi_norm_equals_rho():
     init = gsi(ms, y, profile, seed=5)
     assert np.linalg.norm(init.z0) == pytest.approx(init.rho, rel=8 * np.finfo(float).eps)
     assert init.rho == pytest.approx(rho_from_intensities(y, profile.tau1))
+
+
+def test_gsi_checks_and_scales_the_intensities_once(monkeypatch):
+    # GSI handed its checked, unit-scale y to the public rho_from_intensities,
+    # which checked and rescaled it a second time
+    ens = Ensemble(Field.COMPLEX, TERNARY)
+    ms = sample_measurements(ens, 96, 12, seed=3)
+    y = measure(ms, sample_measurements(Ensemble(Field.COMPLEX, GAUSSIAN), 1, 12, 2).vectors[0])
+    cfg = ExperimentConfig(ExperimentKind.INIT_ERROR, ens, d=12, ratio_grid=(8,), trials=1)
+
+    def run():
+        init = gsi(ms, y, moment_profile(ens), seed=5)
+        return (init.z0.tobytes(), init.rho, init.lam, init.residual,
+                run_init_experiment(cfg).to_csv())
+
+    want = run()
+
+    def no_rho(*args, **kwargs):
+        raise AssertionError("rho_from_intensities was called")
+
+    monkeypatch.setattr("phasekit.spectral.rho_from_intensities", no_rho)
+    assert run() == want
 
 
 def test_gsi_equals_si_direction_when_tau4_zero():

@@ -50,6 +50,13 @@ def test_hermitian_opnorm_small_and_large():
     assert hermitian_opnorm(np.diag([5.0, -5.0] + [0.0] * 98)) == 5.0
 
 
+def test_hermitian_opnorm_beyond_float_range_raises():
+    # it returned inf with no warning; the norm 2e308 of this matrix is beyond float range
+    with pytest.raises(ValueError, match="^the operator norm of H is beyond float range"):
+        hermitian_opnorm(np.full((2, 2), 1e308))
+    assert hermitian_opnorm(np.full((2, 2), 1e200)) == 2e200
+
+
 @pytest.mark.parametrize("ens", ALL_ENSEMBLES, ids=str)
 def test_condition_residual_passes(ens):
     x = unit_vector(6, ens.field, seed=1)
