@@ -38,7 +38,7 @@ from .ensembles import (
     moment_profile,
     sample_measurements,
 )
-from .spectral import _Y, build_M, measure, rho_from_intensities
+from .spectral import _Y, _rho, build_M
 
 DEFAULT_CHUNKS = 20
 FIT_FLOOR = 1e-12  # errors at or below this are rounding noise
@@ -46,21 +46,17 @@ FIT_FLOOR = 1e-12  # errors at or below this are rounding noise
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Outcome of one Monte-Carlo check.
-
-    `passed` holds iff residual <= tolerance and every component passed.
-    Components carry sub-checks evaluated from the same sample stream.
+    """Outcome of one Monte-Carlo check. `passed` holds iff residual <= tolerance at
+    unit scale (one scale rule, README) and every component passed. Components carry
+    sub-checks evaluated from the same sample stream.
     """
 
     estimator_name: str
     sample_count: int
     residual: float
     tolerance: float
+    passed: bool
     components: tuple = field(default=())
-
-    @property
-    def passed(self) -> bool:
-        return self.residual <= self.tolerance and all(c.passed for c in self.components)
 
     def to_dict(self) -> dict:
         out = {
@@ -86,23 +82,22 @@ def hermitian_opnorm(H: np.ndarray) -> float:
     return norm
 
 
-def _chunk_stats(ensemble: Ensemble, x, d: Optional[int], n_samples: int, seed: SeedLike,
-                 stat: Callable) -> tuple[np.ndarray, int, list]:
-    """The sampling loop of every matrix oracle: (x, n, [stat(A, x) per chunk A]), with x
-    checked as a nonzero finite vector of the law's field and shape (d,), any length if d
-    is None, and n rows drawn from one generator in DEFAULT_CHUNKS chunks of n_samples //
-    DEFAULT_CHUNKS. Each chunk is the rows of a `sample_measurements` call on that generator,
-    so it passes the same check as every measurement set; it goes straight to `stat`, which
-    weights it in place, and no name holds it after, so an oracle holds one chunk plus the
-    statistics."""
+def _draws(ensemble: Ensemble, x, d: Optional[int], seed: SeedLike) -> tuple:
+    """The oracles' one sampling loop: (e, x * 2^-e, draw), x checked as a nonzero finite
+    vector of the law's field and shape (d,) (any length if d is None), e by `_to_unit`.
+    `draw(sizes, stat)` is [stat(A, x * 2^-e) for N in sizes], A the rows of a checked
+    `sample_measurements` call of N rows on the one generator `_rng(seed)`, in order. A
+    goes straight to `stat`, which may weight it in place, so one row set is live at a time."""
     x = _vector(x, d, ensemble.field.dtype)
     if not np.any(x):
         raise ValueError("x must be nonzero")
-    _integer(n_samples, "n_samples", 10_000)
+    e, _, x = _to_unit(None, x)
     rng = _rng(seed)
-    m, d = n_samples // DEFAULT_CHUNKS, x.shape[0]
-    return x, DEFAULT_CHUNKS * m, [stat(sample_measurements(ensemble, m, d, rng).vectors, x)
-                                   for _ in range(DEFAULT_CHUNKS)]
+
+    def draw(sizes: Sequence[int], stat: Callable) -> list:
+        return [stat(sample_measurements(ensemble, N, x.shape[0], rng).vectors, x)
+                for N in sizes]
+    return e, x, draw
 
 
 def _condition_chunk(A: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -124,15 +119,18 @@ def _f_block(B11: np.ndarray, B12: np.ndarray) -> np.ndarray:
 
 
 def _matrix_check(name: str, chunk_mats: Sequence[np.ndarray], expected: np.ndarray,
-                  sample_count: int, components: tuple = ()) -> ResidualReport:
-    """Score a matrix identity: the operator-norm distance of the mean of the k chunk
-    means from `expected`, against 5x its standard error, estimated as the chunk
-    means' mean operator-norm deviation from it over sqrt(k)."""
+                  sample_count: int, e: int, components: tuple = ()) -> ResidualReport:
+    """Score a matrix identity at unit scale, where `passed` is decided: the operator-norm
+    distance of the mean of the k chunk means from `expected`, against 5x its standard
+    error, the chunk means' mean operator-norm deviation from it over sqrt(k). Both are
+    scaled back by 2^(2e), and one beyond float range raises a ValueError naming it."""
     k = len(chunk_mats)
     overall = sum(chunk_mats) / k
     noise = float(np.mean([hermitian_opnorm(c - overall) for c in chunk_mats])) / math.sqrt(k)
-    return ResidualReport(name, sample_count, hermitian_opnorm(overall - expected),
-                          5.0 * noise, components)
+    r, t = hermitian_opnorm(overall - expected), 5.0 * noise
+    return ResidualReport(name, sample_count, _ldexp(r, 2 * e, f"the residual of {name}"),
+                          _ldexp(t, 2 * e, f"the tolerance of {name}"),
+                          r <= t and all(c.passed for c in components), components)
 
 
 def condition_expectation(profile: MomentProfile, x: np.ndarray) -> np.ndarray:
@@ -164,12 +162,13 @@ def mc_condition_residual(
     """
     _integer(d, "d", 1)
     profile = moment_profile(ensemble)
-    x, n, chunks = _chunk_stats(ensemble, x, d, n_samples, seed, _condition_chunk)
-    first_chunks, second_chunks = zip(*chunks)
+    e, x, draw = _draws(ensemble, x, d, seed)
+    m = _integer(n_samples, "n_samples", 10_000) // DEFAULT_CHUNKS
+    first_chunks, second_chunks = zip(*draw([m] * DEFAULT_CHUNKS, _condition_chunk))
     mean_report = _matrix_check("ensemble-mean-identity", first_chunks,
-                                profile.tau1 * np.eye(d, dtype=x.dtype), n)
-    return _matrix_check("condition-II-identity", second_chunks,
-                         condition_expectation(profile, x), n, (mean_report,))
+                                profile.tau1 * np.eye(d, dtype=x.dtype), DEFAULT_CHUNKS * m, 0)
+    return _matrix_check("condition-II-identity", second_chunks, condition_expectation(profile, x),
+                         DEFAULT_CHUNKS * m, e, (mean_report,))
 
 
 def f_block_expectation(profile: MomentProfile, x: np.ndarray) -> np.ndarray:
@@ -197,8 +196,10 @@ def mc_F_residual(
         raise ValueError("mc_F_residual requires a complex-field ensemble; "
                          "use mc_condition_residual for real fields")
     profile = moment_profile(ensemble)
-    x, n, f_chunks = _chunk_stats(ensemble, x, None, n_samples, seed, _f_chunk)
-    return _matrix_check("stacked-block-identity", f_chunks, f_block_expectation(profile, x), n)
+    e, x, draw = _draws(ensemble, x, None, seed)
+    m = _integer(n_samples, "n_samples", 10_000) // DEFAULT_CHUNKS
+    return _matrix_check("stacked-block-identity", draw([m] * DEFAULT_CHUNKS, _f_chunk),
+                         f_block_expectation(profile, x), DEFAULT_CHUNKS * m, e)
 
 
 @dataclass(frozen=True)
@@ -223,44 +224,42 @@ def concentration_curve(
     trials: int = 50,
     seed: SeedLike = 0,
 ) -> list[ConcentrationRow]:
-    """Empirical quantiles of ||Y - E(Y)||, ||M - E(M)|| and |rho^2 - ||x||^2|
+    """Empirical quantiles of ||Y - E(Y)||, ||M - E(M)|| and |rho^2 - ||x||^2| / ||x||^2
     over seeded trials, per measurement count N.
 
     Reference expectations use the analytic profile with the exact ||x||: E(Y) =
-    `condition_expectation(profile, x)`, and E(M) is that with tau4 = 0 (M drops Y's tau4 part).
-    Every trial draws its rows by `sample_measurements` from the one Generator
-    `_rng(seed)`, in order, grid entry by grid entry, as the `mc_*` oracles draw
-    their chunks, so a Generator seed continues its stream. Each trial is one
-    call of a local function, so its N x d rows are gone before the next trial draws.
+    `condition_expectation(profile, x)`, and E(M) is that with tau4 = 0 (M drops Y's tau4
+    part). The trials draw their rows through `_draws`, grid entry by grid entry, as the
+    `mc_*` oracles draw their chunks, and work at x's unit scale. One scale rule (README):
+    the Y and M columns are scaled back by 2^(2e), raising a ValueError that names one
+    beyond float range, and the relative rho columns have k = 0.
     """
     _integer(d, "d", 1)
     _integer(trials, "trials", 20)
     N_grid = _sequence(N_grid, "N_grid", _integer, 1)
     profile = moment_profile(ensemble)
-    x = _vector(x, d, ensemble.field.dtype)
+    e, x, draw = _draws(ensemble, x, d, seed)
     nx2 = float(np.vdot(x, x).real)
     EY = condition_expectation(profile, x)
     EM = condition_expectation(replace(profile, tau4=0.0), x)
 
-    rng = _rng(seed)
-
-    def trial(N: int) -> tuple[float, float, float]:
-        mset = sample_measurements(ensemble, N, d, rng)
-        y = measure(mset, x)
-        rho = rho_from_intensities(y, profile.tau1)
-        Y = _Y(mset.vectors, y, out=mset.vectors)
+    def trial(A: np.ndarray, x: np.ndarray) -> tuple[float, float, float]:
+        y = _inner(A, x)[1]
+        rho = _rho(0, y, profile.tau1)
+        Y = _Y(A, y, out=A)
         return (hermitian_opnorm(Y - EY), hermitian_opnorm(build_M(Y, rho, profile) - EM),
-                abs(rho ** 2 - nx2) / nx2 if nx2 > 0 else abs(rho ** 2))
+                abs(rho ** 2 - nx2) / nx2)
+
+    def quantiles(devs: Sequence[float], k: int, name: str) -> list[float]:
+        return [_ldexp(float(np.median(devs)), k * e, f"{name}_median"),
+                _ldexp(float(np.quantile(devs, 0.95)), k * e, f"{name}_q95")]
 
     rows = []
     for N in N_grid:
-        y_devs, m_devs, rho_devs = zip(*(trial(N) for _ in range(trials)))
-        rows.append(ConcentrationRow(
-            N,
-            float(np.median(y_devs)), float(np.quantile(y_devs, 0.95)),
-            float(np.median(m_devs)), float(np.quantile(m_devs, 0.95)),
-            float(np.median(rho_devs)), float(np.quantile(rho_devs, 0.95)),
-        ))
+        y_devs, m_devs, rho_devs = zip(*draw([N] * trials, trial))
+        rows.append(ConcentrationRow(N, *quantiles(y_devs, 2, "y_dev"),
+                                     *quantiles(m_devs, 2, "m_dev"),
+                                     *quantiles(rho_devs, 0, "rho_dev")))
     return rows
 
 

@@ -1,8 +1,9 @@
 """No module imports a name it never uses, no private helper of the package
 is left unused, no statement of the package is a `del`, the package
 makes a Generator and scales an array by a power of two in one function each,
-and makes no call of `np.linalg.norm`, and neither `bench` nor `cli` imports
-a helper of the scale rule.
+and makes no call of `np.linalg.norm`, neither `bench` nor `cli` imports
+a helper of the scale rule, and `verify` draws its rows in one function and
+measures them through the private kernels.
 
 The package's __init__.py is left out of the import scan: its imports are
 the public API.
@@ -146,3 +147,30 @@ SCALE_HELPERS = {"_to_unit", "_ldexp", "_exponent"}
 def test_bench_and_cli_leave_the_scale_rule_to_the_kernels(module):
     source = (ROOT / "src/phasekit" / f"{module}.py").read_text(encoding="utf-8")
     assert sorted(SCALE_HELPERS & imported_names(ast.parse(source)).keys()) == []
+
+
+def top_level_callers(source: str, name: str) -> list[str]:
+    """The top-level functions of `source` with a call of `name` anywhere in their body."""
+    return [node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)
+            and any(isinstance(n, ast.Call) and ast.unparse(n.func) == name
+                    for n in ast.walk(node))]
+
+
+def test_the_scan_finds_the_callers():
+    source = "def f():\n    def g():\n        h(1)\ndef k():\n    m.h()\nh()\n"
+    assert top_level_callers(source, "h") == ["f"]
+
+
+VERIFY = (ROOT / "src/phasekit/verify.py").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", ["sample_measurements", "_rng"])
+def test_verify_draws_its_rows_in_one_function(name):
+    assert top_level_callers(VERIFY, name) == ["_draws"]
+
+
+def test_verify_measures_through_the_private_kernels():
+    # concentration_curve re-checked every trial's rows and intensities through measure
+    # and rho_from_intensities, at the caller's scale
+    assert sorted({"measure", "rho_from_intensities"}
+                  & imported_names(ast.parse(VERIFY)).keys()) == []

@@ -17,6 +17,7 @@ from phasekit import (
     baseline_si,
     bb_step,
     build_Y,
+    concentration_curve,
     condition_expectation,
     convergence_rate_fit,
     derived_constants,
@@ -25,6 +26,8 @@ from phasekit import (
     generate_signal,
     gradient,
     gsi,
+    mc_F_residual,
+    mc_condition_residual,
     measure,
     moment_profile,
     objective,
@@ -207,21 +210,37 @@ def _kernels(field):
         "f_block_expectation": (lambda j: [f_block_expectation(moment_profile(ens),
                                                                _ldexp(x, j))], [2],
                                 "the F block"),
+        "mc_condition_residual": (lambda j: _report(mc_condition_residual(
+            ens, 6, _ldexp(x, j), 10_000, 8)), [2, 2, 0], "the residual of condition-II-identity"),
+        "mc_F_residual": (lambda j: _report(mc_F_residual(
+            Ensemble(Field.COMPLEX, TERNARY), _ldexp(x, j), 10_000, 8)), [2, 2, 0],
+            "the residual of stacked-block-identity"),
+        "concentration_curve": (lambda j: list(concentration_curve(
+            ens, 6, _ldexp(x, j), [12], 20, 8)[0].to_dict().values())[1:],
+            [2, 2, 2, 2, 0, 0], "y_dev_median"),
     }
+
+
+def _report(rep):
+    """An oracle report's residual, tolerance and `passed`, the last as a float of k = 0."""
+    return [rep.residual, rep.tolerance, float(rep.passed)]
 
 
 @pytest.mark.parametrize("j", [-600, 0, 520])
 @pytest.mark.parametrize("field", list(Field), ids=lambda f: f.value)
 @pytest.mark.parametrize("kernel", ["measure", "objective", "gradient", "dist",
                                     "rho_from_intensities", "build_Y", "power_method",
-                                    "condition_expectation", "f_block_expectation"])
+                                    "condition_expectation", "f_block_expectation",
+                                    "mc_condition_residual", "mc_F_residual",
+                                    "concentration_curve"])
 def test_every_kernel_gives_the_same_bits_at_any_power_of_two_scale(kernel, field, j):
     # f(2^j z; 2^(2j) y) = 2^(k j) f(z; y): bit for bit where the scaled value is a
     # normal float, its rounding where it underflows, and a ValueError that names it
     # where it overflows. At 2^-600 dist's squares underflowed to 0.0 for distinct
-    # vectors and power_method broke down; at 2^520 measure, objective and gradient
-    # returned inf with numpy's "overflow encountered" warning, and both expectations
-    # nan with "invalid value encountered in multiply"
+    # vectors, power_method broke down and concentration_curve's rho columns read 0.0;
+    # at 2^520 measure, objective, gradient and both matrix oracles returned inf with
+    # numpy's "overflow encountered" warning, and both expectations nan with "invalid
+    # value encountered in multiply"
     call, ks, name = _kernels(field)[kernel]
     with np.errstate(over="ignore"):
         want = [_ldexp(v, k * j) for v, k in zip(call(0), ks)]
@@ -241,10 +260,19 @@ def test_every_kernel_gives_the_same_bits_at_any_power_of_two_scale(kernel, fiel
      "E((x* A x) A)"),
     (lambda ms: f_block_expectation(moment_profile(Ensemble(Field.COMPLEX, TERNARY)),
                                     np.full(2, 1e160) + 0j), "the F block"),
-], ids=["measure", "objective", "gradient", "condition_expectation", "f_block_expectation"])
+    (lambda ms: mc_condition_residual(TERNARY_REAL, 4, np.ldexp([1.0, -2.0, 0.5, 1.5], 520),
+                                      10_000), "the residual of condition-II-identity"),
+    (lambda ms: mc_F_residual(Ensemble(Field.COMPLEX, TERNARY),
+                              np.ldexp([1.0, -2.0, 0.5, 1.5], 520) + 0j, 10_000),
+     "the residual of stacked-block-identity"),
+    (lambda ms: concentration_curve(TERNARY_REAL, 4, np.ldexp([1.0, -2.0, 0.5, 1.5], 520),
+                                    [64], 20), "y_dev_median"),
+], ids=["measure", "objective", "gradient", "condition_expectation", "f_block_expectation",
+        "mc_condition_residual", "mc_F_residual", "concentration_curve"])
 def test_a_result_beyond_float_range_raises_naming_it(call, name):
-    # each returned inf, with numpy's "overflow encountered in multiply" warning; both
-    # expectations nan (and inf) with "invalid value encountered in multiply"
+    # each returned inf, with numpy's "overflow encountered in multiply" warning (the
+    # matrix oracles also "in square"); both expectations nan (and inf) with "invalid
+    # value encountered in multiply"; concentration_curve raised naming E((x* A x) A)
     with pytest.raises(ValueError, match=f"^{re.escape(name)} is beyond float range"):
         call(MeasurementSet(np.eye(2)))
 

@@ -21,7 +21,7 @@ from phasekit import (
     moment_profile,
     sample_measurements,
 )
-from phasekit.verify import DEFAULT_CHUNKS, _chunk_stats, _condition_chunk, _f_chunk
+from phasekit.verify import DEFAULT_CHUNKS, _condition_chunk, _draws, _f_chunk
 
 ALL_ENSEMBLES = [
     Ensemble(field, entries)
@@ -77,11 +77,6 @@ def test_oracles_reject_too_few_samples(oracle, n_samples):
         oracle(ens, unit_vector(3, Field.COMPLEX, seed=0), n_samples)
 
 
-def test_f_residual_rejects_zero_signal():
-    with pytest.raises(ValueError, match="nonzero"):
-        mc_F_residual(Ensemble(Field.COMPLEX, TERNARY), np.zeros(3), n_samples=20_000)
-
-
 @pytest.mark.parametrize("m2_shift, m4_shift", [(0.0, 0.1), (0.0, -0.1), (0.05, 0.0)],
                          ids=["m4+0.1", "m4-0.1", "m2+0.05"])
 def test_condition_residual_detects_wrong_declared_moments(m2_shift, m4_shift):
@@ -94,6 +89,16 @@ def test_condition_residual_detects_wrong_declared_moments(m2_shift, m4_shift):
                                 n_samples=200_000, seed=3)
     assert not rep.passed and rep.residual > rep.tolerance
     assert rep.components[0].passed is (m2_shift == 0.0)
+
+
+@pytest.mark.parametrize("j", [0, -570])
+def test_matrix_oracles_fail_a_wrong_law_at_any_scale(j):
+    # a Gaussian law declared with m4 = 5: at 2^-570 the chunk statistics underflowed to
+    # zero, and both oracles passed it with residual 0.0 <= tolerance 0.0
+    law = EntryDistribution("gaussian-declared-m4-5", GAUSSIAN.m2, 5.0, GAUSSIAN.sampler)
+    x = np.ldexp([1.0, -2.0, 0.5, 1.5], j)
+    assert not mc_condition_residual(Ensemble(Field.REAL, law), 4, x, 20_000, 1).passed
+    assert not mc_F_residual(Ensemble(Field.COMPLEX, law), x + 0j, 20_000, 1).passed
 
 
 def test_condition_residual_shrinks_with_samples():
@@ -213,12 +218,6 @@ def test_concentration_curve_rejects_non_integer_counts(kwargs, name):
     args = dict(N_grid=[16], trials=20) | kwargs
     with pytest.raises(ValueError, match=name):
         concentration_curve(_REAL, 3, _REAL_X3, **args)
-
-
-def test_concentration_curve_zero_signal():
-    ens = Ensemble(Field.REAL, TERNARY)
-    with pytest.raises(ValueError):
-        concentration_curve(ens, 4, np.zeros(4), N_grid=[16], trials=2)
 
 
 def test_convergence_rate_fit_exact_geometric():
@@ -360,9 +359,10 @@ def test_condition_ii_has_one_chunk_statistic(entries):
     # mean bit for bit: both weight the same rows in place by w_j = <a_j, x>
     ens, d = Ensemble(Field.COMPLEX, entries), 5
     x = unit_vector(d, Field.COMPLEX, seed=18)
-    _, n, f_chunks = _chunk_stats(ens, x, None, 20_000, 19, _f_chunk)
-    _, n2, condition_chunks = _chunk_stats(ens, x, d, 20_000, 19, _condition_chunk)
-    assert n == n2 == 20_000 and len(f_chunks) == len(condition_chunks) == DEFAULT_CHUNKS
+    sizes = [1_000] * DEFAULT_CHUNKS
+    f_chunks = _draws(ens, x, None, 19)[2](sizes, _f_chunk)
+    condition_chunks = _draws(ens, x, d, 19)[2](sizes, _condition_chunk)
+    assert len(f_chunks) == len(condition_chunks) == DEFAULT_CHUNKS
     for F, (_, second) in zip(f_chunks, condition_chunks):
         assert np.array_equal(F[:d, :d], second)
         assert np.array_equal(F[:d, d:], F[:d, d:].T)  # B12 is exactly symmetric
@@ -428,6 +428,13 @@ def test_oracles_reject_non_finite_vectors(oracle, bad):
     x[1] = bad
     with pytest.raises(ValueError, match=r"^[xh] must be finite"):
         _VECTOR_ORACLES[oracle](x)
+
+
+@pytest.mark.parametrize("oracle", list(_VECTOR_ORACLES))
+def test_oracles_reject_a_zero_vector(oracle):
+    # concentration_curve took a zero x, and its rho columns fell back to |rho^2|
+    with pytest.raises(ValueError, match="^x must be nonzero$"):
+        _VECTOR_ORACLES[oracle](np.zeros(3))
 
 
 @pytest.mark.parametrize("oracle, shape", [
@@ -531,11 +538,6 @@ def test_expectations_reject_a_bad_x(name, x, match):
     # a NaN entry gave an all-NaN matrix, a matrix numpy's broadcast error
     with pytest.raises(ValueError, match="^" + match):
         _EXPECTATIONS[name](moment_profile(_COMPLEX), x)
-
-
-def test_concentration_curve_takes_a_zero_signal():
-    rows = concentration_curve(_COMPLEX, 3, np.zeros(3), N_grid=[12], trials=20)
-    assert rows[0].N == 12
 
 
 @pytest.mark.parametrize("trace", [np.ones((12, 2)), np.float64(0.5)], ids=["2-D", "scalar"])
