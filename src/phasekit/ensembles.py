@@ -323,13 +323,15 @@ def _exponent(*points, y=None) -> int:
 def _ldexp(v, e: int, name: str = ""):
     """Scale out: v * 2^e for a float, or a float64 or C-contiguous complex128 array (then
     a new array), exact while it stays normal; a value below float range rounds to a
-    subnormal or 0.0 with no warning. One beyond it raises a ValueError naming `name`;
-    an unnamed v must have none. The package's one power-of-two scaling."""
+    subnormal or 0.0 with no warning. One beyond it, or an inf or nan v, raises a ValueError
+    naming `name`; an unnamed v must have none. The package's one power-of-two scaling."""
     scalar = isinstance(v, float)
-    if name:  # 2^(top-1) <= |largest value| < 2^top
-        top = e + (math.frexp(v)[1] if scalar else _exponent(v))
-        if top > 1024 and np.any(v):
-            raise ValueError(f"{name} is beyond float range, near 2^{top}")
+    if name:  # 2^(top-1) <= big < 2^top for the largest |value| big, if finite
+        big = abs(v) if scalar else float(np.abs(v.view(np.float64)).max(initial=0.0))
+        top = e + math.frexp(big)[1]
+        if not math.isfinite(big) or top > 1024 and big:
+            near = f", near 2^{top}" if math.isfinite(big) else ""
+            raise ValueError(f"{name} is beyond float range{near}")
     return math.ldexp(v, e) if scalar else np.ldexp(v.view(np.float64), e).view(v.dtype)
 
 

@@ -102,18 +102,15 @@ def _Y(A: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
 
 
 def build_M(Y: np.ndarray, rho: float, profile: MomentProfile) -> np.ndarray:
-    """M = Y - (tau4/(tau3+tau4)) * D(Y - tau2 rho^2 I); off-diagonal equals Y's.
-    `Y` must be a finite square numeric matrix, taken as Hermitian unchecked (an
-    integer one gives a float64 M), and `rho` a finite real >= 0, else ValueError; so
-    is a tau2 rho^2 or a diagonal of M beyond float range."""
+    """M = Y - (tau4/(tau3+tau4)) * D(Y - tau2 rho^2 I), rho^2 = rho * rho; off-diagonal
+    equals Y's. `Y` must be a finite square numeric matrix, taken as Hermitian unchecked (an
+    integer one gives a float64 M), and `rho` a finite real >= 0, else ValueError; so is a
+    diagonal of M beyond float range, naming rho. M(4^j Y, 2^j rho) = 4^j M(Y, rho), exactly."""
     Y = _matrix(Y, "Y")
     rho = _number(rho, "rho", 0)
     _instance(profile, "profile", MomentProfile)
     c = profile.tau4 / (profile.tau3 + profile.tau4)
-    try:  # ** raises OverflowError where the product would be inf
-        shift = profile.tau2 * rho ** 2
-    except OverflowError:
-        shift = math.inf
+    shift = profile.tau2 * (rho * rho)  # a product, exact under power-of-two scaling
     M = Y.astype(np.result_type(Y, np.float64))
     diag = np.diagonal(Y).real
     with np.errstate(over="ignore", invalid="ignore"):
@@ -172,10 +169,11 @@ def _init(M: np.ndarray, scale: float, e: int, power_iters: int, seed: SeedLike)
                       _ldexp(lam, 2 * e, "lam"), _ldexp(residual, 2 * e, "residual"))
 
 
-def _gsi_from_Y(Y: np.ndarray, y: np.ndarray, e: int, profile: MomentProfile,
-                power_iters: int, seed: SeedLike) -> InitResult:
-    rho = _rho(0, y, profile.tau1)  # at y's unit scale; _init scales it back
-    return _init(build_M(Y, rho, profile), rho, e, power_iters, seed)
+def _gsi_matrices(A: np.ndarray, y: np.ndarray, profile: MomentProfile,
+                  out: np.ndarray | None = None) -> tuple[np.ndarray, float, np.ndarray]:
+    """GSI's (Y, rho, M) of rows A and checked unit-scale y, Y written to `out` as `_Y` says."""
+    Y, rho = _Y(A, y, out=out), _rho(0, y, profile.tau1)
+    return Y, rho, build_M(Y, rho, profile)  # whose check raises where Y has overflowed
 
 
 def _si_from_Y(Y: np.ndarray, y: np.ndarray, e: int, sum_a2: float,
@@ -201,7 +199,8 @@ def gsi(
     _instance(profile, "profile", MomentProfile)
     _integer(power_iters, "iters", 1)
     rng = _rng(seed)
-    return _gsi_from_Y(_Y(mset.vectors, y), y, e, profile, power_iters, rng)
+    _, rho, M = _gsi_matrices(mset.vectors, y, profile)
+    return _init(M, rho, e, power_iters, rng)  # rho at y's unit scale; _init scales it back
 
 
 def baseline_si(
@@ -225,6 +224,6 @@ def _paired_init(A: np.ndarray, y: np.ndarray, profile: MomentProfile, power_ite
     """`gsi` and `baseline_si` of rows A and checked y from one Y, weighted over A in place."""
     sum_a2 = float(np.vdot(A, A).real)
     e, y = _to_unit(y)
-    Y = _Y(A, y, out=A)
-    return (_gsi_from_Y(Y, y, e, profile, power_iters, gsi_seed),
+    Y, rho, M = _gsi_matrices(A, y, profile, out=A)
+    return (_init(M, rho, e, power_iters, gsi_seed),
             _si_from_Y(Y, y, e, sum_a2, power_iters, si_seed))

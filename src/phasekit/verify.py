@@ -38,7 +38,7 @@ from .ensembles import (
     moment_profile,
     sample_measurements,
 )
-from .spectral import _Y, _rho, build_M
+from .spectral import _gsi_matrices
 
 DEFAULT_CHUNKS = 20
 FIT_FLOOR = 1e-12  # errors at or below this are rounding noise
@@ -230,7 +230,8 @@ def concentration_curve(
     Reference expectations use the analytic profile with the exact ||x||: E(Y) =
     `condition_expectation(profile, x)`, and E(M) is that with tau4 = 0 (M drops Y's tau4
     part). The trials draw their rows through `_draws`, grid entry by grid entry, as the
-    `mc_*` oracles draw their chunks, and work at x's unit scale. One scale rule (README):
+    `mc_*` oracles draw their chunks, and work at x's unit scale, where each measures the
+    Y, rho and M that `gsi` forms, with rho^2 = rho * rho. One scale rule (README):
     the Y and M columns are scaled back by 2^(2e), raising a ValueError that names one
     beyond float range, and the relative rho columns have k = 0.
     """
@@ -244,11 +245,8 @@ def concentration_curve(
     EM = condition_expectation(replace(profile, tau4=0.0), x)
 
     def trial(A: np.ndarray, x: np.ndarray) -> tuple[float, float, float]:
-        y = _inner(A, x)[1]
-        rho = _rho(0, y, profile.tau1)
-        Y = _Y(A, y, out=A)
-        return (hermitian_opnorm(Y - EY), hermitian_opnorm(build_M(Y, rho, profile) - EM),
-                abs(rho ** 2 - nx2) / nx2)
+        Y, rho, M = _gsi_matrices(A, _inner(A, x)[1], profile, out=A)
+        return hermitian_opnorm(Y - EY), hermitian_opnorm(M - EM), abs(rho * rho - nx2) / nx2
 
     def quantiles(devs: Sequence[float], k: int, name: str) -> list[float]:
         return [_ldexp(float(np.median(devs)), k * e, f"{name}_median"),

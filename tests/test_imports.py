@@ -2,8 +2,9 @@
 is left unused, no statement of the package is a `del`, the package
 makes a Generator and scales an array by a power of two in one function each,
 and makes no call of `np.linalg.norm`, neither `bench` nor `cli` imports
-a helper of the scale rule, and `verify` draws its rows in one function and
-measures them through the private kernels.
+a helper of the scale rule, `verify` draws its rows in one function and
+measures them through the private kernels, and `spectral` forms GSI's
+matrices in one function.
 
 The package's __init__.py is left out of the import scan: its imports are
 the public API.
@@ -174,3 +175,15 @@ def test_verify_measures_through_the_private_kernels():
     # and rho_from_intensities, at the caller's scale
     assert sorted({"measure", "rho_from_intensities"}
                   & imported_names(ast.parse(VERIFY)).keys()) == []
+
+
+SPECTRAL = (ROOT / "src/phasekit/spectral.py").read_text(encoding="utf-8")
+
+
+def test_verify_takes_gsi_matrices_from_spectral():
+    # concentration_curve held a hand copy of GSI's Y, rho and M from _Y, _rho and build_M
+    assert sorted({"_Y", "_rho", "build_M"} & imported_names(ast.parse(VERIFY)).keys()) == []
+
+
+def test_gsi_forms_its_matrices_in_one_function():
+    assert top_level_callers(SPECTRAL, "build_M") == ["_gsi_matrices"]

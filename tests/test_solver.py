@@ -252,6 +252,14 @@ def test_every_kernel_gives_the_same_bits_at_any_power_of_two_scale(kernel, fiel
             call(j)
 
 
+def _huge_rows(scale, call):
+    """`call` of the rows diag(scale, 1), with numpy's overflow and invalid warnings off."""
+    def run(_):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return call(MeasurementSet(np.diag([scale, 1.0])))
+    return run
+
+
 @pytest.mark.parametrize("call, name", [
     (lambda ms: measure(ms, np.full(2, 1e200)), "y_j = |<a_j, x>|^2"),
     (lambda ms: objective(np.full(2, 1e100), ms, np.ones(2)), "the objective"),
@@ -267,12 +275,19 @@ def test_every_kernel_gives_the_same_bits_at_any_power_of_two_scale(kernel, fiel
      "the residual of stacked-block-identity"),
     (lambda ms: concentration_curve(TERNARY_REAL, 4, np.ldexp([1.0, -2.0, 0.5, 1.5], 520),
                                     [64], 20), "y_dev_median"),
+    (_huge_rows(1e200, lambda ms: measure(ms, np.ones(2))), "y_j = |<a_j, x>|^2"),
+    (_huge_rows(1e200, lambda ms: objective(np.ones(2), ms, np.ones(2))), "the objective"),
+    (_huge_rows(1e200, lambda ms: gradient(np.ones(2), ms, np.ones(2))), "the gradient"),
+    (_huge_rows(1e160, lambda ms: build_Y(ms, np.ones(2))), "Y"),
 ], ids=["measure", "objective", "gradient", "condition_expectation", "f_block_expectation",
-        "mc_condition_residual", "mc_F_residual", "concentration_curve"])
+        "mc_condition_residual", "mc_F_residual", "concentration_curve", "measure-huge-rows",
+        "objective-huge-rows", "gradient-huge-rows", "build_Y-huge-rows"])
 def test_a_result_beyond_float_range_raises_naming_it(call, name):
     # each returned inf, with numpy's "overflow encountered in multiply" warning (the
     # matrix oracles also "in square"); both expectations nan (and inf) with "invalid
-    # value encountered in multiply"; concentration_curve raised naming E((x* A x) A)
+    # value encountered in multiply"; concentration_curve raised naming E((x* A x) A).
+    # With huge rows the unit-scale result itself overflows: with the warnings off,
+    # measure returned [inf, 1.], objective inf, gradient [inf, nan] and build_Y an inf Y
     with pytest.raises(ValueError, match=f"^{re.escape(name)} is beyond float range"):
         call(MeasurementSet(np.eye(2)))
 

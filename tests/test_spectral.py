@@ -313,6 +313,16 @@ def test_build_M_rejects_a_diagonal_beyond_float_range(Y, rho):
         build_M(Y, rho, moment_profile(TERNARY_REAL))
 
 
+@pytest.mark.parametrize("j", [-100, -1, 1, 100])
+def test_build_M_is_exact_under_power_of_two_scaling(j):
+    # rho ** 2 called libm pow, and glibc 2.36 misrounds the square of this rho (not of
+    # 2^j times it), so M of the scaled arguments differed from the scaled M in a bit
+    Y, rho = np.array([[2.0, 0.5], [0.5, 1.0]]), 7.117367069018061
+    profile = moment_profile(TERNARY_REAL)
+    got = build_M(np.ldexp(Y, 2 * j), math.ldexp(rho, j), profile)
+    assert got.tobytes() == np.ldexp(build_M(Y, rho, profile), 2 * j).tobytes()
+
+
 def test_build_M_of_an_integer_Y_is_float():
     profile = moment_profile(TERNARY_REAL)
     M = build_M(np.eye(3, dtype=np.int64), 0.5, profile)
