@@ -321,45 +321,40 @@ def _exponent(*points, y=None) -> int:
 
 
 def _ldexp(v, e: int, name: str = ""):
-    """Scale out: v * 2^e for a float, or a float64 or C-contiguous complex128 array (then
-    a new array), exact while it stays normal; a value below float range rounds to a
-    subnormal or 0.0 with no warning. One beyond it, or an inf or nan v, raises a ValueError
-    naming `name`; an unnamed v must have none. The package's one power-of-two scaling."""
-    scalar = isinstance(v, float)
+    """Scale out: v * 2^e for a real number, or a float64 or C-contiguous complex128 array
+    (then a new array), exact while it stays normal, or rounded to a subnormal or 0.0 with no
+    warning. The package's one power-of-two scaling and one judge of a result beyond float
+    range: a named v beyond it at 2^e (an int too) or with an inf or nan raises a ValueError
+    naming `name`, and at e = 0 comes back as itself, uncopied. An unnamed v must have none."""
+    array = isinstance(v, np.ndarray)
     if name:  # 2^(top-1) <= big < 2^top for the largest |value| big, if finite
-        big = abs(v) if scalar else float(np.abs(v.view(np.float64)).max(initial=0.0))
-        top = e + math.frexp(big)[1]
-        if not math.isfinite(big) or top > 1024 and big:
-            near = f", near 2^{top}" if math.isfinite(big) else ""
-            raise ValueError(f"{name} is beyond float range{near}")
-    return math.ldexp(v, e) if scalar else np.ldexp(v.view(np.float64), e).view(v.dtype)
+        f = v.view(np.float64) if array else None  # min and max, not abs: no temporary
+        big = max(f.max(initial=0.0), -f.min(initial=0.0)) if array else abs(v)
+        finite = big <= sys.float_info.max  # false for inf and nan; compares ints exactly
+        top = e + math.frexp(big)[1] if finite else None
+        if not finite or top > 1024 and big:
+            raise ValueError(f"{name} is beyond float range{f', near 2^{top}' if finite else ''}")
+        if not e:
+            return v
+    return np.ldexp(v.view(np.float64), e).view(v.dtype) if array else math.ldexp(v, e)
 
 
-def _to_unit(y, *points, scale_of: str = "") -> tuple:
+def _to_unit(y, *points) -> tuple:
     """Scale in: (e, y * 2^-2e, *(p * 2^-e for p in points)) for checked intensities y
-    (or None) and float64 or complex128 points, taken C-contiguous, with e by `_exponent`.
-    If `scale_of` names the point, e is its alone, and a y that overflows at its scale,
-    or is nonzero and underflows there to all zero, raises ValueError."""
+    (or None) and float64 or complex128 points, taken C-contiguous, with e by `_exponent`."""
     points = [np.ascontiguousarray(p) for p in points]
-    e = _exponent(*points) if scale_of else _exponent(*points, y=y)
-    if y is not None:
-        over = scale_of and np.any(y) and _exponent(y) - 2 * e > 1024
-        y_given, y = y, None if over else _ldexp(y, -2 * e)
-        if over or (scale_of and not np.any(y) and np.any(y_given)):
-            raise ValueError(f"{scale_of} and y differ in scale beyond float range: y at "
-                             f"{scale_of}'s scale, y * 2^{-2 * e}, "
-                             f"{'overflows' if over else 'is all zero'}")
-    return (e, y, *(_ldexp(p, -e) for p in points))
+    e = _exponent(*points, y=y)
+    return (e, None if y is None else _ldexp(y, -2 * e), *(_ldexp(p, -e) for p in points))
 
 
-def _unit_args(mset, scale_of: str = "", **args) -> tuple:
+def _unit_args(mset, **args) -> tuple:
     """Every measuring kernel's way in: checks mset, then each named point by `_vector` at the
     rows' dtype and shape (d,), then `y`, if named, by `_intensities` of length N, and returns
-    `_to_unit(y, *points, scale_of=scale_of)`, y None if not named."""
+    `_to_unit(y, *points)`, y None if not named."""
     _instance(mset, "mset", MeasurementSet)
     points = [_vector(v, mset.d, mset.field.dtype, k) for k, v in args.items() if k != "y"]
     y = _intensities(args["y"], mset.N) if "y" in args else None
-    return _to_unit(y, *points, scale_of=scale_of)
+    return _to_unit(y, *points)
 
 
 def _direction(rng: np.random.Generator, d: int, complex_: bool) -> np.ndarray:
@@ -398,14 +393,12 @@ def derived_constants(profile: MomentProfile) -> DerivedConstants:
     """alpha = tau2+tau3-(tau4)_-, beta = tau3-(tau4)_-, alpha_hat = tau2+tau3+|tau4| >= |tau4|,
     alpha >= beta > 0, and epsilon0 = (10/(27 alpha)) * (sqrt(36 tau4^2 + 27 alpha beta / 10)
     - 6 |tau4|) = 1 / (hypot(6 r, s) + 6 r), r = |tau4| / beta, s = sqrt(2.7 alpha / beta),
-    whose terms do not cancel. alpha_hat = inf raises."""
+    whose terms do not cancel. An alpha_hat beyond float range raises, naming it."""
     _instance(profile, "profile", MomentProfile)
     t4_minus = max(-profile.tau4, 0.0)
     alpha = profile.tau2 + profile.tau3 - t4_minus
     beta = profile.tau3 - t4_minus
-    alpha_hat = profile.tau2 + profile.tau3 + abs(profile.tau4)
-    if not math.isfinite(alpha_hat):
-        raise ValueError(f"profile's constants overflow float range: alpha_hat={alpha_hat}")
+    alpha_hat = _ldexp(profile.tau2 + profile.tau3 + abs(profile.tau4), 0, "alpha_hat")
     # 6 r / 2^k and s / 2^k from frexp parts: rounded as 6 r and s are, but never overflowing
     (m4, e4), (mb, eb) = math.frexp(abs(profile.tau4)), math.frexp(beta)
     ja, jb = math.frexp(alpha)[1] // 2, eb // 2

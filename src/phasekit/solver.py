@@ -18,8 +18,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .ensembles import (MeasurementSet, _inner, _instance, _integer, _ldexp, _norm, _number,
-                        _to_unit, _unit_args, _vector)
+from .ensembles import (MeasurementSet, _exponent, _inner, _instance, _integer, _intensities,
+                        _ldexp, _norm, _number, _to_unit, _unit_args, _vector)
 
 DEFAULT_MAX_ITERS = 2000
 # the descent stops once ||g(z)|| <= GRAD_NORM_TOL * ||z||^3; the gradient is
@@ -148,14 +148,20 @@ def solve(
     range rounds silently to a subnormal or 0.0; an iterate not finite at the
     caller's scale, or a non-finite gradient, aborts with NON_FINITE and the last
     finite iterate. `z0` must be finite, of shape (d,) and real for real rows; `y`
-    real, finite, nonnegative, of shape (N,). A y that overflows at z0's scale,
-    or is nonzero and underflows there to all zero, raises ValueError.
+    real, finite, nonnegative, of shape (N,), checked after z0; one that overflows at
+    z0's scale, or is nonzero and underflows there to all zero, raises ValueError.
     With `config.trace`, `iterates` lists z_0 (a copy of z0) to z_K, K =
     `iterations`, so `iterates[-1] is final_z`; measure them with `objective`,
     `gradient` or `dist`. Without it, `iterates` is None.
     """
     _instance(config, "config", SolverConfig)
-    e, y, z = _unit_args(mset, "z0", z0=z0, y=y)
+    e, _, z = _unit_args(mset, z0=z0)
+    y_given = _intensities(y, mset.N)
+    over = np.any(y_given) and _exponent(y_given) - 2 * e > 1024
+    y = None if over else _ldexp(y_given, -2 * e)
+    if over or not np.any(y) and np.any(y_given):
+        raise ValueError("z0 and y differ in scale beyond float range: y at z0's scale, "
+                         f"y * 2^{-2 * e}, {'overflows' if over else 'is all zero'}")
     # an iterate is finite at the caller's scale iff its entries are below this
     zmax = math.ldexp(1.0, 1024 - e) if e > 0 else math.inf
 

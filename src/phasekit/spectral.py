@@ -97,27 +97,26 @@ def build_Y(mset: MeasurementSet, y: np.ndarray) -> np.ndarray:
 def _Y(A: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Y of the rows of A for a checked `y`, the one place rows are weighted by y.
     The rows sqrt(y_j) a_j are written to `out`, a new array when None; a
-    caller that owns A and is done with its plain rows passes out=A."""
-    return _gram(np.multiply(A, np.sqrt(y)[:, None], out=out)) / A.shape[0]
+    caller that owns A and is done with its plain rows passes out=A. A Y beyond
+    float range, as rows too large for the scale rule give, raises naming Y."""
+    return _ldexp(_gram(np.multiply(A, np.sqrt(y)[:, None], out=out)) / A.shape[0], 0, "Y")
 
 
 def build_M(Y: np.ndarray, rho: float, profile: MomentProfile) -> np.ndarray:
     """M = Y - (tau4/(tau3+tau4)) * D(Y - tau2 rho^2 I), rho^2 = rho * rho; off-diagonal
     equals Y's. `Y` must be a finite square numeric matrix, taken as Hermitian unchecked (an
     integer one gives a float64 M), and `rho` a finite real >= 0, else ValueError; so is a
-    diagonal of M beyond float range, naming rho. M(4^j Y, 2^j rho) = 4^j M(Y, rho), exactly."""
+    diagonal of M beyond float range, named with rho. M(4^j Y, 2^j rho) = 4^j M(Y, rho)."""
     Y = _matrix(Y, "Y")
-    rho = _number(rho, "rho", 0)
+    rho = float(_number(rho, "rho", 0))  # so an int's square overflows to inf, not an int
     _instance(profile, "profile", MomentProfile)
     c = profile.tau4 / (profile.tau3 + profile.tau4)
     shift = profile.tau2 * (rho * rho)  # a product, exact under power-of-two scaling
     M = Y.astype(np.result_type(Y, np.float64))
     diag = np.diagonal(Y).real
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf shift leaves it inf or nan
         diag = diag - c * (diag - shift)
-    if not np.isfinite(diag).all():  # an inf shift leaves it inf or nan
-        raise ValueError(f"M's diagonal leaves float range at rho={rho}: tau2 rho^2 = {shift}")
-    np.fill_diagonal(M, diag)
+    np.fill_diagonal(M, _ldexp(diag, 0, f"M's diagonal at rho={rho}"))
     return M
 
 
@@ -173,7 +172,7 @@ def _gsi_matrices(A: np.ndarray, y: np.ndarray, profile: MomentProfile,
                   out: np.ndarray | None = None) -> tuple[np.ndarray, float, np.ndarray]:
     """GSI's (Y, rho, M) of rows A and checked unit-scale y, Y written to `out` as `_Y` says."""
     Y, rho = _Y(A, y, out=out), _rho(0, y, profile.tau1)
-    return Y, rho, build_M(Y, rho, profile)  # whose check raises where Y has overflowed
+    return Y, rho, build_M(Y, rho, profile)
 
 
 def _si_from_Y(Y: np.ndarray, y: np.ndarray, e: int, sum_a2: float,
@@ -197,7 +196,7 @@ def gsi(
     and residual k = 2; underflow rounds silently to a subnormal or 0.0."""
     e, y = _unit_args(mset, y=y)
     _instance(profile, "profile", MomentProfile)
-    _integer(power_iters, "iters", 1)
+    _integer(power_iters, "power_iters", 1)
     rng = _rng(seed)
     _, rho, M = _gsi_matrices(mset.vectors, y, profile)
     return _init(M, rho, e, power_iters, rng)  # rho at y's unit scale; _init scales it back
@@ -214,7 +213,7 @@ def baseline_si(
     nonnegative and of shape (N,). Every argument is checked before Y is formed.
     Scale rule as `gsi` says."""
     e, y = _unit_args(mset, y=y)
-    _integer(power_iters, "iters", 1)
+    _integer(power_iters, "power_iters", 1)
     A, rng = mset.vectors, _rng(seed)
     return _si_from_Y(_Y(A, y), y, e, float(np.vdot(A, A).real), power_iters, rng)
 

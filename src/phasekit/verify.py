@@ -76,10 +76,7 @@ def hermitian_opnorm(H: np.ndarray) -> float:
     by a dense eigensolve. H is taken as Hermitian, unchecked: only its lower
     triangle is read, so [[0, 5], [0, 0]] gives 0.0; a norm beyond float range raises."""
     vals = np.linalg.eigvalsh(_matrix(H, "H"))
-    norm = float(np.max(np.abs(vals))) if vals.size else 0.0
-    if not math.isfinite(norm):
-        raise ValueError("the operator norm of H is beyond float range")
-    return norm
+    return _ldexp(float(np.max(np.abs(vals))) if vals.size else 0.0, 0, "the operator norm of H")
 
 
 def _draws(ensemble: Ensemble, x, d: Optional[int], seed: SeedLike) -> tuple:
@@ -122,10 +119,10 @@ def _matrix_check(name: str, chunk_mats: Sequence[np.ndarray], expected: np.ndar
                   sample_count: int, e: int, components: tuple = ()) -> ResidualReport:
     """Score a matrix identity at unit scale, where `passed` is decided: the operator-norm
     distance of the mean of the k chunk means from `expected`, against 5x its standard
-    error, the chunk means' mean operator-norm deviation from it over sqrt(k). Both are
-    scaled back by 2^(2e), and one beyond float range raises a ValueError naming it."""
+    error, the chunk means' mean operator-norm deviation from it over sqrt(k), scaled back
+    by 2^(2e). Either, or the mean itself, beyond float range raises a ValueError naming it."""
     k = len(chunk_mats)
-    overall = sum(chunk_mats) / k
+    overall = _ldexp(sum(chunk_mats) / k, 0, f"the mean of the chunk means of {name}")
     noise = float(np.mean([hermitian_opnorm(c - overall) for c in chunk_mats])) / math.sqrt(k)
     r, t = hermitian_opnorm(overall - expected), 5.0 * noise
     return ResidualReport(name, sample_count, _ldexp(r, 2 * e, f"the residual of {name}"),

@@ -158,6 +158,8 @@ def test_derived_constants_real_gaussian():
     c = derived_constants(moment_profile(Ensemble(Field.REAL, GAUSSIAN)))
     assert c.alpha == 3.0 and c.beta == 2.0 and c.alpha_hat == 3.0
     assert c.epsilon0 == pytest.approx(math.sqrt(20 / 81), rel=1e-12)
+    # the same profile of ints: the range check of alpha_hat takes an int as it is
+    assert derived_constants(MomentProfile(1, 1, 2, 0)) == c
 
 
 def test_derived_constants_tau4_zero_collapses():
@@ -195,11 +197,14 @@ def test_a_valid_profile_has_0_lt_beta_le_alpha(taus):
     (lambda: EntryDistribution("big", 1e200, 1e300, GAUSSIAN.sampler),
      r"m4 >= m2\^2 required \(got m4=1e\+300, m2\^2=inf\)"),
     (lambda: derived_constants(MomentProfile(1.0, 1e308, 1e308, 0.0)),
-     "profile's constants overflow float range: alpha_hat=inf"),
-], ids=["m2-squared", "alpha_hat"])
+     "^alpha_hat is beyond float range$"),
+    (lambda: derived_constants(MomentProfile(10**308, 10**308, 10**308, 0)),
+     "^alpha_hat is beyond float range$"),
+], ids=["m2-squared", "alpha_hat", "int-alpha_hat"])
 def test_moment_constants_that_overflow_raise_value_error(build, match):
     # m2 ** 2 raised OverflowError, and an infinite alpha_hat gave alpha = inf
-    # and epsilon0 = nan
+    # and epsilon0 = nan; int constants, whose sum cannot overflow to inf, raised
+    # "OverflowError: int too large to convert to float"
     with pytest.raises(ValueError, match=match):
         build()
 

@@ -3,8 +3,9 @@ is left unused, no statement of the package is a `del`, the package
 makes a Generator and scales an array by a power of two in one function each,
 and makes no call of `np.linalg.norm`, neither `bench` nor `cli` imports
 a helper of the scale rule, `verify` draws its rows in one function and
-measures them through the private kernels, and `spectral` forms GSI's
-matrices in one function.
+measures them through the private kernels, `spectral` forms GSI's
+matrices in one function, and the package tests float range in named
+functions only: `_ldexp` alone judges a result.
 
 The package's __init__.py is left out of the import scan: its imports are
 the public API.
@@ -187,3 +188,31 @@ def test_verify_takes_gsi_matrices_from_spectral():
 
 def test_gsi_forms_its_matrices_in_one_function():
     assert top_level_callers(SPECTRAL, "build_M") == ["_gsi_matrices"]
+
+
+# a test of float range, by a call of isfinite or a comparison with the largest float
+FLOAT_RANGE_TESTS = {"np.isfinite", "math.isfinite", "sys.float_info.max"}
+
+
+def float_range_testers(source: str) -> list[str]:
+    """The top-level functions of `source` that name a test of FLOAT_RANGE_TESTS."""
+    return [node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)
+            and any(isinstance(n, ast.Attribute) and ast.unparse(n) in FLOAT_RANGE_TESTS
+                    for n in ast.walk(node))]
+
+
+def test_the_scan_finds_the_float_range_testers():
+    source = ("def f(v):\n    return np.isfinite(v)\n"
+              "def g(v):\n    return v <= sys.float_info.max\n"
+              "def h(v):\n    return math.isfinite\ndef k(v):\n    return sys.float_info.min\n")
+    assert float_range_testers(source) == ["f", "g", "h"]
+
+
+def test_only_ldexp_judges_a_result_beyond_float_range():
+    # build_M, hermitian_opnorm and derived_constants each held a copy of the judgement,
+    # and gsi, baseline_si and the matrix oracles left an overflowed matrix to another
+    # function's argument check. The others test arguments (_vector, _matrix, _number),
+    # solve's iterates for its NON_FINITE status and convergence_rate_fit's trace
+    assert sorted(name for path in PACKAGE
+                  for name in float_range_testers(path.read_text(encoding="utf-8"))) \
+        == ["_ldexp", "_matrix", "_number", "_vector", "convergence_rate_fit", "solve"]

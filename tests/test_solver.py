@@ -7,6 +7,7 @@ import pytest
 from phasekit import (
     BarzilaiBorwein,
     Ensemble,
+    EntryDistribution,
     Field,
     FixedStep,
     GAUSSIAN,
@@ -260,6 +261,16 @@ def _huge_rows(scale, call):
     return run
 
 
+def _huge_law(call):
+    """`call` of a law of 1e160-scale entries, with numpy's overflow and invalid warnings off."""
+    law = EntryDistribution("huge", 1.0, 3.0, lambda rng, shape: 1e160 * rng.standard_normal(shape))
+
+    def run(_):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return call(law)
+    return run
+
+
 @pytest.mark.parametrize("call, name", [
     (lambda ms: measure(ms, np.full(2, 1e200)), "y_j = |<a_j, x>|^2"),
     (lambda ms: objective(np.full(2, 1e100), ms, np.ones(2)), "the objective"),
@@ -279,15 +290,31 @@ def _huge_rows(scale, call):
     (_huge_rows(1e200, lambda ms: objective(np.ones(2), ms, np.ones(2))), "the objective"),
     (_huge_rows(1e200, lambda ms: gradient(np.ones(2), ms, np.ones(2))), "the gradient"),
     (_huge_rows(1e160, lambda ms: build_Y(ms, np.ones(2))), "Y"),
+    (_huge_rows(1e160, lambda ms: gsi(ms, np.ones(2), moment_profile(TERNARY_REAL))), "Y"),
+    (_huge_rows(1e160, lambda ms: baseline_si(ms, np.ones(2))), "Y"),
+    (_huge_law(lambda law: mc_condition_residual(Ensemble(Field.REAL, law), 3, [1.0, -2.0, 0.5],
+                                                 20_000)),
+     "the mean of the chunk means of ensemble-mean-identity"),
+    (_huge_law(lambda law: mc_F_residual(Ensemble(Field.COMPLEX, law),
+                                         np.array([1.0, -2.0, 0.5]) + 0j, 20_000)),
+     "the mean of the chunk means of stacked-block-identity"),
+    (_huge_law(lambda law: concentration_curve(Ensemble(Field.REAL, law), 3, [1.0, -2.0, 0.5],
+                                               [16], 20)), "Y"),
 ], ids=["measure", "objective", "gradient", "condition_expectation", "f_block_expectation",
         "mc_condition_residual", "mc_F_residual", "concentration_curve", "measure-huge-rows",
-        "objective-huge-rows", "gradient-huge-rows", "build_Y-huge-rows"])
+        "objective-huge-rows", "gradient-huge-rows", "build_Y-huge-rows", "gsi-huge-rows",
+        "baseline_si-huge-rows", "mc_condition_residual-huge-law", "mc_F_residual-huge-law",
+        "concentration_curve-huge-law"])
 def test_a_result_beyond_float_range_raises_naming_it(call, name):
     # each returned inf, with numpy's "overflow encountered in multiply" warning (the
     # matrix oracles also "in square"); both expectations nan (and inf) with "invalid
     # value encountered in multiply"; concentration_curve raised naming E((x* A x) A).
     # With huge rows the unit-scale result itself overflows: with the warnings off,
-    # measure returned [inf, 1.], objective inf, gradient [inf, nan] and build_Y an inf Y
+    # measure returned [inf, 1.], objective inf, gradient [inf, nan] and build_Y an inf Y;
+    # gsi raised "Y must be a finite square matrix of numbers", naming an argument of
+    # build_M, baseline_si "power method breaks down: ||M v|| = nan", and with a law of
+    # huge entries both matrix oracles "H must be a finite square matrix of numbers", and
+    # concentration_curve named rho, which it forms after Y
     with pytest.raises(ValueError, match=f"^{re.escape(name)} is beyond float range"):
         call(MeasurementSet(np.eye(2)))
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -304,12 +305,16 @@ def test_build_M_rejects_bad_input(Y, rho, match):
         build_M(Y, rho, moment_profile(TERNARY_REAL))
 
 
-@pytest.mark.parametrize("Y, rho", [(np.eye(2), 1e200), (1e308 * np.eye(2), 0.0)],
-                         ids=["square-of-rho", "diagonal"])
+@pytest.mark.parametrize("Y, rho", [(np.eye(2), 1e200), (1e308 * np.eye(2), 0.0),
+                                    (np.eye(2), 10**200)],
+                         ids=["square-of-rho", "diagonal", "int-rho"])
 def test_build_M_rejects_a_diagonal_beyond_float_range(Y, rho):
     # rho ** 2 raised "OverflowError: (34, 'Numerical result out of range')",
-    # and a diagonal beyond float range "overflow encountered in multiply"
-    with pytest.raises(ValueError, match=r"^M's diagonal leaves float range at rho="):
+    # and a diagonal beyond float range "overflow encountered in multiply"; an
+    # int rho, whose square cannot overflow to inf, raised "OverflowError: int
+    # too large to convert to float"
+    message = f"M's diagonal at rho={float(rho)} is beyond float range"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build_M(Y, rho, moment_profile(TERNARY_REAL))
 
 
@@ -420,7 +425,7 @@ def test_initializers_check_seed_and_step_count_before_forming_Y(monkeypatch, in
     monkeypatch.setattr("phasekit.spectral._Y", no_gram)
     args = (ms, y, moment_profile(TERNARY_REAL)) if init == "gsi" else (ms, y)
     message = {"seed": "seed must be an integer >= 0, a SeedSequence or a Generator",
-               "power_iters": "iters must be an integer >= 1"}[setting]
+               "power_iters": "power_iters must be an integer >= 1"}[setting]
     with pytest.raises(ValueError, match=f"^{message}, got {value!r}$"):
         {"gsi": gsi, "baseline_si": baseline_si}[init](*args, **{setting: value})
 
