@@ -328,8 +328,7 @@ def _ldexp(v, e: int, name: str = ""):
     naming `name`, and at e = 0 comes back as itself, uncopied. An unnamed v must have none."""
     array = isinstance(v, np.ndarray)
     if name:  # 2^(top-1) <= big < 2^top for the largest |value| big, if finite
-        f = v.view(np.float64) if array else None  # min and max, not abs: no temporary
-        big = max(f.max(initial=0.0), -f.min(initial=0.0)) if array else abs(v)
+        big = float(np.abs(v.view(np.float64)).max(initial=0.0)) if array else abs(v)
         finite = big <= sys.float_info.max  # false for inf and nan; compares ints exactly
         top = e + math.frexp(big)[1] if finite else None
         if not finite or top > 1024 and big:

@@ -104,16 +104,16 @@ def _Y(A: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
 
 def build_M(Y: np.ndarray, rho: float, profile: MomentProfile) -> np.ndarray:
     """M = Y - (tau4/(tau3+tau4)) * D(Y - tau2 rho^2 I), rho^2 = rho * rho; off-diagonal
-    equals Y's. `Y` must be a finite square numeric matrix, taken as Hermitian unchecked (an
-    integer one gives a float64 M), and `rho` a finite real >= 0, else ValueError; so is a
-    diagonal of M beyond float range, named with rho. M(4^j Y, 2^j rho) = 4^j M(Y, rho)."""
+    equals Y's. `Y` must be a finite square numeric matrix, taken as Hermitian unchecked (M
+    is float64 or complex128 for any dtype), and `rho` a finite real >= 0, else ValueError;
+    so is a diagonal of M beyond float range, named with rho. M(4^j Y, 2^j rho) = 4^j M(Y, rho)."""
     Y = _matrix(Y, "Y")
     rho = float(_number(rho, "rho", 0))  # so an int's square overflows to inf, not an int
     _instance(profile, "profile", MomentProfile)
     c = profile.tau4 / (profile.tau3 + profile.tau4)
     shift = profile.tau2 * (rho * rho)  # a product, exact under power-of-two scaling
     M = Y.astype(np.result_type(Y, np.float64))
-    diag = np.diagonal(Y).real
+    diag = np.diagonal(M).real  # float64, as _ldexp requires, where Y's may be float32
     with np.errstate(over="ignore", invalid="ignore"):  # an inf shift leaves it inf or nan
         diag = diag - c * (diag - shift)
     np.fill_diagonal(M, _ldexp(diag, 0, f"M's diagonal at rho={rho}"))

@@ -5,7 +5,7 @@ and makes no call of `np.linalg.norm`, neither `bench` nor `cli` imports
 a helper of the scale rule, `verify` draws its rows in one function and
 measures them through the private kernels, `spectral` forms GSI's
 matrices in one function, and the package tests float range in named
-functions only: `_ldexp` alone judges a result.
+functions and methods only: `_ldexp` alone judges a result.
 
 The package's __init__.py is left out of the import scan: its imports are
 the public API.
@@ -191,28 +191,39 @@ def test_gsi_forms_its_matrices_in_one_function():
 
 
 # a test of float range, by a call of isfinite or a comparison with the largest float
-FLOAT_RANGE_TESTS = {"np.isfinite", "math.isfinite", "sys.float_info.max"}
+FLOAT_RANGE_TESTS = {"np.isfinite", "math.isfinite", "isfinite", "sys.float_info.max"}
 
 
 def float_range_testers(source: str) -> list[str]:
-    """The top-level functions of `source` that name a test of FLOAT_RANGE_TESTS."""
-    return [node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)
-            and any(isinstance(n, ast.Attribute) and ast.unparse(n) in FLOAT_RANGE_TESTS
-                    for n in ast.walk(node))]
+    """The functions of `source`, top-level or methods as `Class.method`, that name a
+    test of FLOAT_RANGE_TESTS, a bare `isfinite` (as `from math import` binds it) too."""
+    tree = ast.parse(source)
+    functions = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    functions += [(f"{node.name}.{method.name}", method)
+                  for node in tree.body if isinstance(node, ast.ClassDef)
+                  for method in node.body if isinstance(method, ast.FunctionDef)]
+    return sorted(name for name, node in functions
+                  if any(isinstance(n, (ast.Attribute, ast.Name))
+                         and ast.unparse(n) in FLOAT_RANGE_TESTS for n in ast.walk(node)))
 
 
 def test_the_scan_finds_the_float_range_testers():
-    source = ("def f(v):\n    return np.isfinite(v)\n"
+    source = ("from math import isfinite\n"
+              "def f(v):\n    return np.isfinite(v)\n"
               "def g(v):\n    return v <= sys.float_info.max\n"
-              "def h(v):\n    return math.isfinite\ndef k(v):\n    return sys.float_info.min\n")
-    assert float_range_testers(source) == ["f", "g", "h"]
+              "def h(v):\n    return math.isfinite\ndef k(v):\n    return sys.float_info.min\n"
+              "class C:\n    def m(self):\n        return isfinite(self.v)\n"
+              "    def n(self):\n        return self.v\n")
+    assert float_range_testers(source) == ["C.m", "f", "g", "h"]
 
 
 def test_only_ldexp_judges_a_result_beyond_float_range():
     # build_M, hermitian_opnorm and derived_constants each held a copy of the judgement,
     # and gsi, baseline_si and the matrix oracles left an overflowed matrix to another
-    # function's argument check. The others test arguments (_vector, _matrix, _number),
-    # solve's iterates for its NON_FINITE status and convergence_rate_fit's trace
+    # function's argument check. The others test arguments (_vector, _matrix, _number,
+    # MeasurementSet's vectors), solve's iterates for its NON_FINITE status and
+    # convergence_rate_fit's trace
     assert sorted(name for path in PACKAGE
                   for name in float_range_testers(path.read_text(encoding="utf-8"))) \
-        == ["_ldexp", "_matrix", "_number", "_vector", "convergence_rate_fit", "solve"]
+        == ["MeasurementSet.__post_init__", "_ldexp", "_matrix", "_number", "_vector",
+            "convergence_rate_fit", "solve"]

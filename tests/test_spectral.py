@@ -328,11 +328,14 @@ def test_build_M_is_exact_under_power_of_two_scaling(j):
     assert got.tobytes() == np.ldexp(build_M(Y, rho, profile), 2 * j).tobytes()
 
 
-def test_build_M_of_an_integer_Y_is_float():
+@pytest.mark.parametrize("dtype", [np.int64, np.float32, np.complex64])
+def test_build_M_of_an_integer_Y_is_float(dtype):
+    # M's diagonal is formed and judged in float64 whatever Y's dtype, at odd d too
     profile = moment_profile(TERNARY_REAL)
-    M = build_M(np.eye(3, dtype=np.int64), 0.5, profile)
-    assert M.dtype == np.float64
-    assert np.array_equal(M, build_M(np.eye(3), 0.5, profile))
+    for rho in (0.5, 1e20):  # rho^2 = 1e40 is beyond float32's range, not float64's
+        M = build_M(np.eye(3, dtype=dtype), rho, profile)
+        assert M.dtype == np.result_type(dtype, np.float64)
+        assert np.array_equal(M, build_M(np.eye(3), rho, profile))
 
 
 def test_build_M_preserves_off_diagonal():
