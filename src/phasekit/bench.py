@@ -12,7 +12,11 @@ function of (config, base_seed). Trial streams are derived as
 SeedSequence(base_seed, spawn_key=(round(1000*ratio), trial)), and ratio
 grids whose rounded keys collide are rejected, so no two trials share an RNG
 stream. Trials run one after another; BLAS parallelizes the linear algebra
-inside each trial.
+inside each trial. That leaves the bits alone up to d = 10,000: OpenBLAS
+splits a dot or vdot of more than 10,000 entries across threads, which
+reorders its sum, and a GEMV or SYRK splits its outputs, not its sums. So
+`_norm`, `bb_step` and `dist` take one thread's sums, and SI's sum of squares
+over all N x d entries is summed without BLAS.
 """
 
 from __future__ import annotations
@@ -198,10 +202,10 @@ def run_init_experiment(config: ExperimentConfig) -> ResultTable:
     return _sweep(config, ["gsi_mean_rel_error", "si_mean_rel_error"], one_trial)
 
 
-def run_recovery_trial(config: ExperimentConfig, ratio: float, i: int) -> TrialRecord:
+def run_recovery_trial(config: ExperimentConfig, ratio: float, trial: int) -> TrialRecord:
     """One seeded end-to-end trial: signal, measurements, GSI, BB descent."""
     _checked(config, ExperimentKind.SUCCESS_RATE)
-    x, mset, y, (pw_ss, _) = _problem(config, ratio, i)
+    x, mset, y, (pw_ss, _) = _problem(config, ratio, trial)
     profile = moment_profile(config.ensemble)
     nx = _norm(x)
     init = gsi(mset, y, profile, power_iters=config.power_iters, seed=pw_ss)

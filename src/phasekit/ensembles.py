@@ -147,8 +147,8 @@ class EntryDistribution:
     """A scalar entry law with declared second and fourth absolute moments.
 
     The sampler maps (rng, shape) to a real array. The law must be
-    mean-zero and symmetric; finite real moments with m2 > 0 and m4 >= m2^2
-    are enforced. Declared moments of a custom law are trusted only after the
+    mean-zero and symmetric; finite real moments, stored as Python numbers, with
+    m2 > 0 and m4 >= m2^2 are enforced. Declared moments of a custom law are trusted only after the
     Monte-Carlo condition check in :func:`phasekit.verify.mc_condition_residual`.
     """
 
@@ -159,11 +159,12 @@ class EntryDistribution:
 
     def __post_init__(self):
         _instance(self.name, "entry distribution name", str)
-        _instance(self.sampler, f"entry distribution {self.name!r}: sampler", Callable)
-        _number(self.m2, f"entry distribution {self.name!r}: m2", 0, strict=True)
-        _number(self.m4, f"entry distribution {self.name!r}: m4")
+        law = f"entry distribution {self.name!r}"
+        _instance(self.sampler, f"{law}: sampler", Callable)
+        object.__setattr__(self, "m2", _number(self.m2, f"{law}: m2", 0, strict=True))
+        object.__setattr__(self, "m4", _number(self.m4, f"{law}: m4"))
         if self.m4 < self.m2 * self.m2:  # m2 ** 2 raises OverflowError where this is inf
-            raise ValueError(f"entry distribution {self.name!r}: m4 >= m2^2 required "
+            raise ValueError(f"{law}: m4 >= m2^2 required "
                              f"(got m4={self.m4}, m2^2={self.m2 * self.m2})")
 
 
@@ -205,8 +206,8 @@ BUILTIN_ENTRIES = {e.name: e for e in (GAUSSIAN, UNIFORM, TERNARY)}
 
 @dataclass(frozen=True)
 class MomentProfile:
-    """The ensemble constants tau1..tau4, finite real numbers (not bools),
-    together with the positivity checks tau1 > 0, tau2 > 0, tau3 > 0 and
+    """The ensemble constants tau1..tau4, finite real numbers (not bools) stored
+    as Python numbers, together with the positivity checks tau1 > 0, tau2 > 0, tau3 > 0 and
     tau3 + tau4 > 0."""
 
     tau1: float
@@ -216,7 +217,8 @@ class MomentProfile:
 
     def __post_init__(self):
         for name in ("tau1", "tau2", "tau3", "tau4"):
-            _number(getattr(self, name), f"moment profile: {name}")
+            value = _number(getattr(self, name), f"moment profile: {name}")
+            object.__setattr__(self, name, value)
         for name, ok in (("tau1 > 0", self.tau1 > 0), ("tau2 > 0", self.tau2 > 0),
                          ("tau3 > 0", self.tau3 > 0),
                          ("tau3 + tau4 > 0", self.tau3 + self.tau4 > 0)):

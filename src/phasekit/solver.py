@@ -34,7 +34,7 @@ class FixedStep:
     mu: float
 
     def __post_init__(self):
-        _number(self.mu, "mu", 0, strict=True)
+        object.__setattr__(self, "mu", _number(self.mu, "mu", 0, strict=True))
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class SolverConfig:
 
     def __post_init__(self):
         _instance(self.step_mode, "step_mode", FixedStep, BarzilaiBorwein)
-        _integer(self.max_iters, "max_iters", 1)
+        object.__setattr__(self, "max_iters", _integer(self.max_iters, "max_iters", 1))
         _instance(self.trace, "trace", bool)
 
 

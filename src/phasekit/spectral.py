@@ -175,11 +175,11 @@ def _gsi_matrices(A: np.ndarray, y: np.ndarray, profile: MomentProfile,
     return Y, rho, build_M(Y, rho, profile)
 
 
-def _si_from_Y(Y: np.ndarray, y: np.ndarray, e: int, sum_a2: float,
-               power_iters: int, seed: SeedLike) -> InitResult:
-    """SI from unit-scale Y and y and sum_a2 = sum_j ||a_j||^2 over the plain rows."""
-    scale = math.sqrt(Y.shape[0] * float(np.sum(y)) / sum_a2)
-    return _init(Y, scale, e, power_iters, seed)
+def _si_scale(A: np.ndarray, y: np.ndarray) -> float:
+    """SI's scale sqrt(d sum(y) / sum_j ||a_j||^2) of plain C-contiguous rows A and unit-scale y.
+    The squares are summed row by row, then over rows, so no BLAS thread count sets the order."""
+    V = A.view(np.float64)
+    return math.sqrt(A.shape[1] * float(np.sum(y)) / float(np.einsum("ij,ij->i", V, V).sum()))
 
 
 def gsi(
@@ -215,14 +215,13 @@ def baseline_si(
     e, y = _unit_args(mset, y=y)
     _integer(power_iters, "power_iters", 1)
     A, rng = mset.vectors, _rng(seed)
-    return _si_from_Y(_Y(A, y), y, e, float(np.vdot(A, A).real), power_iters, rng)
+    return _init(_Y(A, y), _si_scale(A, y), e, power_iters, rng)
 
 
 def _paired_init(A: np.ndarray, y: np.ndarray, profile: MomentProfile, power_iters: int,
                  gsi_seed: SeedLike, si_seed: SeedLike) -> tuple[InitResult, InitResult]:
     """`gsi` and `baseline_si` of rows A and checked y from one Y, weighted over A in place."""
-    sum_a2 = float(np.vdot(A, A).real)
     e, y = _to_unit(y)
+    scale = _si_scale(A, y)  # of the plain rows, before they are weighted
     Y, rho, M = _gsi_matrices(A, y, profile, out=A)
-    return (_init(M, rho, e, power_iters, gsi_seed),
-            _si_from_Y(Y, y, e, sum_a2, power_iters, si_seed))
+    return _init(M, rho, e, power_iters, gsi_seed), _init(Y, scale, e, power_iters, si_seed)

@@ -70,33 +70,6 @@ def test_complex_signal_is_the_scaled_pair_of_gaussian_draws():
     assert np.array_equal(z[:-2], g[:-2]) and np.array_equal(z[-2:], 200.0 * g[-2:])
 
 
-def test_generate_signal_requires_a_field():
-    # the string "complex" gave a real signal
-    with pytest.raises(ValueError, match="^field must be an instance of Field, got 'complex'"):
-        generate_signal(8, 0, field="complex")
-
-
-@pytest.mark.parametrize("d", [2.5, True, 4.0, "4"], ids=repr)
-def test_generate_signal_rejects_a_non_integer_d(d):
-    with pytest.raises(ValueError, match="integer"):
-        generate_signal(d, seed=0)
-
-
-@pytest.mark.parametrize("args, name", [
-    ((True, 2.0, 1), "base_seed"), ((1.0, 2.0, 1), "base_seed"), ((-1, 2.0, 1), "base_seed"),
-    ((0, "2", 0), "ratio"), ((0, True, 0), "ratio"), ((0, math.nan, 0), "ratio"),
-    ((0, -2.0, 0), "ratio"),
-    ((0, 2.0, 1.5), "trial"), ((0, 2.0, True), "trial"), ((0, 2.0, -1), "trial"),
-    pytest.param((0, 10 ** 400, 0), "ratio", id="(0, 10**400, 0)-'ratio'"),
-], ids=repr)
-def test_trial_seed_rejects_bad_arguments(args, name):
-    # trial_seed(True, 2.0, True) gave the stream of (1, 2.0, 1), text or
-    # fractional arguments raised TypeError, and a ratio beyond float range
-    # OverflowError
-    with pytest.raises(ValueError, match=f"^{name} must be an? (integer|finite number) >= 0, got "):
-        trial_seed(*args)
-
-
 def test_generate_signal_second_moment():
     # E||x||^2 = (d - 2) v + 2 * 200^2 v with per-coordinate variance v = 1
     d, n = 16, 10_000
@@ -139,43 +112,6 @@ def test_config_validation():
         ExperimentConfig(ExperimentKind.INIT_ERROR, TERNARY_REAL, ratio_grid=())
     with pytest.raises(ValueError):
         ExperimentConfig(ExperimentKind.INIT_ERROR, TERNARY_REAL, trials=0)
-
-
-@pytest.mark.parametrize("name, value", [
-    ("d", 6.5),
-    ("d", 6.0),
-    ("d", True),
-    ("d", "6"),
-    ("trials", 2.5),
-    ("trials", False),
-    ("max_iters", 2.5),
-    ("max_iters", 0),
-    ("max_iters", "200"),
-    ("base_seed", "1"),
-    ("base_seed", -1),
-    ("ratio_grid", (4, False)),
-    ("ratio_grid", (4, "6")),
-    ("ratio_grid", 4),
-    ("ratio_grid", "4,6"),
-    ("kind", "init_error"),
-    ("ensemble", "gaussian"),
-    ("d", None),
-    ("d", np.float64(6.0)),
-    ("trials", "2"),
-    ("max_iters", None),
-    ("base_seed", 1.0),
-    ("ratio_grid", [4, "6"]),
-    ("ratio_grid", [4, False]),
-    ("ratio_grid", None),
-    ("kind", None),
-    ("ensemble", {"field": "real", "entry": "ternary"}),  # a descriptor is not an Ensemble
-    ("ensemble", TERNARY),
-    ("ratio_grid", np.array(4.0)),  # raised TypeError: iteration over a 0-d array
-], ids=lambda v: repr(v))
-def test_config_rejects_bad_values_at_construction(name, value):
-    settings = {"kind": ExperimentKind.SUCCESS_RATE, "ensemble": TERNARY_REAL, name: value}
-    with pytest.raises(ValueError, match=name):
-        ExperimentConfig(**settings)
 
 
 def test_config_takes_numpy_values_and_any_ratio_sequence():
@@ -234,15 +170,6 @@ def test_config_rejects_ratios_sharing_a_trial_stream():
     ExperimentConfig(ExperimentKind.SUCCESS_RATE, TERNARY_REAL, ratio_grid=(2.001, 2.002))
 
 
-@pytest.mark.parametrize("ratio", [math.inf, math.nan, pytest.param(10 ** 400, id="10**400"),
-                                   pytest.param(-10 ** 5000, id="-10**5000")])
-def test_config_rejects_non_finite_ratios(ratio):
-    # an int beyond float range raised OverflowError, and one of more digits
-    # than int-to-text conversion allows that conversion's ValueError
-    with pytest.raises(ValueError, match=r"^ratio_grid\[1\] must be a finite number"):
-        ExperimentConfig(ExperimentKind.INIT_ERROR, TERNARY_REAL, ratio_grid=(4, ratio))
-
-
 def test_init_experiment_shape_and_determinism():
     t1 = run_init_experiment(SMALL_INIT)
     t2 = run_init_experiment(SMALL_INIT)
@@ -267,7 +194,7 @@ def test_init_trial_weights_its_own_measurements_in_place(field, entry, traced_p
 
 
 def test_recovery_trial_record_fields():
-    rec = run_recovery_trial(SMALL_RECOVERY, ratio=6, i=0)
+    rec = run_recovery_trial(SMALL_RECOVERY, ratio=6, trial=0)
     assert rec.init_rel_error >= 0.0
     assert rec.iterations <= 500
     assert rec.success == (rec.final_rel_error < SMALL_RECOVERY.success_threshold)
@@ -290,24 +217,6 @@ def test_recovery_row_is_the_mean_of_its_seeded_trials():
         np.mean([r.final_rel_error for r in reversed(records)]))
     assert row["mean_init_rel_error"] == float(
         np.mean([r.init_rel_error for r in reversed(records)]))
-
-
-def test_kind_mismatch_rejected():
-    with pytest.raises(ValueError):
-        run_init_experiment(SMALL_RECOVERY)
-    with pytest.raises(ValueError):
-        run_recovery_experiment(SMALL_INIT)
-
-
-@pytest.mark.parametrize("run, config, kind", [
-    (run_init_experiment, SMALL_RECOVERY, "INIT_ERROR"),
-    (run_recovery_experiment, SMALL_INIT, "SUCCESS_RATE"),
-    (lambda config: run_recovery_trial(config, 4, 0), SMALL_INIT, "SUCCESS_RATE"),
-], ids=["init", "recovery", "recovery-trial"])
-def test_every_entry_point_checks_the_config_kind(run, config, kind):
-    # run_recovery_trial ran a descent for an INIT_ERROR config and returned a record
-    with pytest.raises(ValueError, match=f"^config kind must be {kind}, got {config.kind}$"):
-        run(config)
 
 
 def test_csv_round_trips_floats():

@@ -8,8 +8,13 @@ over each iterate, gradient checks inside the loop). They are the
 specification of the bits; do not "simplify" them.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,3 +319,38 @@ def test_init_rows_match_trials_built_from_public_initializers(field, entry):
     got = run_init_experiment(cfg).rows
     assert [r["N"] for r in got] == [96, 160]
     assert got == rows
+
+
+# the bytes of baseline_si, gsi, gradient and a 20d recovery trial, each a sha256
+_THREAD_PROBE = """
+import hashlib, json, pickle
+from phasekit import *
+out = {}
+for field, entry in ((Field.REAL, UNIFORM), (Field.COMPLEX, GAUSSIAN)):
+    ens, x = Ensemble(field, entry), generate_signal(128, 1, field)
+    for N in (1024, 2560):
+        mset = sample_measurements(ens, N, 128, 1)
+        y = measure(mset, x)
+        for name, v in (("baseline_si", baseline_si(mset, y, seed=1)),
+                        ("gsi", gsi(mset, y, moment_profile(ens), seed=1)),
+                        ("gradient", gradient(x + 1.0, mset, y))):
+            out[f"{name} {field.value} {entry.name} N={N}"] = pickle.dumps(v)
+    cfg = ExperimentConfig(ExperimentKind.SUCCESS_RATE, ens, ratio_grid=(20,), base_seed=1)
+    out[f"run_recovery_trial {field.value} {entry.name}"] = pickle.dumps(
+        run_recovery_trial(cfg, 20, 0))
+print(json.dumps({k: hashlib.sha256(v).hexdigest() for k, v in out.items()}))
+"""
+
+
+def test_results_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a dot product of more than 10,000 entries across threads, so
+    # baseline_si's sum of squares, a vdot of N x d entries, differed in its last bits
+    src = str(Path(__file__).resolve().parents[1] / "src")
+
+    def run(threads: str) -> dict:
+        env = os.environ | {"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+                            "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        return json.loads(subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                                         capture_output=True, text=True, check=True).stdout)
+
+    assert run("1") == run("2")

@@ -49,38 +49,6 @@ def test_objective_hand_case():
     assert np.allclose(gradient(z, ms, np.array([0.0])), [8.0, 0.0])
 
 
-@pytest.mark.parametrize("call,match", [
-    (lambda ms, z, y: gradient(z, ms, np.array([5.0])), "shape"),
-    (lambda ms, z, y: objective(z, ms, -y), "nonnegative"),
-    (lambda ms, z, y: objective(z, ms, np.full_like(y, np.inf)), "finite"),
-    (lambda ms, z, y: gradient(np.full_like(z, np.nan), ms, y), "finite"),
-], ids=["gradient-y-shape", "objective-negative-y", "objective-inf-y", "gradient-nan-z"])
-def test_objective_and_gradient_reject_bad_inputs(call, match):
-    # a mis-shaped y used to broadcast, a negative y to give a value and a
-    # nan z a nan gradient
-    ms = sample_measurements(TERNARY_REAL, 40, 6, seed=0)
-    z = np.ones(6)
-    with pytest.raises(ValueError, match=match):
-        call(ms, z, measure(ms, 2.0 * z))
-
-
-@pytest.mark.parametrize("call", ["measure", "objective", "gradient", "solve"])
-def test_a_point_must_not_be_complex_for_real_rows(call):
-    # a complex point on real rows lost its imaginary part with only a
-    # ComplexWarning, and gradient returned a complex gradient; a real point
-    # on complex rows is taken as complex
-    run = {
-        "measure": lambda ms, z: measure(ms, z),
-        "objective": lambda ms, z: objective(z, ms, np.ones(40)),
-        "gradient": lambda ms, z: gradient(z, ms, np.ones(40)),
-        "solve": lambda ms, z: solve(ms, np.ones(40), z, SolverConfig(max_iters=3)),
-    }[call]
-    z = np.ones(6)
-    run(sample_measurements(Ensemble(Field.COMPLEX, TERNARY), 40, 6, seed=0), z)
-    with pytest.raises(ValueError, match=r"^(x|z|z0) must be real, got complex128"):
-        run(sample_measurements(TERNARY_REAL, 40, 6, seed=0), z + 1j)
-
-
 def test_objective_zero_at_ground_truth():
     ms = sample_measurements(TERNARY_REAL, 40, 6, seed=0)
     rng = np.random.default_rng(0)
@@ -150,24 +118,6 @@ def test_dist_matches_grid_oracle():
     value = dist(z, x)
     assert value <= grid + 1e-12
     assert value == pytest.approx(grid, rel=1e-5)
-
-
-def test_dist_shape_mismatch():
-    with pytest.raises(ValueError):
-        dist(np.zeros(3), np.zeros(4))
-
-
-@pytest.mark.parametrize("z, x, match", [
-    ([math.nan, 1.0], [1.0, 0.0], "z must be finite"),
-    ([1.0, 0.0], [1.0, math.inf], "x must be finite"),
-    ([1.0, 0.0], [1j, math.nan], "x must be finite"),
-    (np.ones((2, 2)), np.ones((2, 2)), "z must have shape"),
-    (np.ones(2), np.ones((2, 1)), "x must have shape"),
-    (np.ones(2), np.ones(3), "x must have shape"),
-], ids=["nan-z", "inf-x", "nan-complex-x", "matrices", "column-x", "long-x"])
-def test_dist_rejects_bad_vectors(z, x, match):
-    with pytest.raises(ValueError, match=match):
-        dist(np.asarray(z), np.asarray(x))
 
 
 def test_dist_takes_complex_when_either_input_is():
@@ -393,15 +343,6 @@ def test_solve_immediate_stop_at_solution():
     assert np.array_equal(rep.final_z, x)
 
 
-def test_solve_rejects_bad_z0():
-    ms = sample_measurements(TERNARY_REAL, 10, 4, seed=8)
-    y = measure(ms, np.ones(4))
-    with pytest.raises(ValueError):
-        solve(ms, y, np.zeros(3))
-    with pytest.raises(ValueError):
-        solve(ms, y, np.array([1.0, np.nan, 0.0, 0.0]))
-
-
 def test_solve_non_finite_abort():
     # from (1, 0) the steps of 1e6 / ||z0||^2 blow the iterate up within a
     # few updates; the report keeps the last finite iterate
@@ -590,79 +531,3 @@ def test_complex_ternary_trial_converges_before_max_iters():
     assert rep.status is SolveStatus.GRAD_TOLERANCE_MET
     assert rep.iterations < 2000
     assert dist(rep.final_z, x) / np.linalg.norm(x) < 1e-10
-
-
-@pytest.mark.parametrize("bad, match", [
-    (lambda y: np.where(np.arange(y.size) == 3, np.nan, y), "finite"),
-    (lambda y: np.where(np.arange(y.size) == 3, np.inf, y), "finite"),
-    (lambda y: np.where(np.arange(y.size) == 3, -1.0, y), "nonnegative"),
-    (lambda y: y[:-1], "shape"),
-    (lambda y: y[:, None], "shape"),
-    (lambda y: y.astype(str), "intensities must be an array of numbers"),
-    (lambda y: y > 1.0, "intensities must be an array of numbers"),
-])
-def test_solve_rejects_bad_intensities(bad, match):
-    ms = sample_measurements(TERNARY_REAL, 20, 4, seed=12)
-    y = measure(ms, np.ones(4))
-    with pytest.raises(ValueError, match=match):
-        solve(ms, bad(y), np.ones(4))
-
-
-@pytest.mark.parametrize("max_iters", [2.5, 0, -1, True, "10", None])
-def test_solver_config_rejects_bad_iteration_cap(max_iters):
-    # a construction check: a fractional cap would never equal the count
-    with pytest.raises(ValueError, match=r"^max_iters must be an integer >= 1, got "):
-        SolverConfig(max_iters=max_iters)
-
-
-@pytest.mark.parametrize("point", [
-    np.array(["1", "0", "0", "0", "0", "0"]), np.ones(6, dtype=bool), np.ones(6, dtype=object),
-    np.ones(6, dtype="m8[s]"),
-], ids=["text", "bool", "object", "timedelta"])
-@pytest.mark.parametrize("call", ["measure", "objective", "gradient", "solve", "dist"])
-def test_a_point_must_hold_numbers(call, point):
-    # numeric text, bools, objects and durations were taken as floats, though
-    # rows of them are rejected
-    run = {
-        "measure": lambda ms, z: measure(ms, z),
-        "objective": lambda ms, z: objective(z, ms, np.ones(40)),
-        "gradient": lambda ms, z: gradient(z, ms, np.ones(40)),
-        "solve": lambda ms, z: solve(ms, np.ones(40), z, SolverConfig(max_iters=3)),
-        "dist": lambda ms, z: dist(z, np.ones(6)),
-    }[call]
-    with pytest.raises(ValueError, match=r"^(x|z|z0) must be an array of numbers, got "):
-        run(sample_measurements(TERNARY_REAL, 40, 6, seed=0), point)
-
-
-def test_solver_config_takes_numpy_integer_iteration_cap():
-    assert SolverConfig(max_iters=np.int64(5)).max_iters == 5
-
-
-@pytest.mark.parametrize("kwargs,name", [
-    (dict(step_mode="bb"), "step_mode"),
-    (dict(step_mode=None), "step_mode"),
-    (dict(step_mode=FixedStep), "step_mode"),
-    (dict(trace="no"), "trace"),
-    (dict(trace=1), "trace"),
-    (dict(trace=None), "trace"),
-], ids=lambda v: repr(v) if isinstance(v, str) else None)
-def test_solver_config_rejects_bad_types(kwargs, name):
-    # a string step mode used to build and fail inside solve with an
-    # AttributeError, and trace="no" turned tracing on
-    cls = {"step_mode": "FixedStep or BarzilaiBorwein", "trace": "bool"}[name]
-    with pytest.raises(ValueError, match=f"^{name} must be an instance of {cls}, got "):
-        SolverConfig(**kwargs)
-
-
-@pytest.mark.parametrize("mu", [math.inf, -math.inf, math.nan, 0.0, -1.0, "0.1", True, None,
-                                pytest.param(10 ** 400, id="10**400")])
-def test_fixed_step_requires_a_finite_positive_real(mu):
-    # FixedStep(inf) used to build and stop every solve NON_FINITE at its
-    # first step, FixedStep("0.1") raised TypeError and FixedStep(10**400)
-    # OverflowError
-    with pytest.raises(ValueError, match=r"^mu must be a finite number > 0, got "):
-        FixedStep(mu)
-
-
-def test_fixed_step_takes_numpy_reals():
-    assert FixedStep(np.float64(0.2)).mu == 0.2 and FixedStep(np.int64(1)).mu == 1
