@@ -12,11 +12,11 @@ function of (config, base_seed). Trial streams are derived as
 SeedSequence(base_seed, spawn_key=(round(1000*ratio), trial)), and ratio
 grids whose rounded keys collide are rejected, so no two trials share an RNG
 stream. Trials run one after another; BLAS parallelizes the linear algebra
-inside each trial. That leaves the bits alone up to d = 10,000: OpenBLAS
-splits a dot or vdot of more than 10,000 entries across threads, which
-reorders its sum, and a GEMV or SYRK splits its outputs, not its sums. So
-`_norm`, `bb_step` and `dist` take one thread's sums, and SI's sum of squares
-over all N x d entries is summed without BLAS.
+inside each trial. That leaves the bits alone while the BLAS does not split
+a dot of d entries (OpenBLAS 0.3.31 on x86_64 splits a dot or vdot of more
+than 10,000 entries across threads, reordering its sum, and a GEMV or SYRK
+its outputs, not its sums), as for `_norm`, `bb_step` and `dist`; SI's sum
+of squares over all N x d entries is summed without BLAS.
 """
 
 from __future__ import annotations

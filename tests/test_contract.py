@@ -101,11 +101,16 @@ def _public() -> dict:
             (inspect.isfunction(obj) or inspect.isclass(obj) and hasattr(obj, "__post_init__"))}
 
 
+# the parameters of no kind: bb_step, a kernel of `solve`, checks nothing, and
+# convergence_rate_fit's trace has a rule of its own
+_NO_KIND = {("bb_step", "s"), ("bb_step", "g"), ("bb_step", "fallback"),
+            ("convergence_rate_fit", "trace")}
+
+
 def kind(fn: str, p: inspect.Parameter) -> Optional[str]:
-    """README's kind of parameter p of fn, or None: bb_step, a kernel of `solve`, checks
-    nothing, and convergence_rate_fit's trace has a rule of its own."""
+    """README's kind of parameter p of fn, or None."""
     a = p.annotation
-    if fn == "bb_step":
+    if (fn, p.name) in _NO_KIND:
         return None
     if p.name == "seed":
         return "seeds"
@@ -195,6 +200,11 @@ def test_the_table_names_every_parameter_of_a_kind(of_kind):
     # a new public function or parameter must join CALLS, so that the kind's tests check it
     assert scan(of_kind) and [(fn, p.name) for fn, p in scan(of_kind)
                               if p.name not in CALLS.get(fn, {})] == []
+
+
+def test_every_public_parameter_but_the_exempt_has_a_kind():
+    # an annotation that `kind` does not know would drop out of every kind's tests
+    assert {(fn, p.name) for fn, p in _PARAMETERS if kind(fn, p) is None} == _NO_KIND
 
 
 # Counts: integers, not bools (numpy integers count), at or above a floor
@@ -454,12 +464,15 @@ def test_a_law_that_breaks_a_moment_rule_is_rejected(fn, override, message):
     rejects(fn, message, **override)
 
 
+# the table's calls of a law ask for draws of (1, 1), which a transposed draw keeps
+_NOT_SQUARE = {"sample_measurements": dict(N=5, d=3), "concentration_curve": dict(N_grid=[2])}
 _BAD_DRAWS = {
     "nan": lambda rng, shape: np.full(shape, np.nan),
     "inf": lambda rng, shape: np.full(shape, np.inf),
     "complex": lambda rng, shape: rng.standard_normal(shape) + 0j,
     "one-row": lambda rng, shape: rng.standard_normal(shape[-1:]),
     "extra-axis": lambda rng, shape: rng.standard_normal((*shape, 1)),
+    "transposed": lambda rng, shape: rng.standard_normal(shape[::-1]),
     "bool": lambda rng, shape: np.ones(shape, dtype=bool),
     "text": lambda rng, shape: np.full(shape, "1"),
 }
@@ -471,12 +484,14 @@ _BAD_DRAWS = {
     for field in Field if field is Field.COMPLEX or CALLS[fn]["ensemble"].field is Field.REAL])
 def test_a_seeded_function_of_an_ensemble_checks_the_draws_of_its_law(fn, field, draw):
     # the matrix oracles drew their chunks outside MeasurementSet, so inf or nan rows
-    # reached their Gram matrices; a sampler's draw of another shape was broadcast
+    # reached their Gram matrices; a sampler's draw of another shape was broadcast, and a
+    # draw of (d, N) for (N, d) swapped N and d
     asked = []
     law = EntryDistribution("bad", 1.0, 3.0,
                             lambda rng, shape: asked.append(shape) or _BAD_DRAWS[draw](rng, shape))
     with pytest.raises(ValueError) as raised:
-        call(fn, ensemble=Ensemble(field, law))
+        call(fn, ensemble=Ensemble(field, law), **_NOT_SQUARE.get(fn, {}))
+    assert asked[-1] != asked[-1][::-1]
     got = np.asarray(_BAD_DRAWS[draw](np.random.default_rng(), asked[-1]))
     assert str(raised.value) == (
         "measurement vectors must be finite" if draw in ("nan", "inf") else
