@@ -20,7 +20,6 @@ from .solver import (
     SolveReport,
     SolveStatus,
     SolverConfig,
-    bb_step,
     dist,
     gradient,
     objective,

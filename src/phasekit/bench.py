@@ -15,7 +15,7 @@ stream. Trials run one after another; BLAS parallelizes the linear algebra
 inside each trial. That leaves the bits alone while the BLAS does not split
 a dot of d entries (OpenBLAS 0.3.31 on x86_64 splits a dot or vdot of more
 than 10,000 entries across threads, reordering its sum, and a GEMV or SYRK
-its outputs, not its sums), as for `_norm`, `bb_step` and `dist`; SI's sum
+its outputs, not its sums), as for `_norm`, `_bb_step` and `dist`; SI's sum
 of squares over all N x d entries is summed without BLAS.
 """
 
@@ -38,6 +38,7 @@ from .ensembles import (
     _integer,
     _norm,
     _number,
+    _ratio_key,
     _sequence,
     moment_profile,
     sample_measurements,
@@ -83,7 +84,7 @@ class ExperimentConfig:
             object.__setattr__(self, name, value)
         if len(self.ratio_grid) == 0:
             raise ValueError("ratio grid must be nonempty")
-        keys = [_ratio_key(r) for r in self.ratio_grid]
+        keys = [_ratio_key(r, f"ratio_grid[{i}]") for i, r in enumerate(self.ratio_grid)]
         if len(set(keys)) != len(keys):
             raise ValueError(
                 f"ratio grid {self.ratio_grid} has ratios equal after rounding to "
@@ -131,14 +132,10 @@ def _format_cell(v) -> str:
     return str(v)
 
 
-def _ratio_key(ratio: float) -> int:
-    return int(round(1000 * ratio))
-
-
 def trial_seed(base_seed: int, ratio: float, trial: int) -> np.random.SeedSequence:
     """Pure function of integers base_seed, trial >= 0 and a finite ratio >= 0,
-    keyed by round(1000*ratio). ExperimentConfig rejects grids where two keys
-    collide, so no two trials of an experiment share a stream."""
+    keyed by round(1000*ratio), which must be within float range. ExperimentConfig
+    rejects grids where two keys collide, so no two trials of an experiment share a stream."""
     _integer(base_seed, "base_seed", 0)
     _number(ratio, "ratio", 0)
     _integer(trial, "trial", 0)

@@ -80,6 +80,11 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _ratio_key(ratio: float, name: str = "ratio") -> int:
+    """The key of a checked ratio in its trials' streams: round(1000 * ratio), judged by _ldexp."""
+    return int(round(_ldexp(1000 * ratio, 0, f"1000 * {name}")))
+
+
 def _number(v, name: str, low: Optional[float] = None, strict: bool = False):
     """v as a Python number, checked as a real, not a bool, finite as a float (so an
     int beyond float range fails too), > low if strict else >= low."""

@@ -40,7 +40,7 @@ class FixedStep:
 @dataclass(frozen=True)
 class BarzilaiBorwein:
     """BB stepping. The first step, and a step whose BB quotient is degenerate
-    (see `bb_step`), is 0.1 / ||z0||^2."""
+    (see `_bb_step`), is 0.1 / ||z0||^2."""
 
 
 StepMode = Union[FixedStep, BarzilaiBorwein]
@@ -119,7 +119,7 @@ def dist(z: np.ndarray, x: np.ndarray) -> float:
     return _ldexp(r, e, "the distance of z and x")
 
 
-def bb_step(s: np.ndarray, g: np.ndarray, fallback: float) -> float:
+def _bb_step(s: np.ndarray, g: np.ndarray, fallback: float) -> float:
     """xi = |Re<s, g>| / ||g||^2; degenerate cases return `fallback`."""
     gg = float(np.vdot(g, g).real)
     if gg == 0.0:
@@ -194,7 +194,7 @@ def solve(
         if z_prev is None:  # z0 = 0 has stopped above
             xi = step = mu / (znorm * znorm)
         elif bb:
-            xi = bb_step(z - z_prev, g - g_prev, step)
+            xi = _bb_step(z - z_prev, g - g_prev, step)
         z_new = z - xi * g
         # ||z_new|| < zmax proves every entry below it; only a larger or nan
         # norm, which smaller entries can also overflow to, needs the full test

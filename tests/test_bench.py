@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -163,11 +164,24 @@ def test_config_rejects_an_invalid_moment_profile(kind):
 
 
 def test_config_rejects_ratios_sharing_a_trial_stream():
-    # trial_seed keys a ratio by round(1000 * ratio)
+    # trial_seed keys a ratio by round(1000 * ratio), up to the edge of float range
     assert trial_seed(0, 2.0001, 0).spawn_key == trial_seed(0, 2.0002, 0).spawn_key
+    assert trial_seed(0, 1.79e305, 0).spawn_key == (int(round(1000 * 1.79e305)), 0)
     with pytest.raises(ValueError, match="trial streams"):
         ExperimentConfig(ExperimentKind.SUCCESS_RATE, TERNARY_REAL, ratio_grid=(2.0001, 2.0002))
     ExperimentConfig(ExperimentKind.SUCCESS_RATE, TERNARY_REAL, ratio_grid=(2.001, 2.002))
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda r: ExperimentConfig(ExperimentKind.SUCCESS_RATE, TERNARY_REAL, ratio_grid=(2, r)),
+     "ratio_grid[1]"),
+    (lambda r: trial_seed(0, r, 0), "ratio"),
+    (lambda r: run_recovery_trial(SMALL_RECOVERY, r, 0), "ratio"),
+], ids=["ExperimentConfig", "trial_seed", "run_recovery_trial"])
+def test_a_ratio_whose_stream_key_leaves_float_range_is_named(call, name):
+    # 1000 * ratio overflowed to inf, and the key's int() raised OverflowError
+    with pytest.raises(ValueError, match=rf"^1000 \* {re.escape(name)} is beyond float range$"):
+        call(1e306)
 
 
 def test_init_experiment_shape_and_determinism():

@@ -17,7 +17,11 @@ from phasekit.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """(exit code, stdout, stderr) of `phasekit argv`; a usage error exits with code 2."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's usage error
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -93,107 +97,6 @@ def test_solve_json_record(capsys):
     assert record["iterations"] <= 300
 
 
-def test_unknown_ensemble_rejected(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["recover-bench", "--field", "real", "--ensemble", "cauchy"])
-    assert exc.value.code != 0
-
-
-@pytest.mark.parametrize("command", ["init-bench", "recover-bench", "solve"])
-@pytest.mark.parametrize("ratios", ["abc", "4,,6"])
-def test_bad_ratios_flag(capsys, command, ratios):
-    # argparse rejects the text, as it rejects --d six
-    with pytest.raises(SystemExit) as exc:
-        main([command, *_SMALL, "--ratios", ratios])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "argument --ratios: " in captured.err and repr(ratios) in captured.err
-
-
-def test_solve_takes_one_ratio(capsys):
-    # a grid once ran its first ratio and dropped the rest without a word
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", *_SMALL, "--ratios", "4,8"])
-    assert exc.value.code == 2
-    assert "argument --ratios: invalid float value: '4,8'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["init-bench", "recover-bench", "solve"])
-def test_infinite_ratio_is_an_error(capsys, command):
-    code, out, err = run_cli(capsys, command, *_SMALL, "--ratios", "inf")
-    assert code == 1 and err.startswith("error: ")
-
-
-@pytest.mark.parametrize("command, flag, value, name", [
-    pytest.param(command, flag, value, name, id=f"{flag}-{value}-{name}-{command}")
-    for flag, value, name in [("--trials", "0", "trials"),
-                              ("--max-iters", "0", "max_iters"),
-                              ("--seed", "-1", "base_seed")]
-    for command in ["init-bench", "recover-bench"]
-    if (command, flag) != ("init-bench", "--max-iters")  # an init trial runs no descent
-])
-def test_bad_flag_value_is_an_error_naming_the_setting(capsys, command, flag, value, name):
-    code, out, err = run_cli(capsys, command, *_SMALL_TABLE, flag, value)
-    assert code == 1 and out == ""
-    assert err.startswith("error: ") and name in err
-
-
-@pytest.mark.parametrize("command", ["init-bench", "recover-bench", "solve", "verify-moments"])
-@pytest.mark.parametrize("flag, value, message", [
-    ("--d", "1", "d must be an integer >= 2, got 1"),
-    ("--d", "-4", "d must be an integer >= 2, got -4"),
-    ("--seed", "-1", "base_seed must be an integer >= 0, got -1"),
-])
-def test_bad_common_flag_value_is_an_error_naming_the_setting(capsys, command, flag, value,
-                                                               message):
-    code, out, err = run_cli(capsys, command, *_SMALL, flag, value)
-    assert code == 1 and out == ""
-    assert err.startswith("error: ") and message in err
-
-
-@pytest.mark.parametrize("command, ratios, message", [
-    pytest.param(command, ratios, message, id=f"{ratios}-{message}-{command}")
-    for ratios, message in [("0.5", "ratio_grid[0] must be a finite number >= 1, got 0.5"),
-                            ("nan", "ratio_grid[0] must be a finite number >= 1, got nan"),
-                            ("6,6.0001", "equal after rounding")]
-    for command in ["init-bench", "recover-bench", "solve"]
-    if not (command == "solve" and "," in ratios)  # solve takes one ratio
-])
-def test_bad_ratios_are_an_error_naming_the_rule(capsys, command, ratios, message):
-    code, out, err = run_cli(capsys, command, *_SMALL, "--ratios", ratios)
-    assert code == 1 and out == ""
-    assert err.startswith("error: ") and message in err
-
-
-@pytest.mark.parametrize("flag, value, name", [
-    ("--max-iters", "0", "max_iters"),
-    ("--max-iters", "-5", "max_iters"),
-])
-def test_bad_solve_flag_value_is_an_error_naming_the_setting(capsys, flag, value, name):
-    code, out, err = run_cli(capsys, "solve", *_SMALL, "--ratios", "6", flag, value)
-    assert code == 1 and out == ""
-    assert err.startswith("error: ") and name in err
-
-
-@pytest.mark.parametrize("command", ["init-bench", "recover-bench", "solve", "verify-moments"])
-@pytest.mark.parametrize("flag, value", [("--d", "6.0"), ("--d", "six"), ("--seed", "1.5")])
-def test_flag_value_of_wrong_type_is_a_usage_error(capsys, command, flag, value):
-    with pytest.raises(SystemExit) as exc:
-        main([command, *_SMALL, flag, value])
-    assert exc.value.code == 2
-    assert f"argument {flag}: invalid int value: {value!r}" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["recover-bench", "solve"])
-@pytest.mark.parametrize("flag, value", [("--max-iters", "2e2")])
-def test_iteration_flag_of_wrong_type_is_a_usage_error(capsys, command, flag, value):
-    with pytest.raises(SystemExit) as exc:
-        main([command, *_SMALL, flag, value])
-    assert exc.value.code == 2
-    assert f"argument {flag}: invalid int value: {value!r}" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("entry", sorted(BUILTIN_ENTRIES))
 def test_field_and_ensemble_flags_build_that_ensemble(capsys, field, entry):
@@ -244,8 +147,6 @@ def test_verify_moments_reads_d_from_config(capsys):
     _, three, _ = run_cli(capsys, "verify-moments", "--d", "3", *common)
     assert from_flag != default_d
     assert default_d == three
-    code, _, err = run_cli(capsys, "verify-moments", "--d", "1", *common)
-    assert code == 1 and "d must be an integer >= 2, got 1" in err
 
 
 _SMALL = ("--field", "real", "--ensemble", "ternary", "--d", "8", "--seed", "1")
@@ -367,3 +268,70 @@ def test_every_flag_changes_what_its_command_writes(capsys, command, flag):
     _, other, _ = run_cli(capsys, *_argv(command, _FLAG_RUNS[command]
                                          | {flag: _SECOND_VALUES[command][flag]}))
     assert base and other != base
+
+
+# The flag contract, one row per bad value: (flag, text, exit code, whole message, and the
+# commands where parsers differ, else all that declare the flag), run as its command's
+# _FLAG_RUNS argv with the text for the flag's value. Exit 2 is argparse's usage error, naming
+# the flag; exit 1 the library's ValueError, naming the setting. _LIBRARY_CHECKED are the
+# flags whose values the library checks, so each needs a value that it rejects.
+_GRIDS = ("init-bench", "recover-bench")  # their --ratios is a comma-separated list
+_BAD_VALUES = [
+    ("--field", "quaternion", 2, "invalid choice: 'quaternion' (choose from 'real', 'complex')"),
+    ("--ensemble", "cauchy", 2, "invalid choice: 'cauchy' (choose from 'gaussian', 'ternary', "
+     "'uniform')"),
+    ("--d", "6.0", 2, "invalid int value: '6.0'"),
+    ("--d", "six", 2, "invalid int value: 'six'"),
+    ("--d", "1", 1, "d must be an integer >= 2, got 1"),
+    ("--d", "-4", 1, "d must be an integer >= 2, got -4"),
+    ("--seed", "1.5", 2, "invalid int value: '1.5'"),
+    ("--seed", "-1", 1, "base_seed must be an integer >= 0, got -1"),
+    ("--ratios", "abc", 2, "not comma-separated numbers: 'abc'", _GRIDS),
+    ("--ratios", "4,,6", 2, "not comma-separated numbers: '4,,6'", _GRIDS),
+    ("--ratios", "abc", 2, "invalid float value: 'abc'", ("solve",)),
+    ("--ratios", "4,,6", 2, "invalid float value: '4,,6'", ("solve",)),
+    ("--ratios", "4,8", 2, "invalid float value: '4,8'", ("solve",)),  # once ran 4, dropped 8
+    ("--ratios", "0.5", 1, "ratio_grid[0] must be a finite number >= 1, got 0.5"),
+    ("--ratios", "nan", 1, "ratio_grid[0] must be a finite number >= 1, got nan"),
+    ("--ratios", "inf", 1, "ratio_grid[0] must be a finite number >= 1, got inf"),
+    ("--ratios", "1e306", 1, "1000 * ratio_grid[0] is beyond float range"),  # was a traceback
+    ("--ratios", "6,6.0001", 1, "ratio grid (6.0, 6.0001) has ratios equal after rounding to "
+     "0.001, which would share trial streams", _GRIDS),
+    ("--trials", "1.5", 2, "invalid int value: '1.5'"),
+    ("--trials", "0", 1, "trials must be an integer >= 1, got 0"),
+    ("--max-iters", "2e2", 2, "invalid int value: '2e2'"),
+    ("--max-iters", "0", 1, "max_iters must be an integer >= 1, got 0"),
+    ("--max-iters", "-5", 1, "max_iters must be an integer >= 1, got -5"),
+    ("--samples", "1e6", 2, "invalid int value: '1e6'"),
+    ("--samples", "5", 1, "n_samples must be an integer >= 10000, got 5"),
+    ("--format", "xml", 2, "invalid choice: 'xml' (choose from 'csv', 'json')"),
+]
+_LIBRARY_CHECKED = {"--d", "--seed", "--ratios", "--trials", "--max-iters", "--samples"}
+
+
+def _bad_values(code: int) -> list:
+    """(command, flag, text, message) of each row of exit code `code`, once per command."""
+    return [pytest.param(command, flag, text, message, id=f"{command}{flag}={text}")
+            for flag, text, row_code, message, *only in _BAD_VALUES if row_code == code
+            for command in (only[0] if only else [c for c in _FLAG_RUNS if flag in _FLAG_RUNS[c]])]
+
+
+@pytest.mark.parametrize("command, flag, text, message", _bad_values(2))
+def test_text_not_of_a_flags_type_is_a_usage_error(capsys, command, flag, text, message):
+    code, out, err = run_cli(capsys, *_argv(command, _FLAG_RUNS[command] | {flag: text}))
+    assert (code, out) == (2, "")
+    assert err.endswith(f"\nphasekit {command}: error: argument {flag}: {message}\n")
+
+
+@pytest.mark.parametrize("command, flag, text, message", _bad_values(1))
+def test_a_value_the_library_rejects_is_an_error(capsys, command, flag, text, message):
+    assert run_cli(capsys, *_argv(command, _FLAG_RUNS[command] | {flag: text})) \
+        == (1, "", f"error: {message}\n")
+
+
+def test_the_bad_value_table_names_every_declared_flag():
+    # a new flag must get a bad value, and one whose value the library checks a value it rejects
+    declared = {(c, f) for c, f in _declared_flags() if f != "--out"}
+    rows = {code: {tuple(p.values[:2]) for p in _bad_values(code)} for code in (1, 2)}
+    assert rows[1] | rows[2] == declared
+    assert {(c, f) for c, f in declared if f in _LIBRARY_CHECKED} == rows[1]

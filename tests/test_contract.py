@@ -58,7 +58,6 @@ CALLS = {
     "objective": dict(z=np.ones(2), mset=_MSET, y=_Y),
     "gradient": dict(z=np.ones(2), mset=_MSET, y=_Y),
     "dist": dict(z=np.ones(2), x=np.ones(2)),
-    "bb_step": dict(s=np.ones(2), g=np.ones(2), fallback=1.0),
     "solve": dict(mset=_MSET, y=_Y, z0=np.ones(2), config=SolverConfig(max_iters=1)),
     "measure": dict(mset=_MSET, x=np.ones(2)),
     "rho_from_intensities": dict(y=_Y, tau1=1.0),
@@ -101,10 +100,8 @@ def _public() -> dict:
             (inspect.isfunction(obj) or inspect.isclass(obj) and hasattr(obj, "__post_init__"))}
 
 
-# the parameters of no kind: bb_step, a kernel of `solve`, checks nothing, and
-# convergence_rate_fit's trace has a rule of its own
-_NO_KIND = {("bb_step", "s"), ("bb_step", "g"), ("bb_step", "fallback"),
-            ("convergence_rate_fit", "trace")}
+# the parameter of no kind: convergence_rate_fit's trace has a rule of its own
+_NO_KIND = {("convergence_rate_fit", "trace")}
 
 
 def kind(fn: str, p: inspect.Parameter) -> Optional[str]:

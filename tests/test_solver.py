@@ -16,7 +16,6 @@ from phasekit import (
     SolverConfig,
     TERNARY,
     baseline_si,
-    bb_step,
     build_Y,
     concentration_curve,
     condition_expectation,
@@ -37,6 +36,7 @@ from phasekit import (
     sample_measurements,
     solve,
 )
+from phasekit.solver import _bb_step
 
 TERNARY_REAL = Ensemble(Field.REAL, TERNARY)
 
@@ -304,18 +304,18 @@ def test_dist_beyond_float_range_raises():
 def test_bb_step_hand_cases():
     s = np.array([2.0, 0.0])
     g = np.array([1.0, 0.0])
-    assert bb_step(s, g, fallback=0.5) == pytest.approx(2.0)
+    assert _bb_step(s, g, fallback=0.5) == pytest.approx(2.0)
     # orthogonal increments fall back
-    assert bb_step(np.array([0.0, 1.0]), g, fallback=0.5) == 0.5
-    assert bb_step(s, np.zeros(2), fallback=0.25) == 0.25
+    assert _bb_step(np.array([0.0, 1.0]), g, fallback=0.5) == 0.5
+    assert _bb_step(s, np.zeros(2), fallback=0.25) == 0.25
     # invariant under scaling of s by c: step scales by c
-    assert bb_step(3.0 * s, g, fallback=0.5) == pytest.approx(6.0)
+    assert _bb_step(3.0 * s, g, fallback=0.5) == pytest.approx(6.0)
 
 
 def test_bb_step_complex_uses_real_part():
     s = np.array([1.0 + 0.0j])
     g = np.array([0.0 + 1.0j])  # Re <s, g> = 0
-    assert bb_step(s, g, fallback=0.125) == 0.125
+    assert _bb_step(s, g, fallback=0.125) == 0.125
 
 
 def test_fixed_step_monotone_objective():
