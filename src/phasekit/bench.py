@@ -85,6 +85,8 @@ class ExperimentConfig:
         if len(self.ratio_grid) == 0:
             raise ValueError("ratio grid must be nonempty")
         keys = [_ratio_key(r, f"ratio_grid[{i}]") for i, r in enumerate(self.ratio_grid)]
+        for i, r in enumerate(self.ratio_grid):
+            _rows(r, self.d, f"ratio_grid[{i}]")
         if len(set(keys)) != len(keys):
             raise ValueError(
                 f"ratio grid {self.ratio_grid} has ratios equal after rounding to "
@@ -151,14 +153,23 @@ def generate_signal(d: int, seed: SeedLike, field: Field = Field.REAL) -> np.nda
     return x
 
 
+def _rows(ratio: float, d: int, name: str) -> int:
+    """N = round(ratio * d) of a checked ratio; N x d entries of 16 B beyond numpy's largest
+    array, intp's maximum in bytes, raise a ValueError naming the ratio `name`."""
+    if not ratio * d <= np.iinfo(np.intp).max // 16 // d:
+        raise ValueError(f"{name} * d = {ratio * d:.6g} rows of {d} entries are more than "
+                         "a numpy array holds")
+    return int(round(ratio * d))
+
+
 def _problem(config: ExperimentConfig, ratio: float, i: int) -> tuple:
     """Trial i at `ratio`: (x, mset, y, power_seeds), the signal, its
     N = round(ratio * d) measurements and intensities, and two seeds for
     power methods. The trial stream spawns four children; the first three
     are the same whether or not the fourth is spawned."""
     sig_ss, meas_ss, *power_seeds = trial_seed(config.base_seed, ratio, i).spawn(4)
+    N = _rows(ratio, config.d, "ratio")
     x = generate_signal(config.d, sig_ss, field=config.ensemble.field)
-    N = int(round(ratio * config.d))
     mset = sample_measurements(config.ensemble, N, config.d, meas_ss)
     return x, mset, measure(mset, x), power_seeds
 
@@ -179,7 +190,7 @@ def _sweep(config: ExperimentConfig, columns: list, trial) -> ResultTable:
         results = [trial(ratio, i) for i in range(config.trials)]
         # a 1-D mean per column: np.mean(axis=0) sums in another order
         means = [float(np.mean(column)) for column in zip(*results)]
-        rows.append({"ratio": float(ratio), "N": int(round(ratio * config.d)),
+        rows.append({"ratio": float(ratio), "N": _rows(ratio, config.d, "ratio"),
                      **dict(zip(columns, means)), "trials": config.trials})
     return ResultTable(["ratio", "N", *columns, "trials"], rows, config.to_dict())
 

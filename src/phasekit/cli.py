@@ -22,13 +22,8 @@ import sys
 
 import numpy as np
 
-from .bench import (
-    ExperimentConfig,
-    ExperimentKind,
-    run_init_experiment,
-    run_recovery_experiment,
-    run_recovery_trial,
-)
+from .bench import (ExperimentConfig, ExperimentKind, _rows, run_init_experiment,
+                    run_recovery_experiment, run_recovery_trial)
 from .ensembles import (BUILTIN_ENTRIES, Ensemble, Field, _direction, _rng, derived_constants,
                         moment_profile)
 from .verify import mc_condition_residual, mc_F_residual
@@ -142,7 +137,7 @@ def _cmd_solve(args) -> int:
     payload = {
         "ensemble": cfg.ensemble.to_dict(),
         "d": cfg.d,
-        "N": int(round(ratio * cfg.d)),
+        "N": _rows(ratio, cfg.d, "ratio"),
         "base_seed": cfg.base_seed,
         **dataclasses.asdict(record),
     }
@@ -154,7 +149,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -26,6 +26,7 @@ from phasekit import (
     run_recovery_trial,
     trial_seed,
 )
+from phasekit.bench import _rows
 from phasekit.spectral import DEFAULT_POWER_ITERS
 
 TERNARY_REAL = Ensemble(Field.REAL, TERNARY)
@@ -172,16 +173,15 @@ def test_config_rejects_ratios_sharing_a_trial_stream():
     ExperimentConfig(ExperimentKind.SUCCESS_RATE, TERNARY_REAL, ratio_grid=(2.001, 2.002))
 
 
-@pytest.mark.parametrize("call, name", [
-    (lambda r: ExperimentConfig(ExperimentKind.SUCCESS_RATE, TERNARY_REAL, ratio_grid=(2, r)),
-     "ratio_grid[1]"),
-    (lambda r: trial_seed(0, r, 0), "ratio"),
-    (lambda r: run_recovery_trial(SMALL_RECOVERY, r, 0), "ratio"),
-], ids=["ExperimentConfig", "trial_seed", "run_recovery_trial"])
-def test_a_ratio_whose_stream_key_leaves_float_range_is_named(call, name):
-    # 1000 * ratio overflowed to inf, and the key's int() raised OverflowError
-    with pytest.raises(ValueError, match=rf"^1000 \* {re.escape(name)} is beyond float range$"):
-        call(1e306)
+def test_a_ratio_of_more_rows_than_an_array_holds_is_named():
+    # sample_measurements raised numpy's "Maximum allowed dimension exceeded", or "array is
+    # too big", naming no setting; no array is allocated on the way to the error
+    message = "ratio * d = 1.6e+301 rows of 16 entries are more than a numpy array holds"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_recovery_trial(SMALL_RECOVERY, 1e300, 0)
+    assert _rows(2 ** 53 - 1, 8, "ratio") == 2 ** 56 - 8  # 2^59 - 64 entries of 16 B
+    with pytest.raises(ValueError, match=r"^r \* d = 7\.20576e\+16 rows of 8 entries"):
+        _rows(2 ** 53, 8, "r")  # 2^59 entries: 2^63 B, one more than intp holds
 
 
 def test_init_experiment_shape_and_determinism():

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+from unittest.mock import Mock
 
 import pytest
 
@@ -295,6 +296,9 @@ _BAD_VALUES = [
     ("--ratios", "nan", 1, "ratio_grid[0] must be a finite number >= 1, got nan"),
     ("--ratios", "inf", 1, "ratio_grid[0] must be a finite number >= 1, got inf"),
     ("--ratios", "1e306", 1, "1000 * ratio_grid[0] is beyond float range"),  # was a traceback
+    # numpy's "Maximum allowed dimension exceeded", naming no setting
+    ("--ratios", "1e300", 1, "ratio_grid[0] * d = 8e+300 rows of 8 entries are more than a numpy "
+     "array holds"),
     ("--ratios", "6,6.0001", 1, "ratio grid (6.0, 6.0001) has ratios equal after rounding to "
      "0.001, which would share trial streams", _GRIDS),
     ("--trials", "1.5", 2, "invalid int value: '1.5'"),
@@ -327,6 +331,14 @@ def test_text_not_of_a_flags_type_is_a_usage_error(capsys, command, flag, text, 
 def test_a_value_the_library_rejects_is_an_error(capsys, command, flag, text, message):
     assert run_cli(capsys, *_argv(command, _FLAG_RUNS[command] | {flag: text})) \
         == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["init-bench", "recover-bench", "solve"])
+def test_rows_the_host_cannot_allocate_are_an_error(capsys, monkeypatch, command):
+    # numpy's MemoryError for a ratio in range, such as --ratios 1e12 --d 8, was a traceback
+    text = "Unable to allocate 466. TiB for an array with shape (8000000000000, 8)"
+    monkeypatch.setattr("phasekit.bench.sample_measurements", Mock(side_effect=MemoryError(text)))
+    assert run_cli(capsys, *_argv(command, _FLAG_RUNS[command])) == (1, "", f"error: {text}\n")
 
 
 def test_the_bad_value_table_names_every_declared_flag():

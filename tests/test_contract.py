@@ -357,7 +357,7 @@ def test_a_matrix_is_a_finite_square_array_of_numbers(fn, p, value, message, che
     rejects(fn, message, **{p: value})
 
 
-# Rows: a nonempty, finite 2-D array of numbers, which no call changes
+# Rows: a nonempty, finite 2-D array of numbers
 
 def _bad_rows(fn: str, p: inspect.Parameter) -> list:
     shaped = [("1-D", np.ones(3)), ("N=0", np.ones((0, 3))), ("d=0", np.ones((3, 0))),
@@ -375,12 +375,24 @@ def test_rows_are_a_nonempty_finite_2d_array_of_numbers(fn, p, value, message):
     rejects(fn, message, **{p: value})
 
 
-@pytest.mark.parametrize("mset", [_MSET, _COMPLEX_MSET], ids=["real", "complex"])
-@pytest.mark.parametrize("fn", [fn for fn in CALLS if "mset" in CALLS[fn]])
-def test_a_call_leaves_the_rows_unchanged(fn, mset):
-    before = mset.vectors.copy()
-    call(fn, mset=mset)
-    assert mset.vectors.dtype == before.dtype and mset.vectors.tobytes() == before.tobytes()
+# Arrays: no call writes an array it is given, its rows included
+
+@pytest.mark.parametrize("scale", ["as-given", "e=0"])
+@pytest.mark.parametrize("fn", [fn for fn, args in CALLS.items() if "mset" in args
+                                or any(isinstance(v, np.ndarray) for v in args.values())])
+def test_a_call_leaves_the_arrays_it_is_given_unchanged(fn, scale):
+    # its ndarray arguments (y, x, z, z0, Y, M, H, trace, vectors) and its real or complex
+    # rows; at e=0 each array's largest entry or part is 1/2, where the scale rule leaves a
+    # value as it is, so a scale-in that skipped its copy there would pass the caller's array
+    for mset in (_MSET, _COMPLEX_MSET) if "mset" in CALLS[fn] else (None,):
+        given = {p: v * (0.5 / np.abs(v.view(np.float64)).max())
+                 if scale == "e=0" and isinstance(v, np.ndarray) else v
+                 for p, v in CALLS[fn].items()} | ({"mset": mset} if mset else {})
+        arrays = [v for v in given.values() if isinstance(v, np.ndarray)] + \
+            ([mset.vectors] if mset else [])
+        before = [(a.dtype, a.tobytes()) for a in arrays]
+        call(fn, **given)
+        assert [(a.dtype, a.tobytes()) for a in arrays] == before
 
 
 # Types: an instance of the annotated class, checked before any work

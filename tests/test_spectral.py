@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -71,14 +70,6 @@ def test_rho_identity_and_scaling():
         rho_from_intensities(y, tau1=0.0)
     # a subnormal tau1 returned inf with no warning
     assert rho_from_intensities(np.ones(1), 2.0 ** -1070) == 2.0 ** 535
-
-
-@pytest.mark.parametrize("y, tau1", [([1e308], 1e-320), ([1e308, 1e308], 5e-324)])
-def test_rho_beyond_float_range_raises(y, tau1):
-    # no rho is below float range: the least, sqrt(5e-324 / 1.8e308), is a subnormal
-    with pytest.raises(ValueError, match=r"^rho = sqrt\(sum\(intensities\) / \(tau1 N\)\) "
-                                         "is beyond float range"):
-        rho_from_intensities(y, tau1)
 
 
 def test_rho_concentrates():
@@ -192,29 +183,6 @@ def test_build_M_identity_fixed_point():
     assert np.allclose(M, np.eye(2), atol=1e-15)
 
 
-@pytest.mark.parametrize("Y, rho", [(np.eye(2), 1e200), (1e308 * np.eye(2), 0.0),
-                                    (np.eye(2), 10**200)],
-                         ids=["square-of-rho", "diagonal", "int-rho"])
-def test_build_M_rejects_a_diagonal_beyond_float_range(Y, rho):
-    # rho ** 2 raised "OverflowError: (34, 'Numerical result out of range')",
-    # and a diagonal beyond float range "overflow encountered in multiply"; an
-    # int rho, whose square cannot overflow to inf, raised "OverflowError: int
-    # too large to convert to float"
-    message = f"M's diagonal at rho={float(rho)} is beyond float range"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        build_M(Y, rho, moment_profile(TERNARY_REAL))
-
-
-@pytest.mark.parametrize("j", [-100, -1, 1, 100])
-def test_build_M_is_exact_under_power_of_two_scaling(j):
-    # rho ** 2 called libm pow, and glibc 2.36 misrounds the square of this rho (not of
-    # 2^j times it), so M of the scaled arguments differed from the scaled M in a bit
-    Y, rho = np.array([[2.0, 0.5], [0.5, 1.0]]), 7.117367069018061
-    profile = moment_profile(TERNARY_REAL)
-    got = build_M(np.ldexp(Y, 2 * j), math.ldexp(rho, j), profile)
-    assert got.tobytes() == np.ldexp(build_M(Y, rho, profile), 2 * j).tobytes()
-
-
 @pytest.mark.parametrize("dtype", [np.int64, np.float32, np.complex64])
 def test_build_M_of_an_integer_Y_is_float(dtype):
     # M's diagonal is formed and judged in float64 whatever Y's dtype, at odd d too
@@ -263,29 +231,6 @@ def test_power_method_matches_eigensolver():
 def test_power_method_rejects_zero_matrix():
     with pytest.raises(ValueError):
         power_method(np.zeros((3, 3)))
-
-
-@pytest.mark.parametrize("j", [-660, 660], ids=["tiny", "huge"])
-def test_power_method_is_exact_for_products_outside_float_range(j):
-    # ||M v||^2 underflowed to 0 at 2^-660 and overflowed at 2^660, and both
-    # raised "power method breaks down"; the iteration runs at unit scale
-    M = np.diag([2.0, 1.0])
-    (lam, v, residual), ref = power_method(np.ldexp(M, j)), power_method(M)
-    assert (lam, residual) == (math.ldexp(ref[0], j), math.ldexp(ref[2], j))
-    assert v.tobytes() == ref[1].tobytes()
-
-
-def test_gsi_is_exact_for_a_signal_too_small_for_the_power_method():
-    # at ||x|| near 1e-100 (here 2^-340 ||x||) the entries of M were about 1e-200,
-    # ||M v||^2 underflowed and gsi raised "power method breaks down"
-    d = 32
-    ms = sample_measurements(TERNARY_REAL, 8 * d, d, seed=0)
-    x = np.random.default_rng(0).standard_normal(d)
-    ref = gsi(ms, measure(ms, x), moment_profile(TERNARY_REAL))
-    got = gsi(ms, measure(ms, np.ldexp(x, -340)), moment_profile(TERNARY_REAL))
-    assert got.z0.tobytes() == np.ldexp(ref.z0, -340).tobytes()
-    assert got.rho == math.ldexp(ref.rho, -340)
-    assert (got.lam, got.residual) == (math.ldexp(ref.lam, -680), math.ldexp(ref.residual, -680))
 
 
 def test_gsi_norm_equals_rho():
