@@ -154,12 +154,15 @@ def generate_signal(d: int, seed: SeedLike, field: Field = Field.REAL) -> np.nda
 
 
 def _rows(ratio: float, d: int, name: str) -> int:
-    """N = round(ratio * d) of a checked ratio; N x d entries of 16 B beyond numpy's largest
-    array, intp's maximum in bytes, raise a ValueError naming the ratio `name`."""
+    """N = round(ratio * d) of a checked ratio; N = 0, or N x d entries of 16 B beyond numpy's
+    largest array, intp's maximum in bytes, raise a ValueError naming the ratio `name`."""
     if not ratio * d <= np.iinfo(np.intp).max // 16 // d:
         raise ValueError(f"{name} * d = {ratio * d:.6g} rows of {d} entries are more than "
                          "a numpy array holds")
-    return int(round(ratio * d))
+    N = int(round(ratio * d))
+    if N == 0:
+        raise ValueError(f"{name} * d = {ratio * d:.6g} rounds to 0 rows")
+    return N
 
 
 def _problem(config: ExperimentConfig, ratio: float, i: int) -> tuple:

@@ -149,7 +149,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError, MemoryError) as exc:
+    except MemoryError as exc:  # numpy's text names no flag
+        sizing = "--samples" if args.command == "verify-moments" else "--ratios"
+        print(f"error: {sizing} and --d ask for arrays this host cannot allocate: {exc}",
+              file=sys.stderr)
+        return 1
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -179,7 +179,11 @@ def _si_scale(A: np.ndarray, y: np.ndarray) -> float:
     """SI's scale sqrt(d sum(y) / sum_j ||a_j||^2) of plain C-contiguous rows A and unit-scale y.
     The squares are summed row by row, then over rows, so no BLAS thread count sets the order."""
     V = A.view(np.float64)
-    return math.sqrt(A.shape[1] * float(np.sum(y)) / float(np.einsum("ij,ij->i", V, V).sum()))
+    sum_sq = float(np.einsum("ij,ij->i", V, V).sum())
+    if sum_sq == 0.0:
+        raise ValueError(f"SI's scale breaks down: sum_j ||a_j||^2 = {sum_sq}; "
+                         "the rows must be nonzero")
+    return math.sqrt(A.shape[1] * float(np.sum(y)) / sum_sq)
 
 
 def gsi(

@@ -72,14 +72,6 @@ def test_complex_signal_is_the_scaled_pair_of_gaussian_draws():
     assert np.array_equal(z[:-2], g[:-2]) and np.array_equal(z[-2:], 200.0 * g[-2:])
 
 
-def test_generate_signal_second_moment():
-    # E||x||^2 = (d - 2) v + 2 * 200^2 v with per-coordinate variance v = 1
-    d, n = 16, 10_000
-    total = sum(float(np.sum(generate_signal(d, seed=s) ** 2)) for s in range(n))
-    expected = (d - 2) + 2 * 200.0 ** 2
-    assert total / n == pytest.approx(expected, rel=0.05)
-
-
 def test_trial_seed_distinct_and_pure():
     a = trial_seed(0, 2.0, 0)
     b = trial_seed(0, 2.0, 0)
@@ -173,26 +165,19 @@ def test_config_rejects_ratios_sharing_a_trial_stream():
     ExperimentConfig(ExperimentKind.SUCCESS_RATE, TERNARY_REAL, ratio_grid=(2.001, 2.002))
 
 
-def test_a_ratio_of_more_rows_than_an_array_holds_is_named():
-    # sample_measurements raised numpy's "Maximum allowed dimension exceeded", or "array is
-    # too big", naming no setting; no array is allocated on the way to the error
-    message = "ratio * d = 1.6e+301 rows of 16 entries are more than a numpy array holds"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        run_recovery_trial(SMALL_RECOVERY, 1e300, 0)
+def test_a_ratio_of_no_rows_or_more_than_an_array_holds_is_named():
+    # sample_measurements raised "N must be an integer >= 1, got 0", numpy's "Maximum
+    # allowed dimension exceeded" or "array is too big", none naming the ratio; no array
+    # is allocated on the way to the error
+    for ratio, message in ((0, "ratio * d = 0 rounds to 0 rows"),
+                           (0.01, "ratio * d = 0.16 rounds to 0 rows"),
+                           (1e300, "ratio * d = 1.6e+301 rows of 16 entries are more than a "
+                                   "numpy array holds")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_recovery_trial(SMALL_RECOVERY, ratio, 0)
     assert _rows(2 ** 53 - 1, 8, "ratio") == 2 ** 56 - 8  # 2^59 - 64 entries of 16 B
     with pytest.raises(ValueError, match=r"^r \* d = 7\.20576e\+16 rows of 8 entries"):
         _rows(2 ** 53, 8, "r")  # 2^59 entries: 2^63 B, one more than intp holds
-
-
-def test_init_experiment_shape_and_determinism():
-    t1 = run_init_experiment(SMALL_INIT)
-    t2 = run_init_experiment(SMALL_INIT)
-    assert t1.columns == ["ratio", "N", "gsi_mean_rel_error", "si_mean_rel_error", "trials"]
-    assert [r["N"] for r in t1.rows] == [64, 128]
-    assert t1.to_csv() == t2.to_csv()
-    for row in t1.rows:
-        assert 0.0 <= row["gsi_mean_rel_error"] < 2.5
-        assert row["trials"] == 4
 
 
 @pytest.mark.parametrize("field,entry", [
@@ -212,13 +197,6 @@ def test_recovery_trial_record_fields():
     assert rec.init_rel_error >= 0.0
     assert rec.iterations <= 500
     assert rec.success == (rec.final_rel_error < SMALL_RECOVERY.success_threshold)
-
-
-def test_recovery_experiment_determinism():
-    t1 = run_recovery_experiment(SMALL_RECOVERY)
-    t2 = run_recovery_experiment(SMALL_RECOVERY)
-    assert t1.to_csv() == t2.to_csv()
-    assert t1.rows[0]["success_rate"] in {0.0, 1 / 3, 2 / 3, 1.0}
 
 
 def test_recovery_row_is_the_mean_of_its_seeded_trials():

@@ -1,6 +1,7 @@
 """The descent loop, the power method, complex sampling and ternary draws
-against reference copies of their straightforward formulations: results
-must agree bit for bit, so the lean versions change no result table.
+against reference copies of their straightforward formulations, and the
+sampler against numpy's own draw of each law: results must agree bit for
+bit, so the lean versions change no result table.
 
 The references below are kept verbatim in their earlier form (two products
 M v per power step, np.linalg.norm for every norm, a separate isfinite pass
@@ -187,6 +188,8 @@ def test_solve_matches_reference(field, entry, ratio, step, trace):
     got = solve(mset, y, z0, cfg)
     _assert_same_report(got, reference_solve(mset, y, z0, cfg))
     if trace:
+        # z_0 is a copy: the descent never writes to the caller's z0
+        assert got.iterates[0] is not z0 and got.iterates[0].tobytes() == z0.tobytes()
         _assert_untraced_run_ends_alike(mset, y, z0, cfg, got)
 
 
@@ -292,6 +295,26 @@ def test_ternary_measurements_match_int64_draws(field, seed, N, d):
     assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert rng.standard_normal(3).tobytes() == ref_rng.standard_normal(3).tobytes()
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX], ids=lambda f: f.value)
+@pytest.mark.parametrize("entry, draw", [
+    (GAUSSIAN, lambda rng, shape: rng.standard_normal(shape)),
+    (UNIFORM, lambda rng, shape: rng.uniform(-1.0, 1.0, shape)),
+    (TERNARY, lambda rng, shape: rng.integers(-1, 2, shape, dtype=np.int32)),
+], ids=["gaussian", "uniform", "ternary"])
+def test_sampling_is_numpys_draw_of_each_law(field, entry, draw):
+    # the rows are numpy's draw as float64, or (u + 1j v) / sqrt(2) with u drawn
+    # first; an odd entry count starts a ternary v on a pending half word
+    for seed in (0, 7, 2 ** 40 + 3, 123456789):
+        for shape in ((1, 1), (2, 3), (5, 3), (96, 32), (257, 33)):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sample_measurements(Ensemble(field, entry), *shape, rng).vectors
+            want = draw(ref, shape).astype(np.float64)
+            if field is Field.COMPLEX:
+                want = (want + 1j * draw(ref, shape)) / math.sqrt(2.0)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("field,entry", [(Field.REAL, TERNARY), (Field.COMPLEX, GAUSSIAN)])

@@ -333,12 +333,18 @@ def test_a_value_the_library_rejects_is_an_error(capsys, command, flag, text, me
         == (1, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("command", ["init-bench", "recover-bench", "solve"])
-def test_rows_the_host_cannot_allocate_are_an_error(capsys, monkeypatch, command):
-    # numpy's MemoryError for a ratio in range, such as --ratios 1e12 --d 8, was a traceback
+@pytest.mark.parametrize("command, module, flags", [
+    ("init-bench", "bench", "--ratios and --d"), ("recover-bench", "bench", "--ratios and --d"),
+    ("solve", "bench", "--ratios and --d"), ("verify-moments", "verify", "--samples and --d")],
+    ids=["init-bench", "recover-bench", "solve", "verify-moments"])
+def test_rows_the_host_cannot_allocate_are_an_error(capsys, monkeypatch, command, module, flags):
+    # numpy's MemoryError for a ratio in range, such as --ratios 1e12 --d 8, was a traceback,
+    # then numpy's text alone, which names no flag
     text = "Unable to allocate 466. TiB for an array with shape (8000000000000, 8)"
-    monkeypatch.setattr("phasekit.bench.sample_measurements", Mock(side_effect=MemoryError(text)))
-    assert run_cli(capsys, *_argv(command, _FLAG_RUNS[command])) == (1, "", f"error: {text}\n")
+    monkeypatch.setattr(f"phasekit.{module}.sample_measurements",
+                        Mock(side_effect=MemoryError(text)))
+    assert run_cli(capsys, *_argv(command, _FLAG_RUNS[command])) == (
+        1, "", f"error: {flags} ask for arrays this host cannot allocate: {text}\n")
 
 
 def test_the_bad_value_table_names_every_declared_flag():

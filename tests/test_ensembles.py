@@ -31,13 +31,6 @@ def test_builtin_moments_exact():
     assert (GAUSSIAN.m2, GAUSSIAN.m4) == (1.0, 3.0)
 
 
-def test_uniform_moments_match_monte_carlo():
-    rng = np.random.default_rng(42)
-    draws = rng.uniform(-1, 1, 1_000_000)
-    assert np.mean(draws ** 2) == pytest.approx(1 / 3, abs=2e-3)
-    assert np.mean(draws ** 4) == pytest.approx(1 / 5, abs=2e-3)
-
-
 def test_moment_profile_closed_forms():
     p = moment_profile(Ensemble(Field.REAL, UNIFORM))
     assert (p.tau1, p.tau2, p.tau3) == (1 / 3, 1 / 9, 2 / 9)
