@@ -202,7 +202,9 @@ def gsi(
     _instance(profile, "profile", MomentProfile)
     _integer(power_iters, "power_iters", 1)
     rng = _rng(seed)
-    _, rho, M = _gsi_matrices(mset.vectors, y, profile)
+    Y, rho, M = _gsi_matrices(mset.vectors, y, profile)
+    if not Y.any() and y.any():  # M = c tau2 rho^2 I: no direction to find
+        raise ValueError("GSI breaks down: Y = 0 while y != 0; the rows must be nonzero")
     return _init(M, rho, e, power_iters, rng)  # rho at y's unit scale; _init scales it back
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -84,7 +85,8 @@ def _draws(ensemble: Ensemble, x, d: Optional[int], seed: SeedLike) -> tuple:
     vector of the law's field and shape (d,) (any length if d is None), e by `_to_unit`.
     `draw(sizes, stat)` is [stat(A, x * 2^-e) for N in sizes], A the rows of a checked
     `sample_measurements` call of N rows on the one generator `_rng(seed)`, in order. A
-    goes straight to `stat`, which may weight it in place, so one row set is live at a time."""
+    goes straight to `stat`, which may weight it in place, so one row set is live at a time, beside
+    the stats so far: `mc_*` chunk means packed as the lower triangles `hermitian_opnorm` reads."""
     x = _vector(x, d, ensemble.field.dtype)
     if not np.any(x):
         raise ValueError("x must be nonzero")
@@ -97,34 +99,42 @@ def _draws(ensemble: Ensemble, x, d: Optional[int], seed: SeedLike) -> tuple:
     return e, x, draw
 
 
-def _condition_chunk(A: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The chunk means of A and of (x* A x) A, the second from the rows w_j a_j over A."""
-    mean = _gram(A) / A.shape[0]
+def _condition_chunk(tril: np.ndarray, A: np.ndarray, x: np.ndarray) -> tuple:
+    """The packed chunk means of A and of (x* A x) A, the second from the rows w_j a_j over A."""
+    mean = _gram(A).ravel()[tril] / A.shape[0]
     A *= _inner(A, x)[0][:, None]
-    return mean, _gram(A) / A.shape[0]
+    return mean, _gram(A).ravel()[tril] / A.shape[0]
 
 
-def _f_chunk(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The F block's chunk mean from the rows w_j a_j, w_j = <a_j, x>, written over A."""
+def _f_chunk(tril: np.ndarray, A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The F block's packed chunk mean from the rows w_j a_j, w_j = <a_j, x>, written over A."""
     A *= _inner(A, x)[0][:, None]
-    return _f_block(_gram(A) / A.shape[0], A.T @ A / A.shape[0])
+    return _f_block(_gram(A) / A.shape[0], A.T @ A / A.shape[0]).ravel()[tril]
 
 
 def _f_block(B11: np.ndarray, B12: np.ndarray) -> np.ndarray:
     """[[B11, B12], [B12*, conj(B11)]] for a symmetric B12, as a syrk's X.T @ X is."""
-    return np.block([[B11, B12], [B12.conj(), B11.conj()]])
+    F = np.empty((2, len(B11), 2, len(B11)), np.result_type(B11, B12))  # F[a, :, b]: block a, b
+    F[0, :, 0], F[0, :, 1], F[1, :, 0], F[1, :, 1] = B11, B12, B12.conj(), B11.conj()
+    return F.reshape(2 * len(B11), -1)
 
 
-def _matrix_check(name: str, chunk_mats: Sequence[np.ndarray], expected: np.ndarray,
+def _matrix_check(name: str, chunk_tris: Sequence, tril: np.ndarray, expected: np.ndarray,
                   sample_count: int, e: int, components: tuple = ()) -> ResidualReport:
     """Score a matrix identity at unit scale, where `passed` is decided: the operator-norm
     distance of the mean of the k chunk means from `expected`, against 5x its standard
     error, the chunk means' mean operator-norm deviation from it over sqrt(k), scaled back
-    by 2^(2e). Either, or the mean itself, beyond float range raises a ValueError naming it."""
-    k = len(chunk_mats)
-    overall = _ldexp(sum(chunk_mats) / k, 0, f"the mean of the chunk means of {name}")
-    noise = float(np.mean([hermitian_opnorm(c - overall) for c in chunk_mats])) / math.sqrt(k)
-    r, t = hermitian_opnorm(overall - expected), 5.0 * noise
+    by 2^(2e). Either, or the mean itself, beyond float range raises a ValueError naming it.
+    Chunk means come packed, as lower triangles C.ravel()[tril]; each difference is unpacked
+    into one n x n buffer, upper triangle 0, as `hermitian_opnorm` reads only the lower one."""
+    k, H = len(chunk_tris), np.zeros(expected.shape, expected.dtype)
+    overall = _ldexp(sum(chunk_tris) / k, 0, f"the mean of the chunk means of {name}")
+
+    def opnorm(lower: np.ndarray) -> float:
+        H.ravel()[tril] = lower
+        return hermitian_opnorm(H)
+    noise = float(np.mean([opnorm(c - overall) for c in chunk_tris])) / math.sqrt(k)
+    r, t = opnorm(overall - expected.ravel()[tril]), 5.0 * noise
     return ResidualReport(name, sample_count, _ldexp(r, 2 * e, f"the residual of {name}"),
                           _ldexp(t, 2 * e, f"the tolerance of {name}"),
                           r <= t and all(c.passed for c in components), components)
@@ -161,11 +171,12 @@ def mc_condition_residual(
     profile = moment_profile(ensemble)
     e, x, draw = _draws(ensemble, x, d, seed)
     m = _integer(n_samples, "n_samples", 10_000) // DEFAULT_CHUNKS
-    first_chunks, second_chunks = zip(*draw([m] * DEFAULT_CHUNKS, _condition_chunk))
-    mean_report = _matrix_check("ensemble-mean-identity", first_chunks,
+    tril = np.flatnonzero(np.tri(d, dtype=bool))
+    first_chunks, second_chunks = zip(*draw([m] * DEFAULT_CHUNKS, partial(_condition_chunk, tril)))
+    mean_report = _matrix_check("ensemble-mean-identity", first_chunks, tril,
                                 profile.tau1 * np.eye(d, dtype=x.dtype), DEFAULT_CHUNKS * m, 0)
-    return _matrix_check("condition-II-identity", second_chunks, condition_expectation(profile, x),
-                         DEFAULT_CHUNKS * m, e, (mean_report,))
+    return _matrix_check("condition-II-identity", second_chunks, tril,
+                         condition_expectation(profile, x), DEFAULT_CHUNKS * m, e, (mean_report,))
 
 
 def f_block_expectation(profile: MomentProfile, x: np.ndarray) -> np.ndarray:
@@ -195,8 +206,10 @@ def mc_F_residual(
     profile = moment_profile(ensemble)
     e, x, draw = _draws(ensemble, x, None, seed)
     m = _integer(n_samples, "n_samples", 10_000) // DEFAULT_CHUNKS
-    return _matrix_check("stacked-block-identity", draw([m] * DEFAULT_CHUNKS, _f_chunk),
-                         f_block_expectation(profile, x), DEFAULT_CHUNKS * m, e)
+    tril = np.flatnonzero(np.tri(2 * x.shape[0], dtype=bool))
+    chunks = draw([m] * DEFAULT_CHUNKS, partial(_f_chunk, tril))
+    return _matrix_check("stacked-block-identity", chunks, tril, f_block_expectation(profile, x),
+                         DEFAULT_CHUNKS * m, e)
 
 
 @dataclass(frozen=True)

@@ -102,31 +102,32 @@ def _epsilon0_reference(profile: MomentProfile) -> float:
                      * ((36 * t4 ** 2 + 27 * alpha * beta / 10).sqrt() - 6 * abs(t4)))
 
 
-@pytest.mark.parametrize("profile", [
-    *(moment_profile(e) for e in ALL_ENSEMBLES),
-    MomentProfile(1e-170, 1e-170, 1e-170, 0.0),
-    MomentProfile(1.0, 5e-324, 5e-324, 0.0),
-    MomentProfile(1.0, 1e-300, 1e-300, 1e153),
-    MomentProfile(1.0, 1.0, 1.0, -1.0 + 2.0 ** -52),
-    MomentProfile(1.0, 1e-300, 1.0, -1.0 + 2.0 ** -52),
-    MomentProfile(1.0, 1e150, 1.0, -1.0 + 2.0 ** -52),
-    MomentProfile(1.0, 1.0, 2.0 ** -1074, 0.0),
-    MomentProfile(1.0, 1.0, 2.0 ** -1074, 1e150),
-    MomentProfile(1.0, 5e152, 5e152, 0.0),
-    MomentProfile(1.0, 1.0, 1.0, 1e200),
-    MomentProfile(1e-300, 1e-300, 1e-300, -1e-301),
-    MomentProfile(1.0, 0.01, 0.01, 1.7e307),
-    MomentProfile(1.0, 1e308, 5e-324, 0.0),
+@pytest.mark.parametrize("law", [
+    *ALL_ENSEMBLES,
+    (1e-170, 1e-170, 1e-170, 0.0),
+    (1.0, 5e-324, 5e-324, 0.0),
+    (1.0, 1e-300, 1e-300, 1e153),
+    (1.0, 1.0, 1.0, -1.0 + 2.0 ** -52),
+    (1.0, 1e-300, 1.0, -1.0 + 2.0 ** -52),
+    (1.0, 1e150, 1.0, -1.0 + 2.0 ** -52),
+    (1.0, 1.0, 2.0 ** -1074, 0.0),
+    (1.0, 1.0, 2.0 ** -1074, 1e150),
+    (1.0, 5e152, 5e152, 0.0),
+    (1.0, 1.0, 1.0, 1e200),
+    (1e-300, 1e-300, 1e-300, -1e-301),
+    (1.0, 0.01, 0.01, 1.7e307),
+    (1.0, 1e308, 5e-324, 0.0),
 ], ids=[*(f"{e.field.value}-{e.entry.name}" for e in ALL_ENSEMBLES),
         "tiny-scale", "least-tau2-tau3", "tiny-tau2-tau3-huge-tau4", "tau3+tau4=ulp",
         "tiny-tau2", "huge-tau2", "least-tau3", "least-tau3-huge-tau4", "alpha_hat=1e153",
         "tau4-squared", "tiny-negative-tau4", "subnormal-huge-tau4-over-beta",
         "subnormal-huge-alpha-over-beta"])
-def test_epsilon0_matches_a_high_precision_reference(profile):
+def test_epsilon0_matches_a_high_precision_reference(law):
     # the formula as written cancelled to 0.0 at tiny scale, gave nan at the
     # least tau3, inf for a huge tau4 over tiny tau2 and tau3, and was off by
     # 1.1e-14 relative on real ternary; tau4 = 1e200 raised ValueError; the two
     # subnormal cases gave 0.0, as |tau4| / beta or sqrt(alpha) / sqrt(beta) overflowed
+    profile = moment_profile(law) if isinstance(law, Ensemble) else MomentProfile(*law)
     expected = _epsilon0_reference(profile)
     got = derived_constants(profile).epsilon0
     if expected == 0.0:

@@ -225,6 +225,7 @@ def test_power_method_matches_eigensolver():
 ZERO = EntryDistribution("zero", 1.0, 3.0, lambda rng, shape: np.zeros(shape))
 _BREAKS_DOWN = "power method breaks down: ||M v|| = 0.0; M must be nonzero"
 _NO_SI_SCALE = "SI's scale breaks down: sum_j ||a_j||^2 = 0.0; the rows must be nonzero"
+_NO_GSI = "GSI breaks down: Y = 0 while y != 0; the rows must be nonzero"
 
 
 def _zero_config(kind, field):
@@ -235,15 +236,19 @@ def _zero_config(kind, field):
 @pytest.mark.parametrize("call, message", [
     (lambda f: power_method(np.zeros((3, 3), f.dtype)), _BREAKS_DOWN),
     (lambda f: gsi(MeasurementSet(np.zeros((2, 2), f.dtype)), np.array([1.0, 2.0]),
-                   moment_profile(Ensemble(f, ZERO))), _BREAKS_DOWN),
+                   moment_profile(Ensemble(f, ZERO))), _NO_GSI),
+    (lambda f: gsi(MeasurementSet(np.zeros((2, 2), f.dtype)), np.array([1.0, 2.0]),
+                   moment_profile(Ensemble(f, TERNARY))), _NO_GSI),
     (lambda f: baseline_si(MeasurementSet(np.zeros((2, 2), f.dtype)), np.array([1.0, 2.0])),
      _NO_SI_SCALE),
     (lambda f: run_init_experiment(_zero_config(ExperimentKind.INIT_ERROR, f)), _NO_SI_SCALE),
     (lambda f: run_recovery_trial(_zero_config(ExperimentKind.SUCCESS_RATE, f), 4, 0),
      _BREAKS_DOWN),
-], ids=["power_method", "gsi", "baseline_si", "run_init_experiment", "run_recovery_trial"])
+], ids=["power_method", "gsi", "gsi-ternary", "baseline_si", "run_init_experiment",
+        "run_recovery_trial"])
 def test_the_all_zero_problem_is_a_value_error(call, message, field):
-    # baseline_si and the init trial raised ZeroDivisionError from SI's scale
+    # baseline_si and the init trial raised ZeroDivisionError from SI's scale; gsi with
+    # tau4 != 0 returned the power method's random start, as M = c tau2 rho^2 I
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(field)
 

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -306,41 +307,58 @@ def test_f_residual_matches_full_products(entries):
 # The oracles' memory contract: one chunk of rows, or one trial's N x d
 # matrix, is live at a time. Keeping the previous one while the next is drawn
 # puts the peak above twice one chunk. At d = 16 and 2e5 samples a chunk is
-# 10,000 rows, so the d x d chunk means are small beside it.
+# 10,000 rows, so the d x d chunk means are small beside it. At d = 64 and 2e4
+# samples a chunk is 1,000 rows, and the means outweigh it unless they are
+# held packed, as n(n + 1)/2 entries of a lower triangle, n = d or 2d.
 MEMORY_D, MEMORY_SAMPLES = 16, 200_000
 
 
-def _rows_nbytes(ens, rows):
-    return rows * MEMORY_D * np.dtype(ens.field.dtype).itemsize
+def _rows_nbytes(ens, rows, d=MEMORY_D):
+    return rows * d * np.dtype(ens.field.dtype).itemsize
 
 
+def _packed_means_nbytes(oracle, ens, d):
+    n, count = (2 * d, DEFAULT_CHUNKS) if oracle is mc_F_residual else (d, 2 * DEFAULT_CHUNKS)
+    return count * n * (n + 1) // 2 * np.dtype(ens.field.dtype).itemsize
+
+
+@pytest.mark.parametrize("d, n_samples, counts_means",
+                         [(MEMORY_D, MEMORY_SAMPLES, False), (64, 20_000, True)],
+                         ids=["rows", "means"])
 @pytest.mark.parametrize("oracle, ens", [
     *(pytest.param(mc_condition_residual, ens, id=_id(ens)) for ens in ALL_ENSEMBLES),
     *(pytest.param(mc_F_residual, ens, id=f"F-{ens.entry.name}") for ens in ALL_ENSEMBLES
       if ens.field is Field.COMPLEX),
 ])
-def test_condition_residual_holds_one_chunk_at_a_time(oracle, ens, traced_peak):
+def test_condition_residual_holds_one_chunk_at_a_time(oracle, ens, d, n_samples, counts_means,
+                                                      traced_peak):
     # both matrix oracles weight their chunk in place, so no second N x d buffer
-    # is live; either one keeping its previous chunk alive reads 2.07x or more
-    x = unit_vector(MEMORY_D, ens.field, seed=16)
-    args = (x,) if oracle is mc_F_residual else (MEMORY_D, x)
-    peak = traced_peak(lambda: oracle(ens, *args, MEMORY_SAMPLES, 17))
-    assert peak < 1.75 * _rows_nbytes(ens, MEMORY_SAMPLES // DEFAULT_CHUNKS)
+    # is live; either one keeping its previous chunk alive reads 2.07x or more.
+    # At d = 64, full d x d (or 2d x 2d) chunk means read 1.20x to 1.53x the bound
+    x = unit_vector(d, ens.field, seed=16)
+    args = (x,) if oracle is mc_F_residual else (d, x)
+    peak = traced_peak(lambda: oracle(ens, *args, n_samples, 17))
+    means = _packed_means_nbytes(oracle, ens, d) if counts_means else 0
+    assert peak < 1.75 * _rows_nbytes(ens, n_samples // DEFAULT_CHUNKS, d) + means
 
 
 @pytest.mark.parametrize("entries", [GAUSSIAN, UNIFORM, TERNARY], ids=lambda e: e.name)
 def test_condition_ii_has_one_chunk_statistic(entries):
     # the upper-left d x d block of each F chunk mean is condition II's chunk
-    # mean bit for bit: both weight the same rows in place by w_j = <a_j, x>
+    # mean bit for bit: both weight the same rows in place by w_j = <a_j, x>;
+    # each comes packed as its lower triangle, unpacked here
     ens, d = Ensemble(Field.COMPLEX, entries), 5
     x = unit_vector(d, Field.COMPLEX, seed=18)
     sizes = [1_000] * DEFAULT_CHUNKS
-    f_chunks = _draws(ens, x, None, 19)[2](sizes, _f_chunk)
-    condition_chunks = _draws(ens, x, d, 19)[2](sizes, _condition_chunk)
+    tril, f_tril = (np.flatnonzero(np.tri(n, dtype=bool)) for n in (d, 2 * d))
+    f_chunks = _draws(ens, x, None, 19)[2](sizes, partial(_f_chunk, f_tril))
+    condition_chunks = _draws(ens, x, d, 19)[2](sizes, partial(_condition_chunk, tril))
     assert len(f_chunks) == len(condition_chunks) == DEFAULT_CHUNKS
-    for F, (_, second) in zip(f_chunks, condition_chunks):
-        assert np.array_equal(F[:d, :d], second)
-        assert np.array_equal(F[:d, d:], F[:d, d:].T)  # B12 is exactly symmetric
+    for f, (_, second) in zip(f_chunks, condition_chunks):
+        F = np.zeros((2 * d, 2 * d), complex)
+        F.ravel()[f_tril] = f
+        assert np.array_equal(F[:d, :d].ravel()[tril], second)
+        assert np.array_equal(F[d:, :d], F[d:, :d].T)  # B12* is, so B12 is exactly symmetric
 
 
 @pytest.mark.parametrize("ens", ALL_ENSEMBLES, ids=_id)
