@@ -3,9 +3,9 @@
 Reproduces the two benchmark protocols: initialization accuracy (mean
 relative error of GSI vs SI over a grid of N/d ratios) and recovery success
 rate (GSI followed by BB-stepped gradient descent, success when the final
-relative error drops below the protocol constant 1e-5). Each is a trial
-function and its columns for one sweep loop; ExperimentConfig settles every
-value at construction, so the sweep only reads it.
+relative error drops below the protocol constant 1e-5). Both share one trial
+function and one sweep loop; ExperimentConfig settles every value at
+construction, so the sweep only reads it.
 
 Determinism contract: every output, a TrialRecord included, is a pure
 function of (config, base_seed). Trial streams are derived as
@@ -44,7 +44,7 @@ from .ensembles import (
     sample_measurements,
 )
 from .solver import DEFAULT_MAX_ITERS, SolverConfig, dist, solve
-from .spectral import DEFAULT_POWER_ITERS, _paired_init, gsi, measure
+from .spectral import DEFAULT_POWER_ITERS, _paired_init, measure
 
 DEFAULT_RATIOS = tuple(range(2, 21, 2))
 SPIKE_FACTOR = 200.0
@@ -165,16 +165,19 @@ def _rows(ratio: float, d: int, name: str) -> int:
     return N
 
 
-def _problem(config: ExperimentConfig, ratio: float, i: int) -> tuple:
-    """Trial i at `ratio`: (x, mset, y, power_seeds), the signal, its
-    N = round(ratio * d) measurements and intensities, and two seeds for
-    power methods. The trial stream spawns four children; the first three
-    are the same whether or not the fourth is spawned."""
-    sig_ss, meas_ss, *power_seeds = trial_seed(config.base_seed, ratio, i).spawn(4)
-    N = _rows(ratio, config.d, "ratio")
+def _trial(config: ExperimentConfig, ratio: float, i: int) -> tuple:
+    """Trial i at `ratio`, either protocol's: (x, mset, y, g, s), the signal, its rows and y,
+    and GSI's and SI's InitResults. The stream spawns seeds for x, the rows, GSI and, in an
+    init trial only, SI: the first three are the same either way, as the benchmark mirror's
+    spawn(3) needs. Only an init trial weights its rows in place; a recovery trial's s is None."""
+    paired = config.kind is ExperimentKind.INIT_ERROR
+    sig_ss, meas_ss, *power_seeds = trial_seed(config.base_seed, ratio, i).spawn(3 + paired)
     x = generate_signal(config.d, sig_ss, field=config.ensemble.field)
-    mset = sample_measurements(config.ensemble, N, config.d, meas_ss)
-    return x, mset, measure(mset, x), power_seeds
+    mset = sample_measurements(config.ensemble, _rows(ratio, config.d, "ratio"), config.d, meas_ss)
+    y = measure(mset, x)
+    return (x, mset, y, *_paired_init(mset.vectors, y, moment_profile(config.ensemble),
+                                      config.power_iters, *power_seeds,
+                                      out=mset.vectors if paired else None))
 
 
 def _checked(config: ExperimentConfig, kind: ExperimentKind) -> ExperimentConfig:
@@ -202,12 +205,10 @@ def run_init_experiment(config: ExperimentConfig) -> ResultTable:
     """Mean relative error of GSI and SI per N/d ratio; both initializers see
     the same measurement realizations within a trial (paired comparison)."""
     _checked(config, ExperimentKind.INIT_ERROR)
-    profile = moment_profile(config.ensemble)
 
     def one_trial(ratio: float, i: int) -> tuple[float, float]:
-        x, mset, y, (pw_gsi_ss, pw_si_ss) = _problem(config, ratio, i)
+        x, _, _, g, s = _trial(config, ratio, i)
         nx = _norm(x)
-        g, s = _paired_init(mset.vectors, y, profile, config.power_iters, pw_gsi_ss, pw_si_ss)
         return dist(g.z0, x) / nx, dist(s.z0, x) / nx
 
     return _sweep(config, ["gsi_mean_rel_error", "si_mean_rel_error"], one_trial)
@@ -216,19 +217,14 @@ def run_init_experiment(config: ExperimentConfig) -> ResultTable:
 def run_recovery_trial(config: ExperimentConfig, ratio: float, trial: int) -> TrialRecord:
     """One seeded end-to-end trial: signal, measurements, GSI, BB descent."""
     _checked(config, ExperimentKind.SUCCESS_RATE)
-    x, mset, y, (pw_ss, _) = _problem(config, ratio, trial)
-    profile = moment_profile(config.ensemble)
+    x, mset, y, init, _ = _trial(config, ratio, trial)
     nx = _norm(x)
-    init = gsi(mset, y, profile, power_iters=config.power_iters, seed=pw_ss)
     init_err = dist(init.z0, x) / nx
     report = solve(mset, y, init.z0, SolverConfig(max_iters=config.max_iters))
     final_err = dist(report.final_z, x) / nx
-    return TrialRecord(
-        init_rel_error=float(init_err),
-        final_rel_error=float(final_err),
-        iterations=report.iterations,
-        success=bool(final_err < config.success_threshold),
-    )
+    return TrialRecord(init_rel_error=float(init_err), final_rel_error=float(final_err),
+                       iterations=report.iterations,
+                       success=bool(final_err < config.success_threshold))
 
 
 def run_recovery_experiment(config: ExperimentConfig) -> ResultTable:

@@ -145,10 +145,10 @@ def solve(
     Stops with GRAD_TOLERANCE_MET once ||g|| <= GRAD_NORM_TOL * ||z||^3 (a
     relative tolerance), or with MAX_ITERS after `config.max_iters` updates.
     One scale rule (README), k = 1, e from z0 alone: an iterate entry below float
-    range rounds silently to a subnormal or 0.0; an iterate not finite at the
-    caller's scale, or a non-finite gradient, aborts with NON_FINITE and the last
-    finite iterate. `z0` must be finite, of shape (d,) and real for real rows; `y`
-    real, finite, nonnegative, of shape (N,), checked after z0; one that overflows at
+    range rounds silently to a subnormal or 0.0; an iterate not finite at the caller's
+    scale, or a non-finite gradient, aborts with NON_FINITE and the last finite iterate,
+    and no floating-point warning. `z0` must be finite, of shape (d,) and real for real
+    rows; `y` real, finite, nonnegative, of shape (N,), checked after z0; one that overflows at
     z0's scale, or is nonzero and underflows there to all zero, raises ValueError.
     With `config.trace`, `iterates` lists z_0 (a copy of z0) to z_K, K =
     `iterations`, so `iterates[-1] is final_z`; measure them with `objective`,
@@ -168,45 +168,46 @@ def solve(
     A = mset.vectors
     iterates = [] if config.trace else None
 
-    g = _gradient(A, y, z)
-    gnorm = _norm(g)
-    znorm = _norm(z)
-
-    bb = isinstance(config.step_mode, BarzilaiBorwein)
-    mu = 0.1 if bb else config.step_mode.mu
-
-    iterations = 0
-    z_prev = None
-    g_prev = None
-    while True:
-        if iterates is not None:
-            iterates.append(z)
-        if not math.isfinite(gnorm):
-            status = SolveStatus.NON_FINITE
-            break
-        # ||z||^3 as a product: a float product saturates at inf, where ** raises
-        if gnorm <= GRAD_NORM_TOL * znorm * znorm * znorm:
-            status = SolveStatus.GRAD_TOLERANCE_MET
-            break
-        if iterations == config.max_iters:
-            status = SolveStatus.MAX_ITERS
-            break
-        if z_prev is None:  # z0 = 0 has stopped above
-            xi = step = mu / (znorm * znorm)
-        elif bb:
-            xi = _bb_step(z - z_prev, g - g_prev, step)
-        z_new = z - xi * g
-        # ||z_new|| < zmax proves every entry below it; only a larger or nan
-        # norm, which smaller entries can also overflow to, needs the full test
-        znorm = _norm(z_new)
-        if not znorm < zmax and not np.all(np.abs(z_new.view(np.float64)) < zmax):
-            status = SolveStatus.NON_FINITE
-            break
-        z_prev, g_prev = z, g
-        z = z_new
+    with np.errstate(over="ignore", invalid="ignore"):  # the stops below judge inf and nan
         g = _gradient(A, y, z)
         gnorm = _norm(g)
-        iterations += 1
+        znorm = _norm(z)
+
+        bb = isinstance(config.step_mode, BarzilaiBorwein)
+        mu = 0.1 if bb else config.step_mode.mu
+
+        iterations = 0
+        z_prev = None
+        g_prev = None
+        while True:
+            if iterates is not None:
+                iterates.append(z)
+            if not math.isfinite(gnorm):
+                status = SolveStatus.NON_FINITE
+                break
+            # ||z||^3 as a product: a float product saturates at inf, where ** raises
+            if gnorm <= GRAD_NORM_TOL * znorm * znorm * znorm:
+                status = SolveStatus.GRAD_TOLERANCE_MET
+                break
+            if iterations == config.max_iters:
+                status = SolveStatus.MAX_ITERS
+                break
+            if z_prev is None:  # z0 = 0 has stopped above
+                xi = step = mu / (znorm * znorm)
+            elif bb:
+                xi = _bb_step(z - z_prev, g - g_prev, step)
+            z_new = z - xi * g
+            # ||z_new|| < zmax proves every entry below it; only a larger or nan
+            # norm, which smaller entries can also overflow to, needs the full test
+            znorm = _norm(z_new)
+            if not znorm < zmax and not np.all(np.abs(z_new.view(np.float64)) < zmax):
+                status = SolveStatus.NON_FINITE
+                break
+            z_prev, g_prev = z, g
+            z = z_new
+            g = _gradient(A, y, z)
+            gnorm = _norm(g)
+            iterations += 1
 
     if iterates is not None:
         iterates = [_ldexp(v, e) for v in iterates]

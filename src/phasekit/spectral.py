@@ -196,16 +196,13 @@ def gsi(
     """Generalized spectral initialization: z0 = rho * (top eigenvector of M).
 
     `y` must be real, finite, nonnegative and of shape (N,). Every argument is
-    checked before Y is formed. One scale rule (README): z0 and rho k = 1, lam
+    checked before Y is formed, from a weighted copy of the rows; nonzero y with
+    all-zero rows raises ValueError. One scale rule (README): z0 and rho k = 1, lam
     and residual k = 2; underflow rounds silently to a subnormal or 0.0."""
-    e, y = _unit_args(mset, y=y)
+    y = _intensities(y, _instance(mset, "mset", MeasurementSet).N)  # at the caller's scale
     _instance(profile, "profile", MomentProfile)
     _integer(power_iters, "power_iters", 1)
-    rng = _rng(seed)
-    Y, rho, M = _gsi_matrices(mset.vectors, y, profile)
-    if not Y.any() and y.any():  # M = c tau2 rho^2 I: no direction to find
-        raise ValueError("GSI breaks down: Y = 0 while y != 0; the rows must be nonzero")
-    return _init(M, rho, e, power_iters, rng)  # rho at y's unit scale; _init scales it back
+    return _paired_init(mset.vectors, y, profile, power_iters, _rng(seed))[0]
 
 
 def baseline_si(
@@ -225,9 +222,15 @@ def baseline_si(
 
 
 def _paired_init(A: np.ndarray, y: np.ndarray, profile: MomentProfile, power_iters: int,
-                 gsi_seed: SeedLike, si_seed: SeedLike) -> tuple[InitResult, InitResult]:
-    """`gsi` and `baseline_si` of rows A and checked y from one Y, weighted over A in place."""
+                 gsi_seed: SeedLike, si_seed: SeedLike | None = None,
+                 out: np.ndarray | None = None) -> tuple[InitResult, InitResult | None]:
+    """The one GSI recipe: (`gsi`, `baseline_si`) of rows A and checked y from one Y, written
+    to `out` as `_Y` says; SI is None unless si_seed is given, and its scale is taken from the
+    plain rows first. Nonzero y with Y = 0 leaves M no direction: a ValueError."""
     e, y = _to_unit(y)
-    scale = _si_scale(A, y)  # of the plain rows, before they are weighted
-    Y, rho, M = _gsi_matrices(A, y, profile, out=A)
-    return _init(M, rho, e, power_iters, gsi_seed), _init(Y, scale, e, power_iters, si_seed)
+    scale = None if si_seed is None else _si_scale(A, y)  # before the rows are weighted
+    Y, rho, M = _gsi_matrices(A, y, profile, out=out)
+    if not Y.any() and y.any():  # M = c tau2 rho^2 I: no direction to find
+        raise ValueError("GSI breaks down: Y = 0 while y != 0; the rows must be nonzero")
+    g = _init(M, rho, e, power_iters, gsi_seed)  # rho at y's unit scale; _init scales it back
+    return g, None if si_seed is None else _init(Y, scale, e, power_iters, si_seed)

@@ -14,7 +14,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,10 +42,11 @@ from phasekit import (
     moment_profile,
     power_method,
     run_init_experiment,
+    run_recovery_trial,
     sample_measurements,
     solve,
+    trial_seed,
 )
-from phasekit import bench
 from phasekit.solver import GRAD_NORM_TOL
 
 
@@ -202,7 +203,6 @@ def test_solve_matches_reference_max_iters():
     _assert_untraced_run_ends_alike(mset, y, z0, cfg, got)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
 @pytest.mark.parametrize("mu,iterations", [
     (1e3, 4),     # the gradient of the fourth iterate is nan
@@ -214,11 +214,12 @@ def test_solve_matches_reference_non_finite(field, mu, iterations):
     got = solve(mset, y, z0, cfg)
     assert got.status is SolveStatus.NON_FINITE and got.iterations == iterations
     assert np.all(np.isfinite(got.final_z))
-    _assert_same_report(got, reference_solve(mset, y, z0, cfg))
+    with np.errstate(over="ignore", invalid="ignore"):  # solve itself runs warning-free
+        ref = reference_solve(mset, y, z0, cfg)
+    _assert_same_report(got, ref)
     _assert_untraced_run_ends_alike(mset, y, z0, cfg, got)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_solve_matches_reference_when_a_finite_iterate_overflows_its_norm():
     # Rows of size 1e-100 and intensities 1e190 make g(z) about -1e-10 z, so
     # one step of mu / ||z0||^2 ~ 1e165 (||z0||^2 ~ 4.7) lands on a finite z
@@ -232,8 +233,10 @@ def test_solve_matches_reference_when_a_finite_iterate_overflows_its_norm():
     cfg = SolverConfig(step_mode=FixedStep(5e165), max_iters=20, trace=True)
     got = solve(mset, y, z0, cfg)
     assert got.status is SolveStatus.GRAD_TOLERANCE_MET and got.iterations == 1
-    assert np.all(np.isfinite(got.final_z)) and np.linalg.norm(got.final_z) == np.inf
-    _assert_same_report(got, reference_solve(mset, y, z0, cfg))
+    with np.errstate(over="ignore"):  # solve itself runs warning-free
+        assert np.all(np.isfinite(got.final_z)) and np.linalg.norm(got.final_z) == np.inf
+        ref = reference_solve(mset, y, z0, cfg)
+    _assert_same_report(got, ref)
 
 
 def _hermitian(d, complex_, seed):
@@ -317,28 +320,44 @@ def test_sampling_is_numpys_draw_of_each_law(field, entry, draw):
             assert rng.bit_generator.state == ref.bit_generator.state
 
 
+def _public_trial(cfg, ratio, i):
+    """Trial i of `cfg` at `ratio` from public calls only: GSI's and SI's errors for an
+    init config, the TrialRecord's fields for a recovery one. The recovery trial spawns
+    three seeds, as the benchmark's mirror does; the init trial four."""
+    ens, paired = cfg.ensemble, cfg.kind is ExperimentKind.INIT_ERROR
+    sig, meas, *power = trial_seed(cfg.base_seed, ratio, i).spawn(4 if paired else 3)
+    x = generate_signal(cfg.d, sig, field=ens.field)
+    mset = sample_measurements(ens, int(round(ratio * cfg.d)), cfg.d, meas)
+    y = measure(mset, x)
+    nx = np.linalg.norm(x)
+    g = gsi(mset, y, moment_profile(ens), power_iters=cfg.power_iters, seed=power[0])
+    if paired:
+        s = baseline_si(mset, y, power_iters=cfg.power_iters, seed=power[1])
+        return dist(g.z0, x) / nx, dist(s.z0, x) / nx
+    report = solve(mset, y, g.z0, SolverConfig(max_iters=cfg.max_iters))
+    final = dist(report.final_z, x) / nx
+    return dist(g.z0, x) / nx, final, report.iterations, final < cfg.success_threshold
+
+
 @pytest.mark.parametrize("field,entry", [(Field.REAL, TERNARY), (Field.COMPLEX, GAUSSIAN)])
-def test_init_rows_match_trials_built_from_public_initializers(field, entry):
-    # the experiment weights each trial's own rows in place; the public
-    # gsi and baseline_si weight a copy. N = 3d = 96, see _problem
-    ens = Ensemble(field, entry)
-    cfg = ExperimentConfig(ExperimentKind.INIT_ERROR, ens, d=32, ratio_grid=(3, 5),
-                           trials=4, base_seed=7)
-    profile = moment_profile(ens)
-    rows = []
-    for ratio in cfg.ratio_grid:
-        gsi_errs, si_errs = [], []
-        for i in range(cfg.trials):
-            x, mset, y, (pw_gsi, pw_si) = bench._problem(cfg, ratio, i)
-            nx = np.linalg.norm(x)
-            g = gsi(mset, y, profile, power_iters=cfg.power_iters, seed=pw_gsi)
-            s = baseline_si(mset, y, power_iters=cfg.power_iters, seed=pw_si)
-            gsi_errs.append(dist(g.z0, x) / nx)
-            si_errs.append(dist(s.z0, x) / nx)
-        rows.append({"ratio": float(ratio), "N": int(round(ratio * cfg.d)),
-                     "gsi_mean_rel_error": float(np.mean(gsi_errs)),
-                     "si_mean_rel_error": float(np.mean(si_errs)),
-                     "trials": cfg.trials})
+@pytest.mark.parametrize("kind", list(ExperimentKind), ids=lambda k: k.value)
+def test_protocols_match_trials_built_from_public_calls(kind, field, entry):
+    # both protocols take their trials from one private trial function, where the
+    # init trial weights its own rows in place; the public gsi and baseline_si weight
+    # a copy. N = 3d = 96 keeps N off powers of two, see _problem
+    cfg = ExperimentConfig(kind, Ensemble(field, entry), d=32, ratio_grid=(3, 5), trials=4,
+                           base_seed=7)
+    trials = [[_public_trial(cfg, ratio, i) for i in range(cfg.trials)]
+              for ratio in cfg.ratio_grid]
+    if kind is ExperimentKind.SUCCESS_RATE:
+        got = [[astuple(run_recovery_trial(cfg, ratio, i)) for i in range(cfg.trials)]
+               for ratio in cfg.ratio_grid]
+        assert got == trials
+        return
+    rows = [{"ratio": float(ratio), "N": int(round(ratio * cfg.d)),
+             "gsi_mean_rel_error": float(np.mean([g for g, _ in errs])),
+             "si_mean_rel_error": float(np.mean([s for _, s in errs])), "trials": cfg.trials}
+            for ratio, errs in zip(cfg.ratio_grid, trials)]
     got = run_init_experiment(cfg).rows
     assert [r["N"] for r in got] == [96, 160]
     assert got == rows

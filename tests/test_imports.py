@@ -4,8 +4,9 @@ makes a Generator and scales an array by a power of two in one function each,
 and makes no call of `np.linalg.norm`, neither `bench` nor `cli` imports
 a helper of the scale rule, `verify` draws its rows in one function and
 measures them through the private kernels, `spectral` forms GSI's
-matrices in one function, and the package tests float range in named
-functions and methods only: `_ldexp` alone judges a result.
+matrices in one function and its start in one recipe, which both of
+`bench`'s protocols reach through one trial function, and the package tests
+float range in named functions and methods only: `_ldexp` alone judges a result.
 
 The package's __init__.py is left out of the import scan: its imports are
 the public API.
@@ -188,6 +189,22 @@ def test_verify_takes_gsi_matrices_from_spectral():
 
 def test_gsi_forms_its_matrices_in_one_function():
     assert top_level_callers(SPECTRAL, "build_M") == ["_gsi_matrices"]
+
+
+BENCH = (ROOT / "src/phasekit/bench.py").read_text(encoding="utf-8")
+
+
+# gsi held a second copy of _paired_init's recipe, without its all-zero check, and the
+# recovery trial called gsi, which checked the rows and y again
+@pytest.mark.parametrize("source, name, callers", [
+    (SPECTRAL, "_gsi_matrices", ["_paired_init"]), (BENCH, "_paired_init", ["_trial"])],
+    ids=["spectral", "bench"])
+def test_both_protocols_take_gsi_from_one_recipe(source, name, callers):
+    assert top_level_callers(source, name) == callers
+
+
+def test_bench_reaches_the_initializers_through_the_recipe_alone():
+    assert sorted({"gsi", "baseline_si"} & imported_names(ast.parse(BENCH)).keys()) == []
 
 
 # a test of float range, by a call of isfinite or a comparison with the largest float
