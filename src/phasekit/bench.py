@@ -11,12 +11,15 @@ Determinism contract: every output, a TrialRecord included, is a pure
 function of (config, base_seed). Trial streams are derived as
 SeedSequence(base_seed, spawn_key=(round(1000*ratio), trial)), and ratio
 grids whose rounded keys collide are rejected, so no two trials share an RNG
-stream. Trials run one after another; BLAS parallelizes the linear algebra
-inside each trial. That leaves the bits alone while the BLAS does not split
-a dot of d entries (OpenBLAS 0.3.31 on x86_64 splits a dot or vdot of more
-than 10,000 entries across threads, reordering its sum, and a GEMV or SYRK
-its outputs, not its sums), as for `_norm`, `_bb_step` and `dist`; SI's sum
-of squares over all N x d entries is summed without BLAS.
+stream. A trial holds one N x d array of rows at a time: GSI weights the drawn
+rows in place, and a recovery trial draws them again from the same seed for
+the descent, checking that they give the same y bit for bit. Trials run one
+after another; BLAS parallelizes the linear algebra inside each trial. That
+leaves the bits alone while the BLAS does not split a dot of d entries
+(OpenBLAS 0.3.31 on x86_64 splits a dot or vdot of more than 10,000 entries
+across threads, reordering its sum, and a GEMV or SYRK its outputs, not its
+sums), as for `_norm`, `_bb_step` and `dist`; SI's sum of squares over all
+N x d entries is summed without BLAS.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -166,18 +170,20 @@ def _rows(ratio: float, d: int, name: str) -> int:
 
 
 def _trial(config: ExperimentConfig, ratio: float, i: int) -> tuple:
-    """Trial i at `ratio`, either protocol's: (x, mset, y, g, s), the signal, its rows and y,
-    and GSI's and SI's InitResults. The stream spawns seeds for x, the rows, GSI and, in an
-    init trial only, SI: the first three are the same either way, as the benchmark mirror's
-    spawn(3) needs. Only an init trial weights its rows in place; a recovery trial's s is None."""
+    """Trial i at `ratio`, either protocol's: (x, draw, y, g, s), the signal, the call that
+    draws its rows, y, and GSI's and SI's InitResults. The stream spawns seeds for x, the rows,
+    GSI and, in an init trial only, SI: the first three are the same either way, as the
+    benchmark mirror's spawn(3) needs. GSI weights the drawn rows in place, and they end with
+    this call; a recovery trial's descent takes draw() of the same rows, and its s is None."""
     paired = config.kind is ExperimentKind.INIT_ERROR
     sig_ss, meas_ss, *power_seeds = trial_seed(config.base_seed, ratio, i).spawn(3 + paired)
     x = generate_signal(config.d, sig_ss, field=config.ensemble.field)
-    mset = sample_measurements(config.ensemble, _rows(ratio, config.d, "ratio"), config.d, meas_ss)
+    draw = partial(sample_measurements, config.ensemble, _rows(ratio, config.d, "ratio"),
+                   config.d, meas_ss)
+    mset = draw()
     y = measure(mset, x)
-    return (x, mset, y, *_paired_init(mset.vectors, y, moment_profile(config.ensemble),
-                                      config.power_iters, *power_seeds,
-                                      out=mset.vectors if paired else None))
+    return (x, draw, y, *_paired_init(mset.vectors, y, moment_profile(config.ensemble),
+                                      config.power_iters, *power_seeds, out=mset.vectors))
 
 
 def _checked(config: ExperimentConfig, kind: ExperimentKind) -> ExperimentConfig:
@@ -217,7 +223,12 @@ def run_init_experiment(config: ExperimentConfig) -> ResultTable:
 def run_recovery_trial(config: ExperimentConfig, ratio: float, trial: int) -> TrialRecord:
     """One seeded end-to-end trial: signal, measurements, GSI, BB descent."""
     _checked(config, ExperimentKind.SUCCESS_RATE)
-    x, mset, y, init, _ = _trial(config, ratio, trial)
+    x, draw, y, init, _ = _trial(config, ratio, trial)
+    mset = draw()  # the plain rows again, for the descent
+    if not np.array_equal(measure(mset, x), y):  # y >= 0 and finite: equal is bit for bit
+        raise ValueError(f"entry distribution {config.ensemble.entry.name!r}: a second draw "
+                         "from the same seed gave other rows; its sampler must depend only "
+                         "on its generator and shape")
     nx = _norm(x)
     init_err = dist(init.z0, x) / nx
     report = solve(mset, y, init.z0, SolverConfig(max_iters=config.max_iters))

@@ -151,9 +151,11 @@ def _intensities(y, n: Optional[int] = None) -> np.ndarray:
 class EntryDistribution:
     """A scalar entry law with declared second and fourth absolute moments.
 
-    The sampler maps (rng, shape) to a real array. The law must be
-    mean-zero and symmetric; finite real moments, stored as Python numbers, with
-    m2 > 0 and m4 >= m2^2 are enforced. Declared moments of a custom law are trusted only after the
+    The sampler maps (rng, shape) to a real array, as a function of those two
+    alone: a recovery trial draws its rows twice from one seed and raises
+    ValueError when the draws differ. The law must be mean-zero and symmetric;
+    finite real moments, stored as Python numbers, with m2 > 0 and m4 >= m2^2
+    are enforced. Declared moments of a custom law are trusted only after the
     Monte-Carlo condition check in :func:`phasekit.verify.mc_condition_residual`.
     """
 

@@ -17,6 +17,7 @@ from phasekit import (
     ResultTable,
     SolverConfig,
     TERNARY,
+    UNIFORM,
     baseline_si,
     generate_signal,
     gsi,
@@ -190,6 +191,31 @@ def test_init_trial_weights_its_own_measurements_in_place(field, entry, traced_p
     peak = traced_peak(lambda: run_init_experiment(cfg))
     itemsize = 16 if field is Field.COMPLEX else 8
     assert peak < 1.75 * (20 * 128) * 128 * itemsize
+
+
+@pytest.mark.parametrize("field,entry,ratio", [
+    (Field.COMPLEX, TERNARY, 8), (Field.REAL, UNIFORM, 4)], ids=["complex-ternary", "real-uniform"])
+def test_recovery_trial_holds_one_copy_of_its_rows(field, entry, ratio, traced_peak):
+    # GSI weights the drawn rows in place and the descent gets a second draw of them;
+    # weighted rows beside the plain ones read 2.53x and 2.58x the rows' bytes
+    d = 64
+    cfg = ExperimentConfig(ExperimentKind.SUCCESS_RATE, Ensemble(field, entry), d=d,
+                           ratio_grid=(ratio,), trials=1)
+    peak = traced_peak(lambda: run_recovery_trial(cfg, ratio, 0))
+    assert peak < 2 * (ratio * d) * d * (16 if field is Field.COMPLEX else 8)
+
+
+def test_a_sampler_that_ignores_its_generator_is_named():
+    # the descent's rows are a second draw from the trial's seed, so a law whose
+    # sampler draws anything else would leave them disagreeing with y
+    unseeded = EntryDistribution("unseeded", 1.0, 3.0, lambda rng, shape:
+                                 np.random.default_rng().standard_normal(shape))
+    cfg = ExperimentConfig(ExperimentKind.SUCCESS_RATE, Ensemble(Field.REAL, unseeded), d=16,
+                           ratio_grid=(6,), trials=1)
+    message = ("entry distribution 'unseeded': a second draw from the same seed gave other "
+               "rows; its sampler must depend only on its generator and shape")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_recovery_trial(cfg, 6, 0)
 
 
 def test_recovery_trial_record_fields():

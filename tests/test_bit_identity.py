@@ -342,9 +342,10 @@ def _public_trial(cfg, ratio, i):
 @pytest.mark.parametrize("field,entry", [(Field.REAL, TERNARY), (Field.COMPLEX, GAUSSIAN)])
 @pytest.mark.parametrize("kind", list(ExperimentKind), ids=lambda k: k.value)
 def test_protocols_match_trials_built_from_public_calls(kind, field, entry):
-    # both protocols take their trials from one private trial function, where the
-    # init trial weights its own rows in place; the public gsi and baseline_si weight
-    # a copy. N = 3d = 96 keeps N off powers of two, see _problem
+    # both protocols take their trials from one private trial function, where GSI
+    # weights the drawn rows in place and a recovery trial draws them again for the
+    # descent; the public gsi and baseline_si weight a copy. N = 3d = 96 keeps N off
+    # powers of two, where g / N and g * (1/N) would agree
     cfg = ExperimentConfig(kind, Ensemble(field, entry), d=32, ratio_grid=(3, 5), trials=4,
                            base_seed=7)
     trials = [[_public_trial(cfg, ratio, i) for i in range(cfg.trials)]
