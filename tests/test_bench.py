@@ -59,6 +59,13 @@ def test_generate_signal_spike_ratio():
     assert np.array_equal(x[-2:], 200.0 * plain[-2:])
 
 
+def test_generate_signal_complex_and_small_d():
+    z = generate_signal(4, seed=1, field=Field.COMPLEX)
+    assert z.dtype == np.complex128
+    with pytest.raises(ValueError):
+        generate_signal(1, seed=0)
+
+
 def test_complex_signal_is_the_scaled_pair_of_gaussian_draws():
     rng = np.random.default_rng(1)
     g = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) / math.sqrt(2.0)
@@ -93,7 +100,7 @@ def test_library_defaults_are_the_experiment_defaults():
         assert inspect.signature(init).parameters["power_iters"].default == cfg.power_iters
 
 
-def test_config_rejects_an_empty_ratio_grid():
+def test_config_validation():
     with pytest.raises(ValueError, match="^ratio grid must be nonempty$"):
         ExperimentConfig(ExperimentKind.INIT_ERROR, TERNARY_REAL, ratio_grid=())
 
@@ -224,6 +231,14 @@ def test_recovery_row_is_the_mean_of_its_seeded_trials():
         np.mean([r.final_rel_error for r in reversed(records)]))
     assert row["mean_init_rel_error"] == float(
         np.mean([r.init_rel_error for r in reversed(records)]))
+
+
+def test_csv_round_trips_floats():
+    table = run_init_experiment(SMALL_INIT)
+    lines = table.to_csv().strip().split("\n")
+    assert lines[0] == "ratio,N,gsi_mean_rel_error,si_mean_rel_error,trials"
+    cells = lines[1].split(",")
+    assert float(cells[2]) == table.rows[0]["gsi_mean_rel_error"]  # 17g exact
 
 
 def test_empty_table_header_only():

@@ -1,7 +1,8 @@
-"""The descent loop and the power method against reference copies of their
-straightforward formulations, the protocols' trials against trials built from
-public calls, and the sampler against numpy's own draw of each law: results
-must agree bit for bit, so the lean versions change no result table.
+"""The descent loop, the power method, complex sampling and ternary draws
+against reference copies of their straightforward formulations, the
+protocols' trials against trials built from public calls, and the sampler
+against numpy's own draw of each law: results must agree bit for bit, so the
+lean versions change no result table.
 
 The references below are kept verbatim in their earlier form (two products
 M v per power step, np.linalg.norm for every norm, a separate isfinite pass
@@ -255,6 +256,49 @@ def test_power_method_matches_reference(complex_, iters):
     rlam, rv, rres = reference_power_method(M, iters=iters, seed=11)
     assert (lam, res) == (rlam, rres)
     assert v.tobytes() == rv.tobytes()
+
+
+@pytest.mark.parametrize("entry", [GAUSSIAN, UNIFORM, TERNARY])
+def test_complex_sampling_matches_complex_expression(entry):
+    shape = (257, 33)
+    got = sample_measurements(Ensemble(Field.COMPLEX, entry), *shape,
+                              np.random.default_rng(4)).vectors
+    rng = np.random.default_rng(4)
+    u = entry.sampler(rng, shape)
+    v = entry.sampler(rng, shape)
+    expected = (u + 1j * v) / math.sqrt(2.0)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def _ref_ternary(rng, shape):
+    """The earlier ternary sampler, drawing through the default int64."""
+    return rng.integers(-1, 2, shape).astype(np.float64)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 40 + 3])
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3), (257, 33)])
+def test_ternary_sampler_matches_int64_draws(seed, shape):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sample_measurements(Ensemble(Field.REAL, TERNARY), *shape, rng).vectors
+    expected = _ref_ternary(ref_rng, shape)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert rng.integers(-1, 2, 5).tolist() == ref_rng.integers(-1, 2, 5).tolist()
+
+
+@pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX])
+@pytest.mark.parametrize("seed", [0, 7, 123456789])
+@pytest.mark.parametrize("N,d", [(1, 1), (5, 3), (96, 32)])
+def test_ternary_measurements_match_int64_draws(field, seed, N, d):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sample_measurements(Ensemble(field, TERNARY), N, d, rng).vectors
+    expected = _ref_ternary(ref_rng, (N, d))
+    if field is Field.COMPLEX:
+        expected = (expected + 1j * _ref_ternary(ref_rng, (N, d))) / math.sqrt(2.0)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert rng.standard_normal(3).tobytes() == ref_rng.standard_normal(3).tobytes()
 
 
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX], ids=lambda f: f.value)

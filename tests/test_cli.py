@@ -28,6 +28,29 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_recover_bench_csv_stdout(capsys):
+    code, out, err = run_cli(
+        capsys, "recover-bench", "--field", "real", "--ensemble", "ternary",
+        "--d", "16", "--ratios", "6", "--trials", "2", "--max-iters", "300",
+        "--seed", "3",
+    )
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[0].startswith("ratio,N,success_rate")
+    assert len(lines) == 2
+    assert lines[1].split(",")[1] == "96"  # N = 6 * 16
+
+
+def test_recover_bench_rerun_identical(capsys, tmp_path):
+    args = ("recover-bench", "--field", "real", "--ensemble", "ternary",
+            "--d", "16", "--ratios", "4,6", "--trials", "2",
+            "--max-iters", "300", "--seed", "3")
+    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(list(args) + ["--out", str(p1)]) == 0
+    assert main(list(args) + ["--out", str(p2)]) == 0
+    assert p1.read_bytes() == p2.read_bytes()
+
+
 def test_init_bench_json(capsys, tmp_path):
     out_path = tmp_path / "init.json"
     code, out, err = run_cli(
@@ -52,6 +75,28 @@ def test_verify_moments_exit_codes(capsys):
     assert payload["passed"] is True
     assert len(payload["checks"]) == 1
     assert payload["profile"]["tau4"] == 0.0  # real gaussian
+
+
+def test_verify_moments_complex_runs_block_check(capsys):
+    code, out, err = run_cli(
+        capsys, "verify-moments", "--field", "complex", "--ensemble", "ternary",
+        "--d", "4", "--samples", "50000", "--seed", "1",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["passed"] is True
+    assert len(payload["checks"]) == 2  # condition check plus block check
+
+
+def test_solve_json_record(capsys):
+    code, out, err = run_cli(
+        capsys, "solve", "--field", "real", "--ensemble", "ternary",
+        "--d", "16", "--ratios", "6", "--max-iters", "300", "--seed", "2",
+    )
+    assert code == 0
+    record = json.loads(out)
+    assert set(record) >= {"init_rel_error", "final_rel_error", "iterations", "success"}
+    assert record["iterations"] <= 300
 
 
 def test_verify_moments_exits_1_when_a_check_fails(capsys, monkeypatch):

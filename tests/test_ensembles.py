@@ -16,6 +16,7 @@ from phasekit import (
     MomentProfile,
     derived_constants,
     moment_profile,
+    sample_measurements,
 )
 
 ALL_ENSEMBLES = [
@@ -178,6 +179,36 @@ def test_measurement_set_stores_contiguous_rows_of_their_field(rows, field, dtyp
                                     and rows.flags.c_contiguous)
 
 
+def test_sampling_is_deterministic():
+    ens = Ensemble(Field.COMPLEX, UNIFORM)
+    a = sample_measurements(ens, 50, 7, seed=123).vectors
+    b = sample_measurements(ens, 50, 7, seed=123).vectors
+    assert np.array_equal(a, b)
+    c = sample_measurements(ens, 50, 7, seed=124).vectors
+    assert not np.array_equal(a, c)
+
+
+def test_ternary_entries_are_atoms():
+    ms = sample_measurements(Ensemble(Field.REAL, TERNARY), 200, 11, seed=5)
+    assert set(np.unique(ms.vectors)) <= {-1.0, 0.0, 1.0}
+
+
+def test_uniform_law_of_large_numbers():
+    ms = sample_measurements(Ensemble(Field.REAL, UNIFORM), 100_000, 1, seed=9)
+    v = ms.vectors.ravel()
+    assert abs(np.mean(v)) < 0.01
+    assert abs(np.mean(v ** 2) - 1 / 3) < 0.01
+
+
+@pytest.mark.parametrize("entry", [GAUSSIAN, UNIFORM, TERNARY], ids=lambda e: e.name)
+def test_complex_second_moment(entry):
+    n = 100_000
+    ms = sample_measurements(Ensemble(Field.COMPLEX, entry), n, 1, seed=77)
+    sq = np.abs(ms.vectors.ravel()) ** 2
+    stderr = np.std(sq) / math.sqrt(n)
+    assert abs(np.mean(sq) - entry.m2) <= 3 * stderr
+
+
 def _assert_ternary_draw_matches(rng, ref, shape):
     """TERNARY's draw from rng against numpy's int32 draw from ref: the same
     values and the same generator state after it."""
@@ -245,6 +276,18 @@ def test_ternary_draw_maps_words_at_the_cuts(low, high, values):
     rng, ref = _pcg64_about_to_output(low, high), _pcg64_about_to_output(low, high)
     assert TERNARY.sampler(rng, (2,)).tolist() == values
     assert ref.integers(-1, 2, 2, dtype=np.int32).tolist() == values
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 3), (64, 32)], ids=str)
+def test_complex_ternary_entries_are_two_numpy_int32_draws(shape):
+    # an odd entry count starts the imaginary draw on a pending half word
+    got = sample_measurements(Ensemble(Field.COMPLEX, TERNARY), *shape,
+                              np.random.default_rng(8)).vectors
+    rng = np.random.default_rng(8)
+    u = rng.integers(-1, 2, shape, dtype=np.int32)
+    v = rng.integers(-1, 2, shape, dtype=np.int32)
+    expected = (u + 1j * v) / math.sqrt(2.0)
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
 class _NumpyDraw(Exception):

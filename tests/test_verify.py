@@ -165,6 +165,20 @@ def test_concentration_curve_shrinks():
         assert r.m_dev_q95 >= r.m_dev_median
 
 
+def test_concentration_curve_seed_types():
+    ens = Ensemble(Field.REAL, TERNARY)
+    x = unit_vector(8, Field.REAL, seed=13)
+
+    def rows(seed):
+        return [r.to_dict() for r in
+                concentration_curve(ens, 8, x, N_grid=[64], trials=20, seed=seed)]
+
+    assert rows(14) == rows(np.random.SeedSequence(14))
+    from_gen = rows(np.random.default_rng(15))
+    assert from_gen == rows(np.random.default_rng(15))
+    assert np.all(np.isfinite(list(from_gen[0].values())))
+
+
 def test_concentration_curve_keeps_the_spawn_key():
     ens = Ensemble(Field.REAL, TERNARY)
     x = unit_vector(8, Field.REAL, seed=13)
