@@ -17,15 +17,17 @@ oracles in :mod:`phasekit.verify`.
 Ternary draws are bit-identical to ``rng.integers(-1, 2, shape,
 dtype=np.int32)``, values and generator state alike, but computed in bulk.
 numpy draws that range by Lemire's multiply-shift on successive 32-bit
-words u: the value is (3u >> 32) - 1, that is [u >= 1431655766] +
-[u >= 2863311531] - 1, and only u == 0 is rejected, since
+words u: the value is (3u >> 32) - 1, that is [u >= 2863311531] -
+[u < 1431655766], and only u == 0 is rejected, since
 (2^32 - 3) mod 3 = 1. For a PCG64 generator that holds no buffered half, the
 words are its raw 64-bit outputs, each taken low half first, then high
-half; an odd word count leaves the last high half buffered. A buffered
-half, a zero word or another bit generator restores the saved state and
-replays numpy's int32 call. In every case the values and the state are
-numpy's. That fallback must stay int32: an int8 bounded draw cuts each
-32-bit word into four bytes, so its stream differs.
+half; an odd word count leaves the last high half buffered. They are drawn
+in fixed blocks of whole 64-bit words, so beside its int8 values a draw of
+any size holds one block of raw words (256 KiB) and one mask for it. A
+buffered half, a zero word in any block or another bit generator restores
+the saved state and replays numpy's int32 call. In every case the values
+and the state are numpy's. That fallback must stay int32: an int8 bounded
+draw cuts each 32-bit word into four bytes, so its stream differs.
 """
 
 from __future__ import annotations
@@ -179,25 +181,32 @@ GAUSSIAN = EntryDistribution("gaussian", 1.0, 3.0, lambda rng, shape: rng.standa
 UNIFORM = EntryDistribution("uniform", 1.0 / 3.0, 1.0 / 5.0, lambda rng, shape: rng.uniform(-1.0, 1.0, shape))
 # the least 32-bit words u that numpy's int32 draw on [-1, 2) maps to 0 and to 1
 _TERNARY_CUTS = (1_431_655_766, 2_863_311_531)
+_TERNARY_BLOCK = 1 << 15  # raw 64-bit words a ternary draw holds at once: 256 KiB
 
 
 def _ternary(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     """The values of rng.integers(-1, 2, shape, dtype=np.int32), leaving the
     generator in the state that call leaves. A PCG64 generator that holds no
-    buffered half gives them as int8 computed from its raw words (see the
-    module docstring); a buffered half, a zero word or another bit generator
-    replays that call itself. It reads, draws and then sets the state, so
-    unlike one numpy call it is not atomic: threads must not share `rng`."""
+    buffered half gives them as int8 computed from its raw words, drawn in
+    blocks of `_TERNARY_BLOCK` whole words (see the module docstring); a
+    buffered half, a zero word in any block or another bit generator replays
+    that call itself. It reads, draws and then sets the state, so unlike one
+    numpy call it is not atomic: threads must not share `rng`."""
     bitgen = rng.bit_generator
     saved = bitgen.state
     n = math.prod(shape)
     if saved["bit_generator"] == "PCG64" and not saved["has_uint32"] and n:
-        raw = bitgen.random_raw((n + 1) // 2)
-        words = raw.astype("<u8", copy=False).view("<u4")[:n]  # low half, then high
-        if words.min():  # no zero word, so no rejection shifts the stream
-            draw = (words >= _TERNARY_CUTS[0]).view(np.int8)
-            draw += words >= _TERNARY_CUTS[1]
-            draw -= 1
+        draw = np.empty(n, dtype=np.int8)
+        below = np.empty(min(n, 2 * _TERNARY_BLOCK), dtype=bool)
+        for start in range(0, n, 2 * _TERNARY_BLOCK):
+            raw = bitgen.random_raw(min(_TERNARY_BLOCK, (n - start + 1) // 2))
+            words = raw.astype("<u8", copy=False).view("<u4")[:n - start]  # low half, then high
+            if not words.min():  # a zero word: its rejection shifts the stream
+                break
+            part = draw[start:start + words.size]
+            np.greater_equal(words, _TERNARY_CUTS[1], out=part.view(bool))
+            part -= np.less(words, _TERNARY_CUTS[0], out=below[:words.size])
+        else:  # no zero word in any block
             state = bitgen.state
             state["has_uint32"], state["uinteger"] = n % 2, int(raw[-1] >> 32)
             bitgen.state = state

@@ -18,6 +18,7 @@ from phasekit import (
     moment_profile,
     sample_measurements,
 )
+from phasekit.ensembles import _TERNARY_BLOCK
 
 ALL_ENSEMBLES = [
     Ensemble(f, e) for f in (Field.REAL, Field.COMPLEX)
@@ -209,6 +210,10 @@ def test_complex_second_moment(entry):
     assert abs(np.mean(sq) - entry.m2) <= 3 * stderr
 
 
+# the entries of one block of a ternary draw: two 32-bit halves per raw word
+_ENTRIES = 2 * _TERNARY_BLOCK
+
+
 def _assert_ternary_draw_matches(rng, ref, shape):
     """TERNARY's draw from rng against numpy's int32 draw from ref: the same
     values and the same generator state after it."""
@@ -219,7 +224,9 @@ def _assert_ternary_draw_matches(rng, ref, shape):
 
 
 @pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered-half"])
-@pytest.mark.parametrize("shape", [(1,), (7,), (8,), (5, 3), (4, 6), (257, 33), (0,)], ids=str)
+@pytest.mark.parametrize("shape", [(1,), (7,), (8,), (5, 3), (4, 6), (257, 33), (0,),
+                                   (2 * _ENTRIES,), (2 * _ENTRIES + 1,), (4 * _ENTRIES - 1,),
+                                   (2560, 128)], ids=str)
 def test_ternary_draw_is_numpy_int32_draw(shape, buffered):
     for seed in range(40):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -240,20 +247,22 @@ def test_ternary_draw_on_another_bit_generator_is_numpy_int32_draw(shape):
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def _pcg64_about_to_output(low: int, high: int) -> np.random.Generator:
-    """A PCG64 generator whose next 64-bit output has these 32-bit halves.
-    PCG64 steps s -> s * MULT + inc and outputs rotr(hi(s) ^ lo(s), s >> 122)
-    of the new state; a new state with its top six bits zero does not rotate,
-    so its output is hi(s) ^ lo(s)."""
+def _pcg64_about_to_output(low: int, high: int, word: int = 0) -> np.random.Generator:
+    """A PCG64 generator whose 64-bit output number `word`, counted from 0, so
+    by default its next, has these 32-bit halves. PCG64 steps
+    s -> s * MULT + inc and outputs rotr(hi(s) ^ lo(s), s >> 122) of the new
+    state; a new state with its top six bits zero does not rotate, so its
+    output is hi(s) ^ lo(s). Then it steps back `word` outputs."""
     inc, hi = 0xDA3E39CB94B95BDB, 0x0123456789ABCDEF
     new_state = (hi << 64) | (hi ^ (high << 32 | low))
     state = (new_state - inc) * pow(_PCG64_MULT, -1, 2 ** 128) % 2 ** 128
     bitgen = np.random.PCG64()
     bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                     "has_uint32": 0, "uinteger": 0}
+    bitgen.advance(-word % 2 ** 128)
     probe = np.random.PCG64()
     probe.state = bitgen.state
-    assert int(probe.random_raw()) == high << 32 | low
+    assert int(probe.random_raw(word + 1)[-1]) == high << 32 | low
     return np.random.Generator(bitgen)
 
 
@@ -301,7 +310,8 @@ class _NoNumpyDraw(np.random.Generator):
         raise _NumpyDraw
 
 
-@pytest.mark.parametrize("shape", [(1,), (7,), (8,), (5, 3), (4, 6), (257, 33)], ids=str)
+@pytest.mark.parametrize("shape", [(1,), (7,), (8,), (5, 3), (4, 6), (257, 33),
+                                   (2 * _ENTRIES + 1,), (2560, 128)], ids=str)
 def test_ternary_draw_on_pcg64_with_no_buffered_half_takes_the_raw_word_path(shape):
     # an edit that sent every draw to numpy's would pass every value test and
     # only show as a slower benchmark
@@ -328,3 +338,24 @@ def test_ternary_draw_in_other_states_is_numpy_draw(make, shape):
     with pytest.raises(_NumpyDraw):
         TERNARY.sampler(_NoNumpyDraw(make()), shape)
     _assert_ternary_draw_matches(np.random.Generator(make()), np.random.Generator(make()), shape)
+
+
+@pytest.mark.parametrize("low, high", [(0, 5), (5, 0)], ids=["low-zero", "high-zero"])
+@pytest.mark.parametrize("word", [_TERNARY_BLOCK, _TERNARY_BLOCK + 3, 2 * _TERNARY_BLOCK - 1],
+                         ids=["second-block-first", "second-block-fourth", "second-block-last"])
+def test_ternary_draw_replays_numpy_past_a_zero_word_in_a_later_block(low, high, word):
+    # the blocks before it were already mapped, and must be drawn again by numpy
+    shape = (4 * _ENTRIES - 1,)
+    with pytest.raises(_NumpyDraw):
+        TERNARY.sampler(_NoNumpyDraw(_pcg64_about_to_output(low, high, word).bit_generator), shape)
+    rng, ref = (_pcg64_about_to_output(low, high, word) for _ in range(2))
+    _assert_ternary_draw_matches(rng, ref, shape)
+    _assert_ternary_draw_matches(rng, ref, (5,))
+
+
+def test_ternary_draw_holds_one_block_of_raw_words(traced_peak):
+    # all raw words of the draw and two full-size masks beside its int8 values
+    # read 6.01 B per entry
+    rng, shape = np.random.default_rng(0), (8192, 128)
+    peak = traced_peak(lambda: TERNARY.sampler(rng, shape))
+    assert peak < 2 * math.prod(shape)

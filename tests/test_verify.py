@@ -342,6 +342,15 @@ def test_condition_residual_holds_one_chunk_at_a_time(oracle, ens, d, n_samples,
     assert peak < 1.75 * _rows_nbytes(ens, n_samples // DEFAULT_CHUNKS, d) + means
 
 
+def test_a_ternary_chunk_is_drawn_beside_one_block_of_raw_words(traced_peak):
+    # a ternary draw holding all its raw words and two full-size masks read 1.33x
+    ens, d, n_samples = Ensemble(Field.COMPLEX, TERNARY), 64, 200_000
+    x = unit_vector(d, ens.field, seed=16)
+    peak = traced_peak(lambda: mc_condition_residual(ens, d, x, n_samples, 17))
+    chunk = _rows_nbytes(ens, n_samples // DEFAULT_CHUNKS, d)
+    assert peak < 1.2 * (chunk + _packed_means_nbytes(mc_condition_residual, ens, d))
+
+
 @pytest.mark.parametrize("entries", [GAUSSIAN, UNIFORM, TERNARY], ids=lambda e: e.name)
 def test_condition_ii_has_one_chunk_statistic(entries):
     # the upper-left d x d block of each F chunk mean is condition II's chunk
