@@ -409,21 +409,20 @@ class DerivedConstants:
 def derived_constants(profile: MomentProfile) -> DerivedConstants:
     """alpha = tau2+tau3-(tau4)_-, beta = tau3-(tau4)_-, alpha_hat = tau2+tau3+|tau4| >= |tau4|,
     alpha >= beta > 0, and epsilon0 = (10/(27 alpha)) * (sqrt(36 tau4^2 + 27 alpha beta / 10)
-    - 6 |tau4|) = 1 / (hypot(6 r, s) + 6 r), r = |tau4| / beta, s = sqrt(2.7 alpha / beta),
-    whose terms do not cancel. An alpha_hat beyond float range raises, naming it."""
+    - 6 |tau4|) = 1 / (sqrt(36 r^2 + 2.7 alpha/beta) + 6 r), r = |tau4|/beta: the paper's formula,
+    correctly rounded from 40-digit decimals. An alpha_hat beyond float range raises, naming it."""
     _instance(profile, "profile", MomentProfile)
     t4_minus = max(-profile.tau4, 0.0)
     alpha = profile.tau2 + profile.tau3 - t4_minus
     beta = profile.tau3 - t4_minus
     alpha_hat = _ldexp(profile.tau2 + profile.tau3 + abs(profile.tau4), 0, "alpha_hat")
-    # 6 r / 2^k and s / 2^k from frexp parts: rounded as 6 r and s are, but never overflowing
-    (m4, e4), (mb, eb) = math.frexp(abs(profile.tau4)), math.frexp(beta)
-    ja, jb = math.frexp(alpha)[1] // 2, eb // 2
-    k = max(e4 - eb, ja - jb) if m4 else ja - jb
-    r6 = math.ldexp(6.0 * (m4 / mb), e4 - eb - k)
-    s = math.ldexp(math.sqrt(2.7) * math.sqrt(math.ldexp(alpha, -2 * ja))
-                   / math.sqrt(math.ldexp(beta, -2 * jb)), ja - jb - k)
-    eps0 = math.ldexp(1.0 / (math.hypot(r6, s) + r6), -k)
+    import decimal  # here, not at the top: `import phasekit` does not load it
+    with decimal.localcontext(decimal.Context(prec=40)):
+        t2, t3, t4 = (decimal.Decimal(t if isinstance(t, (int, float)) else float(t))
+                      for t in (profile.tau2, profile.tau3, profile.tau4))  # a Fraction as a float
+        b = t3 - max(-t4, 0)
+        r6 = 6 * abs(t4) / b
+        eps0 = float(1 / ((r6 * r6 + decimal.Decimal("2.7") * (t2 + b) / b).sqrt() + r6))
     return DerivedConstants(alpha, beta, alpha_hat, eps0)
 
 
@@ -437,16 +436,16 @@ def _draw(entry: EntryDistribution, shape: tuple, rng: np.random.Generator) -> n
 
 
 def sample_measurements(ensemble: Ensemble, N: int, d: int, seed: SeedLike) -> MeasurementSet:
-    """N measurement vectors of dimension d, integers >= 1; identical seeds, identical bits.
-    Every row phasekit draws comes from here: i.i.d. draws of the law as float64, or
-    (u + i v)/sqrt(2) for a complex field, checked by `MeasurementSet`, so a sampler that
-    returns another shape or non-real or non-finite numbers raises ValueError. The rows
-    are drawn in order from `_rng(seed)`, so a Generator seed continues its stream."""
+    """N measurement vectors of dimension d, integers >= 1, drawn in order from `_rng(seed)`:
+    identical seeds give identical bits, and a Generator seed continues its stream. Every row
+    phasekit draws comes from here, as its own: i.i.d. draws of the law as float64 (a read-only
+    or borrowed draw is copied, so no sampler's array is written), or (u + i v)/sqrt(2) for a
+    complex field; a draw of another shape or non-real or non-finite entries raises ValueError."""
     _instance(ensemble, "ensemble", Ensemble)
     shape = (_integer(N, "N", 1), _integer(d, "d", 1))
     rng = _rng(seed)
     if ensemble.field is Field.REAL:  # cast first: a narrower draw is gone before the check
-        return MeasurementSet(_draw(ensemble.entry, shape, rng).astype(np.float64, copy=False))
+        return MeasurementSet(np.require(_draw(ensemble.entry, shape, rng), float, ["C", "W", "O"]))
     # each part is written as soon as it is drawn, u before v, so the two
     # draws and the output are never all live at once; the same bits as
     # (u + 1j*v) / sqrt(2), whose complex division multiplies by 1/sqrt(2),

@@ -1,6 +1,10 @@
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest.mock import Mock
 
 import pytest
@@ -364,3 +368,15 @@ def test_the_bad_value_table_names_every_declared_flag():
     rows = {code: {tuple(p.values[:2]) for p in _bad_values(code)} for code in (1, 2)}
     assert rows[1] | rows[2] == declared
     assert {(c, f) for c, f in declared if f in _LIBRARY_CHECKED} == rows[1]
+
+
+@pytest.mark.parametrize("d, code", [("8", 0), ("six", 2)], ids=["solve", "usage-error"])
+def test_the_module_entry_exits_with_main_s_code_and_output(capsys, d, code):
+    # `python -m phasekit.cli` runs the `sys.exit(main())` that an in-process call skips
+    argv = ["solve", "--field", "real", "--ensemble", "ternary", "--d", d, "--ratios", "6"]
+    env = os.environ | {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+                        "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-m", "phasekit.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == run_cli(capsys, *argv)[:2]
+    assert done.returncode == code

@@ -506,3 +506,27 @@ def test_a_seeded_function_of_an_ensemble_checks_the_draws_of_its_law(fn, field,
         "measurement vectors must be finite" if draw in ("nan", "inf") else
         f"entry distribution 'bad': sampler must return real numbers of shape {asked[-1]}, "
         f"got {got.dtype} of shape {got.shape}")
+
+
+def _read_only(rng, shape):
+    draw = rng.standard_normal(shape)
+    draw.flags.writeable = False
+    return draw
+
+
+@pytest.mark.parametrize("fn", ["run_init_experiment", "run_recovery_trial",
+                                "mc_condition_residual", "concentration_curve"])
+def test_a_real_law_s_draws_are_never_written(fn):
+    # a real law's float64 draw was kept as the rows, which these calls weight in place:
+    # a read-only draw raised numpy's bare "output array is read-only", and a pool lent
+    # as views was overwritten, so run_recovery_trial's second draw blamed the sampler
+    def run(sampler):
+        law = Ensemble(Field.REAL, EntryDistribution("x", 1.0, 3.0, sampler))
+        config = CALLS[fn].get("config")
+        return call(fn, **({"config": dataclasses.replace(config, ensemble=law)} if config
+                           else {"ensemble": law}))
+    assert _form(run(_read_only)) == _form(run(GAUSSIAN.sampler))
+    pool = np.random.default_rng(1).standard_normal(1 << 10)
+    before = pool.tobytes()
+    run(lambda rng, shape: pool[:math.prod(shape)].reshape(shape))
+    assert pool.tobytes() == before

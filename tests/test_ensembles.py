@@ -1,7 +1,7 @@
 import decimal
 import math
-import sys
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -57,6 +57,8 @@ def test_derived_constants_real_gaussian():
     assert c.epsilon0 == pytest.approx(math.sqrt(20 / 81), rel=1e-12)
     # the same profile of ints: the range check of alpha_hat takes an int as it is
     assert derived_constants(MomentProfile(1, 1, 2, 0)) == c
+    # and of Fractions, which the decimal evaluation of epsilon0 takes as floats
+    assert derived_constants(MomentProfile(*map(Fraction, (1, 1, 2, 0)))) == c
 
 
 def test_derived_constants_tau4_zero_collapses():
@@ -130,14 +132,7 @@ def test_epsilon0_matches_a_high_precision_reference(law):
     # subnormal cases gave 0.0, as |tau4| / beta or sqrt(alpha) / sqrt(beta) overflowed
     profile = moment_profile(law) if isinstance(law, Ensemble) else MomentProfile(*law)
     expected = _epsilon0_reference(profile)
-    got = derived_constants(profile).epsilon0
-    if expected == 0.0:
-        assert got == 0.0
-    elif expected < sys.float_info.min:
-        # a relative bound underflows to equality here; allow one subnormal step
-        assert abs(got - expected) <= math.ulp(0.0)
-    else:
-        assert abs(got - expected) <= 1e-15 * expected
+    assert derived_constants(profile).epsilon0 == expected
 
 
 @pytest.mark.parametrize("ensemble", ALL_ENSEMBLES, ids=lambda e: f"{e.field.value}-{e.entry.name}")
