@@ -172,9 +172,9 @@ def _rows(ratio: float, d: int, name: str) -> int:
 def _trial(config: ExperimentConfig, ratio: float, i: int) -> tuple:
     """Trial i at `ratio`, either protocol's: (x, draw, y, g, s), the signal, the call that
     draws its rows, y, and GSI's and SI's InitResults. The stream spawns seeds for x, the rows,
-    GSI and, in an init trial only, SI: the first three are the same either way, as the
-    benchmark mirror's spawn(3) needs. GSI weights the drawn rows in place, and they end with
-    this call; a recovery trial's descent takes draw() of the same rows, and its s is None."""
+    GSI and, in an init trial only, SI: the first three are the same either way, since a
+    SeedSequence's children do not depend on how many are spawned. GSI weights the drawn rows
+    in place, so a recovery trial's descent takes draw() of the same rows; its s is None."""
     paired = config.kind is ExperimentKind.INIT_ERROR
     sig_ss, meas_ss, *power_seeds = trial_seed(config.base_seed, ratio, i).spawn(3 + paired)
     x = generate_signal(config.d, sig_ss, field=config.ensemble.field)

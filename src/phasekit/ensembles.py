@@ -330,14 +330,6 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _exponent(*points, y=None) -> int:
-    """The e of `math.frexp` of the largest entry (or part) of the float64 or C-contiguous
-    complex128 points and of sqrt(y), so that every p * 2^-e and y * 2^-2e has entries
-    below 1; a zero part sets no scale, and e = 0 when all are zero or empty."""
-    tops = [float(np.abs(p.view(np.float64)).max(initial=0.0)) for p in points]
-    return math.frexp(max(tops + ([] if y is None else [math.sqrt(float(y.max()))])))[1]
-
-
 def _ldexp(v, e: int, name: str = ""):
     """Scale out: v * 2^e for a real number, or a float64 or C-contiguous complex128 array
     (then a new array), exact while it stays normal, or rounded to a subnormal or 0.0 with no
@@ -356,22 +348,25 @@ def _ldexp(v, e: int, name: str = ""):
     return np.ldexp(v.view(np.float64), e).view(v.dtype) if array else math.ldexp(v, e)
 
 
-def _to_unit(y, *points) -> tuple:
-    """Scale in: (e, y * 2^-2e, *(p * 2^-e for p in points)) for checked intensities y
-    (or None) and float64 or complex128 points, taken C-contiguous, with e by `_exponent`."""
+def _to_unit(*points, y=None) -> tuple:
+    """Scale in: (e, *(p * 2^-e for p in points)), then y * 2^-2e if y is given, for float64
+    or complex128 points, taken C-contiguous, and checked intensities y. e is the exponent
+    of `math.frexp` of the largest entry (or part) of the points and of sqrt(y), so every
+    scaled entry is below 1; a zero part sets no scale, and e = 0 when all are zero or empty."""
     points = [np.ascontiguousarray(p) for p in points]
-    e = _exponent(*points, y=y)
-    return (e, None if y is None else _ldexp(y, -2 * e), *(_ldexp(p, -e) for p in points))
+    tops = [float(np.abs(p.view(np.float64)).max(initial=0.0)) for p in points]
+    e = math.frexp(max(tops + ([] if y is None else [math.sqrt(float(y.max()))])))[1]
+    return (e, *(_ldexp(p, -e) for p in points), *([] if y is None else [_ldexp(y, -2 * e)]))
 
 
 def _unit_args(mset, **args) -> tuple:
     """Every measuring kernel's way in: checks mset, then each named point by `_vector` at the
     rows' dtype and shape (d,), then `y`, if named, by `_intensities` of length N, and returns
-    `_to_unit(y, *points)`, y None if not named."""
+    `_to_unit(*points, y=y)`: e, the points in the order named, then y if named."""
     _instance(mset, "mset", MeasurementSet)
     points = [_vector(v, mset.d, mset.field.dtype, k) for k, v in args.items() if k != "y"]
     y = _intensities(args["y"], mset.N) if "y" in args else None
-    return _to_unit(y, *points)
+    return _to_unit(*points, y=y)
 
 
 def _direction(rng: np.random.Generator, d: int, complex_: bool) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .ensembles import (MeasurementSet, _exponent, _inner, _instance, _integer, _intensities,
+from .ensembles import (MeasurementSet, _inner, _instance, _integer, _intensities,
                         _ldexp, _norm, _number, _to_unit, _unit_args, _vector)
 
 DEFAULT_MAX_ITERS = 2000
@@ -88,7 +88,7 @@ def objective(z: np.ndarray, mset: MeasurementSet, y: np.ndarray) -> float:
     """(1/2N) sum_j (|<a_j, z>|^2 - y_j)^2. `z` must be finite, of shape
     (d,) and real for real rows; `y` real, finite, nonnegative, of shape (N,).
     One scale rule (README), k = 4: underflow rounds silently to a subnormal or 0.0."""
-    e, y, z = _unit_args(mset, z=z, y=y)
+    e, z, y = _unit_args(mset, z=z, y=y)
     r = _inner(mset.vectors, z)[1] - y
     return _ldexp(float(np.sum(r ** 2)) / (2.0 * mset.N), 4 * e, "the objective")
 
@@ -96,7 +96,7 @@ def objective(z: np.ndarray, mset: MeasurementSet, y: np.ndarray) -> float:
 def gradient(z: np.ndarray, mset: MeasurementSet, y: np.ndarray) -> np.ndarray:
     """(1/N) sum_j (|w_j|^2 - y_j) w_j a_j with w_j = <a_j, z>. `z` and `y`
     are checked as by `objective`. Scale rule k = 3, as `objective` says."""
-    e, y, z = _unit_args(mset, z=z, y=y)
+    e, z, y = _unit_args(mset, z=z, y=y)
     return _ldexp(_gradient(mset.vectors, y, z), 3 * e, "the gradient")
 
 
@@ -109,7 +109,7 @@ def dist(z: np.ndarray, x: np.ndarray) -> float:
     (README), k = 1: underflow rounds silently to a subnormal or 0.0."""
     dtype = np.complex128 if np.iscomplexobj(z) or np.iscomplexobj(x) else np.float64
     z = _vector(z, None, dtype, "z")
-    e, _, z, x = _to_unit(None, z, _vector(x, z.shape[0], dtype, "x"))
+    e, z, x = _to_unit(z, _vector(x, z.shape[0], dtype, "x"))
     c = np.vdot(x, z)  # x* z
     if dtype is np.complex128:
         theta = cmath.phase(c) % (2.0 * math.pi) if c != 0 else 0.0
@@ -155,13 +155,12 @@ def solve(
     `gradient` or `dist`. Without it, `iterates` is None.
     """
     _instance(config, "config", SolverConfig)
-    e, _, z = _unit_args(mset, z0=z0)
+    e, z = _unit_args(mset, z0=z0)
     y_given = _intensities(y, mset.N)
-    over = np.any(y_given) and _exponent(y_given) - 2 * e > 1024
-    y = None if over else _ldexp(y_given, -2 * e)
-    if over or not np.any(y) and np.any(y_given):
+    y = _ldexp(y_given, -2 * e, f"y at z0's scale (y * 2^{-2 * e})")
+    if not np.any(y) and np.any(y_given):
         raise ValueError("z0 and y differ in scale beyond float range: y at z0's scale, "
-                         f"y * 2^{-2 * e}, {'overflows' if over else 'is all zero'}")
+                         f"y * 2^{-2 * e}, is all zero")
     # an iterate is finite at the caller's scale iff its entries are below this
     zmax = math.ldexp(1.0, 1024 - e) if e > 0 else math.inf
 

@@ -59,7 +59,7 @@ def measure(mset: MeasurementSet, x: np.ndarray) -> np.ndarray:
     """Intensities y_j = |<a_j, x>|^2, without forming any A_j. `x` must be
     finite, of shape (d,) and real for real rows. One scale rule (README),
     k = 2: underflow rounds silently to a subnormal or 0.0."""
-    e, _, x = _unit_args(mset, x=x)
+    e, x = _unit_args(mset, x=x)
     return _ldexp(_inner(mset.vectors, x)[1], 2 * e, "y_j = |<a_j, x>|^2")
 
 
@@ -72,7 +72,7 @@ def rho_from_intensities(y: np.ndarray, tau1: float) -> float:
     formula's, so no power-of-two rescaling of y or tau1 changes a bit. One scale
     rule (README), k = 1: underflow rounds silently to a subnormal."""
     _number(tau1, "tau1", 0, strict=True)
-    return _rho(*_to_unit(_intensities(y)), tau1)
+    return _rho(*_to_unit(y=_intensities(y)), tau1)
 
 
 def _rho(e: int, y: np.ndarray, tau1: float) -> float:
@@ -141,7 +141,7 @@ def power_method(
     """
     _integer(iters, "iters", 1)
     M = _matrix(M, "M")
-    e, _, M = _to_unit(None, M.astype(np.result_type(M, np.float64), copy=False))
+    e, M = _to_unit(M.astype(np.result_type(M, np.float64), copy=False))
     lam, v, residual = _power(M, iters, seed)
     return _ldexp(lam, e, "lam"), v, _ldexp(residual, e, "residual")
 
@@ -227,7 +227,7 @@ def _paired_init(A: np.ndarray, y: np.ndarray, profile: MomentProfile, power_ite
     """The one GSI recipe: (`gsi`, `baseline_si`) of rows A and checked y from one Y, written
     to `out` as `_Y` says; SI is None unless si_seed is given, and its scale is taken from the
     plain rows first. Nonzero y with Y = 0 leaves M no direction: a ValueError."""
-    e, y = _to_unit(y)
+    e, y = _to_unit(y=y)
     scale = None if si_seed is None else _si_scale(A, y)  # before the rows are weighted
     Y, rho, M = _gsi_matrices(A, y, profile, out=out)
     if not Y.any() and y.any():  # M = c tau2 rho^2 I: no direction to find

@@ -90,7 +90,7 @@ def _draws(ensemble: Ensemble, x, d: Optional[int], seed: SeedLike) -> tuple:
     x = _vector(x, d, ensemble.field.dtype)
     if not np.any(x):
         raise ValueError("x must be nonzero")
-    e, _, x = _to_unit(None, x)
+    e, x = _to_unit(x)
     rng = _rng(seed)
 
     def draw(sizes: Sequence[int], stat: Callable) -> list:
@@ -146,7 +146,7 @@ def condition_expectation(profile: MomentProfile, x: np.ndarray) -> np.ndarray:
     (README), k = 2: underflow rounds silently to a subnormal or 0.0."""
     _instance(profile, "profile", MomentProfile)
     x = _vector(x, None, np.complex128 if np.iscomplexobj(x) else np.float64)
-    e, _, x = _to_unit(None, x)
+    e, x = _to_unit(x)
     d = x.shape[0]
     T = profile.tau2 * float(np.vdot(x, x).real) * np.eye(d, dtype=x.dtype) \
         + profile.tau3 * np.outer(x, x.conj())
@@ -185,7 +185,7 @@ def f_block_expectation(profile: MomentProfile, x: np.ndarray) -> np.ndarray:
     condition II's E((x* A x) A), `condition_expectation(profile, x)`; x is
     checked, and the result scaled, as there."""
     x = _vector(x, None, np.complex128 if np.iscomplexobj(x) else np.float64)
-    e, _, x = _to_unit(None, x)  # so condition_expectation's own e is 0
+    e, x = _to_unit(x)  # so condition_expectation's own e is 0
     B11 = condition_expectation(profile, x)
     B12 = (profile.tau2 + profile.tau3) * np.outer(x, x) + profile.tau4 * np.diag(x ** 2)
     return _ldexp(_f_block(B11, B12), 2 * e, "the F block")

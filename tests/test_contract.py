@@ -28,19 +28,20 @@ from phasekit import (
     ExperimentConfig,
     ExperimentKind,
     Field,
+    MeasurementSet,
     MomentProfile,
     SolverConfig,
     derived_constants,
-    measure,
-    moment_profile,
-    sample_measurements,
 )
 
+# the values of sample_measurements(_REAL or _COMPLEX, 4, 2, 0), measure(_MSET, np.ones(2))
+# and moment_profile(_REAL), built without them so a broken kernel fails only its own rows
 _REAL, _COMPLEX = Ensemble(Field.REAL, GAUSSIAN), Ensemble(Field.COMPLEX, GAUSSIAN)
-_MSET = sample_measurements(_REAL, 4, 2, 0)
-_COMPLEX_MSET = sample_measurements(_COMPLEX, 4, 2, 0)
-_Y = measure(_MSET, np.ones(2))
-_PROFILE = moment_profile(_REAL)
+_MSET = MeasurementSet(np.random.default_rng(0).standard_normal((4, 2)))
+_U, _V = np.random.default_rng(0).standard_normal((2, 4, 2))
+_COMPLEX_MSET = MeasurementSet((_U + 1j * _V) / np.sqrt(2))
+_Y = (_MSET.vectors @ np.ones(2)) ** 2
+_PROFILE = MomentProfile(1.0, 1.0, 2.0, 0.0)
 _RECOVERY = ExperimentConfig(ExperimentKind.SUCCESS_RATE, _REAL, d=2, ratio_grid=(1,), trials=1,
                              max_iters=1, base_seed=0)
 _INIT = dataclasses.replace(_RECOVERY, kind=ExperimentKind.INIT_ERROR)

@@ -143,7 +143,7 @@ def test_one_seed_rule_and_one_vector_norm(path):
 
 # the scale rule's helpers: the kernels apply the rule, so the experiment harness and
 # the CLI hand them values at the caller's scale and take results back at it
-SCALE_HELPERS = {"_to_unit", "_ldexp", "_exponent"}
+SCALE_HELPERS = {"_to_unit", "_ldexp"}
 
 
 @pytest.mark.parametrize("module", ["bench", "cli"])

@@ -1,7 +1,8 @@
 """README's "One scale rule": one row per kernel of the rule, and one row per named raise.
 
-`_kernels(field)` gives each kernel its scales, its call and the name of a result of it
-beyond float range; `_RANGE` gives each named raise its call and whole message. The
+`_SCALES` gives each kernel its scales, and `_kernels(field)` its call and the name of a
+result of it beyond float range; `_RANGE` gives each named raise its call and whole message.
+No table calls the library while it is collected, so a broken kernel fails its own rows. The
 completeness test fails when a public function is neither a kernel nor in `_OUTSIDE_THE_RULE`.
 """
 import inspect
@@ -40,11 +41,16 @@ def _init(init) -> list:
 
 
 _WIDE, _CHAIN = (-600, 520), (-500, 500)
+_SCALES = {"measure": _WIDE, "objective": _WIDE, "gradient": _WIDE, "dist": _WIDE,
+           "rho_from_intensities": _WIDE, "build_Y": _WIDE, "build_M": (-100, -1, 1, 100),
+           "power_method": _WIDE, "gsi": _CHAIN, "baseline_si": _CHAIN, "solve": _CHAIN,
+           "condition_expectation": _WIDE, "f_block_expectation": _WIDE,
+           "mc_condition_residual": _WIDE, "mc_F_residual": _WIDE, "concentration_curve": _WIDE}
 
 
 def _kernels(field) -> dict:
-    """Each kernel of the rule as (its scales j, call(j), the name of a result beyond float
-    range, None where its scales keep every result in range), with points taken to 2^j and
+    """Each kernel of the rule as (call(j), the name of a result beyond float range, None
+    where its `_SCALES` keep every result in range), with points taken to 2^j and
     intensities to 2^(2j). A point that meets intensities sits near 2^-12, so 2^(2j) y stays
     in range at j = 520; rho's tau1 goes to 2^-j, so its inputs stay in range too. The
     gsi/solve chain runs at d = 32, and build_M's rho is one whose square glibc 2.36 misrounds."""
@@ -64,34 +70,30 @@ def _kernels(field) -> dict:
         return [(z, 1) for z in rep.iterates] + [(float(rep.iterations), 0)]
 
     return {
-        "measure": (_WIDE, lambda j: [(measure(ms, _ldexp(x, j)), 2)], "y_j = |<a_j, x>|^2"),
-        "objective": (_WIDE, lambda j: [(objective(_ldexp(zs, j), ms, _ldexp(ys, 2 * j)), 4)],
+        "measure": (lambda j: [(measure(ms, _ldexp(x, j)), 2)], "y_j = |<a_j, x>|^2"),
+        "objective": (lambda j: [(objective(_ldexp(zs, j), ms, _ldexp(ys, 2 * j)), 4)],
                       "the objective"),
-        "gradient": (_WIDE, lambda j: [(gradient(_ldexp(zs, j), ms, _ldexp(ys, 2 * j)), 3)],
+        "gradient": (lambda j: [(gradient(_ldexp(zs, j), ms, _ldexp(ys, 2 * j)), 3)],
                      "the gradient"),
-        "dist": (_WIDE, lambda j: [(dist(_ldexp(z, j), _ldexp(x, j)), 1)],
-                 "the distance of z and x"),
-        "rho_from_intensities": (_WIDE, lambda j: [(rho_from_intensities(
+        "dist": (lambda j: [(dist(_ldexp(z, j), _ldexp(x, j)), 1)], "the distance of z and x"),
+        "rho_from_intensities": (lambda j: [(rho_from_intensities(
             _ldexp(y3, j), math.ldexp(2.0, -j)), 1)], "rho = sqrt(sum(intensities) / (tau1 N))"),
-        "build_Y": (_WIDE, lambda j: [(build_Y(ms, _ldexp(ys, 2 * j)), 2)], "Y"),
-        "build_M": ((-100, -1, 1, 100), lambda j: [(build_M(
-            _ldexp(M, 2 * j), math.ldexp(rho, j), profile), 2)], None),
-        "power_method": (_WIDE, lambda j: list(zip(power_method(_ldexp(M, j)), [1, 0, 1])),
-                         "lam"),
-        "gsi": (_CHAIN, lambda j: _init(gsi(chain, _ldexp(y, 2 * j), profile, seed=5)), "z0"),
-        "baseline_si": (_CHAIN, lambda j: _init(baseline_si(chain, _ldexp(y, 2 * j), seed=6)),
-                        "z0"),
-        "solve": (_CHAIN, solved, None),
-        "condition_expectation": (_WIDE, lambda j: [(condition_expectation(
+        "build_Y": (lambda j: [(build_Y(ms, _ldexp(ys, 2 * j)), 2)], "Y"),
+        "build_M": (lambda j: [(build_M(_ldexp(M, 2 * j), math.ldexp(rho, j), profile), 2)], None),
+        "power_method": (lambda j: list(zip(power_method(_ldexp(M, j)), [1, 0, 1])), "lam"),
+        "gsi": (lambda j: _init(gsi(chain, _ldexp(y, 2 * j), profile, seed=5)), "z0"),
+        "baseline_si": (lambda j: _init(baseline_si(chain, _ldexp(y, 2 * j), seed=6)), "z0"),
+        "solve": (solved, None),
+        "condition_expectation": (lambda j: [(condition_expectation(
             profile, _ldexp(x, j)), 2)], "E((x* A x) A)"),
-        "f_block_expectation": (_WIDE, lambda j: [(f_block_expectation(
+        "f_block_expectation": (lambda j: [(f_block_expectation(
             profile, _ldexp(x, j)), 2)], "the F block"),
-        "mc_condition_residual": (_WIDE, lambda j: _report(mc_condition_residual(
+        "mc_condition_residual": (lambda j: _report(mc_condition_residual(
             ens, 6, _ldexp(x, j), 10_000, 8)), "the residual of condition-II-identity"),
-        "mc_F_residual": (_WIDE, lambda j: _report(mc_F_residual(
+        "mc_F_residual": (lambda j: _report(mc_F_residual(
             Ensemble(Field.COMPLEX, TERNARY), _ldexp(x, j), 10_000, 8)),
             "the residual of stacked-block-identity"),
-        "concentration_curve": (_WIDE, lambda j: list(zip(list(concentration_curve(
+        "concentration_curve": (lambda j: list(zip(list(concentration_curve(
             ens, 6, _ldexp(x, j), [12], 20, 8)[0].to_dict().values())[1:], [2, 2, 2, 2, 0, 0])),
             "y_dev_median"),
     }
@@ -105,7 +107,7 @@ def _bits(values) -> list:
 
 @pytest.mark.parametrize("kernel, field, j", [
     pytest.param(kernel, field, j, id=f"{kernel}-{field.value}-{j}")
-    for field in Field for kernel, (scales, _, _) in _kernels(field).items() for j in scales])
+    for field in Field for kernel, scales in _SCALES.items() for j in scales])
 def test_every_kernel_gives_the_same_bits_at_any_power_of_two_scale(kernel, field, j):
     # f(2^j z; 2^(2j) y) = 2^(k j) f(z; y): bit for bit where the scaled value is a
     # normal float, its rounding where it underflows, and a ValueError that names it
@@ -117,7 +119,7 @@ def test_every_kernel_gives_the_same_bits_at_any_power_of_two_scale(kernel, fiel
     # at 2^500 _Y leaked "overflow encountered in matmul", then raised "Y must be a
     # finite square matrix". build_M's rho ** 2 called libm pow, which misrounds the
     # square of its rho but not of 2^j rho, so M differed from the scaled M in a bit
-    _, call, name = _kernels(field)[kernel]
+    call, name = _kernels(field)[kernel]
     with np.errstate(over="ignore"):
         want = [_ldexp(v, k * j) for v, k in call(0)]
     if all(np.isfinite(v).all() for v in want):
@@ -146,7 +148,8 @@ def test_every_public_function_is_a_row_or_outside_the_rule():
     # a new public kernel must join the table, or be named outside the rule with a reason
     public = {name for name, obj in vars(phasekit).items()
               if not name.startswith("_") and inspect.isfunction(obj)}
-    rows, outside = set(_kernels(Field.REAL)), set(_OUTSIDE_THE_RULE)
+    rows, outside = set(_SCALES), set(_OUTSIDE_THE_RULE)
+    assert all(set(_kernels(field)) == rows for field in Field)
     assert sorted(public - rows - outside) == []
     assert sorted((rows | outside) - public) == [] and rows.isdisjoint(outside)
 
@@ -158,8 +161,7 @@ _EYE, _ONES, _X3 = MeasurementSet(np.eye(2)), np.ones(2), np.array([1.0, -2.0, 0
 _ROWS_1E200, _ROWS_1E160 = (MeasurementSet(np.diag([s, 1.0])) for s in (1e200, 1e160))
 _HUGE = EntryDistribution("huge", 1.0, 3.0, lambda rng, shape: 1e160 * rng.standard_normal(shape))
 _X4 = np.ldexp([1.0, -2.0, 0.5, 1.5], 520)
-_PROFILE, _COMPLEX = moment_profile(TERNARY_REAL), Ensemble(Field.COMPLEX, TERNARY)
-_RECOVERY = ExperimentConfig(ExperimentKind.SUCCESS_RATE, TERNARY_REAL, d=16, ratio_grid=(6,))
+_COMPLEX = Ensemble(Field.COMPLEX, TERNARY)
 _BEYOND = " is beyond float range"
 _RANGE = [  # (id, call, its whole message); "near 2^t" gives the size of a finite result
     ("measure", lambda: measure(_EYE, np.full(2, 1e200)),
@@ -174,13 +176,14 @@ _RANGE = [  # (id, call, its whole message); "near 2^t" gives the size of a fini
      "rho = sqrt(sum(intensities) / (tau1 N))" + _BEYOND + ", near 2^1044"),
     ("rho_from_intensities-5e-324", lambda: rho_from_intensities([1e308, 1e308], 5e-324),
      "rho = sqrt(sum(intensities) / (tau1 N))" + _BEYOND + ", near 2^1049"),
-    ("build_M-square-of-rho", lambda: build_M(np.eye(2), 1e200, _PROFILE),
+    ("build_M-square-of-rho", lambda: build_M(np.eye(2), 1e200, moment_profile(TERNARY_REAL)),
      "M's diagonal at rho=1e+200" + _BEYOND),
-    ("build_M-diagonal", lambda: build_M(1e308 * np.eye(2), 0.0, _PROFILE),
+    ("build_M-diagonal", lambda: build_M(1e308 * np.eye(2), 0.0, moment_profile(TERNARY_REAL)),
      "M's diagonal at rho=0.0" + _BEYOND),
-    ("build_M-int-rho", lambda: build_M(np.eye(2), 10**200, _PROFILE),
+    ("build_M-int-rho", lambda: build_M(np.eye(2), 10**200, moment_profile(TERNARY_REAL)),
      "M's diagonal at rho=1e+200" + _BEYOND),
-    ("condition_expectation", lambda: condition_expectation(_PROFILE, np.full(2, 1e160)),
+    ("condition_expectation", lambda: condition_expectation(moment_profile(TERNARY_REAL),
+                                                            np.full(2, 1e160)),
      "E((x* A x) A)" + _BEYOND + ", near 2^1064"),
     ("f_block_expectation", lambda: f_block_expectation(moment_profile(_COMPLEX),
                                                         np.full(2, 1e160) + 0j),
@@ -200,7 +203,8 @@ _RANGE = [  # (id, call, its whole message); "near 2^t" gives the size of a fini
     ("gradient-huge-rows", _quiet(lambda: gradient(_ONES, _ROWS_1E200, _ONES)),
      "the gradient" + _BEYOND),
     ("build_Y-huge-rows", _quiet(lambda: build_Y(_ROWS_1E160, _ONES)), "Y" + _BEYOND),
-    ("gsi-huge-rows", _quiet(lambda: gsi(_ROWS_1E160, _ONES, _PROFILE)), "Y" + _BEYOND),
+    ("gsi-huge-rows", _quiet(lambda: gsi(_ROWS_1E160, _ONES, moment_profile(TERNARY_REAL))),
+     "Y" + _BEYOND),
     ("baseline_si-huge-rows", _quiet(lambda: baseline_si(_ROWS_1E160, _ONES)), "Y" + _BEYOND),
     ("mc_condition_residual-huge-law", _quiet(lambda: mc_condition_residual(
         Ensemble(Field.REAL, _HUGE), 3, _X3, 20_000)),
@@ -214,8 +218,11 @@ _RANGE = [  # (id, call, its whole message); "near 2^t" gives the size of a fini
         ExperimentKind.SUCCESS_RATE, TERNARY_REAL, ratio_grid=(2, 1e306)),
      "1000 * ratio_grid[1]" + _BEYOND),
     ("trial_seed-ratio", lambda: trial_seed(0, 1e306, 0), "1000 * ratio" + _BEYOND),
-    ("run_recovery_trial-ratio", lambda: run_recovery_trial(_RECOVERY, 1e306, 0),
+    ("run_recovery_trial-ratio", lambda: run_recovery_trial(ExperimentConfig(
+        ExperimentKind.SUCCESS_RATE, TERNARY_REAL, d=16, ratio_grid=(6,)), 1e306, 0),
      "1000 * ratio" + _BEYOND),
+    ("solve-y-at-z0-scale", lambda: solve(_EYE, _ONES, np.full(2, 2.0 ** -600)),
+     "y at z0's scale (y * 2^1198) is beyond float range, near 2^1199"),
 ]
 
 
