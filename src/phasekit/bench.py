@@ -38,6 +38,7 @@ from .ensembles import (
     Field,
     GAUSSIAN,
     SeedLike,
+    _fits,
     _instance,
     _integer,
     _norm,
@@ -66,8 +67,10 @@ class ExperimentConfig:
     d: int = 128
     ratio_grid: tuple = DEFAULT_RATIOS
     trials: Optional[int] = None     # None: 50 for init, 100 for success
-    # protocol constants, not settings: at d=128 recovery ends below 2e-11 or above 0.39,
-    # and an exact eigensolver in place of the power method moves the mean GSI error <= 0.0035
+    # protocol constants, not settings: at d=128 recovery ends below 2e-11 or above 0.39 (40
+    # trials each of real uniform 2d and 4d, real ternary 4d, complex uniform 6d and complex
+    # ternary 8d), so any threshold in [1e-10, 0.3] gives the same tables; and an exact
+    # eigensolver in place of the power method moves the mean GSI error by at most 0.0035
     success_threshold: ClassVar[float] = 1e-5
     power_iters: ClassVar[int] = DEFAULT_POWER_ITERS
     max_iters: int = DEFAULT_MAX_ITERS
@@ -158,11 +161,9 @@ def generate_signal(d: int, seed: SeedLike, field: Field = Field.REAL) -> np.nda
 
 
 def _rows(ratio: float, d: int, name: str) -> int:
-    """N = round(ratio * d) of a checked ratio; N = 0, or N x d entries of 16 B beyond numpy's
-    largest array, intp's maximum in bytes, raise a ValueError naming the ratio `name`."""
-    if not ratio * d <= np.iinfo(np.intp).max // 16 // d:
-        raise ValueError(f"{name} * d = {ratio * d:.6g} rows of {d} entries are more than "
-                         "a numpy array holds")
+    """N = round(ratio * d) of a checked ratio; N = 0, or N x d entries of 16 B, either
+    field's, beyond numpy's largest array (`_fits`), raise a ValueError naming the ratio `name`."""
+    _fits(ratio * d, d, f"{name} * d")
     N = int(round(ratio * d))
     if N == 0:
         raise ValueError(f"{name} * d = {ratio * d:.6g} rounds to 0 rows")

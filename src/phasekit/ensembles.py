@@ -157,7 +157,8 @@ class EntryDistribution:
     alone: a recovery trial draws its rows twice from one seed and raises
     ValueError when the draws differ. The law must be mean-zero and symmetric;
     finite real moments, stored as Python numbers, with m2 > 0 and m4 >= m2^2
-    are enforced. Declared moments of a custom law are trusted only after the
+    are enforced, m2^2 as the product m2 * m2, so an m2 whose square overflows
+    fails. Declared moments of a custom law are trusted only after the
     Monte-Carlo condition check in :func:`phasekit.verify.mc_condition_residual`.
     """
 
@@ -430,6 +431,15 @@ def _draw(entry: EntryDistribution, shape: tuple, rng: np.random.Generator) -> n
     return draw
 
 
+def _fits(rows, d: int, name: str, itemsize: int = 16) -> None:
+    """The package's one judge of array size: `rows` rows (a count, or a float such as
+    ratio * d) of d entries of `itemsize` B must fit one numpy array, whose bytes intp's
+    maximum bounds, else a ValueError naming `name`, before anything is allocated."""
+    if not rows <= np.iinfo(np.intp).max // itemsize // d:
+        raise ValueError(f"{name} = {rows:.6g} rows of {d} entries are more than "
+                         "a numpy array holds")
+
+
 def sample_measurements(ensemble: Ensemble, N: int, d: int, seed: SeedLike) -> MeasurementSet:
     """N measurement vectors of dimension d, integers >= 1, drawn in order from `_rng(seed)`:
     identical seeds give identical bits, and a Generator seed continues its stream. Every row
@@ -438,6 +448,7 @@ def sample_measurements(ensemble: Ensemble, N: int, d: int, seed: SeedLike) -> M
     complex field; a draw of another shape or non-real or non-finite entries raises ValueError."""
     _instance(ensemble, "ensemble", Ensemble)
     shape = (_integer(N, "N", 1), _integer(d, "d", 1))
+    _fits(N, d, "N", np.dtype(ensemble.field.dtype).itemsize)
     rng = _rng(seed)
     if ensemble.field is Field.REAL:  # cast first: a narrower draw is gone before the check
         return MeasurementSet(np.require(_draw(ensemble.entry, shape, rng), float, ["C", "W", "O"]))

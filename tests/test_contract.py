@@ -1,8 +1,10 @@
-"""The argument contract of README's "Library" section: one test per kind of argument.
+"""The argument contract of every public function: one test per kind of argument.
 
-CALLS gives every public function and checked class of phasekit one valid call on a tiny
-problem, by keyword, so a test sets any parameter by name; every count in it is at its
-floor. `kind` sorts the public parameters into README's kinds by name or annotation. Each
+Every public function checks its arguments by their kind, one rule per kind, and raises
+ValueError with a message that names the argument and the rule; each kind's section below
+states its rule. CALLS gives every public function and checked class of phasekit one valid
+call on a tiny problem, by keyword, so a test sets any parameter by name; every count in it
+is at its floor. `kind` sorts the public parameters into the kinds by name or annotation. Each
 kind's tests take their cases from that scan and assert the kind's whole message, and
 `test_the_table_names_every_parameter_of_a_kind` fails when a parameter of the kind is
 missing from CALLS. A rejection test that takes the `checked_first` fixture runs with
@@ -106,7 +108,7 @@ _NO_KIND = {("convergence_rate_fit", "trace")}
 
 
 def kind(fn: str, p: inspect.Parameter) -> Optional[str]:
-    """README's kind of parameter p of fn, or None."""
+    """The kind of parameter p of fn, or None."""
     a = p.annotation
     if (fn, p.name) in _NO_KIND:
         return None
@@ -471,6 +473,28 @@ def _profile_breaking(rule: str, **taus) -> tuple:
 ], ids=["m4-below-m2-squared", "m2-squared-overflows", "tau1", "tau2", "tau3", "tau3+tau4",
         "alpha_hat", "int-alpha_hat"])
 def test_a_law_that_breaks_a_moment_rule_is_rejected(fn, override, message):
+    rejects(fn, message, **override)
+
+
+# Sizes: a draw's rows, at their field's bytes per entry, must fit one numpy array
+
+_TOO_BIG = " rows of {} entries are more than a numpy array holds"
+
+
+@pytest.mark.parametrize("fn, override, message", [
+    ("sample_measurements", dict(N=2 ** 62, d=8), "N = 4.61169e+18" + _TOO_BIG.format(8)),
+    ("sample_measurements", dict(ensemble=_COMPLEX, N=2 ** 59), "N = 5.76461e+17"
+     + _TOO_BIG.format(1)),  # 2^63 B at 16 B per entry; 2^59 real entries fit
+    ("generate_signal", dict(d=2 ** 62), "N = 1" + _TOO_BIG.format(2 ** 62)),
+    ("concentration_curve", dict(N_grid=[2 ** 62]), "N = 4.61169e+18" + _TOO_BIG.format(1)),
+    ("mc_condition_residual", dict(n_samples=10 ** 20), "n_samples // 20 = 5e+18"
+     + _TOO_BIG.format(1)),
+    ("mc_F_residual", dict(n_samples=10 ** 20), "n_samples // 20 = 5e+18" + _TOO_BIG.format(1)),
+], ids=["sample_measurements-real", "sample_measurements-complex", "generate_signal",
+        "concentration_curve", "mc_condition_residual", "mc_F_residual"])
+def test_a_draw_beyond_numpy_s_largest_array_is_named(fn, override, message):
+    # numpy raised "array is too big" or "Maximum allowed dimension exceeded", naming no
+    # argument; the check comes first, so no array is allocated
     rejects(fn, message, **override)
 
 

@@ -359,14 +359,14 @@ def test_condition_ii_has_one_chunk_statistic(entries):
     ens, d = Ensemble(Field.COMPLEX, entries), 5
     x = unit_vector(d, Field.COMPLEX, seed=18)
     sizes = [1_000] * DEFAULT_CHUNKS
-    tril, f_tril = (np.flatnonzero(np.tri(n, dtype=bool)) for n in (d, 2 * d))
-    f_chunks = _draws(ens, x, None, 19)[2](sizes, partial(_f_chunk, f_tril))
-    condition_chunks = _draws(ens, x, d, 19)[2](sizes, partial(_condition_chunk, tril))
+    low, f_low = (np.tri(n, dtype=bool) for n in (d, 2 * d))
+    f_chunks = _draws(ens, x, None, 19)[2](sizes, partial(_f_chunk, f_low))
+    condition_chunks = _draws(ens, x, d, 19)[2](sizes, partial(_condition_chunk, low))
     assert len(f_chunks) == len(condition_chunks) == DEFAULT_CHUNKS
     for f, (_, second) in zip(f_chunks, condition_chunks):
         F = np.zeros((2 * d, 2 * d), complex)
-        F.ravel()[f_tril] = f
-        assert np.array_equal(F[:d, :d].ravel()[tril], second)
+        F[f_low] = f
+        assert np.array_equal(F[:d, :d][low], second)
         assert np.array_equal(F[d:, :d], F[d:, :d].T)  # B12* is, so B12 is exactly symmetric
 
 
