@@ -153,9 +153,12 @@ def trial_seed(base_seed: int, ratio: float, trial: int) -> np.random.SeedSequen
 
 def generate_signal(d: int, seed: SeedLike, field: Field = Field.REAL) -> np.ndarray:
     """Gaussian test signal with the last two coordinates amplified by
-    SPIKE_FACTOR = 200. Complex signals are (g1 + i g2)/sqrt(2)."""
+    SPIKE_FACTOR = 200. Complex signals are (g1 + i g2)/sqrt(2). A d that no numpy
+    array of the field's numbers holds raises a ValueError naming d (`_fits`)."""
     _integer(d, "d", 2)
-    x = sample_measurements(Ensemble(field, GAUSSIAN), 1, d, seed).vectors[0]
+    ensemble = Ensemble(field, GAUSSIAN)
+    _fits(d, 1, "d", np.dtype(field.dtype).itemsize)
+    x = sample_measurements(ensemble, 1, d, seed).vectors[0]
     x[-2:] *= SPIKE_FACTOR
     return x
 

@@ -185,6 +185,21 @@ _TERNARY_CUTS = (1_431_655_766, 2_863_311_531)
 _TERNARY_BLOCK = 1 << 15  # raw 64-bit words a ternary draw holds at once: 256 KiB
 
 
+def _ternary_block(bitgen: np.random.BitGenerator, part: np.ndarray,
+                   below: np.ndarray) -> Optional[int]:
+    """Writes the values of part.size words, from one block of ceil(part.size / 2) raw
+    words, into the int8 `part`, with `below` as its mask buffer, and returns the high half
+    of the last raw word; None, with `part` unwritten, if a word is zero. The block dies
+    with this call, so a draw never holds two."""
+    raw = bitgen.random_raw((part.size + 1) // 2)
+    words = raw.astype("<u8", copy=False).view("<u4")[:part.size]  # low half, then high
+    if not words.min():
+        return None
+    np.greater_equal(words, _TERNARY_CUTS[1], out=part.view(bool))
+    part -= np.less(words, _TERNARY_CUTS[0], out=below[:part.size])
+    return int(raw[-1] >> 32)
+
+
 def _ternary(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     """The values of rng.integers(-1, 2, shape, dtype=np.int32), leaving the
     generator in the state that call leaves. A PCG64 generator that holds no
@@ -200,16 +215,12 @@ def _ternary(rng: np.random.Generator, shape: tuple) -> np.ndarray:
         draw = np.empty(n, dtype=np.int8)
         below = np.empty(min(n, 2 * _TERNARY_BLOCK), dtype=bool)
         for start in range(0, n, 2 * _TERNARY_BLOCK):
-            raw = bitgen.random_raw(min(_TERNARY_BLOCK, (n - start + 1) // 2))
-            words = raw.astype("<u8", copy=False).view("<u4")[:n - start]  # low half, then high
-            if not words.min():  # a zero word: its rejection shifts the stream
+            high = _ternary_block(bitgen, draw[start:start + 2 * _TERNARY_BLOCK], below)
+            if high is None:  # a zero word: its rejection shifts the stream
                 break
-            part = draw[start:start + words.size]
-            np.greater_equal(words, _TERNARY_CUTS[1], out=part.view(bool))
-            part -= np.less(words, _TERNARY_CUTS[0], out=below[:words.size])
         else:  # no zero word in any block
             state = bitgen.state
-            state["has_uint32"], state["uinteger"] = n % 2, int(raw[-1] >> 32)
+            state["has_uint32"], state["uinteger"] = n % 2, high
             bitgen.state = state
             return draw.reshape(shape)
         bitgen.state = saved

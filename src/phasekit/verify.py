@@ -4,7 +4,13 @@ These estimators are the independent check that gates the closed-form
 moment profiles in :mod:`phasekit.ensembles`: each one averages raw samples
 of the relevant statistic and compares against the claimed expectation.
 Tolerances are statistical: 5x a standard-error estimate from the spread of
-20 equal chunk means (batch means), never fixed absolute numbers.
+20 equal chunk means (batch means), never fixed absolute numbers. Each chunk
+is drawn as equal row blocks of at most 4 MiB whose sums are added in place,
+so an oracle's memory does not grow with n_samples (`_draws` gives what it
+holds). A chunk of more than one block is drawn block by block: a real law's
+rows are those of one draw of the chunk, summed in another order, but a
+complex law draws u and v per block, so its stream differs from a one-shot
+draw. Each seed still gives the same bits on every run.
 
 The curvature analysis's scalar expectations E(Re^2(h* A x)), E(Re(h* A x)
 h* A h) and E((h* A h)^2) are quadratic forms of condition II's matrix and of
@@ -15,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -43,6 +48,7 @@ from .ensembles import (
 from .spectral import _gsi_matrices
 
 DEFAULT_CHUNKS = 20
+_BLOCK_BYTES = 1 << 22  # the most bytes of rows an `mc_*` oracle draws at once: 4 MiB
 FIT_FLOOR = 1e-12  # errors at or below this are rounding noise
 
 
@@ -85,25 +91,34 @@ def hermitian_opnorm(H: np.ndarray) -> float:
 def _draws(ensemble: Ensemble, x, d: Optional[int], seed: SeedLike) -> tuple:
     """The oracles' one sampling loop: (e, x * 2^-e, draw), x checked as a nonzero finite
     vector of the law's field and shape (d,) (any length if d is None), e by `_to_unit`.
-    `draw(sizes, stat)` is [stat(A, x * 2^-e) for N in sizes], A the rows of a checked
-    `sample_measurements` call of N rows on the one generator `_rng(seed)`, in order. A
-    goes straight to `stat`, which may weight it in place, so one row set is live at a time, beside
-    the stats so far: `mc_*` chunk means packed as the lower triangles `hermitian_opnorm` reads.
-    So an `mc_*` oracle holds one chunk of n_samples // 20 rows of d entries (8 B real, 16 B
-    complex; a ternary draw adds 1 B per entry for one part's int8 values and one 256 KiB
-    block of raw words), plus its packed means: 40 of n = d for condition II, 20 of n = 2d
-    for the F block; at complex d = 128, 5.0 and 10.0 MiB (10 and 20 MiB as full matrices)
-    at any n_samples, and half that for real means. `concentration_curve` likewise holds
-    one trial's rows at a time."""
+    `draw(sizes, stat)` is the sum of stat(A, x * 2^-e) over N in sizes, added in place into
+    the first stat's arrays, A the rows of a checked `sample_measurements` call of N rows on
+    the one generator `_rng(seed)`, in order. A goes straight to `stat`, which may weight it
+    in place (numpy does so through a buffer of at most 8192 entries), so one row set is
+    live at a time, beside the sums. An `mc_*` oracle draws each of its 20 chunks as
+    `_blocks` of at most `_BLOCK_BYTES` (4 MiB) and packs each chunk's mean as the lower
+    triangle `hermitian_opnorm` reads. So at any n_samples it holds one block of rows of d
+    entries (8 B real, 16 B complex; a ternary draw adds 1 B per entry for one part's int8
+    values and at most one 256 KiB block of raw words), the block's sums, and its packed
+    means: 40 of n = d for condition II, 20 of n = 2d for the F block; at complex d = 128,
+    5.0 and 10.0 MiB (10 and 20 MiB as full matrices), and half that for real means.
+    `concentration_curve` draws each trial as one block, so it holds one trial's rows at a
+    time."""
     x = _vector(x, d, ensemble.field.dtype)
     if not np.any(x):
         raise ValueError("x must be nonzero")
     e, x = _to_unit(x)
     rng = _rng(seed)
 
-    def draw(sizes: Sequence[int], stat: Callable) -> list:
-        return [stat(sample_measurements(ensemble, N, x.shape[0], rng).vectors, x)
-                for N in sizes]
+    def block(N: int, stat: Callable) -> tuple:
+        return stat(sample_measurements(ensemble, N, x.shape[0], rng).vectors, x)
+
+    def draw(sizes: Sequence[int], stat: Callable) -> tuple:
+        sums = block(sizes[0], stat)
+        for N in sizes[1:]:
+            for total, s in zip(sums, block(N, stat)):
+                total += s
+        return sums
     return e, x, draw
 
 
@@ -115,17 +130,35 @@ def _chunk_rows(n_samples, x: np.ndarray) -> int:
     return m
 
 
-def _condition_chunk(low: np.ndarray, A: np.ndarray, x: np.ndarray) -> tuple:
-    """The packed chunk means of A and of (x* A x) A, the second from the rows w_j a_j over A."""
-    mean = _gram(A)[low] / A.shape[0]
-    A *= _inner(A, x)[0][:, None]
-    return mean, _gram(A)[low] / A.shape[0]
+def _blocks(m: int, x: np.ndarray) -> list:
+    """The row counts of a chunk of m rows of x's length and dtype drawn as k equal blocks,
+    k = ceil(chunk bytes / `_BLOCK_BYTES`) but at most m, the first m % k one row longer."""
+    k = min(m, -(-m * x.nbytes // _BLOCK_BYTES))
+    return [m // k + (i < m % k) for i in range(k)]
 
 
-def _f_chunk(low: np.ndarray, A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The F block's packed chunk mean from the rows w_j a_j, w_j = <a_j, x>, written over A."""
+def _condition_sums(A: np.ndarray, x: np.ndarray) -> tuple:
+    """The block sums of A and of (x* A x) A, the second from the rows w_j a_j over A."""
+    first = _gram(A)
     A *= _inner(A, x)[0][:, None]
-    return _f_block(_gram(A) / A.shape[0], A.T @ A / A.shape[0])[low]
+    return first, _gram(A)
+
+
+def _f_sums(A: np.ndarray, x: np.ndarray) -> tuple:
+    """The F block's two block sums from the rows w_j a_j, w_j = <a_j, x>, written over A."""
+    A *= _inner(A, x)[0][:, None]
+    return _gram(A), A.T @ A
+
+
+def _condition_chunk(draw: Callable, blocks: Sequence[int], low: np.ndarray) -> tuple:
+    """The packed means of A and of (x* A x) A over one chunk, drawn as `blocks`."""
+    return tuple(s[low] / sum(blocks) for s in draw(blocks, _condition_sums))
+
+
+def _f_chunk(draw: Callable, blocks: Sequence[int], low: np.ndarray) -> np.ndarray:
+    """The F block's packed mean over one chunk, drawn as `blocks`."""
+    B11, B12 = draw(blocks, _f_sums)
+    return _f_block(B11 / sum(blocks), B12 / sum(blocks))[low]
 
 
 def _f_block(B11: np.ndarray, B12: np.ndarray) -> np.ndarray:
@@ -184,14 +217,17 @@ def mc_condition_residual(
     report checks (1/n) sum A against tau1 I. The law's declared moments are the
     ones checked: to check others, declare them on an EntryDistribution, which may
     reuse a built-in law's sampler. One scale rule (README): residual and tolerance
-    k = 2, the component's k = 0, as E(A) does not depend on x.
+    k = 2, the component's k = 0, as E(A) does not depend on x. Each of the 20 chunks of
+    n_samples // 20 rows is drawn in row blocks of at most 4 MiB (the module docstring), so
+    the call holds one block, its two Gram sums and the packed chunk means at any n_samples.
     """
     _integer(d, "d", 1)
     profile = moment_profile(ensemble)
     e, x, draw = _draws(ensemble, x, d, seed)
     m = _chunk_rows(n_samples, x)
-    low = np.tri(d, dtype=bool)
-    first_chunks, second_chunks = zip(*draw([m] * DEFAULT_CHUNKS, partial(_condition_chunk, low)))
+    blocks, low = _blocks(m, x), np.tri(d, dtype=bool)
+    first_chunks, second_chunks = zip(*(_condition_chunk(draw, blocks, low)
+                                        for _ in range(DEFAULT_CHUNKS)))
     mean_report = _matrix_check("ensemble-mean-identity", first_chunks, low,
                                 profile.tau1 * np.eye(d, dtype=x.dtype), DEFAULT_CHUNKS * m, 0)
     return _matrix_check("condition-II-identity", second_chunks, low,
@@ -217,17 +253,18 @@ def mc_F_residual(
     seed: SeedLike = 0,
 ) -> ResidualReport:
     """Check the block expectation of (1/n) sum [w; conj(w)][w; conj(w)]* with w = A_j x,
-    for complex ensembles only. Both blocks come from the chunk's rows weighted in place,
-    and the upper-left one is `mc_condition_residual`'s condition-II chunk mean. Scale
-    rule as there: residual and tolerance k = 2."""
+    for complex ensembles only. Both blocks come from the rows weighted in place, and the
+    upper-left one is `mc_condition_residual`'s condition-II chunk mean. Scale rule and row
+    blocks as there: residual and tolerance k = 2, and the call holds one block, its two
+    sums and the packed chunk means at any n_samples."""
     if _instance(ensemble, "ensemble", Ensemble).field is not Field.COMPLEX:
         raise ValueError("mc_F_residual requires a complex-field ensemble; "
                          "use mc_condition_residual for real fields")
     profile = moment_profile(ensemble)
     e, x, draw = _draws(ensemble, x, None, seed)
     m = _chunk_rows(n_samples, x)
-    low = np.tri(2 * x.shape[0], dtype=bool)
-    chunks = draw([m] * DEFAULT_CHUNKS, partial(_f_chunk, low))
+    blocks, low = _blocks(m, x), np.tri(2 * x.shape[0], dtype=bool)
+    chunks = [_f_chunk(draw, blocks, low) for _ in range(DEFAULT_CHUNKS)]
     return _matrix_check("stacked-block-identity", chunks, low, f_block_expectation(profile, x),
                          DEFAULT_CHUNKS * m, e)
 
@@ -259,17 +296,21 @@ def concentration_curve(
 
     Reference expectations use the analytic profile with the exact ||x||: E(Y) =
     `condition_expectation(profile, x)`, and E(M) is that with tau4 = 0 (M drops Y's tau4
-    part). The trials draw their rows through `_draws`, grid entry by grid entry, as the
-    `mc_*` oracles draw their chunks, and work at x's unit scale, where each measures the
-    Y, rho and M that `gsi` forms, with rho^2 = rho * rho. One scale rule (README):
-    the Y and M columns are scaled back by 2^(2e), raising a ValueError that names one
-    beyond float range, and the relative rho columns have k = 0.
+    part). The trials draw their rows through `_draws`, grid entry by grid entry, each
+    trial's N rows as one block, since `gsi` forms Y with one syrk; an N_grid[i] of more
+    rows than a numpy array holds raises a ValueError naming it (`_fits`) before any draw.
+    They work at x's unit scale, where each measures the Y, rho and M that `gsi` forms,
+    with rho^2 = rho * rho. One scale rule (README): the Y and M columns are scaled back by
+    2^(2e), raising a ValueError that names one beyond float range, and the relative rho
+    columns have k = 0.
     """
     _integer(d, "d", 1)
     _integer(trials, "trials", 20)
     N_grid = _sequence(N_grid, "N_grid", _integer, 1)
     profile = moment_profile(ensemble)
     e, x, draw = _draws(ensemble, x, d, seed)
+    for i, N in enumerate(N_grid):
+        _fits(N, d, f"N_grid[{i}]", x.itemsize)
     nx2 = float(np.vdot(x, x).real)
     EY = condition_expectation(profile, x)
     EM = condition_expectation(replace(profile, tau4=0.0), x)
@@ -284,7 +325,7 @@ def concentration_curve(
 
     rows = []
     for N in N_grid:
-        y_devs, m_devs, rho_devs = zip(*draw([N] * trials, trial))
+        y_devs, m_devs, rho_devs = zip(*(draw([N], trial) for _ in range(trials)))
         rows.append(ConcentrationRow(N, *quantiles(y_devs, 2, "y_dev"),
                                      *quantiles(m_devs, 2, "m_dev"),
                                      *quantiles(rho_devs, 0, "rho_dev")))

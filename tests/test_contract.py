@@ -485,8 +485,9 @@ _TOO_BIG = " rows of {} entries are more than a numpy array holds"
     ("sample_measurements", dict(N=2 ** 62, d=8), "N = 4.61169e+18" + _TOO_BIG.format(8)),
     ("sample_measurements", dict(ensemble=_COMPLEX, N=2 ** 59), "N = 5.76461e+17"
      + _TOO_BIG.format(1)),  # 2^63 B at 16 B per entry; 2^59 real entries fit
-    ("generate_signal", dict(d=2 ** 62), "N = 1" + _TOO_BIG.format(2 ** 62)),
-    ("concentration_curve", dict(N_grid=[2 ** 62]), "N = 4.61169e+18" + _TOO_BIG.format(1)),
+    ("generate_signal", dict(d=2 ** 62), "d = 4.61169e+18" + _TOO_BIG.format(1)),
+    ("concentration_curve", dict(N_grid=[2 ** 62]), "N_grid[0] = 4.61169e+18"
+     + _TOO_BIG.format(1)),
     ("mc_condition_residual", dict(n_samples=10 ** 20), "n_samples // 20 = 5e+18"
      + _TOO_BIG.format(1)),
     ("mc_F_residual", dict(n_samples=10 ** 20), "n_samples // 20 = 5e+18" + _TOO_BIG.format(1)),

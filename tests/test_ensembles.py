@@ -354,3 +354,10 @@ def test_ternary_draw_holds_one_block_of_raw_words(traced_peak):
     rng, shape = np.random.default_rng(0), (8192, 128)
     peak = traced_peak(lambda: TERNARY.sampler(rng, shape))
     assert peak < 2 * math.prod(shape)
+
+
+def test_ternary_draw_releases_each_block_of_raw_words_before_the_next(traced_peak):
+    # the int8 values, one 256 KiB block of raw words and its mask read 1.32 B per
+    # entry; the previous block, kept alive while the next was drawn, read 1.56
+    rng, shape = np.random.default_rng(0), (8192, 128)
+    assert traced_peak(lambda: TERNARY.sampler(rng, shape)) <= 1.35 * math.prod(shape)

@@ -1,5 +1,4 @@
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -22,7 +21,8 @@ from phasekit import (
     moment_profile,
     sample_measurements,
 )
-from phasekit.verify import DEFAULT_CHUNKS, _condition_chunk, _draws, _f_chunk
+from phasekit import verify
+from phasekit.verify import DEFAULT_CHUNKS, _blocks, _condition_chunk, _draws, _f_chunk
 
 ALL_ENSEMBLES = [
     Ensemble(field, entries)
@@ -242,24 +242,29 @@ def test_residual_report_to_dict():
 # moments with one syrk and the inner products without copying A; these are
 # the references they must agree with.
 
-def _ref_condition_chunks(ens, d, x, n_samples, seed):
+def _ref_rows(ens, d, rng, blocks):
+    # one chunk's rows, drawn as one sample_measurements call per block, in order
+    return np.vstack([sample_measurements(ens, N, d, rng).vectors for N in blocks])
+
+
+def _ref_condition_chunks(ens, d, x, n_samples, seed, blocks=None):
     rng = np.random.default_rng(seed)
     m = n_samples // DEFAULT_CHUNKS
     second, first = [], []
     for _ in range(DEFAULT_CHUNKS):
-        A = sample_measurements(ens, m, d, rng).vectors
+        A = _ref_rows(ens, d, rng, blocks or [m])
         y = np.abs(A.conj() @ x) ** 2
         second.append((A.T * y) @ A.conj() / m)
         first.append(A.T @ A.conj() / m)
     return second, first
 
 
-def _ref_f_chunks(ens, x, n_samples, seed):
+def _ref_f_chunks(ens, x, n_samples, seed, blocks=None):
     rng = np.random.default_rng(seed)
     m = n_samples // DEFAULT_CHUNKS
     f_chunks = []
     for _ in range(DEFAULT_CHUNKS):
-        A = sample_measurements(ens, m, x.shape[0], rng).vectors
+        A = _ref_rows(ens, x.shape[0], rng, blocks or [m])
         W = A * (A.conj() @ x)[:, None]
         B11 = W.T @ W.conj() / m
         B12 = W.T @ W / m
@@ -358,16 +363,73 @@ def test_condition_ii_has_one_chunk_statistic(entries):
     # each comes packed as its lower triangle, unpacked here
     ens, d = Ensemble(Field.COMPLEX, entries), 5
     x = unit_vector(d, Field.COMPLEX, seed=18)
-    sizes = [1_000] * DEFAULT_CHUNKS
+    blocks = [1_000]
     low, f_low = (np.tri(n, dtype=bool) for n in (d, 2 * d))
-    f_chunks = _draws(ens, x, None, 19)[2](sizes, partial(_f_chunk, f_low))
-    condition_chunks = _draws(ens, x, d, 19)[2](sizes, partial(_condition_chunk, low))
+    f_draw, condition_draw = _draws(ens, x, None, 19)[2], _draws(ens, x, d, 19)[2]
+    f_chunks = [_f_chunk(f_draw, blocks, f_low) for _ in range(DEFAULT_CHUNKS)]
+    condition_chunks = [_condition_chunk(condition_draw, blocks, low)
+                        for _ in range(DEFAULT_CHUNKS)]
     assert len(f_chunks) == len(condition_chunks) == DEFAULT_CHUNKS
     for f, (_, second) in zip(f_chunks, condition_chunks):
         F = np.zeros((2 * d, 2 * d), complex)
         F[f_low] = f
         assert np.array_equal(F[:d, :d][low], second)
         assert np.array_equal(F[d:, :d], F[d:, :d].T)  # B12* is, so B12 is exactly symmetric
+
+
+# The oracles' row blocks. With 64 KiB blocks, d = 16 and 2e5 samples, a chunk of
+# 10,000 rows is 20 real or 40 complex blocks, so what an oracle holds is told
+# from what one chunk would be.
+SMALL_BLOCK = 1 << 16
+
+
+@pytest.mark.parametrize("m, x, rows", [
+    (10_000, np.zeros(16), [500] * 20),
+    (10_000, np.zeros(16, complex), [250] * 40),
+    (10_001, np.zeros(16, complex), [251] + [250] * 39),
+    (3, np.zeros(8192, complex), [1, 1, 1]),  # a row beyond a block is a block of its own
+], ids=["real", "complex", "uneven", "wide"])
+def test_a_chunk_is_cut_into_near_equal_blocks(m, x, rows, monkeypatch):
+    monkeypatch.setattr(verify, "_BLOCK_BYTES", SMALL_BLOCK)
+    assert _blocks(m, x) == rows
+
+
+@pytest.mark.parametrize("oracle, ens", [
+    *(pytest.param(mc_condition_residual, ens, id=_id(ens)) for ens in ALL_ENSEMBLES),
+    *(pytest.param(mc_F_residual, ens, id=f"F-{ens.entry.name}") for ens in ALL_ENSEMBLES
+      if ens.field is Field.COMPLEX),
+])
+def test_an_oracle_holds_one_row_block_at_a_time(oracle, ens, monkeypatch, traced_peak):
+    # beside its packed means an oracle read 2.25 to 2.43 blocks: the block's rows, numpy's
+    # buffer for weighting them in place (at most one block) and the sampler's temporaries;
+    # the previous block kept alive adds one, and one chunk of rows is 20 or 40 blocks
+    monkeypatch.setattr(verify, "_BLOCK_BYTES", SMALL_BLOCK)
+    x = unit_vector(MEMORY_D, ens.field, seed=16)
+    args = (x,) if oracle is mc_F_residual else (MEMORY_D, x)
+    peak = traced_peak(lambda: oracle(ens, *args, MEMORY_SAMPLES, 17))
+    assert peak < 3 * SMALL_BLOCK + _packed_means_nbytes(oracle, ens, MEMORY_D)
+
+
+@pytest.mark.parametrize("ens", ALL_ENSEMBLES, ids=_id)
+def test_a_chunk_drawn_in_blocks_is_the_reference_s_chunk(ens, monkeypatch):
+    # real block draws give the rows of one draw of the chunk, summed in another order;
+    # a complex law draws u and v per block, so its reference draws block by block
+    monkeypatch.setattr(verify, "_BLOCK_BYTES", SMALL_BLOCK)
+    x, m = unit_vector(MEMORY_D, ens.field, seed=12), MEMORY_SAMPLES // DEFAULT_CHUNKS
+    blocks = None  # the complex chunk's rows, cut as np.array_split cuts them
+    if ens.field is Field.COMPLEX:
+        blocks = [len(b) for b in np.array_split(np.arange(m), -(-m * x.nbytes // SMALL_BLOCK))]
+    profile = moment_profile(ens)
+    rep = mc_condition_residual(ens, MEMORY_D, x, MEMORY_SAMPLES, 13)
+    second, first = _ref_condition_chunks(ens, MEMORY_D, x, MEMORY_SAMPLES, 13, blocks)
+    pairs = [(rep, _residual_and_tolerance(second, condition_expectation(profile, x))),
+             (rep.components[0], _residual_and_tolerance(first, profile.tau1 * np.eye(MEMORY_D)))]
+    if ens.field is Field.COMPLEX:
+        pairs.append((mc_F_residual(ens, x, MEMORY_SAMPLES, 13), _residual_and_tolerance(
+            _ref_f_chunks(ens, x, MEMORY_SAMPLES, 13, blocks), f_block_expectation(profile, x))))
+    for got, (r, tol) in pairs:
+        assert got.residual == pytest.approx(r, rel=1e-12)
+        assert got.tolerance == pytest.approx(tol, rel=1e-12)
 
 
 @pytest.mark.parametrize("ens", ALL_ENSEMBLES, ids=_id)
