@@ -30,6 +30,9 @@ CASES = {
     "verify_moments_complex_ternary.json":
         ["verify-moments", "--field", "complex", "--ensemble", "ternary", "--d", "4",
          "--samples", "20000"],
+    "verify_moments_complex_ternary_blocks.json":  # two 1,250-row blocks per chunk
+        ["verify-moments", "--field", "complex", "--ensemble", "ternary", "--d", "128",
+         "--samples", "50000"],
     "solve_real_ternary.json":
         ["solve", "--field", "real", "--ensemble", "ternary", "--d", "32", "--ratios", "6"],
 }
