@@ -5,9 +5,9 @@ moment profiles in :mod:`phasekit.ensembles`: each one averages raw samples
 of the relevant statistic and compares against the claimed expectation.
 Tolerances are statistical: 5x a standard-error estimate from the spread of
 20 equal chunk means (batch means), never fixed absolute numbers. Each chunk
-is drawn as equal row blocks of at most 4 MiB whose sums are added in place,
-so an oracle's memory does not grow with n_samples (`_draws` gives what it
-holds). A chunk of more than one block is drawn block by block: a real law's
+is drawn as near-equal row blocks of at most 4 MiB whose sums are added in
+place, so an oracle's memory does not grow with n_samples (`_draws` gives what
+it holds). A chunk of more than one block is drawn block by block: a real law's
 rows are those of one draw of the chunk, summed in another order, but a
 complex law draws u and v per block, so its stream differs from a one-shot
 draw. Each seed still gives the same bits on every run.
@@ -89,15 +89,15 @@ def hermitian_opnorm(H: np.ndarray) -> float:
 
 
 def _draws(ensemble: Ensemble, x, d: Optional[int], seed: SeedLike) -> tuple:
-    """The oracles' one sampling loop: (e, x * 2^-e, draw), x checked as a nonzero finite
-    vector of the law's field and shape (d,) (any length if d is None), e by `_to_unit`.
-    `draw(sizes, stat)` is the sum of stat(A, x * 2^-e) over N in sizes, added in place into
-    the first stat's arrays, A the rows of a checked `sample_measurements` call of N rows on
-    the one generator `_rng(seed)`, in order. A goes straight to `stat`, which may weight it
-    in place (numpy does so through a buffer of at most 8192 entries), so one row set is
-    live at a time, beside the sums. An `mc_*` oracle draws each of its 20 chunks as
-    `_blocks` of at most `_BLOCK_BYTES` (4 MiB) and packs each chunk's mean as the lower
-    triangle `hermitian_opnorm` reads. So at any n_samples it holds one block of rows of d
+    """The oracles' one sampler: (e, x * 2^-e, draw), x checked as a nonzero finite vector
+    of the law's field and shape (d,) (any length if d is None), e by `_to_unit`.
+    `draw(N, stat)` is stat(A, x * 2^-e), A the rows of a checked `sample_measurements` call
+    of N rows on the one generator `_rng(seed)`, so successive calls continue one stream.
+    A goes straight to `stat`, which may weight it in place (numpy does so through a buffer
+    of at most 8192 entries), so one row set is live at a time. An `mc_*` oracle's chunk
+    loop is `_chunk_means`, which draws each of its 20 chunks as `_blocks` of at most
+    `_BLOCK_BYTES` (4 MiB) and packs each chunk's mean as the lower triangle
+    `hermitian_opnorm` reads. So at any n_samples it holds one block of rows of d
     entries (8 B real, 16 B complex; a ternary draw adds 1 B per entry for one part's int8
     values and at most one 256 KiB block of raw words), the block's sums, and its packed
     means: 40 of n = d for condition II, 20 of n = 2d for the F block; at complex d = 128,
@@ -110,28 +110,13 @@ def _draws(ensemble: Ensemble, x, d: Optional[int], seed: SeedLike) -> tuple:
     e, x = _to_unit(x)
     rng = _rng(seed)
 
-    def block(N: int, stat: Callable) -> tuple:
+    def draw(N: int, stat: Callable) -> tuple:
         return stat(sample_measurements(ensemble, N, x.shape[0], rng).vectors, x)
-
-    def draw(sizes: Sequence[int], stat: Callable) -> tuple:
-        sums = block(sizes[0], stat)
-        for N in sizes[1:]:
-            for total, s in zip(sums, block(N, stat)):
-                total += s
-        return sums
     return e, x, draw
 
 
-def _chunk_rows(n_samples, x: np.ndarray) -> int:
-    """The rows of one of `n_samples`' DEFAULT_CHUNKS chunks, for n_samples an integer >=
-    10000; a chunk of x's length and dtype that no numpy array holds raises, naming it."""
-    m = _integer(n_samples, "n_samples", 10_000) // DEFAULT_CHUNKS
-    _fits(m, x.shape[0], f"n_samples // {DEFAULT_CHUNKS}", x.itemsize)
-    return m
-
-
 def _blocks(m: int, x: np.ndarray) -> list:
-    """The row counts of a chunk of m rows of x's length and dtype drawn as k equal blocks,
+    """The row counts of a chunk of m rows of x's length and dtype cut into k near-equal blocks,
     k = ceil(chunk bytes / `_BLOCK_BYTES`) but at most m, the first m % k one row longer."""
     k = min(m, -(-m * x.nbytes // _BLOCK_BYTES))
     return [m // k + (i < m % k) for i in range(k)]
@@ -150,33 +135,44 @@ def _f_sums(A: np.ndarray, x: np.ndarray) -> tuple:
     return _gram(A), A.T @ A
 
 
-def _condition_chunk(draw: Callable, blocks: Sequence[int], low: np.ndarray) -> tuple:
-    """The packed means of A and of (x* A x) A over one chunk, drawn as `blocks`."""
-    return tuple(s[low] / sum(blocks) for s in draw(blocks, _condition_sums))
+def _chunk_means(draw: Callable, n_samples, x: np.ndarray, stat: Callable,
+                 form: Callable = lambda *means: means) -> tuple:
+    """The oracles' one chunk loop: (20 m, the chunks of matrix 1, of matrix 2, ...), for
+    n_samples an integer >= 10000 and m = n_samples // 20; a chunk of x's length and dtype
+    that no numpy array holds raises, naming it. Each of the 20 chunks is drawn as `_blocks`
+    of m rows, each block's `stat` sums added in place into the first block's. `form` maps
+    the chunk's means (the sums over m) to its matrices, the means themselves by default,
+    and each matrix is packed as its lower triangle, row by row, which `_matrix_check` reads."""
+    m = _integer(n_samples, "n_samples", 10_000) // DEFAULT_CHUNKS
+    _fits(m, x.shape[0], f"n_samples // {DEFAULT_CHUNKS}", x.itemsize)
+    blocks = _blocks(m, x)
 
-
-def _f_chunk(draw: Callable, blocks: Sequence[int], low: np.ndarray) -> np.ndarray:
-    """The F block's packed mean over one chunk, drawn as `blocks`."""
-    B11, B12 = draw(blocks, _f_sums)
-    return _f_block(B11 / sum(blocks), B12 / sum(blocks))[low]
+    def chunk() -> list:  # a scope, so no chunk's sums are live while the next is drawn
+        sums = draw(blocks[0], stat)
+        for N in blocks[1:]:
+            for total, s in zip(sums, draw(N, stat)):
+                total += s
+        return [C[np.tri(len(C), dtype=bool)] for C in form(*(s / m for s in sums))]
+    return (DEFAULT_CHUNKS * m, *zip(*(chunk() for _ in range(DEFAULT_CHUNKS))))
 
 
 def _f_block(B11: np.ndarray, B12: np.ndarray) -> np.ndarray:
     """[[B11, B12], [B12*, conj(B11)]] for a symmetric B12, as a syrk's X.T @ X is."""
     F = np.empty((2, len(B11), 2, len(B11)), np.result_type(B11, B12))  # F[a, :, b]: block a, b
     F[0, :, 0], F[0, :, 1], F[1, :, 0], F[1, :, 1] = B11, B12, B12.conj(), B11.conj()
-    return F.reshape(2 * len(B11), -1)
+    return F.reshape(2 * len(B11), 2 * len(B11))
 
 
-def _matrix_check(name: str, chunk_tris: Sequence, low: np.ndarray, expected: np.ndarray,
-                  sample_count: int, e: int, components: tuple = ()) -> ResidualReport:
+def _matrix_check(name: str, chunk_tris: Sequence, expected: np.ndarray, sample_count: int,
+                  e: int, components: tuple = ()) -> ResidualReport:
     """Score a matrix identity at unit scale, where `passed` is decided: the operator-norm
     distance of the mean of the k chunk means from `expected`, against 5x its standard
     error, the chunk means' mean operator-norm deviation from it over sqrt(k), scaled back
     by 2^(2e). Either, or the mean itself, beyond float range raises a ValueError naming it.
-    Chunk means come packed, as lower triangles C[low], row by row; each difference is unpacked
-    into one n x n buffer, upper triangle 0, as `hermitian_opnorm` reads only the lower one."""
+    Chunk means come packed by `_chunk_means`; each difference is unpacked into one n x n
+    buffer, upper triangle 0, as `hermitian_opnorm` reads only the lower one."""
     k, H = len(chunk_tris), np.zeros(expected.shape, expected.dtype)
+    low = np.tri(len(H), dtype=bool)
     overall = _ldexp(sum(chunk_tris) / k, 0, f"the mean of the chunk means of {name}")
 
     def opnorm(lower: np.ndarray) -> float:
@@ -224,14 +220,11 @@ def mc_condition_residual(
     _integer(d, "d", 1)
     profile = moment_profile(ensemble)
     e, x, draw = _draws(ensemble, x, d, seed)
-    m = _chunk_rows(n_samples, x)
-    blocks, low = _blocks(m, x), np.tri(d, dtype=bool)
-    first_chunks, second_chunks = zip(*(_condition_chunk(draw, blocks, low)
-                                        for _ in range(DEFAULT_CHUNKS)))
-    mean_report = _matrix_check("ensemble-mean-identity", first_chunks, low,
-                                profile.tau1 * np.eye(d, dtype=x.dtype), DEFAULT_CHUNKS * m, 0)
-    return _matrix_check("condition-II-identity", second_chunks, low,
-                         condition_expectation(profile, x), DEFAULT_CHUNKS * m, e, (mean_report,))
+    count, first_chunks, second_chunks = _chunk_means(draw, n_samples, x, _condition_sums)
+    mean_report = _matrix_check("ensemble-mean-identity", first_chunks,
+                                profile.tau1 * np.eye(d, dtype=x.dtype), count, 0)
+    return _matrix_check("condition-II-identity", second_chunks,
+                         condition_expectation(profile, x), count, e, (mean_report,))
 
 
 def f_block_expectation(profile: MomentProfile, x: np.ndarray) -> np.ndarray:
@@ -262,11 +255,10 @@ def mc_F_residual(
                          "use mc_condition_residual for real fields")
     profile = moment_profile(ensemble)
     e, x, draw = _draws(ensemble, x, None, seed)
-    m = _chunk_rows(n_samples, x)
-    blocks, low = _blocks(m, x), np.tri(2 * x.shape[0], dtype=bool)
-    chunks = [_f_chunk(draw, blocks, low) for _ in range(DEFAULT_CHUNKS)]
-    return _matrix_check("stacked-block-identity", chunks, low, f_block_expectation(profile, x),
-                         DEFAULT_CHUNKS * m, e)
+    count, chunks = _chunk_means(draw, n_samples, x, _f_sums,
+                                 lambda B11, B12: (_f_block(B11, B12),))
+    return _matrix_check("stacked-block-identity", chunks, f_block_expectation(profile, x),
+                         count, e)
 
 
 @dataclass(frozen=True)
@@ -325,7 +317,7 @@ def concentration_curve(
 
     rows = []
     for N in N_grid:
-        y_devs, m_devs, rho_devs = zip(*(draw([N], trial) for _ in range(trials)))
+        y_devs, m_devs, rho_devs = zip(*(draw(N, trial) for _ in range(trials)))
         rows.append(ConcentrationRow(N, *quantiles(y_devs, 2, "y_dev"),
                                      *quantiles(m_devs, 2, "m_dev"),
                                      *quantiles(rho_devs, 0, "rho_dev")))

@@ -4,6 +4,9 @@ Each case runs one command through `cli.main` and compares its output byte
 for byte with its file under tests/golden/. The bits depend on numpy and on
 the BLAS it links, so golden/VERSIONS.json records the build the files were
 made with; on another build every case fails and names the difference.
+The d=128 verify case also depends on the BLAS thread count: the eigensolve
+of its 256 x 256 F block differs in the last bits at one thread and at two,
+and its file was made at OpenBLAS's default on a 2-core host (two threads).
 There is no tolerance: a change that moves one bit of a table fails here.
 """
 

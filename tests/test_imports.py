@@ -2,11 +2,12 @@
 is left unused, no statement of the package is a `del`, the package
 makes a Generator and scales an array by a power of two in one function each,
 and makes no call of `np.linalg.norm`, neither `bench` nor `cli` imports
-a helper of the scale rule, `verify` draws its rows in one function and
-measures them through the private kernels, `spectral` forms GSI's
-matrices in one function and its start in one recipe, which both of
-`bench`'s protocols reach through one trial function, and the package tests
-float range in named functions and methods only: `_ldexp` alone judges a result.
+a helper of the scale rule, `verify` draws its rows in one function, cuts
+its chunks in one loop and measures them through the private kernels,
+`spectral` forms GSI's matrices in one function and its start in one recipe,
+which both of `bench`'s protocols reach through one trial function, and the
+package tests float range in named functions and methods only: `_ldexp` alone
+judges a result.
 
 The package's __init__.py is left out of the import scan: its imports are
 the public API.
@@ -170,6 +171,11 @@ VERIFY = (ROOT / "src/phasekit/verify.py").read_text(encoding="utf-8")
 @pytest.mark.parametrize("name", ["sample_measurements", "_rng"])
 def test_verify_draws_its_rows_in_one_function(name):
     assert top_level_callers(VERIFY, name) == ["_draws"]
+
+
+def test_verify_cuts_its_chunks_in_one_loop():
+    # the two matrix oracles each called _blocks, and each held a chunk helper of its own
+    assert top_level_callers(VERIFY, "_blocks") == ["_chunk_means"]
 
 
 def test_verify_measures_through_the_private_kernels():

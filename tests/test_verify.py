@@ -22,7 +22,8 @@ from phasekit import (
     sample_measurements,
 )
 from phasekit import verify
-from phasekit.verify import DEFAULT_CHUNKS, _blocks, _condition_chunk, _draws, _f_chunk
+from phasekit.verify import (DEFAULT_CHUNKS, _blocks, _chunk_means, _condition_sums, _draws,
+                             _f_block, _f_sums)
 
 ALL_ENSEMBLES = [
     Ensemble(field, entries)
@@ -127,6 +128,8 @@ def test_f_block_zero_signal():
     p = moment_profile(Ensemble(Field.COMPLEX, TERNARY))
     F = f_block_expectation(p, np.zeros(3, dtype=complex))
     assert np.array_equal(F, np.zeros((6, 6)))
+    # an empty x raised numpy's "cannot reshape array of size 0 into shape (0,newaxis)"
+    assert f_block_expectation(p, np.zeros(0)).shape == (0, 0)
 
 
 def test_f_block_upper_left_is_condition_ii():
@@ -361,16 +364,15 @@ def test_condition_ii_has_one_chunk_statistic(entries):
     # the upper-left d x d block of each F chunk mean is condition II's chunk
     # mean bit for bit: both weight the same rows in place by w_j = <a_j, x>;
     # each comes packed as its lower triangle, unpacked here
-    ens, d = Ensemble(Field.COMPLEX, entries), 5
+    ens, d, n_samples = Ensemble(Field.COMPLEX, entries), 5, 20_000  # one block per chunk
     x = unit_vector(d, Field.COMPLEX, seed=18)
-    blocks = [1_000]
     low, f_low = (np.tri(n, dtype=bool) for n in (d, 2 * d))
     f_draw, condition_draw = _draws(ens, x, None, 19)[2], _draws(ens, x, d, 19)[2]
-    f_chunks = [_f_chunk(f_draw, blocks, f_low) for _ in range(DEFAULT_CHUNKS)]
-    condition_chunks = [_condition_chunk(condition_draw, blocks, low)
-                        for _ in range(DEFAULT_CHUNKS)]
+    _, f_chunks = _chunk_means(f_draw, n_samples, x, _f_sums,
+                               lambda B11, B12: (_f_block(B11, B12),))
+    _, _, condition_chunks = _chunk_means(condition_draw, n_samples, x, _condition_sums)
     assert len(f_chunks) == len(condition_chunks) == DEFAULT_CHUNKS
-    for f, (_, second) in zip(f_chunks, condition_chunks):
+    for f, second in zip(f_chunks, condition_chunks):
         F = np.zeros((2 * d, 2 * d), complex)
         F[f_low] = f
         assert np.array_equal(F[:d, :d][low], second)
