@@ -12,14 +12,23 @@ function of (config, base_seed). Trial streams are derived as
 SeedSequence(base_seed, spawn_key=(round(1000*ratio), trial)), and ratio
 grids whose rounded keys collide are rejected, so no two trials share an RNG
 stream. A trial holds one N x d array of rows at a time: GSI weights the drawn
-rows in place, and a recovery trial draws them again from the same seed for
-the descent, checking that they give the same y bit for bit. Trials run one
-after another; BLAS parallelizes the linear algebra inside each trial. That
-leaves the bits alone while the BLAS does not split a dot of d entries
-(OpenBLAS 0.3.31 on x86_64 splits a dot or vdot of more than 10,000 entries
-across threads, reordering its sum, and a GEMV or SYRK its outputs, not its
-sums), as for `_norm`, `_bb_step` and `dist`; SI's sum of squares over all
-N x d entries is summed without BLAS.
+rows in place and, for complex rows with N >= d, forms Y over them (`_Y`), so
+GSI's one new array is the real Gram of their view; a recovery trial draws the
+rows again from the same seed for the descent, checking that they give the same
+y bit for bit. No public call returns a view of rows. Trials run one after
+another; BLAS parallelizes the linear algebra inside each trial. That leaves the
+bits alone while the BLAS does not split a dot of d entries (OpenBLAS 0.3.31 on
+x86_64 splits a dot or vdot of more than 10,000 entries across threads,
+reordering its sum, and a GEMV or SYRK its outputs, not its sums), as for
+`_norm`, `_bb_step` and `dist`; SI's sum of squares over all N x d entries is
+summed without BLAS.
+
+LAPACK sets the other limit: a dense eigensolve (`hermitian_opnorm`) is not
+the same function of its matrix at every thread count. At 1 and 2 threads
+(numpy 2.4.6, OpenBLAS 0.3.31) complex 256 x 256 solves differed in their last
+bits, so `mc_F_residual` at d = 128 does, while `mc_condition_residual` and
+`concentration_curve` at d = 32, 64 and 128 and `mc_F_residual` at d <= 64 gave
+the same bytes. Trials and tables make no eigensolve.
 """
 
 from __future__ import annotations
@@ -178,7 +187,8 @@ def _trial(config: ExperimentConfig, ratio: float, i: int) -> tuple:
     draws its rows, y, and GSI's and SI's InitResults. The stream spawns seeds for x, the rows,
     GSI and, in an init trial only, SI: the first three are the same either way, since a
     SeedSequence's children do not depend on how many are spawned. GSI weights the drawn rows
-    in place, so a recovery trial's descent takes draw() of the same rows; its s is None."""
+    in place and forms a complex Y over them, so the trial holds one N x d array of rows, and
+    a recovery trial's descent takes draw() of the same rows; its s is None."""
     paired = config.kind is ExperimentKind.INIT_ERROR
     sig_ss, meas_ss, *power_seeds = trial_seed(config.base_seed, ratio, i).spawn(3 + paired)
     x = generate_signal(config.d, sig_ss, field=config.ensemble.field)

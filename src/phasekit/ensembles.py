@@ -312,7 +312,7 @@ def _inner(A: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, w * w
 
 
-def _gram(B: np.ndarray) -> np.ndarray:
+def _gram(B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """B^T conj(B) = sum_j b_j b_j* over the rows b_j of a C-contiguous
     float64 or complex128 B, as a matrix of B's dtype.
 
@@ -322,12 +322,15 @@ def _gram(B: np.ndarray) -> np.ndarray:
     zero-copy (N, 2d) float64 view V, whose rows interleave real and
     imaginary parts; from G = V^T V, Re = G[re, re] + G[im, im] and
     Im = G[im, re] - G[re, im], so the result is exactly Hermitian with a
-    real diagonal, and no conj copy is made."""
+    real diagonal, and no conj copy is made. That fold reads only G, so it
+    is written to `out`, a d x d complex128 array that may lie over B's own
+    entries, or to a new array when None; a real B's product is always new."""
     if B.dtype.kind != "c":
         return B.T @ B
     V = B.view(np.float64)
     G = V.T @ V
-    out = np.empty((B.shape[1], B.shape[1]), dtype=np.complex128)
+    if out is None:
+        out = np.empty((B.shape[1], B.shape[1]), dtype=np.complex128)
     np.add(G[0::2, 0::2], G[1::2, 1::2], out=out.real)
     np.subtract(G[1::2, 0::2], G[0::2, 1::2], out=out.imag)
     return out

@@ -13,7 +13,9 @@ uses Y itself.
 Y is formed from one triangle, as a rank-N update with the rows
 sqrt(y_j) a_j (a BLAS syrk), and is exactly Hermitian with a real diagonal;
 the intensities y must be finite and nonnegative. The public functions
-weight a copy of the caller's rows and leave `mset.vectors` as it was.
+weight a copy of the caller's rows, leave `mset.vectors` as it was and
+return a Y of its own; only a private caller done with its rows lets them
+be weighted in place and, when complex, receive Y too (`_Y`).
 """
 
 from __future__ import annotations
@@ -97,9 +99,18 @@ def build_Y(mset: MeasurementSet, y: np.ndarray) -> np.ndarray:
 def _Y(A: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Y of the rows of A for a checked `y`, the one place rows are weighted by y.
     The rows sqrt(y_j) a_j are written to `out`, a new array when None; a
-    caller that owns A and is done with its plain rows passes out=A. A Y beyond
-    float range, as rows too large for the scale rule give, raises naming Y."""
-    return _ldexp(_gram(np.multiply(A, np.sqrt(y)[:, None], out=out)) / A.shape[0], 0, "Y")
+    caller that owns A and is done with its plain rows passes out=A. Such spent
+    rows, if complex and N >= d, also receive Y: `_gram` folds it over their
+    first d^2 entries, so the real product of their view is the one new array;
+    real rows, or fewer than d, give a new Y. The public calls pass no `out`, so
+    none returns a view of rows. A Y beyond float range, as rows too large for
+    the scale rule give, raises naming Y."""
+    W = np.multiply(A, np.sqrt(y)[:, None], out=out)
+    N, d = W.shape
+    spent = out is not None and W.dtype.kind == "c" and N >= d
+    Y = _gram(W, W.reshape(-1)[:d * d].reshape(d, d) if spent else None)
+    Y /= N
+    return _ldexp(Y, 0, "Y")
 
 
 def build_M(Y: np.ndarray, rho: float, profile: MomentProfile) -> np.ndarray:

@@ -83,7 +83,9 @@ class ResidualReport:
 def hermitian_opnorm(H: np.ndarray) -> float:
     """Operator norm (largest |eigenvalue|) of a finite square numeric matrix
     by a dense eigensolve. H is taken as Hermitian, unchecked: only its lower
-    triangle is read, so [[0, 5], [0, 0]] gives 0.0; a norm beyond float range raises."""
+    triangle is read, so [[0, 5], [0, 0]] gives 0.0; a norm beyond float range raises.
+    LAPACK's solve may change its last bits with the BLAS thread count, as a complex
+    256 x 256 one did (the limit `phasekit.bench` names)."""
     vals = np.linalg.eigvalsh(_matrix(H, "H"))
     return _ldexp(float(np.max(np.abs(vals))) if vals.size else 0.0, 0, "the operator norm of H")
 

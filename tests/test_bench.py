@@ -201,6 +201,19 @@ def test_recovery_trial_holds_one_copy_of_its_rows(field, entry, ratio, traced_p
     assert peak < 2 * (ratio * d) * d * (16 if field is Field.COMPLEX else 8)
 
 
+@pytest.mark.parametrize("kind", [ExperimentKind.SUCCESS_RATE, ExperimentKind.INIT_ERROR],
+                         ids=["recovery", "init"])
+def test_a_complex_trial_forms_Y_over_its_spent_rows(kind, traced_peak):
+    # the weighted rows receive Y, so the real product of their view is GSI's one new
+    # array; a new Y beside rows and product read 1.53x the rows' bytes, 1.40-1.41x without
+    d, ratio = 64, 8
+    cfg = ExperimentConfig(kind, Ensemble(Field.COMPLEX, TERNARY), d=d, ratio_grid=(ratio,),
+                           trials=1)
+    run = (lambda: run_recovery_trial(cfg, ratio, 0)) if kind is ExperimentKind.SUCCESS_RATE \
+        else (lambda: run_init_experiment(cfg))
+    assert traced_peak(run) <= 1.45 * (ratio * d) * d * 16
+
+
 def test_a_sampler_that_ignores_its_generator_is_named():
     # the descent's rows are a second draw from the trial's seed, so a law whose
     # sampler draws anything else would leave them disagreeing with y

@@ -365,8 +365,10 @@ def test_protocols_match_trials_built_from_public_calls(kind, field, entry):
     assert got == rows
 
 
-# the bytes of baseline_si, gsi, gradient and a 20d recovery trial, each a sha256, and
-# the thread count of numpy's OpenBLAS, where it can be read
+# the bytes of baseline_si, gsi, gradient, a 20d recovery trial and three complex ternary
+# oracles of 2e4 samples, each a sha256, and the thread count of numpy's OpenBLAS, where it
+# can be read; mc_F_residual runs at d=64, as at d=128 it passes the LAPACK limit that
+# phasekit.bench names
 _THREAD_PROBE = """
 import ctypes, glob, hashlib, json, os, pickle
 import numpy
@@ -387,6 +389,12 @@ for field, entry in ((Field.REAL, UNIFORM), (Field.COMPLEX, GAUSSIAN)):
     cfg = ExperimentConfig(ExperimentKind.SUCCESS_RATE, ens, ratio_grid=(20,), base_seed=1)
     out[f"run_recovery_trial {field.value} {entry.name}"] = pickle.dumps(
         run_recovery_trial(cfg, 20, 0))
+ens = Ensemble(Field.COMPLEX, TERNARY)
+x128, x64 = generate_signal(128, 2, Field.COMPLEX), generate_signal(64, 2, Field.COMPLEX)
+for name, v in (("mc_condition_residual", mc_condition_residual(ens, 128, x128, 20_000, 1)),
+                ("concentration_curve", concentration_curve(ens, 128, x128, [1000], 20, 1)),
+                ("mc_F_residual", mc_F_residual(ens, x64, 20_000, 1))):
+    out[f"{name} complex ternary"] = pickle.dumps(v)
 print(json.dumps([threads, {k: hashlib.sha256(v).hexdigest() for k, v in out.items()}]))
 """
 

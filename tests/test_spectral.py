@@ -27,6 +27,7 @@ from phasekit import (
     run_recovery_trial,
     sample_measurements,
 )
+from phasekit.spectral import _Y
 from phasekit.verify import condition_expectation, hermitian_opnorm
 
 TERNARY_REAL = Ensemble(Field.REAL, TERNARY)
@@ -137,6 +138,40 @@ def test_build_Y_matches_full_product(field, case):
     assert np.max(np.abs(Y - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.array_equal(Y, Y.conj().T)
     assert not np.any(np.diagonal(Y).imag)
+
+
+def _owner(a: np.ndarray) -> np.ndarray:
+    """The array whose memory `a` views, or `a` itself."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def test_Y_of_spent_complex_rows_lies_over_them():
+    # complex rows handed over as out, N >= d, receive Y over their first d^2 entries,
+    # with every bit of a new Y; fewer rows, real rows and the public calls get a new Y
+    rng = np.random.default_rng(53)
+    for field, N, d, spent in ((Field.COMPLEX, 40, 6, True), (Field.COMPLEX, 6, 6, True),
+                               (Field.COMPLEX, 5, 6, False), (Field.REAL, 40, 6, False)):
+        ens = Ensemble(field, GAUSSIAN)
+        ms = sample_measurements(ens, N, d, seed=N)
+        y = 3.0 * rng.random(N)
+        want = _Y(ms.vectors, y)
+        rows = ms.vectors.copy()
+        Y = _Y(rows, y, out=rows)
+        assert Y.tobytes() == want.tobytes()
+        assert np.shares_memory(Y, rows) == spent
+        if spent:
+            assert Y.tobytes() == rows.reshape(-1)[:d * d].tobytes()
+        # the public calls own what they return (a scaled Y views a float64 array of
+        # its own bytes) and leave the rows as they were
+        before = ms.vectors.tobytes()
+        results = (build_Y(ms, 2.0 ** 40 * y), gsi(ms, y, moment_profile(ens), seed=1).z0,
+                   baseline_si(ms, y, seed=1).z0)
+        for a in results:
+            assert not np.shares_memory(a, ms.vectors)
+            assert _owner(a).nbytes <= max(a.nbytes, d * d * 16)
+        assert ms.vectors.tobytes() == before
 
 
 def test_mean_Y_and_M_match_moment_identity():
