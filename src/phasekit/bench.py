@@ -98,6 +98,7 @@ class ExperimentConfig:
                             ("max_iters", _integer(self.max_iters, "max_iters", 1)),
                             ("ratio_grid", _sequence(self.ratio_grid, "ratio_grid", _number, 1))):
             object.__setattr__(self, name, value)
+        _fits(self.d, self.d, "d")  # each command forms d x d matrices, whatever grid it borrows
         if len(self.ratio_grid) == 0:
             raise ValueError("ratio grid must be nonempty")
         keys = [_ratio_key(r, f"ratio_grid[{i}]") for i, r in enumerate(self.ratio_grid)]

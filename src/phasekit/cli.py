@@ -6,11 +6,11 @@ Subcommands:
     verify-moments  Monte-Carlo check of the ensemble's moment constants
     solve           one seeded end-to-end recovery
 
-Flags are the only way to set a run. build_parser declares each command once:
-its flags, whose dests are the ExperimentConfig fields they set, and its
-handler, kind and defaults. ExperimentConfig checks the values, so the CLI
-holds no setting rules; text not of a flag's type is a usage error (exit 2).
-Every command writes its output to --out, or to stdout when --out is absent.
+Flags are the only way to set a run. build_parser declares each command once: its flags,
+whose dests are the ExperimentConfig fields they set, its handler, kind and defaults, and
+the sizing flag a host-memory error names; --samples takes the oracles' default.
+ExperimentConfig checks the values, so the CLI holds no setting rules; text not of a
+flag's type is a usage error (exit 2). Every command writes to --out, or else to stdout.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .bench import (ExperimentConfig, ExperimentKind, _rows, run_init_experiment
                     run_recovery_experiment, run_recovery_trial)
 from .ensembles import (BUILTIN_ENTRIES, Ensemble, Field, _direction, _rng, derived_constants,
                         moment_profile)
-from .verify import mc_condition_residual, mc_F_residual
+from .verify import DEFAULT_SAMPLES, mc_condition_residual, mc_F_residual
 
 
 def _add_common(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
@@ -47,8 +47,9 @@ def _ratio_list(text: str) -> list:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The one declaration of each command: its flags, whose dests name the
-    ExperimentConfig fields they set, and its handler, kind and defaults."""
+    """The one declaration of each command: its flags, whose dests name the ExperimentConfig
+    fields they set, its handler, kind and defaults (--samples: the oracles' DEFAULT_SAMPLES),
+    and its sizing flag, which `main` names with --d when the host cannot allocate."""
     parser = argparse.ArgumentParser(prog="phasekit",
                                      description="Phase retrieval benchmarks for "
                                                  "sub-Gaussian rank-one measurements.")
@@ -67,17 +68,18 @@ def build_parser() -> argparse.ArgumentParser:
         if kind is ExperimentKind.SUCCESS_RATE:  # an init trial runs no descent
             p.add_argument("--max-iters", type=int, help="gradient iterations cap")
         p.add_argument("--format", choices=["csv", "json"], default="csv")
-        p.set_defaults(handler=_cmd_bench, kind=kind, run=run)
+        p.set_defaults(handler=_cmd_bench, kind=kind, run=run, sizing="--ratios")
 
     pv = _add_common(sub.add_parser("verify-moments", help="Monte-Carlo moment-identity check"))
-    pv.add_argument("--samples", type=int, default=1_000_000, help="Monte-Carlo sample count")
-    pv.set_defaults(handler=_cmd_verify_moments, kind=ExperimentKind.SUCCESS_RATE, d=3)
+    pv.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help="Monte-Carlo sample count")
+    pv.set_defaults(handler=_cmd_verify_moments, kind=ExperimentKind.SUCCESS_RATE, d=3,
+                    sizing="--samples")
 
     ps = _add_common(sub.add_parser("solve", help="single seeded recovery run"))
     ps.add_argument("--ratios", dest="ratio_grid", metavar="RATIO", type=float, nargs=1,
                     help="N/d ratio")
     ps.add_argument("--max-iters", type=int, help="gradient iterations cap")
-    ps.set_defaults(handler=_cmd_solve, kind=ExperimentKind.SUCCESS_RATE)
+    ps.set_defaults(handler=_cmd_solve, kind=ExperimentKind.SUCCESS_RATE, sizing="--ratios")
     return parser
 
 
@@ -150,8 +152,7 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except MemoryError as exc:  # numpy's text names no flag
-        sizing = "--samples" if args.command == "verify-moments" else "--ratios"
-        print(f"error: {sizing} and --d ask for arrays this host cannot allocate: {exc}",
+        print(f"error: {args.sizing} and --d ask for arrays this host cannot allocate: {exc}",
               file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

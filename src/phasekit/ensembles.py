@@ -185,18 +185,16 @@ _TERNARY_CUTS = (1_431_655_766, 2_863_311_531)
 _TERNARY_BLOCK = 1 << 15  # raw 64-bit words a ternary draw holds at once: 256 KiB
 
 
-def _ternary_block(bitgen: np.random.BitGenerator, part: np.ndarray,
-                   below: np.ndarray) -> Optional[int]:
-    """Writes the values of part.size words, from one block of ceil(part.size / 2) raw
-    words, into the int8 `part`, with `below` as its mask buffer, and returns the high half
-    of the last raw word; None, with `part` unwritten, if a word is zero. The block dies
-    with this call, so a draw never holds two."""
+def _ternary_block(bitgen: np.random.BitGenerator, part: np.ndarray) -> Optional[int]:
+    """Writes the values of part.size words, from one block of ceil(part.size / 2) raw words,
+    into the int8 `part` and returns the high half of the last raw word; None, with `part`
+    unwritten, if a word is zero. The block dies with this call, so a draw never holds two."""
     raw = bitgen.random_raw((part.size + 1) // 2)
     words = raw.astype("<u8", copy=False).view("<u4")[:part.size]  # low half, then high
     if not words.min():
         return None
     np.greater_equal(words, _TERNARY_CUTS[1], out=part.view(bool))
-    part -= np.less(words, _TERNARY_CUTS[0], out=below[:part.size])
+    part -= words < _TERNARY_CUTS[0]
     return int(raw[-1] >> 32)
 
 
@@ -213,9 +211,8 @@ def _ternary(rng: np.random.Generator, shape: tuple) -> np.ndarray:
     n = math.prod(shape)
     if saved["bit_generator"] == "PCG64" and not saved["has_uint32"] and n:
         draw = np.empty(n, dtype=np.int8)
-        below = np.empty(min(n, 2 * _TERNARY_BLOCK), dtype=bool)
         for start in range(0, n, 2 * _TERNARY_BLOCK):
-            high = _ternary_block(bitgen, draw[start:start + 2 * _TERNARY_BLOCK], below)
+            high = _ternary_block(bitgen, draw[start:start + 2 * _TERNARY_BLOCK])
             if high is None:  # a zero word: its rejection shifts the stream
                 break
         else:  # no zero word in any block

@@ -48,6 +48,7 @@ from .ensembles import (
 from .spectral import _gsi_matrices
 
 DEFAULT_CHUNKS = 20
+DEFAULT_SAMPLES = 1_000_000  # an oracle's n_samples, and verify-moments' --samples
 _BLOCK_BYTES = 1 << 22  # the most bytes of rows an `mc_*` oracle draws at once: 4 MiB
 FIT_FLOOR = 1e-12  # errors at or below this are rounding noise
 
@@ -205,7 +206,7 @@ def mc_condition_residual(
     ensemble: Ensemble,
     d: int,
     x: np.ndarray,
-    n_samples: int = 1_000_000,
+    n_samples: int = DEFAULT_SAMPLES,
     seed: SeedLike = 0,
 ) -> ResidualReport:
     """Check E((x* A x) A) and E(A) against the law's closed-form profile.
@@ -244,7 +245,7 @@ def f_block_expectation(profile: MomentProfile, x: np.ndarray) -> np.ndarray:
 def mc_F_residual(
     ensemble: Ensemble,
     x: np.ndarray,
-    n_samples: int = 1_000_000,
+    n_samples: int = DEFAULT_SAMPLES,
     seed: SeedLike = 0,
 ) -> ResidualReport:
     """Check the block expectation of (1/n) sum [w; conj(w)][w; conj(w)]* with w = A_j x,

@@ -28,7 +28,9 @@ from phasekit import (
     trial_seed,
 )
 from phasekit.bench import _rows
+from phasekit.cli import build_parser
 from phasekit.spectral import DEFAULT_POWER_ITERS
+from phasekit.verify import DEFAULT_SAMPLES, mc_condition_residual, mc_F_residual
 
 TERNARY_REAL = Ensemble(Field.REAL, TERNARY)
 
@@ -98,6 +100,10 @@ def test_library_defaults_are_the_experiment_defaults():
     assert inspect.signature(power_method).parameters["iters"].default == cfg.power_iters
     for init in (gsi, baseline_si):
         assert inspect.signature(init).parameters["power_iters"].default == cfg.power_iters
+    # the oracles' sample count was written in each oracle and again at --samples
+    for oracle in (mc_condition_residual, mc_F_residual):
+        assert inspect.signature(oracle).parameters["n_samples"].default == DEFAULT_SAMPLES
+    assert build_parser().parse_args(["verify-moments"]).samples == DEFAULT_SAMPLES
 
 
 def test_config_validation():

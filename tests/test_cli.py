@@ -300,6 +300,9 @@ _BAD_VALUES = [
     ("--d", "six", 2, "invalid int value: 'six'"),
     ("--d", "1", 1, "d must be an integer >= 2, got 1"),
     ("--d", "-4", 1, "d must be an integer >= 2, got -4"),
+    # each command named the recovery grid's ratio_grid[0] * d, which verify-moments does not take
+    ("--d", "100000000000000000", 1, "d = 1e+17 rows of 100000000000000000 entries are more "
+     "than a numpy array holds"),
     ("--seed", "1.5", 2, "invalid int value: '1.5'"),
     ("--seed", "-1", 1, "base_seed must be an integer >= 0, got -1"),
     ("--ratios", "abc", 2, "not comma-separated numbers: 'abc'", _GRIDS),

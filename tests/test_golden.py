@@ -7,10 +7,16 @@ made with; on another build every case fails and names the difference.
 The d=128 verify case also depends on the BLAS thread count: the eigensolve
 of its 256 x 256 F block differs in the last bits at one thread and at two,
 and its file was made at OpenBLAS's default on a 2-core host (two threads).
-There is no tolerance: a change that moves one bit of a table fails here.
+So that case runs `python -m phasekit.cli` in a subprocess with
+OPENBLAS_NUM_THREADS=2, whatever the count of this process, and is skipped on
+one core. There is no tolerance: a change that moves one bit of a table fails
+here.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -48,13 +54,30 @@ def build_versions() -> dict:
             "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")}}
 
 
+# the case whose bits depend on the BLAS thread count; its file was made at two threads
+THREADED = "verify_moments_complex_ternary_blocks.json"
+
+
 def cli_output(name: str, capsys) -> str:
-    """The text the command of CASES[name] writes."""
-    assert cli.main(CASES[name]) == 0
-    return capsys.readouterr().out
+    """The text the command of CASES[name] writes: in this process, or for THREADED in a
+    subprocess at two threads, as OpenBLAS reads its thread count when it loads."""
+    if name != THREADED:
+        assert cli.main(CASES[name]) == 0
+        return capsys.readouterr().out
+    env = os.environ | {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+                        "OPENBLAS_NUM_THREADS": "2"}
+    done = subprocess.run([sys.executable, "-m", "phasekit.cli", *CASES[name]], env=env,
+                          capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr.decode("utf-8")
+    return done.stdout.decode("utf-8")
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+ONE_CORE = pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                              reason="OpenBLAS runs one thread on one core")
+
+
+@pytest.mark.parametrize("name", [pytest.param(name, marks=ONE_CORE) if name == THREADED else name
+                                  for name in sorted(CASES)])
 def test_cli_output_matches_golden(name, capsys):
     recorded = json.loads((GOLDEN / "VERSIONS.json").read_text(encoding="utf-8"))
     current = build_versions()

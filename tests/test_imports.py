@@ -7,16 +7,21 @@ its chunks in one loop and measures them through the private kernels,
 `spectral` forms GSI's matrices in one function and its start in one recipe,
 which both of `bench`'s protocols reach through one trial function, and the
 package tests float range in named functions and methods only: `_ldexp` alone
-judges a result.
+judges a result, and `cli.main` names no command, whose declaration in
+`build_parser` holds all that main reads of it.
 
 The package's __init__.py is left out of the import scan: its imports are
 the public API.
 """
 
+import argparse
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
+
+from phasekit import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(path for top in ("src/phasekit", "tests", "benchmarks")
@@ -211,6 +216,14 @@ def test_both_protocols_take_gsi_from_one_recipe(source, name, callers):
 
 def test_bench_reaches_the_initializers_through_the_recipe_alone():
     assert sorted({"gsi", "baseline_si"} & imported_names(ast.parse(BENCH)).keys()) == []
+
+
+def test_cli_main_names_no_command():
+    # main chose the flags of its host-memory error by the name verify-moments
+    (commands,) = [a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    source = inspect.getsource(cli.main)
+    assert sorted(name for name in commands.choices if name in source) == []
 
 
 # a test of float range, by a call of isfinite or a comparison with the largest float
