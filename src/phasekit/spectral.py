@@ -5,10 +5,10 @@ Given measurements y_j = |<a_j, x>|^2 the matrices are
     Y = (1/N) sum_j y_j a_j a_j*
     M = Y - (tau4 / (tau3 + tau4)) * D(Y - tau2 rho^2 I)
 
-where rho^2 = (sum_j y_j) / (tau1 N) estimates ||x||^2 and D takes the
-diagonal part. The generalized spectral initialization (GSI) z0 is the
-dominant eigenvector of M scaled to norm rho; the classical baseline (SI)
-uses Y itself.
+where rho^2 = (sum_j y_j) / (tau1 N) estimates ||x||^2 and D takes the diagonal part.
+The generalized spectral initialization (GSI) z0 is the dominant eigenvector of M
+scaled to norm rho; the classical baseline (SI) uses Y itself. Y = 0, as y_j a_j = 0
+for every j gives, leaves either start no direction: both raise one ValueError.
 
 Y is formed from one triangle, as a rank-N update with the rows
 sqrt(y_j) a_j (a BLAS syrk), and is exactly Hermitian with a real diagonal;
@@ -173,9 +173,13 @@ def _power(M: np.ndarray, iters: int, seed: SeedLike) -> tuple[float, np.ndarray
     return lam, v, _norm(Mv - lam * v)
 
 
-def _init(M: np.ndarray, scale: float, e: int, power_iters: int, seed: SeedLike) -> InitResult:
-    """z0 = scale * (top eigenvector of M) for M and scale formed from y * 2^-2e, scaled
-    back: z0 and its scale by 2^e, and lam and residual, as M scales with y, by 2^(2e)."""
+def _init(Y: np.ndarray, M: np.ndarray, scale: float, e: int, power_iters: int,
+          seed: SeedLike) -> InitResult:
+    """z0 = scale * (top eigenvector of M) for Y, M and scale formed from y * 2^-2e, scaled
+    back: z0 and its scale by 2^e, lam and residual by 2^(2e). The one judge of a start with
+    no direction: Y = 0 raises ValueError naming y and the rows, for GSI's M and SI's alike."""
+    if not Y.any():
+        raise ValueError("Y = 0: y_j a_j = 0 for every j, so the start has no direction")
     lam, v, residual = _power(M, power_iters, seed)
     return InitResult(_ldexp(scale * v, e, "z0"), _ldexp(scale, e, "rho"),
                       _ldexp(lam, 2 * e, "lam"), _ldexp(residual, 2 * e, "residual"))
@@ -190,13 +194,11 @@ def _gsi_matrices(A: np.ndarray, y: np.ndarray, profile: MomentProfile,
 
 def _si_scale(A: np.ndarray, y: np.ndarray) -> float:
     """SI's scale sqrt(d sum(y) / sum_j ||a_j||^2) of plain C-contiguous rows A and unit-scale y.
-    The squares are summed row by row, then over rows, so no BLAS thread count sets the order."""
+    The squares are summed row by row, then over rows, so no BLAS thread count sets the order.
+    All-zero rows give 0.0: they make Y = 0 too, which `_init` rejects."""
     V = A.view(np.float64)
     sum_sq = float(np.einsum("ij,ij->i", V, V).sum())
-    if sum_sq == 0.0:
-        raise ValueError(f"SI's scale breaks down: sum_j ||a_j||^2 = {sum_sq}; "
-                         "the rows must be nonzero")
-    return math.sqrt(A.shape[1] * float(np.sum(y)) / sum_sq)
+    return math.sqrt(A.shape[1] * float(np.sum(y)) / sum_sq) if sum_sq else 0.0
 
 
 def gsi(
@@ -209,9 +211,9 @@ def gsi(
     """Generalized spectral initialization: z0 = rho * (top eigenvector of M).
 
     `y` must be real, finite, nonnegative and of shape (N,). Every argument is
-    checked before Y is formed, from a weighted copy of the rows; nonzero y with
-    all-zero rows raises ValueError. One scale rule (README): z0 and rho k = 1, lam
-    and residual k = 2; underflow rounds silently to a subnormal or 0.0."""
+    checked before Y is formed, from a weighted copy of the rows; Y = 0, as y = 0 or
+    y_j > 0 only on zero rows a_j give, raises ValueError. One scale rule (README): z0
+    and rho k = 1, lam and residual k = 2; underflow rounds silently to a subnormal or 0.0."""
     y = _intensities(y, _instance(mset, "mset", MeasurementSet).N)  # at the caller's scale
     _instance(profile, "profile", MomentProfile)
     _integer(power_iters, "power_iters", 1)
@@ -227,11 +229,11 @@ def baseline_si(
     """Classical spectral initialization: top eigenvector of Y, scaled by
     lam_SI = sqrt(d * sum(y) / sum_j ||a_j||^2). `y` must be real, finite,
     nonnegative and of shape (N,). Every argument is checked before Y is formed.
-    Scale rule as `gsi` says."""
+    Y = 0 raises ValueError, and the scale rule applies, as `gsi` says."""
     e, y = _unit_args(mset, y=y)
     _integer(power_iters, "power_iters", 1)
-    A, rng = mset.vectors, _rng(seed)
-    return _init(_Y(A, y), _si_scale(A, y), e, power_iters, rng)
+    rng, Y = _rng(seed), _Y(mset.vectors, y)
+    return _init(Y, Y, _si_scale(mset.vectors, y), e, power_iters, rng)
 
 
 def _paired_init(A: np.ndarray, y: np.ndarray, profile: MomentProfile, power_iters: int,
@@ -239,11 +241,9 @@ def _paired_init(A: np.ndarray, y: np.ndarray, profile: MomentProfile, power_ite
                  out: np.ndarray | None = None) -> tuple[InitResult, InitResult | None]:
     """The one GSI recipe: (`gsi`, `baseline_si`) of rows A and checked y from one Y, written
     to `out` as `_Y` says; SI is None unless si_seed is given, and its scale is taken from the
-    plain rows first. Nonzero y with Y = 0 leaves M no direction: a ValueError."""
+    plain rows first. Y = 0 leaves either start no direction, and `_init` raises ValueError."""
     e, y = _to_unit(y=y)
     scale = None if si_seed is None else _si_scale(A, y)  # before the rows are weighted
     Y, rho, M = _gsi_matrices(A, y, profile, out=out)
-    if not Y.any() and y.any():  # M = c tau2 rho^2 I: no direction to find
-        raise ValueError("GSI breaks down: Y = 0 while y != 0; the rows must be nonzero")
-    g = _init(M, rho, e, power_iters, gsi_seed)  # rho at y's unit scale; _init scales it back
-    return g, None if si_seed is None else _init(Y, scale, e, power_iters, si_seed)
+    g = _init(Y, M, rho, e, power_iters, gsi_seed)  # rho at y's unit scale; _init scales it back
+    return g, None if si_seed is None else _init(Y, Y, scale, e, power_iters, si_seed)

@@ -5,10 +5,11 @@ and makes no call of `np.linalg.norm`, neither `bench` nor `cli` imports
 a helper of the scale rule, `verify` draws its rows in one function, cuts
 its chunks in one loop and measures them through the private kernels,
 `spectral` forms GSI's matrices in one function and its start in one recipe,
-which both of `bench`'s protocols reach through one trial function, and the
-package tests float range in named functions and methods only: `_ldexp` alone
-judges a result, and `cli.main` names no command, whose declaration in
-`build_parser` holds all that main reads of it.
+which both of `bench`'s protocols reach through one trial function, and judges
+a start with no direction (Y = 0) in `_init` alone, and the package tests float
+range in named functions and methods only: `_ldexp` alone judges a result, and
+`cli.main` names no command, whose declaration in `build_parser` holds all that
+main reads of it.
 
 The package's __init__.py is left out of the import scan: its imports are
 the public API.
@@ -216,6 +217,20 @@ def test_both_protocols_take_gsi_from_one_recipe(source, name, callers):
 
 def test_bench_reaches_the_initializers_through_the_recipe_alone():
     assert sorted({"gsi", "baseline_si"} & imported_names(ast.parse(BENCH)).keys()) == []
+
+
+def raising_functions(source: str, text: str) -> list[str]:
+    """The top-level functions of `source` with a `raise` whose text holds `text`."""
+    return [node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)
+            and any(isinstance(n, ast.Raise) and text in ast.unparse(n) for n in ast.walk(node))]
+
+
+def test_one_judge_for_a_start_with_no_direction():
+    # GSI's recipe and SI's scale each judged Y = 0 with a message of their own, and two
+    # cases reached the power method's, which names an M the caller never passed
+    assert [name for path in PACKAGE
+            for name in raising_functions(path.read_text(encoding="utf-8"), "Y = 0")] == ["_init"]
+    assert sorted({"_si_scale", "_paired_init"} & set(raising_functions(SPECTRAL, ""))) == []
 
 
 def test_cli_main_names_no_command():

@@ -259,31 +259,44 @@ def test_power_method_matches_eigensolver():
 # a valid law, of the Gaussian's moments, that draws only zeros
 ZERO = EntryDistribution("zero", 1.0, 3.0, lambda rng, shape: np.zeros(shape))
 _BREAKS_DOWN = "power method breaks down: ||M v|| = 0.0; M must be nonzero"
-_NO_SI_SCALE = "SI's scale breaks down: sum_j ||a_j||^2 = 0.0; the rows must be nonzero"
-_NO_GSI = "GSI breaks down: Y = 0 while y != 0; the rows must be nonzero"
+_NO_DIRECTION = "Y = 0: y_j a_j = 0 for every j, so the start has no direction"
 
 
 def _zero_config(kind, field):
     return ExperimentConfig(kind, Ensemble(field, ZERO), d=4, ratio_grid=(4,), trials=1)
 
 
+def _rows(field, rows):
+    return MeasurementSet(np.array(rows, field.dtype))
+
+
 @pytest.mark.parametrize("field", [Field.REAL, Field.COMPLEX], ids=lambda f: f.value)
 @pytest.mark.parametrize("call, message", [
     (lambda f: power_method(np.zeros((3, 3), f.dtype)), _BREAKS_DOWN),
     (lambda f: gsi(MeasurementSet(np.zeros((2, 2), f.dtype)), np.array([1.0, 2.0]),
-                   moment_profile(Ensemble(f, ZERO))), _NO_GSI),
+                   moment_profile(Ensemble(f, ZERO))), _NO_DIRECTION),
     (lambda f: gsi(MeasurementSet(np.zeros((2, 2), f.dtype)), np.array([1.0, 2.0]),
-                   moment_profile(Ensemble(f, TERNARY))), _NO_GSI),
+                   moment_profile(Ensemble(f, TERNARY))), _NO_DIRECTION),
     (lambda f: baseline_si(MeasurementSet(np.zeros((2, 2), f.dtype)), np.array([1.0, 2.0])),
-     _NO_SI_SCALE),
-    (lambda f: run_init_experiment(_zero_config(ExperimentKind.INIT_ERROR, f)), _NO_SI_SCALE),
+     _NO_DIRECTION),
+    (lambda f: run_init_experiment(_zero_config(ExperimentKind.INIT_ERROR, f)), _NO_DIRECTION),
     (lambda f: run_recovery_trial(_zero_config(ExperimentKind.SUCCESS_RATE, f), 4, 0),
-     _BREAKS_DOWN),
+     _NO_DIRECTION),
+    (lambda f: gsi(_rows(f, [[1, 2], [3, 4]]), np.zeros(2), moment_profile(Ensemble(f, TERNARY))),
+     _NO_DIRECTION),
+    (lambda f: baseline_si(_rows(f, [[1, 2], [3, 4]]), np.zeros(2)), _NO_DIRECTION),
+    (lambda f: gsi(_rows(f, [[0, 0], [3, 4]]), np.array([1.0, 0.0]),
+                   moment_profile(Ensemble(f, TERNARY))), _NO_DIRECTION),
+    (lambda f: baseline_si(_rows(f, [[0, 0], [3, 4]]), np.array([1.0, 0.0])), _NO_DIRECTION),
 ], ids=["power_method", "gsi", "gsi-ternary", "baseline_si", "run_init_experiment",
-        "run_recovery_trial"])
+        "run_recovery_trial", "gsi-y-zero", "baseline_si-y-zero", "gsi-y-on-zero-rows",
+        "baseline_si-y-on-zero-rows"])
 def test_the_all_zero_problem_is_a_value_error(call, message, field):
     # baseline_si and the init trial raised ZeroDivisionError from SI's scale; gsi with
-    # tau4 != 0 returned the power method's random start, as M = c tau2 rho^2 I
+    # tau4 != 0 returned the power method's random start, as M = c tau2 rho^2 I. Then three
+    # judges spoke for Y = 0, and two cases leaked to the power method's message, which names
+    # an M the caller never passed: y = 0 over nonzero rows in gsi and baseline_si, and
+    # y > 0 only on zero rows in baseline_si
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(field)
 
