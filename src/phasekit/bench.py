@@ -3,9 +3,9 @@
 Reproduces the two benchmark protocols: initialization accuracy (mean
 relative error of GSI vs SI over a grid of N/d ratios) and recovery success
 rate (GSI followed by BB-stepped gradient descent, success when the final
-relative error drops below the protocol constant 1e-5). Both share one trial
-function and one sweep loop; ExperimentConfig settles every value at
-construction, so the sweep only reads it.
+relative error drops below the protocol constant 1e-5). One trial function
+returns each trial's TrialRecord, and one sweep loop reduces its fields by
+name; ExperimentConfig settles every value at construction, so the sweep only reads it.
 
 Determinism contract: every output, a TrialRecord included, is a pure
 function of (config, base_seed). Trial streams are derived as
@@ -123,10 +123,15 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
+    """One trial of either protocol. A recovery trial fills the first five fields, `status`
+    the value of solve's SolveStatus; an init trial fills `init_rel_error` with GSI's start
+    error and `si_rel_error` with SI's, and leaves the descent's fields None."""
     init_rel_error: float
-    final_rel_error: float
-    iterations: int
-    success: bool
+    final_rel_error: Optional[float]
+    iterations: Optional[int]
+    success: Optional[bool]
+    status: Optional[str] = None
+    si_rel_error: Optional[float] = None
 
 
 @dataclass
@@ -183,13 +188,13 @@ def _rows(ratio: float, d: int, name: str) -> int:
     return N
 
 
-def _trial(config: ExperimentConfig, ratio: float, i: int) -> tuple:
-    """Trial i at `ratio`, either protocol's: (x, draw, y, g, s), the signal, the call that
-    draws its rows, y, and GSI's and SI's InitResults. The stream spawns seeds for x, the rows,
-    GSI and, in an init trial only, SI: the first three are the same either way, since a
-    SeedSequence's children do not depend on how many are spawned. GSI weights the drawn rows
-    in place and forms a complex Y over them, so the trial holds one N x d array of rows, and
-    a recovery trial's descent takes draw() of the same rows; its s is None."""
+def _start(config: ExperimentConfig, ratio: float, i: int) -> tuple:
+    """Trial i at `ratio` up to its starts, either protocol's: (x, draw, y, g, s), the signal,
+    the call that draws its rows, y, and GSI's and SI's InitResults (s is None in a recovery
+    trial). The stream spawns seeds for x, the rows, GSI and, in an init trial only, SI: the
+    first three are the same either way, since a SeedSequence's children do not depend on how
+    many are spawned. GSI weights the drawn rows in place and forms a complex Y over them: the
+    rows die when this returns, and a recovery trial's descent takes draw() of the same rows."""
     paired = config.kind is ExperimentKind.INIT_ERROR
     sig_ss, meas_ss, *power_seeds = trial_seed(config.base_seed, ratio, i).spawn(3 + paired)
     x = generate_signal(config.d, sig_ss, field=config.ensemble.field)
@@ -201,6 +206,24 @@ def _trial(config: ExperimentConfig, ratio: float, i: int) -> tuple:
                                       config.power_iters, *power_seeds, out=mset.vectors))
 
 
+def _trial(config: ExperimentConfig, ratio: float, i: int) -> TrialRecord:
+    """Trial i at `ratio` as the TrialRecord of config's kind; a descent runs on draw()."""
+    x, draw, y, g, s = _start(config, ratio, i)
+    nx = _norm(x)
+    init_err = float(dist(g.z0, x) / nx)
+    if s is not None:
+        return TrialRecord(init_err, None, None, None, si_rel_error=float(dist(s.z0, x) / nx))
+    mset = draw()  # the plain rows again, for the descent
+    if not np.array_equal(measure(mset, x), y):  # y >= 0 and finite: equal is bit for bit
+        raise ValueError(f"entry distribution {config.ensemble.entry.name!r}: a second draw "
+                         "from the same seed gave other rows; its sampler must depend only "
+                         "on its generator and shape")
+    report = solve(mset, y, g.z0, SolverConfig(max_iters=config.max_iters))
+    final_err = float(dist(report.final_z, x) / nx)
+    return TrialRecord(init_err, final_err, report.iterations,
+                       final_err < config.success_threshold, report.status.value)
+
+
 def _checked(config: ExperimentConfig, kind: ExperimentKind) -> ExperimentConfig:
     """config, checked as an ExperimentConfig of `kind`: the check of every entry point."""
     if _instance(config, "config", ExperimentConfig).kind is not kind:
@@ -208,58 +231,35 @@ def _checked(config: ExperimentConfig, kind: ExperimentKind) -> ExperimentConfig
     return config
 
 
-def _sweep(config: ExperimentConfig, columns: list, trial) -> ResultTable:
-    """The protocol both experiments share: trial(ratio, i) for every ratio
-    of the grid and every i < config.trials, in that order. A row holds the
-    ratio, N, the mean of each returned value under `columns`, and trials."""
+def _sweep(config: ExperimentConfig, columns: dict) -> ResultTable:
+    """The protocol both experiments share: `_trial` for every ratio of the grid and every
+    i < config.trials, in that order. `columns` maps column names to TrialRecord fields; a
+    row holds the ratio, N, each column's mean of its field over the trials, and trials."""
     rows = []
     for ratio in config.ratio_grid:
-        results = [trial(ratio, i) for i in range(config.trials)]
+        records = [_trial(config, ratio, i) for i in range(config.trials)]
         # a 1-D mean per column: np.mean(axis=0) sums in another order
-        means = [float(np.mean(column)) for column in zip(*results)]
+        means = {c: float(np.mean([getattr(r, f) for r in records])) for c, f in columns.items()}
         rows.append({"ratio": float(ratio), "N": _rows(ratio, config.d, "ratio"),
-                     **dict(zip(columns, means)), "trials": config.trials})
+                     **means, "trials": config.trials})
     return ResultTable(["ratio", "N", *columns, "trials"], rows, config.to_dict())
 
 
 def run_init_experiment(config: ExperimentConfig) -> ResultTable:
     """Mean relative error of GSI and SI per N/d ratio; both initializers see
     the same measurement realizations within a trial (paired comparison)."""
-    _checked(config, ExperimentKind.INIT_ERROR)
-
-    def one_trial(ratio: float, i: int) -> tuple[float, float]:
-        x, _, _, g, s = _trial(config, ratio, i)
-        nx = _norm(x)
-        return dist(g.z0, x) / nx, dist(s.z0, x) / nx
-
-    return _sweep(config, ["gsi_mean_rel_error", "si_mean_rel_error"], one_trial)
+    return _sweep(_checked(config, ExperimentKind.INIT_ERROR),
+                  {"gsi_mean_rel_error": "init_rel_error", "si_mean_rel_error": "si_rel_error"})
 
 
 def run_recovery_trial(config: ExperimentConfig, ratio: float, trial: int) -> TrialRecord:
-    """One seeded end-to-end trial: signal, measurements, GSI, BB descent."""
-    _checked(config, ExperimentKind.SUCCESS_RATE)
-    x, draw, y, init, _ = _trial(config, ratio, trial)
-    mset = draw()  # the plain rows again, for the descent
-    if not np.array_equal(measure(mset, x), y):  # y >= 0 and finite: equal is bit for bit
-        raise ValueError(f"entry distribution {config.ensemble.entry.name!r}: a second draw "
-                         "from the same seed gave other rows; its sampler must depend only "
-                         "on its generator and shape")
-    nx = _norm(x)
-    init_err = dist(init.z0, x) / nx
-    report = solve(mset, y, init.z0, SolverConfig(max_iters=config.max_iters))
-    final_err = dist(report.final_z, x) / nx
-    return TrialRecord(init_rel_error=float(init_err), final_rel_error=float(final_err),
-                       iterations=report.iterations,
-                       success=bool(final_err < config.success_threshold))
+    """One seeded end-to-end trial: signal, measurements, GSI, BB descent. The record
+    carries the solver's status, the value of solve's SolveStatus."""
+    return _trial(_checked(config, ExperimentKind.SUCCESS_RATE), ratio, trial)
 
 
 def run_recovery_experiment(config: ExperimentConfig) -> ResultTable:
     """Success rate per N/d ratio over seeded trials."""
-    _checked(config, ExperimentKind.SUCCESS_RATE)
-
-    def one_trial(ratio: float, i: int) -> tuple[bool, float, float]:
-        r = run_recovery_trial(config, ratio, i)
-        return r.success, r.init_rel_error, r.final_rel_error
-
-    return _sweep(config, ["success_rate", "mean_init_rel_error", "mean_final_rel_error"],
-                  one_trial)
+    return _sweep(_checked(config, ExperimentKind.SUCCESS_RATE),
+                  {"success_rate": "success", "mean_init_rel_error": "init_rel_error",
+                   "mean_final_rel_error": "final_rel_error"})

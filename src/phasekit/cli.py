@@ -141,7 +141,7 @@ def _cmd_solve(args) -> int:
         "d": cfg.d,
         "N": _rows(ratio, cfg.d, "ratio"),
         "base_seed": cfg.base_seed,
-        **dataclasses.asdict(record),
+        **{k: v for k, v in dataclasses.asdict(record).items() if v is not None},
     }
     _write(args, payload)
     return 0

@@ -19,15 +19,18 @@ from phasekit import (
     TERNARY,
     UNIFORM,
     baseline_si,
+    dist,
     generate_signal,
     gsi,
+    measure,
     power_method,
     run_init_experiment,
     run_recovery_experiment,
     run_recovery_trial,
+    sample_measurements,
     trial_seed,
 )
-from phasekit.bench import _rows
+from phasekit.bench import _rows, _trial
 from phasekit.cli import build_parser
 from phasekit.spectral import DEFAULT_POWER_ITERS
 from phasekit.verify import DEFAULT_SAMPLES, mc_condition_residual, mc_F_residual
@@ -238,6 +241,27 @@ def test_recovery_trial_record_fields():
     assert rec.init_rel_error >= 0.0
     assert rec.iterations <= 500
     assert rec.success == (rec.final_rel_error < SMALL_RECOVERY.success_threshold)
+
+
+def test_recovery_record_carries_the_solver_status():
+    # every trial dropped the status that solve returned
+    capped = run_recovery_trial(dataclasses.replace(SMALL_RECOVERY, max_iters=1), 6, 0)
+    assert (capped.iterations, capped.status) == (1, "max_iters")
+    assert run_recovery_trial(SMALL_RECOVERY, 6, 0).status == "grad_tolerance_met"
+
+
+def test_init_record_holds_the_two_starts_and_no_descent():
+    ratio = SMALL_INIT.ratio_grid[0]
+    for i in range(SMALL_INIT.trials):
+        record = _trial(SMALL_INIT, ratio, i)
+        assert (record.final_rel_error, record.iterations, record.success,
+                record.status) == (None, None, None, None)
+        sig, meas, _, si_seed = trial_seed(SMALL_INIT.base_seed, ratio, i).spawn(4)
+        x = generate_signal(SMALL_INIT.d, sig)
+        mset = sample_measurements(TERNARY_REAL, _rows(ratio, SMALL_INIT.d, "ratio"),
+                                   SMALL_INIT.d, meas)
+        si = baseline_si(mset, measure(mset, x), seed=si_seed)
+        assert record.si_rel_error == dist(si.z0, x) / np.linalg.norm(x)
 
 
 def test_recovery_row_is_the_mean_of_its_seeded_trials():

@@ -15,7 +15,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import astuple, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,7 @@ from phasekit import (
     SolveReport,
     SolverConfig,
     SolveStatus,
+    TrialRecord,
     baseline_si,
     dist,
     generate_signal,
@@ -323,8 +324,9 @@ def test_sampling_is_numpys_draw_of_each_law(field, entry, draw):
 
 def _public_trial(cfg, ratio, i):
     """Trial i of `cfg` at `ratio` from public calls only: GSI's and SI's errors for an
-    init config, the TrialRecord's fields for a recovery one. The recovery trial spawns
-    three seeds, as the benchmark's mirror does; the init trial four."""
+    init config, the fields of its one TrialRecord, the solver's status too, for a
+    recovery one. The recovery trial spawns three seeds, as the benchmark's mirror does;
+    the init trial four."""
     ens, paired = cfg.ensemble, cfg.kind is ExperimentKind.INIT_ERROR
     sig, meas, *power = trial_seed(cfg.base_seed, ratio, i).spawn(4 if paired else 3)
     x = generate_signal(cfg.d, sig, field=ens.field)
@@ -337,24 +339,26 @@ def _public_trial(cfg, ratio, i):
         return dist(g.z0, x) / nx, dist(s.z0, x) / nx
     report = solve(mset, y, g.z0, SolverConfig(max_iters=cfg.max_iters))
     final = dist(report.final_z, x) / nx
-    return dist(g.z0, x) / nx, final, report.iterations, final < cfg.success_threshold
+    return (dist(g.z0, x) / nx, final, report.iterations, final < cfg.success_threshold,
+            report.status.value)
 
 
 @pytest.mark.parametrize("field,entry", [(Field.REAL, TERNARY), (Field.COMPLEX, GAUSSIAN)])
 @pytest.mark.parametrize("kind", list(ExperimentKind), ids=lambda k: k.value)
 def test_protocols_match_trials_built_from_public_calls(kind, field, entry):
-    # both protocols take their trials from one private trial function, where GSI
-    # weights the drawn rows in place and a recovery trial draws them again for the
-    # descent; the public gsi and baseline_si weight a copy. N = 3d = 96 keeps N off
-    # powers of two, where g / N and g * (1/N) would agree
+    # both protocols take one TrialRecord per trial from one private trial function,
+    # where GSI weights the drawn rows in place and a recovery trial draws them again for
+    # the descent; the public gsi and baseline_si weight a copy. A recovery record is
+    # compared whole, its solver status included. N = 3d = 96 keeps N off powers of two,
+    # where g / N and g * (1/N) would agree
     cfg = ExperimentConfig(kind, Ensemble(field, entry), d=32, ratio_grid=(3, 5), trials=4,
                            base_seed=7)
     trials = [[_public_trial(cfg, ratio, i) for i in range(cfg.trials)]
               for ratio in cfg.ratio_grid]
     if kind is ExperimentKind.SUCCESS_RATE:
-        got = [[astuple(run_recovery_trial(cfg, ratio, i)) for i in range(cfg.trials)]
+        got = [[run_recovery_trial(cfg, ratio, i) for i in range(cfg.trials)]
                for ratio in cfg.ratio_grid]
-        assert got == trials
+        assert got == [[TrialRecord(*t) for t in row] for row in trials]
         return
     rows = [{"ratio": float(ratio), "N": int(round(ratio * cfg.d)),
              "gsi_mean_rel_error": float(np.mean([g for g, _ in errs])),

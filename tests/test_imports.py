@@ -5,8 +5,10 @@ and makes no call of `np.linalg.norm`, neither `bench` nor `cli` imports
 a helper of the scale rule, `verify` draws its rows in one function, cuts
 its chunks in one loop and measures them through the private kernels,
 `spectral` forms GSI's matrices in one function and its start in one recipe,
-which both of `bench`'s protocols reach through one trial function, and judges
-a start with no direction (Y = 0) in `_init` alone, and the package tests float
+which both of `bench`'s protocols reach through one trial function that builds
+their one record, called by `_sweep` and `run_recovery_trial` alone (neither
+`run_*_experiment` nests a function), and `spectral` judges a start with no
+direction (Y = 0) in `_init` alone, and the package tests float
 range in named functions and methods only: `_ldexp` alone judges a result, and
 `cli.main` names no command, whose declaration in `build_parser` holds all that
 main reads of it.
@@ -209,10 +211,21 @@ BENCH = (ROOT / "src/phasekit/bench.py").read_text(encoding="utf-8")
 # gsi held a second copy of _paired_init's recipe, without its all-zero check, and the
 # recovery trial called gsi, which checked the rows and y again
 @pytest.mark.parametrize("source, name, callers", [
-    (SPECTRAL, "_gsi_matrices", ["_paired_init"]), (BENCH, "_paired_init", ["_trial"])],
+    (SPECTRAL, "_gsi_matrices", ["_paired_init"]), (BENCH, "_paired_init", ["_start"])],
     ids=["spectral", "bench"])
 def test_both_protocols_take_gsi_from_one_recipe(source, name, callers):
     assert top_level_callers(source, name) == callers
+
+
+# each protocol turned the trial's tuple into a tuple of its own in a nested one_trial, and
+# the recovery one dropped the solver status of the TrialRecord that it took apart
+def test_both_protocols_take_one_record_from_one_trial_function():
+    assert top_level_callers(BENCH, "_trial") == ["_sweep", "run_recovery_trial"]
+    experiments = [node for node in ast.parse(BENCH).body if isinstance(node, ast.FunctionDef)
+                   and node.name in ("run_init_experiment", "run_recovery_experiment")]
+    assert len(experiments) == 2
+    assert [getattr(node, "name", "<lambda>") for e in experiments for node in ast.walk(e)
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)) and node is not e] == []
 
 
 def test_bench_reaches_the_initializers_through_the_recipe_alone():
